@@ -34,7 +34,7 @@ from .diagnostics import (
     verify_H1,
     verify_H2,
 )
-from .linalg import RngStream, gaussian_fill, spectral_norm
+from .linalg import RngStream, SpectralNormError, gaussian_fill, spectral_norm
 from .nls import BacktrackCapError
 from .svgplot import write_line_plot
 from .trace import (
@@ -267,14 +267,15 @@ def cmd_run(args):
 
 
 def _bench_trial(cfg, solvers, solver_opts, base_seed, trial, lam):
-    """Run every solver of one bench trial; returns name -> RunResult/None."""
+    """Run every solver of one bench trial; returns name -> RunResult, or
+    None for a solver that failed."""
     seed = base_seed + trial
     instance = build_instance(cfg["problem"], seed)
     out = {}
     for name in solvers:
         try:
             out[name] = solve(name, instance, solver_opts.get(name, {}), seed, lam=lam)
-        except BacktrackCapError:
+        except (BacktrackCapError, SpectralNormError):
             out[name] = None
     return out
 
@@ -570,7 +571,7 @@ def main(argv=None):
     except (UsageError, TraceParseError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (SolverError, BacktrackCapError) as e:
+    except (SolverError, BacktrackCapError, SpectralNormError) as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return 3
     except OSError as e:

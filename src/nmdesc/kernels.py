@@ -20,17 +20,34 @@ if USE_NUMBA:
 
 __all__ = [
     "USE_NUMBA",
+    "block_index",
     "masked_residual",
     "masked_grads",
+    "masked_block_grad",
     "logistic_loss_terms",
 ]
+
+
+def block_index(own, other, obs):
+    """The observed index set sorted by one block's index, for
+    `masked_block_grad`.
+
+    `own` holds each observation's row index in that block's factor (the
+    rows of Omega for U, its columns for V) and `other` its row index in the
+    other factor. Returns (own, other, obs) permuted into a stable sort on
+    `own`, the start of each run of equal `own` values, and those values.
+    """
+    order = np.argsort(own, kind="stable")
+    own_sorted = own[order]
+    starts = np.flatnonzero(np.diff(own_sorted, prepend=-1))
+    return own_sorted, other[order], obs[order], starts, own_sorted[starts]
 
 
 # -- numpy reference implementations ----------------------------------------
 
 def _masked_residual_np(U, V, rows, cols, obs):
     """r_t = <U[rows[t]], V[cols[t]]> - obs[t] over the observed index set."""
-    return np.einsum("ij,ij->i", U[rows], V[cols]) - obs
+    return np.einsum("ij,ij->i", U.take(rows, axis=0), V.take(cols, axis=0)) - obs
 
 
 def _masked_grads_np(U, V, rows, cols, resid):
@@ -42,11 +59,31 @@ def _masked_grads_np(U, V, rows, cols, resid):
     return gU, gV
 
 
+def _masked_block_grad_np(A, B, own, other, obs, starts, ids):
+    """Gradient of 0.5*||P_Omega(UV^T - M)||_F^2 in the factor A, with B the
+    other factor and the index arrays from `block_index` for A's block.
+
+    The residual is evaluated in A's sorted order, so the gathered rows of B
+    serve both the residual and the gradient terms, and each row of the
+    gradient is one segment sum. Rows of A with no observation get zeros.
+    """
+    B_other = B.take(other, axis=0)
+    resid = np.einsum("ij,ij->i", A.take(own, axis=0), B_other) - obs
+    grad = np.zeros_like(A)
+    grad[ids] = np.add.reduceat(resid[:, None] * B_other, starts, axis=0)
+    return grad
+
+
 def _logistic_loss_terms_np(z, b):
-    """Per-sample stable loss log(1+exp(-b*z)) and weight -b/(1+exp(b*z))."""
+    """Per-sample stable loss log(1+exp(-b*z)) and weight -b/(1+exp(b*z)).
+
+    exp(b*z) overflows to inf on saturated margins, which sends w to -0.0
+    or 0.0 as it should; the overflow warning is suppressed.
+    """
     t = -b * z
-    loss = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
-    w = -b / (1.0 + np.exp(b * z))
+    with np.errstate(over="ignore"):
+        loss = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+        w = -b / (1.0 + np.exp(b * z))
     return loss, w
 
 
@@ -83,6 +120,22 @@ if USE_NUMBA:
         return gU, gV
 
     @njit(cache=True)
+    def _masked_block_grad_nb(A, B, own, other, obs, starts, ids):
+        # the loop accumulates in sorted order and needs no segment bounds
+        r = A.shape[1]
+        grad = np.zeros_like(A)
+        for t in range(own.shape[0]):
+            i = own[t]
+            j = other[t]
+            acc = 0.0
+            for c in range(r):
+                acc += A[i, c] * B[j, c]
+            rt = acc - obs[t]
+            for c in range(r):
+                grad[i, c] += rt * B[j, c]
+        return grad
+
+    @njit(cache=True)
     def _logistic_loss_terms_nb(z, b):
         n = z.shape[0]
         loss = np.empty(n)
@@ -98,8 +151,10 @@ if USE_NUMBA:
 
     masked_residual = _masked_residual_nb
     masked_grads = _masked_grads_nb
+    masked_block_grad = _masked_block_grad_nb
     logistic_loss_terms = _logistic_loss_terms_nb
 else:
     masked_residual = _masked_residual_np
     masked_grads = _masked_grads_np
+    masked_block_grad = _masked_block_grad_np
     logistic_loss_terms = _logistic_loss_terms_np

@@ -90,6 +90,17 @@ def variant_config(name, base=None):
 
 @dataclass
 class BlockIterateState:
+    """Iterate z^k = (x, y, x_prev, y_prev) with the line-search history.
+
+    After an accepted step the state also carries the step's extrapolated
+    points and step sizes, the gradients its trial computed
+    (gx_trial = grad_x(xt_last, y_prev), gy_trial = grad_y(x, yt_last)),
+    and the gradients at the new point (gx = grad_x(x, y),
+    gy = grad_y(x, y)). The witness uses all four and the next step's
+    Barzilai-Borwein initialization reuses gx and gy; where one is None it
+    is computed from the problem.
+    """
+
     x: np.ndarray
     y: np.ndarray
     x_prev: np.ndarray
@@ -104,11 +115,23 @@ class BlockIterateState:
     yt_last: np.ndarray = None
     tau1_last: float = None
     tau2_last: float = None
+    gx_trial: np.ndarray = None
+    gy_trial: np.ndarray = None
+    gx: np.ndarray = None
+    gy: np.ndarray = None
+
+
+def _grad(carried, grad, x, y):
+    return grad(x, y) if carried is None else carried
 
 
 def potential_upsilon(x, y, u, v, problem, delta):
     """Upsilon_delta = Psi(x, y) + (delta/2)(||x-u||^2 + ||y-v||^2)."""
-    return problem.objective(x, y) + 0.5 * delta * (_sq(x - u) + _sq(y - v))
+    return _upsilon(problem.objective(x, y), x, y, u, v, delta)
+
+
+def _upsilon(objective, x, y, u, v, delta):
+    return objective + 0.5 * delta * (_sq(x - u) + _sq(y - v))
 
 
 def _bb_ratio(d, dh, lo, hi, prev):
@@ -130,11 +153,14 @@ def bb_init_tau_blocks(state, problem, tau_lo, tau_hi):
 
     The x secant uses gradients at the CURRENT y^k; the y secant uses the
     CURRENT x^k. A zero block difference reuses the previous initialization.
+    The gradients at (x^k, y^k) come from the state when it carries them.
     """
     dx = state.x - state.x_prev
     dy = state.y - state.y_prev
-    dhx = problem.grad_x(state.x, state.y) - problem.grad_x(state.x_prev, state.y)
-    dhy = problem.grad_y(state.x, state.y) - problem.grad_y(state.x, state.y_prev)
+    gx = _grad(state.gx, problem.grad_x, state.x, state.y)
+    gy = _grad(state.gy, problem.grad_y, state.x, state.y)
+    dhx = gx - problem.grad_x(state.x_prev, state.y)
+    dhy = gy - problem.grad_y(state.x, state.y_prev)
     tau1 = _bb_ratio(dx, dhx, tau_lo, tau_hi, state.tau1_init_prev)
     tau2 = _bb_ratio(dy, dhy, tau_lo, tau_hi, state.tau2_init_prev)
     return tau1, tau2
@@ -180,19 +206,20 @@ def backtrack_bound_palm(tau1_0, tau2_0, beta0, config, L1k, L2k1):
 
 def subgrad_witness_palm(state, problem, delta):
     """Subgradient witness at z^{k+1} from the two prox optimality conditions
-    of the last accepted step; requires the logged extrapolated points."""
+    of the last accepted step; requires the logged extrapolated points.
+    Gradients the state carries are used as they are, the others computed."""
     x, y = state.x, state.y
     xp, yp = state.x_prev, state.y_prev
     xt, yt = state.xt_last, state.yt_last
     w1 = (
-        problem.grad_x(x, y)
-        - problem.grad_x(xt, yp)
+        _grad(state.gx, problem.grad_x, x, y)
+        - _grad(state.gx_trial, problem.grad_x, xt, yp)
         - (x - xt) / state.tau1_last
         + delta * (x - xp)
     )
     w2 = (
-        problem.grad_y(x, y)
-        - problem.grad_y(x, yt)
+        _grad(state.gy, problem.grad_y, x, y)
+        - _grad(state.gy_trial, problem.grad_y, x, yt)
         - (y - yt) / state.tau2_last
         + delta * (y - yp)
     )
@@ -214,7 +241,9 @@ def palm_step(state, problem, config):
 
     Both block updates are recomputed on every backtrack: the x block at the
     extrapolated x with y^k fixed, then the y block at the extrapolated y
-    with the NEW x. Returns (state, TraceRecord, init dict).
+    with the NEW x. The accepted trial's gradients and the gradients at the
+    new point go on the returned state, for the witness and the next
+    step's initialization. Returns (state, TraceRecord, init dict).
     """
     if config.beta_rule == "nesterov":
         beta0, t_next = nesterov_beta(state.t_prev, state.t_cur)
@@ -236,16 +265,19 @@ def palm_step(state, problem, config):
         tau1 = max(tau1_0 * config.eta1**l, config.tau_lo)
         tau2 = max(tau2_0 * config.eta2**l, config.tau_lo)
         xt = state.x + beta * (state.x - state.x_prev)
-        x_new = problem.f_prox(xt - tau1 * problem.grad_x(xt, state.y), tau1)
+        gx_trial = problem.grad_x(xt, state.y)
+        x_new = problem.f_prox(xt - tau1 * gx_trial, tau1)
         yt = state.y + beta * (state.y - state.y_prev)
-        y_new = problem.g_prox(yt - tau2 * problem.grad_y(x_new, yt), tau2)
+        gy_trial = problem.grad_y(x_new, yt)
+        y_new = problem.g_prox(yt - tau2 * gy_trial, tau2)
         step_sq = (
             _sq(x_new - state.x)
             + _sq(y_new - state.y)
             + _sq(state.x - state.x_prev)
             + _sq(state.y - state.y_prev)
         )
-        ups = potential_upsilon(x_new, y_new, state.x, state.y, problem, config.delta)
+        obj = problem.objective(x_new, y_new)
+        ups = _upsilon(obj, x_new, y_new, state.x, state.y, config.delta)
         if accept(ups, state.window, config.alpha, step_sq):
             break
     else:
@@ -256,6 +288,8 @@ def palm_step(state, problem, config):
         window=state.window, t_prev=state.t_cur, t_cur=t_next, k=state.k + 1,
         tau1_init_prev=tau1_0, tau2_init_prev=tau2_0,
         xt_last=xt, yt_last=yt, tau1_last=tau1, tau2_last=tau2,
+        gx_trial=gx_trial, gy_trial=gy_trial,
+        gx=problem.grad_x(x_new, y_new), gy=problem.grad_y(x_new, y_new),
     )
     _, wnorm = subgrad_witness_palm(new_state, problem, config.delta)
     new_state.window.push(state.k + 1, ups)
@@ -263,7 +297,7 @@ def palm_step(state, problem, config):
     record = TraceRecord(
         k=state.k + 1,
         time_s=0.0,
-        objective=problem.objective(x_new, y_new),
+        objective=obj,
         potential=ups,
         step_norm=math.sqrt(step_sq),
         witness_norm=wnorm,
@@ -299,7 +333,8 @@ def palm_run(problem, x0, y0, config, trace_sink=None):
         cfg.tau2_0 = 100.0 / max(problem.L2(x0), 1e-12)
 
     window = HistoryWindow(cfg.m)
-    ups0 = potential_upsilon(x0, y0, x0, y0, problem, cfg.delta)
+    obj0 = problem.objective(x0, y0)
+    ups0 = _upsilon(obj0, x0, y0, x0, y0, cfg.delta)
     window.push(0, ups0)
     state = BlockIterateState(
         x=x0.copy(), y=y0.copy(), x_prev=x0.copy(), y_prev=y0.copy(),
@@ -307,7 +342,7 @@ def palm_run(problem, x0, y0, config, trace_sink=None):
     )
     records = [
         TraceRecord(
-            k=0, time_s=0.0, objective=problem.objective(x0, y0),
+            k=0, time_s=0.0, objective=obj0,
             potential=ups0, step_norm=0.0, witness_norm=math.inf,
             beta=0.0, tau1=0.0, tau2=0.0, ell=0,
         )
@@ -369,10 +404,10 @@ def palm_baseline_run(problem, x0, y0, config, extrapolate=False, trace_sink=Non
     y = np.asarray(y0, dtype=np.float64).copy()
     x_prev, y_prev = x.copy(), y.copy()
     t_prev, t_cur = 1.0, 1.0
+    obj = problem.objective(x, y)
     records = [
         TraceRecord(
-            k=0, time_s=0.0, objective=problem.objective(x, y),
-            potential=problem.objective(x, y), step_norm=0.0,
+            k=0, time_s=0.0, objective=obj, potential=obj, step_norm=0.0,
             witness_norm=math.inf, beta=0.0, tau1=0.0, tau2=0.0, ell=0,
         )
     ]
@@ -388,22 +423,25 @@ def palm_baseline_run(problem, x0, y0, config, extrapolate=False, trace_sink=Non
             beta, t_next = 0.0, t_cur
         tau1 = 1.0 / max(problem.L1(y), 1e-12)
         xt = x + beta * (x - x_prev)
-        x_new = problem.f_prox(xt - tau1 * problem.grad_x(xt, y), tau1)
+        gx_trial = problem.grad_x(xt, y)
+        x_new = problem.f_prox(xt - tau1 * gx_trial, tau1)
         tau2 = 1.0 / max(problem.L2(x_new), 1e-12)
         yt = y + beta * (y - y_prev)
-        y_new = problem.g_prox(yt - tau2 * problem.grad_y(x_new, yt), tau2)
+        gy_trial = problem.grad_y(x_new, yt)
+        y_new = problem.g_prox(yt - tau2 * gy_trial, tau2)
         step = math.sqrt(_sq(x_new - x) + _sq(y_new - y))
         probe = BlockIterateState(
             x=x_new, y=y_new, x_prev=x, y_prev=y, window=None,
             xt_last=xt, yt_last=yt, tau1_last=tau1, tau2_last=tau2,
+            gx_trial=gx_trial, gy_trial=gy_trial,
         )
         _, wnorm = subgrad_witness_palm(probe, problem, 0.0)
         x_prev, y_prev, x, y = x, y, x_new, y_new
         t_prev, t_cur = t_cur, t_next
+        obj = problem.objective(x, y)
         rec = TraceRecord(
             k=k + 1, time_s=time.perf_counter() - start,
-            objective=problem.objective(x, y),
-            potential=problem.objective(x, y),
+            objective=obj, potential=obj,
             step_norm=step, witness_norm=wnorm, beta=beta,
             tau1=tau1, tau2=tau2, ell=k + 1,
         )

@@ -244,18 +244,32 @@ def mc_H_and_grads(U, V, instance):
 
 
 def _spectral_sq(X):
-    if not np.any(X):
-        return 0.0
-    return spectral_norm(X, tol=1e-10) ** 2
+    """sigma_max(X)^2, exactly: the top eigenvalue of the small r x r Gram
+    matrix X^T X (the factors are tall and thin)."""
+    return float(np.linalg.eigvalsh(X.T @ X)[-1])
 
 
 def mc_problem(instance, lam=None):
     """BlockProblem view: ridge + column-l20 on each factor, masked residual
-    coupling. Ball-based Lipschitz bounds use the closed forms for this H."""
+    coupling. Ball-based Lipschitz bounds use the closed forms for this H.
+
+    Omega is sorted by row and by column once, here. `H` evaluates the
+    masked residual and nothing else; `grad_x` and `grad_y` each evaluate
+    the residual in their own block's sorted order and return that block's
+    gradient as per-row segment sums (see `kernels.masked_block_grad`).
+    `L1` and `L2` are the exact moduli ||V||^2 and ||U||^2.
+    """
     lam = instance.lam if lam is None else float(lam)
     mu = instance.mu
     spec = ProxSpec(kind="ridge_l20_columns", lam=lam, mu=mu)
     obs_norm = float(np.linalg.norm(instance.obs))
+    rows, cols, obs = instance.rows, instance.cols, instance.obs
+    by_row = kernels.block_index(rows, cols, obs)
+    by_col = kernels.block_index(cols, rows, obs)
+
+    def H(U, V):
+        resid = kernels.masked_residual(U, V, rows, cols, obs)
+        return 0.5 * float(resid @ resid)
 
     def ball_bounds(R1, R2):
         # grad_U = P_Omega(UV^T - M) V; entrywise |P_Omega| <= identity.
@@ -270,17 +284,11 @@ def mc_problem(instance, lam=None):
         f_prox=lambda v, tau: prox_ridge_l20_columns(v, tau, spec),
         g_value=spec.value,
         g_prox=lambda v, tau: prox_ridge_l20_columns(v, tau, spec),
-        H=lambda U, V: mc_H_and_grads(U, V, instance)[0],
-        grad_x=lambda U, V: kernels.masked_grads(
-            U, V, instance.rows, instance.cols,
-            kernels.masked_residual(U, V, instance.rows, instance.cols, instance.obs),
-        )[0],
-        grad_y=lambda U, V: kernels.masked_grads(
-            U, V, instance.rows, instance.cols,
-            kernels.masked_residual(U, V, instance.rows, instance.cols, instance.obs),
-        )[1],
-        L1=lambda V: _spectral_sq(V),
-        L2=lambda U: _spectral_sq(U),
+        H=H,
+        grad_x=lambda U, V: kernels.masked_block_grad(U, V, *by_row),
+        grad_y=lambda U, V: kernels.masked_block_grad(V, U, *by_col),
+        L1=_spectral_sq,
+        L2=_spectral_sq,
         lipschitz_ball_bounds=ball_bounds,
     )
 

@@ -4,7 +4,10 @@ import os
 
 import pytest
 
+from nmdesc import problems
 from nmdesc.cli import UsageError, main, parse_config
+from nmdesc.linalg import SpectralNormError
+from nmdesc.trace import read_trace_csv
 
 
 def read_bytes(path):
@@ -169,7 +172,59 @@ stop_tol = 0
 """
 
 
+def failing_spectral_norm(*args, **kwargs):
+    raise SpectralNormError(1.0, 5000)
+
+
+class TestSpectralNormFailure:
+    def test_run_exits_as_solver_failure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(problems, "spectral_norm", failing_spectral_norm)
+        cfg = write_config(tmp_path / "c.cfg",
+                           LOGREG_RUN.format(trace=tmp_path / "t.csv"))
+        assert main(["run", cfg]) == 3
+        assert "solver failure" in capsys.readouterr().err
+
+    def test_bench_records_failed_solvers(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(problems, "spectral_norm", failing_spectral_norm)
+        cfg = write_config(tmp_path / "c.cfg",
+                           BENCH.format(out_dir=tmp_path / "b"))
+        assert main(["bench", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "note: solver pgenls failed all trials" in err
+        assert "fewer than 2 solvers" in err
+
+
+# A start factor whose top two singular values nearly coincide (3.5945 and
+# 3.5930): power iteration for its modulus did not converge
+MC_NEAR_EQUAL_BENCH = """\
+[problem]
+kind = mc
+n1 = 40
+n2 = 40
+rstar = 2
+samples = 600
+sigma = 0.1
+seed = 4023173762
+
+[bench]
+solvers = palmenls,palmnls,palmels,palmls,palm,palme
+trials = 1
+out_dir = {out_dir}
+""" + "".join(f"\n[solver.{name}]\nmax_iters = 60\n"
+              for name in ("palmenls", "palmnls", "palmels", "palmls",
+                           "palm", "palme"))
+
+
 class TestBench:
+    def test_mc_start_with_near_equal_singular_values(self, tmp_path, capsys):
+        out = tmp_path / "b"
+        cfg = write_config(tmp_path / "c.cfg",
+                           MC_NEAR_EQUAL_BENCH.format(out_dir=out))
+        assert main(["bench", cfg, "--replay"]) == 0
+        for name in ("palmenls", "palmnls", "palmels", "palmls", "palm", "palme"):
+            records = read_trace_csv(str(out / f"trace_{name}_trial0.csv"))
+            assert [r.k for r in records] == list(range(61))
+
     def test_outputs_and_replay_determinism(self, tmp_path, capsys):
         d1, d2 = tmp_path / "b1", tmp_path / "b2"
         c1 = write_config(tmp_path / "c1.cfg", BENCH.format(out_dir=d1))

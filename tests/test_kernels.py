@@ -35,6 +35,58 @@ def test_active_backend_matches_reference_grads():
     assert np.allclose(gV, gV_ref, rtol=1e-13, atol=1e-15)
 
 
+def sparse_mask_inputs(seed, n1=30, n2=25, r=4, p=120):
+    """Observations drawn from the first two thirds of the rows and columns
+    only, so the rest of each factor is unobserved."""
+    rng = np.random.default_rng(seed)
+    U = rng.standard_normal((n1, r))
+    V = rng.standard_normal((n2, r))
+    rows = rng.integers(0, 2 * n1 // 3, p)
+    cols = rng.integers(0, 2 * n2 // 3, p)
+    obs = rng.standard_normal(p)
+    return U, V, rows, cols, obs
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_block_grads_match_reference_with_unobserved_rows(seed):
+    U, V, rows, cols, obs = sparse_mask_inputs(seed)
+    resid = kernels._masked_residual_np(U, V, rows, cols, obs)
+    gU_ref, gV_ref = kernels._masked_grads_np(U, V, rows, cols, resid)
+    gU = kernels.masked_block_grad(U, V, *kernels.block_index(rows, cols, obs))
+    gV = kernels.masked_block_grad(V, U, *kernels.block_index(cols, rows, obs))
+    assert np.allclose(gU, gU_ref, rtol=1e-12, atol=0.0)
+    assert np.allclose(gV, gV_ref, rtol=1e-12, atol=0.0)
+    unobserved_rows = np.setdiff1d(np.arange(U.shape[0]), rows)
+    unobserved_cols = np.setdiff1d(np.arange(V.shape[0]), cols)
+    assert len(unobserved_rows) > 0 and len(unobserved_cols) > 0
+    assert np.all(gU[unobserved_rows] == 0.0)
+    assert np.all(gV[unobserved_cols] == 0.0)
+
+
+def test_block_index_segments():
+    own = np.array([3, 0, 3, 1, 0, 3])
+    other = np.arange(6)
+    obs = np.arange(6) * 10.0
+    own_s, other_s, obs_s, starts, ids = kernels.block_index(own, other, obs)
+    assert own_s.tolist() == [0, 0, 1, 3, 3, 3]
+    assert other_s.tolist() == [1, 4, 3, 0, 2, 5]  # stable within a segment
+    assert obs_s.tolist() == [10.0, 40.0, 30.0, 0.0, 20.0, 50.0]
+    assert starts.tolist() == [0, 2, 3]
+    assert ids.tolist() == [0, 1, 3]
+
+
+def test_logistic_saturated_margins_do_not_warn():
+    import warnings
+
+    z = np.array([-1e4, -800.0, 0.0, 800.0, 1e4])
+    b = np.array([1.0, -1.0, 1.0, 1.0, -1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss, w = kernels._logistic_loss_terms_np(z, b)
+    assert np.all(np.isfinite(loss)) and np.all(np.isfinite(w))
+    assert loss[0] == 1e4 and w[1] == 0.0
+
+
 def test_active_backend_matches_reference_logistic():
     rng = RngStream(2)
     z = 50.0 * rng.standard_normal(200)  # include saturated margins
@@ -49,19 +101,26 @@ def test_active_backend_matches_reference_logistic():
 @pytest.mark.skipif(not kernels.USE_NUMBA, reason="numba backend disabled")
 def test_compiled_functions_are_bound():
     assert kernels.masked_residual is kernels._masked_residual_nb
+    assert kernels.masked_block_grad is kernels._masked_block_grad_nb
     assert kernels.logistic_loss_terms is kernels._logistic_loss_terms_nb
 
 
 def test_numpy_fallback_env_flag(tmp_path):
+    import os
     import subprocess
     import sys
+
+    import nmdesc
 
     code = (
         "import nmdesc.kernels as k\n"
         "assert not k.USE_NUMBA\n"
         "assert k.masked_residual is k._masked_residual_np\n"
+        "assert k.masked_block_grad is k._masked_block_grad_np\n"
     )
-    env = {"NMDESC_NO_NUMBA": "1", "PATH": "/usr/bin:/bin"}
+    # the directory that holds the nmdesc imported here, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nmdesc.__file__)))
+    env = {"NMDESC_NO_NUMBA": "1", "PATH": "/usr/bin:/bin", "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

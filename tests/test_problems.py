@@ -198,6 +198,32 @@ class TestMcSurface:
                       - mc_H_and_grads(U, V - E, inst)[0]) / (2.0 * h)
                 assert gV[i, j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
+    def test_problem_oracle_matches_joint_evaluation(self):
+        # 40 draws on 30 x 25: some rows and columns go unobserved
+        inst = gen_mc(n1=30, n2=25, r_star=2, num_samples=40, sigma=0.1,
+                      seed=8, r=3)
+        assert len(np.unique(inst.rows)) < 30 and len(np.unique(inst.cols)) < 25
+        prob = mc_problem(inst)
+        rng = RngStream(11)
+        U = rng.standard_normal(90).reshape(30, 3)
+        V = rng.standard_normal(75).reshape(25, 3)
+        H, gU, gV, L1, L2 = mc_H_and_grads(U, V, inst)
+        assert prob.H(U, V) == H
+        assert np.allclose(prob.grad_x(U, V), gU, rtol=1e-12, atol=0.0)
+        assert np.allclose(prob.grad_y(U, V), gV, rtol=1e-12, atol=0.0)
+        assert (prob.L1(V), prob.L2(U)) == (L1, L2)
+
+    def test_block_moduli_exact_on_near_equal_singular_values(self):
+        rng = np.random.default_rng(5)
+        Q1, _ = np.linalg.qr(rng.standard_normal((50, 4)))
+        Q2, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        V = Q1 @ np.diag([3.0, 3.0 - 1e-4, 1.0, 0.5]) @ Q2.T
+        prob = mc_problem(gen_mc(n1=8, n2=50, r_star=2, num_samples=30,
+                                 sigma=0.1, seed=1, r=4))
+        assert prob.L1(V) == pytest.approx(np.linalg.norm(V, 2) ** 2, rel=1e-12)
+        assert prob.L2(V) == pytest.approx(np.linalg.norm(V, 2) ** 2, rel=1e-12)
+        assert prob.L1(np.zeros((50, 4))) == 0.0
+
     def test_block_modulus_property(self):
         # the U-block gradient is Lipschitz with modulus sigma_max(V)^2
         inst = gen_mc(n1=8, n2=7, r_star=2, num_samples=30, sigma=0.1,
