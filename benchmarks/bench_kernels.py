@@ -11,14 +11,17 @@ on the same inputs. A second section times the per-block gradient of the
 matrix-completion oracle (`masked_block_grad`, residual and segment sums
 over a sorted index set) against one block of the `np.add.at` reference at
 the desk size of the PALM experiments: 200 x 200, rank 10, 8000 observed
-entries.
+entries. A third times one evaluation of a PG iterate on the desk logistic
+instance (n = 200, p = 2000): three separate oracle calls for its value,
+gradient and objective, one `smooth` call, and one `smooth` call given the
+margins A~x (as for an extrapolated point).
 """
 
 import time
 
 import numpy as np
 
-from nmdesc import kernels
+from nmdesc import kernels, problems
 from nmdesc.kernels import (
     _logistic_loss_terms_np,
     _masked_block_grad_np,
@@ -73,6 +76,7 @@ def main():
         best = timeit(fn, *args)
         print(f"{name:22s} {best * 1e3:9.3f} ms  [{backend}]")
     block_grads(rng, backend)
+    pg_point()
 
 
 def grad_u_reference(U, V, rows, cols, obs):
@@ -109,6 +113,40 @@ def block_grads(rng, backend):
     for name, fn, args in cases:
         best = timeit(fn, *args, repeat=100)
         print(f"{name:22s} {best * 1e3:9.3f} ms  [{backend}]")
+
+
+def pg_point():
+    inst = problems.gen_logreg(n=200, p=2000, s=20, seed=101, lam=1.0, mu=1e-3)
+    prob = problems.logreg_problem(inst)
+    x = np.random.default_rng(1).standard_normal(inst.p + 1) * 0.01
+    z = inst.A_tilde @ x
+
+    def separate(x):
+        # value, gradient and objective each from a full oracle call
+        value = problems.logreg_value_grad(x, inst)[0]
+        grad = problems.logreg_value_grad(x, inst)[1]
+        objective = problems.logreg_value_grad(x, inst)[0] + prob.g_value(x)
+        return value, grad, objective
+
+    def one_call(x, z=None):
+        value, grad, _ = prob.smooth(x, z)
+        return value, grad, value + prob.g_value(x)
+
+    ref = separate(x)
+    for got in (one_call(x), one_call(x, z)):
+        assert got[0] == ref[0] and got[2] == ref[2]
+        assert np.array_equal(got[1], ref[1])
+    print("one PG point evaluation against three separate calls: ok")
+
+    cases = [
+        ("value+grad+objective", separate, (x,)),
+        ("smooth", one_call, (x,)),
+        ("smooth, given margins", one_call, (x, z)),
+    ]
+    print(f"desk logistic: n={inst.n}, p={inst.p}")
+    for name, fn, args in cases:
+        best = timeit(fn, *args, repeat=100)
+        print(f"{name:22s} {best * 1e3:9.3f} ms")
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ from .diagnostics import (
     verify_H1,
     verify_H2,
 )
-from .linalg import RngStream, SpectralNormError, gaussian_fill, spectral_norm
+from .linalg import RngStream, gaussian_fill
 from .nls import BacktrackCapError
 from .svgplot import write_line_plot
 from .trace import (
@@ -43,7 +43,6 @@ from .trace import (
     TraceParseError,
     TraceRecord,
     read_trace_csv,
-    with_kset_flags,
     write_trace_csv,
 )
 
@@ -169,7 +168,7 @@ def solve(name, instance, options, seed, lam=None):
         problem = problems.logreg_problem(instance, lam=lam)
         cfg = _solver_config(pg.PgConfig, options)
         if cfg.tau0 is None and "tau0" not in options:
-            cfg = replace(cfg, tau0=10.0 / spectral_norm(instance.A_tilde, tol=1e-8))
+            cfg = replace(cfg, tau0=10.0 / problem.operator_norm)
         if name in PG_SOLVERS:
             cfg = pg.variant_config(name, cfg)
             return pg.pg_run(problem, start, cfg)
@@ -219,7 +218,7 @@ def cmd_gen(args):
             lam=args.lam, mu=args.mu,
         )
         problems.save_instance(args.out, instance)
-        norm = spectral_norm(instance.A_tilde, tol=1e-8)
+        norm = problems.logreg_problem(instance).operator_norm
         print(
             f"logreg instance: n={instance.n} p={instance.p} s={instance.s} "
             f"seed={instance.seed} ||A~||={norm:.6g} -> {args.out}"
@@ -275,7 +274,7 @@ def _bench_trial(cfg, solvers, solver_opts, base_seed, trial, lam):
     for name in solvers:
         try:
             out[name] = solve(name, instance, solver_opts.get(name, {}), seed, lam=lam)
-        except (BacktrackCapError, SpectralNormError):
+        except BacktrackCapError:
             out[name] = None
     return out
 
@@ -456,7 +455,11 @@ def cmd_diag(args):
     )
     prefix = args.out_prefix
     _ensure_parent(prefix + "_ksets.csv")
-    write_trace_csv(prefix + "_ksets.csv", with_kset_flags(records, report))
+    # the records were read for this call alone: flag them in place
+    for r in records:
+        if r.k in report.flags:
+            r.in_K1, r.in_K2, r.in_K31 = report.flags[r.k]
+    write_trace_csv(prefix + "_ksets.csv", records)
     ks = np.arange(1, len(report.gaps) + 1)
     write_line_plot(
         prefix + "_partial_sums.svg",
@@ -571,7 +574,7 @@ def main(argv=None):
     except (UsageError, TraceParseError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (SolverError, BacktrackCapError, SpectralNormError) as e:
+    except (SolverError, BacktrackCapError) as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return 3
     except OSError as e:

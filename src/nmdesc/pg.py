@@ -85,6 +85,17 @@ def variant_config(name, base=None):
 
 @dataclass
 class IterateState:
+    """Solver state at z^k = (x^k, x^{k-1}).
+
+    The oracle results of accepted points are carried, so no point is
+    evaluated twice: grad f(x^k) and grad f(x^{k-1}) serve the BB
+    initialization, the witness and the zero-extrapolation trial, and the
+    linear images z of x^k and x^{k-1} (the problem's `smooth` returns
+    them; None if it has none) give the image of an extrapolated point
+    y = x^k + beta*(x^k - x^{k-1}) without evaluating it from y. A state
+    built without them gets grad f(x^k) from one evaluation in `pg_step`.
+    """
+
     x: np.ndarray
     x_prev: np.ndarray
     window: HistoryWindow
@@ -94,6 +105,8 @@ class IterateState:
     # cached quantities for the BB initialization and the witness replay
     grad_x: np.ndarray = None          # grad f(x^k)
     grad_x_prev: np.ndarray = None     # grad f(x^{k-1})
+    z: np.ndarray = None               # linear image of x^k (the margins)
+    z_prev: np.ndarray = None          # linear image of x^{k-1}
     x_prev2: np.ndarray = None         # x^{k-2}
     tau_init_prev: float = None
     y_last: np.ndarray = None          # y^{k-1} of the last accepted step
@@ -105,9 +118,22 @@ def _sq(a):
     return float(a @ a)
 
 
-def potential_H(x, u, problem, delta):
-    """H_delta((x, u)) = F(x) + (delta/2)*||x - u||^2."""
-    return problem.objective(x) + 0.5 * delta * _sq(x - u)
+def potential_H(x, u, problem, delta, F=None):
+    """H_delta((x, u)) = F(x) + (delta/2)*||x - u||^2. `F` may pass the
+    objective at x when it is already known."""
+    if F is None:
+        F = problem.objective(x)
+    return F + 0.5 * delta * _sq(x - u)
+
+
+def _extrapolate(z, z_prev, beta):
+    """Linear image of y = x + beta*(x - x_prev) from those of x and x_prev
+    (None where either is unknown): a multiply-add instead of a product
+    with the problem's matrix. The images are refreshed from every accepted
+    point, so the rounding of one extrapolation does not accumulate."""
+    if z is None or z_prev is None:
+        return None
+    return z + beta * (z - z_prev)
 
 
 def nesterov_beta(t_prev, t_cur):
@@ -217,9 +243,12 @@ class RunResult:
 def pg_step(state, problem, config):
     """One outer iteration: backtracking inner loop until acceptance.
 
-    Returns (new state, TraceRecord, init dict). Raises BacktrackCapError
-    carrying the last rejected candidate when the inner loop exhausts its
-    budget.
+    Each trial candidate is evaluated once: its value gives the potential
+    and the record's objective, and the accepted one's gradient is carried
+    as grad f(x^{k+1}). A trial with beta > 0 also evaluates the gradient
+    at y, from the extrapolated linear image of the iterates. Returns (new
+    state, TraceRecord, init dict). Raises BacktrackCapError carrying the
+    last rejected candidate when the inner loop exhausts its budget.
     """
     if config.beta_rule == "nesterov":
         beta0, t_next = nesterov_beta(state.t_prev, state.t_cur)
@@ -238,7 +267,9 @@ def pg_step(state, problem, config):
     else:
         tau0 = min(max(config.tau0, config.tau_min), config.tau_max)
 
-    gx = state.grad_x if state.grad_x is not None else problem.f_grad(state.x)
+    gx, z = state.grad_x, state.z
+    if gx is None:
+        _, gx, z = problem.smooth(state.x)
     candidate = None
     for l in range(config.max_backtracks + 1):
         beta, tau = backtrack_params(
@@ -248,20 +279,21 @@ def pg_step(state, problem, config):
             y, gy = state.x, gx
         else:
             y = state.x + beta * (state.x - state.x_prev)
-            gy = problem.f_grad(y)
+            _, gy, _ = problem.smooth(y, _extrapolate(z, state.z_prev, beta))
         candidate = problem.g_prox(y - tau * gy, tau)
         # with delta = 0 the potential carries no coupling term to pay for
         # the previous step, so the classical single-step criterion applies
         step_sq = _sq(candidate - state.x)
         if config.delta > 0.0:
             step_sq += _sq(state.x - state.x_prev)
-        h_cand = potential_H(candidate, state.x, problem, config.delta)
+        f_cand, grad_new, z_new = problem.smooth(candidate)
+        F_cand = f_cand + problem.g_value(candidate)
+        h_cand = potential_H(candidate, state.x, problem, config.delta, F=F_cand)
         if accept(h_cand, state.window, config.alpha, step_sq):
             break
     else:
         raise BacktrackCapError(state.k, config.max_backtracks, candidate)
 
-    grad_new = problem.f_grad(candidate)
     _, wnorm = subgrad_witness_pg(
         candidate, state.x, y, tau, grad_new, gy, config.delta
     )
@@ -275,6 +307,8 @@ def pg_step(state, problem, config):
         k=state.k + 1,
         grad_x=grad_new,
         grad_x_prev=gx,
+        z=z_new,
+        z_prev=z,
         x_prev2=state.x_prev,
         tau_init_prev=tau0,
         y_last=y,
@@ -285,7 +319,7 @@ def pg_step(state, problem, config):
     record = TraceRecord(
         k=state.k + 1,
         time_s=0.0,
-        objective=problem.objective(candidate),
+        objective=F_cand,
         potential=h_cand,
         step_norm=math.sqrt(step_sq),
         witness_norm=wnorm,
@@ -305,12 +339,15 @@ def pg_run(problem, x0, config, trace_sink=None):
     cfg = config.validated(problem.lipschitz)
     x0 = np.asarray(x0, dtype=np.float64)
     window = HistoryWindow(cfg.m)
-    h0 = potential_H(x0, x0, problem, cfg.delta)
+    f0, g0, z0 = problem.smooth(x0)
+    F0 = f0 + problem.g_value(x0)
+    h0 = potential_H(x0, x0, problem, cfg.delta, F=F0)
     window.push(0, h0)
-    state = IterateState(x=x0.copy(), x_prev=x0.copy(), window=window)
+    state = IterateState(x=x0.copy(), x_prev=x0.copy(), window=window,
+                         grad_x=g0, z=z0, z_prev=z0)
     records = [
         TraceRecord(
-            k=0, time_s=0.0, objective=problem.objective(x0), potential=h0,
+            k=0, time_s=0.0, objective=F0, potential=h0,
             step_norm=0.0, witness_norm=math.inf, beta=0.0, tau1=0.0, ell=0,
         )
     ]
@@ -348,15 +385,22 @@ def pg_run(problem, x0, config, trace_sink=None):
 def fista_run(problem, x0, config, restart=False, trace_sink=None):
     """Fixed-step FISTA (tau = 1/L). With `restart`, the Nesterov counters
     reset to 1 when k is a multiple of 250 or the momentum turns against
-    the step direction (<y^k - x^{k+1}, x^{k+1} - x^k> > 0)."""
+    the step direction (<y^k - x^{k+1}, x^{k+1} - x^k> > 0).
+
+    Each iterate is evaluated once, for its objective and the gradient the
+    witness and a zero-extrapolation step reuse; y^k is evaluated only when
+    it differs from x^k, from the extrapolated linear images of the
+    iterates (see `IterateState`)."""
     x = np.asarray(x0, dtype=np.float64).copy()
     x_prev = x.copy()
     tau = 1.0 / problem.lipschitz
     t_prev, t_cur = 1.0, 1.0
+    f, gx, z = problem.smooth(x)
+    z_prev = z
+    F = f + problem.g_value(x)
     records = [
         TraceRecord(
-            k=0, time_s=0.0, objective=problem.objective(x),
-            potential=problem.objective(x), step_norm=0.0,
+            k=0, time_s=0.0, objective=F, potential=F, step_norm=0.0,
             witness_norm=math.inf, beta=0.0, tau1=tau, ell=0,
         )
     ]
@@ -366,12 +410,15 @@ def fista_run(problem, x0, config, restart=False, trace_sink=None):
     reason = "max_iters"
     for k in range(config.max_iters):
         beta, t_next = nesterov_beta(t_prev, t_cur)
-        y = x + beta * (x - x_prev)
-        gy = problem.f_grad(y)
+        if beta == 0.0:
+            y, gy = x, gx
+        else:
+            y = x + beta * (x - x_prev)
+            _, gy, _ = problem.smooth(y, _extrapolate(z, z_prev, beta))
         x_new = problem.g_prox(y - tau * gy, tau)
-        _, wnorm = subgrad_witness_pg(
-            x_new, x, y, tau, problem.f_grad(x_new), gy, 0.0
-        )
+        f, g_new, z_new = problem.smooth(x_new)
+        F = f + problem.g_value(x_new)
+        _, wnorm = subgrad_witness_pg(x_new, x, y, tau, g_new, gy, 0.0)
         step = math.sqrt(_sq(x_new - x))
         t_prev, t_cur = t_cur, t_next
         if restart and (
@@ -380,9 +427,10 @@ def fista_run(problem, x0, config, restart=False, trace_sink=None):
         ):
             t_prev, t_cur = 1.0, 1.0
         x_prev, x = x, x_new
+        gx, z_prev, z = g_new, z, z_new
         rec = TraceRecord(
             k=k + 1, time_s=time.perf_counter() - start,
-            objective=problem.objective(x), potential=problem.objective(x),
+            objective=F, potential=F,
             step_norm=step, witness_norm=wnorm, beta=beta, tau1=tau,
             ell=k + 1,
         )

@@ -6,13 +6,14 @@ interfaces, and a plain-text serialization so an instance can be stored and
 reloaded bit-identically.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import kernels
-from .linalg import RngStream, gaussian_fill, spectral_norm
+from .linalg import RngStream, gaussian_fill
 from .prox import ProxSpec, prox_l0, prox_ridge_l20_columns
 
 
@@ -20,13 +21,22 @@ from .prox import ProxSpec, prox_l0, prox_ridge_l20_columns
 
 @dataclass(frozen=True)
 class CompositeProblem:
-    """F(x) = f(x) + g(x) with smooth f and prox-friendly g."""
+    """F(x) = f(x) + g(x) with smooth f and prox-friendly g.
 
-    f_value: Callable
-    f_grad: Callable
+    `smooth(x, z=None)` is the one oracle of f: a single evaluation returns
+    (f(x), grad f(x), z). z is a linear image of x that f is evaluated
+    from (for the logistic model the margins A_tilde x), or None for a
+    problem without one. A caller that already knows that image of x (a
+    solver extrapolates the carried z of its iterates like the iterates
+    themselves) passes it as `z` and skips computing it. `operator_norm`
+    is the spectral norm of that linear map, where there is one.
+    """
+
+    smooth: Callable
     g_spec: ProxSpec
     lipschitz: float
     dim: int
+    operator_norm: Optional[float] = None
 
     def g_value(self, x):
         return self.g_spec.value(x)
@@ -34,8 +44,11 @@ class CompositeProblem:
     def g_prox(self, v, tau):
         return prox_l0(v, tau, self.g_spec)
 
+    def f_grad(self, x):
+        return self.smooth(x)[1]
+
     def objective(self, x):
-        return self.f_value(x) + self.g_value(x)
+        return self.smooth(x)[0] + self.g_value(x)
 
 
 @dataclass(frozen=True)
@@ -121,13 +134,15 @@ def gen_logreg(n, p, s, seed, lam=0.1, mu=1e-10):
     )
 
 
-def logreg_value_grad(x, instance):
+def logreg_value_grad(x, instance, z=None):
     """Objective value of the smooth part and its gradient.
 
     value = sum_i log(1+exp(-b_i (A_tilde x)_i)) + (mu/2)||x||^2, computed
-    overflow-safe; gradient = A_tilde^T d + mu*x.
+    overflow-safe; gradient = A_tilde^T d + mu*x. `z` may pass the margins
+    A_tilde x when the caller has them, which leaves one product, A_tilde^T d.
     """
-    z = instance.A_tilde @ x
+    if z is None:
+        z = instance.A_tilde @ x
     loss, w = kernels.logistic_loss_terms(z, instance.b)
     value = float(np.sum(loss)) + 0.5 * instance.mu * float(x @ x)
     grad = instance.A_tilde.T @ w + instance.mu * x
@@ -137,11 +152,16 @@ def logreg_value_grad(x, instance):
 def logreg_problem(instance, lam=None, use_paper_lipschitz=False):
     """CompositeProblem view of an instance.
 
-    The gradient Lipschitz constant defaults to the conservative
-    0.25*||A_tilde||^2 + mu; `use_paper_lipschitz` switches to 0.25*||A_tilde||.
+    `smooth` computes the margins A_tilde x (unless it is given them) and
+    passes them to `logreg_value_grad`; it returns them as its z. ||A_tilde||
+    is exact, from the Gram matrix of A_tilde's smaller side, computed once
+    here and kept as `operator_norm`. The gradient Lipschitz constant
+    defaults to the conservative 0.25*||A_tilde||^2 + mu;
+    `use_paper_lipschitz` switches to 0.25*||A_tilde||.
     """
     lam = instance.lam if lam is None else float(lam)
-    norm_A = spectral_norm(instance.A_tilde, tol=1e-8)
+    A = instance.A_tilde
+    norm_A = math.sqrt(_spectral_sq(A))
     if use_paper_lipschitz:
         L = 0.25 * norm_A
     else:
@@ -150,12 +170,19 @@ def logreg_problem(instance, lam=None, use_paper_lipschitz=False):
         kind="l0_vector", lam=lam, mu=0.0,
         skip_indices=frozenset([instance.p]),  # intercept unregularized
     )
+
+    def smooth(x, z=None):
+        if z is None:
+            z = A @ x
+        value, grad = logreg_value_grad(x, instance, z)
+        return value, grad, z
+
     return CompositeProblem(
-        f_value=lambda x: logreg_value_grad(x, instance)[0],
-        f_grad=lambda x: logreg_value_grad(x, instance)[1],
+        smooth=smooth,
         g_spec=spec,
         lipschitz=L,
         dim=instance.p + 1,
+        operator_norm=norm_A,
     )
 
 
@@ -244,9 +271,11 @@ def mc_H_and_grads(U, V, instance):
 
 
 def _spectral_sq(X):
-    """sigma_max(X)^2, exactly: the top eigenvalue of the small r x r Gram
-    matrix X^T X (the factors are tall and thin)."""
-    return float(np.linalg.eigvalsh(X.T @ X)[-1])
+    """sigma_max(X)^2, exactly: the top eigenvalue of the Gram matrix of
+    X's smaller side (X^T X for the tall, thin factors, X X^T for a wide
+    design matrix)."""
+    gram = X.T @ X if X.shape[0] >= X.shape[1] else X @ X.T
+    return float(np.linalg.eigvalsh(gram)[-1])
 
 
 def mc_problem(instance, lam=None):

@@ -7,7 +7,7 @@ significant digits so parsing is lossless.
 
 import csv
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 TRACE_VERSION = "nmdesc-trace-v1"
 
@@ -29,7 +29,7 @@ COLUMNS = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     k: int
     time_s: float
@@ -145,15 +145,3 @@ def trace_csv_string(records, zero_times=False):
     buf = io.StringIO()
     write_trace_csv(buf, records, zero_times=zero_times)
     return buf.getvalue()
-
-
-def with_kset_flags(records, report):
-    """Copy of records with K-set membership columns filled from a KsetReport."""
-    out = []
-    for r in records:
-        if r.k in report.flags:
-            k1, k2, k31 = report.flags[r.k]
-            out.append(replace(r, in_K1=k1, in_K2=k2, in_K31=k31))
-        else:
-            out.append(replace(r))
-    return out

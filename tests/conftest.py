@@ -13,9 +13,13 @@ def quadratic_problem(A=None, dim=2, lam=0.0):
         A = np.eye(dim)
     A = np.asarray(A, dtype=np.float64)
     L = float(np.linalg.eigvalsh(A).max())
+
+    def smooth(x, z=None):
+        grad = A @ x
+        return 0.5 * float(x @ grad), grad, None
+
     return CompositeProblem(
-        f_value=lambda x: 0.5 * float(x @ (A @ x)),
-        f_grad=lambda x: A @ x,
+        smooth=smooth,
         g_spec=ProxSpec(kind="l0_vector", lam=lam),
         lipschitz=L,
         dim=A.shape[0],
@@ -25,8 +29,7 @@ def quadratic_problem(A=None, dim=2, lam=0.0):
 def flat_problem(dim=2):
     """F identically zero: every point is a fixed point."""
     return CompositeProblem(
-        f_value=lambda x: 0.0,
-        f_grad=lambda x: np.zeros_like(x),
+        smooth=lambda x, z=None: (0.0, np.zeros_like(x), None),
         g_spec=ProxSpec(kind="l0_vector", lam=0.0),
         lipschitz=1.0,
         dim=dim,

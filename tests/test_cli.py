@@ -1,13 +1,16 @@
 """End-to-end command-line behavior and exit codes."""
 
 import os
+import sys
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from nmdesc import problems
-from nmdesc.cli import UsageError, main, parse_config
-from nmdesc.linalg import SpectralNormError
-from nmdesc.trace import read_trace_csv
+from nmdesc.cli import UsageError, main, parse_config, solve
+from nmdesc.diagnostics import classify_ksets
+from nmdesc.trace import read_trace_csv, write_trace_csv
 
 
 def read_bytes(path):
@@ -172,26 +175,41 @@ stop_tol = 0
 """
 
 
-def failing_spectral_norm(*args, **kwargs):
-    raise SpectralNormError(1.0, 5000)
+# pgenls and pgnls hit the backtrack cap at once (no backtracks allowed
+# and a first step far past the barrier); fista alone is left
+BENCH_TWO_FAILING = BENCH.replace(
+    "[solver.pgenls]\n", "[solver.pgenls]\nmax_backtracks = 0\ntau0 = 1e6\n"
+).replace(
+    "[solver.pgnls]\n", "[solver.pgnls]\nmax_backtracks = 0\ntau0 = 1e6\n"
+)
 
 
-class TestSpectralNormFailure:
-    def test_run_exits_as_solver_failure(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(problems, "spectral_norm", failing_spectral_norm)
+class TestSolverFailure:
+    def test_bench_records_failed_solvers(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg",
-                           LOGREG_RUN.format(trace=tmp_path / "t.csv"))
-        assert main(["run", cfg]) == 3
-        assert "solver failure" in capsys.readouterr().err
-
-    def test_bench_records_failed_solvers(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(problems, "spectral_norm", failing_spectral_norm)
-        cfg = write_config(tmp_path / "c.cfg",
-                           BENCH.format(out_dir=tmp_path / "b"))
+                           BENCH_TWO_FAILING.format(out_dir=tmp_path / "b"))
         assert main(["bench", cfg]) == 3
         err = capsys.readouterr().err
         assert "note: solver pgenls failed all trials" in err
         assert "fewer than 2 solvers" in err
+
+
+class TestStepInit:
+    def test_solve_reuses_the_problem_norm(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("spectral_norm called")
+
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "nmdesc" and hasattr(mod, "spectral_norm"):
+                monkeypatch.setattr(mod, "spectral_norm", counted)
+        inst = problems.gen_logreg(n=30, p=50, s=3, seed=2)
+        result = solve("pgenls", inst, {"max_iters": "5"}, seed=2)
+        assert calls == []
+        norm = np.linalg.norm(inst.A_tilde, 2)
+        assert result.extras["config"].tau0 == pytest.approx(10.0 / norm, rel=1e-13)
 
 
 # A start factor whose top two singular values nearly coincide (3.5945 and
@@ -289,6 +307,29 @@ class TestDiagAndRates:
         captured = capsys.readouterr()
         assert "no witness column" in captured.err
         assert "H2" not in captured.out
+
+    @pytest.mark.parametrize("flagged_input", [False, True])
+    def test_diag_ksets_csv_matches_copy_reference(self, trace_path, tmp_path,
+                                                   capsys, flagged_input):
+        src = str(trace_path)
+        if flagged_input:
+            # a trace that already carries K-set flags, reclassified
+            assert main(["diag", src, "--out-prefix", str(tmp_path / "pre")]) == 0
+            src = str(tmp_path / "pre_ksets.csv")
+        prefix = str(tmp_path / "d")
+        assert main(["diag", src, "--theta", "0.3", "--out-prefix", prefix]) == 0
+        records = read_trace_csv(src)
+        report = classify_ksets(records, a=0.5e-5, theta=0.3, m=5)
+        reference = [
+            replace(r, in_K1=report.flags[r.k][0], in_K2=report.flags[r.k][1],
+                    in_K31=report.flags[r.k][2])
+            if r.k in report.flags else replace(r)
+            for r in records
+        ]
+        assert any(r.in_K1 or r.in_K2 or r.in_K31 for r in reference)
+        ref_path = tmp_path / "ref.csv"
+        write_trace_csv(str(ref_path), reference)
+        assert read_bytes(prefix + "_ksets.csv") == read_bytes(ref_path)
 
     def test_rates_linear_fit(self, trace_path, capsys):
         assert main(["rates", str(trace_path)]) == 0

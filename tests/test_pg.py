@@ -1,6 +1,7 @@
 """Single-block line-search solver and FISTA baselines."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -272,3 +273,174 @@ class TestFista:
         for _ in range(len(objs) - 1):
             x = x - (1.0 / prob.lipschitz) * prob.f_grad(x)
         assert objs[-1] <= prob.objective(x) + 1e-12
+
+
+# -- one oracle evaluation per point ----------------------------------------------
+
+def desk_logreg(seed=101):
+    from nmdesc.problems import gen_logreg, logreg_problem
+
+    inst = gen_logreg(n=200, p=2000, s=20, seed=seed, lam=1.0, mu=1e-3)
+    return inst, logreg_problem(inst)
+
+
+def small_logreg(seed=0):
+    from nmdesc.problems import gen_logreg, logreg_problem
+
+    inst = gen_logreg(n=60, p=300, s=5, seed=seed, lam=1.0, mu=1e-3)
+    return inst, logreg_problem(inst)
+
+
+def counting(problem):
+    """The problem with its `smooth` oracle counted; returns (problem, log),
+    where log gets one entry per evaluation: whether z was passed in."""
+    log = []
+
+    def smooth(x, z=None):
+        log.append(z is not None)
+        return problem.smooth(x, z)
+
+    return replace(problem, smooth=smooth), log
+
+
+def from_scratch(problem):
+    """The problem without a linear image: every evaluation starts from x."""
+    return replace(problem, smooth=lambda x, z=None: problem.smooth(x)[:2] + (None,))
+
+
+def pg_steps(problem, cfg, x0, steps):
+    """(state before, new state, record, init) for `steps` pg_step calls
+    from the state pg_run starts with."""
+    cfg = cfg.validated(problem.lipschitz)
+    f0, g0, z0 = problem.smooth(x0)
+    window = HistoryWindow(cfg.m)
+    F0 = f0 + problem.g_value(x0)
+    window.push(0, potential_H(x0, x0, problem, cfg.delta, F=F0))
+    state = IterateState(x=x0.copy(), x_prev=x0.copy(), window=window,
+                         grad_x=g0, z=z0, z_prev=z0)
+    out = []
+    for _ in range(steps):
+        new_state, rec, init = pg_step(state, problem, cfg)
+        out.append((state, new_state, rec, init))
+        state = new_state
+    return cfg, out
+
+
+def reference_fista(problem, x0, config, restart=False):
+    """FISTA with every quantity evaluated where it is used, as a reference
+    for the carried values of `fista_run`: objective records of (k, F, beta,
+    step, witness)."""
+    x = np.asarray(x0, dtype=np.float64).copy()
+    x_prev = x.copy()
+    tau = 1.0 / problem.lipschitz
+    t_prev, t_cur = 1.0, 1.0
+    out = [(0, problem.objective(x), 0.0, 0.0, math.inf)]
+    for k in range(config.max_iters):
+        beta, t_next = nesterov_beta(t_prev, t_cur)
+        y = x if beta == 0.0 else x + beta * (x - x_prev)
+        gy = problem.f_grad(y)
+        x_new = problem.g_prox(y - tau * gy, tau)
+        _, wnorm = subgrad_witness_pg(x_new, x, y, tau, problem.f_grad(x_new), gy, 0.0)
+        step = math.sqrt(float((x_new - x) @ (x_new - x)))
+        t_prev, t_cur = t_cur, t_next
+        if restart and ((k + 1) % 250 == 0 or float((y - x_new) @ (x_new - x)) > 0.0):
+            t_prev, t_cur = 1.0, 1.0
+        x_prev, x = x, x_new
+        out.append((k + 1, problem.objective(x), beta, step, wnorm))
+    return out
+
+
+class TestOracleEvaluations:
+    @pytest.mark.parametrize("name", ["pgenls", "pgnls", "pgels", "pgls"])
+    def test_evaluations_per_step(self, name):
+        inst, prob = small_logreg()
+        prob, log = counting(prob)
+        base = PgConfig(max_iters=50, stop_tol=0.0, tau0=10.0 / prob.operator_norm)
+        cfg, steps = pg_steps(prob, variant_config(name, base),
+                              np.zeros(inst.p + 1), 50)
+        expected = 1  # the start point
+        extrapolated = 0
+        for _, _, rec, init in steps:
+            trials = rec.backtracks + 1
+            # one evaluation per trial candidate, one more at y when beta > 0
+            with_y = trials if init["beta0"] > 0.0 else 0
+            expected += trials + with_y
+            extrapolated += with_y
+        assert len(log) == expected
+        # every evaluation at y gets the extrapolated margins
+        assert sum(log) == extrapolated
+        if name in ("pgnls", "pgls"):
+            assert extrapolated == 0
+        else:
+            assert extrapolated > 0
+
+    def test_run_evaluates_start_once(self):
+        inst, prob = small_logreg()
+        prob, log = counting(prob)
+        result = pg_run(prob, np.zeros(inst.p + 1),
+                        variant_config("pgnls", PgConfig(max_iters=20, stop_tol=0.0)))
+        iters = len(result.records) - 1
+        backtracks = sum(r.backtracks for r in result.records[1:])
+        assert len(log) == 1 + iters + backtracks
+
+    @pytest.mark.parametrize("restart", [False, True])
+    def test_fista_evaluates_each_point_once(self, restart):
+        inst, prob = small_logreg()
+        prob, log = counting(prob)
+        result = fista_run(prob, np.zeros(inst.p + 1),
+                           PgConfig(max_iters=50, stop_tol=0.0), restart=restart)
+        at_y = sum(1 for r in result.records[1:] if r.beta > 0.0)
+        # the start, each new iterate, and y^k wherever it differs from x^k
+        assert len(log) == 1 + 50 + at_y
+        assert sum(log) == at_y
+
+
+class TestCarriedValues:
+    @pytest.mark.parametrize("name", ["pgnls", "pgls"])
+    def test_pg_records_equal_recomputation(self, name):
+        inst, prob = desk_logreg()
+        base = PgConfig(stop_tol=0.0, tau0=10.0 / prob.operator_norm)
+        cfg, steps = pg_steps(prob, variant_config(name, base),
+                              np.zeros(inst.p + 1), 50)
+        for state, new, rec, _ in steps:
+            assert rec.objective == prob.objective(new.x)
+            assert rec.potential == potential_H(new.x, state.x, prob, cfg.delta)
+            assert np.array_equal(new.grad_x, prob.f_grad(new.x))
+            _, wnorm = subgrad_witness_pg(
+                new.x, state.x, new.y_last, new.tau_last,
+                prob.f_grad(new.x), prob.f_grad(new.y_last), cfg.delta)
+            assert rec.witness_norm == wnorm
+
+    @pytest.mark.parametrize("restart", [False, True])
+    def test_fista_trace_equals_recomputation(self, restart):
+        # without a linear image, y^k is evaluated from y^k itself, so the
+        # carried values must reproduce the reference bit for bit
+        inst, prob = desk_logreg()
+        prob = from_scratch(prob)
+        cfg = PgConfig(max_iters=50, stop_tol=0.0)
+        result = fista_run(prob, np.zeros(inst.p + 1), cfg, restart=restart)
+        got = [(r.k, r.objective, r.beta, r.step_norm, r.witness_norm)
+               for r in result.records]
+        assert got == reference_fista(prob, np.zeros(inst.p + 1), cfg, restart)
+        assert all(r.potential == r.objective for r in result.records)
+
+    def test_extrapolated_margins_match_scratch_gradient(self):
+        inst, prob = desk_logreg()
+        worst = [0.0, 0.0]
+
+        def smooth(x, z=None):
+            value, grad, z_out = prob.smooth(x, z)
+            if z is not None:
+                _, grad_ref, z_ref = prob.smooth(x)
+                worst[0] = max(worst[0], np.linalg.norm(z - z_ref) / np.linalg.norm(z_ref))
+                worst[1] = max(worst[1], np.linalg.norm(grad - grad_ref)
+                               / np.linalg.norm(grad_ref))
+            return value, grad, z_out
+
+        checked = replace(prob, smooth=smooth)
+        base = PgConfig(stop_tol=0.0, tau0=10.0 / prob.operator_norm)
+        _, steps = pg_steps(checked, variant_config("pgenls", base),
+                            np.zeros(inst.p + 1), 50)
+        assert sum(init["beta0"] > 0.0 for _, _, _, init in steps) > 40
+        assert 0.0 < worst[1] <= 1e-12
+        assert worst[0] <= 1e-12

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from nmdesc import kernels
 from nmdesc.linalg import RngStream, spectral_norm
 from nmdesc.problems import (
     gen_logreg,
@@ -88,6 +89,29 @@ class TestLogRegSurface:
         out = prob.g_prox(v, tau=1.0)
         assert np.array_equal(out[:-1], np.zeros(6))
         assert out[-1] == 1.0
+
+    @pytest.mark.parametrize("n, p", [(200, 2000), (40, 10)])
+    def test_exact_norm_and_lipschitz(self, n, p):
+        # both sides of the Gram choice: wide (n < p+1) and tall designs
+        inst = gen_logreg(n=n, p=p, s=3, seed=101, lam=1.0, mu=1e-3)
+        prob = logreg_problem(inst)
+        norm = np.linalg.norm(inst.A_tilde, 2)
+        assert prob.operator_norm == pytest.approx(norm, rel=1e-13)
+        assert prob.lipschitz == pytest.approx(0.25 * norm**2 + 1e-3, rel=1e-13)
+
+    def test_smooth_with_given_margins(self):
+        inst = gen_logreg(n=20, p=10, s=3, seed=7, mu=1e-3)
+        prob = logreg_problem(inst)
+        x = RngStream(3).standard_normal(11)
+        value, grad, z = prob.smooth(x)
+        assert np.array_equal(z, inst.A_tilde @ x)
+        ref_value, ref_grad = logreg_value_grad(x, inst)
+        assert value == ref_value and np.array_equal(grad, ref_grad)
+        # given margins are used as they are, not recomputed
+        v2, g2, z2 = prob.smooth(np.zeros(11), z)
+        assert z2 is z
+        loss, _ = kernels.logistic_loss_terms(z, inst.b)
+        assert v2 == float(np.sum(loss))
 
     def test_coercive_along_rays(self):
         inst = gen_logreg(n=10, p=6, s=2, seed=13, mu=1e-2)
