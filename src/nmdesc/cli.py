@@ -158,7 +158,12 @@ def default_start(instance, seed):
 
 
 def solve(name, instance, options, seed, lam=None):
-    """Dispatch one solver by name on an instance; returns a RunResult."""
+    """Dispatch one solver by name on an instance; returns a RunResult.
+
+    The problem is built here for this solve alone: a matrix-completion
+    problem owns buffers that its oracles overwrite, so the trials that
+    `bench --jobs` runs on threads must not share one.
+    """
     if name not in ALL_SOLVERS:
         raise UsageError(f"unknown solver {name!r}")
     start = default_start(instance, seed)

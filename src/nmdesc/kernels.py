@@ -22,8 +22,9 @@ __all__ = [
     "USE_NUMBA",
     "block_index",
     "masked_residual",
-    "masked_grads",
     "masked_block_grad",
+    "masked_dense_residual",
+    "masked_dense_grad",
     "logistic_loss_terms",
 ]
 
@@ -43,20 +44,39 @@ def block_index(own, other, obs):
     return own_sorted, other[order], obs[order], starts, own_sorted[starts]
 
 
+# -- dense masked form: BLAS-bound numpy, the same in every backend -------------
+
+def masked_dense_residual(U, V, flat, obs, P):
+    """r_t = (UV^T)[Omega_t] - obs[t], with UV^T formed in the caller's
+    n1 x n2 buffer P and Omega given as row-major flat indices into it.
+
+    The dense form of `masked_residual`: one matrix product and one gather
+    of |Omega| entries, for index sets dense enough that forming UV^T costs
+    less than gathering a row pair per observation.
+    """
+    np.matmul(U, V.T, out=P)
+    return P.take(flat) - obs
+
+
+def masked_dense_grad(U, V, flat, obs, P, D, block):
+    """One block's gradient of 0.5*||P_Omega(UV^T - M)||_F^2 in dense form:
+    D V for the U block (`block` 0), D^T U for the V block (`block` 1).
+
+    D is the caller's C-contiguous n1 x n2 buffer of the masked residual.
+    Only its Omega entries are written, so it must be zero off Omega when
+    first passed and stays so between calls. P is the buffer of
+    `masked_dense_residual`. Omega's entries must be distinct (a repeated
+    index would keep one residual); sorted flat indices scatter fastest.
+    """
+    D.reshape(-1)[flat] = masked_dense_residual(U, V, flat, obs, P)
+    return D @ V if block == 0 else D.T @ U
+
+
 # -- numpy reference implementations ----------------------------------------
 
 def _masked_residual_np(U, V, rows, cols, obs):
     """r_t = <U[rows[t]], V[cols[t]]> - obs[t] over the observed index set."""
     return np.einsum("ij,ij->i", U.take(rows, axis=0), V.take(cols, axis=0)) - obs
-
-
-def _masked_grads_np(U, V, rows, cols, resid):
-    """Gradients of 0.5*||P_Omega(UV^T - M)||_F^2 given the residual values."""
-    gU = np.zeros_like(U)
-    gV = np.zeros_like(V)
-    np.add.at(gU, rows, resid[:, None] * V[cols])
-    np.add.at(gV, cols, resid[:, None] * U[rows])
-    return gU, gV
 
 
 def _masked_block_grad_np(A, B, own, other, obs, starts, ids):
@@ -106,20 +126,6 @@ if USE_NUMBA:
         return out
 
     @njit(cache=True)
-    def _masked_grads_nb(U, V, rows, cols, resid):
-        r = U.shape[1]
-        gU = np.zeros_like(U)
-        gV = np.zeros_like(V)
-        for t in range(rows.shape[0]):
-            i = rows[t]
-            j = cols[t]
-            rt = resid[t]
-            for c in range(r):
-                gU[i, c] += rt * V[j, c]
-                gV[j, c] += rt * U[i, c]
-        return gU, gV
-
-    @njit(cache=True)
     def _masked_block_grad_nb(A, B, own, other, obs, starts, ids):
         # the loop accumulates in sorted order and needs no segment bounds
         r = A.shape[1]
@@ -150,11 +156,9 @@ if USE_NUMBA:
         return loss, w
 
     masked_residual = _masked_residual_nb
-    masked_grads = _masked_grads_nb
     masked_block_grad = _masked_block_grad_nb
     logistic_loss_terms = _logistic_loss_terms_nb
 else:
     masked_residual = _masked_residual_np
-    masked_grads = _masked_grads_np
     masked_block_grad = _masked_block_grad_np
     logistic_loss_terms = _logistic_loss_terms_np

@@ -64,7 +64,10 @@ def backtrack_params(l, beta0, tau0, eta1, eta2, tau_min):
 
 
 class BacktrackCapError(RuntimeError):
-    """Inner line search exhausted its backtrack budget."""
+    """Inner line search exhausted its backtrack budget.
+
+    The run that raises it sets `records` to its Trace so far.
+    """
 
     def __init__(self, k, cap, last_candidate):
         super().__init__(f"iteration {k}: line search exceeded {cap} backtracks")

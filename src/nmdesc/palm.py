@@ -16,13 +16,14 @@ Named variants:
 import math
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from array import array
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .nls import HistoryWindow, window_max, accept, BacktrackCapError
 from .pg import RunResult, nesterov_beta
-from .trace import TraceRecord
+from .trace import Trace, TraceRecord
 
 
 def _sq(a):
@@ -92,13 +93,16 @@ def variant_config(name, base=None):
 class BlockIterateState:
     """Iterate z^k = (x, y, x_prev, y_prev) with the line-search history.
 
-    After an accepted step the state also carries the step's extrapolated
-    points and step sizes, the gradients its trial computed
-    (gx_trial = grad_x(xt_last, y_prev), gy_trial = grad_y(x, yt_last)),
-    and the gradients at the new point (gx = grad_x(x, y),
-    gy = grad_y(x, y)). The witness uses all four and the next step's
-    Barzilai-Borwein initialization reuses gx and gy; where one is None it
-    is computed from the problem.
+    After an accepted step the state also carries the step's extrapolation
+    weight, extrapolated points and step sizes, the gradients its trial
+    computed (gx_trial = grad_x(xt_last, y_prev), gy_trial =
+    grad_y(x, yt_last)), and the gradients at the new point
+    (gx = grad_x(x, y), gy = grad_y(x, y)). The witness uses all four. The
+    next step reuses gx and gy in its Barzilai-Borwein initialization and
+    gx as the trial gradient of a zero-extrapolation trial, whose x~ is x;
+    after a step with beta_last = 0, yt_last is y_prev, so gy_trial is also
+    the initialization's grad_y(x, y_prev). Where a gradient is None it is
+    computed from the problem.
     """
 
     x: np.ndarray
@@ -111,6 +115,7 @@ class BlockIterateState:
     k: int = 0
     tau1_init_prev: float = None
     tau2_init_prev: float = None
+    beta_last: float = None  # extrapolation of the last accepted step
     xt_last: np.ndarray = None  # extrapolated points of the last accepted step
     yt_last: np.ndarray = None
     tau1_last: float = None
@@ -153,14 +158,16 @@ def bb_init_tau_blocks(state, problem, tau_lo, tau_hi):
 
     The x secant uses gradients at the CURRENT y^k; the y secant uses the
     CURRENT x^k. A zero block difference reuses the previous initialization.
-    The gradients at (x^k, y^k) come from the state when it carries them.
+    The gradients at (x^k, y^k) come from the state when it carries them,
+    and so does grad_y(x^k, y^{k-1}) after a step without extrapolation.
     """
     dx = state.x - state.x_prev
     dy = state.y - state.y_prev
     gx = _grad(state.gx, problem.grad_x, state.x, state.y)
     gy = _grad(state.gy, problem.grad_y, state.x, state.y)
+    gy_prev = state.gy_trial if state.beta_last == 0.0 else None
     dhx = gx - problem.grad_x(state.x_prev, state.y)
-    dhy = gy - problem.grad_y(state.x, state.y_prev)
+    dhy = gy - _grad(gy_prev, problem.grad_y, state.x, state.y_prev)
     tau1 = _bb_ratio(dx, dhx, tau_lo, tau_hi, state.tau1_init_prev)
     tau2 = _bb_ratio(dy, dhy, tau_lo, tau_hi, state.tau2_init_prev)
     return tau1, tau2
@@ -241,9 +248,11 @@ def palm_step(state, problem, config):
 
     Both block updates are recomputed on every backtrack: the x block at the
     extrapolated x with y^k fixed, then the y block at the extrapolated y
-    with the NEW x. The accepted trial's gradients and the gradients at the
-    new point go on the returned state, for the witness and the next
-    step's initialization. Returns (state, TraceRecord, init dict).
+    with the NEW x. A trial with beta = 0 takes its x block at x^k itself,
+    with the gradient the state carries there (evaluated once if it carries
+    none). The accepted trial's gradients and the gradients at the new
+    point go on the returned state, for the witness and the next step's
+    initialization. Returns (state, TraceRecord, init dict).
     """
     if config.beta_rule == "nesterov":
         beta0, t_next = nesterov_beta(state.t_prev, state.t_cur)
@@ -259,15 +268,20 @@ def palm_step(state, problem, config):
         tau1_0 = min(max(config.tau1_0, config.tau_lo), config.tau_hi)
         tau2_0 = min(max(config.tau2_0, config.tau_lo), config.tau_hi)
 
+    gx = state.gx
     x_new = None
     for l in range(config.max_backtracks + 1):
         beta = beta0 * config.eta**l
         tau1 = max(tau1_0 * config.eta1**l, config.tau_lo)
         tau2 = max(tau2_0 * config.eta2**l, config.tau_lo)
-        xt = state.x + beta * (state.x - state.x_prev)
-        gx_trial = problem.grad_x(xt, state.y)
+        if beta == 0.0:
+            gx = _grad(gx, problem.grad_x, state.x, state.y)
+            xt, yt, gx_trial = state.x, state.y, gx
+        else:
+            xt = state.x + beta * (state.x - state.x_prev)
+            yt = state.y + beta * (state.y - state.y_prev)
+            gx_trial = problem.grad_x(xt, state.y)
         x_new = problem.f_prox(xt - tau1 * gx_trial, tau1)
-        yt = state.y + beta * (state.y - state.y_prev)
         gy_trial = problem.grad_y(x_new, yt)
         y_new = problem.g_prox(yt - tau2 * gy_trial, tau2)
         step_sq = (
@@ -286,7 +300,7 @@ def palm_step(state, problem, config):
     new_state = BlockIterateState(
         x=x_new, y=y_new, x_prev=state.x, y_prev=state.y,
         window=state.window, t_prev=state.t_cur, t_cur=t_next, k=state.k + 1,
-        tau1_init_prev=tau1_0, tau2_init_prev=tau2_0,
+        tau1_init_prev=tau1_0, tau2_init_prev=tau2_0, beta_last=beta,
         xt_last=xt, yt_last=yt, tau1_last=tau1, tau2_last=tau2,
         gx_trial=gx_trial, gy_trial=gy_trial,
         gx=problem.grad_x(x_new, y_new), gy=problem.grad_y(x_new, y_new),
@@ -340,21 +354,20 @@ def palm_run(problem, x0, y0, config, trace_sink=None):
         x=x0.copy(), y=y0.copy(), x_prev=x0.copy(), y_prev=y0.copy(),
         window=window,
     )
-    records = [
-        TraceRecord(
-            k=0, time_s=0.0, objective=obj0,
-            potential=ups0, step_norm=0.0, witness_norm=math.inf,
-            beta=0.0, tau1=0.0, tau2=0.0, ell=0,
-        )
-    ]
+    rec = TraceRecord(
+        k=0, time_s=0.0, objective=obj0,
+        potential=ups0, step_norm=0.0, witness_norm=math.inf,
+        beta=0.0, tau1=0.0, tau2=0.0, ell=0,
+    )
+    records = Trace([rec])
     if trace_sink:
-        trace_sink(records[0])
+        trace_sink(rec)
     L_run = L_start
     max_x = math.sqrt(_sq(x0))
     max_y = math.sqrt(_sq(y0))
     start = time.perf_counter()
     reason = "max_iters"
-    meta = []
+    meta = {key: array("d") for key in ("beta0", "tau1_0", "tau2_0", "L1k", "L2k1")}
     for _ in range(cfg.max_iters):
         try:
             state, rec, init = palm_step(state, problem, cfg)
@@ -363,7 +376,8 @@ def palm_run(problem, x0, y0, config, trace_sink=None):
             raise
         rec.time_s = time.perf_counter() - start
         records.append(rec)
-        meta.append(init)
+        for key, value in init.items():
+            meta[key].append(value)
         if trace_sink:
             trace_sink(rec)
         L_run = max(L_run, init["L1k"], init["L2k1"])
@@ -399,20 +413,22 @@ def palm_run(problem, x0, y0, config, trace_sink=None):
 def palm_baseline_run(problem, x0, y0, config, extrapolate=False, trace_sink=None):
     """Classical PALM: fixed steps 1/L1(y^k) then 1/L2(x^{k+1}), no line
     search. With `extrapolate`, the prox steps are taken at Nesterov-
-    extrapolated points (PALMe)."""
+    extrapolated points (PALMe). An iteration with beta = 0 takes its x
+    block at x^k with grad_x(x^k, y^k), carried from the witness of the
+    iteration before."""
     x = np.asarray(x0, dtype=np.float64).copy()
     y = np.asarray(y0, dtype=np.float64).copy()
     x_prev, y_prev = x.copy(), y.copy()
     t_prev, t_cur = 1.0, 1.0
+    gx = None  # grad_x(x, y), once known
     obj = problem.objective(x, y)
-    records = [
-        TraceRecord(
-            k=0, time_s=0.0, objective=obj, potential=obj, step_norm=0.0,
-            witness_norm=math.inf, beta=0.0, tau1=0.0, tau2=0.0, ell=0,
-        )
-    ]
+    rec = TraceRecord(
+        k=0, time_s=0.0, objective=obj, potential=obj, step_norm=0.0,
+        witness_norm=math.inf, beta=0.0, tau1=0.0, tau2=0.0, ell=0,
+    )
+    records = Trace([rec])
     if trace_sink:
-        trace_sink(records[0])
+        trace_sink(rec)
     start = time.perf_counter()
     reason = "max_iters"
     for k in range(config.max_iters):
@@ -422,18 +438,23 @@ def palm_baseline_run(problem, x0, y0, config, extrapolate=False, trace_sink=Non
         else:
             beta, t_next = 0.0, t_cur
         tau1 = 1.0 / max(problem.L1(y), 1e-12)
-        xt = x + beta * (x - x_prev)
-        gx_trial = problem.grad_x(xt, y)
+        if beta == 0.0:
+            xt, yt = x, y
+            gx_trial = _grad(gx, problem.grad_x, x, y)
+        else:
+            xt = x + beta * (x - x_prev)
+            yt = y + beta * (y - y_prev)
+            gx_trial = problem.grad_x(xt, y)
         x_new = problem.f_prox(xt - tau1 * gx_trial, tau1)
         tau2 = 1.0 / max(problem.L2(x_new), 1e-12)
-        yt = y + beta * (y - y_prev)
         gy_trial = problem.grad_y(x_new, yt)
         y_new = problem.g_prox(yt - tau2 * gy_trial, tau2)
         step = math.sqrt(_sq(x_new - x) + _sq(y_new - y))
+        gx = problem.grad_x(x_new, y_new)
         probe = BlockIterateState(
             x=x_new, y=y_new, x_prev=x, y_prev=y, window=None,
             xt_last=xt, yt_last=yt, tau1_last=tau1, tau2_last=tau2,
-            gx_trial=gx_trial, gy_trial=gy_trial,
+            gx_trial=gx_trial, gy_trial=gy_trial, gx=gx,
         )
         _, wnorm = subgrad_witness_palm(probe, problem, 0.0)
         x_prev, y_prev, x, y = x, y, x_new, y_new

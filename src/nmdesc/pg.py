@@ -13,12 +13,13 @@ variants:
 
 import math
 import time
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .nls import HistoryWindow, window_max, accept, backtrack_params, BacktrackCapError
-from .trace import TraceRecord
+from .trace import Trace, TraceRecord
 
 
 @dataclass
@@ -228,15 +229,18 @@ def h2_constant_pg(config, lipschitz):
 class RunResult:
     """Outcome of one solver run.
 
-    `meta` holds one dict per accepted iteration with the line-search
-    initializations (beta0, tau0, ...) needed to replay the backtrack-count
-    bound; it is diagnostic data, not part of the trace CSV.
+    `records` is the run's `Trace`, one record per iterate from the start
+    point on. `meta` maps each line-search initialization the backtrack-count
+    bound is replayed from (beta0 and tau0; the PALM family has tau1_0,
+    tau2_0 and the block moduli L1k, L2k1) to a float array with one entry
+    per accepted iteration. It is diagnostic data, not part of the trace
+    CSV, and empty for the fixed-step baselines.
     """
 
     x: object
-    records: list
+    records: Trace
     reason: str
-    meta: list = field(default_factory=list)
+    meta: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
 
 
@@ -345,17 +349,16 @@ def pg_run(problem, x0, config, trace_sink=None):
     window.push(0, h0)
     state = IterateState(x=x0.copy(), x_prev=x0.copy(), window=window,
                          grad_x=g0, z=z0, z_prev=z0)
-    records = [
-        TraceRecord(
-            k=0, time_s=0.0, objective=F0, potential=h0,
-            step_norm=0.0, witness_norm=math.inf, beta=0.0, tau1=0.0, ell=0,
-        )
-    ]
+    rec = TraceRecord(
+        k=0, time_s=0.0, objective=F0, potential=h0,
+        step_norm=0.0, witness_norm=math.inf, beta=0.0, tau1=0.0, ell=0,
+    )
+    records = Trace([rec])
     if trace_sink:
-        trace_sink(records[0])
+        trace_sink(rec)
     start = time.perf_counter()
     reason = "max_iters"
-    meta = []
+    meta = {"beta0": array("d"), "tau0": array("d")}
     for _ in range(cfg.max_iters):
         try:
             state, rec, init = pg_step(state, problem, cfg)
@@ -364,7 +367,8 @@ def pg_run(problem, x0, config, trace_sink=None):
             raise
         rec.time_s = time.perf_counter() - start
         records.append(rec)
-        meta.append(init)
+        for key, value in init.items():
+            meta[key].append(value)
         if trace_sink:
             trace_sink(rec)
         scale = max(1.0, math.sqrt(_sq(state.x)))
@@ -398,14 +402,13 @@ def fista_run(problem, x0, config, restart=False, trace_sink=None):
     f, gx, z = problem.smooth(x)
     z_prev = z
     F = f + problem.g_value(x)
-    records = [
-        TraceRecord(
-            k=0, time_s=0.0, objective=F, potential=F, step_norm=0.0,
-            witness_norm=math.inf, beta=0.0, tau1=tau, ell=0,
-        )
-    ]
+    rec = TraceRecord(
+        k=0, time_s=0.0, objective=F, potential=F, step_norm=0.0,
+        witness_norm=math.inf, beta=0.0, tau1=tau, ell=0,
+    )
+    records = Trace([rec])
     if trace_sink:
-        trace_sink(records[0])
+        trace_sink(rec)
     start = time.perf_counter()
     reason = "max_iters"
     for k in range(config.max_iters):

@@ -259,17 +259,6 @@ def gen_mc(n1, n2, r_star, num_samples, sigma, seed, r=None, lam=1.0, mu=1e-10):
     )
 
 
-def mc_H_and_grads(U, V, instance):
-    """H = 0.5*||P_Omega(UV^T - M)||_F^2, its partial gradients, and the
-    per-block Lipschitz moduli (||V||^2, ||U||^2, spectral squared)."""
-    resid = kernels.masked_residual(U, V, instance.rows, instance.cols, instance.obs)
-    H = 0.5 * float(resid @ resid)
-    gU, gV = kernels.masked_grads(U, V, instance.rows, instance.cols, resid)
-    L1 = _spectral_sq(V)
-    L2 = _spectral_sq(U)
-    return H, gU, gV, L1, L2
-
-
 def _spectral_sq(X):
     """sigma_max(X)^2, exactly: the top eigenvalue of the Gram matrix of
     X's smaller side (X^T X for the tall, thin factors, X X^T for a wide
@@ -278,27 +267,85 @@ def _spectral_sq(X):
     return float(np.linalg.eigvalsh(gram)[-1])
 
 
+# The dense masked form of the matrix-completion oracle forms UV^T, so a
+# block gradient costs about 2*n1*n2*r multiply-adds, where the
+# sorted-segment form gathers |Omega| row pairs. `benchmarks/bench_kernels.py`
+# measures the crossover in the ratio n1*n2/|Omega| (rank 10, one BLAS
+# thread): the dense form wins from 50 down at 200 x 200 and from 20 down at
+# 500 x 500 and 1000 x 1000; at 2000 x 2000 it is 10 % slower at 20 and
+# twice as fast at 10. Each of its two buffers takes n1*n2*8 bytes, which
+# caps the size it is used at.
+DENSE_MAX_RATIO = 20
+DENSE_MAX_BYTES = 2**25
+
+
+def mc_oracle_form(n1, n2, num_obs):
+    """The form `mc_problem` evaluates the coupling in, "dense" or
+    "segment", for an n1 x n2 matrix with num_obs observed entries."""
+    if n1 * n2 <= DENSE_MAX_RATIO * num_obs and 8 * n1 * n2 <= DENSE_MAX_BYTES:
+        return "dense"
+    return "segment"
+
+
 def mc_problem(instance, lam=None):
     """BlockProblem view: ridge + column-l20 on each factor, masked residual
     coupling. Ball-based Lipschitz bounds use the closed forms for this H.
 
-    Omega is sorted by row and by column once, here. `H` evaluates the
-    masked residual and nothing else; `grad_x` and `grad_y` each evaluate
-    the residual in their own block's sorted order and return that block's
-    gradient as per-row segment sums (see `kernels.masked_block_grad`).
-    `L1` and `L2` are the exact moduli ||V||^2 and ||U||^2.
+    The coupling is evaluated in one of two forms, chosen by
+    `mc_oracle_form` from the size and the number of observed entries:
+
+    * dense: P = UV^T is formed in an n1 x n2 buffer; `H` takes the
+      residual at Omega from it, and each block gradient writes the
+      residual into a second buffer D that is zero off Omega, then returns
+      D V or D^T U (`kernels.masked_dense_grad`);
+    * sorted-segment, for sparse or large instances: Omega is sorted by row
+      and by column once, here; `H` gathers the residual row pairs and each
+      block gradient is per-row segment sums in its block's sorted order
+      (`kernels.masked_block_grad`).
+
+    The dense buffers belong to the returned problem, and its oracles write
+    them on every call, so one problem must not be evaluated from two
+    threads at once: build one per solve (as `cli.solve` does). The segment
+    form allocates no buffer. Omega must hold distinct entries, as
+    `gen_mc` makes it. `L1` and `L2` are the exact moduli ||V||^2 and
+    ||U||^2.
     """
     lam = instance.lam if lam is None else float(lam)
     mu = instance.mu
     spec = ProxSpec(kind="ridge_l20_columns", lam=lam, mu=mu)
     obs_norm = float(np.linalg.norm(instance.obs))
+    n1, n2 = instance.n1, instance.n2
     rows, cols, obs = instance.rows, instance.cols, instance.obs
-    by_row = kernels.block_index(rows, cols, obs)
-    by_col = kernels.block_index(cols, rows, obs)
 
-    def H(U, V):
-        resid = kernels.masked_residual(U, V, rows, cols, obs)
-        return 0.5 * float(resid @ resid)
+    if mc_oracle_form(n1, n2, instance.num_obs) == "dense":
+        # Omega in row-major order, for a monotone gather and scatter
+        order = np.argsort(rows * n2 + cols)
+        flat, obs = rows[order] * n2 + cols[order], obs[order]
+        P = np.empty((n1, n2))
+        D = np.zeros((n1, n2))
+
+        def H(U, V):
+            resid = kernels.masked_dense_residual(U, V, flat, obs, P)
+            return 0.5 * float(resid @ resid)
+
+        def grad_x(U, V):
+            return kernels.masked_dense_grad(U, V, flat, obs, P, D, 0)
+
+        def grad_y(U, V):
+            return kernels.masked_dense_grad(U, V, flat, obs, P, D, 1)
+    else:
+        by_row = kernels.block_index(rows, cols, obs)
+        by_col = kernels.block_index(cols, rows, obs)
+
+        def H(U, V):
+            resid = kernels.masked_residual(U, V, rows, cols, obs)
+            return 0.5 * float(resid @ resid)
+
+        def grad_x(U, V):
+            return kernels.masked_block_grad(U, V, *by_row)
+
+        def grad_y(U, V):
+            return kernels.masked_block_grad(V, U, *by_col)
 
     def ball_bounds(R1, R2):
         # grad_U = P_Omega(UV^T - M) V; entrywise |P_Omega| <= identity.
@@ -314,8 +361,8 @@ def mc_problem(instance, lam=None):
         g_value=spec.value,
         g_prox=lambda v, tau: prox_ridge_l20_columns(v, tau, spec),
         H=H,
-        grad_x=lambda U, V: kernels.masked_block_grad(U, V, *by_row),
-        grad_y=lambda U, V: kernels.masked_block_grad(V, U, *by_col),
+        grad_x=grad_x,
+        grad_y=grad_y,
         L1=_spectral_sq,
         L2=_spectral_sq,
         lipschitz_ball_bounds=ball_bounds,

@@ -34,3 +34,15 @@ def flat_problem(dim=2):
         lipschitz=1.0,
         dim=dim,
     )
+
+
+def add_at_grads(U, V, rows, cols, obs):
+    """Both block gradients of 0.5*||P_Omega(UV^T - M)||_F^2 by unbuffered
+    scatter-adds over the observations: the reference for both forms of
+    the matrix-completion oracle."""
+    resid = np.einsum("ij,ij->i", U[rows], V[cols]) - obs
+    gU = np.zeros_like(U)
+    gV = np.zeros_like(V)
+    np.add.at(gU, rows, resid[:, None] * V[cols])
+    np.add.at(gV, cols, resid[:, None] * U[rows])
+    return gU, gV

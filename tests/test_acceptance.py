@@ -40,7 +40,7 @@ from nmdesc.problems import (
     gen_mc,
     logreg_problem,
     logreg_value_grad,
-    mc_H_and_grads,
+    mc_oracle_form,
     mc_problem,
     sparsity_metrics,
 )
@@ -167,17 +167,17 @@ def test_relative_error_bound_holds_on_all_traces(pg_suite, palm_suite):
 def test_backtrack_counts_stay_within_bound(pg_suite, palm_suite):
     for prob, res in pg_suite:
         cfg = res.extras["config"]
-        for rec, init in zip(res.records[1:], res.meta):
-            bound = backtrack_bound_pg(init["tau0"], init["beta0"], cfg,
-                                       prob.lipschitz)
-            assert rec.backtracks <= bound
+        backtracks = [r.backtracks for r in res.records[1:]]
+        assert len(res.meta["tau0"]) == len(backtracks)
+        for l, tau0, beta0 in zip(backtracks, res.meta["tau0"], res.meta["beta0"]):
+            assert l <= backtrack_bound_pg(tau0, beta0, cfg, prob.lipschitz)
     for prob, res in palm_suite:
         cfg = res.extras["config"]
-        for rec, init in zip(res.records[1:], res.meta):
-            bound = backtrack_bound_palm(init["tau1_0"], init["tau2_0"],
-                                         init["beta0"], cfg,
-                                         init["L1k"], init["L2k1"])
-            assert rec.backtracks <= bound
+        backtracks = [r.backtracks for r in res.records[1:]]
+        assert len(res.meta["beta0"]) == len(backtracks)
+        columns = (res.meta[key] for key in ("tau1_0", "tau2_0", "beta0", "L1k", "L2k1"))
+        for l, tau1_0, tau2_0, beta0, L1k, L2k1 in zip(backtracks, *columns):
+            assert l <= backtrack_bound_palm(tau1_0, tau2_0, beta0, cfg, L1k, L2k1)
 
 
 class TestGradientProbes:
@@ -200,24 +200,30 @@ class TestGradientProbes:
         assert time.perf_counter() - start < 30.0
 
     def test_completion_gradients(self):
+        # the H, grad_x and grad_y the solvers call, in both oracle forms:
+        # 80 draws on 15 x 12 take the dense form, 80 on 60 x 50 the
+        # sorted-segment form
         start = time.perf_counter()
-        inst = gen_mc(n1=15, n2=12, r_star=2, num_samples=80, sigma=0.1,
-                      seed=3)
-        rng = RngStream(13)
-        h = 1e-6
-        for _ in range(100):
-            U = rng.standard_normal(inst.n1 * inst.r).reshape(inst.n1, inst.r)
-            V = rng.standard_normal(inst.n2 * inst.r).reshape(inst.n2, inst.r)
-            dU = rng.standard_normal(U.size).reshape(U.shape)
-            dV = rng.standard_normal(V.size).reshape(V.shape)
-            scale = math.sqrt(float(np.sum(dU * dU) + np.sum(dV * dV)))
-            dU /= scale
-            dV /= scale
-            hp = mc_H_and_grads(U + h * dU, V + h * dV, inst)[0]
-            hm = mc_H_and_grads(U - h * dU, V - h * dV, inst)[0]
-            _, gU, gV, _, _ = mc_H_and_grads(U, V, inst)
-            exact = float(np.sum(gU * dU) + np.sum(gV * dV))
-            assert abs((hp - hm) / (2.0 * h) - exact) <= 1e-5 * max(1.0, abs(exact))
+        for n1, n2, form in ((15, 12, "dense"), (60, 50, "segment")):
+            inst = gen_mc(n1=n1, n2=n2, r_star=2, num_samples=80, sigma=0.1,
+                          seed=3)
+            assert mc_oracle_form(n1, n2, inst.num_obs) == form
+            prob = mc_problem(inst)
+            rng = RngStream(13)
+            h = 1e-6
+            for _ in range(100):
+                U = rng.standard_normal(inst.n1 * inst.r).reshape(inst.n1, inst.r)
+                V = rng.standard_normal(inst.n2 * inst.r).reshape(inst.n2, inst.r)
+                dU = rng.standard_normal(U.size).reshape(U.shape)
+                dV = rng.standard_normal(V.size).reshape(V.shape)
+                scale = math.sqrt(float(np.sum(dU * dU) + np.sum(dV * dV)))
+                dU /= scale
+                dV /= scale
+                hp = prob.H(U + h * dU, V + h * dV)
+                hm = prob.H(U - h * dU, V - h * dV)
+                gU, gV = prob.grad_x(U, V), prob.grad_y(U, V)
+                exact = float(np.sum(gU * dU) + np.sum(gV * dV))
+                assert abs((hp - hm) / (2.0 * h) - exact) <= 1e-5 * max(1.0, abs(exact))
         assert time.perf_counter() - start < 30.0
 
 

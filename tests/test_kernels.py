@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import add_at_grads
 from nmdesc import kernels
 from nmdesc.linalg import RngStream
 
@@ -27,40 +28,73 @@ def test_active_backend_matches_reference_residual():
 
 
 def test_active_backend_matches_reference_grads():
+    # repeated draws included: the segment form sums them as the reference does
     U, V, rows, cols, obs = random_mc_inputs(seed=1)
-    resid = kernels._masked_residual_np(U, V, rows, cols, obs)
-    gU_ref, gV_ref = kernels._masked_grads_np(U, V, rows, cols, resid)
-    gU, gV = kernels.masked_grads(U, V, rows, cols, resid)
+    gU_ref, gV_ref = add_at_grads(U, V, rows, cols, obs)
+    gU = kernels.masked_block_grad(U, V, *kernels.block_index(rows, cols, obs))
+    gV = kernels.masked_block_grad(V, U, *kernels.block_index(cols, rows, obs))
     assert np.allclose(gU, gU_ref, rtol=1e-13, atol=1e-15)
     assert np.allclose(gV, gV_ref, rtol=1e-13, atol=1e-15)
 
 
 def sparse_mask_inputs(seed, n1=30, n2=25, r=4, p=120):
-    """Observations drawn from the first two thirds of the rows and columns
-    only, so the rest of each factor is unobserved."""
+    """Distinct observations from the first two thirds of the rows and
+    columns only, so the rest of each factor is unobserved."""
     rng = np.random.default_rng(seed)
     U = rng.standard_normal((n1, r))
     V = rng.standard_normal((n2, r))
-    rows = rng.integers(0, 2 * n1 // 3, p)
-    cols = rng.integers(0, 2 * n2 // 3, p)
+    flat = rng.choice((2 * n1 // 3) * (2 * n2 // 3), p, replace=False)
+    rows, cols = np.divmod(flat, 2 * n2 // 3)
     obs = rng.standard_normal(p)
     return U, V, rows, cols, obs
+
+
+def dense_grads(U, V, rows, cols, obs, D=None):
+    """Both block gradients in the dense form, with fresh buffers unless a
+    residual buffer D is passed."""
+    P = np.empty((U.shape[0], V.shape[0]))
+    D = np.zeros_like(P) if D is None else D
+    flat = rows * V.shape[0] + cols
+    return (kernels.masked_dense_grad(U, V, flat, obs, P, D, 0),
+            kernels.masked_dense_grad(U, V, flat, obs, P, D, 1))
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_block_grads_match_reference_with_unobserved_rows(seed):
     U, V, rows, cols, obs = sparse_mask_inputs(seed)
-    resid = kernels._masked_residual_np(U, V, rows, cols, obs)
-    gU_ref, gV_ref = kernels._masked_grads_np(U, V, rows, cols, resid)
-    gU = kernels.masked_block_grad(U, V, *kernels.block_index(rows, cols, obs))
-    gV = kernels.masked_block_grad(V, U, *kernels.block_index(cols, rows, obs))
-    assert np.allclose(gU, gU_ref, rtol=1e-12, atol=0.0)
-    assert np.allclose(gV, gV_ref, rtol=1e-12, atol=0.0)
+    gU_ref, gV_ref = add_at_grads(U, V, rows, cols, obs)
+    segment = (kernels.masked_block_grad(U, V, *kernels.block_index(rows, cols, obs)),
+               kernels.masked_block_grad(V, U, *kernels.block_index(cols, rows, obs)))
     unobserved_rows = np.setdiff1d(np.arange(U.shape[0]), rows)
     unobserved_cols = np.setdiff1d(np.arange(V.shape[0]), cols)
     assert len(unobserved_rows) > 0 and len(unobserved_cols) > 0
-    assert np.all(gU[unobserved_rows] == 0.0)
-    assert np.all(gV[unobserved_cols] == 0.0)
+    for gU, gV in (segment, dense_grads(U, V, rows, cols, obs)):
+        assert np.allclose(gU, gU_ref, rtol=1e-12, atol=0.0)
+        assert np.allclose(gV, gV_ref, rtol=1e-12, atol=0.0)
+        assert np.all(gU[unobserved_rows] == 0.0)
+        assert np.all(gV[unobserved_cols] == 0.0)
+
+
+def test_dense_residual_buffer_stays_zero_off_omega():
+    U, V, rows, cols, obs = sparse_mask_inputs(7)
+    D = np.zeros((U.shape[0], V.shape[0]))
+    off = np.ones(D.shape, dtype=bool)
+    off[rows, cols] = False
+    first = dense_grads(U, V, rows, cols, obs, D)
+    for scale in (2.0, -0.5):  # other points through the same buffer
+        dense_grads(scale * U, V, rows, cols, obs, D)
+        assert np.all(D[off] == 0.0)
+    again = dense_grads(U, V, rows, cols, obs, D)
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+
+def test_dense_residual_matches_gather():
+    U, V, rows, cols, obs = sparse_mask_inputs(3)
+    P = np.empty((U.shape[0], V.shape[0]))
+    r = kernels.masked_dense_residual(U, V, rows * V.shape[0] + cols, obs, P)
+    ref = kernels._masked_residual_np(U, V, rows, cols, obs)
+    assert np.allclose(r, ref, rtol=1e-13, atol=1e-15)
+    assert np.array_equal(P, U @ V.T)
 
 
 def test_block_index_segments():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nmdesc.linalg import RngStream, gaussian_fill
-from nmdesc.nls import HistoryWindow
+from nmdesc.nls import HistoryWindow, accept, window_max
 from nmdesc.palm import (
     BlockIterateState,
     PalmConfig,
@@ -23,7 +23,8 @@ from nmdesc.palm import (
     subgrad_witness_palm,
     variant_config,
 )
-from nmdesc.problems import BlockProblem, gen_mc, mc_problem
+from nmdesc.pg import nesterov_beta
+from nmdesc.problems import BlockProblem, gen_mc, mc_oracle_form, mc_problem
 from nmdesc.trace import trace_csv_string
 
 
@@ -71,6 +72,23 @@ def coupled_quadratic(Q):
         L1=lambda y: float(np.linalg.eigvalsh(Q).max()),
         L2=lambda x: 1.0,
     )
+
+
+def counted_oracles(problem):
+    """The problem with grad_x, grad_y and H counted; returns (problem,
+    Counter of calls by name)."""
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(problem, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    names = ("grad_x", "grad_y", "H")
+    return replace(problem, **{n: counted(n) for n in names}), calls
 
 
 def fresh_state(x0, y0, problem, cfg):
@@ -259,28 +277,41 @@ class TestWitnessAndInvariants:
     def test_oracle_calls_per_iteration(self):
         # per step with l backtracks: l+1 trials (grad_x, grad_y, H each),
         # the gradients at the new point, and from k = 1 on the two BB
-        # secant gradients at the previous iterate
+        # secant gradients at the previous iterate. A trial with beta = 0
+        # takes grad_x(x^k, y^k) from the state (one evaluation at the fresh
+        # start, which carries none), and after a step with beta = 0 the BB
+        # secant's grad_y(x^k, y^{k-1}) is that step's trial gradient.
         prob, u0, v0 = self.small_mc(seed=3)
-        calls = Counter()
+        counting, calls = counted_oracles(prob)
+        for name in ("palmenls", "palmnls"):
+            cfg = variant_config(name, PalmConfig(max_iters=0))
+            vcfg = palm_run(prob, u0, v0, cfg).extras["config"]
+            state = fresh_state(u0, v0, counting, vcfg)
+            betas = []
+            for k in range(15):
+                calls.clear()
+                state, rec, _ = palm_step(state, counting, vcfg)
+                trials = rec.backtracks + 1
+                bb = 1 if k >= 1 else 0
+                x_trials = trials if rec.beta > 0.0 else (1 if k == 0 else 0)
+                y_bb = bb if k >= 1 and betas[-1] > 0.0 else 0
+                assert calls == {"grad_x": x_trials + 1 + bb,
+                                 "grad_y": trials + 1 + y_bb, "H": trials}
+                betas.append(rec.beta)
+            if name == "palmnls":
+                assert set(betas) == {0.0}
+            else:  # the first two Nesterov weights are 0
+                assert betas[:2] == [0.0, 0.0] and min(betas[2:]) > 0.0
 
-        def counted(name):
-            fn = getattr(prob, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
-
-        counting = replace(prob, **{n: counted(n) for n in ("grad_x", "grad_y", "H")})
-        vcfg = palm_run(prob, u0, v0, PalmConfig(max_iters=0)).extras["config"]
-        state = fresh_state(u0, v0, counting, vcfg)
-        for k in range(15):
-            calls.clear()
-            state, rec, _ = palm_step(state, counting, vcfg)
-            trials = rec.backtracks + 1
-            bb = 1 if k >= 1 else 0
-            assert calls == {"grad_x": trials + 1 + bb,
-                             "grad_y": trials + 1 + bb, "H": trials}
+    def test_baseline_oracle_calls_per_iteration(self):
+        # without extrapolation an iteration's grad_x(x^k, y^k) is the one
+        # its predecessor's witness evaluated: one grad_x per iteration (two
+        # in the first), two grad_y (trial and witness), one H (objective)
+        prob, u0, v0 = self.small_mc(seed=3)
+        counting, calls = counted_oracles(prob)
+        result = palm_baseline_run(counting, u0, v0, PalmConfig(max_iters=20, stop_tol=-1.0))
+        assert len(result.records) == 21
+        assert calls == {"grad_x": 21, "grad_y": 40, "H": 21}
 
     def test_near_equal_singular_values_do_not_stop_a_solve(self):
         # an iterate of this instance has sigma1 = 20.224, sigma2 = 20.214,
@@ -314,10 +345,12 @@ class TestWitnessAndInvariants:
         prob, u0, v0 = self.small_mc(seed=9)
         result = palm_run(prob, u0, v0, PalmConfig(max_iters=60))
         vcfg = result.extras["config"]
-        for rec, init in zip(result.records[1:], result.meta):
+        meta = result.meta
+        assert len(meta["beta0"]) == len(result.records) - 1
+        for i, rec in enumerate(result.records[1:]):
             bound = backtrack_bound_palm(
-                init["tau1_0"], init["tau2_0"], init["beta0"], vcfg,
-                init["L1k"], init["L2k1"],
+                meta["tau1_0"][i], meta["tau2_0"][i], meta["beta0"][i], vcfg,
+                meta["L1k"][i], meta["L2k1"][i],
             )
             assert rec.backtracks <= bound
 
@@ -333,6 +366,129 @@ class TestWitnessAndInvariants:
         assert h2_constant_palm(cfg, M=3.0, L2bar=2.0) == pytest.approx(
             2 * 0.01 + 2 * 1.0 * (3.0 + 200.0 + 2.0)
         )
+
+
+# -- beta = 0 steps reuse the gradients at the current point -------------------
+
+def _sq(a):
+    a = np.ravel(a)
+    return float(a @ a)
+
+
+def reference_palm(prob, x0, y0, cfg, iters):
+    """The line-search method with every gradient evaluated where it is
+    used and every trial point extrapolated, x + beta*(x - x_prev) also at
+    beta = 0: records (k, objective, potential, step, witness, beta, tau1,
+    tau2, backtracks, ell) as a reference for the reused gradients."""
+    window = HistoryWindow(cfg.m)
+    ups = potential_upsilon(x0, y0, x0, y0, prob, cfg.delta)
+    window.push(0, ups)
+    x, y, xp, yp = x0.copy(), y0.copy(), x0.copy(), y0.copy()
+    t_prev, t_cur = 1.0, 1.0
+    taus = (None, None)
+    out = [(0, prob.objective(x, y), ups, 0.0, math.inf, 0.0, 0.0, 0.0, 0, 0)]
+    for k in range(iters):
+        beta0, t_next = nesterov_beta(t_prev, t_cur)
+        beta0 = min(beta0, cfg.beta_max)
+        if k >= 1:
+            bare = BlockIterateState(x=x, y=y, x_prev=xp, y_prev=yp, window=None,
+                                     tau1_init_prev=taus[0], tau2_init_prev=taus[1])
+            taus = bb_init_tau_blocks(bare, prob, cfg.tau_lo, cfg.tau_hi)
+        else:
+            taus = (min(max(cfg.tau1_0, cfg.tau_lo), cfg.tau_hi),
+                    min(max(cfg.tau2_0, cfg.tau_lo), cfg.tau_hi))
+        for l in range(cfg.max_backtracks + 1):
+            beta = beta0 * cfg.eta**l
+            tau1 = max(taus[0] * cfg.eta1**l, cfg.tau_lo)
+            tau2 = max(taus[1] * cfg.eta2**l, cfg.tau_lo)
+            xt = x + beta * (x - xp)
+            xn = prob.f_prox(xt - tau1 * prob.grad_x(xt, y), tau1)
+            yt = y + beta * (y - yp)
+            yn = prob.g_prox(yt - tau2 * prob.grad_y(xn, yt), tau2)
+            step_sq = _sq(xn - x) + _sq(yn - y) + _sq(x - xp) + _sq(y - yp)
+            obj = prob.objective(xn, yn)
+            ups = potential_upsilon(xn, yn, x, y, prob, cfg.delta)
+            if accept(ups, window, cfg.alpha, step_sq):
+                break
+        bare = BlockIterateState(x=xn, y=yn, x_prev=x, y_prev=y, window=None,
+                                 xt_last=xt, yt_last=yt, tau1_last=tau1, tau2_last=tau2)
+        _, wnorm = subgrad_witness_palm(bare, prob, cfg.delta)
+        window.push(k + 1, ups)
+        _, ell = window_max(window)
+        out.append((k + 1, obj, ups, math.sqrt(step_sq), wnorm, beta, tau1, tau2, l, ell))
+        x, y, xp, yp = xn, yn, x, y
+        t_prev, t_cur = t_cur, t_next
+    return out, (x, y)
+
+
+def reference_baseline(prob, x0, y0, cfg, extrapolate):
+    """`palm_baseline_run` with every gradient evaluated where it is used:
+    records (k, objective, step, witness, beta, tau1, tau2)."""
+    x, y = x0.copy(), y0.copy()
+    xp, yp = x.copy(), y.copy()
+    t_prev, t_cur = 1.0, 1.0
+    out = [(0, prob.objective(x, y), 0.0, math.inf, 0.0, 0.0, 0.0)]
+    for k in range(cfg.max_iters):
+        if extrapolate:
+            beta, t_next = nesterov_beta(t_prev, t_cur)
+            beta = min(beta, cfg.beta_max)
+        else:
+            beta, t_next = 0.0, t_cur
+        tau1 = 1.0 / max(prob.L1(y), 1e-12)
+        xt = x + beta * (x - xp)
+        xn = prob.f_prox(xt - tau1 * prob.grad_x(xt, y), tau1)
+        tau2 = 1.0 / max(prob.L2(xn), 1e-12)
+        yt = y + beta * (y - yp)
+        yn = prob.g_prox(yt - tau2 * prob.grad_y(xn, yt), tau2)
+        bare = BlockIterateState(x=xn, y=yn, x_prev=x, y_prev=y, window=None,
+                                 xt_last=xt, yt_last=yt, tau1_last=tau1, tau2_last=tau2)
+        _, wnorm = subgrad_witness_palm(bare, prob, 0.0)
+        step = math.sqrt(_sq(xn - x) + _sq(yn - y))
+        x, y, xp, yp = xn, yn, x, y
+        t_prev, t_cur = t_cur, t_next
+        out.append((k + 1, prob.objective(x, y), step, wnorm, beta, tau1, tau2))
+    return out, (x, y)
+
+
+def mc_start(n1, n2, num_samples, seed):
+    """An instance, its problem and the start `nmdesc run` takes: 200 x 200
+    with 8000 draws is the desk instance of the benchmark (dense form),
+    300 x 300 with 2000 draws a sparse one (sorted-segment form)."""
+    inst = gen_mc(n1=n1, n2=n2, r_star=5, num_samples=num_samples, sigma=0.1,
+                  seed=seed)
+    rng = RngStream(seed).spawn(1)
+    u0 = gaussian_fill(rng, (n1, inst.r)) / math.sqrt(inst.r)
+    v0 = gaussian_fill(rng, (n2, inst.r)) / math.sqrt(inst.r)
+    return inst, mc_problem(inst), u0, v0
+
+
+MC_FORMS = {"dense": (200, 200, 8000, 1), "segment": (300, 300, 2000, 5)}
+
+
+class TestZeroExtrapolationReuse:
+    @pytest.mark.parametrize("form", sorted(MC_FORMS))
+    @pytest.mark.parametrize("name", ["palmnls", "palmls", "palmenls"])
+    def test_trace_equals_recomputation(self, name, form):
+        inst, prob, u0, v0 = mc_start(*MC_FORMS[form])
+        assert mc_oracle_form(inst.n1, inst.n2, inst.num_obs) == form
+        cfg = variant_config(name, PalmConfig(max_iters=50, stop_tol=-1.0))
+        result = palm_run(prob, u0, v0, cfg)
+        got = [(r.k, r.objective, r.potential, r.step_norm, r.witness_norm,
+                r.beta, r.tau1, r.tau2, r.backtracks, r.ell) for r in result.records]
+        ref, (x, y) = reference_palm(prob, u0, v0, result.extras["config"], 50)
+        assert got == ref
+        assert np.array_equal(result.x[0], x) and np.array_equal(result.x[1], y)
+
+    @pytest.mark.parametrize("extrapolate", [False, True])
+    def test_baseline_trace_equals_recomputation(self, extrapolate):
+        inst, prob, u0, v0 = mc_start(*MC_FORMS["dense"])
+        cfg = PalmConfig(max_iters=50, stop_tol=-1.0)
+        result = palm_baseline_run(prob, u0, v0, cfg, extrapolate=extrapolate)
+        got = [(r.k, r.objective, r.step_norm, r.witness_norm, r.beta, r.tau1, r.tau2)
+               for r in result.records]
+        ref, (x, y) = reference_baseline(prob, u0, v0, cfg, extrapolate)
+        assert got == ref
+        assert np.array_equal(result.x[0], x) and np.array_equal(result.x[1], y)
 
 
 class TestBaselines:

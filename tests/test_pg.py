@@ -199,9 +199,10 @@ class TestSafeBetaBound:
         cfg = PgConfig(max_iters=100)
         result = pg_run(prob, np.array([2.0, 2.0]), cfg)
         vcfg = result.extras["config"]
-        for rec, init in zip(result.records[1:], result.meta):
-            bound = backtrack_bound_pg(init["tau0"], init["beta0"], vcfg,
-                                       prob.lipschitz)
+        meta = result.meta
+        assert len(meta["tau0"]) == len(result.records) - 1
+        for rec, tau0, beta0 in zip(result.records[1:], meta["tau0"], meta["beta0"]):
+            bound = backtrack_bound_pg(tau0, beta0, vcfg, prob.lipschitz)
             assert rec.backtracks <= bound
 
 

@@ -2,18 +2,22 @@
 
 import math
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conftest import add_at_grads
 from nmdesc import kernels
 from nmdesc.linalg import RngStream, spectral_norm
 from nmdesc.problems import (
+    McInstance,
     gen_logreg,
     gen_mc,
     load_instance,
     logreg_problem,
     logreg_value_grad,
-    mc_H_and_grads,
+    mc_oracle_form,
     mc_problem,
     mc_row_marginals,
     save_instance,
@@ -169,14 +173,35 @@ class TestGenMc:
             gen_mc(n1=4, n2=4, r_star=5, num_samples=10, sigma=0.1, seed=0)
 
 
+def one_of_each_form(n1, n2, dense_draws, segment_draws, seed, r):
+    """Two instances of one size with r_star 2, from draw counts on either
+    side of the rule's ratio: the first takes the dense form, the second
+    the sorted-segment form."""
+    out = []
+    for draws, form in ((dense_draws, "dense"), (segment_draws, "segment")):
+        inst = gen_mc(n1=n1, n2=n2, r_star=2, num_samples=draws, sigma=0.1,
+                      seed=seed, r=r)
+        assert mc_oracle_form(n1, n2, inst.num_obs) == form
+        out.append(inst)
+    return out
+
+
+def random_factors(inst, seed):
+    rng = RngStream(seed)
+    U = rng.standard_normal(inst.n1 * inst.r).reshape(inst.n1, inst.r)
+    V = rng.standard_normal(inst.n2 * inst.r).reshape(inst.n2, inst.r)
+    return U, V
+
+
 class TestMcSurface:
     def test_zero_residual_at_planted_factors(self):
         inst = gen_mc(n1=10, n2=9, r_star=2, num_samples=30, sigma=0.0,
                       seed=3, r=2)
-        H, gU, gV, _, _ = mc_H_and_grads(inst.U_star, inst.V_star, inst)
-        assert H == pytest.approx(0.0, abs=1e-24)
-        assert np.allclose(gU, 0.0, atol=1e-12)
-        assert np.allclose(gV, 0.0, atol=1e-12)
+        prob = mc_problem(inst)
+        U, V = inst.U_star, inst.V_star
+        assert prob.H(U, V) == pytest.approx(0.0, abs=1e-24)
+        assert np.allclose(prob.grad_x(U, V), 0.0, atol=1e-12)
+        assert np.allclose(prob.grad_y(U, V), 0.0, atol=1e-12)
 
     def test_full_mask_matches_dense_formulas(self):
         inst = gen_mc(n1=4, n2=3, r_star=1, num_samples=6, sigma=0.0, seed=6)
@@ -188,54 +213,44 @@ class TestMcSurface:
             U_star=inst.U_star, V_star=inst.V_star, seed=6,
             samples_requested=12,
         )
+        prob = mc_problem(full)
         rng = RngStream(4)
         U = rng.standard_normal(8).reshape(4, 2)
         V = rng.standard_normal(6).reshape(3, 2)
         R = U @ V.T - M
-        H, gU, gV, L1, L2 = mc_H_and_grads(U, V, full)
-        assert H == pytest.approx(0.5 * np.sum(R * R), rel=1e-12)
-        assert np.allclose(gU, R @ V, rtol=1e-12)
-        assert np.allclose(gV, R.T @ U, rtol=1e-12)
-        assert L1 == pytest.approx(np.linalg.norm(V, 2) ** 2, rel=1e-8)
-        assert L2 == pytest.approx(np.linalg.norm(U, 2) ** 2, rel=1e-8)
+        assert prob.H(U, V) == pytest.approx(0.5 * np.sum(R * R), rel=1e-12)
+        assert np.allclose(prob.grad_x(U, V), R @ V, rtol=1e-12)
+        assert np.allclose(prob.grad_y(U, V), R.T @ U, rtol=1e-12)
+        assert prob.L1(V) == pytest.approx(np.linalg.norm(V, 2) ** 2, rel=1e-12)
+        assert prob.L2(U) == pytest.approx(np.linalg.norm(U, 2) ** 2, rel=1e-12)
 
     def test_gradients_match_finite_differences(self):
-        inst = gen_mc(n1=6, n2=5, r_star=2, num_samples=20, sigma=0.1,
-                      seed=9, r=2)
-        rng = RngStream(7)
-        U = rng.standard_normal(12).reshape(6, 2)
-        V = rng.standard_normal(10).reshape(5, 2)
-        _, gU, gV, _, _ = mc_H_and_grads(U, V, inst)
-        h = 1e-6
-        for i in range(6):
-            for j in range(2):
-                E = np.zeros((6, 2))
-                E[i, j] = h
-                fd = (mc_H_and_grads(U + E, V, inst)[0]
-                      - mc_H_and_grads(U - E, V, inst)[0]) / (2.0 * h)
-                assert gU[i, j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
-        for i in range(5):
-            for j in range(2):
-                E = np.zeros((5, 2))
-                E[i, j] = h
-                fd = (mc_H_and_grads(U, V + E, inst)[0]
-                      - mc_H_and_grads(U, V - E, inst)[0]) / (2.0 * h)
-                assert gV[i, j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+        # every partial derivative of the H the solvers call, in both forms
+        for inst in one_of_each_form(24, 20, 40, 20, seed=9, r=2):
+            prob = mc_problem(inst)
+            U, V = random_factors(inst, 7)
+            gU, gV = prob.grad_x(U, V), prob.grad_y(U, V)
+            h = 1e-6
+            for X, g, shift in ((U, gU, lambda E: (U + E, V, U - E, V)),
+                                (V, gV, lambda E: (U, V + E, U, V - E))):
+                for idx in np.ndindex(X.shape):
+                    E = np.zeros(X.shape)
+                    E[idx] = h
+                    Up, Vp, Um, Vm = shift(E)
+                    fd = (prob.H(Up, Vp) - prob.H(Um, Vm)) / (2.0 * h)
+                    assert g[idx] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
     def test_problem_oracle_matches_joint_evaluation(self):
-        # 40 draws on 30 x 25: some rows and columns go unobserved
-        inst = gen_mc(n1=30, n2=25, r_star=2, num_samples=40, sigma=0.1,
-                      seed=8, r=3)
-        assert len(np.unique(inst.rows)) < 30 and len(np.unique(inst.cols)) < 25
-        prob = mc_problem(inst)
-        rng = RngStream(11)
-        U = rng.standard_normal(90).reshape(30, 3)
-        V = rng.standard_normal(75).reshape(25, 3)
-        H, gU, gV, L1, L2 = mc_H_and_grads(U, V, inst)
-        assert prob.H(U, V) == H
-        assert np.allclose(prob.grad_x(U, V), gU, rtol=1e-12, atol=0.0)
-        assert np.allclose(prob.grad_y(U, V), gV, rtol=1e-12, atol=0.0)
-        assert (prob.L1(V), prob.L2(U)) == (L1, L2)
+        # 45 and 20 draws on 30 x 25: some rows and columns go unobserved
+        for inst in one_of_each_form(30, 25, 45, 20, seed=8, r=3):
+            assert len(np.unique(inst.rows)) < 30 and len(np.unique(inst.cols)) < 25
+            prob = mc_problem(inst)
+            U, V = random_factors(inst, 11)
+            gU, gV = add_at_grads(U, V, inst.rows, inst.cols, inst.obs)
+            resid = np.einsum("ij,ij->i", U[inst.rows], V[inst.cols]) - inst.obs
+            assert prob.H(U, V) == pytest.approx(0.5 * float(resid @ resid), rel=1e-13)
+            assert np.allclose(prob.grad_x(U, V), gU, rtol=1e-12, atol=0.0)
+            assert np.allclose(prob.grad_y(U, V), gV, rtol=1e-12, atol=0.0)
 
     def test_block_moduli_exact_on_near_equal_singular_values(self):
         rng = np.random.default_rng(5)
@@ -261,6 +276,64 @@ class TestMcSurface:
             U2 = rng.standard_normal(24).reshape(8, 3)
             diff = np.linalg.norm(prob.grad_x(U1, V) - prob.grad_x(U2, V))
             assert diff <= L1 * np.linalg.norm(U1 - U2) * (1.0 + 1e-9)
+
+
+class TestOracleForm:
+    def test_rule_on_benchmark_and_sparse_instances(self):
+        desk = gen_mc(n1=200, n2=200, r_star=5, num_samples=8000, sigma=0.1, seed=1)
+        batch = gen_mc(n1=40, n2=40, r_star=2, num_samples=600, sigma=0.1, seed=0)
+        assert desk.num_obs == 6715
+        assert mc_oracle_form(200, 200, desk.num_obs) == "dense"
+        assert mc_oracle_form(40, 40, batch.num_obs) == "dense"
+        # 2 % observed: too sparse; 1e4 x 1e4 at 10 %: buffers of 800 MB
+        assert mc_oracle_form(1000, 1000, 20000) == "segment"
+        assert mc_oracle_form(10**4, 10**4, 10**7) == "segment"
+        assert mc_oracle_form(2000, 2000, 200000) == "dense"
+        assert mc_oracle_form(2100, 2100, 300000) == "segment"
+
+    @staticmethod
+    def flat_instance(n, num_obs, seed=0):
+        rng = np.random.default_rng(seed)
+        rows, cols = np.divmod(rng.choice(n * n, num_obs, replace=False), n)
+        return McInstance(
+            n1=n, n2=n, r_star=1, r=2, rows=rows, cols=cols,
+            obs=rng.standard_normal(num_obs), sigma=0.0, lam=1.0, mu=1e-10,
+            U_star=np.zeros((n, 1)), V_star=np.zeros((n, 1)), seed=seed,
+            samples_requested=num_obs,
+        )
+
+    @staticmethod
+    def build_peak(inst):
+        tracemalloc.start()
+        try:
+            mc_problem(inst)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_segment_form_allocates_no_buffer(self):
+        buffer = 1000 * 1000 * 8
+        sparse = self.flat_instance(1000, 20000)
+        assert mc_oracle_form(1000, 1000, sparse.num_obs) == "segment"
+        assert self.build_peak(sparse) < buffer / 4
+        # the dense form's two buffers show in the same measurement
+        dense = self.flat_instance(400, 20000)
+        assert mc_oracle_form(400, 400, dense.num_obs) == "dense"
+        assert self.build_peak(dense) >= 2 * 400 * 400 * 8
+
+    def test_interleaved_problems_match_fresh_ones(self):
+        # two problems on one instance, each with its own buffers, called in
+        # turn at different points, return what a fresh problem returns
+        inst = gen_mc(n1=40, n2=40, r_star=2, num_samples=600, sigma=0.1, seed=0)
+        points = [random_factors(inst, s) for s in range(4)]
+        a, b = mc_problem(inst), mc_problem(inst)
+        for _ in range(2):
+            for i, (U, V) in enumerate(points):
+                for name in ("grad_x", "H", "grad_y"):
+                    prob = a if i % 2 else b
+                    got = getattr(prob, name)(U, V)
+                    want = getattr(mc_problem(inst), name)(U, V)
+                    assert np.array_equal(got, want)
 
 
 class TestSparsityMetrics:

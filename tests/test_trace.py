@@ -6,6 +6,9 @@ import math
 import pytest
 
 from nmdesc.trace import (
+    COLUMNS,
+    TRACE_VERSION,
+    Trace,
     TraceParseError,
     TraceRecord,
     read_trace_csv,
@@ -64,3 +67,61 @@ def test_write_to_path(tmp_path):
     path = tmp_path / "t.csv"
     write_trace_csv(str(path), sample_records())
     assert read_trace_csv(str(path)) == sample_records()
+
+
+def many_records(n=7, nan_at=None):
+    out = sample_records()
+    for k in range(2, n):
+        out.append(TraceRecord(
+            k=k, time_s=0.1 * k, objective=1.0 / k, potential=-0.0,
+            step_norm=math.nan if k == nan_at else 2.0**-k, witness_norm=math.inf,
+            beta=0.0, tau1=1e300, tau2=k, backtracks=k % 3, ell=k - 1,
+            in_K2=bool(k % 2)))
+    return out
+
+
+def reference_csv(records, zero_times=False):
+    """One row per record, each field formatted on its own."""
+    fmt = lambda x: format(float(x), ".17g")  # noqa: E731
+    lines = [TRACE_VERSION, ",".join(COLUMNS)]
+    for r in records:
+        t = 0.0 if zero_times else r.time_s
+        row = [str(r.k), fmt(t), fmt(r.objective), fmt(r.potential),
+               fmt(r.step_norm), fmt(r.witness_norm), fmt(r.beta), fmt(r.tau1),
+               fmt(r.tau2), str(r.backtracks), str(r.ell), str(int(r.in_K1)),
+               str(int(r.in_K2)), str(int(r.in_K31))]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+class TestTrace:
+    def test_sequence_access(self):
+        records = many_records()
+        trace = Trace(records)
+        assert len(trace) == len(records)
+        assert trace[0] == records[0] and trace[3].k == 3
+        assert trace[-1] == records[-1] and trace[-2] == records[-2]
+        assert trace[1:4] == records[1:4] and trace[::-2] == records[::-2]
+        assert trace[5:2] == []
+        assert list(trace) == records
+        with pytest.raises(IndexError):
+            trace[len(records)]
+
+    def test_flags_come_back_as_bools(self):
+        trace = Trace(sample_records())
+        assert trace[1].in_K1 is True and trace[1].in_K2 is False
+        assert all(type(r.in_K31) is bool for r in trace)
+
+    def test_append(self):
+        trace = Trace()
+        for r in many_records():
+            trace.append(r)
+        assert list(trace)[:2] == sample_records()
+        assert not Trace()
+
+    @pytest.mark.parametrize("zero_times", [False, True])
+    def test_csv_bytes_match_per_row_formatting(self, zero_times):
+        records = many_records(nan_at=3)
+        want = reference_csv(records, zero_times)
+        assert trace_csv_string(records, zero_times) == want
+        assert trace_csv_string(Trace(records), zero_times) == want
