@@ -16,13 +16,12 @@ Named variants:
 import math
 import time
 import warnings
-from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .nls import HistoryWindow, window_max, accept, BacktrackCapError
-from .pg import RunResult, nesterov_beta
+from .pg import RunResult, init_columns, nesterov_beta
 from .trace import Trace, TraceRecord
 
 
@@ -359,7 +358,7 @@ def palm_run(problem, x0, y0, config, trace_sink=None):
         potential=ups0, step_norm=0.0, witness_norm=math.inf,
         beta=0.0, tau1=0.0, tau2=0.0, ell=0,
     )
-    records = Trace([rec])
+    records = [rec]
     if trace_sink:
         trace_sink(rec)
     L_run = L_start
@@ -367,17 +366,16 @@ def palm_run(problem, x0, y0, config, trace_sink=None):
     max_y = math.sqrt(_sq(y0))
     start = time.perf_counter()
     reason = "max_iters"
-    meta = {key: array("d") for key in ("beta0", "tau1_0", "tau2_0", "L1k", "L2k1")}
+    inits = []
     for _ in range(cfg.max_iters):
         try:
             state, rec, init = palm_step(state, problem, cfg)
         except BacktrackCapError as e:
-            e.records = records
+            e.records = Trace(records)
             raise
         rec.time_s = time.perf_counter() - start
         records.append(rec)
-        for key, value in init.items():
-            meta[key].append(value)
+        inits.append(init)
         if trace_sink:
             trace_sink(rec)
         L_run = max(L_run, init["L1k"], init["L2k1"])
@@ -403,8 +401,8 @@ def palm_run(problem, x0, y0, config, trace_sink=None):
         M, L2bar = problem.lipschitz_ball_bounds(R1, R2)
         extras["h2_bound"] = h2_constant_palm(cfg, M, L2bar)
     return RunResult(
-        x=(state.x, state.y), records=records, reason=reason, meta=meta,
-        extras=extras,
+        x=(state.x, state.y), records=Trace(records), reason=reason,
+        meta=init_columns(inits), extras=extras,
     )
 
 
@@ -426,7 +424,7 @@ def palm_baseline_run(problem, x0, y0, config, extrapolate=False, trace_sink=Non
         k=0, time_s=0.0, objective=obj, potential=obj, step_norm=0.0,
         witness_norm=math.inf, beta=0.0, tau1=0.0, tau2=0.0, ell=0,
     )
-    records = Trace([rec])
+    records = [rec]
     if trace_sink:
         trace_sink(rec)
     start = time.perf_counter()
@@ -475,4 +473,4 @@ def palm_baseline_run(problem, x0, y0, config, extrapolate=False, trace_sink=Non
         if rec.time_s > config.time_budget:
             reason = "time_budget"
             break
-    return RunResult(x=(x, y), records=records, reason=reason)
+    return RunResult(x=(x, y), records=Trace(records), reason=reason)

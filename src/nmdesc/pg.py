@@ -244,6 +244,13 @@ class RunResult:
     extras: dict = field(default_factory=dict)
 
 
+def init_columns(inits):
+    """A run's per-iteration initialization dicts (same keys) as one float
+    array per key, the form `RunResult.meta` keeps."""
+    return {key: array("d", [init[key] for init in inits])
+            for key in (inits[0] if inits else ())}
+
+
 def pg_step(state, problem, config):
     """One outer iteration: backtracking inner loop until acceptance.
 
@@ -353,22 +360,21 @@ def pg_run(problem, x0, config, trace_sink=None):
         k=0, time_s=0.0, objective=F0, potential=h0,
         step_norm=0.0, witness_norm=math.inf, beta=0.0, tau1=0.0, ell=0,
     )
-    records = Trace([rec])
+    records = [rec]
     if trace_sink:
         trace_sink(rec)
     start = time.perf_counter()
     reason = "max_iters"
-    meta = {"beta0": array("d"), "tau0": array("d")}
+    inits = []
     for _ in range(cfg.max_iters):
         try:
             state, rec, init = pg_step(state, problem, cfg)
         except BacktrackCapError as e:
-            e.records = records  # trace so far, for persistence by callers
+            e.records = Trace(records)  # trace so far, for persistence by callers
             raise
         rec.time_s = time.perf_counter() - start
         records.append(rec)
-        for key, value in init.items():
-            meta[key].append(value)
+        inits.append(init)
         if trace_sink:
             trace_sink(rec)
         scale = max(1.0, math.sqrt(_sq(state.x)))
@@ -379,7 +385,7 @@ def pg_run(problem, x0, config, trace_sink=None):
             reason = "time_budget"
             break
     return RunResult(
-        x=state.x, records=records, reason=reason, meta=meta,
+        x=state.x, records=Trace(records), reason=reason, meta=init_columns(inits),
         extras={"config": cfg, "h2_bound": h2_constant_pg(cfg, problem.lipschitz)},
     )
 
@@ -406,7 +412,7 @@ def fista_run(problem, x0, config, restart=False, trace_sink=None):
         k=0, time_s=0.0, objective=F, potential=F, step_norm=0.0,
         witness_norm=math.inf, beta=0.0, tau1=tau, ell=0,
     )
-    records = Trace([rec])
+    records = [rec]
     if trace_sink:
         trace_sink(rec)
     start = time.perf_counter()
@@ -446,7 +452,7 @@ def fista_run(problem, x0, config, restart=False, trace_sink=None):
         if rec.time_s > config.time_budget:
             reason = "time_budget"
             break
-    return RunResult(x=x, records=records, reason=reason)
+    return RunResult(x=x, records=Trace(records), reason=reason)
 
 
 def refista_run(problem, x0, config, trace_sink=None):

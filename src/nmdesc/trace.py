@@ -67,22 +67,17 @@ def _records(columns):
 class Trace(Sequence):
     """A run's records, kept as one array per TraceRecord field.
 
-    `append` takes a TraceRecord. Indexing (negative too), slicing and
-    iteration give TraceRecords built from the columns; a slice is a list.
-    `write_trace_csv` formats the columns directly. A Trace takes about a
-    third of the memory of a list of records.
+    Built once from the records of a run. Indexing (negative too), slicing
+    and iteration give TraceRecords built from the columns; a slice is a
+    list. `write_trace_csv` reads the columns directly. A Trace takes about
+    a third of the memory of a list of records.
     """
 
     __slots__ = ("_columns",)
 
     def __init__(self, records=()):
-        self._columns = tuple(array(code) for code in _TYPECODES)
-        for r in records:
-            self.append(r)
-
-    def append(self, record):
-        for col, value in zip(self._columns, _fields(record)):
-            col.append(value)
+        columns = list(zip(*map(_fields, records))) or [()] * len(COLUMNS)
+        self._columns = tuple(map(array, _TYPECODES, columns))
 
     def __len__(self):
         return len(self._columns[0])

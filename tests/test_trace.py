@@ -112,12 +112,10 @@ class TestTrace:
         assert trace[1].in_K1 is True and trace[1].in_K2 is False
         assert all(type(r.in_K31) is bool for r in trace)
 
-    def test_append(self):
-        trace = Trace()
-        for r in many_records():
-            trace.append(r)
-        assert list(trace)[:2] == sample_records()
-        assert not Trace()
+    def test_empty(self):
+        empty = Trace()
+        assert not empty and list(empty) == [] and empty[:] == []
+        assert trace_csv_string(empty) == trace_csv_string([])
 
     @pytest.mark.parametrize("zero_times", [False, True])
     def test_csv_bytes_match_per_row_formatting(self, zero_times):
