@@ -22,15 +22,27 @@ same inputs. The sections:
 * one evaluation of a PG iterate on the desk logistic instance (n = 200,
   p = 2000): three separate oracle calls for its value, gradient and
   objective, one `smooth` call, and one `smooth` call given the margins
-  A~x (as for an extrapolated point).
+  A~x (as for an extrapolated point);
+* the post-processing of a solve on the 947-row desk trace (`pgenls` on
+  logistic instance 101, to stop_tol 1e-6): `write_trace_csv`,
+  `read_trace_csv`, the `diag` analysis (ell, H1, K-sets, partial sums)
+  next to the per-record reference loops of `tests/conftest.py`, which it
+  is checked against, and the partial-sum `line_plot_svg`.
 """
 
+import os
+import sys
+import tempfile
 import time
 
 import numpy as np
 
-from nmdesc import kernels, problems
+from nmdesc import cli, diagnostics, kernels, problems, svgplot, trace
 from nmdesc.kernels import _logistic_loss_terms_np, _masked_residual_np
+
+# the per-record diagnostics the columnar ones are tested against
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
+from conftest import classify_ksets_ref, ell_indices_ref, verify_H1_ref  # noqa: E402
 
 
 def timeit(fn, *args, repeat=20):
@@ -76,6 +88,7 @@ def main():
     block_grads(rng, backend)
     density_sweep()
     pg_point()
+    post_processing()
 
 
 def grad_reference(A, B, own, other, obs):
@@ -220,6 +233,58 @@ def pg_point():
     for name, fn, args in cases:
         best = timeit(fn, *args, repeat=100)
         print(f"{name:22s} {best * 1e3:9.3f} ms")
+
+
+def post_processing(a=5e-6, m=5, theta=0.5):
+    """What `nmdesc diag` does to a desk trace, part by part, with the
+    constants of the solver (a = alpha/2, m)."""
+    inst = problems.gen_logreg(n=200, p=2000, s=20, seed=101, lam=1.0, mu=1e-3)
+    records = cli.solve("pgenls", inst, {"stop_tol": "1e-6", "max_iters": "20000"},
+                        seed=101).records
+
+    def analysis(tr):
+        h1 = diagnostics.verify_H1(tr, a=a, m=m)
+        report = diagnostics.classify_ksets(tr, a=a, theta=theta, m=m)
+        return h1, report, diagnostics.condition_partial_sums(tr, report)
+
+    def analysis_ref(recs):
+        return verify_H1_ref(recs, a, m), classify_ksets_ref(recs, a, theta, m)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.csv")
+        trace.write_trace_csv(path, records)
+        parsed = trace.read_trace_csv(path)
+        as_records = list(parsed)
+        h1, report, sums = analysis(parsed)
+        assert np.array_equal(diagnostics.ell_indices(parsed, m),
+                              ell_indices_ref(as_records, m))
+        (passed, first, checked), (flags, gaps, _) = analysis_ref(as_records)
+        assert (h1.passed, h1.first_violation, h1.checked) == (passed, first, checked)
+        got = np.column_stack([report.k1, report.k2, report.k31]).tolist()
+        assert got == [list(flags[j]) for j in range(1, len(parsed))]
+        assert np.array_equal(report.gaps, gaps)
+        print("\ndiag analysis against the per-record reference loops: ok")
+
+        ks = np.arange(1, len(report.gaps) + 1)
+        series = {"K1 partial sum": (ks, sums["k1_partial"]),
+                  "reference 3000/sqrt(k^2.1)": (ks, sums["reference"])}
+        cases = [
+            ("write_trace_csv", trace.write_trace_csv, (path, records)),
+            ("read_trace_csv", trace.read_trace_csv, (path,)),
+            ("ell_indices", diagnostics.ell_indices, (parsed, m)),
+            ("ell_indices (ref)", ell_indices_ref, (as_records, m)),
+            ("verify_H1", diagnostics.verify_H1, (parsed, a, m)),
+            ("verify_H1 (ref)", verify_H1_ref, (as_records, a, m)),
+            ("classify_ksets", diagnostics.classify_ksets, (parsed, a, theta, m)),
+            ("classify_ksets (ref)", classify_ksets_ref, (as_records, a, theta, m)),
+            ("diag analysis", analysis, (parsed,)),
+            ("diag analysis (ref)", analysis_ref, (as_records,)),
+            ("line_plot_svg", svgplot.line_plot_svg, (series,)),
+        ]
+        print(f"desk trace: {len(records)} rows, a={a:g}, m={m}, theta={theta:g}")
+        for name, fn, args in cases:
+            best = timeit(fn, *args, repeat=30)
+            print(f"{name:22s} {best * 1e3:9.3f} ms")
 
 
 if __name__ == "__main__":

@@ -9,13 +9,15 @@ Subcommands:
 * rates  -- fit a decay rate to a trace's objective gaps
 
 Configs are flat ``key = value`` text with ``[section]`` headers. The env
-var NMDESC_SEED overrides any configured seed. Exit codes: 0 success,
-2 usage or config error, 3 solver failure, 4 I/O failure.
+var NMDESC_SEED overrides any configured seed. Exit codes: 0 success
+(including a `rates` trace too short to fit, which says so), 2 usage or
+config error, 3 solver failure, 4 I/O failure.
 """
 
 import argparse
 import concurrent.futures
 import csv
+import functools
 import math
 import os
 import sys
@@ -25,6 +27,8 @@ import numpy as np
 
 from . import palm, pg, problems
 from .diagnostics import (
+    MIN_FIT_POINTS,
+    TooShortToFit,
     average_curves,
     classify_ksets,
     condition_partial_sums,
@@ -37,14 +41,7 @@ from .diagnostics import (
 from .linalg import RngStream, gaussian_fill
 from .nls import BacktrackCapError
 from .svgplot import write_line_plot
-from .trace import (
-    COLUMNS,
-    TRACE_VERSION,
-    TraceParseError,
-    TraceRecord,
-    read_trace_csv,
-    write_trace_csv,
-)
+from .trace import TraceParseError, read_trace_csv, write_trace_csv
 
 PG_SOLVERS = ("pgenls", "pgnls", "pgels", "pgls")
 PALM_SOLVERS = ("palmenls", "palmnls", "palmels", "palmls")
@@ -340,34 +337,26 @@ def cmd_bench(args):
     if len(kept) < 2:
         raise SolverError("fewer than 2 solvers produced any successful trial")
 
-    # shared evaluation grid; replay mode uses the iteration count as a
-    # deterministic stand-in for wall time
-    def t_axis(records):
-        if args.replay:
-            return [float(r.k) for r in records]
-        return [r.time_s for r in records]
-
-    t_max = 0.0
-    for trial_results in results:
-        for name in kept:
-            result = trial_results[name]
-            if result is not None:
-                t_max = max(t_max, t_axis(result.records)[-1])
-    grid = np.linspace(0.0, t_max if t_max > 0 else 1.0, grid_points)
-
-    per_trial = []
+    # each trial's traces on the time axis; replay mode uses the iteration
+    # count as a deterministic stand-in for wall time
+    trial_traces = []
     for trial_results in results:
         traces = {}
         for name in kept:
             result = trial_results[name]
-            if result is None:
-                continue
-            recs = result.records
-            if args.replay:
-                recs = [replace(r, time_s=float(r.k)) for r in recs]
-            traces[name] = recs
-        if len(traces) >= 2:
-            per_trial.append(evolution_curve(traces, grid))
+            if result is not None:
+                trace = result.records
+                if args.replay:
+                    trace = trace.replace(time_s=trace.column("k").astype(np.float64))
+                traces[name] = trace
+        trial_traces.append(traces)
+
+    # shared evaluation grid
+    t_max = max([0.0] + [trace.column("time_s")[-1].item()
+                         for traces in trial_traces for trace in traces.values()])
+    grid = np.linspace(0.0, t_max if t_max > 0 else 1.0, grid_points)
+    per_trial = [evolution_curve(traces, grid)
+                 for traces in trial_traces if len(traces) >= 2]
     if not per_trial:
         raise SolverError("no trial had 2 or more successful solvers")
     # average each solver over the trials where it appears
@@ -400,71 +389,40 @@ def cmd_bench(args):
     return 0
 
 
-def _read_trace_flexible(path):
-    """Trace parse that tolerates a missing witness column; returns
-    (records, has_witness)."""
-    try:
-        return read_trace_csv(path), True
-    except TraceParseError as e:
-        if e.line != 2:
-            raise
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    degraded = [c for c in COLUMNS if c != "witness_norm"]
-    if len(rows) < 2 or rows[0][0] != TRACE_VERSION or rows[1] != degraded:
-        raise TraceParseError("unexpected column header", 2)
-    records = []
-    for n, row in enumerate(rows[2:], start=3):
-        if not row:
-            continue
-        if len(row) != len(degraded):
-            raise TraceParseError(f"expected {len(degraded)} fields", n)
-        vals = dict(zip(degraded, row))
-        records.append(
-            TraceRecord(
-                k=int(vals["k"]), time_s=float(vals["time_s"]),
-                objective=float(vals["objective"]),
-                potential=float(vals["potential"]),
-                step_norm=float(vals["step_norm"]), witness_norm=math.nan,
-                beta=float(vals["beta"]), tau1=float(vals["tau1"]),
-                tau2=float(vals["tau2"]), backtracks=int(vals["backtracks"]),
-                ell=int(vals["ell"]), in_K1=bool(int(vals["in_K1"])),
-                in_K2=bool(int(vals["in_K2"])), in_K31=bool(int(vals["in_K31"])),
-            )
-        )
-    return records, False
-
-
 def cmd_diag(args):
-    records, has_witness = _read_trace_flexible(args.trace)
-    if not has_witness:
-        print("warning: no witness column; skipping the relative-error check",
-              file=sys.stderr)
-    if len(records) < 2:
+    trace = read_trace_csv(args.trace)
+    if len(trace) < 2:
         raise UsageError("trace has no accepted iterations to classify")
-    h1 = verify_H1(records, a=args.a, m=args.m)
+    # a trace read without a witness column has NaN witnesses
+    has_witness = not np.isnan(trace.column("witness_norm")).all()
+    if not has_witness:
+        print("warning: no witness column or values; skipping the "
+              "relative-error check", file=sys.stderr)
+    h1 = verify_H1(trace, a=args.a, m=args.m)
     status = "pass" if h1.passed else f"FAIL at k={h1.first_violation}"
     print(f"H1 (a={args.a:g}, m={args.m}): {status} over {h1.checked} steps")
     if has_witness and args.b is not None:
-        h2 = verify_H2(records, b=args.b)
+        h2 = verify_H2(trace, b=args.b)
         status = "pass" if h2.passed else f"FAIL at k={h2.first_violation}"
         print(f"H2 (b={args.b:g}): {status}, max ratio {h2.max_ratio:.6g}")
-    report = classify_ksets(records, a=args.a, theta=args.theta, m=args.m)
-    sums = condition_partial_sums(records, report)
-    n1 = sum(1 for f in report.flags.values() if f[0])
-    n2 = sum(1 for f in report.flags.values() if f[1])
-    n31 = sum(1 for f in report.flags.values() if f[2])
+    report = classify_ksets(trace, a=args.a, theta=args.theta, m=args.m)
+    sums = condition_partial_sums(trace, report)
     print(
         f"K-sets (theta={args.theta:g}, omega* estimated {report.omega_star:.10g}): "
-        f"|K1|={n1} |K2|={n2} |K31|={n31}"
+        f"|K1|={np.count_nonzero(report.k1)} |K2|={np.count_nonzero(report.k2)} "
+        f"|K31|={np.count_nonzero(report.k31)}"
     )
     prefix = args.out_prefix
     _ensure_parent(prefix + "_ksets.csv")
-    # the records were read for this call alone: flag them in place
-    for r in records:
-        if r.k in report.flags:
-            r.in_K1, r.in_K2, r.in_K31 = report.flags[r.k]
-    write_trace_csv(prefix + "_ksets.csv", records)
+    # the trace was read for this call alone: flag it in place, on the rows
+    # whose k is a step's position j (1 <= j < len); other rows keep theirs
+    k = trace.column("k")
+    rows = (k >= 1) & (k < len(trace))
+    step = k[rows] - 1
+    for name, flags in (("in_K1", report.k1), ("in_K2", report.k2),
+                        ("in_K31", report.k31)):
+        trace.column(name)[rows] = flags[step]
+    write_trace_csv(prefix + "_ksets.csv", trace)
     ks = np.arange(1, len(report.gaps) + 1)
     write_line_plot(
         prefix + "_partial_sums.svg",
@@ -482,9 +440,13 @@ def cmd_diag(args):
 
 
 def cmd_rates(args):
-    records, _ = _read_trace_flexible(args.trace)
-    tail = rate_fit_tail(records)
-    fit = fit_rate(tail, mode=args.mode)
+    tail = rate_fit_tail(read_trace_csv(args.trace))
+    try:
+        fit = fit_rate(tail, mode=args.mode)
+    except TooShortToFit as e:
+        print(f"too short to fit: {e.points} leading positive tail gaps, "
+              f"{MIN_FIT_POINTS} needed")
+        return 0
     if fit.mode == "linear":
         print(
             f"linear fit: rho={fit.rate:.6g} R^2={fit.r_squared:.4f} "
@@ -561,10 +523,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The argparse tree, built once per process: parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     handlers = {

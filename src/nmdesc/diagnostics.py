@@ -1,33 +1,58 @@
 """Trace verification and convergence diagnostics.
 
-Everything here is a pure function over lists of TraceRecord: the decrease
-condition (H1) and relative-error condition (H2) replays, the index-set
-classification driving the summability checks, rate fitting, and the
-normalized objective-evolution curves used for solver comparisons.
+Everything here is a pure function of a `trace.Trace`, computed on its
+columns: the decrease condition (H1) and relative-error condition (H2)
+replays, the index-set classification driving the summability checks, rate
+fitting, and the normalized objective-evolution curves used for solver
+comparisons.
+
+Powers of step norms go through the scalar libm `pow` (`math.pow`, which
+is what Python's float `**` calls), never numpy's array `**`: on some CPUs
+the array form rounds differently (x**2 is the product x*x, and general
+powers take a vectorized path), and one ulp at an H1 or K-set boundary
+flips a verdict or a flag that a replay with scalar `**` gets the other way.
 """
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+# rows of windows per argmax in ell_indices, so that a long memory does
+# not copy an n x (m+1) array at once
+_WINDOW_ELEMENTS = 1 << 16
 
 
-def _potentials(records):
-    return np.array([r.potential for r in records])
+def _pow(values, exponent):
+    """values**exponent element by element through libm pow."""
+    return np.fromiter(map(math.pow, values.tolist(), repeat(exponent)),
+                       dtype=np.float64, count=len(values))
 
 
-def ell_indices(records, m):
+def ell_indices(trace, m):
     """ell(k) for every k: the LARGEST index attaining the max potential
-    over the window [max(0, k-m), k]."""
-    pot = _potentials(records)
-    out = np.zeros(len(pot), dtype=np.int64)
-    for k in range(len(pot)):
-        lo = max(0, k - m)
-        win = pot[lo : k + 1]
-        # argmax of the reversed window finds the last maximizer
-        out[k] = k - int(np.argmax(win[::-1]))
-    return out
+    over the window [max(0, k-m), k]. A NaN counts as the maximum; the
+    last NaN of the window is taken."""
+    if m < 0:
+        raise ValueError("memory m must be nonnegative")
+    pot = trace.column("potential")
+    n = len(pot)
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    m = min(m, n - 1)
+    # row k is pot[k-m .. k] reversed, with -inf before the start, so
+    # argmax (the first maximizer, or the first NaN) is the last one of
+    # the window
+    padded = np.concatenate((np.full(m, -np.inf), pot))
+    windows = sliding_window_view(padded, m + 1)[:, ::-1]
+    offset = np.empty(n, dtype=np.int64)
+    block = max(1, _WINDOW_ELEMENTS // (m + 1))
+    for lo in range(0, n, block):
+        offset[lo : lo + block] = windows[lo : lo + block].argmax(axis=1)
+    return np.arange(n) - offset
 
 
 @dataclass
@@ -37,17 +62,20 @@ class H1Report:
     checked: int = 0
 
 
-def verify_H1(records, a, m):
+def verify_H1(trace, a, m):
     """Check the nonmonotone decrease condition with zero slack:
     potential(k+1) + a*step(k+1)^2 <= max potential over [k-m, k]."""
-    pot = _potentials(records)
-    for k in range(len(records) - 1):
-        lo = max(0, k - m)
-        bound = pot[lo : k + 1].max()
-        lhs = pot[k + 1] + a * records[k + 1].step_norm ** 2
-        if lhs > bound:
-            return H1Report(passed=False, first_violation=k, checked=k + 1)
-    return H1Report(passed=True, checked=len(records) - 1)
+    pot = trace.column("potential")
+    if len(pot) < 2:
+        return H1Report(passed=True, checked=len(pot) - 1)
+    # the window maximum is the potential at ell(k)
+    bound = pot[ell_indices(trace, m)[:-1]]
+    lhs = pot[1:] + a * _pow(trace.column("step_norm")[1:], 2.0)
+    bad = np.flatnonzero(lhs > bound)
+    if bad.size:
+        k = int(bad[0])
+        return H1Report(passed=False, first_violation=k, checked=k + 1)
+    return H1Report(passed=True, checked=len(pot) - 1)
 
 
 @dataclass
@@ -58,51 +86,57 @@ class H2Report:
     zero_step_violation: bool = False
 
 
-def verify_H2(records, b):
+def verify_H2(trace, b):
     """Check the relative-error condition witness_norm <= b*step_norm.
 
     A zero step with a nonzero witness is flagged specially (the ratio is
-    infinite); zero witness always passes.
+    infinite); zero witness always passes, and so do the rows with k = 0.
     """
-    max_ratio = 0.0
-    for r in records:
-        if r.k == 0:
-            continue
-        if r.witness_norm == 0.0:
-            continue
-        if r.step_norm == 0.0:
-            return H2Report(
-                passed=False, max_ratio=math.inf,
-                first_violation=r.k, zero_step_violation=True,
-            )
-        ratio = r.witness_norm / r.step_norm
-        max_ratio = max(max_ratio, ratio)
-        if r.witness_norm > b * r.step_norm:
-            return H2Report(passed=False, max_ratio=ratio, first_violation=r.k)
-    return H2Report(passed=True, max_ratio=max_ratio)
+    k = trace.column("k")
+    witness = trace.column("witness_norm")
+    step = trace.column("step_norm")
+    checked = (k != 0) & (witness != 0.0)
+    zero_step = checked & (step == 0.0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        ratio = np.divide(witness, step, out=np.zeros_like(witness),
+                          where=checked & ~zero_step)
+        fails = zero_step | (checked & (witness > b * step))
+    if fails.any():
+        i = int(np.argmax(fails))
+        if zero_step[i]:
+            return H2Report(passed=False, max_ratio=math.inf,
+                            first_violation=int(k[i]), zero_step_violation=True)
+        return H2Report(passed=False, max_ratio=float(ratio[i]),
+                        first_violation=int(k[i]))
+    # the largest ratio above 0.0; NaN ratios are passed over
+    above = ratio[ratio > 0.0]
+    return H2Report(passed=True, max_ratio=float(above.max()) if above.size else 0.0)
 
 
 @dataclass
 class KsetReport:
     """Per-step index-set memberships.
 
-    flags[j] gives (in_K1, in_K2, in_K31) for the step producing iterate j
-    (j >= 1). gaps[j-1] is the potential gap Phi(x^{ell(j)}) - Phi(x^j);
-    steps[j-1] is the logged step norm. The limit value omega_star is
-    ESTIMATED by the final window maximum.
+    k1[j-1], k2[j-1], k31[j-1] and k32[j-1] are the memberships of the step
+    producing iterate j (j >= 1), as boolean arrays. gaps[j-1] is the
+    potential gap Phi(x^{ell(j)}) - Phi(x^j); steps[j-1] is the logged step
+    norm. The limit value omega_star is ESTIMATED by the final window
+    maximum.
     """
 
-    flags: dict
+    k1: np.ndarray
+    k2: np.ndarray
+    k31: np.ndarray
+    k32: np.ndarray
     gaps: np.ndarray
     steps: np.ndarray
     a: float
     theta: float
     m: int
     omega_star: float
-    k32: set = field(default_factory=set)
 
 
-def classify_ksets(records, a, theta, m, omega_star=None):
+def classify_ksets(trace, a, theta, m, omega_star=None):
     """Classify each step into the summability index sets.
 
     K1: gap >= (a/2)*step^2; K2: additionally gap < (a/2)*step^(1/theta);
@@ -111,50 +145,31 @@ def classify_ksets(records, a, theta, m, omega_star=None):
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
-    ells = ell_indices(records, m)
-    pot = _potentials(records)
+    ells = ell_indices(trace, m)
+    pot = trace.column("potential")
     if omega_star is None:
         omega_star = pot[ells[-1]]
-    n = len(records)
-    gaps = np.empty(n - 1)
-    steps = np.empty(n - 1)
-    flags = {}
-    k32 = set()
-    inv_theta = 1.0 / theta
-    for j in range(1, n):
-        gap = pot[ells[j]] - pot[j]
-        step = records[j].step_norm
-        gaps[j - 1] = gap
-        steps[j - 1] = step
-        in_k1 = gap >= 0.5 * a * step**2
-        in_k2 = in_k1 and gap < 0.5 * a * step**inv_theta
-        in_k31 = (
-            in_k1
-            and not in_k2
-            and (omega_star - pot[j]) > 0.25 * a * step**inv_theta
-        )
-        if in_k1 and not (in_k2 or in_k31):
-            k32.add(j)
-        flags[j] = (bool(in_k1), bool(in_k2), bool(in_k31))
+    gaps = pot[ells[1:]] - pot[1:]
+    steps = trace.column("step_norm")[1:].copy()
+    step_pow = _pow(steps, 1.0 / theta)
+    k1 = gaps >= 0.5 * a * _pow(steps, 2.0)
+    k2 = k1 & (gaps < 0.5 * a * step_pow)
+    k31 = k1 & ~k2 & ((omega_star - pot[1:]) > 0.25 * a * step_pow)
     return KsetReport(
-        flags=flags, gaps=gaps, steps=steps, a=a, theta=theta, m=m,
-        omega_star=float(omega_star), k32=k32,
+        k1=k1, k2=k2, k31=k31, k32=k1 & ~(k2 | k31), gaps=gaps, steps=steps,
+        a=a, theta=theta, m=m, omega_star=float(omega_star),
     )
 
 
-def condition_partial_sums(records, report):
+def condition_partial_sums(trace, report):
     """Cumulative sums of sqrt(gap) over K1 and over K2 u K31, plus the
     fixed power-law reference curve sum_j 3000/sqrt(j^2.1)."""
-    n = len(report.gaps)
     sqrt_gap = np.sqrt(np.maximum(report.gaps, 0.0))
-    k1_mask = np.array([report.flags[j][0] for j in range(1, n + 1)])
-    k231_mask = np.array(
-        [report.flags[j][1] or report.flags[j][2] for j in range(1, n + 1)]
-    )
-    ks = np.arange(1, n + 1, dtype=np.float64)
+    ks = np.arange(1, len(report.gaps) + 1, dtype=np.float64)
     return {
-        "k1_partial": np.cumsum(np.where(k1_mask, sqrt_gap, 0.0)),
-        "k231_partial": np.cumsum(np.where(k231_mask, sqrt_gap, 0.0)),
+        "k1_partial": np.cumsum(np.where(report.k1, sqrt_gap, 0.0)),
+        "k231_partial": np.cumsum(np.where(report.k2 | report.k31, sqrt_gap, 0.0)),
+        # a fixed curve, not a replay of the solver: numpy's array power
         "reference": np.cumsum(3000.0 / np.sqrt(ks**2.1)),
     }
 
@@ -168,12 +183,28 @@ class RateFit:
     points: int = 0
 
 
+# the fewest positive gaps a rate is fitted to
+MIN_FIT_POINTS = 20
+
+
+class TooShortToFit(ValueError):
+    """A gap series with fewer than MIN_FIT_POINTS positive values before
+    its first nonpositive one; `points` is how many it has."""
+
+    def __init__(self, points):
+        super().__init__(f"need at least {MIN_FIT_POINTS} positive gap values "
+                         f"to fit a rate, got {points}")
+        self.points = points
+
+
 def fit_rate(gaps, mode):
     """Fit a decay model to a positive gap series.
 
     linear: least-squares of log(gap) vs k; returns rho = exp(slope).
     sublinear: log(gap) vs log(k); the KL exponent theta is recovered from
-    slope = (1-theta)/(1-2*theta).
+    slope = (1-theta)/(1-2*theta). The series is cut at its first
+    nonpositive entry; TooShortToFit is raised when fewer than
+    MIN_FIT_POINTS entries remain.
     """
     gaps = np.asarray(gaps, dtype=np.float64)
     pos = gaps > 0.0
@@ -183,8 +214,8 @@ def fit_rate(gaps, mode):
             f"truncating gap series at first nonpositive entry (index {first_bad})"
         )
         gaps = gaps[:first_bad]
-    if len(gaps) < 20:
-        raise ValueError("need at least 20 positive gap values to fit a rate")
+    if len(gaps) < MIN_FIT_POINTS:
+        raise TooShortToFit(len(gaps))
     k = np.arange(1, len(gaps) + 1, dtype=np.float64)
     logg = np.log(gaps)
     if mode == "linear":
@@ -215,42 +246,35 @@ def _r_squared(y, pred):
     return 1.0 - ss_res / ss_tot
 
 
-def rate_fit_tail(records):
+def rate_fit_tail(trace):
     """Objective-gap tail used for rate fitting: the last half of the
     post-transient iterations, where the transient ends at the first
     backtrack-free step. The gap is measured against the final objective."""
-    objs = np.array([r.objective for r in records])
-    final = objs[-1]
-    gaps = objs[:-1] - final
-    start = 0
-    for r in records[1:]:
-        if r.backtracks == 0:
-            start = r.k
-            break
+    objs = trace.column("objective")
+    gaps = objs[:-1] - objs[-1]
+    free = np.flatnonzero(trace.column("backtracks")[1:] == 0)
+    start = int(trace.column("k")[1 + free[0]]) if free.size else 0
     post = gaps[start:]
-    tail = post[len(post) // 2 :]
-    return tail
+    return post[len(post) // 2 :]
 
 
 def evolution_curve(traces, grid):
     """Normalized best-objective-so-far E(t) per solver on a shared grid.
 
-    traces: mapping name -> records, all on the same instance (identical
+    traces: mapping name -> Trace, all on the same instance (identical
     starting objective). The floor objective is the best value any solver
     logged, so every curve lies in [0, 1] and ends at 0 for the winner.
     """
     grid = np.asarray(grid, dtype=np.float64)
-    f0_values = {name: recs[0].objective for name, recs in traces.items()}
-    f0 = next(iter(f0_values.values()))
-    f_min = min(min(r.objective for r in recs) for recs in traces.values())
+    objectives = {name: t.column("objective") for name, t in traces.items()}
+    f0 = next(iter(objectives.values()))[0]
+    f_min = min(min(objs.tolist()) for objs in objectives.values())
     if f0 == f_min:
         raise ValueError("degenerate instance: starting objective equals the minimum")
     curves = {}
-    for name, recs in traces.items():
-        times = np.array([r.time_s for r in recs])
-        objs = np.array([r.objective for r in recs])
+    for name, objs in objectives.items():
         best = np.minimum.accumulate(objs)
-        idx = np.searchsorted(times, grid, side="right") - 1
+        idx = np.searchsorted(traces[name].column("time_s"), grid, side="right") - 1
         e = np.ones_like(grid)
         have = idx >= 0
         e[have] = (best[idx[have]] - f_min) / (f0 - f_min)

@@ -7,6 +7,8 @@ simple legend. Good enough for diagnostic artifacts, not publication.
 
 import math
 
+import numpy as np
+
 PALETTE = [
     "#1f77b4",
     "#d62728",
@@ -59,6 +61,13 @@ def _fmt_tick(v):
     return f"{v:g}"
 
 
+def _log10(values):
+    """log10 element by element through libm's scalar log10, as math.log10
+    (numpy's array log10 may differ in the last bit)."""
+    return np.fromiter(map(math.log10, values.tolist()), dtype=np.float64,
+                       count=len(values))
+
+
 def line_plot_svg(series, title="", xlabel="", ylabel="", logy=False):
     """Render named (x, y) series as an SVG string.
 
@@ -67,13 +76,17 @@ def line_plot_svg(series, title="", xlabel="", ylabel="", logy=False):
     """
     if not series:
         raise ValueError("no series to plot")
-    xs_all, ys_all = [], []
+    # per series: the x and y of its points and which of them are drawn
+    points = []
     for xv, yv in series.values():
-        for x, y in zip(xv, yv):
-            if logy and y <= 0:
-                continue
-            xs_all.append(float(x))
-            ys_all.append(float(y))
+        x = np.asarray(xv, dtype=np.float64)
+        y = np.asarray(yv, dtype=np.float64)
+        n = min(len(x), len(y))
+        x, y = x[:n], y[:n]
+        drawn = ~(y <= 0) if logy else np.ones(n, dtype=bool)
+        points.append((x[drawn], y[drawn], np.flatnonzero(drawn)))
+    xs_all = np.concatenate([x for x, _, _ in points]).tolist()
+    ys_all = np.concatenate([y for _, y, _ in points]).tolist()
     if not xs_all:
         raise ValueError("no drawable points (all y nonpositive on log scale?)")
     x_lo, x_hi = min(xs_all), max(xs_all)
@@ -92,11 +105,12 @@ def line_plot_svg(series, title="", xlabel="", ylabel="", logy=False):
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
+    # pixel coordinates of a float or an array; py takes y on the axis
+    # scale (log10 y with logy)
     def px(x):
         return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y):
-        t = math.log10(y) if logy else y
+    def py(t):
         return MARGIN_T + plot_h - (t - y_lo_t) / (y_hi_t - y_lo_t) * plot_h
 
     parts = [
@@ -126,7 +140,7 @@ def line_plot_svg(series, title="", xlabel="", ylabel="", logy=False):
     for t in y_ticks:
         if logy and not (y_lo <= t <= y_hi):
             continue
-        y = py(t)
+        y = py(math.log10(t) if logy else t)
         parts.append(
             f'<line x1="{MARGIN_L - 5}" y1="{y:.2f}" x2="{MARGIN_L}" '
             f'y2="{y:.2f}" stroke="black"/>'
@@ -149,24 +163,18 @@ def line_plot_svg(series, title="", xlabel="", ylabel="", logy=False):
             f"{_esc(ylabel)}</text>"
         )
 
-    for i, (name, (xv, yv)) in enumerate(series.items()):
+    for i, (name, (x, y, where)) in enumerate(zip(series, points)):
         color = PALETTE[i % len(PALETTE)]
-        segments = []
-        current = []
-        for x, y in zip(xv, yv):
-            if logy and y <= 0:
-                if current:
-                    segments.append(current)
-                current = []
+        coords = list(map("%.2f,%.2f".__mod__, zip(
+            px(x).tolist(), py(_log10(y) if logy else y).tolist())))
+        # a dropped point breaks the line: segments are runs of drawn points
+        cuts = [0, *(np.flatnonzero(np.diff(where) > 1) + 1).tolist(), len(coords)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            if lo == hi:  # a series with no drawn point
                 continue
-            current.append((px(float(x)), py(float(y))))
-        if current:
-            segments.append(current)
-        for seg in segments:
-            pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in seg)
             parts.append(
-                f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                f'stroke-width="1.5"/>'
+                f'<polyline points="{" ".join(coords[lo:hi])}" fill="none" '
+                f'stroke="{color}" stroke-width="1.5"/>'
             )
         ly = MARGIN_T + 14 + 16 * i
         lx = MARGIN_L + plot_w - 150

@@ -3,15 +3,15 @@
 One row per iterate, including the starting point (k = 0, zero step).
 The CSV layout is fixed and versioned; floats are written with 17
 significant digits so parsing is lossless. Solvers keep their records in
-a `Trace`, which stores each field as a column.
+a `Trace`, which stores each field as a numpy column; `read_trace_csv`
+builds one straight from the columns of a file.
 """
 
-import csv
-import io
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import attrgetter
+
+import numpy as np
 
 TRACE_VERSION = "nmdesc-trace-v1"
 
@@ -32,6 +32,10 @@ COLUMNS = [
     "in_K31",
 ]
 
+# the header of a trace logged without the subgradient witness; it reads
+# back with NaN witnesses
+NO_WITNESS_COLUMNS = [c for c in COLUMNS if c != "witness_norm"]
+
 
 @dataclass(slots=True)
 class TraceRecord:
@@ -51,33 +55,52 @@ class TraceRecord:
     in_K31: bool = False
 
 
-# storage of each column: counts as 64-bit integers, the three K-set flags
-# as bytes, the rest as doubles
-_TYPECODES = ("q", "d", "d", "d", "d", "d", "d", "d", "d", "q", "q", "b", "b", "b")
-_FLAGS = COLUMNS.index("in_K1")  # the flags are the last columns
+# dtype of each column: counts as 64-bit integers, the three K-set flags
+# as booleans, the rest as doubles
+_DTYPES = dict(zip(COLUMNS, (np.int64,) + (np.float64,) * 8
+                   + (np.int64,) * 2 + (np.bool_,) * 3))
+_INDEX = {name: i for i, name in enumerate(COLUMNS)}
 _fields = attrgetter(*COLUMNS)
 
 
 def _records(columns):
     """TraceRecords from parallel columns, one zip over them."""
-    flags = (map(bool, c) for c in columns[_FLAGS:])
-    return map(TraceRecord, *columns[:_FLAGS], *flags)
+    return map(TraceRecord, *(c.tolist() for c in columns))
 
 
 class Trace(Sequence):
-    """A run's records, kept as one array per TraceRecord field.
+    """A run's records, kept as one numpy array per TraceRecord field.
 
-    Built once from the records of a run. Indexing (negative too), slicing
-    and iteration give TraceRecords built from the columns; a slice is a
-    list. `write_trace_csv` reads the columns directly. A Trace takes about
-    a third of the memory of a list of records.
+    Built once from the records of a run, or from columns
+    (`from_columns`, which `read_trace_csv` uses). `column(name)` is the
+    array itself, not a copy: writing into it changes the Trace. Indexing
+    (negative too), slicing and iteration give TraceRecords built from the
+    columns; a slice is a list. A Trace takes about a third of the memory
+    of a list of records.
     """
 
     __slots__ = ("_columns",)
 
     def __init__(self, records=()):
         columns = list(zip(*map(_fields, records))) or [()] * len(COLUMNS)
-        self._columns = tuple(map(array, _TYPECODES, columns))
+        self._columns = tuple(map(np.array, columns, _DTYPES.values()))
+
+    @classmethod
+    def from_columns(cls, columns):
+        """A Trace over `columns`: one array per name of COLUMNS, in that
+        order, all of one length and of the dtypes a Trace keeps. The
+        arrays are taken as they are, not copied."""
+        trace = cls.__new__(cls)
+        trace._columns = tuple(columns)
+        return trace
+
+    def column(self, name):
+        return self._columns[_INDEX[name]]
+
+    def replace(self, **columns):
+        """A Trace with the named columns replaced, sharing the others."""
+        return Trace.from_columns(
+            columns.get(name, c) for name, c in zip(COLUMNS, self._columns))
 
     def __len__(self):
         return len(self._columns[0])
@@ -88,21 +111,17 @@ class Trace(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return list(_records([c[index] for c in self._columns]))
-        return next(_records([(c[index],) for c in self._columns]))
+        return TraceRecord(*(c[index].item() for c in self._columns))
 
     def __repr__(self):
         return f"Trace({len(self)} records)"
 
 
-def write_trace_csv(path_or_file, records, zero_times=False):
-    """Write records (a Trace, or TraceRecords) to CSV. A Trace is read from
-    its columns, without building records; each row is one formatting of
+def write_trace_csv(path_or_file, trace, zero_times=False):
+    """Write a Trace to CSV from its columns; each row is one formatting of
     its fields. `zero_times` blanks wall times for replay mode."""
     names = [c for c in COLUMNS if not (zero_times and c == "time_s")]
-    if isinstance(records, Trace):
-        rows = zip(*(records._columns[COLUMNS.index(c)] for c in names))
-    else:
-        rows = map(attrgetter(*names), records)
+    rows = zip(*(trace.column(c).tolist() for c in names))
     # k, time_s, objective .. tau2 with 17 significant digits, the counts
     # and the flags as integers
     row = ("%d,0," if zero_times else "%d,%.17g,") + "%.17g," * 7 + "%d," * 4 + "%d\n"
@@ -126,54 +145,72 @@ class TraceParseError(ValueError):
         self.line = line
 
 
-def read_trace_csv(path_or_file):
-    """Parse a trace CSV back into TraceRecord objects."""
-    close = False
-    if isinstance(path_or_file, (str, bytes)):
-        f = open(path_or_file, "r", newline="")
-        close = True
-    else:
-        f = path_or_file
-    try:
-        rows = list(csv.reader(f))
-    finally:
-        if close:
-            f.close()
-    if not rows or rows[0][0] != TRACE_VERSION:
-        raise TraceParseError(f"expected version tag {TRACE_VERSION!r}", 1)
-    if len(rows) < 2 or rows[1] != COLUMNS:
-        raise TraceParseError("unexpected column header", 2)
-    records = []
-    for n, row in enumerate(rows[2:], start=3):
-        if not row:
+def _count(field):
+    return np.int64(int(field))  # OverflowError past 64 bits
+
+
+def _flag(field):
+    return bool(int(field))
+
+
+# how a single field of a column of each dtype is parsed
+_FIELD_PARSERS = {np.int64: _count, np.float64: float, np.bool_: _flag}
+
+
+def _parse_column(fields, dtype):
+    """One column from its field strings. numpy parses a float column
+    through float() on each string, so the values are those of float()."""
+    if dtype is np.float64:
+        return np.array(fields, dtype=np.float64)
+    values = map(int, fields)
+    if dtype is np.bool_:
+        return np.fromiter(map(bool, values), dtype=np.bool_, count=len(fields))
+    return np.array(list(values), dtype=np.int64)
+
+
+def _raise_first_bad_row(lines, names):
+    """Find the first data row that does not parse, scanning row by row,
+    and raise TraceParseError for it with its line number."""
+    parsers = [_FIELD_PARSERS[_DTYPES[name]] for name in names]
+    for n, line in enumerate(lines[2:], start=3):
+        if not line:
             continue
-        if len(row) != len(COLUMNS):
-            raise TraceParseError(f"expected {len(COLUMNS)} fields, got {len(row)}", n)
+        row = line.split(",")
+        if len(row) != len(names):
+            raise TraceParseError(f"expected {len(names)} fields, got {len(row)}", n)
         try:
-            records.append(
-                TraceRecord(
-                    k=int(row[0]),
-                    time_s=float(row[1]),
-                    objective=float(row[2]),
-                    potential=float(row[3]),
-                    step_norm=float(row[4]),
-                    witness_norm=float(row[5]),
-                    beta=float(row[6]),
-                    tau1=float(row[7]),
-                    tau2=float(row[8]),
-                    backtracks=int(row[9]),
-                    ell=int(row[10]),
-                    in_K1=bool(int(row[11])),
-                    in_K2=bool(int(row[12])),
-                    in_K31=bool(int(row[13])),
-                )
-            )
-        except ValueError as e:
+            for parse, field in zip(parsers, row):
+                parse(field)
+        except (ValueError, OverflowError) as e:
             raise TraceParseError(str(e), n) from e
-    return records
 
 
-def trace_csv_string(records, zero_times=False):
-    buf = io.StringIO()
-    write_trace_csv(buf, records, zero_times=zero_times)
-    return buf.getvalue()
+def read_trace_csv(path_or_file):
+    """Parse a trace CSV into a Trace, column by column. Blank lines are
+    skipped. The header may lack the witness column (NO_WITNESS_COLUMNS);
+    the witnesses are then NaN. A malformed file raises TraceParseError
+    with the number of the first line at fault."""
+    if isinstance(path_or_file, (str, bytes)):
+        with open(path_or_file, "r", newline="") as f:
+            text = f.read()
+    else:
+        text = path_or_file.read()
+    lines = text.splitlines()
+    if not lines or lines[0].split(",")[0] != TRACE_VERSION:
+        raise TraceParseError(f"expected version tag {TRACE_VERSION!r}", 1)
+    header = lines[1].split(",") if len(lines) > 1 else None
+    if header != COLUMNS and header != NO_WITNESS_COLUMNS:
+        raise TraceParseError("unexpected column header", 2)
+    rows = [line.split(",") for line in lines[2:] if line]
+    try:
+        if any(len(row) != len(header) for row in rows):
+            raise ValueError("ragged rows")
+        fields = list(zip(*rows)) or [()] * len(header)
+        parsed = dict(zip(header, map(_parse_column, fields,
+                                      (_DTYPES[name] for name in header))))
+    except (ValueError, OverflowError):
+        _raise_first_bad_row(lines, header)
+        raise
+    if "witness_norm" not in parsed:
+        parsed["witness_norm"] = np.full(len(rows), np.nan)
+    return Trace.from_columns(parsed[name] for name in COLUMNS)

@@ -7,10 +7,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import (
+    classify_ksets_ref,
+    polyline_points_ref,
+    rate_fit_tail_ref,
+    trace_csv_string,
+    verify_H1_ref,
+    verify_H2_ref,
+)
 from nmdesc import problems
 from nmdesc.cli import UsageError, main, parse_config, solve
-from nmdesc.diagnostics import classify_ksets
-from nmdesc.trace import read_trace_csv, write_trace_csv
+from nmdesc.diagnostics import TooShortToFit, fit_rate
+from nmdesc.svgplot import line_plot_svg
+from nmdesc.trace import Trace, read_trace_csv, write_trace_csv
 
 
 def read_bytes(path):
@@ -318,23 +327,72 @@ class TestDiagAndRates:
             src = str(tmp_path / "pre_ksets.csv")
         prefix = str(tmp_path / "d")
         assert main(["diag", src, "--theta", "0.3", "--out-prefix", prefix]) == 0
-        records = read_trace_csv(src)
-        report = classify_ksets(records, a=0.5e-5, theta=0.3, m=5)
+        records = list(read_trace_csv(src))
+        flags, _, _ = classify_ksets_ref(records, a=0.5e-5, theta=0.3, m=5)
         reference = [
-            replace(r, in_K1=report.flags[r.k][0], in_K2=report.flags[r.k][1],
-                    in_K31=report.flags[r.k][2])
-            if r.k in report.flags else replace(r)
+            replace(r, in_K1=flags[r.k][0], in_K2=flags[r.k][1], in_K31=flags[r.k][2])
+            if r.k in flags else r
             for r in records
         ]
         assert any(r.in_K1 or r.in_K2 or r.in_K31 for r in reference)
         ref_path = tmp_path / "ref.csv"
-        write_trace_csv(str(ref_path), reference)
+        write_trace_csv(str(ref_path), Trace(reference))
         assert read_bytes(prefix + "_ksets.csv") == read_bytes(ref_path)
+
+    def test_diag_flags_rows_by_k(self, tmp_path, capsys):
+        # rows numbered from 3: a row takes the flags of the step whose
+        # position equals its k; rows with k past the last step keep theirs
+        records = [r for r in read_trace_csv(str(self.short_trace(tmp_path)))]
+        shifted = [replace(r, k=r.k + 3, in_K2=True) for r in records]
+        src = tmp_path / "shifted.csv"
+        write_trace_csv(str(src), Trace(shifted))
+        prefix = str(tmp_path / "s")
+        assert main(["diag", str(src), "--m", "2", "--out-prefix", prefix]) == 0
+        flags, _, _ = classify_ksets_ref(shifted, a=0.5e-5, theta=0.5, m=2)
+        out = list(read_trace_csv(prefix + "_ksets.csv"))
+        for r in out:
+            if r.k in flags:
+                assert (r.in_K1, r.in_K2, r.in_K31) == flags[r.k]
+            else:
+                assert r.in_K2 and r.k >= len(out)
+        capsys.readouterr()
+
+    @staticmethod
+    def short_trace(tmp_path):
+        path = tmp_path / "short.csv"
+        inst = problems.gen_logreg(n=30, p=60, s=3, seed=5)
+        write_trace_csv(str(path), solve("pgenls", inst, {"max_iters": "25"}, seed=5).records)
+        return path
 
     def test_rates_linear_fit(self, trace_path, capsys):
         assert main(["rates", str(trace_path)]) == 0
         out = capsys.readouterr().out
         assert "linear fit: rho=" in out
+
+    @pytest.mark.filterwarnings("ignore:truncating gap series")
+    @pytest.mark.parametrize("name, trial_seed, n_iters", [
+        # every line-search solver converges in one step on this instance
+        ("pgenls", 4152136657, None),
+        ("pgls", 4152136657, None),
+        # the logistic bench of the benchmark's batch workload, trial 1:
+        # FISTA's objective dips below its final value early in the tail
+        ("fista", 1, 300),
+    ])
+    def test_rates_too_short_to_fit(self, tmp_path, capsys, name, trial_seed, n_iters):
+        inst = problems.gen_logreg(n=60, p=300, s=5, seed=trial_seed, lam=1.0, mu=1e-3)
+        options = {"stop_tol": "1e-6"}
+        if n_iters:
+            options["max_iters"] = str(n_iters)
+        path = tmp_path / "t.csv"
+        records = solve(name, inst, options, seed=trial_seed).records
+        write_trace_csv(str(path), records)
+        with pytest.raises(TooShortToFit) as err:
+            fit_rate(rate_fit_tail_ref(records), "linear")
+        for mode in ("linear", "sublinear"):
+            assert main(["rates", str(path), "--mode", mode]) == 0
+            assert capsys.readouterr().out == (
+                f"too short to fit: {err.value.points} leading positive tail gaps, "
+                "20 needed\n")
 
     def test_rates_on_garbage_is_parse_error(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -350,3 +408,79 @@ def test_help_exits_zero(capsys):
 def test_missing_command_is_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()
+
+
+# -- diag and rates against the per-record reference loops --------------------
+
+def reference_outputs(path, a, m, theta, b):
+    """What `diag` and `rates` print and write for the trace at `path`,
+    computed with the reference loops: (diag stdout without its two path
+    lines, the K-set CSV text, the partial-sum series, rates stdout)."""
+    records = list(read_trace_csv(str(path)))
+    passed, first, checked = verify_H1_ref(records, a, m)
+    status = "pass" if passed else f"FAIL at k={first}"
+    lines = [f"H1 (a={a:g}, m={m}): {status} over {checked} steps"]
+    if b is not None:
+        h2_passed, ratio, h2_first, _ = verify_H2_ref(records, b)
+        status = "pass" if h2_passed else f"FAIL at k={h2_first}"
+        lines.append(f"H2 (b={b:g}): {status}, max ratio {ratio:.6g}")
+    flags, gaps, omega = classify_ksets_ref(records, a, theta, m)
+    counts = [sum(f[i] for f in flags.values()) for i in range(3)]
+    lines.append(f"K-sets (theta={theta:g}, omega* estimated {omega:.10g}): "
+                 f"|K1|={counts[0]} |K2|={counts[1]} |K31|={counts[2]}")
+    flagged = [replace(r, in_K1=flags[r.k][0], in_K2=flags[r.k][1], in_K31=flags[r.k][2])
+               if r.k in flags else r for r in records]
+    ks = np.arange(1, len(gaps) + 1)
+    in_k1 = [flags[j][0] for j in range(1, len(records))]
+    sqrt_gaps = np.sqrt(np.maximum(gaps, 0.0))
+    series = {
+        "K1 partial sum": (ks, np.cumsum(np.where(in_k1, sqrt_gaps, 0.0))),
+        "reference 3000/sqrt(k^2.1)": (ks, np.cumsum(3000.0 / np.sqrt(ks.astype(float)**2.1))),
+    }
+    fit = fit_rate(rate_fit_tail_ref(records), "linear")
+    rates = (f"linear fit: rho={fit.rate:.6g} R^2={fit.r_squared:.4f} "
+             f"({fit.points} tail points)\n")
+    return "\n".join(lines) + "\n", trace_csv_string(Trace(flagged)), series, rates
+
+
+@pytest.fixture(scope="module")
+def desk_traces(tmp_path_factory):
+    """A desk-sized pgenls trace (947 rows) and a matrix-completion trace."""
+    tmp = tmp_path_factory.mktemp("desk")
+    logreg = problems.gen_logreg(n=200, p=2000, s=20, seed=101, lam=1.0, mu=1e-3)
+    mc = problems.gen_mc(n1=200, n2=200, r_star=5, num_samples=8000, sigma=0.1,
+                         seed=1, lam=1.0)
+    paths = {}
+    for kind, name, inst, options, seed in (
+            ("pgenls", "pgenls", logreg, {"stop_tol": "1e-6", "max_iters": "20000"}, 101),
+            ("mc", "palmenls", mc, {"max_iters": "150"}, 1)):
+        paths[kind] = tmp / f"{kind}.csv"
+        write_trace_csv(str(paths[kind]), solve(name, inst, options, seed).records)
+    return paths
+
+
+@pytest.mark.parametrize("kind", ["pgenls", "mc"])
+@pytest.mark.parametrize("a, m, theta, b", [
+    (5e-6, 5, 0.5, None),
+    (1e-3, 0, 0.3, 1e3),
+    (5e-6, 10000, 0.5, 0.5),
+])
+def test_diag_and_rates_match_reference_loops(desk_traces, tmp_path, capsys,
+                                              kind, a, m, theta, b):
+    path = desk_traces[kind]
+    prefix = str(tmp_path / "d")
+    argv = ["diag", str(path), "--a", repr(a), "--m", str(m), "--theta", repr(theta),
+            "--out-prefix", prefix]
+    assert main(argv + ([] if b is None else ["--b", repr(b)])) == 0
+    out = capsys.readouterr().out
+    stdout, ksets, series, rates = reference_outputs(path, a, m, theta, b)
+    assert out == stdout + (f"K-set CSV -> {prefix}_ksets.csv\n"
+                            f"partial-sum plot -> {prefix}_partial_sums.svg\n")
+    assert read_bytes(prefix + "_ksets.csv").decode() == ksets
+    svg = read_bytes(prefix + "_partial_sums.svg").decode()
+    assert svg == line_plot_svg(series, title="partial sums", xlabel="k",
+                                ylabel="cumulative sqrt(gap)")
+    assert [chunk.split('"')[0] for chunk in svg.split('points="')[1:]] == \
+        polyline_points_ref(series)
+    assert main(["rates", str(path)]) == 0
+    assert capsys.readouterr().out == rates

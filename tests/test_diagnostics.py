@@ -5,7 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from conftest import (
+    classify_ksets_ref,
+    ell_indices_ref,
+    rate_fit_tail_ref,
+    verify_H1_ref,
+    verify_H2_ref,
+)
 from nmdesc.diagnostics import (
+    TooShortToFit,
     average_curves,
     classify_ksets,
     condition_partial_sums,
@@ -16,7 +24,7 @@ from nmdesc.diagnostics import (
     verify_H1,
     verify_H2,
 )
-from nmdesc.trace import TraceRecord
+from nmdesc.trace import Trace, TraceRecord
 
 
 def rec(k, pot, step, obj=None, witness=0.0, backtracks=0, time=None):
@@ -29,7 +37,7 @@ def rec(k, pot, step, obj=None, witness=0.0, backtracks=0, time=None):
 
 
 def records_from(pots, steps, **kw):
-    return [rec(k, p, s, **kw) for k, (p, s) in enumerate(zip(pots, steps))]
+    return Trace(rec(k, p, s, **kw) for k, (p, s) in enumerate(zip(pots, steps)))
 
 
 class TestEllIndices:
@@ -76,18 +84,18 @@ class TestVerifyH2:
         assert report.passed and report.max_ratio == 0.0
 
     def test_k0_witness_ignored(self):
-        recs = [rec(0, 2.0, 0.0, witness=math.inf), rec(1, 1.0, 1.0)]
+        recs = Trace([rec(0, 2.0, 0.0, witness=math.inf), rec(1, 1.0, 1.0)])
         assert verify_H2(recs, b=1.0).passed
 
     def test_ratio_violation_reported(self):
-        recs = [rec(0, 2.0, 0.0), rec(1, 1.0, 0.5, witness=2.0)]
+        recs = Trace([rec(0, 2.0, 0.0), rec(1, 1.0, 0.5, witness=2.0)])
         report = verify_H2(recs, b=3.0)
         assert not report.passed
         assert report.first_violation == 1
         assert report.max_ratio == pytest.approx(4.0)
 
     def test_zero_step_nonzero_witness(self):
-        recs = [rec(0, 2.0, 0.0), rec(1, 2.0, 0.0, witness=1.0)]
+        recs = Trace([rec(0, 2.0, 0.0), rec(1, 2.0, 0.0, witness=1.0)])
         report = verify_H2(recs, b=100.0)
         assert not report.passed
         assert report.zero_step_violation
@@ -98,13 +106,13 @@ class TestClassifyKsets:
     def test_memory_zero_with_moving_steps_gives_empty_k1(self):
         recs = records_from([3.0, 2.0, 1.0], [0.0, 0.5, 0.5])
         report = classify_ksets(recs, a=1.0, theta=0.5, m=0)
-        assert all(not flags[0] for flags in report.flags.values())
+        assert not report.k1.any()
 
     def test_boundary_gap_is_in_k1(self):
         # gap exactly (a/2)*step^2; membership is non-strict
         recs = records_from([1.0, 1.0 - 0.5 * 2.0 * 0.25], [0.0, 0.5])
         report = classify_ksets(recs, a=2.0, theta=0.5, m=1)
-        assert report.flags[1][0]
+        assert report.k1[0]
 
     def test_hand_table(self):
         pots = [1.0, 0.98, 0.979, 0.779]
@@ -112,10 +120,10 @@ class TestClassifyKsets:
         recs = records_from(pots, steps)
         report = classify_ksets(recs, a=1.0, theta=0.75, m=1,
                                 omega_star=0.9)
-        assert report.flags[1] == (True, True, False)
-        assert report.flags[2] == (False, False, False)
-        assert report.flags[3] == (True, False, True)
-        assert report.k32 == set()
+        flags = np.column_stack([report.k1, report.k2, report.k31])
+        assert flags.tolist() == [[True, True, False], [False, False, False],
+                                  [True, False, True]]
+        assert not report.k32.any()
         assert report.gaps[0] == pytest.approx(0.02)
         assert report.steps[2] == 0.5
 
@@ -134,11 +142,9 @@ class TestClassifyKsets:
         cfg = result.extras["config"]
         report = classify_ksets(result.records, a=cfg.alpha / 2.0,
                                 theta=0.5, m=cfg.m)
-        for j, (k1, k2, k31) in report.flags.items():
-            if k2 or k31:
-                assert k1
-            assert not (k2 and k31)
-            assert (j in report.k32) == (k1 and not (k2 or k31))
+        assert not ((report.k2 | report.k31) & ~report.k1).any()
+        assert not (report.k2 & report.k31).any()
+        assert np.array_equal(report.k32, report.k1 & ~(report.k2 | report.k31))
 
     def test_theta_domain(self):
         recs = records_from([1.0, 0.5], [0.0, 0.1])
@@ -188,8 +194,10 @@ class TestFitRate:
             fit_rate(np.ones(50), "linear")
 
     def test_too_few_points_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TooShortToFit) as err:
             fit_rate(0.5 ** np.arange(1, 15), "linear")
+        assert err.value.points == 14
+        assert isinstance(err.value, ValueError)
 
     def test_nonpositive_truncates_with_warning(self):
         gaps = 0.9 ** np.arange(1, 101)
@@ -207,8 +215,8 @@ class TestRateFitTail:
     def test_transient_and_tail_selection(self):
         objs = [10.0, 9.0, 8.0, 4.0, 3.0, 2.0, 1.5, 1.25, 1.0]
         bts = [0, 2, 1, 0, 0, 0, 0, 0, 0]
-        recs = [rec(k, o, 0.1, backtracks=b)
-                for k, (o, b) in enumerate(zip(objs, bts))]
+        recs = Trace(rec(k, o, 0.1, backtracks=b)
+                     for k, (o, b) in enumerate(zip(objs, bts)))
         tail = rate_fit_tail(recs)
         # transient ends at k=3 (first backtrack-free step); gaps against
         # the final objective over k=3..7 are [3, 2, 1, 0.5, 0.25];
@@ -218,12 +226,12 @@ class TestRateFitTail:
 
 class TestEvolutionCurve:
     def two_solver_traces(self):
-        fast = [rec(k, 0.0, 0.0, obj=o, time=t)
-                for k, (t, o) in enumerate([(0.0, 4.0), (1.0, 2.0),
-                                            (2.0, 0.0)])]
-        slow = [rec(k, 0.0, 0.0, obj=o, time=t)
-                for k, (t, o) in enumerate([(0.0, 4.0), (2.0, 3.0),
-                                            (4.0, 1.0)])]
+        fast = Trace(rec(k, 0.0, 0.0, obj=o, time=t)
+                     for k, (t, o) in enumerate([(0.0, 4.0), (1.0, 2.0),
+                                                 (2.0, 0.0)]))
+        slow = Trace(rec(k, 0.0, 0.0, obj=o, time=t)
+                     for k, (t, o) in enumerate([(0.0, 4.0), (2.0, 3.0),
+                                                 (4.0, 1.0)]))
         return {"fast": fast, "slow": slow}
 
     def test_hand_table(self):
@@ -244,8 +252,8 @@ class TestEvolutionCurve:
             assert np.all(np.diff(e) <= 0.0 + 1e-15)
 
     def test_degenerate_instance_rejected(self):
-        flat = [rec(0, 0.0, 0.0, obj=1.0, time=0.0),
-                rec(1, 0.0, 0.0, obj=1.0, time=1.0)]
+        flat = Trace([rec(0, 0.0, 0.0, obj=1.0, time=0.0),
+                      rec(1, 0.0, 0.0, obj=1.0, time=1.0)])
         with pytest.raises(ValueError):
             evolution_curve({"only": flat}, grid=[0.0, 1.0])
 
@@ -254,3 +262,130 @@ class TestEvolutionCurve:
         b = {"s": np.array([1.0, 0.0])}
         out = average_curves([a, b])
         assert out["s"].tolist() == [1.0, 0.25]
+
+
+# -- the columnar diagnostics against the per-record reference loops ----------
+
+def random_trace(rng, n, k0=0, nan_every=0):
+    """Potentials from a few levels, so that windows hold ties; steps and
+    witnesses random, some zero; optionally a NaN potential now and then."""
+    pots = rng.integers(0, 4, n).astype(np.float64) + rng.integers(0, 2, n) * 0.5
+    if nan_every:
+        pots[nan_every::nan_every] = math.nan
+    steps = np.where(rng.random(n) < 0.2, 0.0, rng.random(n))
+    witness = np.where(rng.random(n) < 0.2, 0.0, 3.0 * rng.random(n))
+    return Trace(
+        TraceRecord(k=k0 + k, time_s=0.1 * k, objective=float(p), potential=float(p),
+                    step_norm=float(s), witness_norm=float(w), beta=0.0, tau1=0.1,
+                    backtracks=int(rng.integers(0, 3)))
+        for k, (p, s, w) in enumerate(zip(pots, steps, witness)))
+
+
+def assert_matches_reference(trace, a, m, theta, b, omega_star=None):
+    assert np.array_equal(ell_indices(trace, m), ell_indices_ref(trace, m))
+    h1 = verify_H1(trace, a=a, m=m)
+    assert (h1.passed, h1.first_violation, h1.checked) == verify_H1_ref(trace, a, m)
+    h2 = verify_H2(trace, b=b)
+    ref = verify_H2_ref(trace, b)
+    assert (h2.passed, h2.first_violation, h2.zero_step_violation) == \
+        (ref[0], ref[2], ref[3])
+    assert h2.max_ratio == ref[1] and type(h2.first_violation) is type(ref[2])
+    report = classify_ksets(trace, a=a, theta=theta, m=m, omega_star=omega_star)
+    flags, gaps, omega = classify_ksets_ref(trace, a, theta, m, omega_star)
+    got = np.column_stack([report.k1, report.k2, report.k31]).tolist()
+    assert got == [list(flags[j]) for j in range(1, len(trace))]
+    assert np.array_equal(report.gaps, gaps, equal_nan=True)
+    assert report.omega_star == omega or (math.isnan(omega) and math.isnan(report.omega_star))
+    assert np.array_equal(report.k32, report.k1 & ~(report.k2 | report.k31))
+    assert np.array_equal(rate_fit_tail(trace), rate_fit_tail_ref(trace), equal_nan=True)
+    return h1, report
+
+
+class TestAgainstReferenceLoops:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_traces_with_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 60))
+        trace = random_trace(rng, n, nan_every=7 if seed % 3 == 2 else 0)
+        for m in (0, 1, 2, 5, n - 1, n, n + 10):
+            for a in (0.0, 0.5, 2.0):
+                assert_matches_reference(trace, a=a, m=m, theta=0.4, b=1.5)
+        assert_matches_reference(trace, a=0.5, m=3, theta=0.7, b=10.0,
+                                 omega_star=1.25)
+
+    def test_memory_zero_and_longer_than_trace(self):
+        trace = random_trace(np.random.default_rng(11), 9)
+        assert ell_indices(trace, 0).tolist() == list(range(9))
+        full = ell_indices(trace, 8)
+        assert np.array_equal(ell_indices(trace, 10**6), full)
+        for m in (0, 8, 9, 10**6):
+            assert_matches_reference(trace, a=1.0, m=m, theta=0.5, b=1.0)
+
+    def test_k_column_not_starting_at_zero(self):
+        trace = random_trace(np.random.default_rng(5), 30, k0=4)
+        assert trace[0].k == 4
+        for m in (0, 3):
+            assert_matches_reference(trace, a=0.5, m=m, theta=0.5, b=2.0)
+
+    def test_degenerate_lengths(self):
+        one = random_trace(np.random.default_rng(2), 1)
+        assert ell_indices(one, 5).tolist() == [0]
+        h1 = verify_H1(one, a=1.0, m=5)
+        assert (h1.passed, h1.first_violation, h1.checked) == verify_H1_ref(one, 1.0, 5)
+        assert len(classify_ksets(one, a=1.0, theta=0.5, m=5).k1) == 0
+        assert ell_indices(Trace(), 3).tolist() == []
+        assert verify_H1(Trace(), a=1.0, m=3).checked == -1
+        with pytest.raises(ValueError):
+            ell_indices(one, -1)
+
+
+def scalar_array_pow_split(exponent):
+    """(s, scalar, array) for a step s in [1, 10) whose scalar pow(s,
+    exponent), as Python's float ** computes it, differs from numpy's array
+    s**exponent; None where the two agree on every sampled step."""
+    s = 1.0 + 9.0 * np.random.default_rng(7).random(100_000)
+    scalar = np.array([v**exponent for v in s.tolist()])
+    array = s**exponent
+    differ = np.flatnonzero(scalar != array)
+    if not differ.size:
+        return None
+    i = differ[0]
+    return float(s[i]), float(scalar[i]), float(array[i])
+
+
+class TestScalarPow:
+    """The gap or the window maximum sits exactly at the smaller of the two
+    powers, so the scalar and the array power put the step on different
+    sides of the boundary. The flags and the verdict must follow the scalar
+    one (a replay of H1 with Python floats); with numpy's array `**` these
+    cases fail."""
+
+    def test_k1_and_h1_boundary_at_squared_step(self):
+        split = scalar_array_pow_split(2)
+        if split is None:
+            pytest.skip("numpy's s**2 equals libm pow(s, 2) on every sample here")
+        s, scalar, array = split
+        edge = min(scalar, array)
+        trace = records_from([edge, 0.0], [0.0, s])
+        # K1 threshold (a/2)*s^2 with a = 2 is s^2 itself
+        report = classify_ksets(trace, a=2.0, theta=0.5, m=1)
+        assert report.gaps[0] == edge
+        assert report.k1[0] == (edge >= scalar)
+        # H1: potential(1) + 1*s^2 against the window maximum `edge`
+        assert verify_H1(trace, a=1.0, m=1).passed == (scalar <= edge)
+        assert_matches_reference(trace, a=2.0, m=1, theta=0.5, b=1.0)
+        assert_matches_reference(trace, a=1.0, m=1, theta=0.5, b=1.0)
+
+    def test_k2_boundary_at_inverse_theta_power(self):
+        theta = 0.3
+        split = scalar_array_pow_split(1.0 / theta)
+        if split is None:
+            pytest.skip("numpy's array power equals libm pow on every sample here")
+        s, scalar, array = split
+        edge = min(scalar, array)
+        trace = records_from([edge, 0.0], [0.0, s])
+        # with s >= 1 the gap s^(1/theta) is past the K1 threshold s^2
+        report = classify_ksets(trace, a=2.0, theta=theta, m=1)
+        assert report.k1[0]
+        assert report.k2[0] == (edge < scalar)
+        assert_matches_reference(trace, a=2.0, m=1, theta=theta, b=1.0)

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import trace_csv_string
 from nmdesc.linalg import RngStream, gaussian_fill
 from nmdesc.nls import HistoryWindow, accept, window_max
 from nmdesc.palm import (
@@ -25,7 +26,6 @@ from nmdesc.palm import (
 )
 from nmdesc.pg import nesterov_beta
 from nmdesc.problems import BlockProblem, gen_mc, mc_oracle_form, mc_problem
-from nmdesc.trace import trace_csv_string
 
 
 def decoupled_problem():

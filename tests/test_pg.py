@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import flat_problem, quadratic_problem
+from conftest import flat_problem, quadratic_problem, trace_csv_string
 from nmdesc.linalg import RngStream
 from nmdesc.nls import HistoryWindow
 from nmdesc.pg import (
@@ -25,7 +25,6 @@ from nmdesc.pg import (
     subgrad_witness_pg,
     variant_config,
 )
-from nmdesc.trace import trace_csv_string
 
 
 class TestPotential:

@@ -1,9 +1,12 @@
 """SVG chart rendering."""
 
+import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
+from conftest import polyline_points_ref
 from nmdesc.svgplot import line_plot_svg, write_line_plot
 
 NS = "{http://www.w3.org/2000/svg}"
@@ -59,6 +62,40 @@ class TestLogScale:
     def test_all_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             line_plot_svg({"a": ([0, 1], [0.0, -1.0])}, logy=True)
+
+
+class TestPointsMatchScalarReference:
+    def points(self, series, logy):
+        root = render(series, logy=logy)
+        return [p.get("points") for p in root.findall(f"{NS}polyline")]
+
+    @pytest.mark.parametrize("logy", [False, True])
+    def test_random_series(self, logy):
+        rng = np.random.default_rng(3)
+        n = 500
+        ks = np.arange(1, n + 1)
+        series = {
+            "decay": (ks, np.cumsum(rng.random(n)) * 10.0 ** rng.integers(-8, 8)),
+            "noisy": (ks.tolist(), (rng.standard_normal(n) * 1e3).tolist()),
+            "short": (np.linspace(0.0, 7.0, 30), np.exp(-rng.random(30) * 30.0)),
+        }
+        assert self.points(series, logy) == polyline_points_ref(series, logy)
+
+    def test_breaks_and_special_values(self):
+        series = {
+            "gaps": ([0, 1, 2, 3, 4, 5, 6, 7], [0.0, 2.0, 3.0, -1.0, 0.0, 5.0, 1e-300, 0.0]),
+            "nan": ([0.5, 1.5, 2.5], [1.0, math.nan, 4.0]),
+            "empty": ([], []),
+            "uneven": ([0, 1, 2, 3], [3.0, 1.0]),
+        }
+        got = self.points(series, True)
+        assert got == polyline_points_ref(series, True)
+        assert len(got) == 4  # two runs in "gaps", none for "empty"
+
+    def test_flat_series(self):
+        for logy in (False, True):
+            series = {"flat": ([2, 2, 2], [4.0, 4.0, 4.0])}
+            assert self.points(series, logy) == polyline_points_ref(series, logy)
 
 
 class TestErrors:

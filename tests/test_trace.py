@@ -2,17 +2,20 @@
 
 import io
 import math
+import struct
 
+import numpy as np
 import pytest
 
+from conftest import trace_csv_string
 from nmdesc.trace import (
     COLUMNS,
+    NO_WITNESS_COLUMNS,
     TRACE_VERSION,
     Trace,
     TraceParseError,
     TraceRecord,
     read_trace_csv,
-    trace_csv_string,
     write_trace_csv,
 )
 
@@ -29,13 +32,13 @@ def sample_records():
 
 
 def test_round_trip_lossless():
-    text = trace_csv_string(sample_records())
+    text = trace_csv_string(Trace(sample_records()))
     back = read_trace_csv(io.StringIO(text))
-    assert back == sample_records()
+    assert list(back) == sample_records()
 
 
 def test_zero_times_blanks_wall_clock():
-    text = trace_csv_string(sample_records(), zero_times=True)
+    text = trace_csv_string(Trace(sample_records()), zero_times=True)
     back = read_trace_csv(io.StringIO(text))
     assert all(r.time_s == 0.0 for r in back)
     assert back[1].objective == sample_records()[1].objective
@@ -48,7 +51,7 @@ def test_version_tag_checked():
 
 
 def test_header_checked():
-    text = trace_csv_string(sample_records()).splitlines()
+    text = trace_csv_string(Trace(sample_records())).splitlines()
     text[1] = "k,nonsense"
     with pytest.raises(TraceParseError) as err:
         read_trace_csv(io.StringIO("\n".join(text)))
@@ -56,7 +59,7 @@ def test_header_checked():
 
 
 def test_bad_field_reports_line():
-    text = trace_csv_string(sample_records()).splitlines()
+    text = trace_csv_string(Trace(sample_records())).splitlines()
     text[2] = text[2].replace("0,", "zero,", 1)
     with pytest.raises(TraceParseError) as err:
         read_trace_csv(io.StringIO("\n".join(text) + "\n"))
@@ -65,8 +68,8 @@ def test_bad_field_reports_line():
 
 def test_write_to_path(tmp_path):
     path = tmp_path / "t.csv"
-    write_trace_csv(str(path), sample_records())
-    assert read_trace_csv(str(path)) == sample_records()
+    write_trace_csv(str(path), Trace(sample_records()))
+    assert list(read_trace_csv(str(path))) == sample_records()
 
 
 def many_records(n=7, nan_at=None):
@@ -115,11 +118,120 @@ class TestTrace:
     def test_empty(self):
         empty = Trace()
         assert not empty and list(empty) == [] and empty[:] == []
-        assert trace_csv_string(empty) == trace_csv_string([])
+        assert trace_csv_string(empty) == reference_csv([])
+        assert len(read_trace_csv(io.StringIO(trace_csv_string(empty)))) == 0
 
     @pytest.mark.parametrize("zero_times", [False, True])
     def test_csv_bytes_match_per_row_formatting(self, zero_times):
         records = many_records(nan_at=3)
         want = reference_csv(records, zero_times)
-        assert trace_csv_string(records, zero_times) == want
         assert trace_csv_string(Trace(records), zero_times) == want
+
+    def test_columns_and_replace(self):
+        trace = Trace(many_records())
+        assert trace.column("k").tolist() == list(range(7))
+        assert trace.column("in_K2").dtype == np.bool_
+        doubled = trace.replace(time_s=2.0 * trace.column("time_s"))
+        assert doubled[3].time_s == 2.0 * trace[3].time_s
+        assert doubled.column("objective") is trace.column("objective")
+        # a column is the array itself
+        trace.column("in_K1")[2] = True
+        assert trace[2].in_K1 is True
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+class TestReadColumns:
+    # -0.0, both infinities, NaN, the smallest subnormal and a larger one,
+    # the largest double and values that need all 17 digits
+    SPECIAL = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072e-309,
+               1.7976931348623157e308, 0.1 + 0.2, 1.0 / 3.0, -2.0 / 7.0,
+               123456789.01234567, 9007199254740993.0]
+
+    def special_trace(self):
+        n = len(self.SPECIAL)
+        # the CSV writes a NaN as "nan", without its sign
+        records = [TraceRecord(k=k, time_s=v, objective=v,
+                               potential=v if math.isnan(v) else -v, step_norm=v,
+                               witness_norm=v, beta=v, tau1=v, tau2=v,
+                               backtracks=k, ell=k, in_K31=bool(k % 2))
+                   for k, v in enumerate(self.SPECIAL)]
+        return Trace(records), n
+
+    def test_special_values_round_trip_bit_exact(self):
+        trace, n = self.special_trace()
+        back = read_trace_csv(io.StringIO(trace_csv_string(trace)))
+        assert len(back) == n
+        for name in COLUMNS:
+            col = back.column(name)
+            assert col.dtype == trace.column(name).dtype
+            assert [bits(v) for v in col.tolist()] == \
+                [bits(v) for v in trace.column(name).tolist()], name
+
+    @staticmethod
+    def with_field(lines, i, column, value):
+        row = lines[i].split(",")
+        row[COLUMNS.index(column)] = value
+        lines[i] = ",".join(row)
+
+    @pytest.mark.parametrize("column, bad", [
+        ("objective", "1.0.0"),
+        ("k", "3.5"),
+        ("backtracks", "two"),
+        ("in_K2", "yes"),
+        ("tau2", ""),
+    ])
+    def test_bad_field_line_number(self, column, bad):
+        lines = trace_csv_string(Trace(many_records())).splitlines()
+        # blank lines count toward the numbering
+        lines.insert(4, "")
+        self.with_field(lines, 6, column, bad)
+        with pytest.raises(TraceParseError) as err:
+            read_trace_csv(io.StringIO("\n".join(lines) + "\n"))
+        assert err.value.line == 7
+
+    def test_short_row_line_number(self):
+        lines = trace_csv_string(Trace(many_records())).splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0]
+        with pytest.raises(TraceParseError, match="expected 14 fields, got 13") as err:
+            read_trace_csv(io.StringIO("\n".join(lines)))
+        assert err.value.line == 6
+
+    def test_first_bad_row_is_reported(self):
+        # a bad int on line 4 comes before a bad float on line 6
+        lines = trace_csv_string(Trace(many_records())).splitlines()
+        self.with_field(lines, 3, "k", "z")
+        self.with_field(lines, 5, "objective", "nope")
+        with pytest.raises(TraceParseError) as err:
+            read_trace_csv(io.StringIO("\n".join(lines)))
+        assert err.value.line == 4
+
+    def test_blank_lines_skipped(self):
+        text = trace_csv_string(Trace(many_records()))
+        lines = text.splitlines()
+        padded = lines[:3] + ["", ""] + lines[3:] + [""]
+        back = read_trace_csv(io.StringIO("\n".join(padded) + "\n"))
+        assert trace_csv_string(back) == text
+
+    def test_no_witness_header_gives_nan_witnesses(self):
+        records = many_records()
+        lines = trace_csv_string(Trace(records)).splitlines()
+        drop = COLUMNS.index("witness_norm")
+        stripped = [lines[0]] + [",".join(v for i, v in enumerate(line.split(","))
+                                          if i != drop) for line in lines[1:]]
+        assert stripped[1].split(",") == NO_WITNESS_COLUMNS
+        back = read_trace_csv(io.StringIO("\n".join(stripped) + "\n"))
+        assert np.isnan(back.column("witness_norm")).all()
+        for got, want in zip(back, records):
+            assert got.witness_norm != got.witness_norm
+            got.witness_norm = want.witness_norm
+            assert got == want or math.isnan(want.step_norm)
+
+    def test_no_witness_short_row(self):
+        lines = trace_csv_string(Trace(sample_records())).splitlines()
+        lines[1] = ",".join(NO_WITNESS_COLUMNS)
+        with pytest.raises(TraceParseError, match="expected 13 fields, got 14") as err:
+            read_trace_csv(io.StringIO("\n".join(lines)))
+        assert err.value.line == 3
