@@ -206,8 +206,8 @@ def read_trace_csv(path_or_file):
         if any(len(row) != len(header) for row in rows):
             raise ValueError("ragged rows")
         fields = list(zip(*rows)) or [()] * len(header)
-        parsed = dict(zip(header, map(_parse_column, fields,
-                                      (_DTYPES[name] for name in header))))
+        parsed = {name: _parse_column(column, _DTYPES[name])
+                  for name, column in zip(header, fields)}
     except (ValueError, OverflowError):
         _raise_first_bad_row(lines, header)
         raise

@@ -182,6 +182,7 @@ class TestReadColumns:
         ("backtracks", "two"),
         ("in_K2", "yes"),
         ("tau2", ""),
+        ("ell", "9" * 30),  # past 64 bits
     ])
     def test_bad_field_line_number(self, column, bad):
         lines = trace_csv_string(Trace(many_records())).splitlines()
