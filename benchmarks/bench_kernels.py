@@ -1,20 +1,17 @@
-"""Time the numeric kernels and check them against numpy references.
-
-Run twice to cover both backends:
+"""Time the numeric kernels and check them against references.
 
     python3 benchmarks/bench_kernels.py
-    NMDESC_NO_NUMBA=1 python3 benchmarks/bench_kernels.py
 
-Each kernel is timed over repeated calls after a warm-up (which also pays
-any compilation cost), and checked for agreement with a reference on the
-same inputs. The sections:
+Each kernel is timed over repeated calls after a warm-up, and checked for
+agreement with a reference on the same inputs. The sections:
 
-* the active backend's masked residual and logistic loss terms against
-  their numpy implementations;
+* the masked residual against the gather (UV^T)[rows, cols] - obs, and
+  the logistic loss terms against `np.logaddexp`;
 * one block gradient of the matrix-completion oracle at the desk size of
   the PALM experiments (200 x 200, rank 10, 8000 draws): the `np.add.at`
-  reference, the sorted-segment form (`masked_block_grad`) and the dense
-  masked form (`masked_dense_grad`, with the buffers a problem owns);
+  reference of `tests/conftest.py`, the sorted-segment form
+  (`masked_block_grad`) and the dense masked form (`masked_dense_grad`,
+  with the buffers a problem owns);
 * both forms over matrix size x observed density, with the form the rule
   in `problems.mc_oracle_form` picks for each point, and per size the
   ratio n1*n2/|Omega| where the dense form stops winning, which is where
@@ -38,15 +35,19 @@ import time
 import numpy as np
 
 from nmdesc import cli, diagnostics, kernels, problems, svgplot, trace
-from nmdesc.kernels import _logistic_loss_terms_np, _masked_residual_np
 
-# the per-record diagnostics the columnar ones are tested against
+# the references the kernels and the columnar diagnostics are tested against
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
-from conftest import classify_ksets_ref, ell_indices_ref, verify_H1_ref  # noqa: E402
+from conftest import (  # noqa: E402
+    add_at_grads,
+    classify_ksets_ref,
+    ell_indices_ref,
+    verify_H1_ref,
+)
 
 
 def timeit(fn, *args, repeat=20):
-    fn(*args)  # warm-up / compile
+    fn(*args)  # warm-up
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
@@ -66,17 +67,12 @@ def main():
     z = rng.standard_normal(200000)
     b = np.where(rng.standard_normal(200000) >= 0, 1.0, -1.0)
 
-    backend = "numba" if kernels.USE_NUMBA else "numpy"
-    print(f"active backend: {backend}")
-
     resid = kernels.masked_residual(U, V, rows, cols, obs)
-    resid_ref = _masked_residual_np(U, V, rows, cols, obs)
-    assert np.allclose(resid, resid_ref, rtol=1e-12, atol=1e-12)
+    assert np.allclose(resid, (U @ V.T)[rows, cols] - obs, rtol=1e-12, atol=1e-12)
     loss, w = kernels.logistic_loss_terms(z, b)
-    loss_ref, w_ref = _logistic_loss_terms_np(z, b)
-    assert np.allclose(loss, loss_ref, rtol=1e-12, atol=1e-12)
-    assert np.allclose(w, w_ref, rtol=1e-12, atol=1e-12)
-    print("cross-check against numpy reference: ok")
+    assert np.allclose(loss, np.logaddexp(0.0, -b * z), rtol=1e-12, atol=1e-12)
+    assert np.allclose(w, -b * np.exp(-np.logaddexp(0.0, b * z)), rtol=1e-12, atol=1e-12)
+    print("residual and logistic terms against their references: ok")
 
     cases = [
         ("masked_residual", kernels.masked_residual, (U, V, rows, cols, obs)),
@@ -84,20 +80,11 @@ def main():
     ]
     for name, fn, args in cases:
         best = timeit(fn, *args)
-        print(f"{name:22s} {best * 1e3:9.3f} ms  [{backend}]")
-    block_grads(rng, backend)
+        print(f"{name:22s} {best * 1e3:9.3f} ms")
+    block_grads(rng)
     density_sweep()
     pg_point()
     post_processing()
-
-
-def grad_reference(A, B, own, other, obs):
-    """One block's gradient by unbuffered scatter-adds, the reference: A is
-    the block's factor and `own` each observation's row in it."""
-    resid = _masked_residual_np(A, B, own, other, obs)
-    grad = np.zeros_like(A)
-    np.add.at(grad, own, resid[:, None] * B[other])
-    return grad
 
 
 class Forms:
@@ -123,7 +110,7 @@ class Forms:
                 kernels.masked_dense_grad(U, V, *args, 1))
 
 
-def block_grads(rng, backend):
+def block_grads(rng):
     n1, n2, r, m = 200, 200, 10, 8000
     U = rng.standard_normal((n1, r))
     V = rng.standard_normal((n2, r))
@@ -134,8 +121,7 @@ def block_grads(rng, backend):
     rows, cols = np.divmod(flat, n2)
     obs = rng.standard_normal(len(flat))
     forms = Forms(n1, n2, rows, cols, obs)
-    gU_ref = grad_reference(U, V, rows, cols, obs)
-    gV_ref = grad_reference(V, U, cols, rows, obs)
+    gU_ref, gV_ref = add_at_grads(U, V, rows, cols, obs)
     for gU, gV in (forms.segment(U, V), forms.dense(U, V)):
         assert np.allclose(gU, gU_ref, rtol=1e-12, atol=1e-12)
         assert np.allclose(gV, gV_ref, rtol=1e-12, atol=1e-12)
@@ -143,7 +129,7 @@ def block_grads(rng, backend):
 
     dense = (forms.flat, forms.obs, forms.P, forms.D)
     cases = [
-        ("grad_U add.at (ref)", grad_reference, (U, V, rows, cols, obs)),
+        ("grad_U+V add.at (ref)", add_at_grads, (U, V, rows, cols, obs)),
         ("grad_U segment", kernels.masked_block_grad, (U, V, *forms.by_row)),
         ("grad_V segment", kernels.masked_block_grad, (V, U, *forms.by_col)),
         ("grad_U dense", kernels.masked_dense_grad, (U, V, *dense, 0)),
@@ -152,7 +138,7 @@ def block_grads(rng, backend):
     print(f"desk size: {n1}x{n2}, r={r}, {len(flat)} observed entries")
     for name, fn, args in cases:
         best = timeit(fn, *args, repeat=100)
-        print(f"{name:22s} {best * 1e3:9.3f} ms  [{backend}]")
+        print(f"{name:22s} {best * 1e3:9.3f} ms")
 
 
 SIZES = (200, 500, 1000, 2000)

@@ -12,14 +12,13 @@ The ``diagnostics`` module replays solver traces and empirically checks the
 decrease and relative-error conditions the convergence theory relies on.
 """
 
-from .linalg import RngStream, spectral_norm, gaussian_fill
+from .linalg import RngStream, spectral_norm
 from .prox import ProxSpec, prox_l0, prox_ridge_l20_columns
 from .nls import HistoryWindow, window_max, accept, backtrack_params
 
 __all__ = [
     "RngStream",
     "spectral_norm",
-    "gaussian_fill",
     "ProxSpec",
     "prox_l0",
     "prox_ridge_l20_columns",

@@ -38,7 +38,7 @@ from .diagnostics import (
     verify_H1,
     verify_H2,
 )
-from .linalg import RngStream, gaussian_fill
+from .linalg import RngStream
 from .nls import BacktrackCapError
 from .svgplot import write_line_plot
 from .trace import TraceParseError, read_trace_csv, write_trace_csv
@@ -124,17 +124,23 @@ def build_instance(section, seed):
     if "instance" in section:
         return problems.load_instance(section["instance"])
     kind = section.get("kind")
+
+    def need(key):
+        if key not in section:
+            raise UsageError(f"[problem] kind = {kind} needs {key} = ...")
+        return int(section[key])
+
     if kind == "logreg":
         return problems.gen_logreg(
-            n=int(section["n"]), p=int(section["p"]), s=int(section["s"]),
+            n=need("n"), p=need("p"), s=need("s"),
             seed=seed, lam=float(section.get("lam", 0.1)),
             mu=float(section.get("mu", 1e-10)),
         )
     if kind == "mc":
         r = section.get("r")
         return problems.gen_mc(
-            n1=int(section["n1"]), n2=int(section["n2"]),
-            r_star=int(section["rstar"]), num_samples=int(section["samples"]),
+            n1=need("n1"), n2=need("n2"),
+            r_star=need("rstar"), num_samples=need("samples"),
             sigma=float(section.get("sigma", 0.1)), seed=seed,
             r=None if r is None else int(r),
             lam=float(section.get("lam", 1.0)),
@@ -149,8 +155,8 @@ def default_start(instance, seed):
     if isinstance(instance, problems.LogRegInstance):
         return np.zeros(instance.p + 1)
     rng = RngStream(seed).spawn(1)
-    u0 = gaussian_fill(rng, (instance.n1, instance.r)) / math.sqrt(instance.r)
-    v0 = gaussian_fill(rng, (instance.n2, instance.r)) / math.sqrt(instance.r)
+    u0 = rng.standard_normal((instance.n1, instance.r)) / math.sqrt(instance.r)
+    v0 = rng.standard_normal((instance.n2, instance.r)) / math.sqrt(instance.r)
     return u0, v0
 
 

@@ -1,25 +1,12 @@
-"""Hot numeric kernels: numba-compiled with a pure-numpy fallback.
-
-Set the environment variable ``NMDESC_NO_NUMBA=1`` before import to force
-the numpy path (useful on platforms without a working numba install, and
-for the kernel benchmark in ``benchmarks/``). Both paths are deterministic;
-they may differ in the last few ulps because of summation order.
-"""
-
-import os
+"""Hot numeric kernels of the two problem families, in numpy."""
 
 import numpy as np
 
-USE_NUMBA = os.environ.get("NMDESC_NO_NUMBA", "0") not in ("1", "true", "yes")
-
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
+# There is one backend. `perfbench/run.py` still reads this flag for its
+# report; it goes with the next change to the benchmark.
+USE_NUMBA = False
 
 __all__ = [
-    "USE_NUMBA",
     "block_index",
     "masked_residual",
     "masked_block_grad",
@@ -44,7 +31,7 @@ def block_index(own, other, obs):
     return own_sorted, other[order], obs[order], starts, own_sorted[starts]
 
 
-# -- dense masked form: BLAS-bound numpy, the same in every backend -------------
+# -- dense masked form ---------------------------------------------------------
 
 def masked_dense_residual(U, V, flat, obs, P):
     """r_t = (UV^T)[Omega_t] - obs[t], with UV^T formed in the caller's
@@ -72,14 +59,14 @@ def masked_dense_grad(U, V, flat, obs, P, D, block):
     return D @ V if block == 0 else D.T @ U
 
 
-# -- numpy reference implementations ----------------------------------------
+# -- sorted-segment form and the logistic terms ------------------------------
 
-def _masked_residual_np(U, V, rows, cols, obs):
+def masked_residual(U, V, rows, cols, obs):
     """r_t = <U[rows[t]], V[cols[t]]> - obs[t] over the observed index set."""
     return np.einsum("ij,ij->i", U.take(rows, axis=0), V.take(cols, axis=0)) - obs
 
 
-def _masked_block_grad_np(A, B, own, other, obs, starts, ids):
+def masked_block_grad(A, B, own, other, obs, starts, ids):
     """Gradient of 0.5*||P_Omega(UV^T - M)||_F^2 in the factor A, with B the
     other factor and the index arrays from `block_index` for A's block.
 
@@ -94,7 +81,7 @@ def _masked_block_grad_np(A, B, own, other, obs, starts, ids):
     return grad
 
 
-def _logistic_loss_terms_np(z, b):
+def logistic_loss_terms(z, b):
     """Per-sample stable loss log(1+exp(-b*z)) and weight -b/(1+exp(b*z)).
 
     exp(b*z) overflows to inf on saturated margins, which sends w to -0.0
@@ -106,59 +93,3 @@ def _logistic_loss_terms_np(z, b):
         w = -b / (1.0 + np.exp(b * z))
     return loss, w
 
-
-# -- numba implementations ---------------------------------------------------
-
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _masked_residual_nb(U, V, rows, cols, obs):
-        p = rows.shape[0]
-        r = U.shape[1]
-        out = np.empty(p)
-        for t in range(p):
-            acc = 0.0
-            i = rows[t]
-            j = cols[t]
-            for c in range(r):
-                acc += U[i, c] * V[j, c]
-            out[t] = acc - obs[t]
-        return out
-
-    @njit(cache=True)
-    def _masked_block_grad_nb(A, B, own, other, obs, starts, ids):
-        # the loop accumulates in sorted order and needs no segment bounds
-        r = A.shape[1]
-        grad = np.zeros_like(A)
-        for t in range(own.shape[0]):
-            i = own[t]
-            j = other[t]
-            acc = 0.0
-            for c in range(r):
-                acc += A[i, c] * B[j, c]
-            rt = acc - obs[t]
-            for c in range(r):
-                grad[i, c] += rt * B[j, c]
-        return grad
-
-    @njit(cache=True)
-    def _logistic_loss_terms_nb(z, b):
-        n = z.shape[0]
-        loss = np.empty(n)
-        w = np.empty(n)
-        for i in range(n):
-            t = -b[i] * z[i]
-            if t > 0.0:
-                loss[i] = t + np.log1p(np.exp(-t))
-            else:
-                loss[i] = np.log1p(np.exp(t))
-            w[i] = -b[i] / (1.0 + np.exp(-t))
-        return loss, w
-
-    masked_residual = _masked_residual_nb
-    masked_block_grad = _masked_block_grad_nb
-    logistic_loss_terms = _logistic_loss_terms_nb
-else:
-    masked_residual = _masked_residual_np
-    masked_block_grad = _masked_block_grad_np
-    logistic_loss_terms = _logistic_loss_terms_np

@@ -52,12 +52,6 @@ class RngStream:
         return RngStream((self.seed * 1000003 + offset) % (2**63))
 
 
-def gaussian_fill(rng, shape):
-    """Matrix (or vector) of i.i.d. standard normal draws from the stream."""
-    out = rng.standard_normal(shape)
-    return out
-
-
 def spectral_norm(A, tol=1e-6, max_iter=5000):
     """Largest singular value of A by power iteration on A^T A.
 

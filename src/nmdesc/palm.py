@@ -129,12 +129,9 @@ def _grad(carried, grad, x, y):
     return grad(x, y) if carried is None else carried
 
 
-def potential_upsilon(x, y, u, v, problem, delta):
-    """Upsilon_delta = Psi(x, y) + (delta/2)(||x-u||^2 + ||y-v||^2)."""
-    return _upsilon(problem.objective(x, y), x, y, u, v, delta)
-
-
 def _upsilon(objective, x, y, u, v, delta):
+    """Upsilon_delta = Psi(x, y) + (delta/2)(||x-u||^2 + ||y-v||^2), given
+    the objective Psi(x, y)."""
     return objective + 0.5 * delta * (_sq(x - u) + _sq(y - v))
 
 

@@ -119,11 +119,9 @@ def _sq(a):
     return float(a @ a)
 
 
-def potential_H(x, u, problem, delta, F=None):
-    """H_delta((x, u)) = F(x) + (delta/2)*||x - u||^2. `F` may pass the
-    objective at x when it is already known."""
-    if F is None:
-        F = problem.objective(x)
+def potential_H(F, x, u, delta):
+    """H_delta((x, u)) = F(x) + (delta/2)*||x - u||^2, given the objective
+    F = F(x)."""
     return F + 0.5 * delta * _sq(x - u)
 
 
@@ -146,13 +144,12 @@ def nesterov_beta(t_prev, t_cur):
     return beta0, t_next
 
 
-def bb_init_tau(z, z_prev, problem, delta, tau_min, tau_max,
-                prev_tau, grads=None):
+def bb_init_tau(z, z_prev, grads, delta, tau_min, tau_max, prev_tau):
     """Barzilai-Borwein step initialization on the smoothed pair space.
 
-    z = (x^k, x^{k-1}), z_prev = (x^{k-1}, x^{k-2}). The gradient of the
-    smooth part over z = (x, u) is (grad f(x) + delta*(x-u), -delta*(x-u)).
-    `grads` may pass precomputed (grad f(x^k), grad f(x^{k-1})).
+    z = (x^k, x^{k-1}), z_prev = (x^{k-1}, x^{k-2}), and grads =
+    (grad f(x^k), grad f(x^{k-1})). The gradient of the smooth part over
+    z = (x, u) is (grad f(x) + delta*(x-u), -delta*(x-u)).
     """
     x, u = z
     xp, up = z_prev
@@ -161,10 +158,7 @@ def bb_init_tau(z, z_prev, problem, delta, tau_min, tau_max,
     dz_sq = _sq(dz_a) + _sq(dz_b)
     if dz_sq == 0.0:
         return prev_tau
-    if grads is None:
-        gx, gxp = problem.f_grad(x), problem.f_grad(xp)
-    else:
-        gx, gxp = grads
+    gx, gxp = grads
     dzeta_a = gx + delta * (x - u) - gxp - delta * (xp - up)
     dzeta_b = -delta * (x - u) + delta * (xp - up)
     dzeta_sq = _sq(dzeta_a) + _sq(dzeta_b)
@@ -271,9 +265,9 @@ def pg_step(state, problem, config):
         tau0 = bb_init_tau(
             (state.x, state.x_prev),
             (state.x_prev, state.x_prev2),
-            problem, config.delta, config.tau_min, config.tau_max,
+            (state.grad_x, state.grad_x_prev),
+            config.delta, config.tau_min, config.tau_max,
             prev_tau=state.tau_init_prev,
-            grads=(state.grad_x, state.grad_x_prev),
         )
     else:
         tau0 = min(max(config.tau0, config.tau_min), config.tau_max)
@@ -299,7 +293,7 @@ def pg_step(state, problem, config):
             step_sq += _sq(state.x - state.x_prev)
         f_cand, grad_new, z_new = problem.smooth(candidate)
         F_cand = f_cand + problem.g_value(candidate)
-        h_cand = potential_H(candidate, state.x, problem, config.delta, F=F_cand)
+        h_cand = potential_H(F_cand, candidate, state.x, config.delta)
         if accept(h_cand, state.window, config.alpha, step_sq):
             break
     else:
@@ -352,7 +346,7 @@ def pg_run(problem, x0, config, trace_sink=None):
     window = HistoryWindow(cfg.m)
     f0, g0, z0 = problem.smooth(x0)
     F0 = f0 + problem.g_value(x0)
-    h0 = potential_H(x0, x0, problem, cfg.delta, F=F0)
+    h0 = potential_H(F0, x0, x0, cfg.delta)
     window.push(0, h0)
     state = IterateState(x=x0.copy(), x_prev=x0.copy(), window=window,
                          grad_x=g0, z=z0, z_prev=z0)

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels
-from .linalg import RngStream, gaussian_fill
+from .linalg import RngStream
 from .prox import ProxSpec, prox_l0, prox_ridge_l20_columns
 
 
@@ -43,12 +43,6 @@ class CompositeProblem:
 
     def g_prox(self, v, tau):
         return prox_l0(v, tau, self.g_spec)
-
-    def f_grad(self, x):
-        return self.smooth(x)[1]
-
-    def objective(self, x):
-        return self.smooth(x)[0] + self.g_value(x)
 
 
 @dataclass(frozen=True)
@@ -116,7 +110,7 @@ def gen_logreg(n, p, s, seed, lam=0.1, mu=1e-10):
     if s > p or n < 1:
         raise ValueError("need s <= p and n >= 1")
     rng = RngStream(seed)
-    A = gaussian_fill(rng, (n, p))
+    A = rng.standard_normal((n, p))
     support = rng.choice_subset(p, s)
     vals = rng.standard_normal(s)
     while np.any(vals == 0.0):
@@ -149,23 +143,19 @@ def logreg_value_grad(x, instance, z=None):
     return value, grad
 
 
-def logreg_problem(instance, lam=None, use_paper_lipschitz=False):
+def logreg_problem(instance, lam=None):
     """CompositeProblem view of an instance.
 
     `smooth` computes the margins A_tilde x (unless it is given them) and
     passes them to `logreg_value_grad`; it returns them as its z. ||A_tilde||
     is exact, from the Gram matrix of A_tilde's smaller side, computed once
-    here and kept as `operator_norm`. The gradient Lipschitz constant
-    defaults to the conservative 0.25*||A_tilde||^2 + mu;
-    `use_paper_lipschitz` switches to 0.25*||A_tilde||.
+    here and kept as `operator_norm`. The gradient Lipschitz constant is
+    0.25*||A_tilde||^2 + mu.
     """
     lam = instance.lam if lam is None else float(lam)
     A = instance.A_tilde
     norm_A = math.sqrt(_spectral_sq(A))
-    if use_paper_lipschitz:
-        L = 0.25 * norm_A
-    else:
-        L = 0.25 * norm_A**2 + instance.mu
+    L = 0.25 * norm_A**2 + instance.mu
     spec = ProxSpec(
         kind="l0_vector", lam=lam, mu=0.0,
         skip_indices=frozenset([instance.p]),  # intercept unregularized
@@ -237,8 +227,8 @@ def gen_mc(n1, n2, r_star, num_samples, sigma, seed, r=None, lam=1.0, mu=1e-10):
         raise ValueError("invalid generator parameters")
     r = 2 * r_star if r is None else int(r)
     rng = RngStream(seed)
-    U_star = gaussian_fill(rng, (n1, r_star))
-    V_star = gaussian_fill(rng, (n2, r_star))
+    U_star = rng.standard_normal((n1, r_star))
+    V_star = rng.standard_normal((n2, r_star))
     p_row = mc_row_marginals(n1)
     p_col = mc_row_marginals(n2)
     draw_rows = rng.multinomial_indices(p_row, num_samples)
@@ -425,11 +415,21 @@ def save_instance(path, instance):
             raise TypeError(f"cannot serialize {type(instance).__name__}")
 
 
+class _Header(dict):
+    """The key=value fields of an instance file's header line; a missing
+    field is a ValueError that names it."""
+
+    def __missing__(self, key):
+        raise ValueError(f"instance header has no {key}= field")
+
+
 def load_instance(path):
     with open(path) as f:
         header = f.readline().split()
+        if not header:
+            raise ValueError(f"{path}: empty instance header")
         kind = header[0]
-        params = dict(tok.split("=", 1) for tok in header[1:])
+        params = _Header(tok.split("=", 1) for tok in header[1:])
         if kind == "logreg":
             n, p, s = int(params["n"]), int(params["p"]), int(params["s"])
             A = np.array([f.readline().split() for _ in range(n)], dtype=np.float64)

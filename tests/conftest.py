@@ -30,6 +30,16 @@ def quadratic_problem(A=None, dim=2, lam=0.0):
     )
 
 
+def objective(problem, x):
+    """F(x) = f(x) + g(x) of a CompositeProblem, from its oracle and g."""
+    return problem.smooth(x)[0] + problem.g_value(x)
+
+
+def f_grad(problem, x):
+    """grad f(x) of a CompositeProblem, from its oracle."""
+    return problem.smooth(x)[1]
+
+
 def flat_problem(dim=2):
     """F identically zero: every point is a fixed point."""
     return CompositeProblem(

@@ -24,7 +24,7 @@ from nmdesc.diagnostics import (
     verify_H1,
     verify_H2,
 )
-from nmdesc.linalg import RngStream, gaussian_fill, spectral_norm
+from nmdesc.linalg import RngStream, spectral_norm
 from nmdesc.nls import BacktrackCapError
 from nmdesc.palm import (
     PalmConfig,
@@ -62,8 +62,8 @@ def logreg_run(seed, lam, mu, stop_tol, max_iters, variant="pgenls"):
 
 def mc_start(inst, seed):
     rng = RngStream(seed).spawn(1)
-    u0 = gaussian_fill(rng, (inst.n1, inst.r)) / math.sqrt(inst.r)
-    v0 = gaussian_fill(rng, (inst.n2, inst.r)) / math.sqrt(inst.r)
+    u0 = rng.standard_normal((inst.n1, inst.r)) / math.sqrt(inst.r)
+    v0 = rng.standard_normal((inst.n2, inst.r)) / math.sqrt(inst.r)
     return u0, v0
 
 

@@ -141,6 +141,35 @@ class TestRun:
         )
         assert main(["run", cfg]) == 4
 
+    @pytest.mark.parametrize("kind, keys, missing", [
+        ("logreg", "p = 8\ns = 2\n", "n"),
+        ("mc", "n1 = 6\nn2 = 6\nrstar = 1\n", "samples"),
+    ])
+    def test_missing_problem_key_is_usage_error(self, tmp_path, capsys, kind, keys,
+                                                missing):
+        cfg = write_config(
+            tmp_path / "c.cfg",
+            f"[problem]\nkind = {kind}\n{keys}seed = 0\n[solver]\nname = pgenls\n",
+        )
+        assert main(["run", cfg]) == 2
+        assert f"needs {missing} = " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cut, message", [
+        (" p=8", "no p= field"), (None, "empty instance header")])
+    def test_instance_header_missing_field_is_usage_error(self, tmp_path, capsys, cut,
+                                                          message):
+        inst = tmp_path / "inst.txt"
+        assert main(["gen", "logreg", "--n", "5", "--p", "8", "--s", "2",
+                     "--seed", "1", "--out", str(inst)]) == 0
+        lines = inst.read_text().splitlines(keepends=True)
+        lines[0] = lines[0].replace(cut, "") if cut else "\n"
+        inst.write_text("".join(lines))
+        cfg = write_config(tmp_path / "c.cfg",
+                           f"[problem]\ninstance = {inst}\n[solver]\nname = pgenls\n")
+        capsys.readouterr()
+        assert main(["run", cfg]) == 2
+        assert message in capsys.readouterr().err
+
     def test_backtrack_cap_writes_partial_trace(self, tmp_path, capsys):
         trace = tmp_path / "partial.csv"
         cfg = write_config(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nmdesc.linalg import RngStream, SpectralNormError, gaussian_fill, spectral_norm
+from nmdesc.linalg import RngStream, SpectralNormError, spectral_norm
 
 
 class TestSpectralNorm:
@@ -15,12 +15,12 @@ class TestSpectralNorm:
 
     def test_matches_svd_oracle(self):
         # independent dense SVD is the oracle
-        A = gaussian_fill(RngStream(11), (5, 3))
+        A = RngStream(11).standard_normal((5, 3))
         oracle = np.linalg.svd(A, compute_uv=False)[0]
         assert spectral_norm(A, tol=1e-10) == pytest.approx(oracle, rel=1e-8)
 
     def test_transpose_invariance(self):
-        A = gaussian_fill(RngStream(4), (7, 4))
+        A = RngStream(4).standard_normal((7, 4))
         a = spectral_norm(A, tol=1e-8)
         b = spectral_norm(A.T, tol=1e-8)
         assert a == pytest.approx(b, rel=1e-6)
@@ -30,7 +30,7 @@ class TestSpectralNorm:
             spectral_norm(np.zeros((2, 2)))
 
     def test_nonconvergence_carries_estimate(self):
-        A = gaussian_fill(RngStream(5), (6, 6))
+        A = RngStream(5).standard_normal((6, 6))
         with pytest.raises(SpectralNormError) as err:
             spectral_norm(A, tol=1e-16, max_iter=2)
         assert err.value.estimate > 0.0
@@ -38,17 +38,17 @@ class TestSpectralNorm:
 
 class TestRng:
     def test_same_seed_identical(self):
-        a = gaussian_fill(RngStream(42), (4, 5))
-        b = gaussian_fill(RngStream(42), (4, 5))
+        a = RngStream(42).standard_normal((4, 5))
+        b = RngStream(42).standard_normal((4, 5))
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        a = gaussian_fill(RngStream(1), (4, 5))
-        b = gaussian_fill(RngStream(2), (4, 5))
+        a = RngStream(1).standard_normal((4, 5))
+        b = RngStream(2).standard_normal((4, 5))
         assert np.any(a != b)
 
     def test_moments(self):
-        draws = gaussian_fill(RngStream(7), (100000,))
+        draws = RngStream(7).standard_normal((100000,))
         assert abs(draws.mean()) < 0.02
         assert abs(draws.var() - 1.0) < 0.05
 

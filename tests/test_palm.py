@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import trace_csv_string
-from nmdesc.linalg import RngStream, gaussian_fill
+from nmdesc.linalg import RngStream
 from nmdesc.nls import HistoryWindow, accept, window_max
 from nmdesc.palm import (
     BlockIterateState,
@@ -19,7 +19,6 @@ from nmdesc.palm import (
     palm_baseline_run,
     palm_run,
     palm_step,
-    potential_upsilon,
     safe_beta_bound_palm,
     subgrad_witness_palm,
     variant_config,
@@ -93,30 +92,11 @@ def counted_oracles(problem):
 
 def fresh_state(x0, y0, problem, cfg):
     window = HistoryWindow(cfg.m)
-    window.push(0, potential_upsilon(x0, y0, x0, y0, problem, cfg.delta))
+    window.push(0, problem.objective(x0, y0))  # Upsilon at equal pairs
     return BlockIterateState(
         x=x0.copy(), y=y0.copy(), x_prev=x0.copy(), y_prev=y0.copy(),
         window=window,
     )
-
-
-class TestPotential:
-    def test_equal_pairs_give_objective(self):
-        prob = decoupled_problem()
-        x, y = np.array([1.0]), np.array([2.0])
-        assert potential_upsilon(x, y, x, y, prob, 0.5) == prob.objective(x, y)
-
-    def test_delta_zero(self):
-        prob = decoupled_problem()
-        x, y, u, v = (np.array([1.0]), np.array([2.0]),
-                      np.array([0.0]), np.array([0.0]))
-        assert potential_upsilon(x, y, u, v, prob, 0.0) == prob.objective(x, y)
-
-    def test_hand_value(self):
-        prob = decoupled_problem()
-        one, zero = np.array([1.0]), np.array([0.0])
-        assert potential_upsilon(one, one, zero, zero, prob, 0.5) == \
-            pytest.approx(1.5)
 
 
 class TestPalmStep:
@@ -256,8 +236,8 @@ class TestWitnessAndInvariants:
                       seed=seed, lam=0.5)
         prob = mc_problem(inst)
         rng = RngStream(seed).spawn(1)
-        u0 = gaussian_fill(rng, (20, inst.r)) / math.sqrt(inst.r)
-        v0 = gaussian_fill(rng, (20, inst.r)) / math.sqrt(inst.r)
+        u0 = rng.standard_normal((20, inst.r)) / math.sqrt(inst.r)
+        v0 = rng.standard_normal((20, inst.r)) / math.sqrt(inst.r)
         return prob, u0, v0
 
     def test_reused_gradients_match_recomputation(self):
@@ -321,8 +301,8 @@ class TestWitnessAndInvariants:
                       seed=seed)
         prob = mc_problem(inst)
         rng = RngStream(seed).spawn(1)
-        u0 = gaussian_fill(rng, (200, inst.r)) / math.sqrt(inst.r)
-        v0 = gaussian_fill(rng, (200, inst.r)) / math.sqrt(inst.r)
+        u0 = rng.standard_normal((200, inst.r)) / math.sqrt(inst.r)
+        v0 = rng.standard_normal((200, inst.r)) / math.sqrt(inst.r)
         truth = inst.U_star @ inst.V_star.T
         for name in ("palmnls", "palmls"):
             result = palm_run(prob, u0, v0,
@@ -381,7 +361,7 @@ def reference_palm(prob, x0, y0, cfg, iters):
     beta = 0: records (k, objective, potential, step, witness, beta, tau1,
     tau2, backtracks, ell) as a reference for the reused gradients."""
     window = HistoryWindow(cfg.m)
-    ups = potential_upsilon(x0, y0, x0, y0, prob, cfg.delta)
+    ups = prob.objective(x0, y0)  # Upsilon at equal pairs
     window.push(0, ups)
     x, y, xp, yp = x0.copy(), y0.copy(), x0.copy(), y0.copy()
     t_prev, t_cur = 1.0, 1.0
@@ -407,7 +387,8 @@ def reference_palm(prob, x0, y0, cfg, iters):
             yn = prob.g_prox(yt - tau2 * prob.grad_y(xn, yt), tau2)
             step_sq = _sq(xn - x) + _sq(yn - y) + _sq(x - xp) + _sq(y - yp)
             obj = prob.objective(xn, yn)
-            ups = potential_upsilon(xn, yn, x, y, prob, cfg.delta)
+            # Upsilon_delta = Psi + (delta/2)(||x^{k+1}-x^k||^2 + ||y^{k+1}-y^k||^2)
+            ups = obj + 0.5 * cfg.delta * (_sq(xn - x) + _sq(yn - y))
             if accept(ups, window, cfg.alpha, step_sq):
                 break
         bare = BlockIterateState(x=xn, y=yn, x_prev=x, y_prev=y, window=None,
@@ -457,8 +438,8 @@ def mc_start(n1, n2, num_samples, seed):
     inst = gen_mc(n1=n1, n2=n2, r_star=5, num_samples=num_samples, sigma=0.1,
                   seed=seed)
     rng = RngStream(seed).spawn(1)
-    u0 = gaussian_fill(rng, (n1, inst.r)) / math.sqrt(inst.r)
-    v0 = gaussian_fill(rng, (n2, inst.r)) / math.sqrt(inst.r)
+    u0 = rng.standard_normal((n1, inst.r)) / math.sqrt(inst.r)
+    v0 = rng.standard_normal((n2, inst.r)) / math.sqrt(inst.r)
     return inst, mc_problem(inst), u0, v0
 
 
@@ -506,8 +487,8 @@ class TestBaselines:
                       seed=6, lam=0.2)
         prob = mc_problem(inst)
         rng = RngStream(6).spawn(1)
-        u0 = gaussian_fill(rng, (15, inst.r))
-        v0 = gaussian_fill(rng, (15, inst.r))
+        u0 = rng.standard_normal((15, inst.r))
+        v0 = rng.standard_normal((15, inst.r))
         result = palm_baseline_run(prob, u0, v0, PalmConfig(max_iters=50))
         objs = [r.objective for r in result.records]
         assert all(b <= a + 1e-10 for a, b in zip(objs, objs[1:]))

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import flat_problem, quadratic_problem, trace_csv_string
+from conftest import f_grad, flat_problem, objective, quadratic_problem, trace_csv_string
 from nmdesc.linalg import RngStream
 from nmdesc.nls import HistoryWindow
 from nmdesc.pg import (
@@ -31,18 +31,20 @@ class TestPotential:
     def test_delta_zero_is_objective(self):
         prob = quadratic_problem()
         x = np.array([1.0, 2.0])
-        assert potential_H(x, np.zeros(2), prob, 0.0) == prob.objective(x)
+        F = objective(prob, x)
+        assert potential_H(F, x, np.zeros(2), 0.0) == F
 
     def test_equal_points_drop_coupling(self):
         prob = quadratic_problem()
         x = np.array([1.0, 2.0])
-        assert potential_H(x, x, prob, 0.3) == prob.objective(x)
+        F = objective(prob, x)
+        assert potential_H(F, x, x, 0.3) == F
 
     def test_hand_value(self):
         prob = quadratic_problem(dim=2)
         x = np.array([1.0, 0.0])
         u = np.array([0.0, 0.0])
-        assert potential_H(x, u, prob, 0.4) == pytest.approx(0.7)
+        assert potential_H(objective(prob, x), x, u, 0.4) == pytest.approx(0.7)
 
 
 class TestNesterov:
@@ -64,27 +66,34 @@ class TestNesterov:
             nesterov_beta(0.5, 1.0)
 
 
+def grads(problem, x, x_prev):
+    return f_grad(problem, x), f_grad(problem, x_prev)
+
+
 class TestBbInit:
     def test_parallel_secant(self):
         # grad f = 2x and delta = 0: secant ratio is exactly 1/2
         prob = quadratic_problem(A=2.0 * np.eye(2))
         x1, x0 = np.array([1.0, 1.0]), np.array([0.0, 0.0])
         u = np.array([0.5, 0.5])
-        tau = bb_init_tau((x1, u), (x0, u), prob, 0.0, 1e-6, 1e6, prev_tau=9.0)
+        tau = bb_init_tau((x1, u), (x0, u), grads(prob, x1, x0), 0.0, 1e-6, 1e6,
+                          prev_tau=9.0)
         assert tau == pytest.approx(0.5, rel=1e-12)
 
     def test_zero_inner_product_guard(self):
         prob = flat_problem()
         x1, x0 = np.array([1.0, 0.0]), np.array([0.0, 0.0])
         u = np.array([0.0, 0.0])
-        tau = bb_init_tau((x1, u), (x0, u), prob, 0.0, 1e-6, 1e6, prev_tau=9.0)
+        tau = bb_init_tau((x1, u), (x0, u), grads(prob, x1, x0), 0.0, 1e-6, 1e6,
+                          prev_tau=9.0)
         assert tau == 1e6
 
     def test_zero_displacement_returns_previous(self):
         prob = quadratic_problem()
         x = np.array([1.0, 2.0])
         u = np.array([0.0, 0.0])
-        tau = bb_init_tau((x, u), (x, u), prob, 0.1, 1e-6, 1e6, prev_tau=7.0)
+        tau = bb_init_tau((x, u), (x, u), grads(prob, x, x), 0.1, 1e-6, 1e6,
+                          prev_tau=7.0)
         assert tau == 7.0
 
     def test_matches_hand_formula(self):
@@ -101,13 +110,14 @@ class TestBbInit:
         expected = max(
             min(float(dz @ dz) / inner, inner / float(dzeta @ dzeta), 1e6), 1e-6
         )
-        tau = bb_init_tau((x1, u1), (x0, u0), prob, delta, 1e-6, 1e6, prev_tau=1.0)
+        tau = bb_init_tau((x1, u1), (x0, u0), grads(prob, x1, x0), delta, 1e-6, 1e6,
+                          prev_tau=1.0)
         assert tau == pytest.approx(expected, rel=1e-12)
 
 
 def fresh_state(x0, m=5, delta=0.01, problem=None):
     window = HistoryWindow(m)
-    window.push(0, potential_H(x0, x0, problem, delta))
+    window.push(0, potential_H(objective(problem, x0), x0, x0, delta))
     return IterateState(x=x0.copy(), x_prev=x0.copy(), window=window)
 
 
@@ -150,7 +160,7 @@ class TestWitness:
     def test_fixed_point_witness_zero(self):
         prob = quadratic_problem()
         x = np.zeros(2)
-        _, norm = subgrad_witness_pg(x, x, x, 0.1, prob.f_grad(x), prob.f_grad(x), 0.01)
+        _, norm = subgrad_witness_pg(x, x, x, 0.1, f_grad(prob, x), f_grad(prob, x), 0.01)
         assert norm == 0.0
 
     def test_replay_recomputation_matches(self):
@@ -163,8 +173,8 @@ class TestWitness:
             state, rec, _ = pg_step(state, prob, cfg)
             # independent recomputation from the logged quantities
             wa = (
-                prob.f_grad(state.x)
-                - prob.f_grad(state.y_last)
+                f_grad(prob, state.x)
+                - f_grad(prob, state.y_last)
                 - (state.x - state.y_last) / state.tau_last
                 + cfg.delta * (state.x - prev_x)
             )
@@ -271,8 +281,8 @@ class TestFista:
         # restarted momentum method at the end
         x = np.array([1.0, 1.0])
         for _ in range(len(objs) - 1):
-            x = x - (1.0 / prob.lipschitz) * prob.f_grad(x)
-        assert objs[-1] <= prob.objective(x) + 1e-12
+            x = x - (1.0 / prob.lipschitz) * f_grad(prob, x)
+        assert objs[-1] <= objective(prob, x) + 1e-12
 
 
 # -- one oracle evaluation per point ----------------------------------------------
@@ -315,7 +325,7 @@ def pg_steps(problem, cfg, x0, steps):
     f0, g0, z0 = problem.smooth(x0)
     window = HistoryWindow(cfg.m)
     F0 = f0 + problem.g_value(x0)
-    window.push(0, potential_H(x0, x0, problem, cfg.delta, F=F0))
+    window.push(0, potential_H(F0, x0, x0, cfg.delta))
     state = IterateState(x=x0.copy(), x_prev=x0.copy(), window=window,
                          grad_x=g0, z=z0, z_prev=z0)
     out = []
@@ -334,19 +344,19 @@ def reference_fista(problem, x0, config, restart=False):
     x_prev = x.copy()
     tau = 1.0 / problem.lipschitz
     t_prev, t_cur = 1.0, 1.0
-    out = [(0, problem.objective(x), 0.0, 0.0, math.inf)]
+    out = [(0, objective(problem, x), 0.0, 0.0, math.inf)]
     for k in range(config.max_iters):
         beta, t_next = nesterov_beta(t_prev, t_cur)
         y = x if beta == 0.0 else x + beta * (x - x_prev)
-        gy = problem.f_grad(y)
+        gy = f_grad(problem, y)
         x_new = problem.g_prox(y - tau * gy, tau)
-        _, wnorm = subgrad_witness_pg(x_new, x, y, tau, problem.f_grad(x_new), gy, 0.0)
+        _, wnorm = subgrad_witness_pg(x_new, x, y, tau, f_grad(problem, x_new), gy, 0.0)
         step = math.sqrt(float((x_new - x) @ (x_new - x)))
         t_prev, t_cur = t_cur, t_next
         if restart and ((k + 1) % 250 == 0 or float((y - x_new) @ (x_new - x)) > 0.0):
             t_prev, t_cur = 1.0, 1.0
         x_prev, x = x, x_new
-        out.append((k + 1, problem.objective(x), beta, step, wnorm))
+        out.append((k + 1, objective(problem, x), beta, step, wnorm))
     return out
 
 
@@ -403,12 +413,14 @@ class TestCarriedValues:
         cfg, steps = pg_steps(prob, variant_config(name, base),
                               np.zeros(inst.p + 1), 50)
         for state, new, rec, _ in steps:
-            assert rec.objective == prob.objective(new.x)
-            assert rec.potential == potential_H(new.x, state.x, prob, cfg.delta)
-            assert np.array_equal(new.grad_x, prob.f_grad(new.x))
+            F = objective(prob, new.x)
+            assert rec.objective == F
+            assert rec.potential == F + 0.5 * cfg.delta * float(
+                (new.x - state.x) @ (new.x - state.x))
+            assert np.array_equal(new.grad_x, f_grad(prob, new.x))
             _, wnorm = subgrad_witness_pg(
                 new.x, state.x, new.y_last, new.tau_last,
-                prob.f_grad(new.x), prob.f_grad(new.y_last), cfg.delta)
+                f_grad(prob, new.x), f_grad(prob, new.y_last), cfg.delta)
             assert rec.witness_norm == wnorm
 
     @pytest.mark.parametrize("restart", [False, True])

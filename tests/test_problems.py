@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import add_at_grads
+from conftest import add_at_grads, objective
 from nmdesc import kernels
 from nmdesc.linalg import RngStream, spectral_norm
 from nmdesc.problems import (
@@ -121,7 +121,7 @@ class TestLogRegSurface:
         inst = gen_logreg(n=10, p=6, s=2, seed=13, mu=1e-2)
         prob = logreg_problem(inst)
         d = RngStream(1).standard_normal(7)
-        vals = [prob.objective(t * d) for t in (10.0, 100.0, 1000.0)]
+        vals = [objective(prob, t * d) for t in (10.0, 100.0, 1000.0)]
         assert vals[0] < vals[1] < vals[2]
 
 
