@@ -20,6 +20,13 @@ agreement with a reference on the same inputs. The sections:
   p = 2000): three separate oracle calls for its value, gradient and
   objective, one `smooth` call, and one `smooth` call given the margins
   A~x (as for an extrapolated point);
+* the logistic margins A~x over the support size |S| of x, at the desk
+  size (200 x 2001), at two sizes either side of the rule's size bound
+  (100 x 2001 and 100 x 1001) and at the size `cli-batch` benches
+  (60 x 301): the dense product against `np.flatnonzero` plus the support
+  product x[S] @ A~^T[S], with the form the rule in `problems.margins_form`
+  picks, and per size the largest |S| where the support product still
+  wins, which is where the rule's constants come from;
 * the post-processing of a solve on the 947-row desk trace (`pgenls` on
   logistic instance 101, to stop_tol 1e-6): `write_trace_csv`,
   `read_trace_csv`, the `diag` analysis (ell, H1, K-sets, partial sums)
@@ -84,6 +91,7 @@ def main():
     block_grads(rng)
     density_sweep()
     pg_point()
+    margins_sweep()
     post_processing()
 
 
@@ -219,6 +227,47 @@ def pg_point():
     for name, fn, args in cases:
         best = timeit(fn, *args, repeat=100)
         print(f"{name:22s} {best * 1e3:9.3f} ms")
+
+
+SUPPORT_SIZES = (0, 1, 5, 10, 20, 50, 75, 100, 150, 200, 250, 300, 350, 400, 500,
+                 700, 1000, 2001)
+
+
+def margins_sweep():
+    """Dense A~x against the support product, over |S| at two sizes."""
+    rng = np.random.default_rng(2)
+    print("\nlogistic margins over the support size |S| of x (one call, "
+          "flatnonzero included); 'rule' is the form margins_form picks")
+    print(f"{'n':>4s} {'p+1':>5s} {'|S|':>5s} {'dense us':>9s} {'support us':>11s} "
+          f"{'faster':>8s} {'rule':>8s}")
+    for n, p in ((200, 2000), (100, 2000), (100, 1000), (60, 300)):
+        inst = problems.gen_logreg(n=n, p=p, s=5, seed=101)
+        A = inst.A_tilde
+        AT = A.T  # C-contiguous, as gen_logreg stores it
+
+        def support(x):
+            S = np.flatnonzero(x)
+            return x[S] @ AT[S]
+
+        dim = p + 1
+        support_to = None
+        for size in (k for k in SUPPORT_SIZES if k <= dim):
+            x = np.zeros(dim)
+            x[rng.choice(dim, size, replace=False)] = rng.standard_normal(size)
+            dense = A @ x
+            assert np.allclose(support(x), dense, rtol=1e-12,
+                               atol=1e-12 * max(np.abs(dense).max(), 1.0))
+            t_den = timeit(lambda: A @ x, repeat=300)
+            t_sup = timeit(support, x, repeat=300)
+            faster = "support" if t_sup < t_den else "dense"
+            if faster == "support":
+                support_to = size
+            rule = problems.margins_form(n, dim, size)
+            print(f"{n:4d} {dim:5d} {size:5d} {t_den * 1e6:9.1f} {t_sup * 1e6:11.1f} "
+                  f"{faster:>8s} {rule:>8s}")
+        print(f"{n:4d} {dim:5d} support product last wins at |S| = {support_to}")
+    print(f"rule: support when n*(p+1) >= {problems.SUPPORT_MIN_ENTRIES} and "
+          f"{problems.SUPPORT_MAX_SHARE}*|S| < p+1")
 
 
 def post_processing(a=5e-6, m=5, theta=0.5):

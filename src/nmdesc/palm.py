@@ -20,7 +20,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .nls import HistoryWindow, window_max, accept, BacktrackCapError
+from .nls import (
+    HistoryWindow,
+    window_max,
+    accept,
+    cap_error,
+    BacktrackCapError,
+    LineSearchStalled,
+)
 from .pg import RunResult, init_columns, nesterov_beta
 from .trace import Trace, TraceRecord
 
@@ -248,7 +255,8 @@ def palm_step(state, problem, config):
     with the gradient the state carries there (evaluated once if it carries
     none). The accepted trial's gradients and the gradients at the new
     point go on the returned state, for the witness and the next step's
-    initialization. Returns (state, TraceRecord, init dict).
+    initialization. Returns (state, TraceRecord, init dict). At the
+    backtrack cap it raises `nls.cap_error`'s exception, as `pg_step` does.
     """
     if config.beta_rule == "nesterov":
         beta0, t_next = nesterov_beta(state.t_prev, state.t_cur)
@@ -291,7 +299,8 @@ def palm_step(state, problem, config):
         if accept(ups, state.window, config.alpha, step_sq):
             break
     else:
-        raise BacktrackCapError(state.k, config.max_backtracks, (x_new, y_new))
+        raise cap_error(state.k, config.max_backtracks, (x_new, y_new), ups,
+                        state.window, config.alpha, step_sq)
 
     new_state = BlockIterateState(
         x=x_new, y=y_new, x_prev=state.x, y_prev=state.y,
@@ -330,8 +339,10 @@ def palm_step(state, problem, config):
 def palm_run(problem, x0, y0, config, trace_sink=None):
     """Run the line-search method from (x0, y0) until a stopping rule fires.
 
-    The result's extras carry the running Lipschitz estimate, the observed
-    ball radii, and the relative-error bound computed from them.
+    The result's stop reason is "tolerance", "max_iters", "time_budget", or
+    "stalled", as for `pg.pg_run`. Its extras carry the running Lipschitz
+    estimate, the observed ball radii, and the relative-error bound
+    computed from them.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     y0 = np.asarray(y0, dtype=np.float64)
@@ -367,6 +378,9 @@ def palm_run(problem, x0, y0, config, trace_sink=None):
     for _ in range(cfg.max_iters):
         try:
             state, rec, init = palm_step(state, problem, cfg)
+        except LineSearchStalled:
+            reason = "stalled"
+            break
         except BacktrackCapError as e:
             e.records = Trace(records)
             raise

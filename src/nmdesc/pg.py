@@ -18,7 +18,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .nls import HistoryWindow, window_max, accept, backtrack_params, BacktrackCapError
+from .nls import (
+    HistoryWindow,
+    window_max,
+    accept,
+    backtrack_params,
+    cap_error,
+    BacktrackCapError,
+    LineSearchStalled,
+)
 from .trace import Trace, TraceRecord
 
 
@@ -252,8 +260,9 @@ def pg_step(state, problem, config):
     and the record's objective, and the accepted one's gradient is carried
     as grad f(x^{k+1}). A trial with beta > 0 also evaluates the gradient
     at y, from the extrapolated linear image of the iterates. Returns (new
-    state, TraceRecord, init dict). Raises BacktrackCapError carrying the
-    last rejected candidate when the inner loop exhausts its budget.
+    state, TraceRecord, init dict). When the inner loop exhausts its budget
+    it raises `nls.cap_error`'s exception: LineSearchStalled if rounding
+    alone rejected the last candidate, else BacktrackCapError carrying it.
     """
     if config.beta_rule == "nesterov":
         beta0, t_next = nesterov_beta(state.t_prev, state.t_cur)
@@ -297,7 +306,8 @@ def pg_step(state, problem, config):
         if accept(h_cand, state.window, config.alpha, step_sq):
             break
     else:
-        raise BacktrackCapError(state.k, config.max_backtracks, candidate)
+        raise cap_error(state.k, config.max_backtracks, candidate, h_cand,
+                        state.window, config.alpha, step_sq)
 
     _, wnorm = subgrad_witness_pg(
         candidate, state.x, y, tau, grad_new, gy, config.delta
@@ -339,7 +349,9 @@ def pg_step(state, problem, config):
 def pg_run(problem, x0, config, trace_sink=None):
     """Run the line-search method from x0 until the stopping rule fires.
 
-    The result's stop reason is "tolerance", "max_iters", or "time_budget".
+    The result's stop reason is "tolerance", "max_iters", "time_budget", or
+    "stalled" (the line search stalled on rounding; x is the last accepted
+    iterate).
     """
     cfg = config.validated(problem.lipschitz)
     x0 = np.asarray(x0, dtype=np.float64)
@@ -363,6 +375,9 @@ def pg_run(problem, x0, config, trace_sink=None):
     for _ in range(cfg.max_iters):
         try:
             state, rec, init = pg_step(state, problem, cfg)
+        except LineSearchStalled:
+            reason = "stalled"
+            break
         except BacktrackCapError as e:
             e.records = Trace(records)  # trace so far, for persistence by callers
             raise

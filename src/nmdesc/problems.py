@@ -76,7 +76,10 @@ class LogRegInstance:
     """Synthetic classification instance with a planted sparse predictor.
 
     A_tilde has rows (a_i^T, 1); the intercept is the last coordinate and
-    is excluded from the zero-norm penalty.
+    is excluded from the zero-norm penalty. The generator and the loader
+    store it as the transpose view of a C-contiguous (p+1) x n array, so
+    each coordinate's column of A_tilde is one contiguous row of
+    A_tilde.T (see `logreg_problem`).
     """
 
     A_tilde: np.ndarray
@@ -121,11 +124,21 @@ def gen_logreg(n, p, s, seed, lam=0.1, mu=1e-10):
     eps = float(rng.uniform(0.0, 1.0))
     margin = A @ x_hat + eps
     b = np.where(margin >= 0.0, 1.0, -1.0)
-    A_tilde = np.hstack([A, np.ones((n, 1))])
     return LogRegInstance(
-        A_tilde=A_tilde, b=b, lam=float(lam), mu=float(mu),
+        A_tilde=_with_intercept(A), b=b, lam=float(lam), mu=float(mu),
         support=support, x_hat=x_hat, seed=int(seed), eps=eps,
     )
+
+
+def _with_intercept(A):
+    """[A, 1] for an n x p design A, as the transpose view of a C-contiguous
+    (p+1) x n array: the values of np.hstack([A, ones((n, 1))]), stored
+    column by column."""
+    n, p = A.shape
+    AT = np.empty((p + 1, n))
+    AT[:p] = A.T
+    AT[p] = 1.0
+    return AT.T
 
 
 def logreg_value_grad(x, instance, z=None):
@@ -143,17 +156,48 @@ def logreg_value_grad(x, instance, z=None):
     return value, grad
 
 
+# The l0 prox leaves few nonzeros in an iterate, so `logreg_problem` forms
+# the margins A_tilde x over its support S, as x[S] @ A_tilde.T[S] (a
+# gather of |S| contiguous rows), when that is cheaper than the dense
+# product. `benchmarks/bench_kernels.py` measures both over |S| (one BLAS
+# thread, np.flatnonzero included). At the desk size 200 x 2001 the dense
+# product takes 120-160 us and the support product 6-20 us up to
+# |S| = 20; the support product stopped winning between |S| = 250 and
+# 1000 over five runs, so the share 1/8 takes it only where it won in
+# every run. At 100 x 2001 it won up to |S| = 200-250. At 100 x 1001 it
+# wins only up to |S| = 50-75 and by at most 7 us, and at 60 x 301
+# (`perfbench`'s `cli-batch` instances) the dense product takes 4.5 us
+# and always wins: finding and gathering S costs as much.
+SUPPORT_MAX_SHARE = 8
+SUPPORT_MIN_ENTRIES = 200_000
+
+
+def margins_form(n, dim, support_size):
+    """How `logreg_problem` forms the margins of an n x dim A_tilde at a
+    point with support_size nonzeros: "support" or "dense"."""
+    if (n * dim >= SUPPORT_MIN_ENTRIES
+            and SUPPORT_MAX_SHARE * support_size < dim):
+        return "support"
+    return "dense"
+
+
 def logreg_problem(instance, lam=None):
     """CompositeProblem view of an instance.
 
     `smooth` computes the margins A_tilde x (unless it is given them) and
-    passes them to `logreg_value_grad`; it returns them as its z. ||A_tilde||
-    is exact, from the Gram matrix of A_tilde's smaller side, computed once
-    here and kept as `operator_norm`. The gradient Lipschitz constant is
+    passes them to `logreg_value_grad`; it returns them as its z. It takes
+    them over the support S of x, as x[S] @ A_tilde.T[S], where
+    `margins_form` says so, and as the dense product otherwise. A_tilde.T
+    is a view, no copy, when A_tilde is stored as `gen_logreg` and
+    `load_instance` store it. ||A_tilde|| is exact, from the Gram matrix
+    of A_tilde's smaller side, computed once here and kept as
+    `operator_norm`. The gradient Lipschitz constant is
     0.25*||A_tilde||^2 + mu.
     """
     lam = instance.lam if lam is None else float(lam)
     A = instance.A_tilde
+    AT = np.ascontiguousarray(A.T)
+    n, dim = A.shape
     norm_A = math.sqrt(_spectral_sq(A))
     L = 0.25 * norm_A**2 + instance.mu
     spec = ProxSpec(
@@ -161,9 +205,19 @@ def logreg_problem(instance, lam=None):
         skip_indices=frozenset([instance.p]),  # intercept unregularized
     )
 
+    if margins_form(n, dim, 0) == "support":
+        def margins(x):
+            S = np.flatnonzero(x)
+            if margins_form(n, dim, len(S)) == "support":
+                return x[S] @ AT[S]
+            return A @ x
+    else:  # too small for the support to pay: skip looking for it
+        def margins(x):
+            return A @ x
+
     def smooth(x, z=None):
         if z is None:
-            z = A @ x
+            z = margins(x)
         value, grad = logreg_value_grad(x, instance, z)
         return value, grad, z
 
@@ -436,9 +490,8 @@ def load_instance(path):
             b = np.array(f.readline().split(), dtype=np.float64)
             x_hat = np.array(f.readline().split(), dtype=np.float64)
             support = np.array(f.readline().split(), dtype=np.int64)
-            A_tilde = np.hstack([A, np.ones((n, 1))])
             return LogRegInstance(
-                A_tilde=A_tilde, b=b, lam=float(params["lambda"]),
+                A_tilde=_with_intercept(A), b=b, lam=float(params["lambda"]),
                 mu=float(params["mu"]), support=support, x_hat=x_hat,
                 seed=int(params["seed"]), eps=float(params["eps"]),
             )

@@ -25,7 +25,11 @@ class ProxSpec:
     mu: float = 0.0
     skip_indices: frozenset = field(default_factory=frozenset)
 
+    # skip_indices as an index array, built once for `value`
+    _skip: np.ndarray = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
+        object.__setattr__(self, "_skip", np.array(sorted(self.skip_indices), dtype=np.intp))
         if self.kind not in ("l0_vector", "ridge_l20_columns"):
             raise ValueError(f"unknown prox kind {self.kind!r}")
         if not (np.isfinite(self.lam) and self.lam >= 0):
@@ -37,10 +41,7 @@ class ProxSpec:
         """Evaluate the regularizer at x."""
         if self.kind == "l0_vector":
             x = np.asarray(x)
-            keep = np.ones(x.shape[0], dtype=bool)
-            for i in self.skip_indices:
-                keep[i] = False
-            return self.lam * np.count_nonzero(x[keep])
+            return self.lam * (np.count_nonzero(x) - np.count_nonzero(x[self._skip]))
         X = np.asarray(x)
         ncols = np.count_nonzero(np.any(X != 0.0, axis=0))
         return 0.5 * self.mu * float(np.sum(X * X)) + self.lam * ncols

@@ -185,6 +185,47 @@ class TestRun:
         assert trace.exists()
 
 
+# pgls on the desk logistic instance 103: its monotone line search stalls
+# on rounding (see tests/test_pg.py)
+STALLING = """\
+[problem]
+kind = logreg
+n = 200
+p = 2000
+s = 20
+seed = 103
+lam = 1.0
+mu = 1e-3
+"""
+
+
+class TestStall:
+    def test_run_reports_stall_and_exits_zero(self, tmp_path, capsys):
+        trace = tmp_path / "stalled.csv"
+        cfg = write_config(
+            tmp_path / "c.cfg",
+            STALLING + "[solver]\nname = pgls\nstop_tol = 1e-6\nmax_iters = 20000\n"
+            f"[output]\ntrace = {trace}\n",
+        )
+        assert main(["run", cfg, "--replay"]) == 0
+        assert "stop reason: stalled" in capsys.readouterr().out
+        assert len(read_trace_csv(str(trace))) > 100
+
+    def test_bench_keeps_a_stalled_trial(self, tmp_path, capsys):
+        out_dir = tmp_path / "b"
+        solver = "stop_tol = 1e-6\nmax_iters = 20000\n"
+        cfg = write_config(
+            tmp_path / "c.cfg",
+            STALLING + f"[bench]\nsolvers = pgls,pgnls\ntrials = 1\nout_dir = {out_dir}\n"
+            f"[solver.pgls]\n{solver}[solver.pgnls]\n{solver}",
+        )
+        assert main(["bench", cfg, "--replay"]) == 0
+        assert "failed" not in capsys.readouterr().err
+        assert (out_dir / "trace_pgls_trial0.csv").exists()
+        with open(out_dir / "bench_e.csv") as f:
+            assert f.readline().strip() == "t,pgls,pgnls"
+
+
 BENCH = """\
 [problem]
 kind = logreg

@@ -1,8 +1,20 @@
 """Acceptance window machinery."""
 
+import math
+
 import pytest
 
-from nmdesc.nls import HistoryWindow, accept, backtrack_params, window_max
+from nmdesc.nls import (
+    BacktrackCapError,
+    HistoryWindow,
+    LineSearchStalled,
+    STALL_ULPS,
+    accept,
+    backtrack_params,
+    cap_error,
+    stalled,
+    window_max,
+)
 
 
 def make_window(memory, values):
@@ -56,6 +68,40 @@ class TestAccept:
             accept(0.0, w, alpha=0.0, step_sq=1.0)
         with pytest.raises(ValueError):
             accept(0.0, w, alpha=0.1, step_sq=-1.0)
+
+
+class TestStallRule:
+    # the window bound and required decrease of pgls on the desk logistic
+    # instance 103 at the iteration where its line search stalls
+    BOUND = 138.58943424509303
+    ALPHA, STEP_SQ = 1e-5, 6.6e-24
+
+    def window(self):
+        return make_window(0, [self.BOUND])
+
+    def test_miss_of_a_few_ulp_stalls(self):
+        w = self.window()
+        for ulps in range(1, STALL_ULPS + 1):
+            candidate = self.BOUND + ulps * math.ulp(self.BOUND)
+            assert not accept(candidate, w, self.ALPHA, self.STEP_SQ)
+            assert stalled(candidate, w, self.ALPHA, self.STEP_SQ)
+            err = cap_error(7, 60, None, candidate, w, self.ALPHA, self.STEP_SQ)
+            assert isinstance(err, LineSearchStalled) and err.k == 7
+
+    def test_real_miss_raises_the_cap(self):
+        w = self.window()
+        candidate = self.BOUND + 1e-10
+        assert not stalled(candidate, w, self.ALPHA, self.STEP_SQ)
+        err = cap_error(7, 60, "last", candidate, w, self.ALPHA, self.STEP_SQ)
+        assert isinstance(err, BacktrackCapError)
+        assert (err.k, err.cap, err.last_candidate) == (7, 60, "last")
+
+    def test_required_decrease_above_rounding_raises_the_cap(self):
+        # a candidate at the bound that owes a real decrease has not stalled
+        w = self.window()
+        assert not stalled(self.BOUND, w, self.ALPHA, 1e-6)
+        assert isinstance(cap_error(7, 60, None, self.BOUND, w, self.ALPHA, 1e-6),
+                          BacktrackCapError)
 
 
 class TestBacktrackParams:

@@ -241,6 +241,23 @@ class TestRunAndVariants:
         assert trace_csv_string(via_variant.records, zero_times=True) == \
             trace_csv_string(explicit.records, zero_times=True)
 
+    def test_pgls_stalls_on_desk_instance_103(self):
+        # the monotone search meets a candidate that misses its bound by one
+        # ulp while owing a decrease of 1e-29: the run stops at the last
+        # accepted iterate instead of raising BacktrackCapError
+        from nmdesc.diagnostics import verify_H1
+
+        inst, prob = desk_logreg(103)
+        base = PgConfig(max_iters=20000, stop_tol=1e-6,
+                        tau0=10.0 / prob.operator_norm)
+        result = pg_run(prob, np.zeros(inst.p + 1), variant_config("pgls", base))
+        assert result.reason == "stalled"
+        last = result.records[-1]
+        assert 100 < last.k < 20000
+        assert last.objective == objective(prob, result.x)
+        cfg = result.extras["config"]
+        assert verify_H1(result.records, a=cfg.alpha / 2.0, m=cfg.m).passed
+
     def test_config_validation(self):
         prob = quadratic_problem()
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from nmdesc.problems import (
     load_instance,
     logreg_problem,
     logreg_value_grad,
+    margins_form,
     mc_oracle_form,
     mc_problem,
     mc_row_marginals,
@@ -50,6 +51,19 @@ class TestGenLogreg:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             gen_logreg(n=5, p=3, s=4, seed=0)
+
+    def test_design_is_transpose_backed(self, tmp_path):
+        # A_tilde is the transpose view of a C-contiguous (p+1) x n array,
+        # equal to [A, 1] built with hstack, from the generator and the loader
+        n, p = 15, 20
+        inst = gen_logreg(n=n, p=p, s=4, seed=5)
+        A = RngStream(5).standard_normal((n, p))  # the generator's first draw
+        reference = np.hstack([A, np.ones((n, 1))])
+        path = str(tmp_path / "inst.txt")
+        save_instance(path, inst)
+        for got in (inst.A_tilde, load_instance(path).A_tilde):
+            assert got.T.flags.c_contiguous and got.T.shape == (p + 1, n)
+            assert np.array_equal(got, reference)
 
 
 class TestLogRegSurface:
@@ -116,6 +130,38 @@ class TestLogRegSurface:
         assert z2 is z
         loss, _ = kernels.logistic_loss_terms(z, inst.b)
         assert v2 == float(np.sum(loss))
+
+    def test_support_margins_match_dense_on_both_sides_of_the_rule(self):
+        inst = gen_logreg(n=200, p=2000, s=20, seed=101, lam=1.0, mu=1e-3)
+        prob = logreg_problem(inst)
+        dim = inst.p + 1
+        edge = (dim - 1) // 8  # the largest support the rule takes sparse
+        rng = RngStream(4)
+        forms = set()
+        for size in (0, 1, 20, edge, edge + 1, 1000, dim):
+            x = np.zeros(dim)
+            x[rng.choice_subset(dim, size)] = rng.standard_normal(size)
+            forms.add(margins_form(inst.n, dim, size))
+            _, _, z = prob.smooth(x)
+            dense = inst.A_tilde @ x
+            assert np.linalg.norm(z - dense) <= 1e-12 * max(np.linalg.norm(dense), 1e-300)
+        assert margins_form(inst.n, dim, edge) == "support"
+        assert margins_form(inst.n, dim, edge + 1) == "dense"
+        assert forms == {"support", "dense"}
+        # too small for the support product: dense at any support
+        assert margins_form(60, 301, 0) == "dense"
+
+    def test_problem_allocates_no_design_copy(self):
+        inst = gen_logreg(n=200, p=2000, s=20, seed=101, lam=1.0, mu=1e-3)
+        tracemalloc.start()
+        try:
+            prob = logreg_problem(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # no n x (p+1) array (3.2 MB); the 200 x 200 Gram matrix is 0.32 MB
+        assert peak < 200 * 2001 * 8 / 4
+        assert prob.operator_norm > 0.0
 
     def test_coercive_along_rays(self):
         inst = gen_logreg(n=10, p=6, s=2, seed=13, mu=1e-2)

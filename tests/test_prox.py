@@ -63,6 +63,15 @@ class TestProxL0:
         v = np.array([1.0])
         assert prox_l0(v, 1.0, spec)[0] == 1.0
 
+    def test_value_counts_nonzeros_outside_skip_indices(self):
+        rng = RngStream(7)
+        for skip in (frozenset(), frozenset([0]), frozenset([4]), frozenset([1, 3])):
+            spec = ProxSpec(kind="l0_vector", lam=0.5, skip_indices=skip)
+            for _ in range(20):
+                x = np.where(rng.uniform(0.0, 1.0, 5) < 0.5, 0.0, 1.0)
+                brute = sum(1 for i in range(5) if i not in skip and x[i] != 0.0)
+                assert spec.value(x) == 0.5 * brute
+
     def test_skip_indices_pass_through(self):
         spec = ProxSpec(kind="l0_vector", lam=100.0, skip_indices=frozenset([1]))
         out = prox_l0(np.array([0.5, 0.5]), 1.0, spec)
