@@ -7,15 +7,17 @@ agreement with a reference on the same inputs. The sections:
 
 * the masked residual against the gather (UV^T)[rows, cols] - obs, and
   the logistic loss terms against `np.logaddexp`;
-* one block gradient of the matrix-completion oracle at the desk size of
-  the PALM experiments (200 x 200, rank 10, 8000 draws): the `np.add.at`
-  reference of `tests/conftest.py`, the sorted-segment form
-  (`masked_block_grad`) and the dense masked form (`masked_dense_grad`,
-  with the buffers a problem owns);
-* both forms over matrix size x observed density, with the form the rule
-  in `problems.mc_oracle_form` picks for each point, and per size the
-  ratio n1*n2/|Omega| where the dense form stops winning, which is where
-  the rule's ratio constant comes from;
+* the matrix-completion coupling at the desk size of the PALM experiments
+  (200 x 200, rank 10, 8000 draws): the `np.add.at` reference of
+  `tests/conftest.py`, and in each form the residual and one block
+  gradient from it: the sorted-segment form (`masked_residual`,
+  `masked_block_grad`) and the dense masked form (`masked_dense_residual`,
+  `masked_dense_grad`, with the buffers a problem owns);
+* both forms over matrix size x observed density, per block gradient with
+  both gradients taken from one residual (as at an accepted PALM point),
+  with the form the rule in `problems.mc_oracle_form` picks for each
+  point, and per size the ratio n1*n2/|Omega| where the dense form stops
+  winning, which is where the rule's ratio constant comes from;
 * one evaluation of a PG iterate on the desk logistic instance (n = 200,
   p = 2000): three separate oracle calls for its value, gradient and
   objective, one `smooth` call, and one `smooth` call given the margins
@@ -97,11 +99,13 @@ def main():
 
 class Forms:
     """Both forms of the block gradients on one index set, with the index
-    arrays and buffers a problem would build once."""
+    arrays and buffers a problem would build once; each method returns
+    both gradients from one residual, as `mc_problem`'s coupling does."""
 
     def __init__(self, n1, n2, rows, cols, obs):
-        self.by_row = kernels.block_index(rows, cols, obs)
-        self.by_col = kernels.block_index(cols, rows, obs)
+        self.omega = (rows, cols, obs)
+        self.by_row = kernels.block_index(rows, cols)
+        self.by_col = kernels.block_index(cols, rows)
         order = np.argsort(rows * n2 + cols)  # row-major, as mc_problem sorts
         self.flat = rows[order] * n2 + cols[order]
         self.obs = obs[order]
@@ -109,13 +113,14 @@ class Forms:
         self.D = np.zeros((n1, n2))
 
     def segment(self, U, V):
-        return (kernels.masked_block_grad(U, V, *self.by_row),
-                kernels.masked_block_grad(V, U, *self.by_col))
+        resid = kernels.masked_residual(U, V, *self.omega)
+        return (kernels.masked_block_grad(U, V, resid, *self.by_row),
+                kernels.masked_block_grad(V, U, resid, *self.by_col))
 
     def dense(self, U, V):
-        args = (self.flat, self.obs, self.P, self.D)
-        return (kernels.masked_dense_grad(U, V, *args, 0),
-                kernels.masked_dense_grad(U, V, *args, 1))
+        resid = kernels.masked_dense_residual(U, V, self.flat, self.obs, self.P)
+        return (kernels.masked_dense_grad(U, V, self.flat, resid, self.D, 0),
+                kernels.masked_dense_grad(U, V, self.flat, resid, self.D, 1))
 
 
 def block_grads(rng):
@@ -135,11 +140,16 @@ def block_grads(rng):
         assert np.allclose(gV, gV_ref, rtol=1e-12, atol=1e-12)
     print("block gradients against the np.add.at reference: ok")
 
-    dense = (forms.flat, forms.obs, forms.P, forms.D)
+    resid = kernels.masked_residual(U, V, rows, cols, obs)
+    dense_resid = kernels.masked_dense_residual(U, V, forms.flat, forms.obs, forms.P)
+    dense = (forms.flat, dense_resid, forms.D)
     cases = [
         ("grad_U+V add.at (ref)", add_at_grads, (U, V, rows, cols, obs)),
-        ("grad_U segment", kernels.masked_block_grad, (U, V, *forms.by_row)),
-        ("grad_V segment", kernels.masked_block_grad, (V, U, *forms.by_col)),
+        ("residual segment", kernels.masked_residual, (U, V, rows, cols, obs)),
+        ("grad_U segment", kernels.masked_block_grad, (U, V, resid, *forms.by_row)),
+        ("grad_V segment", kernels.masked_block_grad, (V, U, resid, *forms.by_col)),
+        ("residual dense", kernels.masked_dense_residual,
+         (U, V, forms.flat, forms.obs, forms.P)),
         ("grad_U dense", kernels.masked_dense_grad, (U, V, *dense, 0)),
         ("grad_V dense", kernels.masked_dense_grad, (U, V, *dense, 1)),
     ]
@@ -154,7 +164,8 @@ DENSITIES = (0.005, 0.01, 0.02, 0.03, 0.04, 0.05, 0.1, 0.2)
 
 
 def density_sweep(r=10):
-    """Per block gradient, both forms with buffers, over size x density."""
+    """Per block gradient, both forms with buffers, over size x density:
+    half the time of one residual and both gradients from it."""
     rng = np.random.default_rng(1)
     print(f"\nper block gradient over size x density (rank {r}); "
           "'rule' is the form mc_oracle_form picks")

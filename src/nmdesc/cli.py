@@ -301,6 +301,10 @@ def cmd_bench(args):
     if trials < 1:
         raise UsageError("bench needs at least 1 trial")
     grid_points = int(bench.get("grid_points", 50))
+    if grid_points < 2:
+        raise UsageError("bench needs grid_points >= 2")
+    if args.jobs < 1:
+        raise UsageError("bench needs --jobs >= 1")
     lam = bench.get("lam")
     lam = None if lam is None else float(lam)
     out_dir = bench.get("out_dir", "bench_out")
@@ -310,13 +314,12 @@ def cmd_bench(args):
         name: dict(cfg.get(f"solver.{name}", {})) for name in solvers
     }
 
-    jobs = max(1, args.jobs)
     results = [None] * trials
-    if jobs == 1:
+    if args.jobs == 1:
         for t in range(trials):
             results[t] = _bench_trial(cfg, solvers, solver_opts, base_seed, t, lam)
     else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
             futures = {
                 pool.submit(
                     _bench_trial, cfg, solvers, solver_opts, base_seed, t, lam

@@ -16,19 +16,19 @@ __all__ = [
 ]
 
 
-def block_index(own, other, obs):
+def block_index(own, other):
     """The observed index set sorted by one block's index, for
     `masked_block_grad`.
 
     `own` holds each observation's row index in that block's factor (the
     rows of Omega for U, its columns for V) and `other` its row index in the
-    other factor. Returns (own, other, obs) permuted into a stable sort on
-    `own`, the start of each run of equal `own` values, and those values.
+    other factor. Returns the stable sort order on `own`, `other` permuted
+    into it, the start of each run of equal `own` values, and those values.
     """
     order = np.argsort(own, kind="stable")
     own_sorted = own[order]
     starts = np.flatnonzero(np.diff(own_sorted, prepend=-1))
-    return own_sorted, other[order], obs[order], starts, own_sorted[starts]
+    return order, other[order], starts, own_sorted[starts]
 
 
 # -- dense masked form ---------------------------------------------------------
@@ -45,17 +45,18 @@ def masked_dense_residual(U, V, flat, obs, P):
     return P.take(flat) - obs
 
 
-def masked_dense_grad(U, V, flat, obs, P, D, block):
-    """One block's gradient of 0.5*||P_Omega(UV^T - M)||_F^2 in dense form:
-    D V for the U block (`block` 0), D^T U for the V block (`block` 1).
+def masked_dense_grad(U, V, flat, resid, D, block):
+    """One block's gradient of 0.5*||P_Omega(UV^T - M)||_F^2 in dense form,
+    from the residual `resid` at (U, V) in the order of `flat`: D V for the
+    U block (`block` 0), D^T U for the V block (`block` 1).
 
     D is the caller's C-contiguous n1 x n2 buffer of the masked residual.
     Only its Omega entries are written, so it must be zero off Omega when
-    first passed and stays so between calls. P is the buffer of
-    `masked_dense_residual`. Omega's entries must be distinct (a repeated
-    index would keep one residual); sorted flat indices scatter fastest.
+    first passed and stays so between calls. Omega's entries must be
+    distinct (a repeated index would keep one residual); sorted flat
+    indices scatter fastest.
     """
-    D.reshape(-1)[flat] = masked_dense_residual(U, V, flat, obs, P)
+    D.reshape(-1)[flat] = resid
     return D @ V if block == 0 else D.T @ U
 
 
@@ -66,18 +67,18 @@ def masked_residual(U, V, rows, cols, obs):
     return np.einsum("ij,ij->i", U.take(rows, axis=0), V.take(cols, axis=0)) - obs
 
 
-def masked_block_grad(A, B, own, other, obs, starts, ids):
+def masked_block_grad(A, B, resid, order, other, starts, ids):
     """Gradient of 0.5*||P_Omega(UV^T - M)||_F^2 in the factor A, with B the
-    other factor and the index arrays from `block_index` for A's block.
+    other factor, `resid` the residual at (U, V) over the observed index
+    set, and the index arrays from `block_index` for A's block.
 
-    The residual is evaluated in A's sorted order, so the gathered rows of B
-    serve both the residual and the gradient terms, and each row of the
+    The residual is permuted into A's sorted order, so each row of the
     gradient is one segment sum. Rows of A with no observation get zeros.
     """
-    B_other = B.take(other, axis=0)
-    resid = np.einsum("ij,ij->i", A.take(own, axis=0), B_other) - obs
+    terms = B.take(other, axis=0)
+    terms *= resid.take(order)[:, None]
     grad = np.zeros_like(A)
-    grad[ids] = np.add.reduceat(resid[:, None] * B_other, starts, axis=0)
+    grad[ids] = np.add.reduceat(terms, starts, axis=0)
     return grad
 
 

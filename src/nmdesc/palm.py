@@ -99,16 +99,16 @@ def variant_config(name, base=None):
 class BlockIterateState:
     """Iterate z^k = (x, y, x_prev, y_prev) with the line-search history.
 
-    After an accepted step the state also carries the step's extrapolation
-    weight, extrapolated points and step sizes, the gradients its trial
-    computed (gx_trial = grad_x(xt_last, y_prev), gy_trial =
-    grad_y(x, yt_last)), and the gradients at the new point
-    (gx = grad_x(x, y), gy = grad_y(x, y)). The witness uses all four. The
-    next step reuses gx and gy in its Barzilai-Borwein initialization and
-    gx as the trial gradient of a zero-extrapolation trial, whose x~ is x;
-    after a step with beta_last = 0, yt_last is y_prev, so gy_trial is also
-    the initialization's grad_y(x, y_prev). Where a gradient is None it is
-    computed from the problem.
+    The state carries the coupling's gradients at (x, y): gx = grad_x H(x, y)
+    and gy = grad_y H(x, y), from the evaluation that gave the point's
+    objective. After an accepted step it also carries the step's
+    extrapolation weight, extrapolated points and step sizes, and the
+    gradients its trial computed (gx_trial = grad_x H(xt_last, y_prev),
+    gy_trial = grad_y H(x, yt_last)). The witness uses all four. The next
+    step reuses gx and gy in its Barzilai-Borwein initialization and gx as
+    the trial gradient of a zero-extrapolation trial, whose x~ is x; after
+    a step with beta_last = 0, yt_last is y_prev, so gy_trial is also the
+    initialization's grad_y H(x, y_prev).
     """
 
     x: np.ndarray
@@ -130,10 +130,6 @@ class BlockIterateState:
     gy_trial: np.ndarray = None
     gx: np.ndarray = None
     gy: np.ndarray = None
-
-
-def _grad(carried, grad, x, y):
-    return grad(x, y) if carried is None else carried
 
 
 def _upsilon(objective, x, y, u, v, delta):
@@ -161,16 +157,19 @@ def bb_init_tau_blocks(state, problem, tau_lo, tau_hi):
 
     The x secant uses gradients at the CURRENT y^k; the y secant uses the
     CURRENT x^k. A zero block difference reuses the previous initialization.
-    The gradients at (x^k, y^k) come from the state when it carries them,
-    and so does grad_y(x^k, y^{k-1}) after a step without extrapolation.
+    The gradients at (x^k, y^k) come from the state, and so does
+    grad_y H(x^k, y^{k-1}) after a step without extrapolation.
     """
     dx = state.x - state.x_prev
     dy = state.y - state.y_prev
-    gx = _grad(state.gx, problem.grad_x, state.x, state.y)
-    gy = _grad(state.gy, problem.grad_y, state.x, state.y)
-    gy_prev = state.gy_trial if state.beta_last == 0.0 else None
-    dhx = gx - problem.grad_x(state.x_prev, state.y)
-    dhy = gy - _grad(gy_prev, problem.grad_y, state.x, state.y_prev)
+    _, grad_x, _ = problem.coupling(state.x_prev, state.y)
+    dhx = state.gx - grad_x()
+    if state.beta_last == 0.0:
+        gy_prev = state.gy_trial
+    else:
+        _, _, grad_y = problem.coupling(state.x, state.y_prev)
+        gy_prev = grad_y()
+    dhy = state.gy - gy_prev
     tau1 = _bb_ratio(dx, dhx, tau_lo, tau_hi, state.tau1_init_prev)
     tau2 = _bb_ratio(dy, dhy, tau_lo, tau_hi, state.tau2_init_prev)
     return tau1, tau2
@@ -214,25 +213,15 @@ def backtrack_bound_palm(tau1_0, tau2_0, beta0, config, L1k, L2k1):
     return l_tau + l_beta + 1
 
 
-def subgrad_witness_palm(state, problem, delta):
+def subgrad_witness_palm(state, delta):
     """Subgradient witness at z^{k+1} from the two prox optimality conditions
-    of the last accepted step; requires the logged extrapolated points.
-    Gradients the state carries are used as they are, the others computed."""
+    of the last accepted step, from the extrapolated points, step sizes and
+    the four gradients the state carries."""
     x, y = state.x, state.y
     xp, yp = state.x_prev, state.y_prev
     xt, yt = state.xt_last, state.yt_last
-    w1 = (
-        _grad(state.gx, problem.grad_x, x, y)
-        - _grad(state.gx_trial, problem.grad_x, xt, yp)
-        - (x - xt) / state.tau1_last
-        + delta * (x - xp)
-    )
-    w2 = (
-        _grad(state.gy, problem.grad_y, x, y)
-        - _grad(state.gy_trial, problem.grad_y, x, yt)
-        - (y - yt) / state.tau2_last
-        + delta * (y - yp)
-    )
+    w1 = state.gx - state.gx_trial - (x - xt) / state.tau1_last + delta * (x - xp)
+    w2 = state.gy - state.gy_trial - (y - yt) / state.tau2_last + delta * (y - yp)
     w3 = delta * (xp - x)
     w4 = delta * (yp - y)
     norm = math.sqrt(_sq(w1) + _sq(w2) + _sq(w3) + _sq(w4))
@@ -252,11 +241,13 @@ def palm_step(state, problem, config):
     Both block updates are recomputed on every backtrack: the x block at the
     extrapolated x with y^k fixed, then the y block at the extrapolated y
     with the NEW x. A trial with beta = 0 takes its x block at x^k itself,
-    with the gradient the state carries there (evaluated once if it carries
-    none). The accepted trial's gradients and the gradients at the new
-    point go on the returned state, for the witness and the next step's
-    initialization. Returns (state, TraceRecord, init dict). At the
-    backtrack cap it raises `nls.cap_error`'s exception, as `pg_step` does.
+    with the gradient the state carries there. Each trial evaluates the
+    coupling at its point for the potential; only the accepted trial's
+    evaluation is asked for the gradients at the new point. These and the
+    accepted trial's gradients go on the returned state, for the witness
+    and the next step's initialization. Returns (state, TraceRecord, init
+    dict). At the backtrack cap it raises `nls.cap_error`'s exception, as
+    `pg_step` does.
     """
     if config.beta_rule == "nesterov":
         beta0, t_next = nesterov_beta(state.t_prev, state.t_cur)
@@ -272,21 +263,20 @@ def palm_step(state, problem, config):
         tau1_0 = min(max(config.tau1_0, config.tau_lo), config.tau_hi)
         tau2_0 = min(max(config.tau2_0, config.tau_lo), config.tau_hi)
 
-    gx = state.gx
-    x_new = None
     for l in range(config.max_backtracks + 1):
         beta = beta0 * config.eta**l
         tau1 = max(tau1_0 * config.eta1**l, config.tau_lo)
         tau2 = max(tau2_0 * config.eta2**l, config.tau_lo)
         if beta == 0.0:
-            gx = _grad(gx, problem.grad_x, state.x, state.y)
-            xt, yt, gx_trial = state.x, state.y, gx
+            xt, yt, gx_trial = state.x, state.y, state.gx
         else:
             xt = state.x + beta * (state.x - state.x_prev)
             yt = state.y + beta * (state.y - state.y_prev)
-            gx_trial = problem.grad_x(xt, state.y)
+            _, grad_x, _ = problem.coupling(xt, state.y)
+            gx_trial = grad_x()
         x_new = problem.f_prox(xt - tau1 * gx_trial, tau1)
-        gy_trial = problem.grad_y(x_new, yt)
+        _, _, grad_y = problem.coupling(x_new, yt)
+        gy_trial = grad_y()
         y_new = problem.g_prox(yt - tau2 * gy_trial, tau2)
         step_sq = (
             _sq(x_new - state.x)
@@ -294,7 +284,7 @@ def palm_step(state, problem, config):
             + _sq(state.x - state.x_prev)
             + _sq(state.y - state.y_prev)
         )
-        obj = problem.objective(x_new, y_new)
+        obj, grad_x, grad_y = problem.objective(x_new, y_new)
         ups = _upsilon(obj, x_new, y_new, state.x, state.y, config.delta)
         if accept(ups, state.window, config.alpha, step_sq):
             break
@@ -308,9 +298,9 @@ def palm_step(state, problem, config):
         tau1_init_prev=tau1_0, tau2_init_prev=tau2_0, beta_last=beta,
         xt_last=xt, yt_last=yt, tau1_last=tau1, tau2_last=tau2,
         gx_trial=gx_trial, gy_trial=gy_trial,
-        gx=problem.grad_x(x_new, y_new), gy=problem.grad_y(x_new, y_new),
+        gx=grad_x(), gy=grad_y(),
     )
-    _, wnorm = subgrad_witness_palm(new_state, problem, config.delta)
+    _, wnorm = subgrad_witness_palm(new_state, config.delta)
     new_state.window.push(state.k + 1, ups)
     _, ell = window_max(new_state.window)
     record = TraceRecord(
@@ -354,12 +344,12 @@ def palm_run(problem, x0, y0, config, trace_sink=None):
         cfg.tau2_0 = 100.0 / max(problem.L2(x0), 1e-12)
 
     window = HistoryWindow(cfg.m)
-    obj0 = problem.objective(x0, y0)
+    obj0, grad_x, grad_y = problem.objective(x0, y0)
     ups0 = _upsilon(obj0, x0, y0, x0, y0, cfg.delta)
     window.push(0, ups0)
     state = BlockIterateState(
         x=x0.copy(), y=y0.copy(), x_prev=x0.copy(), y_prev=y0.copy(),
-        window=window,
+        window=window, gx=grad_x(), gy=grad_y(),
     )
     rec = TraceRecord(
         k=0, time_s=0.0, objective=obj0,
@@ -422,15 +412,16 @@ def palm_run(problem, x0, y0, config, trace_sink=None):
 def palm_baseline_run(problem, x0, y0, config, extrapolate=False, trace_sink=None):
     """Classical PALM: fixed steps 1/L1(y^k) then 1/L2(x^{k+1}), no line
     search. With `extrapolate`, the prox steps are taken at Nesterov-
-    extrapolated points (PALMe). An iteration with beta = 0 takes its x
-    block at x^k with grad_x(x^k, y^k), carried from the witness of the
-    iteration before."""
+    extrapolated points (PALMe). The coupling is evaluated once at each
+    distinct point: the evaluation that gives an iterate's objective also
+    gives its gradients, for the witness and, where beta = 0, for the next
+    iteration's x block at x^k."""
     x = np.asarray(x0, dtype=np.float64).copy()
     y = np.asarray(y0, dtype=np.float64).copy()
     x_prev, y_prev = x.copy(), y.copy()
     t_prev, t_cur = 1.0, 1.0
-    gx = None  # grad_x(x, y), once known
-    obj = problem.objective(x, y)
+    obj, grad_x, _ = problem.objective(x, y)
+    gx = grad_x()
     rec = TraceRecord(
         k=0, time_s=0.0, objective=obj, potential=obj, step_norm=0.0,
         witness_norm=math.inf, beta=0.0, tau1=0.0, tau2=0.0, ell=0,
@@ -448,27 +439,28 @@ def palm_baseline_run(problem, x0, y0, config, extrapolate=False, trace_sink=Non
             beta, t_next = 0.0, t_cur
         tau1 = 1.0 / max(problem.L1(y), 1e-12)
         if beta == 0.0:
-            xt, yt = x, y
-            gx_trial = _grad(gx, problem.grad_x, x, y)
+            xt, yt, gx_trial = x, y, gx
         else:
             xt = x + beta * (x - x_prev)
             yt = y + beta * (y - y_prev)
-            gx_trial = problem.grad_x(xt, y)
+            _, grad_x, _ = problem.coupling(xt, y)
+            gx_trial = grad_x()
         x_new = problem.f_prox(xt - tau1 * gx_trial, tau1)
         tau2 = 1.0 / max(problem.L2(x_new), 1e-12)
-        gy_trial = problem.grad_y(x_new, yt)
+        _, _, grad_y = problem.coupling(x_new, yt)
+        gy_trial = grad_y()
         y_new = problem.g_prox(yt - tau2 * gy_trial, tau2)
         step = math.sqrt(_sq(x_new - x) + _sq(y_new - y))
-        gx = problem.grad_x(x_new, y_new)
+        obj, grad_x, grad_y = problem.objective(x_new, y_new)
+        gx = grad_x()
         probe = BlockIterateState(
             x=x_new, y=y_new, x_prev=x, y_prev=y, window=None,
             xt_last=xt, yt_last=yt, tau1_last=tau1, tau2_last=tau2,
-            gx_trial=gx_trial, gy_trial=gy_trial, gx=gx,
+            gx_trial=gx_trial, gy_trial=gy_trial, gx=gx, gy=grad_y(),
         )
-        _, wnorm = subgrad_witness_palm(probe, problem, 0.0)
+        _, wnorm = subgrad_witness_palm(probe, 0.0)
         x_prev, y_prev, x, y = x, y, x_new, y_new
         t_prev, t_cur = t_cur, t_next
-        obj = problem.objective(x, y)
         rec = TraceRecord(
             k=k + 1, time_s=time.perf_counter() - start,
             objective=obj, potential=obj,

@@ -49,24 +49,29 @@ class CompositeProblem:
 class BlockProblem:
     """Psi(x, y) = f(x) + g(y) + H(x, y) over two blocks.
 
-    `lipschitz_ball_bounds(R1, R2)` returns (M, L2bar): a Lipschitz modulus
-    of grad_x H jointly in (x, y) over balls of radii R1, R2, and the max of
-    L2(x) over the x-ball. Used only by the relative-error diagnostics.
+    `coupling(x, y)` is the one oracle of H: a single evaluation returns
+    (H(x, y), grad_x, grad_y), where grad_x() and grad_y() give the block
+    gradients at that same point from what the evaluation computed. A
+    caller that needs no gradient, or only one, does not pay for the
+    other. `lipschitz_ball_bounds(R1, R2)` returns (M, L2bar): a Lipschitz
+    modulus of grad_x H jointly in (x, y) over balls of radii R1, R2, and
+    the max of L2(x) over the x-ball. Used only by the relative-error
+    diagnostics.
     """
 
     f_value: Callable
     f_prox: Callable
     g_value: Callable
     g_prox: Callable
-    H: Callable
-    grad_x: Callable
-    grad_y: Callable
+    coupling: Callable
     L1: Callable
     L2: Callable
     lipschitz_ball_bounds: Optional[Callable] = None
 
     def objective(self, x, y):
-        return self.f_value(x) + self.g_value(y) + self.H(x, y)
+        """(Psi(x, y), grad_x, grad_y), with the gradients of `coupling`."""
+        h, grad_x, grad_y = self.coupling(x, y)
+        return self.f_value(x) + self.g_value(y) + h, grad_x, grad_y
 
 
 # -- zero-norm regularized logistic regression --------------------------------
@@ -315,10 +320,10 @@ def _spectral_sq(X):
 # block gradient costs about 2*n1*n2*r multiply-adds, where the
 # sorted-segment form gathers |Omega| row pairs. `benchmarks/bench_kernels.py`
 # measures the crossover in the ratio n1*n2/|Omega| (rank 10, one BLAS
-# thread): the dense form wins from 50 down at 200 x 200 and from 20 down at
-# 500 x 500 and 1000 x 1000; at 2000 x 2000 it is 10 % slower at 20 and
-# twice as fast at 10. Each of its two buffers takes n1*n2*8 bytes, which
-# caps the size it is used at.
+# thread): with both gradients from one residual the dense form wins from
+# 100 down at 200 x 200 and from 10-20 down at 500 x 500 to 2000 x 2000.
+# Each of its two buffers takes n1*n2*8 bytes, which caps the size it is
+# used at.
 DENSE_MAX_RATIO = 20
 DENSE_MAX_BYTES = 2**25
 
@@ -335,24 +340,29 @@ def mc_problem(instance, lam=None):
     """BlockProblem view: ridge + column-l20 on each factor, masked residual
     coupling. Ball-based Lipschitz bounds use the closed forms for this H.
 
-    The coupling is evaluated in one of two forms, chosen by
-    `mc_oracle_form` from the size and the number of observed entries:
+    `coupling(U, V)` forms the residual r = (UV^T)[Omega] - obs once and
+    returns H = 0.5*||r||^2 with the two block gradients, each computed
+    from r when it is asked for. It evaluates in one of two forms, chosen
+    by `mc_oracle_form` from the size and the number of observed entries:
 
-    * dense: P = UV^T is formed in an n1 x n2 buffer; `H` takes the
-      residual at Omega from it, and each block gradient writes the
-      residual into a second buffer D that is zero off Omega, then returns
-      D V or D^T U (`kernels.masked_dense_grad`);
-    * sorted-segment, for sparse or large instances: Omega is sorted by row
-      and by column once, here; `H` gathers the residual row pairs and each
-      block gradient is per-row segment sums in its block's sorted order
+    * dense: P = UV^T is formed in an n1 x n2 buffer and r taken from it
+      (`kernels.masked_dense_residual`); a block gradient writes r into a
+      second buffer D that is zero off Omega, then returns D V or D^T U
+      (`kernels.masked_dense_grad`);
+    * sorted-segment, for sparse or large instances: r is taken from the
+      gathered row pairs (`kernels.masked_residual`), and Omega is sorted
+      by row and by column once, here, so that a block gradient is per-row
+      segment sums of r in its block's sorted order
       (`kernels.masked_block_grad`).
 
-    The dense buffers belong to the returned problem, and its oracles write
+    The dense buffers belong to the returned problem, and its oracle writes
     them on every call, so one problem must not be evaluated from two
-    threads at once: build one per solve (as `cli.solve` does). The segment
-    form allocates no buffer. Omega must hold distinct entries, as
-    `gen_mc` makes it. `L1` and `L2` are the exact moduli ||V||^2 and
-    ||U||^2.
+    threads at once: build one per solve (as `cli.solve` does). A gradient
+    asked for after later evaluations is still that of its own point: r is
+    its own array, and D is written at every entry of Omega before each
+    product. The segment form allocates no buffer. Omega must hold distinct
+    entries, as `gen_mc` makes it. `L1` and `L2` are the exact moduli
+    ||V||^2 and ||U||^2.
     """
     lam = instance.lam if lam is None else float(lam)
     mu = instance.mu
@@ -368,28 +378,20 @@ def mc_problem(instance, lam=None):
         P = np.empty((n1, n2))
         D = np.zeros((n1, n2))
 
-        def H(U, V):
+        def coupling(U, V):
             resid = kernels.masked_dense_residual(U, V, flat, obs, P)
-            return 0.5 * float(resid @ resid)
-
-        def grad_x(U, V):
-            return kernels.masked_dense_grad(U, V, flat, obs, P, D, 0)
-
-        def grad_y(U, V):
-            return kernels.masked_dense_grad(U, V, flat, obs, P, D, 1)
+            return (0.5 * float(resid @ resid),
+                    lambda: kernels.masked_dense_grad(U, V, flat, resid, D, 0),
+                    lambda: kernels.masked_dense_grad(U, V, flat, resid, D, 1))
     else:
-        by_row = kernels.block_index(rows, cols, obs)
-        by_col = kernels.block_index(cols, rows, obs)
+        by_row = kernels.block_index(rows, cols)
+        by_col = kernels.block_index(cols, rows)
 
-        def H(U, V):
+        def coupling(U, V):
             resid = kernels.masked_residual(U, V, rows, cols, obs)
-            return 0.5 * float(resid @ resid)
-
-        def grad_x(U, V):
-            return kernels.masked_block_grad(U, V, *by_row)
-
-        def grad_y(U, V):
-            return kernels.masked_block_grad(V, U, *by_col)
+            return (0.5 * float(resid @ resid),
+                    lambda: kernels.masked_block_grad(U, V, resid, *by_row),
+                    lambda: kernels.masked_block_grad(V, U, resid, *by_col))
 
     def ball_bounds(R1, R2):
         # grad_U = P_Omega(UV^T - M) V; entrywise |P_Omega| <= identity.
@@ -404,9 +406,7 @@ def mc_problem(instance, lam=None):
         f_prox=lambda v, tau: prox_ridge_l20_columns(v, tau, spec),
         g_value=spec.value,
         g_prox=lambda v, tau: prox_ridge_l20_columns(v, tau, spec),
-        H=H,
-        grad_x=grad_x,
-        grad_y=grad_y,
+        coupling=coupling,
         L1=_spectral_sq,
         L2=_spectral_sq,
         lipschitz_ball_bounds=ball_bounds,

@@ -200,7 +200,7 @@ class TestGradientProbes:
         assert time.perf_counter() - start < 30.0
 
     def test_completion_gradients(self):
-        # the H, grad_x and grad_y the solvers call, in both oracle forms:
+        # the coupling oracle the solvers call, in both forms:
         # 80 draws on 15 x 12 take the dense form, 80 on 60 x 50 the
         # sorted-segment form
         start = time.perf_counter()
@@ -219,9 +219,10 @@ class TestGradientProbes:
                 scale = math.sqrt(float(np.sum(dU * dU) + np.sum(dV * dV)))
                 dU /= scale
                 dV /= scale
-                hp = prob.H(U + h * dU, V + h * dV)
-                hm = prob.H(U - h * dU, V - h * dV)
-                gU, gV = prob.grad_x(U, V), prob.grad_y(U, V)
+                hp = prob.coupling(U + h * dU, V + h * dV)[0]
+                hm = prob.coupling(U - h * dU, V - h * dV)[0]
+                _, grad_x, grad_y = prob.coupling(U, V)
+                gU, gV = grad_x(), grad_y()
                 exact = float(np.sum(gU * dU) + np.sum(gV * dV))
                 assert abs((hp - hm) / (2.0 * h) - exact) <= 1e-5 * max(1.0, abs(exact))
         assert time.perf_counter() - start < 30.0

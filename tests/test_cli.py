@@ -347,6 +347,24 @@ class TestBench:
         )
         assert main(["bench", cfg]) == 2
 
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_too_few_grid_points_rejected_before_solving(self, tmp_path, capsys,
+                                                         points):
+        out = tmp_path / "b"
+        text = BENCH.format(out_dir=out).replace("grid_points = 30",
+                                                 f"grid_points = {points}")
+        assert main(["bench", write_config(tmp_path / "c.cfg", text)]) == 2
+        assert "grid_points" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_nonpositive_jobs_rejected_before_solving(self, tmp_path, capsys, jobs):
+        out = tmp_path / "b"
+        cfg = write_config(tmp_path / "c.cfg", BENCH.format(out_dir=out))
+        assert main(["bench", cfg, "--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def trace_path(tmp_path_factory):

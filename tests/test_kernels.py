@@ -27,12 +27,18 @@ def test_active_backend_matches_reference_residual():
     assert np.allclose(out, ref, rtol=1e-13, atol=1e-15)
 
 
+def segment_grads(U, V, rows, cols, obs):
+    """Both block gradients in the sorted-segment form, from one residual."""
+    resid = kernels.masked_residual(U, V, rows, cols, obs)
+    return (kernels.masked_block_grad(U, V, resid, *kernels.block_index(rows, cols)),
+            kernels.masked_block_grad(V, U, resid, *kernels.block_index(cols, rows)))
+
+
 def test_active_backend_matches_reference_grads():
     # repeated draws included: the segment form sums them as the reference does
     U, V, rows, cols, obs = random_mc_inputs(seed=1)
     gU_ref, gV_ref = add_at_grads(U, V, rows, cols, obs)
-    gU = kernels.masked_block_grad(U, V, *kernels.block_index(rows, cols, obs))
-    gV = kernels.masked_block_grad(V, U, *kernels.block_index(cols, rows, obs))
+    gU, gV = segment_grads(U, V, rows, cols, obs)
     assert np.allclose(gU, gU_ref, rtol=1e-13, atol=1e-15)
     assert np.allclose(gV, gV_ref, rtol=1e-13, atol=1e-15)
 
@@ -50,21 +56,21 @@ def sparse_mask_inputs(seed, n1=30, n2=25, r=4, p=120):
 
 
 def dense_grads(U, V, rows, cols, obs, D=None):
-    """Both block gradients in the dense form, with fresh buffers unless a
-    residual buffer D is passed."""
+    """Both block gradients in the dense form, from one residual, with fresh
+    buffers unless a residual buffer D is passed."""
     P = np.empty((U.shape[0], V.shape[0]))
     D = np.zeros_like(P) if D is None else D
     flat = rows * V.shape[0] + cols
-    return (kernels.masked_dense_grad(U, V, flat, obs, P, D, 0),
-            kernels.masked_dense_grad(U, V, flat, obs, P, D, 1))
+    resid = kernels.masked_dense_residual(U, V, flat, obs, P)
+    return (kernels.masked_dense_grad(U, V, flat, resid, D, 0),
+            kernels.masked_dense_grad(U, V, flat, resid, D, 1))
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_block_grads_match_reference_with_unobserved_rows(seed):
     U, V, rows, cols, obs = sparse_mask_inputs(seed)
     gU_ref, gV_ref = add_at_grads(U, V, rows, cols, obs)
-    segment = (kernels.masked_block_grad(U, V, *kernels.block_index(rows, cols, obs)),
-               kernels.masked_block_grad(V, U, *kernels.block_index(cols, rows, obs)))
+    segment = segment_grads(U, V, rows, cols, obs)
     unobserved_rows = np.setdiff1d(np.arange(U.shape[0]), rows)
     unobserved_cols = np.setdiff1d(np.arange(V.shape[0]), cols)
     assert len(unobserved_rows) > 0 and len(unobserved_cols) > 0
@@ -99,12 +105,11 @@ def test_dense_residual_matches_gather():
 
 def test_block_index_segments():
     own = np.array([3, 0, 3, 1, 0, 3])
-    other = np.arange(6)
-    obs = np.arange(6) * 10.0
-    own_s, other_s, obs_s, starts, ids = kernels.block_index(own, other, obs)
-    assert own_s.tolist() == [0, 0, 1, 3, 3, 3]
-    assert other_s.tolist() == [1, 4, 3, 0, 2, 5]  # stable within a segment
-    assert obs_s.tolist() == [10.0, 40.0, 30.0, 0.0, 20.0, 50.0]
+    other = np.arange(6) * 10
+    order, other_s, starts, ids = kernels.block_index(own, other)
+    assert order.tolist() == [1, 4, 3, 0, 2, 5]  # stable within a segment
+    assert own[order].tolist() == [0, 0, 1, 3, 3, 3]
+    assert other_s.tolist() == [10, 40, 30, 0, 20, 50]
     assert starts.tolist() == [0, 2, 3]
     assert ids.tolist() == [0, 1, 3]
 

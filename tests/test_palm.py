@@ -34,9 +34,8 @@ def decoupled_problem():
         f_prox=lambda v, tau: v / (1.0 + tau),
         g_value=lambda y: 0.5 * float(np.sum(y * y)),
         g_prox=lambda v, tau: v / (1.0 + tau),
-        H=lambda x, y: 0.0,
-        grad_x=lambda x, y: np.zeros_like(x),
-        grad_y=lambda x, y: np.zeros_like(y),
+        coupling=lambda x, y: (0.0, lambda: np.zeros_like(x),
+                               lambda: np.zeros_like(y)),
         L1=lambda y: 1.0,
         L2=lambda x: 1.0,
     )
@@ -49,9 +48,7 @@ def bilinear_problem():
         f_prox=lambda v, tau: v,
         g_value=lambda y: 0.0,
         g_prox=lambda v, tau: v,
-        H=lambda x, y: float(x @ y),
-        grad_x=lambda x, y: y.copy(),
-        grad_y=lambda x, y: x.copy(),
+        coupling=lambda x, y: (float(x @ y), lambda: y.copy(), lambda: x.copy()),
         L1=lambda y: 1.0,
         L2=lambda x: 1.0,
     )
@@ -64,38 +61,59 @@ def coupled_quadratic(Q):
         f_prox=lambda v, tau: v,
         g_value=lambda y: 0.0,
         g_prox=lambda v, tau: v,
-        H=lambda x, y: 0.5 * float(x @ (Q @ x)) + float(x @ y)
-        + 0.5 * float(y @ y),
-        grad_x=lambda x, y: Q @ x + y,
-        grad_y=lambda x, y: x + y,
+        coupling=lambda x, y: (
+            0.5 * float(x @ (Q @ x)) + float(x @ y) + 0.5 * float(y @ y),
+            lambda: Q @ x + y,
+            lambda: x + y,
+        ),
         L1=lambda y: float(np.linalg.eigvalsh(Q).max()),
         L2=lambda x: 1.0,
     )
 
 
 def counted_oracles(problem):
-    """The problem with grad_x, grad_y and H counted; returns (problem,
-    Counter of calls by name)."""
+    """The problem with its coupling evaluations counted, and the block
+    gradients asked of them; returns (problem, Counter of calls by name:
+    "coupling", "grad_x", "grad_y")."""
     calls = Counter()
 
-    def counted(name):
-        fn = getattr(problem, name)
-
+    def counted(name, fn):
         def wrapper(*args):
             calls[name] += 1
             return fn(*args)
         return wrapper
 
-    names = ("grad_x", "grad_y", "H")
-    return replace(problem, **{n: counted(n) for n in names}), calls
+    def coupling(x, y):
+        h, grad_x, grad_y = problem.coupling(x, y)
+        return h, counted("grad_x", grad_x), counted("grad_y", grad_y)
+
+    return replace(problem, coupling=counted("coupling", coupling)), calls
+
+
+def grad_x(problem, x, y):
+    return problem.coupling(x, y)[1]()
+
+
+def grad_y(problem, x, y):
+    return problem.coupling(x, y)[2]()
+
+
+def point_state(problem, x, y, x_prev, y_prev, **fields):
+    """An iterate state at (x, y) with the coupling's gradients there, from
+    one evaluation."""
+    _, gx, gy = problem.coupling(x, y)
+    return BlockIterateState(x=x, y=y, x_prev=x_prev, y_prev=y_prev,
+                             gx=gx(), gy=gy(), **fields)
 
 
 def fresh_state(x0, y0, problem, cfg):
+    """The start state `palm_run` builds: one evaluation at (x0, y0)."""
+    obj, gx, gy = problem.objective(x0, y0)
     window = HistoryWindow(cfg.m)
-    window.push(0, problem.objective(x0, y0))  # Upsilon at equal pairs
+    window.push(0, obj)  # Upsilon at equal pairs
     return BlockIterateState(
         x=x0.copy(), y=y0.copy(), x_prev=x0.copy(), y_prev=y0.copy(),
-        window=window,
+        window=window, gx=gx(), gy=gy(),
     )
 
 
@@ -155,21 +173,17 @@ class TestBbBlocks:
         cfg = PalmConfig().validated(2.0)
         x1, x0 = np.array([1.0, 0.0]), np.array([0.0, 0.0])
         y = np.array([0.5, 0.5])
-        state = BlockIterateState(
-            x=x1, y=y, x_prev=x0, y_prev=y, window=None,
-            tau1_init_prev=9.0, tau2_init_prev=9.0,
-        )
+        state = point_state(prob, x1, y, x0, y, window=None,
+                            tau1_init_prev=9.0, tau2_init_prev=9.0)
         tau1, tau2 = bb_init_tau_blocks(state, prob, cfg.tau_lo, cfg.tau_hi)
         assert tau1 == pytest.approx(0.5, rel=1e-12)
         assert tau2 == 9.0  # y did not move: previous init reused
 
     def test_orthogonal_secant_guard(self):
         prob = bilinear_problem()  # grad_y(x, .) constant in y
-        state = BlockIterateState(
-            x=np.array([1.0]), y=np.array([2.0]),
-            x_prev=np.array([1.0]), y_prev=np.array([0.0]), window=None,
-            tau1_init_prev=1.0, tau2_init_prev=1.0,
-        )
+        state = point_state(prob, np.array([1.0]), np.array([2.0]),
+                            np.array([1.0]), np.array([0.0]), window=None,
+                            tau1_init_prev=1.0, tau2_init_prev=1.0)
         _, tau2 = bb_init_tau_blocks(state, prob, 1e-8, 1e8)
         assert tau2 == 1e8
 
@@ -179,10 +193,8 @@ class TestBbBlocks:
         prob = coupled_quadratic(Q)
         x1, x0 = rng.standard_normal(2), rng.standard_normal(2)
         y1, y0 = rng.standard_normal(2), rng.standard_normal(2)
-        state = BlockIterateState(
-            x=x1, y=y1, x_prev=x0, y_prev=y0, window=None,
-            tau1_init_prev=1.0, tau2_init_prev=1.0,
-        )
+        state = point_state(prob, x1, y1, x0, y0, window=None,
+                            tau1_init_prev=1.0, tau2_init_prev=1.0)
         dx, dy = x1 - x0, y1 - y0
         dhx = Q @ dx            # grad_x difference at the CURRENT y
         dhy = dy                # grad_y difference at the CURRENT x
@@ -241,26 +253,39 @@ class TestWitnessAndInvariants:
         return prob, u0, v0
 
     def test_reused_gradients_match_recomputation(self):
-        # the witness and the BB initialization from the gradients a step
-        # carries equal, bit for bit, those recomputed from the problem
+        # the gradients a step carries, and the witness and the BB
+        # initialization from them, equal, bit for bit, those taken straight
+        # from the oracle
         prob, u0, v0 = self.small_mc()
         vcfg = palm_run(prob, u0, v0, PalmConfig(max_iters=0)).extras["config"]
         state = fresh_state(u0, v0, prob, vcfg)
         for _ in range(20):
             state, rec, _ = palm_step(state, prob, vcfg)
-            bare = replace(state, gx_trial=None, gy_trial=None, gx=None, gy=None)
-            _, norm = subgrad_witness_palm(bare, prob, vcfg.delta)
+            ref = replace(
+                state,
+                gx=grad_x(prob, state.x, state.y),
+                gy=grad_y(prob, state.x, state.y),
+                gx_trial=grad_x(prob, state.xt_last, state.y_prev),
+                gy_trial=grad_y(prob, state.x, state.yt_last),
+                beta_last=None,  # BB evaluates grad_y H(x^k, y^{k-1}) itself
+            )
+            for name in ("gx", "gy", "gx_trial", "gy_trial"):
+                assert np.array_equal(getattr(state, name), getattr(ref, name))
+            _, norm = subgrad_witness_palm(ref, vcfg.delta)
             assert rec.witness_norm == norm
             assert bb_init_tau_blocks(state, prob, vcfg.tau_lo, vcfg.tau_hi) == \
-                bb_init_tau_blocks(bare, prob, vcfg.tau_lo, vcfg.tau_hi)
+                bb_init_tau_blocks(ref, prob, vcfg.tau_lo, vcfg.tau_hi)
 
     def test_oracle_calls_per_iteration(self):
-        # per step with l backtracks: l+1 trials (grad_x, grad_y, H each),
-        # the gradients at the new point, and from k = 1 on the two BB
-        # secant gradients at the previous iterate. A trial with beta = 0
-        # takes grad_x(x^k, y^k) from the state (one evaluation at the fresh
-        # start, which carries none), and after a step with beta = 0 the BB
-        # secant's grad_y(x^k, y^{k-1}) is that step's trial gradient.
+        # per step with l backtracks: l+1 trials, each evaluating the
+        # coupling for grad_x at (x~, y^k), for grad_y at (x^{k+1}, y~) and
+        # for H at (x^{k+1}, y^{k+1}); the accepted trial's last evaluation
+        # gives the gradients at the new point, two fewer evaluations than
+        # H, grad_x and grad_y there separately; and from k = 1 on the two
+        # BB secant gradients at the previous iterate. A trial with beta = 0
+        # takes grad_x(x^k, y^k) from the state, and after a step with
+        # beta = 0 the BB secant's grad_y(x^k, y^{k-1}) is that step's trial
+        # gradient. A rejected trial asks for no gradient at its point.
         prob, u0, v0 = self.small_mc(seed=3)
         counting, calls = counted_oracles(prob)
         for name in ("palmenls", "palmnls"):
@@ -273,10 +298,11 @@ class TestWitnessAndInvariants:
                 state, rec, _ = palm_step(state, counting, vcfg)
                 trials = rec.backtracks + 1
                 bb = 1 if k >= 1 else 0
-                x_trials = trials if rec.beta > 0.0 else (1 if k == 0 else 0)
+                x_trials = trials if rec.beta > 0.0 else 0
                 y_bb = bb if k >= 1 and betas[-1] > 0.0 else 0
-                assert calls == {"grad_x": x_trials + 1 + bb,
-                                 "grad_y": trials + 1 + y_bb, "H": trials}
+                assert calls == {"coupling": x_trials + 2 * trials + bb + y_bb,
+                                 "grad_x": x_trials + 1 + bb,
+                                 "grad_y": trials + 1 + y_bb}
                 betas.append(rec.beta)
             if name == "palmnls":
                 assert set(betas) == {0.0}
@@ -284,14 +310,16 @@ class TestWitnessAndInvariants:
                 assert betas[:2] == [0.0, 0.0] and min(betas[2:]) > 0.0
 
     def test_baseline_oracle_calls_per_iteration(self):
-        # without extrapolation an iteration's grad_x(x^k, y^k) is the one
-        # its predecessor's witness evaluated: one grad_x per iteration (two
-        # in the first), two grad_y (trial and witness), one H (objective)
+        # one coupling evaluation per distinct point: the start, and per
+        # iteration (x^{k+1}, y^k) for the y block's gradient and the new
+        # iterate, whose evaluation gives its objective and both gradients;
+        # without extrapolation the next x block takes grad_x(x^k, y^k)
+        # from it
         prob, u0, v0 = self.small_mc(seed=3)
         counting, calls = counted_oracles(prob)
         result = palm_baseline_run(counting, u0, v0, PalmConfig(max_iters=20, stop_tol=-1.0))
         assert len(result.records) == 21
-        assert calls == {"grad_x": 21, "grad_y": 40, "H": 21}
+        assert calls == {"coupling": 41, "grad_x": 21, "grad_y": 40}
 
     def test_near_equal_singular_values_do_not_stop_a_solve(self):
         # an iterate of this instance has sigma1 = 20.224, sigma2 = 20.214,
@@ -361,18 +389,18 @@ def reference_palm(prob, x0, y0, cfg, iters):
     beta = 0: records (k, objective, potential, step, witness, beta, tau1,
     tau2, backtracks, ell) as a reference for the reused gradients."""
     window = HistoryWindow(cfg.m)
-    ups = prob.objective(x0, y0)  # Upsilon at equal pairs
+    ups = prob.objective(x0, y0)[0]  # Upsilon at equal pairs
     window.push(0, ups)
     x, y, xp, yp = x0.copy(), y0.copy(), x0.copy(), y0.copy()
     t_prev, t_cur = 1.0, 1.0
     taus = (None, None)
-    out = [(0, prob.objective(x, y), ups, 0.0, math.inf, 0.0, 0.0, 0.0, 0, 0)]
+    out = [(0, ups, ups, 0.0, math.inf, 0.0, 0.0, 0.0, 0, 0)]
     for k in range(iters):
         beta0, t_next = nesterov_beta(t_prev, t_cur)
         beta0 = min(beta0, cfg.beta_max)
         if k >= 1:
-            bare = BlockIterateState(x=x, y=y, x_prev=xp, y_prev=yp, window=None,
-                                     tau1_init_prev=taus[0], tau2_init_prev=taus[1])
+            bare = point_state(prob, x, y, xp, yp, window=None,
+                               tau1_init_prev=taus[0], tau2_init_prev=taus[1])
             taus = bb_init_tau_blocks(bare, prob, cfg.tau_lo, cfg.tau_hi)
         else:
             taus = (min(max(cfg.tau1_0, cfg.tau_lo), cfg.tau_hi),
@@ -382,18 +410,17 @@ def reference_palm(prob, x0, y0, cfg, iters):
             tau1 = max(taus[0] * cfg.eta1**l, cfg.tau_lo)
             tau2 = max(taus[1] * cfg.eta2**l, cfg.tau_lo)
             xt = x + beta * (x - xp)
-            xn = prob.f_prox(xt - tau1 * prob.grad_x(xt, y), tau1)
+            xn = prob.f_prox(xt - tau1 * grad_x(prob, xt, y), tau1)
             yt = y + beta * (y - yp)
-            yn = prob.g_prox(yt - tau2 * prob.grad_y(xn, yt), tau2)
+            yn = prob.g_prox(yt - tau2 * grad_y(prob, xn, yt), tau2)
             step_sq = _sq(xn - x) + _sq(yn - y) + _sq(x - xp) + _sq(y - yp)
-            obj = prob.objective(xn, yn)
+            obj = prob.objective(xn, yn)[0]
             # Upsilon_delta = Psi + (delta/2)(||x^{k+1}-x^k||^2 + ||y^{k+1}-y^k||^2)
             ups = obj + 0.5 * cfg.delta * (_sq(xn - x) + _sq(yn - y))
             if accept(ups, window, cfg.alpha, step_sq):
                 break
-        bare = BlockIterateState(x=xn, y=yn, x_prev=x, y_prev=y, window=None,
-                                 xt_last=xt, yt_last=yt, tau1_last=tau1, tau2_last=tau2)
-        _, wnorm = subgrad_witness_palm(bare, prob, cfg.delta)
+        _, wnorm = subgrad_witness_palm(
+            witness_state(prob, xn, yn, x, y, xt, yt, tau1, tau2), cfg.delta)
         window.push(k + 1, ups)
         _, ell = window_max(window)
         out.append((k + 1, obj, ups, math.sqrt(step_sq), wnorm, beta, tau1, tau2, l, ell))
@@ -402,13 +429,22 @@ def reference_palm(prob, x0, y0, cfg, iters):
     return out, (x, y)
 
 
+def witness_state(prob, x, y, x_prev, y_prev, xt, yt, tau1, tau2):
+    """The state after a step from (x_prev, y_prev) through (xt, yt), with
+    the four gradients of its witness evaluated where they are used."""
+    return point_state(prob, x, y, x_prev, y_prev, window=None,
+                       xt_last=xt, yt_last=yt, tau1_last=tau1, tau2_last=tau2,
+                       gx_trial=grad_x(prob, xt, y_prev),
+                       gy_trial=grad_y(prob, x, yt))
+
+
 def reference_baseline(prob, x0, y0, cfg, extrapolate):
     """`palm_baseline_run` with every gradient evaluated where it is used:
     records (k, objective, step, witness, beta, tau1, tau2)."""
     x, y = x0.copy(), y0.copy()
     xp, yp = x.copy(), y.copy()
     t_prev, t_cur = 1.0, 1.0
-    out = [(0, prob.objective(x, y), 0.0, math.inf, 0.0, 0.0, 0.0)]
+    out = [(0, prob.objective(x, y)[0], 0.0, math.inf, 0.0, 0.0, 0.0)]
     for k in range(cfg.max_iters):
         if extrapolate:
             beta, t_next = nesterov_beta(t_prev, t_cur)
@@ -417,17 +453,16 @@ def reference_baseline(prob, x0, y0, cfg, extrapolate):
             beta, t_next = 0.0, t_cur
         tau1 = 1.0 / max(prob.L1(y), 1e-12)
         xt = x + beta * (x - xp)
-        xn = prob.f_prox(xt - tau1 * prob.grad_x(xt, y), tau1)
+        xn = prob.f_prox(xt - tau1 * grad_x(prob, xt, y), tau1)
         tau2 = 1.0 / max(prob.L2(xn), 1e-12)
         yt = y + beta * (y - yp)
-        yn = prob.g_prox(yt - tau2 * prob.grad_y(xn, yt), tau2)
-        bare = BlockIterateState(x=xn, y=yn, x_prev=x, y_prev=y, window=None,
-                                 xt_last=xt, yt_last=yt, tau1_last=tau1, tau2_last=tau2)
-        _, wnorm = subgrad_witness_palm(bare, prob, 0.0)
+        yn = prob.g_prox(yt - tau2 * grad_y(prob, xn, yt), tau2)
+        _, wnorm = subgrad_witness_palm(
+            witness_state(prob, xn, yn, x, y, xt, yt, tau1, tau2), 0.0)
         step = math.sqrt(_sq(xn - x) + _sq(yn - y))
         x, y, xp, yp = xn, yn, x, y
         t_prev, t_cur = t_cur, t_next
-        out.append((k + 1, prob.objective(x, y), step, wnorm, beta, tau1, tau2))
+        out.append((k + 1, prob.objective(x, y)[0], step, wnorm, beta, tau1, tau2))
     return out, (x, y)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import add_at_grads, objective
-from nmdesc import kernels
+from nmdesc import kernels, problems
 from nmdesc.linalg import RngStream, spectral_norm
 from nmdesc.problems import (
     McInstance,
@@ -239,17 +239,34 @@ def random_factors(inst, seed):
     return U, V
 
 
+def evaluate(prob, U, V):
+    """(H, grad_x, grad_y) at (U, V) from one coupling evaluation."""
+    h, gx, gy = prob.coupling(U, V)
+    return h, gx(), gy()
+
+
+def both_forms(monkeypatch):
+    """Yields "dense", then "segment" while the rule's ratio is 0, so that
+    `mc_problem` builds the dense form where the rule picks it and then the
+    sorted-segment form on the same instance."""
+    yield "dense"
+    with monkeypatch.context() as patch:
+        patch.setattr(problems, "DENSE_MAX_RATIO", 0)
+        yield "segment"
+
+
 class TestMcSurface:
-    def test_zero_residual_at_planted_factors(self):
+    def test_zero_residual_at_planted_factors(self, monkeypatch):
         inst = gen_mc(n1=10, n2=9, r_star=2, num_samples=30, sigma=0.0,
                       seed=3, r=2)
-        prob = mc_problem(inst)
-        U, V = inst.U_star, inst.V_star
-        assert prob.H(U, V) == pytest.approx(0.0, abs=1e-24)
-        assert np.allclose(prob.grad_x(U, V), 0.0, atol=1e-12)
-        assert np.allclose(prob.grad_y(U, V), 0.0, atol=1e-12)
+        for form in both_forms(monkeypatch):
+            assert mc_oracle_form(10, 9, inst.num_obs) == form
+            h, gU, gV = evaluate(mc_problem(inst), inst.U_star, inst.V_star)
+            assert h == pytest.approx(0.0, abs=1e-24)
+            assert np.allclose(gU, 0.0, atol=1e-12)
+            assert np.allclose(gV, 0.0, atol=1e-12)
 
-    def test_full_mask_matches_dense_formulas(self):
+    def test_full_mask_matches_dense_formulas(self, monkeypatch):
         inst = gen_mc(n1=4, n2=3, r_star=1, num_samples=6, sigma=0.0, seed=6)
         rows, cols = np.divmod(np.arange(12), 3)
         M = np.arange(12, dtype=np.float64).reshape(4, 3)
@@ -259,23 +276,27 @@ class TestMcSurface:
             U_star=inst.U_star, V_star=inst.V_star, seed=6,
             samples_requested=12,
         )
-        prob = mc_problem(full)
         rng = RngStream(4)
         U = rng.standard_normal(8).reshape(4, 2)
         V = rng.standard_normal(6).reshape(3, 2)
         R = U @ V.T - M
-        assert prob.H(U, V) == pytest.approx(0.5 * np.sum(R * R), rel=1e-12)
-        assert np.allclose(prob.grad_x(U, V), R @ V, rtol=1e-12)
-        assert np.allclose(prob.grad_y(U, V), R.T @ U, rtol=1e-12)
+        for form in both_forms(monkeypatch):
+            assert mc_oracle_form(4, 3, 12) == form
+            prob = mc_problem(full)
+            h, gU, gV = evaluate(prob, U, V)
+            assert h == pytest.approx(0.5 * np.sum(R * R), rel=1e-12)
+            assert np.allclose(gU, R @ V, rtol=1e-12)
+            assert np.allclose(gV, R.T @ U, rtol=1e-12)
         assert prob.L1(V) == pytest.approx(np.linalg.norm(V, 2) ** 2, rel=1e-12)
         assert prob.L2(U) == pytest.approx(np.linalg.norm(U, 2) ** 2, rel=1e-12)
 
     def test_gradients_match_finite_differences(self):
-        # every partial derivative of the H the solvers call, in both forms
+        # every partial derivative of the coupling the solvers call, in
+        # both forms
         for inst in one_of_each_form(24, 20, 40, 20, seed=9, r=2):
             prob = mc_problem(inst)
             U, V = random_factors(inst, 7)
-            gU, gV = prob.grad_x(U, V), prob.grad_y(U, V)
+            _, gU, gV = evaluate(prob, U, V)
             h = 1e-6
             for X, g, shift in ((U, gU, lambda E: (U + E, V, U - E, V)),
                                 (V, gV, lambda E: (U, V + E, U, V - E))):
@@ -283,7 +304,8 @@ class TestMcSurface:
                     E = np.zeros(X.shape)
                     E[idx] = h
                     Up, Vp, Um, Vm = shift(E)
-                    fd = (prob.H(Up, Vp) - prob.H(Um, Vm)) / (2.0 * h)
+                    hp, hm = prob.coupling(Up, Vp)[0], prob.coupling(Um, Vm)[0]
+                    fd = (hp - hm) / (2.0 * h)
                     assert g[idx] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
     def test_problem_oracle_matches_joint_evaluation(self):
@@ -294,9 +316,10 @@ class TestMcSurface:
             U, V = random_factors(inst, 11)
             gU, gV = add_at_grads(U, V, inst.rows, inst.cols, inst.obs)
             resid = np.einsum("ij,ij->i", U[inst.rows], V[inst.cols]) - inst.obs
-            assert prob.H(U, V) == pytest.approx(0.5 * float(resid @ resid), rel=1e-13)
-            assert np.allclose(prob.grad_x(U, V), gU, rtol=1e-12, atol=0.0)
-            assert np.allclose(prob.grad_y(U, V), gV, rtol=1e-12, atol=0.0)
+            h, gU_got, gV_got = evaluate(prob, U, V)
+            assert h == pytest.approx(0.5 * float(resid @ resid), rel=1e-13)
+            assert np.allclose(gU_got, gU, rtol=1e-12, atol=0.0)
+            assert np.allclose(gV_got, gV, rtol=1e-12, atol=0.0)
 
     def test_block_moduli_exact_on_near_equal_singular_values(self):
         rng = np.random.default_rng(5)
@@ -309,19 +332,21 @@ class TestMcSurface:
         assert prob.L2(V) == pytest.approx(np.linalg.norm(V, 2) ** 2, rel=1e-12)
         assert prob.L1(np.zeros((50, 4))) == 0.0
 
-    def test_block_modulus_property(self):
+    def test_block_modulus_property(self, monkeypatch):
         # the U-block gradient is Lipschitz with modulus sigma_max(V)^2
         inst = gen_mc(n1=8, n2=7, r_star=2, num_samples=30, sigma=0.1,
                       seed=12, r=3)
-        prob = mc_problem(inst)
-        rng = RngStream(3)
-        V = rng.standard_normal(21).reshape(7, 3)
-        L1 = prob.L1(V)
-        for _ in range(20):
-            U1 = rng.standard_normal(24).reshape(8, 3)
-            U2 = rng.standard_normal(24).reshape(8, 3)
-            diff = np.linalg.norm(prob.grad_x(U1, V) - prob.grad_x(U2, V))
-            assert diff <= L1 * np.linalg.norm(U1 - U2) * (1.0 + 1e-9)
+        for form in both_forms(monkeypatch):
+            assert mc_oracle_form(8, 7, inst.num_obs) == form
+            prob = mc_problem(inst)
+            rng = RngStream(3)
+            V = rng.standard_normal(21).reshape(7, 3)
+            L1 = prob.L1(V)
+            for _ in range(20):
+                U1 = rng.standard_normal(24).reshape(8, 3)
+                U2 = rng.standard_normal(24).reshape(8, 3)
+                diff = np.linalg.norm(evaluate(prob, U1, V)[1] - evaluate(prob, U2, V)[1])
+                assert diff <= L1 * np.linalg.norm(U1 - U2) * (1.0 + 1e-9)
 
 
 class TestOracleForm:
@@ -375,11 +400,28 @@ class TestOracleForm:
         a, b = mc_problem(inst), mc_problem(inst)
         for _ in range(2):
             for i, (U, V) in enumerate(points):
-                for name in ("grad_x", "H", "grad_y"):
-                    prob = a if i % 2 else b
-                    got = getattr(prob, name)(U, V)
-                    want = getattr(mc_problem(inst), name)(U, V)
-                    assert np.array_equal(got, want)
+                prob = a if i % 2 else b
+                got = evaluate(prob, U, V)
+                want = evaluate(mc_problem(inst), U, V)
+                assert got[0] == want[0]
+                assert np.array_equal(got[1], want[1])
+                assert np.array_equal(got[2], want[2])
+
+    def test_gradients_of_an_earlier_evaluation_survive_later_ones(self):
+        # the dense form's P and D buffers are overwritten by every
+        # evaluation; a gradient asked of an earlier one is still its own
+        inst = gen_mc(n1=40, n2=40, r_star=2, num_samples=600, sigma=0.1, seed=0)
+        assert mc_oracle_form(40, 40, inst.num_obs) == "dense"
+        prob = mc_problem(inst)
+        points = [random_factors(inst, s) for s in range(3)]
+        held = [prob.coupling(U, V) for U, V in points]
+        for U, V in points:  # later evaluations through the same buffers
+            evaluate(prob, 2.0 * U, V)
+        for (h, gx, gy), (U, V) in zip(reversed(held), reversed(points)):
+            want = evaluate(mc_problem(inst), U, V)
+            assert h == want[0]
+            assert np.array_equal(gy(), want[2])
+            assert np.array_equal(gx(), want[1])
 
 
 class TestSparsityMetrics:
