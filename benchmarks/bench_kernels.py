@@ -12,12 +12,17 @@ agreement with a reference on the same inputs. The sections:
   `tests/conftest.py`, and in each form the residual and one block
   gradient from it: the sorted-segment form (`masked_residual`,
   `masked_block_grad`) and the dense masked form (`masked_dense_residual`,
-  `masked_dense_grad`, with the buffers a problem owns);
+  `masked_dense_scatter`, `masked_dense_grad`, with the buffers a problem
+  owns). The dense residual, formed on the transposed view V^T as the
+  oracle forms it, is timed next to the product on a C-order copy of V^T,
+  which is faster but not always bit-equal: the script counts the entries
+  where the two differ at the desk size and at 120 x 230;
 * both forms over matrix size x observed density, per block gradient with
-  both gradients taken from one residual (as at an accepted PALM point),
-  with the form the rule in `problems.mc_oracle_form` picks for each
-  point, and per size the ratio n1*n2/|Omega| where the dense form stops
-  winning, which is where the rule's ratio constant comes from;
+  both gradients taken from one residual and, in the dense form, one
+  scatter of it (as at an accepted PALM point), with the form the rule in
+  `problems.mc_oracle_form` picks for each point, and per size the ratio
+  n1*n2/|Omega| where the dense form stops winning, which is where the
+  rule's ratio constant comes from;
 * one evaluation of a PG iterate on the desk logistic instance (n = 200,
   p = 2000): three separate oracle calls for its value, gradient and
   objective, one `smooth` call, and one `smooth` call given the margins
@@ -119,8 +124,24 @@ class Forms:
 
     def dense(self, U, V):
         resid = kernels.masked_dense_residual(U, V, self.flat, self.obs, self.P)
-        return (kernels.masked_dense_grad(U, V, self.flat, resid, self.D, 0),
-                kernels.masked_dense_grad(U, V, self.flat, resid, self.D, 1))
+        kernels.masked_dense_scatter(self.flat, resid, self.D)
+        return (kernels.masked_dense_grad(U, V, self.D, 0),
+                kernels.masked_dense_grad(U, V, self.D, 1))
+
+
+def c_order_residual(U, V, flat, obs, P):
+    """The dense residual with the product taken on a C-order copy of V^T,
+    which runs without a transposed operand."""
+    np.matmul(U, np.ascontiguousarray(V.T), out=P)
+    return P.take(flat) - obs
+
+
+def c_order_differences(n1, n2, r, rng):
+    """Entries of UV^T where the product on a C-order copy of V^T differs
+    from that on the view V^T, for random factors of one shape."""
+    U = rng.standard_normal((n1, r))
+    V = rng.standard_normal((n2, r))
+    return int(np.count_nonzero(U @ V.T != U @ np.ascontiguousarray(V.T)))
 
 
 def block_grads(rng):
@@ -142,7 +163,10 @@ def block_grads(rng):
 
     resid = kernels.masked_residual(U, V, rows, cols, obs)
     dense_resid = kernels.masked_dense_residual(U, V, forms.flat, forms.obs, forms.P)
-    dense = (forms.flat, dense_resid, forms.D)
+    for shape in ((n1, n2), (120, 230)):
+        print(f"UV^T on a C-order V^T against the view V^T, {shape[0]}x{shape[1]}, "
+              f"r={r}: {c_order_differences(*shape, r, rng)} entries differ")
+    kernels.masked_dense_scatter(forms.flat, dense_resid, forms.D)
     cases = [
         ("grad_U+V add.at (ref)", add_at_grads, (U, V, rows, cols, obs)),
         ("residual segment", kernels.masked_residual, (U, V, rows, cols, obs)),
@@ -150,8 +174,12 @@ def block_grads(rng):
         ("grad_V segment", kernels.masked_block_grad, (V, U, resid, *forms.by_col)),
         ("residual dense", kernels.masked_dense_residual,
          (U, V, forms.flat, forms.obs, forms.P)),
-        ("grad_U dense", kernels.masked_dense_grad, (U, V, *dense, 0)),
-        ("grad_V dense", kernels.masked_dense_grad, (U, V, *dense, 1)),
+        ("residual C-order V^T", c_order_residual,
+         (U, V, forms.flat, forms.obs, forms.P)),
+        ("scatter dense", kernels.masked_dense_scatter,
+         (forms.flat, dense_resid, forms.D)),
+        ("grad_U dense", kernels.masked_dense_grad, (U, V, forms.D, 0)),
+        ("grad_V dense", kernels.masked_dense_grad, (U, V, forms.D, 1)),
     ]
     print(f"desk size: {n1}x{n2}, r={r}, {len(flat)} observed entries")
     for name, fn, args in cases:
@@ -165,7 +193,8 @@ DENSITIES = (0.005, 0.01, 0.02, 0.03, 0.04, 0.05, 0.1, 0.2)
 
 def density_sweep(r=10):
     """Per block gradient, both forms with buffers, over size x density:
-    half the time of one residual and both gradients from it."""
+    half the time of one residual and both gradients from it (with one
+    scatter in the dense form)."""
     rng = np.random.default_rng(1)
     print(f"\nper block gradient over size x density (rank {r}); "
           "'rule' is the form mc_oracle_form picks")

@@ -275,17 +275,17 @@ def cmd_run(args):
 
 
 def _bench_trial(cfg, solvers, solver_opts, base_seed, trial, lam):
-    """Run every solver of one bench trial; returns name -> RunResult, or
-    None for a solver that failed."""
+    """Run every solver of one bench trial; returns (name -> RunResult, or
+    None for a solver that failed; name -> failure message)."""
     seed = base_seed + trial
     instance = build_instance(cfg["problem"], seed)
-    out = {}
+    out, failed = {}, {}
     for name in solvers:
         try:
             out[name] = solve(name, instance, solver_opts.get(name, {}), seed, lam=lam)
-        except BacktrackCapError:
-            out[name] = None
-    return out
+        except BacktrackCapError as e:
+            out[name], failed[name] = None, str(e)
+    return out, failed
 
 
 def cmd_bench(args):
@@ -314,10 +314,10 @@ def cmd_bench(args):
         name: dict(cfg.get(f"solver.{name}", {})) for name in solvers
     }
 
-    results = [None] * trials
+    trial_out = [None] * trials
     if args.jobs == 1:
         for t in range(trials):
-            results[t] = _bench_trial(cfg, solvers, solver_opts, base_seed, t, lam)
+            trial_out[t] = _bench_trial(cfg, solvers, solver_opts, base_seed, t, lam)
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
             futures = {
@@ -327,7 +327,11 @@ def cmd_bench(args):
                 for t in range(trials)
             }
             for fut in concurrent.futures.as_completed(futures):
-                results[futures[fut]] = fut.result()
+                trial_out[futures[fut]] = fut.result()
+    results = [out for out, _ in trial_out]
+    for t, (_, failed) in enumerate(trial_out):
+        for name, message in failed.items():
+            print(f"note: solver {name} failed trial {t}: {message}", file=sys.stderr)
 
     # persist per-trial traces and drop variants that failed every trial
     alive = {name: 0 for name in solvers}

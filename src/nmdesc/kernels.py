@@ -11,6 +11,7 @@ __all__ = [
     "masked_residual",
     "masked_block_grad",
     "masked_dense_residual",
+    "masked_dense_scatter",
     "masked_dense_grad",
     "logistic_loss_terms",
 ]
@@ -45,18 +46,23 @@ def masked_dense_residual(U, V, flat, obs, P):
     return P.take(flat) - obs
 
 
-def masked_dense_grad(U, V, flat, resid, D, block):
-    """One block's gradient of 0.5*||P_Omega(UV^T - M)||_F^2 in dense form,
-    from the residual `resid` at (U, V) in the order of `flat`: D V for the
-    U block (`block` 0), D^T U for the V block (`block` 1).
+def masked_dense_scatter(flat, resid, D):
+    """Write the residual `resid`, in the order of `flat`, into the caller's
+    C-contiguous n1 x n2 buffer D at Omega, for `masked_dense_grad`.
 
-    D is the caller's C-contiguous n1 x n2 buffer of the masked residual.
-    Only its Omega entries are written, so it must be zero off Omega when
+    Only the Omega entries are written, so D must be zero off Omega when
     first passed and stays so between calls. Omega's entries must be
     distinct (a repeated index would keep one residual); sorted flat
     indices scatter fastest.
     """
     D.reshape(-1)[flat] = resid
+
+
+def masked_dense_grad(U, V, D, block):
+    """One block's gradient of 0.5*||P_Omega(UV^T - M)||_F^2 in dense form,
+    from the masked residual at (U, V) that `masked_dense_scatter` wrote
+    into D: D V for the U block (`block` 0), D^T U for the V block
+    (`block` 1)."""
     return D @ V if block == 0 else D.T @ U
 
 

@@ -16,6 +16,7 @@ Named variants:
 import math
 import time
 import warnings
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,17 +29,18 @@ from .nls import (
     BacktrackCapError,
     LineSearchStalled,
 )
+from .linalg import top_eigenvalues
 from .pg import RunResult, init_columns, nesterov_beta
 from .trace import Trace, TraceRecord
 
 
 def _sq(a):
-    a = np.ravel(a)
+    a = a.ravel()
     return float(a @ a)
 
 
 def _dot(a, b):
-    return float(np.ravel(a) @ np.ravel(b))
+    return float(a.ravel() @ b.ravel())
 
 
 @dataclass
@@ -132,14 +134,16 @@ class BlockIterateState:
     gy: np.ndarray = None
 
 
-def _upsilon(objective, x, y, u, v, delta):
-    """Upsilon_delta = Psi(x, y) + (delta/2)(||x-u||^2 + ||y-v||^2), given
-    the objective Psi(x, y)."""
-    return objective + 0.5 * delta * (_sq(x - u) + _sq(y - v))
+def step_differences(state):
+    """(x - x_prev, y - y_prev, ||x - x_prev||^2, ||y - y_prev||^2) of a
+    state: what its Barzilai-Borwein initialization, extrapolated points,
+    step norm and witness are formed from."""
+    dx = state.x - state.x_prev
+    dy = state.y - state.y_prev
+    return dx, dy, _sq(dx), _sq(dy)
 
 
-def _bb_ratio(d, dh, lo, hi, prev):
-    d_sq = _sq(d)
+def _bb_ratio(d, d_sq, dh, lo, hi, prev):
     if d_sq == 0.0:
         return prev
     dh_sq = _sq(dh)
@@ -152,16 +156,16 @@ def _bb_ratio(d, dh, lo, hi, prev):
     return max(min(candidate, hi), lo)
 
 
-def bb_init_tau_blocks(state, problem, tau_lo, tau_hi):
+def bb_init_tau_blocks(state, problem, tau_lo, tau_hi, diffs=None):
     """Per-block Barzilai-Borwein initializations.
 
     The x secant uses gradients at the CURRENT y^k; the y secant uses the
     CURRENT x^k. A zero block difference reuses the previous initialization.
     The gradients at (x^k, y^k) come from the state, and so does
-    grad_y H(x^k, y^{k-1}) after a step without extrapolation.
+    grad_y H(x^k, y^{k-1}) after a step without extrapolation. `diffs` is
+    the state's `step_differences`, formed here when not given.
     """
-    dx = state.x - state.x_prev
-    dy = state.y - state.y_prev
+    dx, dy, dx_sq, dy_sq = step_differences(state) if diffs is None else diffs
     _, grad_x, _ = problem.coupling(state.x_prev, state.y)
     dhx = state.gx - grad_x()
     if state.beta_last == 0.0:
@@ -170,8 +174,8 @@ def bb_init_tau_blocks(state, problem, tau_lo, tau_hi):
         _, _, grad_y = problem.coupling(state.x, state.y_prev)
         gy_prev = grad_y()
     dhy = state.gy - gy_prev
-    tau1 = _bb_ratio(dx, dhx, tau_lo, tau_hi, state.tau1_init_prev)
-    tau2 = _bb_ratio(dy, dhy, tau_lo, tau_hi, state.tau2_init_prev)
+    tau1 = _bb_ratio(dx, dx_sq, dhx, tau_lo, tau_hi, state.tau1_init_prev)
+    tau2 = _bb_ratio(dy, dy_sq, dhy, tau_lo, tau_hi, state.tau2_init_prev)
     return tau1, tau2
 
 
@@ -213,19 +217,23 @@ def backtrack_bound_palm(tau1_0, tau2_0, beta0, config, L1k, L2k1):
     return l_tau + l_beta + 1
 
 
-def subgrad_witness_palm(state, delta):
+def subgrad_witness_palm(state, delta, steps=None):
     """Subgradient witness at z^{k+1} from the two prox optimality conditions
     of the last accepted step, from the extrapolated points, step sizes and
-    the four gradients the state carries."""
+    the four gradients the state carries. `steps` is the step's
+    (x^{k+1} - x^k, y^{k+1} - y^k), formed here when not given."""
     x, y = state.x, state.y
-    xp, yp = state.x_prev, state.y_prev
     xt, yt = state.xt_last, state.yt_last
-    w1 = state.gx - state.gx_trial - (x - xt) / state.tau1_last + delta * (x - xp)
-    w2 = state.gy - state.gy_trial - (y - yt) / state.tau2_last + delta * (y - yp)
-    w3 = delta * (xp - x)
-    w4 = delta * (yp - y)
+    if steps is None:
+        steps = (x - state.x_prev, y - state.y_prev)
+    dx, dy = steps
+    # delta*(x_prev - x) is -(delta*dx) to the bit: rounding is symmetric
+    w3 = delta * dx
+    w4 = delta * dy
+    w1 = state.gx - state.gx_trial - (x - xt) / state.tau1_last + w3
+    w2 = state.gy - state.gy_trial - (y - yt) / state.tau2_last + w4
     norm = math.sqrt(_sq(w1) + _sq(w2) + _sq(w3) + _sq(w4))
-    return (w1, w2, w3, w4), norm
+    return (w1, w2, -w3, -w4), norm
 
 
 def h2_constant_palm(config, M, L2bar):
@@ -245,9 +253,15 @@ def palm_step(state, problem, config):
     coupling at its point for the potential; only the accepted trial's
     evaluation is asked for the gradients at the new point. These and the
     accepted trial's gradients go on the returned state, for the witness
-    and the next step's initialization. Returns (state, TraceRecord, init
-    dict). At the backtrack cap it raises `nls.cap_error`'s exception, as
-    `pg_step` does.
+    and the next step's initialization. The step differences x^k - x^{k-1}
+    and y^k - y^{k-1} and their squared norms are formed once, at the top,
+    for the initialization, the extrapolated points and the step norm; a
+    trial forms its own differences x^{k+1} - x^k and y^{k+1} - y^k once,
+    for the step norm and the potential, and the accepted trial's serve
+    the witness. Returns (state, TraceRecord, init dict of beta0, tau1_0
+    and tau2_0). The block moduli L1(y^k) and L2(x^{k+1}) are not computed
+    here: `palm_run` forms them for the whole run at its end. At the
+    backtrack cap it raises `nls.cap_error`'s exception, as `pg_step` does.
     """
     if config.beta_rule == "nesterov":
         beta0, t_next = nesterov_beta(state.t_prev, state.t_cur)
@@ -255,9 +269,11 @@ def palm_step(state, problem, config):
     else:
         beta0, t_next = config.beta_max, state.t_cur
 
+    diffs = step_differences(state)
+    dx, dy, dx_sq, dy_sq = diffs
     if state.k >= 1:
         tau1_0, tau2_0 = bb_init_tau_blocks(
-            state, problem, config.tau_lo, config.tau_hi
+            state, problem, config.tau_lo, config.tau_hi, diffs
         )
     else:
         tau1_0 = min(max(config.tau1_0, config.tau_lo), config.tau_hi)
@@ -270,22 +286,21 @@ def palm_step(state, problem, config):
         if beta == 0.0:
             xt, yt, gx_trial = state.x, state.y, state.gx
         else:
-            xt = state.x + beta * (state.x - state.x_prev)
-            yt = state.y + beta * (state.y - state.y_prev)
+            xt = state.x + beta * dx
+            yt = state.y + beta * dy
             _, grad_x, _ = problem.coupling(xt, state.y)
             gx_trial = grad_x()
         x_new = problem.f_prox(xt - tau1 * gx_trial, tau1)
         _, _, grad_y = problem.coupling(x_new, yt)
         gy_trial = grad_y()
         y_new = problem.g_prox(yt - tau2 * gy_trial, tau2)
-        step_sq = (
-            _sq(x_new - state.x)
-            + _sq(y_new - state.y)
-            + _sq(state.x - state.x_prev)
-            + _sq(state.y - state.y_prev)
-        )
+        dx_new = x_new - state.x
+        dy_new = y_new - state.y
+        new_sq = _sq(dx_new) + _sq(dy_new)
+        step_sq = new_sq + dx_sq + dy_sq
         obj, grad_x, grad_y = problem.objective(x_new, y_new)
-        ups = _upsilon(obj, x_new, y_new, state.x, state.y, config.delta)
+        # Upsilon_delta(z^{k+1}) = Psi + (delta/2)(||x^{k+1}-x^k||^2 + ||y^{k+1}-y^k||^2)
+        ups = obj + 0.5 * config.delta * new_sq
         if accept(ups, state.window, config.alpha, step_sq):
             break
     else:
@@ -300,7 +315,7 @@ def palm_step(state, problem, config):
         gx_trial=gx_trial, gy_trial=gy_trial,
         gx=grad_x(), gy=grad_y(),
     )
-    _, wnorm = subgrad_witness_palm(new_state, config.delta)
+    _, wnorm = subgrad_witness_palm(new_state, config.delta, (dx_new, dy_new))
     new_state.window.push(state.k + 1, ups)
     _, ell = window_max(new_state.window)
     record = TraceRecord(
@@ -316,13 +331,7 @@ def palm_step(state, problem, config):
         backtracks=l,
         ell=ell,
     )
-    init = {
-        "beta0": beta0,
-        "tau1_0": tau1_0,
-        "tau2_0": tau2_0,
-        "L1k": problem.L1(state.y),
-        "L2k1": problem.L2(x_new),
-    }
+    init = {"beta0": beta0, "tau1_0": tau1_0, "tau2_0": tau2_0}
     return new_state, record, init
 
 
@@ -331,21 +340,29 @@ def palm_run(problem, x0, y0, config, trace_sink=None):
 
     The result's stop reason is "tolerance", "max_iters", "time_budget", or
     "stalled", as for `pg.pg_run`. Its extras carry the running Lipschitz
-    estimate, the observed ball radii, and the relative-error bound
-    computed from them.
+    estimate L_run (the largest block modulus at the start point and at
+    every accepted iteration), the observed ball radii, and the
+    relative-error bound computed from them. The per-iteration moduli
+    L1(y^k) and L2(x^{k+1}) go into `meta`. Where the problem gives `gram`,
+    the loop keeps the two Gram matrices of each iteration (r x r, 1.6 kB a
+    pair at r = 10), and one batched eigen-solve per block turns them into
+    moduli after the loop; otherwise it calls L1 and L2 after each step.
+    After the loop, a RuntimeWarning is issued once if tau_lo is not below
+    the step-size barrier 1/(L_run + delta + 2*alpha).
     """
     x0 = np.asarray(x0, dtype=np.float64)
     y0 = np.asarray(y0, dtype=np.float64)
-    L_start = max(problem.L1(y0), problem.L2(x0))
+    L1_0, L2_0 = problem.L1(y0), problem.L2(x0)
+    L_start = max(L1_0, L2_0)
     cfg = config.validated(L_start)
     if cfg.tau1_0 is None:
-        cfg.tau1_0 = 100.0 / max(problem.L1(y0), 1e-12)
+        cfg.tau1_0 = 100.0 / max(L1_0, 1e-12)
     if cfg.tau2_0 is None:
-        cfg.tau2_0 = 100.0 / max(problem.L2(x0), 1e-12)
+        cfg.tau2_0 = 100.0 / max(L2_0, 1e-12)
 
     window = HistoryWindow(cfg.m)
     obj0, grad_x, grad_y = problem.objective(x0, y0)
-    ups0 = _upsilon(obj0, x0, y0, x0, y0, cfg.delta)
+    ups0 = obj0  # Upsilon at equal pairs
     window.push(0, ups0)
     state = BlockIterateState(
         x=x0.copy(), y=y0.copy(), x_prev=x0.copy(), y_prev=y0.copy(),
@@ -359,13 +376,20 @@ def palm_run(problem, x0, y0, config, trace_sink=None):
     records = [rec]
     if trace_sink:
         trace_sink(rec)
-    L_run = L_start
+    # per iteration, the Gram matrices of y^k and x^{k+1} (or, for a
+    # problem without `gram`, L1(y^k) and L2(x^{k+1}) themselves)
+    if problem.gram is not None:
+        at_y = at_x = problem.gram
+    else:
+        at_y, at_x = problem.L1, problem.L2
+    kept_y, kept_x = [], []
     max_x = math.sqrt(_sq(x0))
     max_y = math.sqrt(_sq(y0))
     start = time.perf_counter()
     reason = "max_iters"
     inits = []
     for _ in range(cfg.max_iters):
+        y_k = state.y
         try:
             state, rec, init = palm_step(state, problem, cfg)
         except LineSearchStalled:
@@ -379,15 +403,12 @@ def palm_run(problem, x0, y0, config, trace_sink=None):
         inits.append(init)
         if trace_sink:
             trace_sink(rec)
-        L_run = max(L_run, init["L1k"], init["L2k1"])
-        if cfg.tau_lo >= 1.0 / (L_run + cfg.delta + 2.0 * cfg.alpha):
-            warnings.warn(
-                "running Lipschitz estimate violates the tau_lo bound",
-                RuntimeWarning,
-            )
-        max_x = max(max_x, math.sqrt(_sq(state.x)))
-        max_y = max(max_y, math.sqrt(_sq(state.y)))
-        scale = max(1.0, math.sqrt(_sq(state.x) + _sq(state.y)))
+        kept_y.append(at_y(y_k))
+        kept_x.append(at_x(state.x))
+        x_sq, y_sq = _sq(state.x), _sq(state.y)
+        max_x = max(max_x, math.sqrt(x_sq))
+        max_y = max(max_y, math.sqrt(y_sq))
+        scale = max(1.0, math.sqrt(x_sq + y_sq))
         if rec.witness_norm <= cfg.stop_tol * scale:
             reason = "tolerance"
             break
@@ -395,6 +416,16 @@ def palm_run(problem, x0, y0, config, trace_sink=None):
             reason = "time_budget"
             break
 
+    if problem.gram is not None:
+        kept_y, kept_x = top_eigenvalues(kept_y), top_eigenvalues(kept_x)
+    meta = init_columns(inits)
+    meta["L1k"], meta["L2k1"] = array("d", kept_y), array("d", kept_x)
+    L_run = max([L_start, *meta["L1k"], *meta["L2k1"]])
+    if cfg.tau_lo >= 1.0 / (L_run + cfg.delta + 2.0 * cfg.alpha):
+        warnings.warn(
+            "running Lipschitz estimate violates the tau_lo bound",
+            RuntimeWarning,
+        )
     R1 = (1.0 + 2.0 * cfg.beta_max) * max_x
     R2 = (1.0 + 2.0 * cfg.beta_max) * max_y
     extras = {"config": cfg, "L_run": L_run, "R1": R1, "R2": R2}
@@ -403,7 +434,7 @@ def palm_run(problem, x0, y0, config, trace_sink=None):
         extras["h2_bound"] = h2_constant_palm(cfg, M, L2bar)
     return RunResult(
         x=(state.x, state.y), records=Trace(records), reason=reason,
-        meta=init_columns(inits), extras=extras,
+        meta=meta, extras=extras,
     )
 
 
@@ -450,7 +481,8 @@ def palm_baseline_run(problem, x0, y0, config, extrapolate=False, trace_sink=Non
         _, _, grad_y = problem.coupling(x_new, yt)
         gy_trial = grad_y()
         y_new = problem.g_prox(yt - tau2 * gy_trial, tau2)
-        step = math.sqrt(_sq(x_new - x) + _sq(y_new - y))
+        steps = (x_new - x, y_new - y)
+        step = math.sqrt(_sq(steps[0]) + _sq(steps[1]))
         obj, grad_x, grad_y = problem.objective(x_new, y_new)
         gx = grad_x()
         probe = BlockIterateState(
@@ -458,7 +490,7 @@ def palm_baseline_run(problem, x0, y0, config, extrapolate=False, trace_sink=Non
             xt_last=xt, yt_last=yt, tau1_last=tau1, tau2_last=tau2,
             gx_trial=gx_trial, gy_trial=gy_trial, gx=gx, gy=grad_y(),
         )
-        _, wnorm = subgrad_witness_palm(probe, 0.0)
+        _, wnorm = subgrad_witness_palm(probe, 0.0, steps)
         x_prev, y_prev, x, y = x, y, x_new, y_new
         t_prev, t_cur = t_cur, t_next
         rec = TraceRecord(

@@ -234,9 +234,12 @@ class RunResult:
     `records` is the run's `Trace`, one record per iterate from the start
     point on. `meta` maps each line-search initialization the backtrack-count
     bound is replayed from (beta0 and tau0; the PALM family has tau1_0,
-    tau2_0 and the block moduli L1k, L2k1) to a float array with one entry
-    per accepted iteration. It is diagnostic data, not part of the trace
-    CSV, and empty for the fixed-step baselines.
+    tau2_0 and the block moduli L1k = L1(y^k), L2k1 = L2(x^{k+1})) to a
+    float array with one entry per accepted iteration. `palm.palm_run`
+    forms L1k and L2k1 after its loop, from the iterates' Gram matrices in
+    one batched eigen-solve per block; no step computes them. It is
+    diagnostic data, not part of the trace CSV, and empty for the
+    fixed-step baselines.
     """
 
     x: object

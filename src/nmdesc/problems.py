@@ -56,7 +56,10 @@ class BlockProblem:
     other. `lipschitz_ball_bounds(R1, R2)` returns (M, L2bar): a Lipschitz
     modulus of grad_x H jointly in (x, y) over balls of radii R1, R2, and
     the max of L2(x) over the x-ball. Used only by the relative-error
-    diagnostics.
+    diagnostics. `gram(X)`, where given, is a symmetric matrix whose top
+    eigenvalue is the block modulus at X: L1(y) and L2(x) are the top
+    eigenvalues of gram(y) and gram(x). `palm.palm_run` then forms the
+    moduli of a whole run in one batched eigen-solve at its end.
     """
 
     f_value: Callable
@@ -67,6 +70,7 @@ class BlockProblem:
     L1: Callable
     L2: Callable
     lipschitz_ball_bounds: Optional[Callable] = None
+    gram: Optional[Callable] = None
 
     def objective(self, x, y):
         """(Psi(x, y), grad_x, grad_y), with the gradients of `coupling`."""
@@ -308,22 +312,29 @@ def gen_mc(n1, n2, r_star, num_samples, sigma, seed, r=None, lam=1.0, mu=1e-10):
     )
 
 
+def _gram(X):
+    """The Gram matrix of X's smaller side: X^T X for the tall, thin
+    factors, X X^T for a wide design matrix."""
+    return X.T @ X if X.shape[0] >= X.shape[1] else X @ X.T
+
+
 def _spectral_sq(X):
-    """sigma_max(X)^2, exactly: the top eigenvalue of the Gram matrix of
-    X's smaller side (X^T X for the tall, thin factors, X X^T for a wide
-    design matrix)."""
-    gram = X.T @ X if X.shape[0] >= X.shape[1] else X @ X.T
-    return float(np.linalg.eigvalsh(gram)[-1])
+    """sigma_max(X)^2, exactly: the top eigenvalue of `_gram(X)`."""
+    return float(np.linalg.eigvalsh(_gram(X))[-1])
 
 
 # The dense masked form of the matrix-completion oracle forms UV^T, so a
 # block gradient costs about 2*n1*n2*r multiply-adds, where the
 # sorted-segment form gathers |Omega| row pairs. `benchmarks/bench_kernels.py`
 # measures the crossover in the ratio n1*n2/|Omega| (rank 10, one BLAS
-# thread): with both gradients from one residual the dense form wins from
-# 100 down at 200 x 200 and from 10-20 down at 500 x 500 to 2000 x 2000.
-# Each of its two buffers takes n1*n2*8 bytes, which caps the size it is
-# used at.
+# thread). With both gradients from one residual and one scatter of it,
+# the dense form wins from 100-200 down at 200 x 200 and from 20-25 down at
+# 500 x 500 to 2000 x 2000 (two runs; with a scatter per gradient it was
+# 100 and 10-20). The ratio 20 was set from the first measurement, one
+# residual per gradient: between 20 and 100 at 200 x 200 the rule picks
+# the slower segment form, and a larger ratio would move the traces of
+# such instances. Each of the dense form's two buffers takes n1*n2*8
+# bytes, which caps the size it is used at.
 DENSE_MAX_RATIO = 20
 DENSE_MAX_BYTES = 2**25
 
@@ -346,9 +357,10 @@ def mc_problem(instance, lam=None):
     by `mc_oracle_form` from the size and the number of observed entries:
 
     * dense: P = UV^T is formed in an n1 x n2 buffer and r taken from it
-      (`kernels.masked_dense_residual`); a block gradient writes r into a
-      second buffer D that is zero off Omega, then returns D V or D^T U
-      (`kernels.masked_dense_grad`);
+      (`kernels.masked_dense_residual`); the first block gradient asked of
+      an evaluation writes r into a second buffer D that is zero off Omega
+      (`kernels.masked_dense_scatter`), and both return D V or D^T U from
+      it (`kernels.masked_dense_grad`);
     * sorted-segment, for sparse or large instances: r is taken from the
       gathered row pairs (`kernels.masked_residual`), and Omega is sorted
       by row and by column once, here, so that a block gradient is per-row
@@ -359,10 +371,11 @@ def mc_problem(instance, lam=None):
     them on every call, so one problem must not be evaluated from two
     threads at once: build one per solve (as `cli.solve` does). A gradient
     asked for after later evaluations is still that of its own point: r is
-    its own array, and D is written at every entry of Omega before each
-    product. The segment form allocates no buffer. Omega must hold distinct
-    entries, as `gen_mc` makes it. `L1` and `L2` are the exact moduli
-    ||V||^2 and ||U||^2.
+    its own array, and D is rewritten at every entry of Omega whenever it
+    holds another evaluation's residual. The segment form allocates no
+    buffer. Omega must hold distinct entries, as `gen_mc` makes it. `L1`
+    and `L2` are the exact moduli ||V||^2 and ||U||^2, the top eigenvalues
+    of the r x r Gram matrices that `gram` gives.
     """
     lam = instance.lam if lam is None else float(lam)
     mu = instance.mu
@@ -377,12 +390,18 @@ def mc_problem(instance, lam=None):
         flat, obs = rows[order] * n2 + cols[order], obs[order]
         P = np.empty((n1, n2))
         D = np.zeros((n1, n2))
+        in_D = [None]  # the residual D holds
 
         def coupling(U, V):
             resid = kernels.masked_dense_residual(U, V, flat, obs, P)
-            return (0.5 * float(resid @ resid),
-                    lambda: kernels.masked_dense_grad(U, V, flat, resid, D, 0),
-                    lambda: kernels.masked_dense_grad(U, V, flat, resid, D, 1))
+
+            def grad(block):
+                if in_D[0] is not resid:
+                    kernels.masked_dense_scatter(flat, resid, D)
+                    in_D[0] = resid
+                return kernels.masked_dense_grad(U, V, D, block)
+
+            return 0.5 * float(resid @ resid), lambda: grad(0), lambda: grad(1)
     else:
         by_row = kernels.block_index(rows, cols)
         by_col = kernels.block_index(cols, rows)
@@ -410,6 +429,7 @@ def mc_problem(instance, lam=None):
         L1=_spectral_sq,
         L2=_spectral_sq,
         lipschitz_ball_bounds=ball_bounds,
+        gram=_gram,
     )
 
 

@@ -43,8 +43,8 @@ class ProxSpec:
             x = np.asarray(x)
             return self.lam * (np.count_nonzero(x) - np.count_nonzero(x[self._skip]))
         X = np.asarray(x)
-        ncols = np.count_nonzero(np.any(X != 0.0, axis=0))
-        return 0.5 * self.mu * float(np.sum(X * X)) + self.lam * ncols
+        ncols = np.count_nonzero(X.any(axis=0))
+        return 0.5 * self.mu * float((X * X).sum()) + self.lam * ncols
 
 
 def prox_l0(v, tau, spec):
@@ -73,9 +73,11 @@ def prox_ridge_l20_columns(V, tau, spec):
         raise ValueError("tau must be positive")
     V = np.asarray(V, dtype=np.float64)
     shrink = 1.0 / (1.0 + tau * spec.mu)
-    colsq = np.sum(V * V, axis=0)
+    colsq = (V * V).sum(axis=0)
     keep = colsq >= 2.0 * spec.lam * tau * (1.0 + tau * spec.mu)
-    return np.where(keep[None, :], V * shrink, 0.0)
+    out = V * shrink
+    out[:, ~keep] = 0.0
+    return out
 
 
 def prox_objective(z, v, tau, spec):

@@ -269,8 +269,39 @@ class TestSolverFailure:
                            BENCH_TWO_FAILING.format(out_dir=tmp_path / "b"))
         assert main(["bench", cfg]) == 3
         err = capsys.readouterr().err
+        for name in ("pgenls", "pgnls"):
+            for t in (0, 1):
+                assert f"note: solver {name} failed trial {t}: iteration 0: " in err
         assert "note: solver pgenls failed all trials" in err
         assert "fewer than 2 solvers" in err
+
+
+class TestBenchFailureLines:
+    def test_each_failed_trial_is_reported(self, tmp_path, capsys, monkeypatch):
+        # pgnls fails trial 1 only: bench keeps its other trial and says
+        # which trial failed and why, once, on stderr
+        from nmdesc import cli
+        from nmdesc.nls import BacktrackCapError
+
+        solve_ = cli.solve
+
+        def failing(name, instance, options, seed, lam=None):
+            if name == "pgnls" and seed == 6:
+                raise BacktrackCapError(7, 60, None)
+            return solve_(name, instance, options, seed, lam=lam)
+
+        monkeypatch.setattr(cli, "solve", failing)
+        out_dir = tmp_path / "b"
+        cfg = write_config(tmp_path / "c.cfg", BENCH.format(out_dir=out_dir))
+        assert main(["bench", cfg, "--replay"]) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "note: solver pgnls failed trial 1: "
+            "iteration 7: line search exceeded 60 backtracks"]
+        assert (out_dir / "trace_pgnls_trial0.csv").exists()
+        assert not (out_dir / "trace_pgnls_trial1.csv").exists()
+        with open(out_dir / "bench_e.csv") as f:
+            assert f.readline().strip() == "t,pgenls,pgnls,fista"
 
 
 class TestStepInit:

@@ -62,8 +62,8 @@ def dense_grads(U, V, rows, cols, obs, D=None):
     D = np.zeros_like(P) if D is None else D
     flat = rows * V.shape[0] + cols
     resid = kernels.masked_dense_residual(U, V, flat, obs, P)
-    return (kernels.masked_dense_grad(U, V, flat, resid, D, 0),
-            kernels.masked_dense_grad(U, V, flat, resid, D, 1))
+    kernels.masked_dense_scatter(flat, resid, D)
+    return kernels.masked_dense_grad(U, V, D, 0), kernels.masked_dense_grad(U, V, D, 1)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -101,6 +101,21 @@ def test_dense_residual_matches_gather():
     ref = kernels.masked_residual(U, V, rows, cols, obs)
     assert np.allclose(r, ref, rtol=1e-13, atol=1e-15)
     assert np.array_equal(P, U @ V.T)
+
+
+@pytest.mark.parametrize("r", [1, 10])
+@pytest.mark.parametrize("shape", [(200, 200), (120, 230), (230, 120)])
+def test_dense_residual_bit_equal_to_transposed_product(shape, r):
+    # the product on a C-order copy of V^T gives the bits of U @ V.T
+    n1, n2 = shape
+    rng = np.random.default_rng(r)
+    U = rng.standard_normal((n1, r))
+    V = rng.standard_normal((n2, r))
+    flat = np.sort(rng.choice(n1 * n2, n1 * n2 // 6, replace=False))
+    rows, cols = np.divmod(flat, n2)
+    obs = rng.standard_normal(len(flat))
+    got = kernels.masked_dense_residual(U, V, flat, obs, np.empty((n1, n2)))
+    assert np.array_equal(got, (U @ V.T)[rows, cols] - obs)
 
 
 def test_block_index_segments():

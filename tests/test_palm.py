@@ -1,6 +1,7 @@
 """Two-block line-search solver and the fixed-step baselines."""
 
 import math
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -72,9 +73,9 @@ def coupled_quadratic(Q):
 
 
 def counted_oracles(problem):
-    """The problem with its coupling evaluations counted, and the block
-    gradients asked of them; returns (problem, Counter of calls by name:
-    "coupling", "grad_x", "grad_y")."""
+    """The problem with its coupling evaluations, the block gradients asked
+    of them and its block moduli counted; returns (problem, Counter of
+    calls by name: "coupling", "grad_x", "grad_y", "L1", "L2")."""
     calls = Counter()
 
     def counted(name, fn):
@@ -87,7 +88,8 @@ def counted_oracles(problem):
         h, grad_x, grad_y = problem.coupling(x, y)
         return h, counted("grad_x", grad_x), counted("grad_y", grad_y)
 
-    return replace(problem, coupling=counted("coupling", coupling)), calls
+    return replace(problem, coupling=counted("coupling", coupling),
+                   L1=counted("L1", problem.L1), L2=counted("L2", problem.L2)), calls
 
 
 def grad_x(problem, x, y):
@@ -285,7 +287,8 @@ class TestWitnessAndInvariants:
         # BB secant gradients at the previous iterate. A trial with beta = 0
         # takes grad_x(x^k, y^k) from the state, and after a step with
         # beta = 0 the BB secant's grad_y(x^k, y^{k-1}) is that step's trial
-        # gradient. A rejected trial asks for no gradient at its point.
+        # gradient. A rejected trial asks for no gradient at its point. No
+        # step computes a block modulus (the Counter has no "L1" or "L2").
         prob, u0, v0 = self.small_mc(seed=3)
         counting, calls = counted_oracles(prob)
         for name in ("palmenls", "palmnls"):
@@ -314,12 +317,78 @@ class TestWitnessAndInvariants:
         # iteration (x^{k+1}, y^k) for the y block's gradient and the new
         # iterate, whose evaluation gives its objective and both gradients;
         # without extrapolation the next x block takes grad_x(x^k, y^k)
-        # from it
+        # from it. Its steps are 1/L1(y^k) and 1/L2(x^{k+1}): two moduli
+        # per iteration
         prob, u0, v0 = self.small_mc(seed=3)
         counting, calls = counted_oracles(prob)
         result = palm_baseline_run(counting, u0, v0, PalmConfig(max_iters=20, stop_tol=-1.0))
         assert len(result.records) == 21
-        assert calls == {"coupling": 41, "grad_x": 21, "grad_y": 40}
+        assert calls == {"coupling": 41, "grad_x": 21, "grad_y": 40, "L1": 20, "L2": 20}
+
+    def test_run_computes_moduli_only_at_the_start(self):
+        # the per-iteration moduli come from the Gram matrices at the end
+        # of the run; L1 and L2 are called once each, at (x^0, y^0). A
+        # problem without `gram` has them called after each step instead,
+        # with the same values
+        prob, u0, v0 = self.small_mc(seed=3)
+        cfg = PalmConfig(max_iters=10, stop_tol=-1.0)
+        metas = []
+        for gram, per_run in ((prob.gram, 1), (None, 11)):
+            counting, calls = counted_oracles(replace(prob, gram=gram))
+            result = palm_run(counting, u0, v0, cfg)
+            assert len(result.meta["L1k"]) == len(result.meta["L2k1"]) == 10
+            assert calls["L1"] == calls["L2"] == per_run
+            metas.append(result.meta)
+        assert metas[0] == metas[1]
+
+    @pytest.mark.parametrize("form", ["dense", "segment"])
+    def test_block_moduli_equal_per_point_moduli(self, form):
+        # meta's L1k and L2k1, from one batched eigen-solve per block at the
+        # end of the run, equal L1(y^k) and L2(x^{k+1}) of a palm_step
+        # replay bit for bit, and L_run is the largest of them and the
+        # start's moduli
+        inst, prob, u0, v0 = mc_start(*MC_FORMS[form])
+        for name in ("palmenls", "palmnls"):
+            cfg = variant_config(name, PalmConfig(max_iters=40, stop_tol=-1.0))
+            result = palm_run(prob, u0, v0, cfg)
+            vcfg = result.extras["config"]
+            state = fresh_state(u0, v0, prob, vcfg)
+            L1k, L2k1 = [], []
+            for _ in range(40):
+                y_k = state.y
+                state, _, _ = palm_step(state, prob, vcfg)
+                L1k.append(prob.L1(y_k))
+                L2k1.append(prob.L2(state.x))
+            assert list(result.meta["L1k"]) == L1k
+            assert list(result.meta["L2k1"]) == L2k1
+            assert result.extras["L_run"] == max([prob.L1(v0), prob.L2(u0)] + L1k + L2k1)
+
+    def test_tau_lo_warning_once_from_the_run_estimate(self):
+        # planted factors scaled by 0.9: on seed 0 the moduli grow from 22.37
+        # to 24.35 and pass a tau_lo just under the start's barrier, on
+        # seed 0 at scale 0.95 they never pass the start's value
+        def run(seed, scale):
+            inst = gen_mc(n1=20, n2=20, r_star=2, num_samples=200, sigma=0.01,
+                          seed=seed, lam=0.01, r=2)
+            prob = mc_problem(inst)
+            u0, v0 = scale * inst.U_star, scale * inst.V_star
+            L_start = max(prob.L1(v0), prob.L2(u0))
+            cfg = PalmConfig(max_iters=40)
+            tau_lo = 0.999 / (L_start + cfg.delta + 2.0 * cfg.alpha)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = palm_run(prob, u0, v0, replace(cfg, tau_lo=tau_lo))
+            assert len(result.records) == 41
+            return L_start, result.extras["L_run"], tau_lo, caught
+
+        L_start, L_run, tau_lo, caught = run(0, 0.9)
+        assert L_run > L_start
+        assert tau_lo >= 1.0 / (L_run + 0.01 + 2e-5)
+        assert [str(w.message) for w in caught] == [
+            "running Lipschitz estimate violates the tau_lo bound"]
+        assert caught[0].category is RuntimeWarning
+        L_start, L_run, _, caught = run(0, 0.95)
+        assert L_run == L_start and caught == []
 
     def test_near_equal_singular_values_do_not_stop_a_solve(self):
         # an iterate of this instance has sigma1 = 20.224, sigma2 = 20.214,
@@ -396,8 +465,11 @@ def reference_palm(prob, x0, y0, cfg, iters):
     taus = (None, None)
     out = [(0, ups, ups, 0.0, math.inf, 0.0, 0.0, 0.0, 0, 0)]
     for k in range(iters):
-        beta0, t_next = nesterov_beta(t_prev, t_cur)
-        beta0 = min(beta0, cfg.beta_max)
+        if cfg.beta_rule == "nesterov":
+            beta0, t_next = nesterov_beta(t_prev, t_cur)
+            beta0 = min(beta0, cfg.beta_max)
+        else:
+            beta0, t_next = cfg.beta_max, t_cur
         if k >= 1:
             bare = point_state(prob, x, y, xp, yp, window=None,
                                tau1_init_prev=taus[0], tau2_init_prev=taus[1])
@@ -491,6 +563,19 @@ class TestZeroExtrapolationReuse:
         result = palm_run(prob, u0, v0, cfg)
         got = [(r.k, r.objective, r.potential, r.step_norm, r.witness_norm,
                 r.beta, r.tau1, r.tau2, r.backtracks, r.ell) for r in result.records]
+        ref, (x, y) = reference_palm(prob, u0, v0, result.extras["config"], 50)
+        assert got == ref
+        assert np.array_equal(result.x[0], x) and np.array_equal(result.x[1], y)
+
+    @pytest.mark.parametrize("form", sorted(MC_FORMS))
+    def test_constant_beta_trace_equals_recomputation(self, form):
+        # beta = beta_max > 0 from k = 0 on, where x~ = x^0 + beta*0
+        inst, prob, u0, v0 = mc_start(*MC_FORMS[form])
+        cfg = PalmConfig(max_iters=50, stop_tol=-1.0, beta_rule="constant", beta_max=0.3)
+        result = palm_run(prob, u0, v0, cfg)
+        got = [(r.k, r.objective, r.potential, r.step_norm, r.witness_norm,
+                r.beta, r.tau1, r.tau2, r.backtracks, r.ell) for r in result.records]
+        assert got[1][5] > 0.0
         ref, (x, y) = reference_palm(prob, u0, v0, result.extras["config"], 50)
         assert got == ref
         assert np.array_equal(result.x[0], x) and np.array_equal(result.x[1], y)

@@ -423,6 +423,27 @@ class TestOracleForm:
             assert np.array_equal(gy(), want[2])
             assert np.array_equal(gx(), want[1])
 
+    def test_interleaved_gradient_requests_match_fresh_evaluations(self, monkeypatch):
+        # the dense form scatters an evaluation's residual into D once, for
+        # the first gradient asked of it, and again only when D holds
+        # another evaluation's residual: grad_x at A, grad_y at B, grad_y
+        # at A and grad_x at A take three scatters
+        inst = gen_mc(n1=40, n2=40, r_star=2, num_samples=600, sigma=0.1, seed=0)
+        assert mc_oracle_form(40, 40, inst.num_obs) == "dense"
+        scatters = []
+        scatter = kernels.masked_dense_scatter
+        monkeypatch.setattr(kernels, "masked_dense_scatter",
+                            lambda *args: scatters.append(1) or scatter(*args))
+        prob = mc_problem(inst)
+        A, B = random_factors(inst, 1), random_factors(inst, 2)
+        at_a, at_b = prob.coupling(*A), prob.coupling(*B)
+        got = [at_a[1](), at_b[2](), at_a[2](), at_a[1]()]
+        assert len(scatters) == 3
+        want = [evaluate(mc_problem(inst), *point)[block]
+                for point, block in ((A, 1), (B, 2), (A, 2), (A, 1))]
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
 
 class TestSparsityMetrics:
     def test_vector_support_with_skip(self):
