@@ -87,13 +87,3 @@ def spectral_norm(A, tol=1e-6, max_iter=5000):
             return sigma_new
         sigma = sigma_new
     raise SpectralNormError(sigma, max_iter)
-
-
-def top_eigenvalues(mats):
-    """The top eigenvalue of each of a sequence of equal-shaped symmetric
-    matrices, from one batched `eigvalsh`. Each equals, bit for bit, the
-    top eigenvalue `eigvalsh` gives for that matrix alone: the batched call
-    runs the same LAPACK solver on each matrix in turn."""
-    if not mats:
-        return np.empty(0)
-    return np.linalg.eigvalsh(np.stack(mats))[:, -1]

@@ -29,7 +29,6 @@ from .nls import (
     BacktrackCapError,
     LineSearchStalled,
 )
-from .linalg import top_eigenvalues
 from .pg import RunResult, init_columns, nesterov_beta
 from .trace import Trace, TraceRecord
 
@@ -156,16 +155,16 @@ def _bb_ratio(d, d_sq, dh, lo, hi, prev):
     return max(min(candidate, hi), lo)
 
 
-def bb_init_tau_blocks(state, problem, tau_lo, tau_hi, diffs=None):
+def bb_init_tau_blocks(state, problem, tau_lo, tau_hi, diffs):
     """Per-block Barzilai-Borwein initializations.
 
     The x secant uses gradients at the CURRENT y^k; the y secant uses the
     CURRENT x^k. A zero block difference reuses the previous initialization.
     The gradients at (x^k, y^k) come from the state, and so does
     grad_y H(x^k, y^{k-1}) after a step without extrapolation. `diffs` is
-    the state's `step_differences`, formed here when not given.
+    the state's `step_differences`.
     """
-    dx, dy, dx_sq, dy_sq = step_differences(state) if diffs is None else diffs
+    dx, dy, dx_sq, dy_sq = diffs
     _, grad_x, _ = problem.coupling(state.x_prev, state.y)
     dhx = state.gx - grad_x()
     if state.beta_last == 0.0:
@@ -217,15 +216,13 @@ def backtrack_bound_palm(tau1_0, tau2_0, beta0, config, L1k, L2k1):
     return l_tau + l_beta + 1
 
 
-def subgrad_witness_palm(state, delta, steps=None):
+def subgrad_witness_palm(state, delta, steps):
     """Subgradient witness at z^{k+1} from the two prox optimality conditions
     of the last accepted step, from the extrapolated points, step sizes and
     the four gradients the state carries. `steps` is the step's
-    (x^{k+1} - x^k, y^{k+1} - y^k), formed here when not given."""
+    (x^{k+1} - x^k, y^{k+1} - y^k)."""
     x, y = state.x, state.y
     xt, yt = state.xt_last, state.yt_last
-    if steps is None:
-        steps = (x - state.x_prev, y - state.y_prev)
     dx, dy = steps
     # delta*(x_prev - x) is -(delta*dx) to the bit: rounding is symmetric
     w3 = delta * dx
@@ -335,6 +332,25 @@ def palm_step(state, problem, config):
     return new_state, record, init
 
 
+def _run_moduli(grams_y, grams_x, L_start, config):
+    """(L1k, L2k1, L_run) of a run from its kept Gram matrices, with one
+    batched eigvalsh per block: each top eigenvalue equals, bit for bit,
+    the one eigvalsh gives for its matrix alone, since the batched call
+    runs the same LAPACK solver on each matrix in turn. Warns once if
+    tau_lo is not below the step-size barrier at L_run."""
+    moduli = [
+        array("d", np.linalg.eigvalsh(np.stack(grams))[:, -1] if grams else ())
+        for grams in (grams_y, grams_x)
+    ]
+    L_run = max([L_start, *moduli[0], *moduli[1]])
+    if config.tau_lo >= 1.0 / (L_run + config.delta + 2.0 * config.alpha):
+        warnings.warn(
+            "running Lipschitz estimate violates the tau_lo bound",
+            RuntimeWarning,
+        )
+    return moduli[0], moduli[1], L_run
+
+
 def palm_run(problem, x0, y0, config, trace_sink=None):
     """Run the line-search method from (x0, y0) until a stopping rule fires.
 
@@ -343,12 +359,14 @@ def palm_run(problem, x0, y0, config, trace_sink=None):
     estimate L_run (the largest block modulus at the start point and at
     every accepted iteration), the observed ball radii, and the
     relative-error bound computed from them. The per-iteration moduli
-    L1(y^k) and L2(x^{k+1}) go into `meta`. Where the problem gives `gram`,
-    the loop keeps the two Gram matrices of each iteration (r x r, 1.6 kB a
-    pair at r = 10), and one batched eigen-solve per block turns them into
-    moduli after the loop; otherwise it calls L1 and L2 after each step.
-    After the loop, a RuntimeWarning is issued once if tau_lo is not below
-    the step-size barrier 1/(L_run + delta + 2*alpha).
+    L1(y^k) and L2(x^{k+1}) go into `meta` next to the initializations
+    (`meta` is empty when no step was accepted). The problem must give
+    `gram`: the loop keeps gram(y^k) and gram(x^{k+1}) of each iteration
+    (r x r, about 0.9 kB each at r = 10), and `_run_moduli` turns them into
+    moduli once the loop ends. It then issues a RuntimeWarning, once, if
+    tau_lo is not below the step-size barrier 1/(L_run + delta + 2*alpha);
+    a run that raises `BacktrackCapError` gets the same check, over the
+    iterations it accepted, before the error propagates.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     y0 = np.asarray(y0, dtype=np.float64)
@@ -376,13 +394,7 @@ def palm_run(problem, x0, y0, config, trace_sink=None):
     records = [rec]
     if trace_sink:
         trace_sink(rec)
-    # per iteration, the Gram matrices of y^k and x^{k+1} (or, for a
-    # problem without `gram`, L1(y^k) and L2(x^{k+1}) themselves)
-    if problem.gram is not None:
-        at_y = at_x = problem.gram
-    else:
-        at_y, at_x = problem.L1, problem.L2
-    kept_y, kept_x = [], []
+    grams_y, grams_x = [], []  # gram(y^k) and gram(x^{k+1}) per iteration
     max_x = math.sqrt(_sq(x0))
     max_y = math.sqrt(_sq(y0))
     start = time.perf_counter()
@@ -397,14 +409,15 @@ def palm_run(problem, x0, y0, config, trace_sink=None):
             break
         except BacktrackCapError as e:
             e.records = Trace(records)
+            _run_moduli(grams_y, grams_x, L_start, cfg)
             raise
         rec.time_s = time.perf_counter() - start
         records.append(rec)
         inits.append(init)
         if trace_sink:
             trace_sink(rec)
-        kept_y.append(at_y(y_k))
-        kept_x.append(at_x(state.x))
+        grams_y.append(problem.gram(y_k))
+        grams_x.append(problem.gram(state.x))
         x_sq, y_sq = _sq(state.x), _sq(state.y)
         max_x = max(max_x, math.sqrt(x_sq))
         max_y = max(max_y, math.sqrt(y_sq))
@@ -416,16 +429,10 @@ def palm_run(problem, x0, y0, config, trace_sink=None):
             reason = "time_budget"
             break
 
-    if problem.gram is not None:
-        kept_y, kept_x = top_eigenvalues(kept_y), top_eigenvalues(kept_x)
     meta = init_columns(inits)
-    meta["L1k"], meta["L2k1"] = array("d", kept_y), array("d", kept_x)
-    L_run = max([L_start, *meta["L1k"], *meta["L2k1"]])
-    if cfg.tau_lo >= 1.0 / (L_run + cfg.delta + 2.0 * cfg.alpha):
-        warnings.warn(
-            "running Lipschitz estimate violates the tau_lo bound",
-            RuntimeWarning,
-        )
+    L1k, L2k1, L_run = _run_moduli(grams_y, grams_x, L_start, cfg)
+    if inits:
+        meta["L1k"], meta["L2k1"] = L1k, L2k1
     R1 = (1.0 + 2.0 * cfg.beta_max) * max_x
     R2 = (1.0 + 2.0 * cfg.beta_max) * max_y
     extras = {"config": cfg, "L_run": L_run, "R1": R1, "R2": R2}

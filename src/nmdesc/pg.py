@@ -239,7 +239,7 @@ class RunResult:
     forms L1k and L2k1 after its loop, from the iterates' Gram matrices in
     one batched eigen-solve per block; no step computes them. It is
     diagnostic data, not part of the trace CSV, and empty for the
-    fixed-step baselines.
+    fixed-step baselines and for a run that accepted no step.
     """
 
     x: object

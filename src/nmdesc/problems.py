@@ -56,10 +56,11 @@ class BlockProblem:
     other. `lipschitz_ball_bounds(R1, R2)` returns (M, L2bar): a Lipschitz
     modulus of grad_x H jointly in (x, y) over balls of radii R1, R2, and
     the max of L2(x) over the x-ball. Used only by the relative-error
-    diagnostics. `gram(X)`, where given, is a symmetric matrix whose top
-    eigenvalue is the block modulus at X: L1(y) and L2(x) are the top
-    eigenvalues of gram(y) and gram(x). `palm.palm_run` then forms the
-    moduli of a whole run in one batched eigen-solve at its end.
+    diagnostics. `gram(X)` is a symmetric matrix whose top eigenvalue is
+    the block modulus at X: L1(y) and L2(x) are the top eigenvalues of
+    gram(y) and gram(x). `palm.palm_run` needs it, to form the moduli of a
+    whole run in one batched eigen-solve at its end; the baselines, which
+    take a step from each modulus, and `palm.palm_step` do not.
     """
 
     f_value: Callable

@@ -95,27 +95,20 @@ def test_dense_residual_buffer_stays_zero_off_omega():
 
 
 def test_dense_residual_matches_gather():
-    U, V, rows, cols, obs = sparse_mask_inputs(3)
-    P = np.empty((U.shape[0], V.shape[0]))
-    r = kernels.masked_dense_residual(U, V, rows * V.shape[0] + cols, obs, P)
-    ref = kernels.masked_residual(U, V, rows, cols, obs)
-    assert np.allclose(r, ref, rtol=1e-13, atol=1e-15)
-    assert np.array_equal(P, U @ V.T)
-
-
-@pytest.mark.parametrize("r", [1, 10])
-@pytest.mark.parametrize("shape", [(200, 200), (120, 230), (230, 120)])
-def test_dense_residual_bit_equal_to_transposed_product(shape, r):
-    # the product on a C-order copy of V^T gives the bits of U @ V.T
-    n1, n2 = shape
-    rng = np.random.default_rng(r)
-    U = rng.standard_normal((n1, r))
-    V = rng.standard_normal((n2, r))
-    flat = np.sort(rng.choice(n1 * n2, n1 * n2 // 6, replace=False))
-    rows, cols = np.divmod(flat, n2)
-    obs = rng.standard_normal(len(flat))
-    got = kernels.masked_dense_residual(U, V, flat, obs, np.empty((n1, n2)))
-    assert np.array_equal(got, (U @ V.T)[rows, cols] - obs)
+    # the residual is taken from the bits of the view product U @ V.T, for
+    # r = 1 and r = 10 on square and non-square shapes too
+    cases = [(3, 30, 25, 4, 120)] + [
+        (r, n1, n2, r, n1 * n2 // 6)
+        for r in (1, 10) for n1, n2 in ((200, 200), (120, 230), (230, 120))
+    ]
+    for seed, n1, n2, r, p in cases:
+        U, V, rows, cols, obs = sparse_mask_inputs(seed, n1, n2, r, p)
+        P = np.empty((n1, n2))
+        resid = kernels.masked_dense_residual(U, V, rows * n2 + cols, obs, P)
+        ref = kernels.masked_residual(U, V, rows, cols, obs)
+        assert np.allclose(resid, ref, rtol=1e-13, atol=1e-15)
+        assert np.array_equal(P, U @ V.T)
+        assert np.array_equal(resid, (U @ V.T)[rows, cols] - obs)
 
 
 def test_block_index_segments():

@@ -10,7 +10,8 @@ import pytest
 
 from conftest import trace_csv_string
 from nmdesc.linalg import RngStream
-from nmdesc.nls import HistoryWindow, accept, window_max
+from nmdesc import palm as palm_mod
+from nmdesc.nls import BacktrackCapError, HistoryWindow, accept, window_max
 from nmdesc.palm import (
     BlockIterateState,
     PalmConfig,
@@ -21,6 +22,7 @@ from nmdesc.palm import (
     palm_run,
     palm_step,
     safe_beta_bound_palm,
+    step_differences,
     subgrad_witness_palm,
     variant_config,
 )
@@ -177,7 +179,8 @@ class TestBbBlocks:
         y = np.array([0.5, 0.5])
         state = point_state(prob, x1, y, x0, y, window=None,
                             tau1_init_prev=9.0, tau2_init_prev=9.0)
-        tau1, tau2 = bb_init_tau_blocks(state, prob, cfg.tau_lo, cfg.tau_hi)
+        tau1, tau2 = bb_init_tau_blocks(state, prob, cfg.tau_lo, cfg.tau_hi,
+                                        step_differences(state))
         assert tau1 == pytest.approx(0.5, rel=1e-12)
         assert tau2 == 9.0  # y did not move: previous init reused
 
@@ -186,7 +189,7 @@ class TestBbBlocks:
         state = point_state(prob, np.array([1.0]), np.array([2.0]),
                             np.array([1.0]), np.array([0.0]), window=None,
                             tau1_init_prev=1.0, tau2_init_prev=1.0)
-        _, tau2 = bb_init_tau_blocks(state, prob, 1e-8, 1e8)
+        _, tau2 = bb_init_tau_blocks(state, prob, 1e-8, 1e8, step_differences(state))
         assert tau2 == 1e8
 
     def test_random_instance_matches_hand_ratios(self):
@@ -204,7 +207,7 @@ class TestBbBlocks:
             inner = float(d @ dh)
             return max(min(float(d @ d) / inner,
                            inner / float(dh @ dh), 1e8), 1e-8)
-        tau1, tau2 = bb_init_tau_blocks(state, prob, 1e-8, 1e8)
+        tau1, tau2 = bb_init_tau_blocks(state, prob, 1e-8, 1e8, step_differences(state))
         assert tau1 == pytest.approx(expected(dx, dhx), rel=1e-12)
         assert tau2 == pytest.approx(expected(dy, dhy), rel=1e-12)
 
@@ -273,10 +276,11 @@ class TestWitnessAndInvariants:
             )
             for name in ("gx", "gy", "gx_trial", "gy_trial"):
                 assert np.array_equal(getattr(state, name), getattr(ref, name))
-            _, norm = subgrad_witness_palm(ref, vcfg.delta)
+            diffs = step_differences(state)
+            _, norm = subgrad_witness_palm(ref, vcfg.delta, diffs[:2])
             assert rec.witness_norm == norm
-            assert bb_init_tau_blocks(state, prob, vcfg.tau_lo, vcfg.tau_hi) == \
-                bb_init_tau_blocks(ref, prob, vcfg.tau_lo, vcfg.tau_hi)
+            assert bb_init_tau_blocks(state, prob, vcfg.tau_lo, vcfg.tau_hi, diffs) == \
+                bb_init_tau_blocks(ref, prob, vcfg.tau_lo, vcfg.tau_hi, diffs)
 
     def test_oracle_calls_per_iteration(self):
         # per step with l backtracks: l+1 trials, each evaluating the
@@ -326,20 +330,16 @@ class TestWitnessAndInvariants:
         assert calls == {"coupling": 41, "grad_x": 21, "grad_y": 40, "L1": 20, "L2": 20}
 
     def test_run_computes_moduli_only_at_the_start(self):
-        # the per-iteration moduli come from the Gram matrices at the end
-        # of the run; L1 and L2 are called once each, at (x^0, y^0). A
-        # problem without `gram` has them called after each step instead,
-        # with the same values
+        # L1 and L2 are called once each, at (x^0, y^0); the per-iteration
+        # moduli come from the Gram matrices at the end of the run. A run
+        # that accepts no step has no initializations and no moduli in meta
         prob, u0, v0 = self.small_mc(seed=3)
-        cfg = PalmConfig(max_iters=10, stop_tol=-1.0)
-        metas = []
-        for gram, per_run in ((prob.gram, 1), (None, 11)):
-            counting, calls = counted_oracles(replace(prob, gram=gram))
-            result = palm_run(counting, u0, v0, cfg)
-            assert len(result.meta["L1k"]) == len(result.meta["L2k1"]) == 10
-            assert calls["L1"] == calls["L2"] == per_run
-            metas.append(result.meta)
-        assert metas[0] == metas[1]
+        counting, calls = counted_oracles(prob)
+        result = palm_run(counting, u0, v0, PalmConfig(max_iters=10, stop_tol=-1.0))
+        assert list(result.meta) == ["beta0", "tau1_0", "tau2_0", "L1k", "L2k1"]
+        assert len(result.meta["L1k"]) == len(result.meta["L2k1"]) == 10
+        assert calls["L1"] == calls["L2"] == 1
+        assert palm_run(prob, u0, v0, PalmConfig(max_iters=0)).meta == {}
 
     @pytest.mark.parametrize("form", ["dense", "segment"])
     def test_block_moduli_equal_per_point_moduli(self, form):
@@ -363,11 +363,13 @@ class TestWitnessAndInvariants:
             assert list(result.meta["L2k1"]) == L2k1
             assert result.extras["L_run"] == max([prob.L1(v0), prob.L2(u0)] + L1k + L2k1)
 
-    def test_tau_lo_warning_once_from_the_run_estimate(self):
+    def test_tau_lo_warning_once_from_the_run_estimate(self, monkeypatch):
         # planted factors scaled by 0.9: on seed 0 the moduli grow from 22.37
         # to 24.35 and pass a tau_lo just under the start's barrier, on
-        # seed 0 at scale 0.95 they never pass the start's value
-        def run(seed, scale):
+        # seed 0 at scale 0.95 they never pass the start's value. A run cut
+        # by the backtrack cap at iteration 30 is checked over the 30
+        # iterations it accepted before the error propagates
+        def run(seed, scale, fail_at=None):
             inst = gen_mc(n1=20, n2=20, r_star=2, num_samples=200, sigma=0.01,
                           seed=seed, lam=0.01, r=2)
             prob = mc_problem(inst)
@@ -377,9 +379,14 @@ class TestWitnessAndInvariants:
             tau_lo = 0.999 / (L_start + cfg.delta + 2.0 * cfg.alpha)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                result = palm_run(prob, u0, v0, replace(cfg, tau_lo=tau_lo))
-            assert len(result.records) == 41
-            return L_start, result.extras["L_run"], tau_lo, caught
+                if fail_at is None:
+                    result = palm_run(prob, u0, v0, replace(cfg, tau_lo=tau_lo))
+                    assert len(result.records) == 41
+                    return L_start, result.extras["L_run"], tau_lo, caught
+                with pytest.raises(BacktrackCapError) as err:
+                    palm_run(prob, u0, v0, replace(cfg, tau_lo=tau_lo))
+                assert len(err.value.records) == fail_at + 1
+                return caught
 
         L_start, L_run, tau_lo, caught = run(0, 0.9)
         assert L_run > L_start
@@ -389,6 +396,18 @@ class TestWitnessAndInvariants:
         assert caught[0].category is RuntimeWarning
         L_start, L_run, _, caught = run(0, 0.95)
         assert L_run == L_start and caught == []
+
+        step = palm_mod.palm_step
+
+        def capped(state, problem, config):
+            if state.k == 30:
+                raise BacktrackCapError(state.k, config.max_backtracks, None)
+            return step(state, problem, config)
+
+        monkeypatch.setattr(palm_mod, "palm_step", capped)
+        assert [str(w.message) for w in run(0, 0.9, fail_at=30)] == [
+            "running Lipschitz estimate violates the tau_lo bound"]
+        assert run(0, 0.95, fail_at=30) == []
 
     def test_near_equal_singular_values_do_not_stop_a_solve(self):
         # an iterate of this instance has sigma1 = 20.224, sigma2 = 20.214,
@@ -473,7 +492,8 @@ def reference_palm(prob, x0, y0, cfg, iters):
         if k >= 1:
             bare = point_state(prob, x, y, xp, yp, window=None,
                                tau1_init_prev=taus[0], tau2_init_prev=taus[1])
-            taus = bb_init_tau_blocks(bare, prob, cfg.tau_lo, cfg.tau_hi)
+            taus = bb_init_tau_blocks(bare, prob, cfg.tau_lo, cfg.tau_hi,
+                                      step_differences(bare))
         else:
             taus = (min(max(cfg.tau1_0, cfg.tau_lo), cfg.tau_hi),
                     min(max(cfg.tau2_0, cfg.tau_lo), cfg.tau_hi))
@@ -492,7 +512,8 @@ def reference_palm(prob, x0, y0, cfg, iters):
             if accept(ups, window, cfg.alpha, step_sq):
                 break
         _, wnorm = subgrad_witness_palm(
-            witness_state(prob, xn, yn, x, y, xt, yt, tau1, tau2), cfg.delta)
+            witness_state(prob, xn, yn, x, y, xt, yt, tau1, tau2), cfg.delta,
+            (xn - x, yn - y))
         window.push(k + 1, ups)
         _, ell = window_max(window)
         out.append((k + 1, obj, ups, math.sqrt(step_sq), wnorm, beta, tau1, tau2, l, ell))
@@ -530,7 +551,8 @@ def reference_baseline(prob, x0, y0, cfg, extrapolate):
         yt = y + beta * (y - yp)
         yn = prob.g_prox(yt - tau2 * grad_y(prob, xn, yt), tau2)
         _, wnorm = subgrad_witness_palm(
-            witness_state(prob, xn, yn, x, y, xt, yt, tau1, tau2), 0.0)
+            witness_state(prob, xn, yn, x, y, xt, yt, tau1, tau2), 0.0,
+            (xn - x, yn - y))
         step = math.sqrt(_sq(xn - x) + _sq(yn - y))
         x, y, xp, yp = xn, yn, x, y
         t_prev, t_cur = t_cur, t_next
