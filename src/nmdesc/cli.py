@@ -181,9 +181,7 @@ def solve(name, instance, options, seed, lam=None):
         if name in PG_SOLVERS:
             cfg = pg.variant_config(name, cfg)
             return pg.pg_run(problem, start, cfg)
-        if name == "fista":
-            return pg.fista_run(problem, start, cfg)
-        return pg.refista_run(problem, start, cfg)
+        return pg.fista_run(problem, start, cfg, restart=(name == "refista"))
     if not isinstance(instance, problems.McInstance):
         raise UsageError(f"solver {name!r} needs an mc instance")
     problem = problems.mc_problem(instance, lam=lam)

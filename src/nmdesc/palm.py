@@ -14,7 +14,6 @@ Named variants:
 """
 
 import math
-import time
 import warnings
 from array import array
 from dataclasses import dataclass, replace
@@ -27,19 +26,9 @@ from .nls import (
     accept,
     cap_error,
     BacktrackCapError,
-    LineSearchStalled,
 )
-from .pg import RunResult, init_columns, nesterov_beta
-from .trace import Trace, TraceRecord
-
-
-def _sq(a):
-    a = a.ravel()
-    return float(a @ a)
-
-
-def _dot(a, b):
-    return float(a.ravel() @ b.ravel())
+from .pg import RunResult, _dot, _sq, nesterov_beta, run_loop
+from .trace import TraceRecord
 
 
 @dataclass
@@ -109,7 +98,8 @@ class BlockIterateState:
     step reuses gx and gy in its Barzilai-Borwein initialization and gx as
     the trial gradient of a zero-extrapolation trial, whose x~ is x; after
     a step with beta_last = 0, yt_last is y_prev, so gy_trial is also the
-    initialization's grad_y H(x, y_prev).
+    initialization's grad_y H(x, y_prev). The baselines' state has no
+    history window (window is None), and their start state no gy.
     """
 
     x: np.ndarray
@@ -351,17 +341,42 @@ def _run_moduli(grams_y, grams_x, L_start, config):
     return moduli[0], moduli[1], L_run
 
 
+def start_state(problem, x0, y0, config=None):
+    """(state, record) at z^0 = (x0, y0, x0, y0), from one evaluation at
+    (x0, y0). A line-search config gives the state its history window,
+    holding Upsilon(z^0) = Psi(x0, y0), and grad_y H there; the baselines'
+    state (config None) has neither, since they never read them."""
+    x0 = np.asarray(x0, dtype=np.float64)
+    y0 = np.asarray(y0, dtype=np.float64)
+    obj0, grad_x, grad_y = problem.objective(x0, y0)
+    gx = grad_x()
+    window = gy = None
+    if config is not None:
+        window = HistoryWindow(config.m)
+        window.push(0, obj0)  # Upsilon at equal pairs
+        gy = grad_y()
+    state = BlockIterateState(
+        x=x0.copy(), y=y0.copy(), x_prev=x0.copy(), y_prev=y0.copy(),
+        window=window, gx=gx, gy=gy,
+    )
+    record = TraceRecord(
+        k=0, time_s=0.0, objective=obj0, potential=obj0, step_norm=0.0,
+        witness_norm=math.inf, beta=0.0, tau1=0.0, tau2=0.0, ell=0,
+    )
+    return state, record
+
+
 def palm_run(problem, x0, y0, config, trace_sink=None):
     """Run the line-search method from (x0, y0) until a stopping rule fires.
 
     The result's stop reason is "tolerance", "max_iters", "time_budget", or
-    "stalled", as for `pg.pg_run`. Its extras carry the running Lipschitz
-    estimate L_run (the largest block modulus at the start point and at
-    every accepted iteration), the observed ball radii, and the
-    relative-error bound computed from them. The per-iteration moduli
-    L1(y^k) and L2(x^{k+1}) go into `meta` next to the initializations
-    (`meta` is empty when no step was accepted). The problem must give
-    `gram`: the loop keeps gram(y^k) and gram(x^{k+1}) of each iteration
+    "stalled", as for `pg.pg_run`, and `trace_sink` is `pg.run_loop`'s. Its
+    extras carry the running Lipschitz estimate L_run (the largest block
+    modulus at the start point and at every accepted iteration), the
+    observed ball radii, and the relative-error bound computed from them.
+    The per-iteration moduli L1(y^k) and L2(x^{k+1}) go into `meta` next to
+    the initializations (`meta` is empty when no step was accepted). The
+    problem must give `gram`: each step keeps gram(y^k) and gram(x^{k+1})
     (r x r, about 0.9 kB each at r = 10), and `_run_moduli` turns them into
     moduli once the loop ends. It then issues a RuntimeWarning, once, if
     tau_lo is not below the step-size barrier 1/(L_run + delta + 2*alpha);
@@ -378,141 +393,96 @@ def palm_run(problem, x0, y0, config, trace_sink=None):
     if cfg.tau2_0 is None:
         cfg.tau2_0 = 100.0 / max(L2_0, 1e-12)
 
-    window = HistoryWindow(cfg.m)
-    obj0, grad_x, grad_y = problem.objective(x0, y0)
-    ups0 = obj0  # Upsilon at equal pairs
-    window.push(0, ups0)
-    state = BlockIterateState(
-        x=x0.copy(), y=y0.copy(), x_prev=x0.copy(), y_prev=y0.copy(),
-        window=window, gx=grad_x(), gy=grad_y(),
-    )
-    rec = TraceRecord(
-        k=0, time_s=0.0, objective=obj0,
-        potential=ups0, step_norm=0.0, witness_norm=math.inf,
-        beta=0.0, tau1=0.0, tau2=0.0, ell=0,
-    )
-    records = [rec]
-    if trace_sink:
-        trace_sink(rec)
     grams_y, grams_x = [], []  # gram(y^k) and gram(x^{k+1}) per iteration
-    max_x = math.sqrt(_sq(x0))
-    max_y = math.sqrt(_sq(y0))
-    start = time.perf_counter()
-    reason = "max_iters"
-    inits = []
-    for _ in range(cfg.max_iters):
+    radii = [math.sqrt(_sq(x0)), math.sqrt(_sq(y0))]  # largest ||x^k||, ||y^k||
+
+    def step(state):
         y_k = state.y
-        try:
-            state, rec, init = palm_step(state, problem, cfg)
-        except LineSearchStalled:
-            reason = "stalled"
-            break
-        except BacktrackCapError as e:
-            e.records = Trace(records)
-            _run_moduli(grams_y, grams_x, L_start, cfg)
-            raise
-        rec.time_s = time.perf_counter() - start
-        records.append(rec)
-        inits.append(init)
-        if trace_sink:
-            trace_sink(rec)
+        state, record, init = palm_step(state, problem, cfg)
         grams_y.append(problem.gram(y_k))
         grams_x.append(problem.gram(state.x))
-        x_sq, y_sq = _sq(state.x), _sq(state.y)
-        max_x = max(max_x, math.sqrt(x_sq))
-        max_y = max(max_y, math.sqrt(y_sq))
-        scale = max(1.0, math.sqrt(x_sq + y_sq))
-        if rec.witness_norm <= cfg.stop_tol * scale:
-            reason = "tolerance"
-            break
-        if rec.time_s > cfg.time_budget:
-            reason = "time_budget"
-            break
+        return state, record, init
 
-    meta = init_columns(inits)
+    def sq_norm(state):
+        x_sq, y_sq = _sq(state.x), _sq(state.y)
+        radii[0] = max(radii[0], math.sqrt(x_sq))
+        radii[1] = max(radii[1], math.sqrt(y_sq))
+        return x_sq + y_sq
+
+    state, record = start_state(problem, x0, y0, cfg)
+    try:
+        state, records, reason, meta = run_loop(
+            step, state, record, cfg, sq_norm, trace_sink)
+    except BacktrackCapError:
+        _run_moduli(grams_y, grams_x, L_start, cfg)
+        raise
     L1k, L2k1, L_run = _run_moduli(grams_y, grams_x, L_start, cfg)
-    if inits:
+    if meta:
         meta["L1k"], meta["L2k1"] = L1k, L2k1
-    R1 = (1.0 + 2.0 * cfg.beta_max) * max_x
-    R2 = (1.0 + 2.0 * cfg.beta_max) * max_y
+    R1 = (1.0 + 2.0 * cfg.beta_max) * radii[0]
+    R2 = (1.0 + 2.0 * cfg.beta_max) * radii[1]
     extras = {"config": cfg, "L_run": L_run, "R1": R1, "R2": R2}
     if problem.lipschitz_ball_bounds is not None:
         M, L2bar = problem.lipschitz_ball_bounds(R1, R2)
         extras["h2_bound"] = h2_constant_palm(cfg, M, L2bar)
     return RunResult(
-        x=(state.x, state.y), records=Trace(records), reason=reason,
+        x=(state.x, state.y), records=records, reason=reason,
         meta=meta, extras=extras,
     )
 
 
 # -- baselines -------------------------------------------------------------------
 
-def palm_baseline_run(problem, x0, y0, config, extrapolate=False, trace_sink=None):
+def _baseline_step(state, problem, config, extrapolate):
+    """One classical PALM (PALMe with `extrapolate`) iteration from `state`
+    (see `palm_baseline_run`); returns (state, TraceRecord, None)."""
+    x, y = state.x, state.y
+    if extrapolate:
+        beta, t_next = nesterov_beta(state.t_prev, state.t_cur)
+        beta = min(beta, config.beta_max)
+    else:
+        beta, t_next = 0.0, state.t_cur
+    tau1 = 1.0 / max(problem.L1(y), 1e-12)
+    if beta == 0.0:
+        xt, yt, gx_trial = x, y, state.gx
+    else:
+        xt = x + beta * (x - state.x_prev)
+        yt = y + beta * (y - state.y_prev)
+        _, grad_x, _ = problem.coupling(xt, y)
+        gx_trial = grad_x()
+    x_new = problem.f_prox(xt - tau1 * gx_trial, tau1)
+    tau2 = 1.0 / max(problem.L2(x_new), 1e-12)
+    _, _, grad_y = problem.coupling(x_new, yt)
+    gy_trial = grad_y()
+    y_new = problem.g_prox(yt - tau2 * gy_trial, tau2)
+    steps = (x_new - x, y_new - y)
+    step = math.sqrt(_sq(steps[0]) + _sq(steps[1]))
+    obj, grad_x, grad_y = problem.objective(x_new, y_new)
+    new_state = BlockIterateState(
+        x=x_new, y=y_new, x_prev=x, y_prev=y, window=None,
+        t_prev=state.t_cur, t_cur=t_next, k=state.k + 1,
+        xt_last=xt, yt_last=yt, tau1_last=tau1, tau2_last=tau2,
+        gx_trial=gx_trial, gy_trial=gy_trial, gx=grad_x(), gy=grad_y(),
+    )
+    _, wnorm = subgrad_witness_palm(new_state, 0.0, steps)
+    record = TraceRecord(
+        k=new_state.k, time_s=0.0, objective=obj, potential=obj,
+        step_norm=step, witness_norm=wnorm, beta=beta,
+        tau1=tau1, tau2=tau2, ell=new_state.k,
+    )
+    return new_state, record, None
+
+
+def palm_baseline_run(problem, x0, y0, config, extrapolate=False):
     """Classical PALM: fixed steps 1/L1(y^k) then 1/L2(x^{k+1}), no line
     search. With `extrapolate`, the prox steps are taken at Nesterov-
     extrapolated points (PALMe). The coupling is evaluated once at each
     distinct point: the evaluation that gives an iterate's objective also
     gives its gradients, for the witness and, where beta = 0, for the next
     iteration's x block at x^k."""
-    x = np.asarray(x0, dtype=np.float64).copy()
-    y = np.asarray(y0, dtype=np.float64).copy()
-    x_prev, y_prev = x.copy(), y.copy()
-    t_prev, t_cur = 1.0, 1.0
-    obj, grad_x, _ = problem.objective(x, y)
-    gx = grad_x()
-    rec = TraceRecord(
-        k=0, time_s=0.0, objective=obj, potential=obj, step_norm=0.0,
-        witness_norm=math.inf, beta=0.0, tau1=0.0, tau2=0.0, ell=0,
+    state, record = start_state(problem, x0, y0)
+    state, records, reason, _ = run_loop(
+        lambda s: _baseline_step(s, problem, config, extrapolate),
+        state, record, config, lambda s: _sq(s.x) + _sq(s.y),
     )
-    records = [rec]
-    if trace_sink:
-        trace_sink(rec)
-    start = time.perf_counter()
-    reason = "max_iters"
-    for k in range(config.max_iters):
-        if extrapolate:
-            beta, t_next = nesterov_beta(t_prev, t_cur)
-            beta = min(beta, config.beta_max)
-        else:
-            beta, t_next = 0.0, t_cur
-        tau1 = 1.0 / max(problem.L1(y), 1e-12)
-        if beta == 0.0:
-            xt, yt, gx_trial = x, y, gx
-        else:
-            xt = x + beta * (x - x_prev)
-            yt = y + beta * (y - y_prev)
-            _, grad_x, _ = problem.coupling(xt, y)
-            gx_trial = grad_x()
-        x_new = problem.f_prox(xt - tau1 * gx_trial, tau1)
-        tau2 = 1.0 / max(problem.L2(x_new), 1e-12)
-        _, _, grad_y = problem.coupling(x_new, yt)
-        gy_trial = grad_y()
-        y_new = problem.g_prox(yt - tau2 * gy_trial, tau2)
-        steps = (x_new - x, y_new - y)
-        step = math.sqrt(_sq(steps[0]) + _sq(steps[1]))
-        obj, grad_x, grad_y = problem.objective(x_new, y_new)
-        gx = grad_x()
-        probe = BlockIterateState(
-            x=x_new, y=y_new, x_prev=x, y_prev=y, window=None,
-            xt_last=xt, yt_last=yt, tau1_last=tau1, tau2_last=tau2,
-            gx_trial=gx_trial, gy_trial=gy_trial, gx=gx, gy=grad_y(),
-        )
-        _, wnorm = subgrad_witness_palm(probe, 0.0, steps)
-        x_prev, y_prev, x, y = x, y, x_new, y_new
-        t_prev, t_cur = t_cur, t_next
-        rec = TraceRecord(
-            k=k + 1, time_s=time.perf_counter() - start,
-            objective=obj, potential=obj,
-            step_norm=step, witness_norm=wnorm, beta=beta,
-            tau1=tau1, tau2=tau2, ell=k + 1,
-        )
-        records.append(rec)
-        if trace_sink:
-            trace_sink(rec)
-        if wnorm <= config.stop_tol * max(1.0, math.sqrt(_sq(x) + _sq(y))):
-            reason = "tolerance"
-            break
-        if rec.time_s > config.time_budget:
-            reason = "time_budget"
-            break
-    return RunResult(x=(x, y), records=Trace(records), reason=reason)
+    return RunResult(x=(state.x, state.y), records=records, reason=reason)

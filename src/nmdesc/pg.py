@@ -101,8 +101,8 @@ class IterateState:
     initialization, the witness and the zero-extrapolation trial, and the
     linear images z of x^k and x^{k-1} (the problem's `smooth` returns
     them; None if it has none) give the image of an extrapolated point
-    y = x^k + beta*(x^k - x^{k-1}) without evaluating it from y. A state
-    built without them gets grad f(x^k) from one evaluation in `pg_step`.
+    y = x^k + beta*(x^k - x^{k-1}) without evaluating it from y. FISTA's
+    state has no history window (window is None).
     """
 
     x: np.ndarray
@@ -123,8 +123,12 @@ class IterateState:
 
 
 def _sq(a):
-    a = np.ravel(a)
+    a = a.ravel()
     return float(a @ a)
+
+
+def _dot(a, b):
+    return float(a.ravel() @ b.ravel())
 
 
 def potential_H(F, x, u, delta):
@@ -170,9 +174,7 @@ def bb_init_tau(z, z_prev, grads, delta, tau_min, tau_max, prev_tau):
     dzeta_a = gx + delta * (x - u) - gxp - delta * (xp - up)
     dzeta_b = -delta * (x - u) + delta * (xp - up)
     dzeta_sq = _sq(dzeta_a) + _sq(dzeta_b)
-    inner = float(np.ravel(dz_a) @ np.ravel(dzeta_a)) + float(
-        np.ravel(dz_b) @ np.ravel(dzeta_b)
-    )
+    inner = _dot(dz_a, dzeta_a) + _dot(dz_b, dzeta_b)
     guard = 1e-12 * math.sqrt(dz_sq) * math.sqrt(dzeta_sq)
     if inner <= guard:
         candidate = tau_max
@@ -232,14 +234,17 @@ class RunResult:
     """Outcome of one solver run.
 
     `records` is the run's `Trace`, one record per iterate from the start
-    point on. `meta` maps each line-search initialization the backtrack-count
+    point on, and `reason` the stop rule of `run_loop` that ended it.
+    `meta` maps each line-search initialization the backtrack-count
     bound is replayed from (beta0 and tau0; the PALM family has tau1_0,
     tau2_0 and the block moduli L1k = L1(y^k), L2k1 = L2(x^{k+1})) to a
     float array with one entry per accepted iteration. `palm.palm_run`
     forms L1k and L2k1 after its loop, from the iterates' Gram matrices in
     one batched eigen-solve per block; no step computes them. It is
     diagnostic data, not part of the trace CSV, and empty for the
-    fixed-step baselines and for a run that accepted no step.
+    fixed-step baselines and for a run that accepted no step. `extras`
+    holds the validated config and the bounds a run derives (empty for
+    the baselines).
     """
 
     x: object
@@ -254,6 +259,73 @@ def init_columns(inits):
     array per key, the form `RunResult.meta` keeps."""
     return {key: array("d", [init[key] for init in inits])
             for key in (inits[0] if inits else ())}
+
+
+def run_loop(step, state, record, config, sq_norm, trace_sink=None):
+    """The outer loop every solver runs: `step(state)` returns (next state,
+    its TraceRecord, init dict or None) for one accepted iteration, and
+    `record` is the start point's.
+
+    `trace_sink`, if given, receives the start record and then each
+    accepted record before the stop rules see it. The rules are tested in
+    this order: the witness norm at most `config.stop_tol` times
+    max(1, sqrt(sq_norm(state))) ("tolerance"; `sq_norm` is called once
+    per accepted step), then the record's time over `config.time_budget`
+    ("time_budget"), then `config.max_iters` steps taken ("max_iters"). A
+    step that raises LineSearchStalled ends the run at the last accepted
+    state ("stalled"); a BacktrackCapError propagates with the trace so
+    far as its `records`. Returns (final state, Trace, reason, meta from
+    the init dicts).
+    """
+    records = [record]
+    if trace_sink:
+        trace_sink(record)
+    inits = []
+    reason = "max_iters"
+    start = time.perf_counter()
+    for _ in range(config.max_iters):
+        try:
+            state, record, init = step(state)
+        except LineSearchStalled:
+            reason = "stalled"
+            break
+        except BacktrackCapError as e:
+            e.records = Trace(records)  # trace so far, for persistence by callers
+            raise
+        record.time_s = time.perf_counter() - start
+        records.append(record)
+        if init is not None:
+            inits.append(init)
+        if trace_sink:
+            trace_sink(record)
+        if record.witness_norm <= config.stop_tol * max(1.0, math.sqrt(sq_norm(state))):
+            reason = "tolerance"
+            break
+        if record.time_s > config.time_budget:
+            reason = "time_budget"
+            break
+    return state, Trace(records), reason, init_columns(inits)
+
+
+def start_state(problem, x0, config=None):
+    """(state, record) at z^0 = (x0, x0), from one evaluation at x0. A
+    line-search config gives the state its history window, holding
+    H_delta(z^0) = F(x0); FISTA's state (config None) has none."""
+    x0 = np.asarray(x0, dtype=np.float64)
+    f0, g0, z0 = problem.smooth(x0)
+    F0 = f0 + problem.g_value(x0)
+    h0, window = F0, None
+    if config is not None:
+        h0 = potential_H(F0, x0, x0, config.delta)
+        window = HistoryWindow(config.m)
+        window.push(0, h0)
+    state = IterateState(x=x0.copy(), x_prev=x0.copy(), window=window,
+                         grad_x=g0, z=z0, z_prev=z0)
+    record = TraceRecord(
+        k=0, time_s=0.0, objective=F0, potential=h0,
+        step_norm=0.0, witness_norm=math.inf, beta=0.0, tau1=0.0, ell=0,
+    )
+    return state, record
 
 
 def pg_step(state, problem, config):
@@ -285,8 +357,6 @@ def pg_step(state, problem, config):
         tau0 = min(max(config.tau0, config.tau_min), config.tau_max)
 
     gx, z = state.grad_x, state.z
-    if gx is None:
-        _, gx, z = problem.smooth(state.x)
     candidate = None
     for l in range(config.max_backtracks + 1):
         beta, tau = backtrack_params(
@@ -354,57 +424,53 @@ def pg_run(problem, x0, config, trace_sink=None):
 
     The result's stop reason is "tolerance", "max_iters", "time_budget", or
     "stalled" (the line search stalled on rounding; x is the last accepted
-    iterate).
+    iterate). `trace_sink` is `run_loop`'s.
     """
     cfg = config.validated(problem.lipschitz)
-    x0 = np.asarray(x0, dtype=np.float64)
-    window = HistoryWindow(cfg.m)
-    f0, g0, z0 = problem.smooth(x0)
-    F0 = f0 + problem.g_value(x0)
-    h0 = potential_H(F0, x0, x0, cfg.delta)
-    window.push(0, h0)
-    state = IterateState(x=x0.copy(), x_prev=x0.copy(), window=window,
-                         grad_x=g0, z=z0, z_prev=z0)
-    rec = TraceRecord(
-        k=0, time_s=0.0, objective=F0, potential=h0,
-        step_norm=0.0, witness_norm=math.inf, beta=0.0, tau1=0.0, ell=0,
+    state, record = start_state(problem, x0, cfg)
+    state, records, reason, meta = run_loop(
+        lambda s: pg_step(s, problem, cfg), state, record, cfg,
+        lambda s: _sq(s.x), trace_sink,
     )
-    records = [rec]
-    if trace_sink:
-        trace_sink(rec)
-    start = time.perf_counter()
-    reason = "max_iters"
-    inits = []
-    for _ in range(cfg.max_iters):
-        try:
-            state, rec, init = pg_step(state, problem, cfg)
-        except LineSearchStalled:
-            reason = "stalled"
-            break
-        except BacktrackCapError as e:
-            e.records = Trace(records)  # trace so far, for persistence by callers
-            raise
-        rec.time_s = time.perf_counter() - start
-        records.append(rec)
-        inits.append(init)
-        if trace_sink:
-            trace_sink(rec)
-        scale = max(1.0, math.sqrt(_sq(state.x)))
-        if rec.witness_norm <= cfg.stop_tol * scale:
-            reason = "tolerance"
-            break
-        if rec.time_s > cfg.time_budget:
-            reason = "time_budget"
-            break
     return RunResult(
-        x=state.x, records=Trace(records), reason=reason, meta=init_columns(inits),
+        x=state.x, records=records, reason=reason, meta=meta,
         extras={"config": cfg, "h2_bound": h2_constant_pg(cfg, problem.lipschitz)},
     )
 
 
 # -- FISTA baselines -----------------------------------------------------------
 
-def fista_run(problem, x0, config, restart=False, trace_sink=None):
+def _fista_step(state, problem, tau, restart):
+    """One FISTA iteration from `state` (see `fista_run`); returns (state,
+    TraceRecord, None)."""
+    x = state.x
+    beta, t_next = nesterov_beta(state.t_prev, state.t_cur)
+    if beta == 0.0:
+        y, gy = x, state.grad_x
+    else:
+        y = x + beta * (x - state.x_prev)
+        _, gy, _ = problem.smooth(y, _extrapolate(state.z, state.z_prev, beta))
+    x_new = problem.g_prox(y - tau * gy, tau)
+    f, g_new, z_new = problem.smooth(x_new)
+    F = f + problem.g_value(x_new)
+    _, wnorm = subgrad_witness_pg(x_new, x, y, tau, g_new, gy, 0.0)
+    k = state.k + 1
+    t_prev, t_cur = state.t_cur, t_next
+    if restart and (k % 250 == 0 or _dot(y - x_new, x_new - x) > 0.0):
+        t_prev, t_cur = 1.0, 1.0
+    new_state = IterateState(
+        x=x_new, x_prev=x, window=None, t_prev=t_prev, t_cur=t_cur, k=k,
+        grad_x=g_new, z=z_new, z_prev=state.z,
+    )
+    record = TraceRecord(
+        k=k, time_s=0.0, objective=F, potential=F,
+        step_norm=math.sqrt(_sq(x_new - x)), witness_norm=wnorm, beta=beta,
+        tau1=tau, ell=k,
+    )
+    return new_state, record, None
+
+
+def fista_run(problem, x0, config, restart=False):
     """Fixed-step FISTA (tau = 1/L). With `restart`, the Nesterov counters
     reset to 1 when k is a multiple of 250 or the momentum turns against
     the step direction (<y^k - x^{k+1}, x^{k+1} - x^k> > 0).
@@ -413,59 +479,11 @@ def fista_run(problem, x0, config, restart=False, trace_sink=None):
     witness and a zero-extrapolation step reuse; y^k is evaluated only when
     it differs from x^k, from the extrapolated linear images of the
     iterates (see `IterateState`)."""
-    x = np.asarray(x0, dtype=np.float64).copy()
-    x_prev = x.copy()
     tau = 1.0 / problem.lipschitz
-    t_prev, t_cur = 1.0, 1.0
-    f, gx, z = problem.smooth(x)
-    z_prev = z
-    F = f + problem.g_value(x)
-    rec = TraceRecord(
-        k=0, time_s=0.0, objective=F, potential=F, step_norm=0.0,
-        witness_norm=math.inf, beta=0.0, tau1=tau, ell=0,
+    state, record = start_state(problem, x0)
+    record.tau1 = tau
+    state, records, reason, _ = run_loop(
+        lambda s: _fista_step(s, problem, tau, restart), state, record, config,
+        lambda s: _sq(s.x),
     )
-    records = [rec]
-    if trace_sink:
-        trace_sink(rec)
-    start = time.perf_counter()
-    reason = "max_iters"
-    for k in range(config.max_iters):
-        beta, t_next = nesterov_beta(t_prev, t_cur)
-        if beta == 0.0:
-            y, gy = x, gx
-        else:
-            y = x + beta * (x - x_prev)
-            _, gy, _ = problem.smooth(y, _extrapolate(z, z_prev, beta))
-        x_new = problem.g_prox(y - tau * gy, tau)
-        f, g_new, z_new = problem.smooth(x_new)
-        F = f + problem.g_value(x_new)
-        _, wnorm = subgrad_witness_pg(x_new, x, y, tau, g_new, gy, 0.0)
-        step = math.sqrt(_sq(x_new - x))
-        t_prev, t_cur = t_cur, t_next
-        if restart and (
-            (k + 1) % 250 == 0
-            or float(np.ravel(y - x_new) @ np.ravel(x_new - x)) > 0.0
-        ):
-            t_prev, t_cur = 1.0, 1.0
-        x_prev, x = x, x_new
-        gx, z_prev, z = g_new, z, z_new
-        rec = TraceRecord(
-            k=k + 1, time_s=time.perf_counter() - start,
-            objective=F, potential=F,
-            step_norm=step, witness_norm=wnorm, beta=beta, tau1=tau,
-            ell=k + 1,
-        )
-        records.append(rec)
-        if trace_sink:
-            trace_sink(rec)
-        if wnorm <= config.stop_tol * max(1.0, math.sqrt(_sq(x))):
-            reason = "tolerance"
-            break
-        if rec.time_s > config.time_budget:
-            reason = "time_budget"
-            break
-    return RunResult(x=x, records=Trace(records), reason=reason)
-
-
-def refista_run(problem, x0, config, trace_sink=None):
-    return fista_run(problem, x0, config, restart=True, trace_sink=trace_sink)
+    return RunResult(x=state.x, records=records, reason=reason)

@@ -22,6 +22,7 @@ from nmdesc.palm import (
     palm_run,
     palm_step,
     safe_beta_bound_palm,
+    start_state,
     step_differences,
     subgrad_witness_palm,
     variant_config,
@@ -110,17 +111,6 @@ def point_state(problem, x, y, x_prev, y_prev, **fields):
                              gx=gx(), gy=gy(), **fields)
 
 
-def fresh_state(x0, y0, problem, cfg):
-    """The start state `palm_run` builds: one evaluation at (x0, y0)."""
-    obj, gx, gy = problem.objective(x0, y0)
-    window = HistoryWindow(cfg.m)
-    window.push(0, obj)  # Upsilon at equal pairs
-    return BlockIterateState(
-        x=x0.copy(), y=y0.copy(), x_prev=x0.copy(), y_prev=y0.copy(),
-        window=window, gx=gx(), gy=gy(),
-    )
-
-
 class TestPalmStep:
     def test_decoupled_reduces_to_per_block_prox(self):
         prob = decoupled_problem()
@@ -128,7 +118,7 @@ class TestPalmStep:
         cfg = PalmConfig(beta_max=0.0, beta_rule="constant",
                          tau1_0=tau, tau2_0=tau).validated(1.0)
         x0, y0 = np.array([1.0, -2.0]), np.array([3.0])
-        state = fresh_state(x0, y0, prob, cfg)
+        state = start_state(prob, x0, y0, cfg)[0]
         new_state, rec, _ = palm_step(state, prob, cfg)
         assert rec.backtracks == 0
         assert np.allclose(new_state.x, x0 / (1.0 + tau), rtol=1e-15)
@@ -138,7 +128,7 @@ class TestPalmStep:
         prob = bilinear_problem()
         cfg = PalmConfig(tau1_0=0.1, tau2_0=0.1).validated(1.0)
         zero = np.zeros(1)
-        state = fresh_state(zero, zero, prob, cfg)
+        state = start_state(prob, zero, zero, cfg)[0]
         new_state, rec, _ = palm_step(state, prob, cfg)
         assert rec.step_norm == 0.0
         assert rec.backtracks == 0
@@ -150,7 +140,7 @@ class TestPalmStep:
         cfg = PalmConfig(beta_max=0.0, beta_rule="constant",
                          tau1_0=tau, tau2_0=tau).validated(1.0)
         x0, y0 = np.array([0.3]), np.array([0.4])
-        state = fresh_state(x0, y0, prob, cfg)
+        state = start_state(prob, x0, y0, cfg)[0]
         new_state, rec, _ = palm_step(state, prob, cfg)
         # hand recursion: x1 = x0 - tau*y0, then y1 = y0 - tau*x1
         x1 = x0 - tau * y0
@@ -165,7 +155,7 @@ class TestPalmStep:
         cfg = PalmConfig(beta_max=0.0, beta_rule="constant",
                          tau1_0=tau, tau2_0=tau).validated(1.0)
         x0, y0 = np.array([0.3]), np.array([0.4])
-        state = fresh_state(x0, y0, prob, cfg)
+        state = start_state(prob, x0, y0, cfg)[0]
         new_state, _, _ = palm_step(state, prob, cfg)
         y_stale = y0 - tau * x0  # old-x variant
         assert new_state.y[0] != pytest.approx(y_stale[0], rel=1e-12)
@@ -238,8 +228,8 @@ class TestSafeBetaBound:
         cfg = PalmConfig(beta_max=beta, beta_rule="constant",
                          tau1_0=tau, tau2_0=tau).validated(L)
         rng = RngStream(3)
-        state = fresh_state(rng.standard_normal(2), rng.standard_normal(2),
-                            prob, cfg)
+        state = start_state(prob, rng.standard_normal(2), rng.standard_normal(2),
+                            cfg)[0]
         # give the state a nonzero previous step so extrapolation is active
         state.x_prev = state.x - 0.01 * rng.standard_normal(2)
         state.y_prev = state.y - 0.01 * rng.standard_normal(2)
@@ -263,7 +253,7 @@ class TestWitnessAndInvariants:
         # from the oracle
         prob, u0, v0 = self.small_mc()
         vcfg = palm_run(prob, u0, v0, PalmConfig(max_iters=0)).extras["config"]
-        state = fresh_state(u0, v0, prob, vcfg)
+        state = start_state(prob, u0, v0, vcfg)[0]
         for _ in range(20):
             state, rec, _ = palm_step(state, prob, vcfg)
             ref = replace(
@@ -298,7 +288,7 @@ class TestWitnessAndInvariants:
         for name in ("palmenls", "palmnls"):
             cfg = variant_config(name, PalmConfig(max_iters=0))
             vcfg = palm_run(prob, u0, v0, cfg).extras["config"]
-            state = fresh_state(u0, v0, counting, vcfg)
+            state = start_state(counting, u0, v0, vcfg)[0]
             betas = []
             for k in range(15):
                 calls.clear()
@@ -352,7 +342,7 @@ class TestWitnessAndInvariants:
             cfg = variant_config(name, PalmConfig(max_iters=40, stop_tol=-1.0))
             result = palm_run(prob, u0, v0, cfg)
             vcfg = result.extras["config"]
-            state = fresh_state(u0, v0, prob, vcfg)
+            state = start_state(prob, u0, v0, vcfg)[0]
             L1k, L2k1 = [], []
             for _ in range(40):
                 y_k = state.y

@@ -8,10 +8,8 @@ import pytest
 
 from conftest import f_grad, flat_problem, objective, quadratic_problem, trace_csv_string
 from nmdesc.linalg import RngStream
-from nmdesc.nls import HistoryWindow
 from nmdesc.pg import (
     PgConfig,
-    IterateState,
     backtrack_bound_pg,
     bb_init_tau,
     fista_run,
@@ -20,8 +18,8 @@ from nmdesc.pg import (
     pg_run,
     pg_step,
     potential_H,
-    refista_run,
     safe_beta_bound_pg,
+    start_state,
     subgrad_witness_pg,
     variant_config,
 )
@@ -115,18 +113,12 @@ class TestBbInit:
         assert tau == pytest.approx(expected, rel=1e-12)
 
 
-def fresh_state(x0, m=5, delta=0.01, problem=None):
-    window = HistoryWindow(m)
-    window.push(0, potential_H(objective(problem, x0), x0, x0, delta))
-    return IterateState(x=x0.copy(), x_prev=x0.copy(), window=window)
-
-
 class TestPgStep:
     def test_fixed_point_accepted_immediately(self):
         prob = quadratic_problem()
         cfg = PgConfig().validated(prob.lipschitz)
         x0 = np.zeros(2)
-        state = fresh_state(x0, m=cfg.m, delta=cfg.delta, problem=prob)
+        state = start_state(prob, x0, cfg)[0]
         new_state, rec, _ = pg_step(state, prob, cfg)
         assert rec.step_norm == 0.0
         assert rec.backtracks == 0
@@ -139,7 +131,7 @@ class TestPgStep:
         cfg = PgConfig(beta_max=0.0, beta_rule="constant", tau0=tau)
         cfg = cfg.validated(prob.lipschitz)
         x0 = np.array([2.0, -1.0])
-        state = fresh_state(x0, m=cfg.m, delta=cfg.delta, problem=prob)
+        state = start_state(prob, x0, cfg)[0]
         _, rec, init = pg_step(state, prob, cfg)
         assert init["tau0"] == tau
         expected = (1.0 - tau) * x0
@@ -151,7 +143,7 @@ class TestPgStep:
         prob = quadratic_problem(lam=1e6)
         cfg = PgConfig().validated(prob.lipschitz)
         x0 = np.array([0.5, -0.25])
-        state = fresh_state(x0, m=cfg.m, delta=cfg.delta, problem=prob)
+        state = start_state(prob, x0, cfg)[0]
         new_state, _, _ = pg_step(state, prob, cfg)
         assert np.array_equal(new_state.x, np.zeros(2))
 
@@ -166,8 +158,7 @@ class TestWitness:
     def test_replay_recomputation_matches(self):
         prob = quadratic_problem(A=np.diag([1.0, 3.0]))
         cfg = PgConfig(max_iters=10, stop_tol=0.0).validated(prob.lipschitz)
-        state = fresh_state(np.array([1.0, -2.0]), m=cfg.m, delta=cfg.delta,
-                            problem=prob)
+        state = start_state(prob, np.array([1.0, -2.0]), cfg)[0]
         for _ in range(5):
             prev_x = state.x
             state, rec, _ = pg_step(state, prob, cfg)
@@ -276,7 +267,7 @@ class TestFista:
         # so only the periodic reset can zero the weight
         prob = flat_problem()
         cfg = PgConfig(max_iters=260, stop_tol=-1.0)
-        result = refista_run(prob, np.zeros(2), cfg)
+        result = fista_run(prob, np.zeros(2), cfg, restart=True)
         betas = {r.k: r.beta for r in result.records}
         assert betas[250] > 0.9
         assert betas[251] == 0.0
@@ -291,7 +282,7 @@ class TestFista:
     def test_restarted_run_monotone_on_strongly_convex(self):
         prob = quadratic_problem(A=np.diag([1.0, 50.0]))
         cfg = PgConfig(max_iters=400)
-        result = refista_run(prob, np.array([1.0, 1.0]), cfg)
+        result = fista_run(prob, np.array([1.0, 1.0]), cfg, restart=True)
         objs = [r.objective for r in result.records]
         assert objs[-1] < 1e-10
         # gradient-descent oracle with the same step never beats the
@@ -339,12 +330,7 @@ def pg_steps(problem, cfg, x0, steps):
     """(state before, new state, record, init) for `steps` pg_step calls
     from the state pg_run starts with."""
     cfg = cfg.validated(problem.lipschitz)
-    f0, g0, z0 = problem.smooth(x0)
-    window = HistoryWindow(cfg.m)
-    F0 = f0 + problem.g_value(x0)
-    window.push(0, potential_H(F0, x0, x0, cfg.delta))
-    state = IterateState(x=x0.copy(), x_prev=x0.copy(), window=window,
-                         grad_x=g0, z=z0, z_prev=z0)
+    state, _ = start_state(problem, x0, cfg)
     out = []
     for _ in range(steps):
         new_state, rec, init = pg_step(state, problem, cfg)
