@@ -9,7 +9,7 @@ agreement with a reference on the same inputs. The sections:
   the logistic loss terms against `np.logaddexp`;
 * the matrix-completion coupling at the desk size of the PALM experiments
   (200 x 200, rank 10, 8000 draws): the `np.add.at` reference of
-  `tests/conftest.py`, and in each form the residual and one block
+  `tests/testkit.py`, and in each form the residual and one block
   gradient from it: the sorted-segment form (`masked_residual`,
   `masked_block_grad`) and the dense masked form (`masked_dense_residual`,
   `masked_dense_scatter`, `masked_dense_grad`, with the buffers a problem
@@ -36,9 +36,11 @@ agreement with a reference on the same inputs. The sections:
   wins, which is where the rule's constants come from;
 * the post-processing of a solve on the 947-row desk trace (`pgenls` on
   logistic instance 101, to stop_tol 1e-6): `write_trace_csv`,
-  `read_trace_csv`, the `diag` analysis (ell, H1, K-sets, partial sums)
-  next to the per-record reference loops of `tests/conftest.py`, which it
-  is checked against, and the partial-sum `line_plot_svg`.
+  `read_trace_csv`, `diag`'s `read_trace_rows` and `write_flagged_csv`
+  (the `_ksets.csv` write), the `diag` analysis (ell, H1, K-sets,
+  partial sums) next to the per-record reference loops of
+  `tests/testkit.py`, which it is checked against, and the partial-sum
+  `line_plot_svg`.
 """
 
 import os
@@ -52,7 +54,7 @@ from nmdesc import cli, diagnostics, kernels, problems, svgplot, trace
 
 # the references the kernels and the columnar diagnostics are tested against
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
-from conftest import (  # noqa: E402
+from testkit import (  # noqa: E402
     add_at_grads,
     classify_ksets_ref,
     ell_indices_ref,
@@ -329,6 +331,7 @@ def post_processing(a=5e-6, m=5, theta=0.5):
         path = os.path.join(tmp, "trace.csv")
         trace.write_trace_csv(path, records)
         parsed = trace.read_trace_csv(path)
+        heads = trace.read_trace_rows(path)[1]
         as_records = list(parsed)
         h1, report, sums = analysis(parsed)
         assert np.array_equal(diagnostics.ell_indices(parsed, m),
@@ -346,6 +349,9 @@ def post_processing(a=5e-6, m=5, theta=0.5):
         cases = [
             ("write_trace_csv", trace.write_trace_csv, (path, records)),
             ("read_trace_csv", trace.read_trace_csv, (path,)),
+            ("read_trace_rows", trace.read_trace_rows, (path,)),
+            ("write_flagged_csv", trace.write_flagged_csv,
+             (os.path.join(tmp, "ksets.csv"), heads, parsed)),
             ("ell_indices", diagnostics.ell_indices, (parsed, m)),
             ("ell_indices (ref)", ell_indices_ref, (as_records, m)),
             ("verify_H1", diagnostics.verify_H1, (parsed, a, m)),

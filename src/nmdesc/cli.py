@@ -42,7 +42,13 @@ from .diagnostics import (
 from .linalg import RngStream
 from .nls import BacktrackCapError
 from .svgplot import write_line_plot
-from .trace import TraceParseError, read_trace_csv, write_trace_csv
+from .trace import (
+    TraceParseError,
+    read_trace_csv,
+    read_trace_rows,
+    write_flagged_csv,
+    write_trace_csv,
+)
 
 PG_SOLVERS = ("pgenls", "pgnls", "pgels", "pgls")
 PALM_SOLVERS = ("palmenls", "palmnls", "palmels", "palmls")
@@ -402,7 +408,7 @@ def cmd_bench(args):
 
 
 def cmd_diag(args):
-    trace = read_trace_csv(args.trace)
+    trace, heads = read_trace_rows(args.trace)
     if len(trace) < 2:
         raise UsageError("trace has no accepted iterations to classify")
     # a trace read without a witness column has NaN witnesses
@@ -427,14 +433,15 @@ def cmd_diag(args):
     prefix = args.out_prefix
     _ensure_parent(prefix + "_ksets.csv")
     # the trace was read for this call alone: flag it in place, on the rows
-    # whose k is a step's position j (1 <= j < len); other rows keep theirs
+    # whose k is a step's position j (1 <= j < len); other rows keep theirs.
+    # Each row is written back as read, with only its flags formatted anew
     k = trace.column("k")
     rows = (k >= 1) & (k < len(trace))
     step = k[rows] - 1
     for name, flags in (("in_K1", report.k1), ("in_K2", report.k2),
                         ("in_K31", report.k31)):
         trace.column(name)[rows] = flags[step]
-    write_trace_csv(prefix + "_ksets.csv", trace)
+    write_flagged_csv(prefix + "_ksets.csv", heads, trace)
     ks = np.arange(1, len(report.gaps) + 1)
     write_line_plot(
         prefix + "_partial_sums.svg",

@@ -1,14 +1,18 @@
-"""Dense linear-algebra helpers and the seeded random source.
+"""Dense linear algebra (the exact operator norm) and the seeded random source.
 
 Everything downstream draws randomness through :class:`RngStream` so that a
 single 64-bit seed reproduces an entire experiment bit-for-bit.
 """
 
+import math
+
 import numpy as np
 
 
 class SpectralNormError(RuntimeError):
-    """Power iteration failed to converge; carries the best estimate."""
+    """The non-convergence error of a power iteration. Nothing raises it:
+    `spectral_norm` is exact. It stays defined because
+    `perfbench/workloads.py` names it among the faults a solve can raise."""
 
     def __init__(self, estimate, iterations):
         super().__init__(
@@ -52,14 +56,27 @@ class RngStream:
         return RngStream((self.seed * 1000003 + offset) % (2**63))
 
 
-def spectral_norm(A, tol=1e-6, max_iter=5000):
-    """Largest singular value of A by power iteration on A^T A.
+def gram(X):
+    """The Gram matrix of X's smaller side: X^T X for a tall matrix (the
+    matrix-completion factors), X X^T for a wide one (a design matrix
+    with more features than samples)."""
+    return X.T @ X if X.shape[0] >= X.shape[1] else X @ X.T
 
-    The start vector is the normalized all-ones vector, so the result does
-    not consume randomness and is identical across runs. `tol` is relative.
 
-    Raises SpectralNormError (with the last estimate attached) if the
-    iteration does not converge within `max_iter` steps.
+def spectral_sq(X):
+    """sigma_max(X)^2, exactly: the top eigenvalue of `gram(X)`. This is
+    the one way the program gets an operator norm or a Lipschitz modulus
+    from one."""
+    return float(np.linalg.eigvalsh(gram(X))[-1])
+
+
+def spectral_norm(A, tol=1e-6):
+    """Largest singular value of A, exactly: sqrt(spectral_sq(A)), the
+    same bits as `logreg_problem(...).operator_norm` for its A_tilde.
+
+    A 1-D A is read as one row. A zero matrix is rejected. `tol` plays no
+    part in the result; it is kept, and must be positive, only because
+    `perfbench/` passes it (tol=1e-8).
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim == 1:
@@ -68,22 +85,4 @@ def spectral_norm(A, tol=1e-6, max_iter=5000):
         raise ValueError("tol must be positive")
     if not np.any(A):
         raise ValueError("spectral_norm of a zero matrix is undefined here")
-
-    n = A.shape[1]
-    v = np.full(n, 1.0 / np.sqrt(n))
-    sigma = 0.0
-    for _ in range(max_iter):
-        w = A.T @ (A @ v)
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            # v fell in the null space; all-ones start makes this persistent,
-            # perturb deterministically
-            v = np.zeros(n)
-            v[0] = 1.0
-            continue
-        sigma_new = np.sqrt(norm_w)
-        v = w / norm_w
-        if abs(sigma_new - sigma) <= tol * sigma_new:
-            return sigma_new
-        sigma = sigma_new
-    raise SpectralNormError(sigma, max_iter)
+    return math.sqrt(spectral_sq(A))

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels
-from .linalg import RngStream
+from .linalg import RngStream, gram, spectral_sq
 from .prox import ProxSpec, prox_l0, prox_ridge_l20_columns
 
 
@@ -199,16 +199,16 @@ def logreg_problem(instance, lam=None):
     them over the support S of x, as x[S] @ A_tilde.T[S], where
     `margins_form` says so, and as the dense product otherwise. A_tilde.T
     is a view, no copy, when A_tilde is stored as `gen_logreg` and
-    `load_instance` store it. ||A_tilde|| is exact, from the Gram matrix
-    of A_tilde's smaller side, computed once here and kept as
-    `operator_norm`. The gradient Lipschitz constant is
+    `load_instance` store it. ||A_tilde|| is exact (`linalg.spectral_sq`,
+    from the Gram matrix of A_tilde's smaller side), computed once here and
+    kept as `operator_norm`. The gradient Lipschitz constant is
     0.25*||A_tilde||^2 + mu.
     """
     lam = instance.lam if lam is None else float(lam)
     A = instance.A_tilde
     AT = np.ascontiguousarray(A.T)
     n, dim = A.shape
-    norm_A = math.sqrt(_spectral_sq(A))
+    norm_A = math.sqrt(spectral_sq(A))
     L = 0.25 * norm_A**2 + instance.mu
     spec = ProxSpec(
         kind="l0_vector", lam=lam, mu=0.0,
@@ -313,17 +313,6 @@ def gen_mc(n1, n2, r_star, num_samples, sigma, seed, r=None, lam=1.0, mu=1e-10):
     )
 
 
-def _gram(X):
-    """The Gram matrix of X's smaller side: X^T X for the tall, thin
-    factors, X X^T for a wide design matrix."""
-    return X.T @ X if X.shape[0] >= X.shape[1] else X @ X.T
-
-
-def _spectral_sq(X):
-    """sigma_max(X)^2, exactly: the top eigenvalue of `_gram(X)`."""
-    return float(np.linalg.eigvalsh(_gram(X))[-1])
-
-
 # The dense masked form of the matrix-completion oracle forms UV^T, so a
 # block gradient costs about 2*n1*n2*r multiply-adds, where the
 # sorted-segment form gathers |Omega| row pairs. `benchmarks/bench_kernels.py`
@@ -375,8 +364,8 @@ def mc_problem(instance, lam=None):
     its own array, and D is rewritten at every entry of Omega whenever it
     holds another evaluation's residual. The segment form allocates no
     buffer. Omega must hold distinct entries, as `gen_mc` makes it. `L1`
-    and `L2` are the exact moduli ||V||^2 and ||U||^2, the top eigenvalues
-    of the r x r Gram matrices that `gram` gives.
+    and `L2` are the exact moduli ||V||^2 and ||U||^2 (`linalg.spectral_sq`),
+    the top eigenvalues of the r x r Gram matrices that `gram` gives.
     """
     lam = instance.lam if lam is None else float(lam)
     mu = instance.mu
@@ -427,10 +416,10 @@ def mc_problem(instance, lam=None):
         g_value=spec.value,
         g_prox=lambda v, tau: prox_ridge_l20_columns(v, tau, spec),
         coupling=coupling,
-        L1=_spectral_sq,
-        L2=_spectral_sq,
+        L1=spectral_sq,
+        L2=spectral_sq,
         lipschitz_ball_bounds=ball_bounds,
-        gram=_gram,
+        gram=gram,
     )
 
 

@@ -4,7 +4,9 @@ One row per iterate, including the starting point (k = 0, zero step).
 The CSV layout is fixed and versioned; floats are written with 17
 significant digits so parsing is lossless. Solvers keep their records in
 a `Trace`, which stores each field as a numpy column; `read_trace_csv`
-builds one straight from the columns of a file.
+builds one straight from the columns of a file. `read_trace_rows` and
+`write_flagged_csv` rewrite the K-set flags of a file and keep the text of
+its other fields.
 """
 
 from collections.abc import Sequence
@@ -185,11 +187,9 @@ def _raise_first_bad_row(lines, names):
             raise TraceParseError(str(e), n) from e
 
 
-def read_trace_csv(path_or_file):
-    """Parse a trace CSV into a Trace, column by column. Blank lines are
-    skipped. The header may lack the witness column (NO_WITNESS_COLUMNS);
-    the witnesses are then NaN. A malformed file raises TraceParseError
-    with the number of the first line at fault."""
+def _parse(path_or_file):
+    """(Trace, header, data rows split into fields) of a trace CSV; see
+    `read_trace_csv`."""
     if isinstance(path_or_file, (str, bytes)):
         with open(path_or_file, "r", newline="") as f:
             text = f.read()
@@ -213,4 +213,39 @@ def read_trace_csv(path_or_file):
         raise
     if "witness_norm" not in parsed:
         parsed["witness_norm"] = np.full(len(rows), np.nan)
-    return Trace.from_columns(parsed[name] for name in COLUMNS)
+    return Trace.from_columns(parsed[name] for name in COLUMNS), header, rows
+
+
+def read_trace_csv(path_or_file):
+    """Parse a trace CSV into a Trace, column by column. Blank lines are
+    skipped. The header may lack the witness column (NO_WITNESS_COLUMNS);
+    the witnesses are then NaN. A malformed file raises TraceParseError
+    with the number of the first line at fault."""
+    return _parse(path_or_file)[0]
+
+
+def read_trace_rows(path_or_file):
+    """Parse a trace CSV as `read_trace_csv` does, and keep each row's text.
+
+    Returns the Trace and, for each data row in order, its text as read
+    up to its three K-set flag fields, in the layout of COLUMNS: a row of
+    a trace without the witness column gets `nan` as its witness field.
+    `write_flagged_csv` completes the rows with new flags.
+    """
+    trace, header, rows = _parse(path_or_file)
+    if header == COLUMNS:
+        return trace, [",".join(row[:-3]) for row in rows]
+    w = _INDEX["witness_norm"]
+    return trace, [",".join(row[:w] + ["nan"] + row[w:-3]) for row in rows]
+
+
+def write_flagged_csv(path, heads, trace):
+    """Write a trace CSV with the full header from row texts as
+    `read_trace_rows` gives them, each followed by its row's K-set flags
+    from `trace`, as 0 or 1. Nothing but the flags is formatted, so a
+    trace that `write_trace_csv` wrote comes out as it would write the
+    flagged Trace, and any other keeps the text of its other fields."""
+    flags = (trace.column(c).tolist() for c in COLUMNS[-3:])
+    with open(path, "w", newline="") as f:
+        f.write(f"{TRACE_VERSION}\n{','.join(COLUMNS)}\n")
+        f.write("".join(map("%s,%d,%d,%d\n".__mod__, zip(heads, *flags))))

@@ -24,7 +24,7 @@ from nmdesc.diagnostics import (
     verify_H1,
     verify_H2,
 )
-from nmdesc.linalg import RngStream, spectral_norm
+from nmdesc.linalg import RngStream
 from nmdesc.nls import BacktrackCapError
 from nmdesc.palm import (
     PalmConfig,
@@ -53,10 +53,10 @@ SEEDS = range(100, 120)
 def logreg_run(seed, lam, mu, stop_tol, max_iters, variant="pgenls"):
     """One classification run at the shared desk scale (n=200, p=2000)."""
     inst = gen_logreg(n=200, p=2000, s=20, seed=seed, lam=lam, mu=mu)
-    norm = spectral_norm(inst.A_tilde, tol=1e-8)
     prob = logreg_problem(inst, lam=lam)
+    # tau0 = 10/||A~||, as `nmdesc run` takes it
     cfg = pg_variant(variant, PgConfig(max_iters=max_iters,
-                                       tau0=10.0 / norm, stop_tol=stop_tol))
+                                       tau0=10.0 / prob.operator_norm, stop_tol=stop_tol))
     return prob, pg_run(prob, np.zeros(inst.p + 1), cfg)
 
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (
+from testkit import (
     classify_ksets_ref,
     polyline_points_ref,
     rate_fit_tail_ref,
@@ -457,6 +457,51 @@ class TestDiagAndRates:
         ref_path = tmp_path / "ref.csv"
         write_trace_csv(str(ref_path), Trace(reference))
         assert read_bytes(prefix + "_ksets.csv") == read_bytes(ref_path)
+
+    @pytest.mark.parametrize("witness", [True, False])
+    @pytest.mark.parametrize("blank_lines", [False, True])
+    def test_diag_ksets_csv_is_the_flagged_trace_rewritten(
+            self, trace_path, tmp_path, capsys, witness, blank_lines):
+        # what `write_trace_csv` makes of the flagged trace: the full
+        # header, `nan` witnesses for a trace without the column, no blanks
+        lines = trace_path.read_text().splitlines()
+        if not witness:
+            idx = lines[1].split(",").index("witness_norm")
+            lines = [lines[0]] + [",".join(v for i, v in enumerate(line.split(","))
+                                           if i != idx) for line in lines[1:]]
+        if blank_lines:
+            lines = lines[:2] + [""] + lines[2:5] + ["", ""] + lines[5:] + [""]
+        src = tmp_path / "src.csv"
+        src.write_text("\n".join(lines) + "\n")
+        prefix = str(tmp_path / "d")
+        assert main(["diag", str(src), "--out-prefix", prefix]) == 0
+        records = list(read_trace_csv(str(src)))
+        flags, _, _ = classify_ksets_ref(records, a=0.5e-5, theta=0.5, m=5)
+        flagged = [replace(r, in_K1=flags[r.k][0], in_K2=flags[r.k][1],
+                           in_K31=flags[r.k][2]) if r.k in flags else r
+                   for r in records]
+        expected = trace_csv_string(Trace(flagged))
+        assert ("nan" in expected) != witness
+        assert read_bytes(prefix + "_ksets.csv").decode() == expected
+        capsys.readouterr()
+
+    def test_diag_keeps_the_text_of_hand_edited_fields(self, trace_path, tmp_path,
+                                                       capsys):
+        # the same values written another way: `0.0` for the replay time
+        # `0`, a zero-padded k and the shortest repr of an objective
+        lines = trace_path.read_text().splitlines()
+        row = lines[3].split(",")
+        edited = ["0" + row[0], "0.0", repr(float(row[2]))] + row[3:]
+        assert edited[:3] != row[:3]
+        src = tmp_path / "edited.csv"
+        src.write_text("\n".join(lines[:3] + [",".join(edited)] + lines[4:]) + "\n")
+        assert main(["diag", str(trace_path), "--out-prefix", str(tmp_path / "a")]) == 0
+        assert main(["diag", str(src), "--out-prefix", str(tmp_path / "b")]) == 0
+        want = read_bytes(str(tmp_path / "a_ksets.csv")).decode().splitlines()
+        got = read_bytes(str(tmp_path / "b_ksets.csv")).decode().splitlines()
+        assert got[:3] == want[:3] and got[4:] == want[4:]
+        assert got[3].split(",") == edited[:11] + want[3].split(",")[11:]
+        capsys.readouterr()
 
     def test_diag_flags_rows_by_k(self, tmp_path, capsys):
         # rows numbered from 3: a row takes the flags of the step whose

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (
+from testkit import (
     classify_ksets_ref,
     ell_indices_ref,
     rate_fit_tail_ref,
@@ -135,7 +135,7 @@ class TestClassifyKsets:
 
     def test_partition_on_solver_trace(self):
         from nmdesc.pg import PgConfig, pg_run
-        from conftest import quadratic_problem
+        from testkit import quadratic_problem
 
         prob = quadratic_problem(A=np.diag([1.0, 3.0]), lam=0.05)
         result = pg_run(prob, np.array([2.0, -1.5]), PgConfig(max_iters=80))

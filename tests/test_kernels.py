@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import add_at_grads
+from testkit import add_at_grads
 from nmdesc import kernels
 from nmdesc.linalg import RngStream
 

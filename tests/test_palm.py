@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import trace_csv_string
+from testkit import trace_csv_string
 from nmdesc.linalg import RngStream
 from nmdesc import palm as palm_mod
 from nmdesc.nls import BacktrackCapError, HistoryWindow, accept, window_max

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import f_grad, flat_problem, objective, quadratic_problem, trace_csv_string
+from testkit import f_grad, flat_problem, objective, quadratic_problem, trace_csv_string
 from nmdesc.linalg import RngStream
 from nmdesc.pg import (
     PgConfig,

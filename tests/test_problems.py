@@ -7,9 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import add_at_grads, objective
+from testkit import add_at_grads, objective
 from nmdesc import kernels, problems
-from nmdesc.linalg import RngStream, spectral_norm
+from nmdesc.linalg import RngStream
 from nmdesc.problems import (
     McInstance,
     gen_logreg,
@@ -99,9 +99,9 @@ class TestLogRegSurface:
     def test_problem_lipschitz_and_intercept_skip(self):
         inst = gen_logreg(n=10, p=6, s=2, seed=9, lam=100.0, mu=1e-8)
         prob = logreg_problem(inst)
-        norm_A = spectral_norm(inst.A_tilde, tol=1e-10)
+        norm_A = np.linalg.norm(inst.A_tilde, 2)
         assert prob.lipschitz == pytest.approx(0.25 * norm_A**2 + 1e-8,
-                                               rel=1e-6)
+                                               rel=1e-12)
         # huge penalty zeroes the features but never the intercept
         v = np.ones(7)
         out = prob.g_prox(v, tau=1.0)

@@ -4,7 +4,7 @@ trace sink receives, and the trace a backtrack-cap error carries."""
 import numpy as np
 import pytest
 
-from conftest import quadratic_problem
+from testkit import quadratic_problem
 from nmdesc import palm, pg
 from nmdesc.nls import BacktrackCapError
 from nmdesc.problems import gen_mc, mc_problem

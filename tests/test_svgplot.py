@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from conftest import polyline_points_ref
+from testkit import polyline_points_ref
 from nmdesc.svgplot import line_plot_svg, write_line_plot
 
 NS = "{http://www.w3.org/2000/svg}"

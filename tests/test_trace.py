@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import trace_csv_string
+from testkit import trace_csv_string
 from nmdesc.trace import (
     COLUMNS,
     NO_WITNESS_COLUMNS,

@@ -1,4 +1,10 @@
-"""Shared test fixtures, toy problems and reference implementations."""
+"""Toy problems and reference implementations shared by the tests and
+`benchmarks/bench_kernels.py`.
+
+Not named `conftest.py`: `perfbench/` has a top-level `conftest.py` too,
+and when one pytest run collects both directories, `from conftest import`
+finds whichever of the two was imported first.
+"""
 
 import io
 import math
