@@ -24,9 +24,9 @@ agreement with a reference on the same inputs. The sections:
   n1*n2/|Omega| where the dense form stops winning, which is where the
   rule's ratio constant comes from;
 * one evaluation of a PG iterate on the desk logistic instance (n = 200,
-  p = 2000): three separate oracle calls for its value, gradient and
-  objective, one `smooth` call, and one `smooth` call given the margins
-  A~x (as for an extrapolated point);
+  p = 2000): its objective from one `smooth` call, with the gradient
+  asked of it (an accepted candidate) and without (a rejected one), from
+  x and given the margins A~x (as for an extrapolated point);
 * the logistic margins A~x over the support size |S| of x, at the desk
   size (200 x 2001), at two sizes either side of the rule's size bound
   (100 x 2001 and 100 x 1001) and at the size `cli-batch` benches
@@ -243,27 +243,29 @@ def pg_point():
     x = np.random.default_rng(1).standard_normal(inst.p + 1) * 0.01
     z = inst.A_tilde @ x
 
-    def separate(x):
-        # value, gradient and objective each from a full oracle call
-        value = problems.logreg_value_grad(x, inst)[0]
-        grad = problems.logreg_value_grad(x, inst)[1]
-        objective = problems.logreg_value_grad(x, inst)[0] + prob.g_value(x)
-        return value, grad, objective
+    def value_only(x, z=None):
+        # a rejected trial candidate: its objective decides, no gradient
+        value, _, _ = prob.smooth(x, z)
+        return value + prob.g.value(x)
 
-    def one_call(x, z=None):
+    def with_grad(x, z=None):
+        # an accepted candidate: its objective and its gradient
         value, grad, _ = prob.smooth(x, z)
-        return value, grad, value + prob.g_value(x)
+        return value + prob.g.value(x), grad()
 
-    ref = separate(x)
-    for got in (one_call(x), one_call(x, z)):
-        assert got[0] == ref[0] and got[2] == ref[2]
+    ref_value, ref_grad = problems.logreg_value_grad(x, inst)
+    ref = (ref_value + prob.g.value(x), ref_grad())
+    for args in ((x,), (x, z)):
+        got = with_grad(*args)
+        assert value_only(*args) == got[0] == ref[0]
         assert np.array_equal(got[1], ref[1])
-    print("\none PG point evaluation against three separate calls: ok")
+    print("\none PG point evaluation against logreg_value_grad: ok")
 
     cases = [
-        ("value+grad+objective", separate, (x,)),
-        ("smooth", one_call, (x,)),
-        ("smooth, given margins", one_call, (x, z)),
+        ("smooth, value", value_only, (x,)),
+        ("smooth, value+grad", with_grad, (x,)),
+        ("given margins, value", value_only, (x, z)),
+        ("given margins, +grad", with_grad, (x, z)),
     ]
     print(f"desk logistic: n={inst.n}, p={inst.p}")
     for name, fn, args in cases:

@@ -30,7 +30,6 @@ from . import palm, pg, problems
 from .diagnostics import (
     MIN_FIT_POINTS,
     TooShortToFit,
-    average_curves,
     classify_ksets,
     condition_partial_sums,
     evolution_curve,
@@ -97,24 +96,16 @@ def _coerce(value, kind):
     return value
 
 
-_INT_FIELDS = {"m", "max_backtracks", "max_iters"}
-_STR_FIELDS = {"beta_rule"}
-
-
 def _solver_config(cls, options):
-    cfg = cls()
-    known = {f.name for f in fields(cls)}
+    """A `cls` config with `options` set, each parsed to the type its field
+    is annotated with (int, float or str)."""
+    kinds = {f.name: f.type for f in fields(cls)}
     updates = {}
     for key, value in options.items():
-        if key not in known:
+        if key not in kinds:
             raise UsageError(f"unknown solver option {key!r}")
-        if key in _INT_FIELDS:
-            updates[key] = _coerce(value, int)
-        elif key in _STR_FIELDS:
-            updates[key] = value
-        else:
-            updates[key] = _coerce(value, float)
-    return replace(cfg, **updates)
+        updates[key] = _coerce(value, kinds[key])
+    return replace(cls(), **updates)
 
 
 def effective_seed(configured):
@@ -382,7 +373,7 @@ def cmd_bench(args):
     for name in kept:
         rows = [trial[name] for trial in per_trial if name in trial]
         if rows:
-            curves[name] = average_curves([{name: r} for r in rows])[name]
+            curves[name] = np.mean(rows, axis=0)
 
     csv_path = os.path.join(out_dir, "bench_e.csv")
     with open(csv_path, "w", newline="") as f:

@@ -281,11 +281,3 @@ def evolution_curve(traces, grid):
         curves[name] = e
     return curves
 
-
-def average_curves(per_trial):
-    """Average E(t) dictionaries (same keys and grid) across trials."""
-    names = per_trial[0].keys()
-    return {
-        name: np.mean([trial[name] for trial in per_trial], axis=0)
-        for name in names
-    }

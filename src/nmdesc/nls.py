@@ -1,10 +1,12 @@
-"""Nonmonotone acceptance machinery shared by both solvers.
+"""Nonmonotone line-search machinery shared by both solvers.
 
 A HistoryWindow keeps the last m+1 potential values; a candidate step is
 accepted when its potential drops below the window maximum by at least
 (alpha/2) times the squared step length. A line search that exhausts its
 backtrack budget either stalled on rounding (`LineSearchStalled`) or
-failed (`BacktrackCapError`); `cap_error` tells which.
+failed (`BacktrackCapError`); `cap_error` tells which. `extrapolation`
+and `bb_ratio` give the two initializations of a line search, its
+extrapolation weight and its Barzilai-Borwein step.
 """
 
 import math
@@ -53,6 +55,40 @@ def accept(candidate, window, alpha, step_sq):
         raise ValueError("step_sq must be nonnegative")
     bound, _ = window_max(window)
     return candidate <= bound - 0.5 * alpha * step_sq
+
+
+def nesterov_beta(t_prev, t_cur):
+    """Extrapolation weight (t_{k-1}-1)/t_k and the next counter."""
+    if t_prev < 1.0 or t_cur < 1.0:
+        raise ValueError("Nesterov counters must be >= 1")
+    beta0 = (t_prev - 1.0) / t_cur
+    t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_cur * t_cur))
+    return beta0, t_next
+
+
+def extrapolation(config, t_prev, t_cur):
+    """(beta_{k,0}, t_{k+1}): a line search's initial extrapolation weight
+    and next counter under `config.beta_rule`. "nesterov" takes
+    `nesterov_beta`, capped at `config.beta_max`; "constant" takes
+    `config.beta_max` and keeps the counter."""
+    if config.beta_rule == "nesterov":
+        beta0, t_next = nesterov_beta(t_prev, t_cur)
+        return min(beta0, config.beta_max), t_next
+    return config.beta_max, t_cur
+
+
+def bb_ratio(d_sq, dh_sq, inner, lo, hi):
+    """Safeguarded Barzilai-Borwein step from a secant pair (d, dh), given
+    ||d||^2, ||dh||^2 and <d, dh>: the smaller of the two BB ratios, `hi`
+    when the curvature <d, dh> is not positive against a relative guard,
+    clipped to [lo, hi]. A zero d has no ratio; callers keep their last
+    step then."""
+    guard = 1e-12 * math.sqrt(d_sq) * math.sqrt(dh_sq)
+    if inner <= guard:
+        candidate = hi
+    else:
+        candidate = min(d_sq / inner, inner / dh_sq)
+    return max(min(candidate, hi), lo)
 
 
 def backtrack_params(l, beta0, tau0, eta1, eta2, tau_min):

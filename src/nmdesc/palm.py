@@ -24,10 +24,13 @@ from .nls import (
     HistoryWindow,
     window_max,
     accept,
+    bb_ratio,
     cap_error,
+    extrapolation,
+    nesterov_beta,
     BacktrackCapError,
 )
-from .pg import RunResult, _dot, _sq, nesterov_beta, run_loop
+from .pg import RunResult, _dot, _sq, run_loop
 from .trace import TraceRecord
 
 
@@ -132,19 +135,6 @@ def step_differences(state):
     return dx, dy, _sq(dx), _sq(dy)
 
 
-def _bb_ratio(d, d_sq, dh, lo, hi, prev):
-    if d_sq == 0.0:
-        return prev
-    dh_sq = _sq(dh)
-    inner = _dot(d, dh)
-    guard = 1e-12 * math.sqrt(d_sq) * math.sqrt(dh_sq)
-    if inner <= guard:
-        candidate = hi
-    else:
-        candidate = min(d_sq / inner, inner / dh_sq)
-    return max(min(candidate, hi), lo)
-
-
 def bb_init_tau_blocks(state, problem, tau_lo, tau_hi, diffs):
     """Per-block Barzilai-Borwein initializations.
 
@@ -163,8 +153,11 @@ def bb_init_tau_blocks(state, problem, tau_lo, tau_hi, diffs):
         _, _, grad_y = problem.coupling(state.x, state.y_prev)
         gy_prev = grad_y()
     dhy = state.gy - gy_prev
-    tau1 = _bb_ratio(dx, dx_sq, dhx, tau_lo, tau_hi, state.tau1_init_prev)
-    tau2 = _bb_ratio(dy, dy_sq, dhy, tau_lo, tau_hi, state.tau2_init_prev)
+    tau1, tau2 = state.tau1_init_prev, state.tau2_init_prev
+    if dx_sq != 0.0:
+        tau1 = bb_ratio(dx_sq, _sq(dhx), _dot(dx, dhx), tau_lo, tau_hi)
+    if dy_sq != 0.0:
+        tau2 = bb_ratio(dy_sq, _sq(dhy), _dot(dy, dhy), tau_lo, tau_hi)
     return tau1, tau2
 
 
@@ -250,11 +243,7 @@ def palm_step(state, problem, config):
     here: `palm_run` forms them for the whole run at its end. At the
     backtrack cap it raises `nls.cap_error`'s exception, as `pg_step` does.
     """
-    if config.beta_rule == "nesterov":
-        beta0, t_next = nesterov_beta(state.t_prev, state.t_cur)
-        beta0 = min(beta0, config.beta_max)
-    else:
-        beta0, t_next = config.beta_max, state.t_cur
+    beta0, t_next = extrapolation(config, state.t_prev, state.t_cur)
 
     diffs = step_differences(state)
     dx, dy, dx_sq, dy_sq = diffs
@@ -277,10 +266,10 @@ def palm_step(state, problem, config):
             yt = state.y + beta * dy
             _, grad_x, _ = problem.coupling(xt, state.y)
             gx_trial = grad_x()
-        x_new = problem.f_prox(xt - tau1 * gx_trial, tau1)
+        x_new = problem.f.prox(xt - tau1 * gx_trial, tau1)
         _, _, grad_y = problem.coupling(x_new, yt)
         gy_trial = grad_y()
-        y_new = problem.g_prox(yt - tau2 * gy_trial, tau2)
+        y_new = problem.g.prox(yt - tau2 * gy_trial, tau2)
         dx_new = x_new - state.x
         dy_new = y_new - state.y
         new_sq = _sq(dx_new) + _sq(dy_new)
@@ -450,11 +439,11 @@ def _baseline_step(state, problem, config, extrapolate):
         yt = y + beta * (y - state.y_prev)
         _, grad_x, _ = problem.coupling(xt, y)
         gx_trial = grad_x()
-    x_new = problem.f_prox(xt - tau1 * gx_trial, tau1)
+    x_new = problem.f.prox(xt - tau1 * gx_trial, tau1)
     tau2 = 1.0 / max(problem.L2(x_new), 1e-12)
     _, _, grad_y = problem.coupling(x_new, yt)
     gy_trial = grad_y()
-    y_new = problem.g_prox(yt - tau2 * gy_trial, tau2)
+    y_new = problem.g.prox(yt - tau2 * gy_trial, tau2)
     steps = (x_new - x, y_new - y)
     step = math.sqrt(_sq(steps[0]) + _sq(steps[1]))
     obj, grad_x, grad_y = problem.objective(x_new, y_new)

@@ -23,7 +23,10 @@ from .nls import (
     window_max,
     accept,
     backtrack_params,
+    bb_ratio,
     cap_error,
+    extrapolation,
+    nesterov_beta,
     BacktrackCapError,
     LineSearchStalled,
 )
@@ -97,10 +100,11 @@ class IterateState:
     """Solver state at z^k = (x^k, x^{k-1}).
 
     The oracle results of accepted points are carried, so no point is
-    evaluated twice: grad f(x^k) and grad f(x^{k-1}) serve the BB
-    initialization, the witness and the zero-extrapolation trial, and the
-    linear images z of x^k and x^{k-1} (the problem's `smooth` returns
-    them; None if it has none) give the image of an extrapolated point
+    evaluated twice: grad f(x^k) and grad f(x^{k-1}) (asked of the
+    evaluation that accepted each point) serve the BB initialization, the
+    witness and the zero-extrapolation trial, and the linear images z of
+    x^k and x^{k-1} (the problem's `smooth` returns them; None if it has
+    none) give the image of an extrapolated point
     y = x^k + beta*(x^k - x^{k-1}) without evaluating it from y. FISTA's
     state has no history window (window is None).
     """
@@ -147,15 +151,6 @@ def _extrapolate(z, z_prev, beta):
     return z + beta * (z - z_prev)
 
 
-def nesterov_beta(t_prev, t_cur):
-    """Extrapolation weight (t_{k-1}-1)/t_k and the next counter."""
-    if t_prev < 1.0 or t_cur < 1.0:
-        raise ValueError("Nesterov counters must be >= 1")
-    beta0 = (t_prev - 1.0) / t_cur
-    t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_cur * t_cur))
-    return beta0, t_next
-
-
 def bb_init_tau(z, z_prev, grads, delta, tau_min, tau_max, prev_tau):
     """Barzilai-Borwein step initialization on the smoothed pair space.
 
@@ -175,12 +170,7 @@ def bb_init_tau(z, z_prev, grads, delta, tau_min, tau_max, prev_tau):
     dzeta_b = -delta * (x - u) + delta * (xp - up)
     dzeta_sq = _sq(dzeta_a) + _sq(dzeta_b)
     inner = _dot(dz_a, dzeta_a) + _dot(dz_b, dzeta_b)
-    guard = 1e-12 * math.sqrt(dz_sq) * math.sqrt(dzeta_sq)
-    if inner <= guard:
-        candidate = tau_max
-    else:
-        candidate = min(dz_sq / inner, inner / dzeta_sq)
-    return max(min(candidate, tau_max), tau_min)
+    return bb_ratio(dz_sq, dzeta_sq, inner, tau_min, tau_max)
 
 
 def safe_beta_bound_pg(tau, lipschitz, delta):
@@ -312,15 +302,15 @@ def start_state(problem, x0, config=None):
     line-search config gives the state its history window, holding
     H_delta(z^0) = F(x0); FISTA's state (config None) has none."""
     x0 = np.asarray(x0, dtype=np.float64)
-    f0, g0, z0 = problem.smooth(x0)
-    F0 = f0 + problem.g_value(x0)
+    f0, grad0, z0 = problem.smooth(x0)
+    F0 = f0 + problem.g.value(x0)
     h0, window = F0, None
     if config is not None:
         h0 = potential_H(F0, x0, x0, config.delta)
         window = HistoryWindow(config.m)
         window.push(0, h0)
     state = IterateState(x=x0.copy(), x_prev=x0.copy(), window=window,
-                         grad_x=g0, z=z0, z_prev=z0)
+                         grad_x=grad0(), z=z0, z_prev=z0)
     record = TraceRecord(
         k=0, time_s=0.0, objective=F0, potential=h0,
         step_norm=0.0, witness_norm=math.inf, beta=0.0, tau1=0.0, ell=0,
@@ -332,18 +322,15 @@ def pg_step(state, problem, config):
     """One outer iteration: backtracking inner loop until acceptance.
 
     Each trial candidate is evaluated once: its value gives the potential
-    and the record's objective, and the accepted one's gradient is carried
-    as grad f(x^{k+1}). A trial with beta > 0 also evaluates the gradient
-    at y, from the extrapolated linear image of the iterates. Returns (new
-    state, TraceRecord, init dict). When the inner loop exhausts its budget
-    it raises `nls.cap_error`'s exception: LineSearchStalled if rounding
-    alone rejected the last candidate, else BacktrackCapError carrying it.
+    and the record's objective, and only the accepted one is asked for its
+    gradient, carried as grad f(x^{k+1}). A trial with beta > 0 also
+    evaluates the gradient at y, from the extrapolated linear image of the
+    iterates. Returns (new state, TraceRecord, init dict). When the inner
+    loop exhausts its budget it raises `nls.cap_error`'s exception:
+    LineSearchStalled if rounding alone rejected the last candidate, else
+    BacktrackCapError carrying it.
     """
-    if config.beta_rule == "nesterov":
-        beta0, t_next = nesterov_beta(state.t_prev, state.t_cur)
-        beta0 = min(beta0, config.beta_max)
-    else:
-        beta0, t_next = config.beta_max, state.t_cur
+    beta0, t_next = extrapolation(config, state.t_prev, state.t_cur)
 
     if state.k >= 1 and state.x_prev2 is not None:
         tau0 = bb_init_tau(
@@ -366,15 +353,16 @@ def pg_step(state, problem, config):
             y, gy = state.x, gx
         else:
             y = state.x + beta * (state.x - state.x_prev)
-            _, gy, _ = problem.smooth(y, _extrapolate(z, state.z_prev, beta))
-        candidate = problem.g_prox(y - tau * gy, tau)
+            _, grad_y, _ = problem.smooth(y, _extrapolate(z, state.z_prev, beta))
+            gy = grad_y()
+        candidate = problem.g.prox(y - tau * gy, tau)
         # with delta = 0 the potential carries no coupling term to pay for
         # the previous step, so the classical single-step criterion applies
         step_sq = _sq(candidate - state.x)
         if config.delta > 0.0:
             step_sq += _sq(state.x - state.x_prev)
-        f_cand, grad_new, z_new = problem.smooth(candidate)
-        F_cand = f_cand + problem.g_value(candidate)
+        f_cand, grad_cand, z_new = problem.smooth(candidate)
+        F_cand = f_cand + problem.g.value(candidate)
         h_cand = potential_H(F_cand, candidate, state.x, config.delta)
         if accept(h_cand, state.window, config.alpha, step_sq):
             break
@@ -382,6 +370,7 @@ def pg_step(state, problem, config):
         raise cap_error(state.k, config.max_backtracks, candidate, h_cand,
                         state.window, config.alpha, step_sq)
 
+    grad_new = grad_cand()
     _, wnorm = subgrad_witness_pg(
         candidate, state.x, y, tau, grad_new, gy, config.delta
     )
@@ -449,10 +438,12 @@ def _fista_step(state, problem, tau, restart):
         y, gy = x, state.grad_x
     else:
         y = x + beta * (x - state.x_prev)
-        _, gy, _ = problem.smooth(y, _extrapolate(state.z, state.z_prev, beta))
-    x_new = problem.g_prox(y - tau * gy, tau)
-    f, g_new, z_new = problem.smooth(x_new)
-    F = f + problem.g_value(x_new)
+        _, grad_y, _ = problem.smooth(y, _extrapolate(state.z, state.z_prev, beta))
+        gy = grad_y()
+    x_new = problem.g.prox(y - tau * gy, tau)
+    f, grad, z_new = problem.smooth(x_new)
+    g_new = grad()
+    F = f + problem.g.value(x_new)
     _, wnorm = subgrad_witness_pg(x_new, x, y, tau, g_new, gy, 0.0)
     k = state.k + 1
     t_prev, t_cur = state.t_cur, t_next

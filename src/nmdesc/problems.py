@@ -14,7 +14,7 @@ import numpy as np
 
 from . import kernels
 from .linalg import RngStream, gram, spectral_sq
-from .prox import ProxSpec, prox_l0, prox_ridge_l20_columns
+from .prox import ProxSpec
 
 
 # -- generic problem surfaces -------------------------------------------------
@@ -24,49 +24,47 @@ class CompositeProblem:
     """F(x) = f(x) + g(x) with smooth f and prox-friendly g.
 
     `smooth(x, z=None)` is the one oracle of f: a single evaluation returns
-    (f(x), grad f(x), z). z is a linear image of x that f is evaluated
-    from (for the logistic model the margins A_tilde x), or None for a
-    problem without one. A caller that already knows that image of x (a
-    solver extrapolates the carried z of its iterates like the iterates
-    themselves) passes it as `z` and skips computing it. `operator_norm`
-    is the spectral norm of that linear map, where there is one.
+    (f(x), grad, z), where grad() gives grad f(x) from what the evaluation
+    computed, so a caller that needs only the value does not pay for the
+    gradient. z is a linear image of x that f is evaluated from (for the
+    logistic model the margins A_tilde x), or None for a problem without
+    one. A caller that already knows that image of x (a solver
+    extrapolates the carried z of its iterates like the iterates
+    themselves) passes it as `z` and skips computing it. `g` is the
+    regularizer, any object with `value(x)` and `prox(v, tau)` (a
+    `prox.ProxSpec`). `operator_norm` is the spectral norm of the linear
+    map, where there is one.
     """
 
     smooth: Callable
-    g_spec: ProxSpec
+    g: ProxSpec
     lipschitz: float
-    dim: int
     operator_norm: Optional[float] = None
-
-    def g_value(self, x):
-        return self.g_spec.value(x)
-
-    def g_prox(self, v, tau):
-        return prox_l0(v, tau, self.g_spec)
 
 
 @dataclass(frozen=True)
 class BlockProblem:
     """Psi(x, y) = f(x) + g(y) + H(x, y) over two blocks.
 
-    `coupling(x, y)` is the one oracle of H: a single evaluation returns
-    (H(x, y), grad_x, grad_y), where grad_x() and grad_y() give the block
-    gradients at that same point from what the evaluation computed. A
-    caller that needs no gradient, or only one, does not pay for the
-    other. `lipschitz_ball_bounds(R1, R2)` returns (M, L2bar): a Lipschitz
-    modulus of grad_x H jointly in (x, y) over balls of radii R1, R2, and
-    the max of L2(x) over the x-ball. Used only by the relative-error
-    diagnostics. `gram(X)` is a symmetric matrix whose top eigenvalue is
-    the block modulus at X: L1(y) and L2(x) are the top eigenvalues of
-    gram(y) and gram(x). `palm.palm_run` needs it, to form the moduli of a
-    whole run in one batched eigen-solve at its end; the baselines, which
-    take a step from each modulus, and `palm.palm_step` do not.
+    `f` and `g` are the regularizers of the blocks, any objects with
+    `value(x)` and `prox(v, tau)` (a `prox.ProxSpec`). `coupling(x, y)` is
+    the one oracle of H: a single evaluation returns (H(x, y), grad_x,
+    grad_y), where grad_x() and grad_y() give the block gradients at that
+    same point from what the evaluation computed, as `CompositeProblem`'s
+    `smooth` gives its gradient. A caller that needs no gradient, or only
+    one, does not pay for the other. `lipschitz_ball_bounds(R1, R2)`
+    returns (M, L2bar): a Lipschitz modulus of grad_x H jointly in (x, y)
+    over balls of radii R1, R2, and the max of L2(x) over the x-ball. Used
+    only by the relative-error diagnostics. `gram(X)` is a symmetric
+    matrix whose top eigenvalue is the block modulus at X: L1(y) and L2(x)
+    are the top eigenvalues of gram(y) and gram(x). `palm.palm_run` needs
+    it, to form the moduli of a whole run in one batched eigen-solve at
+    its end; the baselines, which take a step from each modulus, and
+    `palm.palm_step` do not.
     """
 
-    f_value: Callable
-    f_prox: Callable
-    g_value: Callable
-    g_prox: Callable
+    f: ProxSpec
+    g: ProxSpec
     coupling: Callable
     L1: Callable
     L2: Callable
@@ -76,7 +74,7 @@ class BlockProblem:
     def objective(self, x, y):
         """(Psi(x, y), grad_x, grad_y), with the gradients of `coupling`."""
         h, grad_x, grad_y = self.coupling(x, y)
-        return self.f_value(x) + self.g_value(y) + h, grad_x, grad_y
+        return self.f.value(x) + self.g.value(y) + h, grad_x, grad_y
 
 
 # -- zero-norm regularized logistic regression --------------------------------
@@ -152,18 +150,19 @@ def _with_intercept(A):
 
 
 def logreg_value_grad(x, instance, z=None):
-    """Objective value of the smooth part and its gradient.
+    """Objective value of the smooth part, and its gradient on demand.
 
     value = sum_i log(1+exp(-b_i (A_tilde x)_i)) + (mu/2)||x||^2, computed
-    overflow-safe; gradient = A_tilde^T d + mu*x. `z` may pass the margins
-    A_tilde x when the caller has them, which leaves one product, A_tilde^T d.
+    overflow-safe. Returns (value, grad), where grad() forms the gradient
+    A_tilde^T d + mu*x from the loss terms' d when it is called. `z` may
+    pass the margins A_tilde x when the caller has them; the value then
+    takes no product with A_tilde, and the gradient one, A_tilde^T d.
     """
     if z is None:
         z = instance.A_tilde @ x
     loss, w = kernels.logistic_loss_terms(z, instance.b)
     value = float(np.sum(loss)) + 0.5 * instance.mu * float(x @ x)
-    grad = instance.A_tilde.T @ w + instance.mu * x
-    return value, grad
+    return value, lambda: instance.A_tilde.T @ w + instance.mu * x
 
 
 # The l0 prox leaves few nonzeros in an iterate, so `logreg_problem` forms
@@ -231,13 +230,7 @@ def logreg_problem(instance, lam=None):
         value, grad = logreg_value_grad(x, instance, z)
         return value, grad, z
 
-    return CompositeProblem(
-        smooth=smooth,
-        g_spec=spec,
-        lipschitz=L,
-        dim=instance.p + 1,
-        operator_norm=norm_A,
-    )
+    return CompositeProblem(smooth=smooth, g=spec, lipschitz=L, operator_norm=norm_A)
 
 
 # -- column-sparse factor model for matrix completion -------------------------
@@ -411,10 +404,8 @@ def mc_problem(instance, lam=None):
         return M, L2bar
 
     return BlockProblem(
-        f_value=spec.value,
-        f_prox=lambda v, tau: prox_ridge_l20_columns(v, tau, spec),
-        g_value=spec.value,
-        g_prox=lambda v, tau: prox_ridge_l20_columns(v, tau, spec),
+        f=spec,
+        g=spec,
         coupling=coupling,
         L1=spectral_sq,
         L2=spectral_sq,

@@ -11,7 +11,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ProxSpec:
-    """Parameters of the nonsmooth term.
+    """A nonsmooth regularizer: its parameters, `value(x)` and `prox(v, tau)`.
 
     kind
         "l0_vector": lam * ||x||_0 applied coordinate-wise, skipping
@@ -45,6 +45,12 @@ class ProxSpec:
         X = np.asarray(x)
         ncols = np.count_nonzero(X.any(axis=0))
         return 0.5 * self.mu * float((X * X).sum()) + self.lam * ncols
+
+    def prox(self, v, tau):
+        """The prox of tau times the regularizer at v."""
+        if self.kind == "l0_vector":
+            return prox_l0(v, tau, self)
+        return prox_ridge_l20_columns(v, tau, self)
 
 
 def prox_l0(v, tau, spec):

@@ -147,18 +147,6 @@ class TraceParseError(ValueError):
         self.line = line
 
 
-def _count(field):
-    return np.int64(int(field))  # OverflowError past 64 bits
-
-
-def _flag(field):
-    return bool(int(field))
-
-
-# how a single field of a column of each dtype is parsed
-_FIELD_PARSERS = {np.int64: _count, np.float64: float, np.bool_: _flag}
-
-
 def _parse_column(fields, dtype):
     """One column from its field strings. numpy parses a float column
     through float() on each string, so the values are those of float()."""
@@ -173,7 +161,7 @@ def _parse_column(fields, dtype):
 def _raise_first_bad_row(lines, names):
     """Find the first data row that does not parse, scanning row by row,
     and raise TraceParseError for it with its line number."""
-    parsers = [_FIELD_PARSERS[_DTYPES[name]] for name in names]
+    dtypes = [_DTYPES[name] for name in names]
     for n, line in enumerate(lines[2:], start=3):
         if not line:
             continue
@@ -181,8 +169,8 @@ def _raise_first_bad_row(lines, names):
         if len(row) != len(names):
             raise TraceParseError(f"expected {len(names)} fields, got {len(row)}", n)
         try:
-            for parse, field in zip(parsers, row):
-                parse(field)
+            for dtype, field in zip(dtypes, row):
+                _parse_column([field], dtype)
         except (ValueError, OverflowError) as e:
             raise TraceParseError(str(e), n) from e
 

@@ -1,8 +1,9 @@
 """End-to-end command-line behavior and exit codes."""
 
+import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from testkit import (
     verify_H2_ref,
 )
 from nmdesc import problems
-from nmdesc.cli import UsageError, main, parse_config, solve
-from nmdesc.diagnostics import TooShortToFit, fit_rate
+from nmdesc.cli import UsageError, _solver_config, main, parse_config, solve
+from nmdesc.diagnostics import TooShortToFit, evolution_curve, fit_rate
+from nmdesc.palm import PalmConfig
+from nmdesc.pg import PgConfig
 from nmdesc.svgplot import line_plot_svg
 from nmdesc.trace import Trace, read_trace_csv, write_trace_csv
 
@@ -63,6 +66,28 @@ class TestParseConfig:
     def test_missing_equals(self):
         with pytest.raises(UsageError):
             parse_config("[a]\nnonsense\n")
+
+
+class TestSolverOptions:
+    @pytest.mark.parametrize("cls", [PgConfig, PalmConfig])
+    def test_every_field_parses_to_its_annotated_type(self, cls):
+        samples = {int: 7, float: 0.25, str: "constant"}
+        for f in fields(cls):
+            cfg = _solver_config(cls, {f.name: str(samples[f.type])})
+            value = getattr(cfg, f.name)
+            assert type(value) is f.type and value == samples[f.type], f.name
+            if f.type is float:
+                assert getattr(_solver_config(cls, {f.name: "inf"}), f.name) == math.inf
+
+    def test_unknown_option_rejected(self):
+        with pytest.raises(UsageError):
+            _solver_config(PgConfig, {"tau1_0": "1.0"})
+
+    def test_fractional_count_exits_2(self, tmp_path, capsys):
+        text = LOGREG_RUN.format(trace=tmp_path / "t.csv").replace(
+            "max_iters = 800", "max_iters = 2.5")
+        assert main(["run", write_config(tmp_path / "c.cfg", text)]) == 2
+        assert "2.5" in capsys.readouterr().err
 
 
 class TestGen:
@@ -369,6 +394,30 @@ class TestBench:
             for line in f:
                 values = [float(v) for v in line.strip().split(",")[1:]]
                 assert all(0.0 <= v <= 1.0 for v in values)
+
+    def test_bench_e_is_the_mean_over_trials(self, tmp_path, capsys):
+        out = tmp_path / "b"
+        cfg = write_config(tmp_path / "c.cfg", BENCH.format(out_dir=out))
+        assert main(["bench", cfg, "--replay"]) == 0
+        names = ["pgenls", "pgnls", "fista"]
+        trials = []
+        for t in (0, 1):
+            traces = {}
+            for name in names:
+                trace = read_trace_csv(str(out / f"trace_{name}_trial{t}.csv"))
+                traces[name] = trace.replace(time_s=trace.column("k").astype(np.float64))
+            trials.append(traces)
+        t_max = max(tr.column("time_s")[-1] for traces in trials for tr in traces.values())
+        grid = np.linspace(0.0, t_max, 30)
+        curves = [evolution_curve(traces, grid) for traces in trials]
+        with open(out / "bench_e.csv") as f:
+            assert f.readline().strip() == "t," + ",".join(names)
+            rows = [line.strip().split(",") for line in f]
+        assert len(rows) == 30
+        for j, name in enumerate(names, start=1):
+            mean = (curves[0][name] + curves[1][name]) / 2.0
+            assert not np.array_equal(curves[0][name], curves[1][name])
+            assert [row[j] for row in rows] == [format(v, ".17g") for v in mean.tolist()]
 
     def test_single_solver_rejected(self, tmp_path, capsys):
         cfg = write_config(

@@ -14,7 +14,6 @@ from testkit import (
 )
 from nmdesc.diagnostics import (
     TooShortToFit,
-    average_curves,
     classify_ksets,
     condition_partial_sums,
     ell_indices,
@@ -256,12 +255,6 @@ class TestEvolutionCurve:
                       rec(1, 0.0, 0.0, obj=1.0, time=1.0)])
         with pytest.raises(ValueError):
             evolution_curve({"only": flat}, grid=[0.0, 1.0])
-
-    def test_average_curves(self):
-        a = {"s": np.array([1.0, 0.5])}
-        b = {"s": np.array([1.0, 0.0])}
-        out = average_curves([a, b])
-        assert out["s"].tolist() == [1.0, 0.25]
 
 
 # -- the columnar diagnostics against the per-record reference loops ----------

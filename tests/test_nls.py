@@ -1,6 +1,7 @@
 """Acceptance window machinery."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,7 +12,10 @@ from nmdesc.nls import (
     STALL_ULPS,
     accept,
     backtrack_params,
+    bb_ratio,
     cap_error,
+    extrapolation,
+    nesterov_beta,
     stalled,
     window_max,
 )
@@ -143,3 +147,34 @@ def test_window_max_nonincreasing_over_accepted_sequence():
         cur_max, _ = window_max(w)
         assert cur_max <= prev_max + 1e-15
         prev_max = cur_max
+
+
+class TestExtrapolation:
+    def test_nesterov_rule_caps_the_weight(self):
+        t_prev, t_cur = 3.0, 4.0
+        beta, t_next = nesterov_beta(t_prev, t_cur)
+        cfg = SimpleNamespace(beta_rule="nesterov", beta_max=0.25)
+        assert extrapolation(cfg, t_prev, t_cur) == (0.25, t_next)
+        cfg.beta_max = 1.0
+        assert extrapolation(cfg, t_prev, t_cur) == (beta, t_next)
+
+    def test_constant_rule_keeps_the_counter(self):
+        cfg = SimpleNamespace(beta_rule="constant", beta_max=0.3)
+        assert extrapolation(cfg, 1.0, 1.0) == (0.3, 1.0)
+        assert extrapolation(cfg, 3.0, 4.0) == (0.3, 4.0)
+
+
+class TestBbRatio:
+    def test_smaller_of_the_two_ratios(self):
+        # d = (1, 0), dh = (2, 1): ||d||^2/<d, dh> = 0.5, <d, dh>/||dh||^2 = 0.4
+        assert bb_ratio(1.0, 5.0, 2.0, 1e-6, 1e6) == 0.4
+
+    def test_nonpositive_curvature_takes_the_upper_bound(self):
+        assert bb_ratio(1.0, 1.0, 0.0, 1e-6, 10.0) == 10.0
+        assert bb_ratio(1.0, 1.0, -1.0, 1e-6, 10.0) == 10.0
+        # below the relative guard 1e-12*||d||*||dh||
+        assert bb_ratio(1.0, 1.0, 1e-13, 1e-6, 10.0) == 10.0
+
+    def test_clipped_to_bounds(self):
+        assert bb_ratio(1.0, 1.0, 1.0, 2.0, 10.0) == 2.0
+        assert bb_ratio(1e4, 1e-4, 1.0, 1e-6, 10.0) == 10.0

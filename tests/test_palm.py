@@ -4,6 +4,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from testkit import trace_csv_string
 from nmdesc.linalg import RngStream
 from nmdesc import palm as palm_mod
-from nmdesc.nls import BacktrackCapError, HistoryWindow, accept, window_max
+from nmdesc.nls import BacktrackCapError, HistoryWindow, accept, nesterov_beta, window_max
 from nmdesc.palm import (
     BlockIterateState,
     PalmConfig,
@@ -27,17 +28,20 @@ from nmdesc.palm import (
     subgrad_witness_palm,
     variant_config,
 )
-from nmdesc.pg import nesterov_beta
 from nmdesc.problems import BlockProblem, gen_mc, mc_oracle_form, mc_problem
+
+
+# regularizers of the toy problems: any object with value and prox will do
+NONE = SimpleNamespace(value=lambda x: 0.0, prox=lambda v, tau: v)
+HALF_SQ = SimpleNamespace(value=lambda x: 0.5 * float(np.sum(x * x)),
+                          prox=lambda v, tau: v / (1.0 + tau))
 
 
 def decoupled_problem():
     """H = 0; both blocks carry quadratic prox-friendly terms 0.5*||.||^2."""
     return BlockProblem(
-        f_value=lambda x: 0.5 * float(np.sum(x * x)),
-        f_prox=lambda v, tau: v / (1.0 + tau),
-        g_value=lambda y: 0.5 * float(np.sum(y * y)),
-        g_prox=lambda v, tau: v / (1.0 + tau),
+        f=HALF_SQ,
+        g=HALF_SQ,
         coupling=lambda x, y: (0.0, lambda: np.zeros_like(x),
                                lambda: np.zeros_like(y)),
         L1=lambda y: 1.0,
@@ -48,10 +52,8 @@ def decoupled_problem():
 def bilinear_problem():
     """H(x, y) = x.y in 1-d, no nonsmooth terms."""
     return BlockProblem(
-        f_value=lambda x: 0.0,
-        f_prox=lambda v, tau: v,
-        g_value=lambda y: 0.0,
-        g_prox=lambda v, tau: v,
+        f=NONE,
+        g=NONE,
         coupling=lambda x, y: (float(x @ y), lambda: y.copy(), lambda: x.copy()),
         L1=lambda y: 1.0,
         L2=lambda x: 1.0,
@@ -61,10 +63,8 @@ def bilinear_problem():
 def coupled_quadratic(Q):
     """H(x, y) = 0.5*x'Qx + x.y + 0.5*||y||^2."""
     return BlockProblem(
-        f_value=lambda x: 0.0,
-        f_prox=lambda v, tau: v,
-        g_value=lambda y: 0.0,
-        g_prox=lambda v, tau: v,
+        f=NONE,
+        g=NONE,
         coupling=lambda x, y: (
             0.5 * float(x @ (Q @ x)) + float(x @ y) + 0.5 * float(y @ y),
             lambda: Q @ x + y,
@@ -492,9 +492,9 @@ def reference_palm(prob, x0, y0, cfg, iters):
             tau1 = max(taus[0] * cfg.eta1**l, cfg.tau_lo)
             tau2 = max(taus[1] * cfg.eta2**l, cfg.tau_lo)
             xt = x + beta * (x - xp)
-            xn = prob.f_prox(xt - tau1 * grad_x(prob, xt, y), tau1)
+            xn = prob.f.prox(xt - tau1 * grad_x(prob, xt, y), tau1)
             yt = y + beta * (y - yp)
-            yn = prob.g_prox(yt - tau2 * grad_y(prob, xn, yt), tau2)
+            yn = prob.g.prox(yt - tau2 * grad_y(prob, xn, yt), tau2)
             step_sq = _sq(xn - x) + _sq(yn - y) + _sq(x - xp) + _sq(y - yp)
             obj = prob.objective(xn, yn)[0]
             # Upsilon_delta = Psi + (delta/2)(||x^{k+1}-x^k||^2 + ||y^{k+1}-y^k||^2)
@@ -536,10 +536,10 @@ def reference_baseline(prob, x0, y0, cfg, extrapolate):
             beta, t_next = 0.0, t_cur
         tau1 = 1.0 / max(prob.L1(y), 1e-12)
         xt = x + beta * (x - xp)
-        xn = prob.f_prox(xt - tau1 * grad_x(prob, xt, y), tau1)
+        xn = prob.f.prox(xt - tau1 * grad_x(prob, xt, y), tau1)
         tau2 = 1.0 / max(prob.L2(xn), 1e-12)
         yt = y + beta * (y - yp)
-        yn = prob.g_prox(yt - tau2 * grad_y(prob, xn, yt), tau2)
+        yn = prob.g.prox(yt - tau2 * grad_y(prob, xn, yt), tau2)
         _, wnorm = subgrad_witness_palm(
             witness_state(prob, xn, yn, x, y, xt, yt, tau1, tau2), 0.0,
             (xn - x, yn - y))

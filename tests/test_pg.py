@@ -8,13 +8,13 @@ import pytest
 
 from testkit import f_grad, flat_problem, objective, quadratic_problem, trace_csv_string
 from nmdesc.linalg import RngStream
+from nmdesc.nls import nesterov_beta
 from nmdesc.pg import (
     PgConfig,
     backtrack_bound_pg,
     bb_init_tau,
     fista_run,
     h2_constant_pg,
-    nesterov_beta,
     pg_run,
     pg_step,
     potential_H,
@@ -310,15 +310,22 @@ def small_logreg(seed=0):
 
 
 def counting(problem):
-    """The problem with its `smooth` oracle counted; returns (problem, log),
-    where log gets one entry per evaluation: whether z was passed in."""
-    log = []
+    """The problem with its `smooth` oracle counted; returns (problem, log,
+    asked), where log gets one entry per evaluation, whether z was passed
+    in, and asked one per gradient asked of an evaluation."""
+    log, asked = [], []
 
     def smooth(x, z=None):
         log.append(z is not None)
-        return problem.smooth(x, z)
+        value, grad, z_out = problem.smooth(x, z)
 
-    return replace(problem, smooth=smooth), log
+        def counted_grad():
+            asked.append(True)
+            return grad()
+
+        return value, counted_grad, z_out
+
+    return replace(problem, smooth=smooth), log, asked
 
 
 def from_scratch(problem):
@@ -352,7 +359,7 @@ def reference_fista(problem, x0, config, restart=False):
         beta, t_next = nesterov_beta(t_prev, t_cur)
         y = x if beta == 0.0 else x + beta * (x - x_prev)
         gy = f_grad(problem, y)
-        x_new = problem.g_prox(y - tau * gy, tau)
+        x_new = problem.g.prox(y - tau * gy, tau)
         _, wnorm = subgrad_witness_pg(x_new, x, y, tau, f_grad(problem, x_new), gy, 0.0)
         step = math.sqrt(float((x_new - x) @ (x_new - x)))
         t_prev, t_cur = t_cur, t_next
@@ -367,7 +374,7 @@ class TestOracleEvaluations:
     @pytest.mark.parametrize("name", ["pgenls", "pgnls", "pgels", "pgls"])
     def test_evaluations_per_step(self, name):
         inst, prob = small_logreg()
-        prob, log = counting(prob)
+        prob, log, _ = counting(prob)
         base = PgConfig(max_iters=50, stop_tol=0.0, tau0=10.0 / prob.operator_norm)
         cfg, steps = pg_steps(prob, variant_config(name, base),
                               np.zeros(inst.p + 1), 50)
@@ -387,9 +394,23 @@ class TestOracleEvaluations:
         else:
             assert extrapolated > 0
 
+    def test_gradients_only_where_used(self):
+        # a rejected candidate's gradient is never asked for: one at the
+        # start, one per accepted candidate, one at each extrapolated y
+        inst, prob = desk_logreg()
+        prob, _, asked = counting(prob)
+        base = PgConfig(stop_tol=0.0, tau0=10.0 / prob.operator_norm)
+        _, steps = pg_steps(prob, variant_config("pgenls", base),
+                            np.zeros(inst.p + 1), 50)
+        at_y = sum(rec.backtracks + 1 for _, _, rec, init in steps
+                   if init["beta0"] > 0.0)
+        rejected = sum(rec.backtracks for _, _, rec, _ in steps)
+        assert at_y > 0 and rejected > 0
+        assert len(asked) == 1 + len(steps) + at_y
+
     def test_run_evaluates_start_once(self):
         inst, prob = small_logreg()
-        prob, log = counting(prob)
+        prob, log, _ = counting(prob)
         result = pg_run(prob, np.zeros(inst.p + 1),
                         variant_config("pgnls", PgConfig(max_iters=20, stop_tol=0.0)))
         iters = len(result.records) - 1
@@ -399,7 +420,7 @@ class TestOracleEvaluations:
     @pytest.mark.parametrize("restart", [False, True])
     def test_fista_evaluates_each_point_once(self, restart):
         inst, prob = small_logreg()
-        prob, log = counting(prob)
+        prob, log, _ = counting(prob)
         result = fista_run(prob, np.zeros(inst.p + 1),
                            PgConfig(max_iters=50, stop_tol=0.0), restart=restart)
         at_y = sum(1 for r in result.records[1:] if r.beta > 0.0)
@@ -448,8 +469,8 @@ class TestCarriedValues:
             if z is not None:
                 _, grad_ref, z_ref = prob.smooth(x)
                 worst[0] = max(worst[0], np.linalg.norm(z - z_ref) / np.linalg.norm(z_ref))
-                worst[1] = max(worst[1], np.linalg.norm(grad - grad_ref)
-                               / np.linalg.norm(grad_ref))
+                g, g_ref = grad(), grad_ref()
+                worst[1] = max(worst[1], np.linalg.norm(g - g_ref) / np.linalg.norm(g_ref))
             return value, grad, z_out
 
         checked = replace(prob, smooth=smooth)

@@ -73,13 +73,13 @@ class TestLogRegSurface:
         value, grad = logreg_value_grad(x, inst)
         assert value == pytest.approx(12 * math.log(2.0), rel=1e-14)
         expected = inst.A_tilde.T @ (-inst.b / 2.0)
-        assert np.allclose(grad, expected, rtol=1e-14)
+        assert np.allclose(grad(), expected, rtol=1e-14)
 
     def test_gradient_matches_finite_differences(self):
         inst = gen_logreg(n=20, p=10, s=3, seed=7, mu=1e-3)
         rng = RngStream(2)
         x = rng.standard_normal(11)
-        _, grad = logreg_value_grad(x, inst)
+        grad = logreg_value_grad(x, inst)[1]()
         h = 1e-6
         for i in range(11):
             e = np.zeros(11)
@@ -94,7 +94,7 @@ class TestLogRegSurface:
             x = np.full(6, scale)
             value, grad = logreg_value_grad(x, inst)
             assert math.isfinite(value)
-            assert np.all(np.isfinite(grad))
+            assert np.all(np.isfinite(grad()))
 
     def test_problem_lipschitz_and_intercept_skip(self):
         inst = gen_logreg(n=10, p=6, s=2, seed=9, lam=100.0, mu=1e-8)
@@ -104,7 +104,7 @@ class TestLogRegSurface:
                                                rel=1e-12)
         # huge penalty zeroes the features but never the intercept
         v = np.ones(7)
-        out = prob.g_prox(v, tau=1.0)
+        out = prob.g.prox(v, tau=1.0)
         assert np.array_equal(out[:-1], np.zeros(6))
         assert out[-1] == 1.0
 
@@ -124,7 +124,7 @@ class TestLogRegSurface:
         value, grad, z = prob.smooth(x)
         assert np.array_equal(z, inst.A_tilde @ x)
         ref_value, ref_grad = logreg_value_grad(x, inst)
-        assert value == ref_value and np.array_equal(grad, ref_grad)
+        assert value == ref_value and np.array_equal(grad(), ref_grad())
         # given margins are used as they are, not recomputed
         v2, g2, z2 = prob.smooth(np.zeros(11), z)
         assert z2 is z

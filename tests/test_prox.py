@@ -130,6 +130,25 @@ class TestProxRidgeL20:
             assert obj <= oracle_obj + 1e-12 * max(1.0, abs(oracle_obj))
 
 
+class TestSpecProx:
+    def test_each_kind_takes_its_own_prox_bit_for_bit(self):
+        rng = RngStream(505)
+        l0 = ProxSpec(kind="l0_vector", lam=0.3, skip_indices=frozenset([0, 7]))
+        ridge = ProxSpec(kind="ridge_l20_columns", lam=0.3, mu=0.2)
+        for _ in range(50):
+            tau = float(rng.uniform(0.1, 3.0))
+            v = rng.standard_normal(8)
+            V = rng.standard_normal((5, 4))
+            assert l0.prox(v, tau).tobytes() == prox_l0(v, tau, l0).tobytes()
+            assert (ridge.prox(V, tau).tobytes()
+                    == prox_ridge_l20_columns(V, tau, ridge).tobytes())
+        # a ridge spec shrinks the columns it keeps, where the l0 prox would not
+        V = np.array([[1.0, 0.1], [1.0, 0.1]])
+        shrunk = 1.0 / 1.2
+        assert np.array_equal(ridge.prox(V, 1.0), [[shrunk, 0.0], [shrunk, 0.0]])
+        assert np.array_equal(prox_l0(V, 1.0, ridge), [[1.0, 0.0], [1.0, 0.0]])
+
+
 class TestProperties:
     def test_prox_never_worse_than_input(self):
         rng = RngStream(303)

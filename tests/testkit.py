@@ -26,33 +26,31 @@ def quadratic_problem(A=None, dim=2, lam=0.0):
 
     def smooth(x, z=None):
         grad = A @ x
-        return 0.5 * float(x @ grad), grad, None
+        return 0.5 * float(x @ grad), lambda: grad, None
 
     return CompositeProblem(
         smooth=smooth,
-        g_spec=ProxSpec(kind="l0_vector", lam=lam),
+        g=ProxSpec(kind="l0_vector", lam=lam),
         lipschitz=L,
-        dim=A.shape[0],
     )
 
 
 def objective(problem, x):
     """F(x) = f(x) + g(x) of a CompositeProblem, from its oracle and g."""
-    return problem.smooth(x)[0] + problem.g_value(x)
+    return problem.smooth(x)[0] + problem.g.value(x)
 
 
 def f_grad(problem, x):
     """grad f(x) of a CompositeProblem, from its oracle."""
-    return problem.smooth(x)[1]
+    return problem.smooth(x)[1]()
 
 
-def flat_problem(dim=2):
+def flat_problem():
     """F identically zero: every point is a fixed point."""
     return CompositeProblem(
-        smooth=lambda x, z=None: (0.0, np.zeros_like(x), None),
-        g_spec=ProxSpec(kind="l0_vector", lam=0.0),
+        smooth=lambda x, z=None: (0.0, lambda: np.zeros_like(x), None),
+        g=ProxSpec(kind="l0_vector", lam=0.0),
         lipschitz=1.0,
-        dim=dim,
     )
 
 
