@@ -86,25 +86,15 @@ def parse_config(text):
     return sections
 
 
-def _coerce(value, kind):
-    if kind is int:
-        return int(value)
-    if kind is float:
-        if value.lower() in ("inf", "infinity"):
-            return math.inf
-        return float(value)
-    return value
-
-
 def _solver_config(cls, options):
-    """A `cls` config with `options` set, each parsed to the type its field
-    is annotated with (int, float or str)."""
+    """A `cls` config with `options` set, each parsed by the type its field
+    is annotated with, int or float (`float` takes every spelling of inf)."""
     kinds = {f.name: f.type for f in fields(cls)}
     updates = {}
     for key, value in options.items():
         if key not in kinds:
             raise UsageError(f"unknown solver option {key!r}")
-        updates[key] = _coerce(value, kinds[key])
+        updates[key] = kinds[key](value)
     return replace(cls(), **updates)
 
 
@@ -309,20 +299,10 @@ def cmd_bench(args):
         name: dict(cfg.get(f"solver.{name}", {})) for name in solvers
     }
 
-    trial_out = [None] * trials
-    if args.jobs == 1:
-        for t in range(trials):
-            trial_out[t] = _bench_trial(cfg, solvers, solver_opts, base_seed, t, lam)
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {
-                pool.submit(
-                    _bench_trial, cfg, solvers, solver_opts, base_seed, t, lam
-                ): t
-                for t in range(trials)
-            }
-            for fut in concurrent.futures.as_completed(futures):
-                trial_out[futures[fut]] = fut.result()
+    with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        trial_out = list(pool.map(
+            lambda t: _bench_trial(cfg, solvers, solver_opts, base_seed, t, lam),
+            range(trials)))
     results = [out for out, _ in trial_out]
     for t, (_, failed) in enumerate(trial_out):
         for name, message in failed.items():

@@ -1,58 +1,34 @@
-"""Nonmonotone line-search machinery shared by both solvers.
+"""Nonmonotone line-search machinery shared by both solver families.
 
-A HistoryWindow keeps the last m+1 potential values; a candidate step is
-accepted when its potential drops below the window maximum by at least
-(alpha/2) times the squared step length. A line search that exhausts its
-backtrack budget either stalled on rounding (`LineSearchStalled`) or
-failed (`BacktrackCapError`); `cap_error` tells which. `extrapolation`
-and `bb_ratio` give the two initializations of a line search, its
-extrapolation weight and its Barzilai-Borwein step.
+A run's window is a `collections.deque(maxlen=m + 1)` of (k, potential)
+pairs, oldest first; a candidate step is accepted when its potential drops
+below the window maximum by at least (alpha/2) times the squared step
+length. `backtrack_params` is the one backtracking schedule of both
+families. A line search that exhausts its backtrack budget either stalled
+on rounding (`LineSearchStalled`) or failed (`BacktrackCapError`);
+`cap_error` tells which. `extrapolation` and `bb_ratio` give the two
+initializations of a line search, its extrapolation weight and its
+Barzilai-Borwein step. `PgConfig.validated` and `PalmConfig.validated`
+check the factors, the step-size floor, alpha and m once per run, so
+nothing here checks them again per trial.
 """
 
 import math
-from collections import deque
-
-
-class HistoryWindow:
-    """Ring of the (m+1) most recent (iteration index, potential) pairs."""
-
-    def __init__(self, memory):
-        if memory < 0:
-            raise ValueError("memory must be nonnegative")
-        self.memory = memory
-        self._ring = deque(maxlen=memory + 1)
-
-    def push(self, index, value):
-        if self._ring and index <= self._ring[-1][0]:
-            raise ValueError("indices must be strictly increasing")
-        self._ring.append((index, value))
-
-    def __len__(self):
-        return len(self._ring)
-
-    def entries(self):
-        return list(self._ring)
 
 
 def window_max(window):
-    """(max stored potential, largest index attaining it)."""
-    if len(window) == 0:
-        raise ValueError("window is empty")
-    best_val = None
-    best_idx = None
-    for idx, val in window.entries():
-        if best_val is None or val >= best_val:  # >=: ties go to the larger index
-            best_val = val
-            best_idx = idx
+    """(max stored potential, largest index attaining it) of a non-empty
+    window of (k, potential) pairs, oldest first. A NaN potential is never
+    taken, except as the oldest entry, which then stays the maximum."""
+    best_idx, best_val = window[0]
+    for idx, val in window:
+        if val >= best_val:  # >=: ties go to the larger index
+            best_idx, best_val = idx, val
     return best_val, best_idx
 
 
 def accept(candidate, window, alpha, step_sq):
     """Nonmonotone acceptance test, non-strict and with zero slack."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if step_sq < 0:
-        raise ValueError("step_sq must be nonnegative")
     bound, _ = window_max(window)
     return candidate <= bound - 0.5 * alpha * step_sq
 
@@ -67,14 +43,10 @@ def nesterov_beta(t_prev, t_cur):
 
 
 def extrapolation(config, t_prev, t_cur):
-    """(beta_{k,0}, t_{k+1}): a line search's initial extrapolation weight
-    and next counter under `config.beta_rule`. "nesterov" takes
-    `nesterov_beta`, capped at `config.beta_max`; "constant" takes
-    `config.beta_max` and keeps the counter."""
-    if config.beta_rule == "nesterov":
-        beta0, t_next = nesterov_beta(t_prev, t_cur)
-        return min(beta0, config.beta_max), t_next
-    return config.beta_max, t_cur
+    """(beta_{k,0}, t_{k+1}): a line search's initial extrapolation weight,
+    `nesterov_beta` capped at `config.beta_max`, and the next counter."""
+    beta0, t_next = nesterov_beta(t_prev, t_cur)
+    return min(beta0, config.beta_max), t_next
 
 
 def bb_ratio(d_sq, dh_sq, inner, lo, hi):
@@ -91,15 +63,13 @@ def bb_ratio(d_sq, dh_sq, inner, lo, hi):
     return max(min(candidate, hi), lo)
 
 
-def backtrack_params(l, beta0, tau0, eta1, eta2, tau_min):
-    """Backtracking schedule: beta = beta0*eta1^l, tau = max(tau0*eta2^l, tau_min)."""
-    if not (0 < eta1 < 1 and 0 < eta2 < 1):
-        raise ValueError("eta1, eta2 must lie in (0, 1)")
-    if tau_min <= 0:
-        raise ValueError("tau_min must be positive")
-    beta = beta0 * eta1**l
-    tau = max(tau0 * eta2**l, tau_min)
-    return beta, tau
+def backtrack_params(l, beta0, eta, tau_min, *steps):
+    """The backtracking schedule of both families at trial l: beta0*eta^l,
+    then max(tau0*eta_i^l, tau_min) for each (tau0, eta_i) of `steps`. PG
+    passes (tau0, eta2) with eta = eta1; PALM passes (tau1_0, eta1) and
+    (tau2_0, eta2) with eta = eta."""
+    return (beta0 * eta**l,
+            *[max(tau0 * eta_i**l, tau_min) for tau0, eta_i in steps])
 
 
 class BacktrackCapError(RuntimeError):

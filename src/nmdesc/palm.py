@@ -16,18 +16,18 @@ Named variants:
 import math
 import warnings
 from array import array
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .nls import (
-    HistoryWindow,
     window_max,
     accept,
+    backtrack_params,
     bb_ratio,
     cap_error,
     extrapolation,
-    nesterov_beta,
     BacktrackCapError,
 )
 from .pg import RunResult, _dot, _sq, run_loop
@@ -51,10 +51,11 @@ class PalmConfig:
     time_budget: float = math.inf
     tau1_0: float = None  # default 100/L1(y^0)
     tau2_0: float = None  # default 100/L2(x^1), approximated with x^0
-    beta_rule: str = "nesterov"
 
     def validated(self, lipschitz_start):
         cfg = replace(self)
+        if cfg.m < 0:
+            raise ValueError("m must be nonnegative")
         if not 0.0 < cfg.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if not 0.0 < cfg.alpha <= cfg.delta / 2.0:
@@ -68,8 +69,6 @@ class PalmConfig:
             v = getattr(cfg, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1)")
-        if cfg.beta_rule not in ("nesterov", "constant"):
-            raise ValueError("beta_rule must be 'nesterov' or 'constant'")
         return cfg
 
 
@@ -90,37 +89,34 @@ def variant_config(name, base=None):
 
 @dataclass
 class BlockIterateState:
-    """Iterate z^k = (x, y, x_prev, y_prev) with the line-search history.
+    """Iterate z^k = (x, y, x_prev, y_prev): what the next step reads.
 
-    The state carries the coupling's gradients at (x, y): gx = grad_x H(x, y)
-    and gy = grad_y H(x, y), from the evaluation that gave the point's
-    objective. After an accepted step it also carries the step's
-    extrapolation weight, extrapolated points and step sizes, and the
-    gradients its trial computed (gx_trial = grad_x H(xt_last, y_prev),
-    gy_trial = grad_y H(x, yt_last)). The witness uses all four. The next
-    step reuses gx and gy in its Barzilai-Borwein initialization and gx as
-    the trial gradient of a zero-extrapolation trial, whose x~ is x; after
-    a step with beta_last = 0, yt_last is y_prev, so gy_trial is also the
-    initialization's grad_y H(x, y_prev). The baselines' state has no
-    history window (window is None), and their start state no gy.
+    `window` is the run's history window, a deque of the last m+1
+    (k, potential) pairs that each step appends to (None for the
+    baselines), and t_prev, t_cur the Nesterov counters. The state carries
+    the coupling's gradients at (x, y): gx = grad_x H(x, y) and
+    gy = grad_y H(x, y), from the evaluation that gave the point's
+    objective. The next step reuses gx and gy in its Barzilai-Borwein
+    initialization, with the last initializations tau1_init_prev and
+    tau2_init_prev, and gx as the trial gradient of a zero-extrapolation
+    trial, whose x~ is x. After an accepted step the state also carries
+    that step's extrapolation weight beta_last and its trial's
+    gy_trial = grad_y H(x, y~): after a step with beta_last = 0, y~ is
+    y_prev, so gy_trial is the initialization's grad_y H(x, y_prev). The
+    baselines' start state has no gy.
     """
 
     x: np.ndarray
     y: np.ndarray
     x_prev: np.ndarray
     y_prev: np.ndarray
-    window: HistoryWindow
+    window: deque
     t_prev: float = 1.0
     t_cur: float = 1.0
     k: int = 0
     tau1_init_prev: float = None
     tau2_init_prev: float = None
     beta_last: float = None  # extrapolation of the last accepted step
-    xt_last: np.ndarray = None  # extrapolated points of the last accepted step
-    yt_last: np.ndarray = None
-    tau1_last: float = None
-    tau2_last: float = None
-    gx_trial: np.ndarray = None
     gy_trial: np.ndarray = None
     gx: np.ndarray = None
     gy: np.ndarray = None
@@ -199,19 +195,23 @@ def backtrack_bound_palm(tau1_0, tau2_0, beta0, config, L1k, L2k1):
     return l_tau + l_beta + 1
 
 
-def subgrad_witness_palm(state, delta, steps):
+def subgrad_witness_palm(state, points, taus, trial_grads, delta, steps):
     """Subgradient witness at z^{k+1} from the two prox optimality conditions
-    of the last accepted step, from the extrapolated points, step sizes and
-    the four gradients the state carries. `steps` is the step's
-    (x^{k+1} - x^k, y^{k+1} - y^k)."""
+    of the accepted step that led to `state`: its extrapolated points
+    `points` = (x~, y~), its step sizes `taus` = (tau1, tau2), its trial
+    gradients `trial_grads` = (grad_x H(x~, y^k), grad_y H(x^{k+1}, y~)),
+    and the gradients at the new point that the state carries. `steps` is
+    the step's (x^{k+1} - x^k, y^{k+1} - y^k)."""
     x, y = state.x, state.y
-    xt, yt = state.xt_last, state.yt_last
+    xt, yt = points
+    tau1, tau2 = taus
+    gx_trial, gy_trial = trial_grads
     dx, dy = steps
     # delta*(x_prev - x) is -(delta*dx) to the bit: rounding is symmetric
     w3 = delta * dx
     w4 = delta * dy
-    w1 = state.gx - state.gx_trial - (x - xt) / state.tau1_last + w3
-    w2 = state.gy - state.gy_trial - (y - yt) / state.tau2_last + w4
+    w1 = state.gx - gx_trial - (x - xt) / tau1 + w3
+    w2 = state.gy - gy_trial - (y - yt) / tau2 + w4
     norm = math.sqrt(_sq(w1) + _sq(w2) + _sq(w3) + _sq(w4))
     return (w1, w2, -w3, -w4), norm
 
@@ -256,9 +256,10 @@ def palm_step(state, problem, config):
         tau2_0 = min(max(config.tau2_0, config.tau_lo), config.tau_hi)
 
     for l in range(config.max_backtracks + 1):
-        beta = beta0 * config.eta**l
-        tau1 = max(tau1_0 * config.eta1**l, config.tau_lo)
-        tau2 = max(tau2_0 * config.eta2**l, config.tau_lo)
+        beta, tau1, tau2 = backtrack_params(
+            l, beta0, config.eta, config.tau_lo,
+            (tau1_0, config.eta1), (tau2_0, config.eta2),
+        )
         if beta == 0.0:
             xt, yt, gx_trial = state.x, state.y, state.gx
         else:
@@ -287,12 +288,12 @@ def palm_step(state, problem, config):
         x=x_new, y=y_new, x_prev=state.x, y_prev=state.y,
         window=state.window, t_prev=state.t_cur, t_cur=t_next, k=state.k + 1,
         tau1_init_prev=tau1_0, tau2_init_prev=tau2_0, beta_last=beta,
-        xt_last=xt, yt_last=yt, tau1_last=tau1, tau2_last=tau2,
-        gx_trial=gx_trial, gy_trial=gy_trial,
-        gx=grad_x(), gy=grad_y(),
+        gy_trial=gy_trial, gx=grad_x(), gy=grad_y(),
     )
-    _, wnorm = subgrad_witness_palm(new_state, config.delta, (dx_new, dy_new))
-    new_state.window.push(state.k + 1, ups)
+    _, wnorm = subgrad_witness_palm(new_state, (xt, yt), (tau1, tau2),
+                                    (gx_trial, gy_trial), config.delta,
+                                    (dx_new, dy_new))
+    new_state.window.append((state.k + 1, ups))
     _, ell = window_max(new_state.window)
     record = TraceRecord(
         k=state.k + 1,
@@ -333,16 +334,16 @@ def _run_moduli(grams_y, grams_x, L_start, config):
 def start_state(problem, x0, y0, config=None):
     """(state, record) at z^0 = (x0, y0, x0, y0), from one evaluation at
     (x0, y0). A line-search config gives the state its history window,
-    holding Upsilon(z^0) = Psi(x0, y0), and grad_y H there; the baselines'
-    state (config None) has neither, since they never read them."""
+    holding (0, Upsilon(z^0) = Psi(x0, y0)), and grad_y H there; the
+    baselines' state (config None) has neither, since they never read
+    them."""
     x0 = np.asarray(x0, dtype=np.float64)
     y0 = np.asarray(y0, dtype=np.float64)
     obj0, grad_x, grad_y = problem.objective(x0, y0)
     gx = grad_x()
     window = gy = None
     if config is not None:
-        window = HistoryWindow(config.m)
-        window.push(0, obj0)  # Upsilon at equal pairs
+        window = deque([(0, obj0)], maxlen=config.m + 1)  # Upsilon at equal pairs
         gy = grad_y()
     state = BlockIterateState(
         x=x0.copy(), y=y0.copy(), x_prev=x0.copy(), y_prev=y0.copy(),
@@ -427,8 +428,7 @@ def _baseline_step(state, problem, config, extrapolate):
     (see `palm_baseline_run`); returns (state, TraceRecord, None)."""
     x, y = state.x, state.y
     if extrapolate:
-        beta, t_next = nesterov_beta(state.t_prev, state.t_cur)
-        beta = min(beta, config.beta_max)
+        beta, t_next = extrapolation(config, state.t_prev, state.t_cur)
     else:
         beta, t_next = 0.0, state.t_cur
     tau1 = 1.0 / max(problem.L1(y), 1e-12)
@@ -450,10 +450,10 @@ def _baseline_step(state, problem, config, extrapolate):
     new_state = BlockIterateState(
         x=x_new, y=y_new, x_prev=x, y_prev=y, window=None,
         t_prev=state.t_cur, t_cur=t_next, k=state.k + 1,
-        xt_last=xt, yt_last=yt, tau1_last=tau1, tau2_last=tau2,
-        gx_trial=gx_trial, gy_trial=gy_trial, gx=grad_x(), gy=grad_y(),
+        gx=grad_x(), gy=grad_y(),
     )
-    _, wnorm = subgrad_witness_palm(new_state, 0.0, steps)
+    _, wnorm = subgrad_witness_palm(new_state, (xt, yt), (tau1, tau2),
+                                    (gx_trial, gy_trial), 0.0, steps)
     record = TraceRecord(
         k=new_state.k, time_s=0.0, objective=obj, potential=obj,
         step_norm=step, witness_norm=wnorm, beta=beta,

@@ -14,12 +14,12 @@ variants:
 import math
 import time
 from array import array
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .nls import (
-    HistoryWindow,
     window_max,
     accept,
     backtrack_params,
@@ -48,12 +48,13 @@ class PgConfig:
     max_iters: int = 1000
     time_budget: float = math.inf
     tau0: float = None  # default 1/L; logistic experiments use 10/||A~||
-    beta_rule: str = "nesterov"  # or "constant" (beta_{k,0} = beta_max)
 
     def validated(self, lipschitz):
         """Fill step-bound defaults from L and check the config invariants."""
         cfg = replace(self)
         L = float(lipschitz)
+        if cfg.m < 0:
+            raise ValueError("m must be nonnegative")
         if cfg.delta == 0.0:
             if cfg.beta_max != 0.0 or cfg.m != 0:
                 raise ValueError("delta=0 requires beta_max=0 and m=0")
@@ -74,8 +75,6 @@ class PgConfig:
             cfg.tau0 = 1.0 / L
         if not (0 < cfg.eta1 < 1 and 0 < cfg.eta2 < 1):
             raise ValueError("eta1, eta2 must lie in (0, 1)")
-        if cfg.beta_rule not in ("nesterov", "constant"):
-            raise ValueError("beta_rule must be 'nesterov' or 'constant'")
         return cfg
 
 
@@ -97,33 +96,33 @@ def variant_config(name, base=None):
 
 @dataclass
 class IterateState:
-    """Solver state at z^k = (x^k, x^{k-1}).
+    """Solver state at z^k = (x^k, x^{k-1}): what the next step reads.
 
-    The oracle results of accepted points are carried, so no point is
-    evaluated twice: grad f(x^k) and grad f(x^{k-1}) (asked of the
-    evaluation that accepted each point) serve the BB initialization, the
-    witness and the zero-extrapolation trial, and the linear images z of
-    x^k and x^{k-1} (the problem's `smooth` returns them; None if it has
-    none) give the image of an extrapolated point
-    y = x^k + beta*(x^k - x^{k-1}) without evaluating it from y. FISTA's
-    state has no history window (window is None).
+    `window` is the run's history window, a deque of the last m+1
+    (k, potential) pairs that each step appends to (None for FISTA), and
+    t_prev, t_cur the Nesterov counters. The oracle results of accepted
+    points are carried, so no point is evaluated twice: grad f(x^k) and
+    grad f(x^{k-1}) (asked of the evaluation that accepted each point)
+    serve the BB initialization, the witness and the zero-extrapolation
+    trial, and the linear images z of x^k and x^{k-1} (the problem's
+    `smooth` returns them; None if it has none) give the image of an
+    extrapolated point y = x^k + beta*(x^k - x^{k-1}) without evaluating
+    it from y. x^{k-2} and the last step's initialization tau_init_prev
+    serve the BB initialization.
     """
 
     x: np.ndarray
     x_prev: np.ndarray
-    window: HistoryWindow
+    window: deque
     t_prev: float = 1.0
     t_cur: float = 1.0
     k: int = 0
-    # cached quantities for the BB initialization and the witness replay
     grad_x: np.ndarray = None          # grad f(x^k)
     grad_x_prev: np.ndarray = None     # grad f(x^{k-1})
     z: np.ndarray = None               # linear image of x^k (the margins)
     z_prev: np.ndarray = None          # linear image of x^{k-1}
     x_prev2: np.ndarray = None         # x^{k-2}
     tau_init_prev: float = None
-    y_last: np.ndarray = None          # y^{k-1} of the last accepted step
-    tau_last: float = None
 
 
 def _sq(a):
@@ -300,15 +299,14 @@ def run_loop(step, state, record, config, sq_norm, trace_sink=None):
 def start_state(problem, x0, config=None):
     """(state, record) at z^0 = (x0, x0), from one evaluation at x0. A
     line-search config gives the state its history window, holding
-    H_delta(z^0) = F(x0); FISTA's state (config None) has none."""
+    (0, H_delta(z^0) = F(x0)); FISTA's state (config None) has none."""
     x0 = np.asarray(x0, dtype=np.float64)
     f0, grad0, z0 = problem.smooth(x0)
     F0 = f0 + problem.g.value(x0)
     h0, window = F0, None
     if config is not None:
         h0 = potential_H(F0, x0, x0, config.delta)
-        window = HistoryWindow(config.m)
-        window.push(0, h0)
+        window = deque([(0, h0)], maxlen=config.m + 1)
     state = IterateState(x=x0.copy(), x_prev=x0.copy(), window=window,
                          grad_x=grad0(), z=z0, z_prev=z0)
     record = TraceRecord(
@@ -347,7 +345,7 @@ def pg_step(state, problem, config):
     candidate = None
     for l in range(config.max_backtracks + 1):
         beta, tau = backtrack_params(
-            l, beta0, tau0, config.eta1, config.eta2, config.tau_min
+            l, beta0, config.eta1, config.tau_min, (tau0, config.eta2)
         )
         if beta == 0.0:
             y, gy = state.x, gx
@@ -388,10 +386,8 @@ def pg_step(state, problem, config):
         z_prev=z,
         x_prev2=state.x_prev,
         tau_init_prev=tau0,
-        y_last=y,
-        tau_last=tau,
     )
-    new_state.window.push(state.k + 1, h_cand)
+    new_state.window.append((state.k + 1, h_cand))
     _, ell = window_max(new_state.window)
     record = TraceRecord(
         k=state.k + 1,

@@ -54,6 +54,24 @@ trace = {trace}
 """
 
 
+MC_RUN = """\
+[problem]
+kind = mc
+n1 = 20
+n2 = 20
+rstar = 2
+samples = 150
+seed = 3
+
+[solver]
+name = palmenls
+max_iters = 5
+
+[output]
+trace = {trace}
+"""
+
+
 class TestParseConfig:
     def test_sections_and_comments(self):
         cfg = parse_config("# top\n[a]\nx = 1\n\n[b]\ny = inf\n")
@@ -71,13 +89,17 @@ class TestParseConfig:
 class TestSolverOptions:
     @pytest.mark.parametrize("cls", [PgConfig, PalmConfig])
     def test_every_field_parses_to_its_annotated_type(self, cls):
-        samples = {int: 7, float: 0.25, str: "constant"}
+        # options are parsed by calling the field's type: only int and float
+        # parse that way (bool("0") is True), so any other type fails here
+        samples = {int: 7, float: 0.25}
         for f in fields(cls):
             cfg = _solver_config(cls, {f.name: str(samples[f.type])})
             value = getattr(cfg, f.name)
             assert type(value) is f.type and value == samples[f.type], f.name
             if f.type is float:
-                assert getattr(_solver_config(cls, {f.name: "inf"}), f.name) == math.inf
+                for text, inf in (("inf", math.inf), ("Infinity", math.inf),
+                                  ("-inf", -math.inf)):
+                    assert getattr(_solver_config(cls, {f.name: text}), f.name) == inf
 
     def test_unknown_option_rejected(self):
         with pytest.raises(UsageError):
@@ -88,6 +110,21 @@ class TestSolverOptions:
             "max_iters = 800", "max_iters = 2.5")
         assert main(["run", write_config(tmp_path / "c.cfg", text)]) == 2
         assert "2.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["pgenls", "palmenls"])
+    def test_negative_memory_exits_2(self, tmp_path, capsys, name):
+        text = MC_RUN if name.startswith("palm") else LOGREG_RUN
+        text = text.format(trace=tmp_path / "t.csv").replace(
+            "name = pgenls", f"name = {name}").replace(
+            "[output]", "m = -1\n\n[output]")
+        assert main(["run", write_config(tmp_path / "c.cfg", text)]) == 2
+        assert "m must be nonnegative" in capsys.readouterr().err
+
+    def test_beta_rule_is_an_unknown_option(self, tmp_path, capsys):
+        text = LOGREG_RUN.format(trace=tmp_path / "t.csv").replace(
+            "max_iters = 800", "max_iters = 800\nbeta_rule = constant")
+        assert main(["run", write_config(tmp_path / "c.cfg", text)]) == 2
+        assert "unknown solver option 'beta_rule'" in capsys.readouterr().err
 
 
 class TestGen:
@@ -385,6 +422,11 @@ class TestBench:
         assert main(["bench", c1, "--replay"]) == 0
         assert main(["bench", c2, "--replay", "--jobs", "2"]) == 0
         assert read_bytes(d1 / "bench_e.csv") == read_bytes(d2 / "bench_e.csv")
+        traces = sorted(os.listdir(d1))
+        assert traces == sorted(os.listdir(d2))
+        for name in traces:
+            if name.startswith("trace_"):
+                assert read_bytes(d1 / name) == read_bytes(d2 / name), name
         assert (d1 / "bench_e.svg").exists()
         assert (d1 / "trace_pgenls_trial0.csv").exists()
         assert (d1 / "trace_fista_trial1.csv").exists()

@@ -1,13 +1,13 @@
 """Acceptance window machinery."""
 
 import math
+from collections import deque
 from types import SimpleNamespace
 
 import pytest
 
 from nmdesc.nls import (
     BacktrackCapError,
-    HistoryWindow,
     LineSearchStalled,
     STALL_ULPS,
     accept,
@@ -19,13 +19,13 @@ from nmdesc.nls import (
     stalled,
     window_max,
 )
+from nmdesc.palm import PalmConfig
+from nmdesc.pg import PgConfig
 
 
 def make_window(memory, values):
-    w = HistoryWindow(memory)
-    for k, v in enumerate(values):
-        w.push(k, v)
-    return w
+    """A run's window with memory m after pushing `values` at k = 0, 1, ..."""
+    return deque(enumerate(values), maxlen=memory + 1)
 
 
 class TestWindowMax:
@@ -42,14 +42,12 @@ class TestWindowMax:
         # window holds k=1..3; the oldest stored is the max
         assert window_max(w) == (9.0, 1)
 
-    def test_empty_window_rejected(self):
-        with pytest.raises(ValueError):
-            window_max(HistoryWindow(2))
-
-    def test_indices_must_increase(self):
-        w = make_window(2, [1.0, 2.0])
-        with pytest.raises(ValueError):
-            w.push(1, 3.0)
+    def test_nan_is_never_taken_after_the_oldest_entry(self):
+        nan = math.nan
+        assert window_max(make_window(3, [3.0, nan, 5.0, 4.0])) == (5.0, 2)
+        assert window_max(make_window(3, [3.0, 5.0, nan])) == (5.0, 1)
+        val, idx = window_max(make_window(3, [nan, 5.0, 7.0]))
+        assert math.isnan(val) and idx == 0
 
 
 class TestAccept:
@@ -65,13 +63,6 @@ class TestAccept:
     def test_positive_step_equal_value_rejected(self):
         w = make_window(1, [10.0])
         assert not accept(10.0, w, alpha=0.1, step_sq=1.0)
-
-    def test_parameter_validation(self):
-        w = make_window(1, [1.0])
-        with pytest.raises(ValueError):
-            accept(0.0, w, alpha=0.0, step_sq=1.0)
-        with pytest.raises(ValueError):
-            accept(0.0, w, alpha=0.1, step_sq=-1.0)
 
 
 class TestStallRule:
@@ -110,22 +101,78 @@ class TestStallRule:
 
 class TestBacktrackParams:
     def test_first_trial_uses_initializations(self):
-        assert backtrack_params(0, 0.7, 2.0, 0.5, 0.5, 1e-3) == (0.7, 2.0)
+        assert backtrack_params(0, 0.7, 0.5, 1e-3, (2.0, 0.5)) == (0.7, 2.0)
+        assert backtrack_params(0, 0.7, 0.5, 1e-3, (2.0, 0.5), (3.0, 0.1)) == \
+            (0.7, 2.0, 3.0)
 
     def test_zero_beta_stays_zero(self):
         for l in range(5):
-            beta, _ = backtrack_params(l, 0.0, 1.0, 0.5, 0.5, 1e-3)
+            beta, _ = backtrack_params(l, 0.0, 0.5, 1e-3, (1.0, 0.5))
             assert beta == 0.0
 
     def test_tau_floor_active(self):
-        _, tau = backtrack_params(5, 1.0, 1.0, 0.5, 0.1, 1e-3)
+        _, tau = backtrack_params(5, 1.0, 0.5, 1e-3, (1.0, 0.1))
         assert tau == 1e-3  # 1*0.1^5 = 1e-5 < floor
 
-    def test_validation(self):
+    def test_pg_schedule_bit_for_bit(self):
+        # the PG default factors (eta1 for beta, eta2 for tau); the rows
+        # from l = 25 on are clamped at the tau floor
+        beta0, tau0, eta1, eta2, tau_min = 0.6180339887498949, 3.7, 0.05, 0.1, 1.3e-24
+        clamped = 0
+        for l in range(61):
+            beta, tau = backtrack_params(l, beta0, eta1, tau_min, (tau0, eta2))
+            assert beta == beta0 * eta1**l
+            assert tau == max(tau0 * eta2**l, tau_min)
+            clamped += tau == tau_min
+        assert clamped > 30
+
+    def test_palm_schedule_bit_for_bit(self):
+        # the PALM default factors (eta for beta, eta1 and eta2 for tau1 and
+        # tau2), as palm_step wrote them inline; tau2 is clamped from l = 21
+        beta0, tau1_0, tau2_0 = 0.7071067811865476, 41.5, 0.0123
+        eta, eta1, eta2, tau_lo = 0.01, 0.5, 0.5, 1e-8
+        clamped = 0
+        for l in range(61):
+            got = backtrack_params(l, beta0, eta, tau_lo,
+                                   (tau1_0, eta1), (tau2_0, eta2))
+            assert got == (beta0 * eta**l,
+                           max(tau1_0 * eta1**l, tau_lo),
+                           max(tau2_0 * eta2**l, tau_lo))
+            clamped += got[2] == tau_lo
+        assert clamped > 30
+
+
+PGLS = dict(delta=0.0, beta_max=0.0, m=0)
+
+
+class TestConfigsCheckTheLineSearch:
+    """`validated()` checks the parameters of the schedule, the test and the
+    window once per run; `backtrack_params` and `accept` do not recheck
+    them per trial."""
+
+    @pytest.mark.parametrize("bad", [
+        {"eta1": 0.0}, {"eta1": 1.0}, {"eta1": -0.5}, {"eta1": 1.5},
+        {"eta2": 0.0}, {"eta2": 1.0}, {"eta2": -0.5}, {"eta2": 1.5},
+        {"tau_min": 0.0}, {"tau_min": -1e-3},
+        {"alpha": 0.0}, {"alpha": -1e-5},
+        {**PGLS, "alpha": 0.0}, {**PGLS, "alpha": -1e-5},
+        {"m": -1},
+    ])
+    def test_pg_config_rejects(self, bad):
         with pytest.raises(ValueError):
-            backtrack_params(0, 1.0, 1.0, 1.0, 0.5, 1e-3)
+            PgConfig(**bad).validated(1.0)
+
+    @pytest.mark.parametrize("bad", [
+        {"eta": 0.0}, {"eta": 1.0}, {"eta": -0.5}, {"eta": 1.5},
+        {"eta1": 0.0}, {"eta1": 1.0}, {"eta1": -0.5}, {"eta1": 1.5},
+        {"eta2": 0.0}, {"eta2": 1.0}, {"eta2": -0.5}, {"eta2": 1.5},
+        {"tau_lo": 0.0}, {"tau_lo": -1e-8},
+        {"alpha": 0.0}, {"alpha": -1e-5},
+        {"m": -1},
+    ])
+    def test_palm_config_rejects(self, bad):
         with pytest.raises(ValueError):
-            backtrack_params(0, 1.0, 1.0, 0.5, 0.5, 0.0)
+            PalmConfig(**bad).validated(1.0)
 
 
 def test_window_max_nonincreasing_over_accepted_sequence():
@@ -134,8 +181,7 @@ def test_window_max_nonincreasing_over_accepted_sequence():
     import numpy as np
 
     rng = np.random.default_rng(0)
-    w = HistoryWindow(4)
-    w.push(0, 10.0)
+    w = make_window(4, [10.0])
     prev_max, _ = window_max(w)
     for k in range(1, 200):
         bound, _ = window_max(w)
@@ -143,7 +189,7 @@ def test_window_max_nonincreasing_over_accepted_sequence():
         # propose a value right at or below the acceptance bound
         value = bound - 0.5 * 1e-2 * step_sq - float(rng.uniform(0.0, 0.5))
         assert accept(value, w, alpha=1e-2, step_sq=step_sq)
-        w.push(k, value)
+        w.append((k, value))
         cur_max, _ = window_max(w)
         assert cur_max <= prev_max + 1e-15
         prev_max = cur_max
@@ -153,15 +199,10 @@ class TestExtrapolation:
     def test_nesterov_rule_caps_the_weight(self):
         t_prev, t_cur = 3.0, 4.0
         beta, t_next = nesterov_beta(t_prev, t_cur)
-        cfg = SimpleNamespace(beta_rule="nesterov", beta_max=0.25)
+        cfg = SimpleNamespace(beta_max=0.25)
         assert extrapolation(cfg, t_prev, t_cur) == (0.25, t_next)
         cfg.beta_max = 1.0
         assert extrapolation(cfg, t_prev, t_cur) == (beta, t_next)
-
-    def test_constant_rule_keeps_the_counter(self):
-        cfg = SimpleNamespace(beta_rule="constant", beta_max=0.3)
-        assert extrapolation(cfg, 1.0, 1.0) == (0.3, 1.0)
-        assert extrapolation(cfg, 3.0, 4.0) == (0.3, 4.0)
 
 
 class TestBbRatio:

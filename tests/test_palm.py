@@ -2,7 +2,7 @@
 
 import math
 import warnings
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -12,7 +12,7 @@ import pytest
 from testkit import trace_csv_string
 from nmdesc.linalg import RngStream
 from nmdesc import palm as palm_mod
-from nmdesc.nls import BacktrackCapError, HistoryWindow, accept, nesterov_beta, window_max
+from nmdesc.nls import BacktrackCapError, accept, nesterov_beta, window_max
 from nmdesc.palm import (
     BlockIterateState,
     PalmConfig,
@@ -115,8 +115,7 @@ class TestPalmStep:
     def test_decoupled_reduces_to_per_block_prox(self):
         prob = decoupled_problem()
         tau = 0.2
-        cfg = PalmConfig(beta_max=0.0, beta_rule="constant",
-                         tau1_0=tau, tau2_0=tau).validated(1.0)
+        cfg = PalmConfig(beta_max=0.0, tau1_0=tau, tau2_0=tau).validated(1.0)
         x0, y0 = np.array([1.0, -2.0]), np.array([3.0])
         state = start_state(prob, x0, y0, cfg)[0]
         new_state, rec, _ = palm_step(state, prob, cfg)
@@ -137,8 +136,7 @@ class TestPalmStep:
     def test_bilinear_matches_scalar_recursion(self):
         prob = bilinear_problem()
         tau = 0.05
-        cfg = PalmConfig(beta_max=0.0, beta_rule="constant",
-                         tau1_0=tau, tau2_0=tau).validated(1.0)
+        cfg = PalmConfig(beta_max=0.0, tau1_0=tau, tau2_0=tau).validated(1.0)
         x0, y0 = np.array([0.3]), np.array([0.4])
         state = start_state(prob, x0, y0, cfg)[0]
         new_state, rec, _ = palm_step(state, prob, cfg)
@@ -152,8 +150,7 @@ class TestPalmStep:
         # perturbing the sequencing to the OLD x gives a different iterate
         prob = bilinear_problem()
         tau = 0.05
-        cfg = PalmConfig(beta_max=0.0, beta_rule="constant",
-                         tau1_0=tau, tau2_0=tau).validated(1.0)
+        cfg = PalmConfig(beta_max=0.0, tau1_0=tau, tau2_0=tau).validated(1.0)
         x0, y0 = np.array([0.3]), np.array([0.4])
         state = start_state(prob, x0, y0, cfg)[0]
         new_state, _, _ = palm_step(state, prob, cfg)
@@ -225,15 +222,17 @@ class TestSafeBetaBound:
         cfg0 = PalmConfig()
         tau = 0.9 / (L + cfg0.delta + 2.0 * cfg0.alpha)
         beta = 0.9 * safe_beta_bound_palm(tau, tau, L, L, cfg0.delta)
-        cfg = PalmConfig(beta_max=beta, beta_rule="constant",
-                         tau1_0=tau, tau2_0=tau).validated(L)
+        cfg = PalmConfig(beta_max=beta, tau1_0=tau, tau2_0=tau).validated(L)
         rng = RngStream(3)
         state = start_state(prob, rng.standard_normal(2), rng.standard_normal(2),
                             cfg)[0]
+        # Nesterov counters at 10 give the weight 0.9, capped at beta_max
+        state.t_prev = state.t_cur = 10.0
         # give the state a nonzero previous step so extrapolation is active
         state.x_prev = state.x - 0.01 * rng.standard_normal(2)
         state.y_prev = state.y - 0.01 * rng.standard_normal(2)
         _, rec, _ = palm_step(state, prob, cfg)
+        assert rec.beta == beta > 0.0
         assert rec.backtracks == 0
 
 
@@ -255,19 +254,22 @@ class TestWitnessAndInvariants:
         vcfg = palm_run(prob, u0, v0, PalmConfig(max_iters=0)).extras["config"]
         state = start_state(prob, u0, v0, vcfg)[0]
         for _ in range(20):
+            prev = state
             state, rec, _ = palm_step(state, prob, vcfg)
+            xt, yt = extrapolated(prev, rec.beta)
             ref = replace(
                 state,
                 gx=grad_x(prob, state.x, state.y),
                 gy=grad_y(prob, state.x, state.y),
-                gx_trial=grad_x(prob, state.xt_last, state.y_prev),
-                gy_trial=grad_y(prob, state.x, state.yt_last),
+                gy_trial=grad_y(prob, state.x, yt),
                 beta_last=None,  # BB evaluates grad_y H(x^k, y^{k-1}) itself
             )
-            for name in ("gx", "gy", "gx_trial", "gy_trial"):
+            for name in ("gx", "gy", "gy_trial"):
                 assert np.array_equal(getattr(state, name), getattr(ref, name))
             diffs = step_differences(state)
-            _, norm = subgrad_witness_palm(ref, vcfg.delta, diffs[:2])
+            _, norm = subgrad_witness_palm(
+                ref, (xt, yt), (rec.tau1, rec.tau2),
+                (grad_x(prob, xt, state.y_prev), ref.gy_trial), vcfg.delta, diffs[:2])
             assert rec.witness_norm == norm
             assert bb_init_tau_blocks(state, prob, vcfg.tau_lo, vcfg.tau_hi, diffs) == \
                 bb_init_tau_blocks(ref, prob, vcfg.tau_lo, vcfg.tau_hi, diffs)
@@ -461,24 +463,21 @@ def _sq(a):
     return float(a @ a)
 
 
-def reference_palm(prob, x0, y0, cfg, iters):
+def reference_palm(prob, x0, y0, cfg, iters, t0=1.0):
     """The line-search method with every gradient evaluated where it is
     used and every trial point extrapolated, x + beta*(x - x_prev) also at
-    beta = 0: records (k, objective, potential, step, witness, beta, tau1,
-    tau2, backtracks, ell) as a reference for the reused gradients."""
-    window = HistoryWindow(cfg.m)
+    beta = 0, from Nesterov counters t0: records (k, objective, potential,
+    step, witness, beta, tau1, tau2, backtracks, ell) as a reference for
+    the reused gradients."""
     ups = prob.objective(x0, y0)[0]  # Upsilon at equal pairs
-    window.push(0, ups)
+    window = deque([(0, ups)], maxlen=cfg.m + 1)
     x, y, xp, yp = x0.copy(), y0.copy(), x0.copy(), y0.copy()
-    t_prev, t_cur = 1.0, 1.0
+    t_prev, t_cur = t0, t0
     taus = (None, None)
     out = [(0, ups, ups, 0.0, math.inf, 0.0, 0.0, 0.0, 0, 0)]
     for k in range(iters):
-        if cfg.beta_rule == "nesterov":
-            beta0, t_next = nesterov_beta(t_prev, t_cur)
-            beta0 = min(beta0, cfg.beta_max)
-        else:
-            beta0, t_next = cfg.beta_max, t_cur
+        beta0, t_next = nesterov_beta(t_prev, t_cur)
+        beta0 = min(beta0, cfg.beta_max)
         if k >= 1:
             bare = point_state(prob, x, y, xp, yp, window=None,
                                tau1_init_prev=taus[0], tau2_init_prev=taus[1])
@@ -501,10 +500,8 @@ def reference_palm(prob, x0, y0, cfg, iters):
             ups = obj + 0.5 * cfg.delta * (_sq(xn - x) + _sq(yn - y))
             if accept(ups, window, cfg.alpha, step_sq):
                 break
-        _, wnorm = subgrad_witness_palm(
-            witness_state(prob, xn, yn, x, y, xt, yt, tau1, tau2), cfg.delta,
-            (xn - x, yn - y))
-        window.push(k + 1, ups)
+        wnorm = witness_norm(prob, xn, yn, x, y, xt, yt, tau1, tau2, cfg.delta)
+        window.append((k + 1, ups))
         _, ell = window_max(window)
         out.append((k + 1, obj, ups, math.sqrt(step_sq), wnorm, beta, tau1, tau2, l, ell))
         x, y, xp, yp = xn, yn, x, y
@@ -512,13 +509,23 @@ def reference_palm(prob, x0, y0, cfg, iters):
     return out, (x, y)
 
 
-def witness_state(prob, x, y, x_prev, y_prev, xt, yt, tau1, tau2):
-    """The state after a step from (x_prev, y_prev) through (xt, yt), with
-    the four gradients of its witness evaluated where they are used."""
-    return point_state(prob, x, y, x_prev, y_prev, window=None,
-                       xt_last=xt, yt_last=yt, tau1_last=tau1, tau2_last=tau2,
-                       gx_trial=grad_x(prob, xt, y_prev),
-                       gy_trial=grad_y(prob, x, yt))
+def witness_norm(prob, x, y, x_prev, y_prev, xt, yt, tau1, tau2, delta):
+    """The witness norm of a step from (x_prev, y_prev) through (xt, yt) to
+    (x, y), with its four gradients evaluated where they are used."""
+    state = point_state(prob, x, y, x_prev, y_prev, window=None)
+    return subgrad_witness_palm(
+        state, (xt, yt), (tau1, tau2),
+        (grad_x(prob, xt, y_prev), grad_y(prob, x, yt)), delta,
+        (x - x_prev, y - y_prev))[1]
+
+
+def extrapolated(state, beta):
+    """The points (x~, y~) a step from `state` took its prox steps at, from
+    the record's beta, formed as palm_step forms them."""
+    if beta == 0.0:
+        return state.x, state.y
+    return (state.x + beta * (state.x - state.x_prev),
+            state.y + beta * (state.y - state.y_prev))
 
 
 def reference_baseline(prob, x0, y0, cfg, extrapolate):
@@ -540,9 +547,7 @@ def reference_baseline(prob, x0, y0, cfg, extrapolate):
         tau2 = 1.0 / max(prob.L2(xn), 1e-12)
         yt = y + beta * (y - yp)
         yn = prob.g.prox(yt - tau2 * grad_y(prob, xn, yt), tau2)
-        _, wnorm = subgrad_witness_palm(
-            witness_state(prob, xn, yn, x, y, xt, yt, tau1, tau2), 0.0,
-            (xn - x, yn - y))
+        wnorm = witness_norm(prob, xn, yn, x, y, xt, yt, tau1, tau2, 0.0)
         step = math.sqrt(_sq(xn - x) + _sq(yn - y))
         x, y, xp, yp = xn, yn, x, y
         t_prev, t_cur = t_cur, t_next
@@ -581,16 +586,25 @@ class TestZeroExtrapolationReuse:
 
     @pytest.mark.parametrize("form", sorted(MC_FORMS))
     def test_constant_beta_trace_equals_recomputation(self, form):
-        # beta = beta_max > 0 from k = 0 on, where x~ = x^0 + beta*0
+        # beta_{k,0} = beta_max > 0 from k = 0 on, where x~ = x^0 + beta*0:
+        # Nesterov counters that start at 10 give weights of 0.9 and more,
+        # capped at beta_max
         inst, prob, u0, v0 = mc_start(*MC_FORMS[form])
-        cfg = PalmConfig(max_iters=50, stop_tol=-1.0, beta_rule="constant", beta_max=0.3)
-        result = palm_run(prob, u0, v0, cfg)
+        cfg = palm_run(prob, u0, v0, PalmConfig(max_iters=0, beta_max=0.3)
+                       ).extras["config"]
+        state, record = start_state(prob, u0, v0, cfg)
+        state.t_prev = state.t_cur = 10.0
+        records, inits = [record], []
+        for _ in range(50):
+            state, record, init = palm_step(state, prob, cfg)
+            records.append(record)
+            inits.append(init["beta0"])
         got = [(r.k, r.objective, r.potential, r.step_norm, r.witness_norm,
-                r.beta, r.tau1, r.tau2, r.backtracks, r.ell) for r in result.records]
-        assert got[1][5] > 0.0
-        ref, (x, y) = reference_palm(prob, u0, v0, result.extras["config"], 50)
+                r.beta, r.tau1, r.tau2, r.backtracks, r.ell) for r in records]
+        assert inits == [0.3] * 50 and got[1][5] > 0.0
+        ref, (x, y) = reference_palm(prob, u0, v0, cfg, 50, t0=10.0)
         assert got == ref
-        assert np.array_equal(result.x[0], x) and np.array_equal(result.x[1], y)
+        assert np.array_equal(state.x, x) and np.array_equal(state.y, y)
 
     @pytest.mark.parametrize("extrapolate", [False, True])
     def test_baseline_trace_equals_recomputation(self, extrapolate):

@@ -31,15 +31,21 @@ def test_tracer_installs_and_sees_the_solver_layers():
         _, failed = cli._bench_trial({"problem": problem}, ["pgenls", "fista"],
                                      {"pgenls": opts, "fista": opts}, 2, 0, None)
         assert failed == {}
+        tracer.mark()  # the PALM solve's spans in a phase of their own
         mc = problems.gen_mc(20, 20, 2, 200, 0.1, seed=3)
         cli.solve("palmenls", mc, {"max_iters": "5"}, seed=3)
     finally:
         tracer.uninstall()
     assert (cli._bench_trial, cli.solve, prox.ProxSpec.value, prox.prox_l0) == originals
-    totals = tracer.phases[-1]
+    pg_phase, palm_phase = tracer.phases[-2:]
     for name in ("cli._bench_trial", "cli.solve", "problems.logreg_value_grad",
-                 "kernels.logistic_loss_terms", "prox.prox_l0",
-                 "prox.prox_ridge_l20_columns", "prox.ProxSpec.value",
-                 "nls.accept", "pg.pg_step", "pg.bb_init_tau", "palm.palm_step",
-                 "palm.bb_init_tau_blocks", "palm.subgrad_witness_palm"):
-        assert totals[name].calls > 0, name
+                 "kernels.logistic_loss_terms", "prox.prox_l0", "prox.ProxSpec.value",
+                 "nls.accept", "nls.backtrack_params", "nls.window_max",
+                 "pg.pg_step", "pg.bb_init_tau"):
+        assert pg_phase[name].calls > 0, name
+    # both families run the one line search of `nls`
+    for name in ("cli.solve", "prox.prox_ridge_l20_columns", "prox.ProxSpec.value",
+                 "nls.accept", "nls.backtrack_params", "nls.window_max",
+                 "palm.palm_step", "palm.bb_init_tau_blocks",
+                 "palm.subgrad_witness_palm"):
+        assert palm_phase[name].calls > 0, name

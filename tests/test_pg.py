@@ -68,6 +68,14 @@ def grads(problem, x, x_prev):
     return f_grad(problem, x), f_grad(problem, x_prev)
 
 
+def extrapolated(state, beta):
+    """The point y^k a step from `state` took its prox step at, from the
+    record's beta, formed as pg_step forms it."""
+    if beta == 0.0:
+        return state.x
+    return state.x + beta * (state.x - state.x_prev)
+
+
 class TestBbInit:
     def test_parallel_secant(self):
         # grad f = 2x and delta = 0: secant ratio is exactly 1/2
@@ -128,7 +136,7 @@ class TestPgStep:
     def test_gradient_step_closed_form(self):
         prob = quadratic_problem()
         tau = 1.0 / (2.0 * (1e-5 + 0.01) + 1.0 + 1.0)  # below the barrier
-        cfg = PgConfig(beta_max=0.0, beta_rule="constant", tau0=tau)
+        cfg = PgConfig(beta_max=0.0, tau0=tau)
         cfg = cfg.validated(prob.lipschitz)
         x0 = np.array([2.0, -1.0])
         state = start_state(prob, x0, cfg)[0]
@@ -160,13 +168,15 @@ class TestWitness:
         cfg = PgConfig(max_iters=10, stop_tol=0.0).validated(prob.lipschitz)
         state = start_state(prob, np.array([1.0, -2.0]), cfg)[0]
         for _ in range(5):
-            prev_x = state.x
+            prev = state
+            prev_x = prev.x
             state, rec, _ = pg_step(state, prob, cfg)
             # independent recomputation from the logged quantities
+            y = extrapolated(prev, rec.beta)
             wa = (
                 f_grad(prob, state.x)
-                - f_grad(prob, state.y_last)
-                - (state.x - state.y_last) / state.tau_last
+                - f_grad(prob, y)
+                - (state.x - y) / rec.tau1
                 + cfg.delta * (state.x - prev_x)
             )
             wb = cfg.delta * (prev_x - state.x)
@@ -442,9 +452,10 @@ class TestCarriedValues:
             assert rec.potential == F + 0.5 * cfg.delta * float(
                 (new.x - state.x) @ (new.x - state.x))
             assert np.array_equal(new.grad_x, f_grad(prob, new.x))
+            y = extrapolated(state, rec.beta)
             _, wnorm = subgrad_witness_pg(
-                new.x, state.x, new.y_last, new.tau_last,
-                f_grad(prob, new.x), f_grad(prob, new.y_last), cfg.delta)
+                new.x, state.x, y, rec.tau1,
+                f_grad(prob, new.x), f_grad(prob, y), cfg.delta)
             assert rec.witness_norm == wnorm
 
     @pytest.mark.parametrize("restart", [False, True])
