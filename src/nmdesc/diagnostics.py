@@ -249,8 +249,11 @@ def _r_squared(y, pred):
 def rate_fit_tail(trace):
     """Objective-gap tail used for rate fitting: the last half of the
     post-transient iterations, where the transient ends at the first
-    backtrack-free step. The gap is measured against the final objective."""
+    backtrack-free step. The gap is measured against the final objective.
+    A trace with no rows has no gaps."""
     objs = trace.column("objective")
+    if not len(objs):
+        return objs
     gaps = objs[:-1] - objs[-1]
     free = np.flatnonzero(trace.column("backtracks")[1:] == 0)
     start = int(trace.column("k")[1 + free[0]]) if free.size else 0

@@ -9,11 +9,30 @@ on rounding (`LineSearchStalled`) or failed (`BacktrackCapError`);
 `cap_error` tells which. `extrapolation` and `bb_ratio` give the two
 initializations of a line search, its extrapolation weight and its
 Barzilai-Borwein step. `PgConfig.validated` and `PalmConfig.validated`
-check the factors, the step-size floor, alpha and m once per run, so
-nothing here checks them again per trial.
+check the factors, the step-size floor, alpha, m and max_backtracks once
+per run, so nothing here checks them again per trial.
+
+Every solver, line search or baseline, runs through `run_loop`: its start
+state comes with the window and record of `run_start`, and each accepted
+step's record comes from `step_record`. A run returns a `RunResult`.
 """
 
 import math
+import time
+from array import array
+from collections import deque
+from dataclasses import dataclass, field
+
+from .trace import Trace, TraceRecord
+
+
+def _sq(a):
+    a = a.ravel()
+    return float(a @ a)
+
+
+def _dot(a, b):
+    return float(a.ravel() @ b.ravel())
 
 
 def window_max(window):
@@ -122,3 +141,112 @@ def cap_error(k, cap, last_candidate, value, window, alpha, step_sq):
     if stalled(value, window, alpha, step_sq):
         return LineSearchStalled(k)
     return BacktrackCapError(k, cap, last_candidate)
+
+
+def run_start(config, objective):
+    """(window, record) at z^0, where every difference of the iterate pair
+    is zero and so the potential equals the objective: the window holds
+    (0, objective) with memory `config.m`, or is None without a config
+    (the baselines), and the record is the start row of the trace."""
+    window = None
+    if config is not None:
+        window = deque([(0, objective)], maxlen=config.m + 1)
+    record = TraceRecord(
+        k=0, time_s=0.0, objective=objective, potential=objective,
+        step_norm=0.0, witness_norm=math.inf, beta=0.0, tau1=0.0, ell=0,
+    )
+    return window, record
+
+
+def step_record(window, k, objective, potential, step_sq, witness_norm,
+                beta, tau1, tau2=0.0, backtracks=0):
+    """The TraceRecord of accepted step k, after appending (k, potential)
+    to the window; its ell is the window maximum's index, or k for a run
+    without a window."""
+    ell = k
+    if window is not None:
+        window.append((k, potential))
+        _, ell = window_max(window)
+    return TraceRecord(
+        k=k, time_s=0.0, objective=objective, potential=potential,
+        step_norm=math.sqrt(step_sq), witness_norm=witness_norm, beta=beta,
+        tau1=tau1, tau2=tau2, backtracks=backtracks, ell=ell,
+    )
+
+
+@dataclass
+class RunResult:
+    """Outcome of one solver run.
+
+    `records` is the run's `Trace`, one record per iterate from the start
+    point on, and `reason` the stop rule of `run_loop` that ended it.
+    `meta` maps each line-search initialization the backtrack-count
+    bound is replayed from (beta0 and tau0; the PALM family has tau1_0,
+    tau2_0 and the block moduli L1k = L1(y^k), L2k1 = L2(x^{k+1})) to a
+    float array with one entry per accepted iteration. `palm.palm_run`
+    forms L1k and L2k1 after its loop, from the iterates' Gram matrices in
+    one batched eigen-solve per block; no step computes them. It is
+    diagnostic data, not part of the trace CSV, and empty for the
+    fixed-step baselines and for a run that accepted no step. `extras`
+    holds the validated config and the bounds a run derives (empty for
+    the baselines).
+    """
+
+    x: object
+    records: Trace
+    reason: str
+    meta: dict = field(default_factory=dict)
+    extras: dict = field(default_factory=dict)
+
+
+def init_columns(inits):
+    """A run's per-iteration initialization dicts (same keys) as one float
+    array per key, the form `RunResult.meta` keeps."""
+    return {key: array("d", [init[key] for init in inits])
+            for key in (inits[0] if inits else ())}
+
+
+def run_loop(step, state, record, config, sq_norm, trace_sink=None):
+    """The outer loop every solver runs: `step(state)` returns (next state,
+    its TraceRecord, init dict or None) for one accepted iteration, and
+    `record` is the start point's.
+
+    `trace_sink`, if given, receives the start record and then each
+    accepted record before the stop rules see it. The rules are tested in
+    this order: the witness norm at most `config.stop_tol` times
+    max(1, sqrt(sq_norm(state))) ("tolerance"; `sq_norm` is called once
+    per accepted step), then the record's time over `config.time_budget`
+    ("time_budget"), then `config.max_iters` steps taken ("max_iters"). A
+    step that raises LineSearchStalled ends the run at the last accepted
+    state ("stalled"); a BacktrackCapError propagates with the trace so
+    far as its `records`. Returns (final state, Trace, reason, meta from
+    the init dicts).
+    """
+    records = [record]
+    if trace_sink:
+        trace_sink(record)
+    inits = []
+    reason = "max_iters"
+    start = time.perf_counter()
+    for _ in range(config.max_iters):
+        try:
+            state, record, init = step(state)
+        except LineSearchStalled:
+            reason = "stalled"
+            break
+        except BacktrackCapError as e:
+            e.records = Trace(records)  # trace so far, for persistence by callers
+            raise
+        record.time_s = time.perf_counter() - start
+        records.append(record)
+        if init is not None:
+            inits.append(init)
+        if trace_sink:
+            trace_sink(record)
+        if record.witness_norm <= config.stop_tol * max(1.0, math.sqrt(sq_norm(state))):
+            reason = "tolerance"
+            break
+        if record.time_s > config.time_budget:
+            reason = "time_budget"
+            break
+    return state, Trace(records), reason, init_columns(inits)

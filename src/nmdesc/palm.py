@@ -22,16 +22,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .nls import (
-    window_max,
+    BacktrackCapError,
+    RunResult,
+    _dot,
+    _sq,
     accept,
     backtrack_params,
     bb_ratio,
     cap_error,
     extrapolation,
-    BacktrackCapError,
+    run_loop,
+    run_start,
+    step_record,
 )
-from .pg import RunResult, _dot, _sq, run_loop
-from .trace import TraceRecord
 
 
 @dataclass
@@ -54,8 +57,9 @@ class PalmConfig:
 
     def validated(self, lipschitz_start):
         cfg = replace(self)
-        if cfg.m < 0:
-            raise ValueError("m must be nonnegative")
+        for name in ("m", "max_backtracks"):
+            if getattr(cfg, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
         if not 0.0 < cfg.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if not 0.0 < cfg.alpha <= cfg.delta / 2.0:
@@ -196,12 +200,13 @@ def backtrack_bound_palm(tau1_0, tau2_0, beta0, config, L1k, L2k1):
 
 
 def subgrad_witness_palm(state, points, taus, trial_grads, delta, steps):
-    """Subgradient witness at z^{k+1} from the two prox optimality conditions
-    of the accepted step that led to `state`: its extrapolated points
-    `points` = (x~, y~), its step sizes `taus` = (tau1, tau2), its trial
-    gradients `trial_grads` = (grad_x H(x~, y^k), grad_y H(x^{k+1}, y~)),
-    and the gradients at the new point that the state carries. `steps` is
-    the step's (x^{k+1} - x^k, y^{k+1} - y^k)."""
+    """Norm of the subgradient witness (w1, w2, -delta*dx, -delta*dy) at
+    z^{k+1}, from the two prox optimality conditions of the accepted step
+    that led to `state`: its extrapolated points `points` = (x~, y~), its
+    step sizes `taus` = (tau1, tau2), its trial gradients `trial_grads` =
+    (grad_x H(x~, y^k), grad_y H(x^{k+1}, y~)), and the gradients at the
+    new point that the state carries. `steps` is the step's (dx, dy) =
+    (x^{k+1} - x^k, y^{k+1} - y^k)."""
     x, y = state.x, state.y
     xt, yt = points
     tau1, tau2 = taus
@@ -212,8 +217,7 @@ def subgrad_witness_palm(state, points, taus, trial_grads, delta, steps):
     w4 = delta * dy
     w1 = state.gx - gx_trial - (x - xt) / tau1 + w3
     w2 = state.gy - gy_trial - (y - yt) / tau2 + w4
-    norm = math.sqrt(_sq(w1) + _sq(w2) + _sq(w3) + _sq(w4))
-    return (w1, w2, -w3, -w4), norm
+    return math.sqrt(_sq(w1) + _sq(w2) + _sq(w3) + _sq(w4))
 
 
 def h2_constant_palm(config, M, L2bar):
@@ -290,24 +294,11 @@ def palm_step(state, problem, config):
         tau1_init_prev=tau1_0, tau2_init_prev=tau2_0, beta_last=beta,
         gy_trial=gy_trial, gx=grad_x(), gy=grad_y(),
     )
-    _, wnorm = subgrad_witness_palm(new_state, (xt, yt), (tau1, tau2),
-                                    (gx_trial, gy_trial), config.delta,
-                                    (dx_new, dy_new))
-    new_state.window.append((state.k + 1, ups))
-    _, ell = window_max(new_state.window)
-    record = TraceRecord(
-        k=state.k + 1,
-        time_s=0.0,
-        objective=obj,
-        potential=ups,
-        step_norm=math.sqrt(step_sq),
-        witness_norm=wnorm,
-        beta=beta,
-        tau1=tau1,
-        tau2=tau2,
-        backtracks=l,
-        ell=ell,
-    )
+    wnorm = subgrad_witness_palm(new_state, (xt, yt), (tau1, tau2),
+                                 (gx_trial, gy_trial), config.delta,
+                                 (dx_new, dy_new))
+    record = step_record(new_state.window, new_state.k, obj, ups, step_sq,
+                         wnorm, beta, tau1, tau2, backtracks=l)
     init = {"beta0": beta0, "tau1_0": tau1_0, "tau2_0": tau2_0}
     return new_state, record, init
 
@@ -340,18 +331,10 @@ def start_state(problem, x0, y0, config=None):
     x0 = np.asarray(x0, dtype=np.float64)
     y0 = np.asarray(y0, dtype=np.float64)
     obj0, grad_x, grad_y = problem.objective(x0, y0)
-    gx = grad_x()
-    window = gy = None
-    if config is not None:
-        window = deque([(0, obj0)], maxlen=config.m + 1)  # Upsilon at equal pairs
-        gy = grad_y()
+    window, record = run_start(config, obj0)
     state = BlockIterateState(
         x=x0.copy(), y=y0.copy(), x_prev=x0.copy(), y_prev=y0.copy(),
-        window=window, gx=gx, gy=gy,
-    )
-    record = TraceRecord(
-        k=0, time_s=0.0, objective=obj0, potential=obj0, step_norm=0.0,
-        witness_norm=math.inf, beta=0.0, tau1=0.0, tau2=0.0, ell=0,
+        window=window, gx=grad_x(), gy=None if config is None else grad_y(),
     )
     return state, record
 
@@ -360,7 +343,7 @@ def palm_run(problem, x0, y0, config, trace_sink=None):
     """Run the line-search method from (x0, y0) until a stopping rule fires.
 
     The result's stop reason is "tolerance", "max_iters", "time_budget", or
-    "stalled", as for `pg.pg_run`, and `trace_sink` is `pg.run_loop`'s. Its
+    "stalled", as for `pg.pg_run`, and `trace_sink` is `nls.run_loop`'s. Its
     extras carry the running Lipschitz estimate L_run (the largest block
     modulus at the start point and at every accepted iteration), the
     observed ball radii, and the relative-error bound computed from them.
@@ -445,20 +428,16 @@ def _baseline_step(state, problem, config, extrapolate):
     gy_trial = grad_y()
     y_new = problem.g.prox(yt - tau2 * gy_trial, tau2)
     steps = (x_new - x, y_new - y)
-    step = math.sqrt(_sq(steps[0]) + _sq(steps[1]))
     obj, grad_x, grad_y = problem.objective(x_new, y_new)
     new_state = BlockIterateState(
         x=x_new, y=y_new, x_prev=x, y_prev=y, window=None,
         t_prev=state.t_cur, t_cur=t_next, k=state.k + 1,
         gx=grad_x(), gy=grad_y(),
     )
-    _, wnorm = subgrad_witness_palm(new_state, (xt, yt), (tau1, tau2),
-                                    (gx_trial, gy_trial), 0.0, steps)
-    record = TraceRecord(
-        k=new_state.k, time_s=0.0, objective=obj, potential=obj,
-        step_norm=step, witness_norm=wnorm, beta=beta,
-        tau1=tau1, tau2=tau2, ell=new_state.k,
-    )
+    wnorm = subgrad_witness_palm(new_state, (xt, yt), (tau1, tau2),
+                                 (gx_trial, gy_trial), 0.0, steps)
+    record = step_record(None, new_state.k, obj, obj,
+                         _sq(steps[0]) + _sq(steps[1]), wnorm, beta, tau1, tau2)
     return new_state, record, None
 
 

@@ -12,25 +12,25 @@ variants:
 """
 
 import math
-import time
-from array import array
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .nls import (
-    window_max,
+    RunResult,
+    _dot,
+    _sq,
     accept,
     backtrack_params,
     bb_ratio,
     cap_error,
     extrapolation,
     nesterov_beta,
-    BacktrackCapError,
-    LineSearchStalled,
+    run_loop,
+    run_start,
+    step_record,
 )
-from .trace import Trace, TraceRecord
 
 
 @dataclass
@@ -53,8 +53,9 @@ class PgConfig:
         """Fill step-bound defaults from L and check the config invariants."""
         cfg = replace(self)
         L = float(lipschitz)
-        if cfg.m < 0:
-            raise ValueError("m must be nonnegative")
+        for name in ("m", "max_backtracks"):
+            if getattr(cfg, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
         if cfg.delta == 0.0:
             if cfg.beta_max != 0.0 or cfg.m != 0:
                 raise ValueError("delta=0 requires beta_max=0 and m=0")
@@ -107,8 +108,8 @@ class IterateState:
     trial, and the linear images z of x^k and x^{k-1} (the problem's
     `smooth` returns them; None if it has none) give the image of an
     extrapolated point y = x^k + beta*(x^k - x^{k-1}) without evaluating
-    it from y. x^{k-2} and the last step's initialization tau_init_prev
-    serve the BB initialization.
+    it from y. The last step's difference d_prev = x^{k-1} - x^{k-2} and
+    initialization tau_init_prev serve the BB initialization.
     """
 
     x: np.ndarray
@@ -121,23 +122,8 @@ class IterateState:
     grad_x_prev: np.ndarray = None     # grad f(x^{k-1})
     z: np.ndarray = None               # linear image of x^k (the margins)
     z_prev: np.ndarray = None          # linear image of x^{k-1}
-    x_prev2: np.ndarray = None         # x^{k-2}
+    d_prev: np.ndarray = None          # x^{k-1} - x^{k-2}
     tau_init_prev: float = None
-
-
-def _sq(a):
-    a = a.ravel()
-    return float(a @ a)
-
-
-def _dot(a, b):
-    return float(a.ravel() @ b.ravel())
-
-
-def potential_H(F, x, u, delta):
-    """H_delta((x, u)) = F(x) + (delta/2)*||x - u||^2, given the objective
-    F = F(x)."""
-    return F + 0.5 * delta * _sq(x - u)
 
 
 def _extrapolate(z, z_prev, beta):
@@ -150,25 +136,25 @@ def _extrapolate(z, z_prev, beta):
     return z + beta * (z - z_prev)
 
 
-def bb_init_tau(z, z_prev, grads, delta, tau_min, tau_max, prev_tau):
-    """Barzilai-Borwein step initialization on the smoothed pair space.
+def bb_init_tau(d, d_prev, d_sq, grads, delta, tau_min, tau_max, prev_tau):
+    """Barzilai-Borwein step initialization on the smoothed pair space,
+    from the step differences d = x^k - x^{k-1} and d_prev = x^{k-1} -
+    x^{k-2}, d_sq = ||d||^2 and grads = (grad f(x^k), grad f(x^{k-1})).
 
-    z = (x^k, x^{k-1}), z_prev = (x^{k-1}, x^{k-2}), and grads =
-    (grad f(x^k), grad f(x^{k-1})). The gradient of the smooth part over
-    z = (x, u) is (grad f(x) + delta*(x-u), -delta*(x-u)).
+    The gradient of the smooth part over z = (x, u) is (grad f(x) +
+    delta*(x-u), -delta*(x-u)), and x - u is d at z^k = (x^k, x^{k-1}) and
+    d_prev at z^{k-1}, so the secant pair is (d, d_prev) against that
+    gradient's difference.
     """
-    x, u = z
-    xp, up = z_prev
-    dz_a = x - xp
-    dz_b = u - up
-    dz_sq = _sq(dz_a) + _sq(dz_b)
+    dz_sq = d_sq + _sq(d_prev)
     if dz_sq == 0.0:
         return prev_tau
     gx, gxp = grads
-    dzeta_a = gx + delta * (x - u) - gxp - delta * (xp - up)
-    dzeta_b = -delta * (x - u) + delta * (xp - up)
+    dd, dd_prev = delta * d, delta * d_prev
+    dzeta_a = gx + dd - gxp - dd_prev
+    dzeta_b = dd_prev - dd
     dzeta_sq = _sq(dzeta_a) + _sq(dzeta_b)
-    inner = _dot(dz_a, dzeta_a) + _dot(dz_b, dzeta_b)
+    inner = _dot(d, dzeta_a) + _dot(d_prev, dzeta_b)
     return bb_ratio(dz_sq, dzeta_sq, inner, tau_min, tau_max)
 
 
@@ -201,13 +187,14 @@ def backtrack_bound_pg(tau0, beta0, config, lipschitz):
     return l1 + l2 + 1
 
 
-def subgrad_witness_pg(x_new, x_old, y_last, tau_last, grad_new, grad_y, delta):
-    """Subgradient witness at z^{k+1} = (x^{k+1}, x^k), from the prox
-    optimality condition of the accepted step (y^k, tau_k)."""
-    wa = grad_new - grad_y - (x_new - y_last) / tau_last + delta * (x_new - x_old)
-    wb = delta * (x_old - x_new)
-    norm = math.sqrt(_sq(wa) + _sq(wb))
-    return (wa, wb), norm
+def subgrad_witness_pg(x_new, y, tau, grad_new, grad_y, delta, step):
+    """Norm of the subgradient witness (wa, -delta*step) at z^{k+1} =
+    (x^{k+1}, x^k), from the prox optimality condition of the accepted
+    step (y^k, tau_k); `step` is x^{k+1} - x^k."""
+    # delta*(x^k - x^{k+1}) is -(delta*step) to the bit: rounding is symmetric
+    w = delta * step
+    wa = grad_new - grad_y - (x_new - y) / tau + w
+    return math.sqrt(_sq(wa) + _sq(w))
 
 
 def h2_constant_pg(config, lipschitz):
@@ -218,150 +205,65 @@ def h2_constant_pg(config, lipschitz):
     )
 
 
-@dataclass
-class RunResult:
-    """Outcome of one solver run.
-
-    `records` is the run's `Trace`, one record per iterate from the start
-    point on, and `reason` the stop rule of `run_loop` that ended it.
-    `meta` maps each line-search initialization the backtrack-count
-    bound is replayed from (beta0 and tau0; the PALM family has tau1_0,
-    tau2_0 and the block moduli L1k = L1(y^k), L2k1 = L2(x^{k+1})) to a
-    float array with one entry per accepted iteration. `palm.palm_run`
-    forms L1k and L2k1 after its loop, from the iterates' Gram matrices in
-    one batched eigen-solve per block; no step computes them. It is
-    diagnostic data, not part of the trace CSV, and empty for the
-    fixed-step baselines and for a run that accepted no step. `extras`
-    holds the validated config and the bounds a run derives (empty for
-    the baselines).
-    """
-
-    x: object
-    records: Trace
-    reason: str
-    meta: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
-
-
-def init_columns(inits):
-    """A run's per-iteration initialization dicts (same keys) as one float
-    array per key, the form `RunResult.meta` keeps."""
-    return {key: array("d", [init[key] for init in inits])
-            for key in (inits[0] if inits else ())}
-
-
-def run_loop(step, state, record, config, sq_norm, trace_sink=None):
-    """The outer loop every solver runs: `step(state)` returns (next state,
-    its TraceRecord, init dict or None) for one accepted iteration, and
-    `record` is the start point's.
-
-    `trace_sink`, if given, receives the start record and then each
-    accepted record before the stop rules see it. The rules are tested in
-    this order: the witness norm at most `config.stop_tol` times
-    max(1, sqrt(sq_norm(state))) ("tolerance"; `sq_norm` is called once
-    per accepted step), then the record's time over `config.time_budget`
-    ("time_budget"), then `config.max_iters` steps taken ("max_iters"). A
-    step that raises LineSearchStalled ends the run at the last accepted
-    state ("stalled"); a BacktrackCapError propagates with the trace so
-    far as its `records`. Returns (final state, Trace, reason, meta from
-    the init dicts).
-    """
-    records = [record]
-    if trace_sink:
-        trace_sink(record)
-    inits = []
-    reason = "max_iters"
-    start = time.perf_counter()
-    for _ in range(config.max_iters):
-        try:
-            state, record, init = step(state)
-        except LineSearchStalled:
-            reason = "stalled"
-            break
-        except BacktrackCapError as e:
-            e.records = Trace(records)  # trace so far, for persistence by callers
-            raise
-        record.time_s = time.perf_counter() - start
-        records.append(record)
-        if init is not None:
-            inits.append(init)
-        if trace_sink:
-            trace_sink(record)
-        if record.witness_norm <= config.stop_tol * max(1.0, math.sqrt(sq_norm(state))):
-            reason = "tolerance"
-            break
-        if record.time_s > config.time_budget:
-            reason = "time_budget"
-            break
-    return state, Trace(records), reason, init_columns(inits)
-
-
 def start_state(problem, x0, config=None):
     """(state, record) at z^0 = (x0, x0), from one evaluation at x0. A
     line-search config gives the state its history window, holding
     (0, H_delta(z^0) = F(x0)); FISTA's state (config None) has none."""
     x0 = np.asarray(x0, dtype=np.float64)
     f0, grad0, z0 = problem.smooth(x0)
-    F0 = f0 + problem.g.value(x0)
-    h0, window = F0, None
-    if config is not None:
-        h0 = potential_H(F0, x0, x0, config.delta)
-        window = deque([(0, h0)], maxlen=config.m + 1)
+    window, record = run_start(config, f0 + problem.g.value(x0))
     state = IterateState(x=x0.copy(), x_prev=x0.copy(), window=window,
                          grad_x=grad0(), z=z0, z_prev=z0)
-    record = TraceRecord(
-        k=0, time_s=0.0, objective=F0, potential=h0,
-        step_norm=0.0, witness_norm=math.inf, beta=0.0, tau1=0.0, ell=0,
-    )
     return state, record
 
 
 def pg_step(state, problem, config):
     """One outer iteration: backtracking inner loop until acceptance.
 
-    Each trial candidate is evaluated once: its value gives the potential
-    and the record's objective, and only the accepted one is asked for its
-    gradient, carried as grad f(x^{k+1}). A trial with beta > 0 also
-    evaluates the gradient at y, from the extrapolated linear image of the
-    iterates. Returns (new state, TraceRecord, init dict). When the inner
-    loop exhausts its budget it raises `nls.cap_error`'s exception:
-    LineSearchStalled if rounding alone rejected the last candidate, else
-    BacktrackCapError carrying it.
+    The step difference d = x^k - x^{k-1} and ||d||^2 are formed once, at
+    the top, for the initialization, the extrapolated points and the step
+    norm; a trial forms its step x^{k+1} - x^k and that step's squared norm
+    once, for the step norm and the potential, and the accepted trial's
+    serve the witness. Each trial candidate is evaluated once: its value
+    gives the potential and the record's objective, and only the accepted
+    one is asked for its gradient, carried as grad f(x^{k+1}). A trial with
+    beta > 0 also evaluates the gradient at y, from the extrapolated linear
+    image of the iterates. Returns (new state, TraceRecord, init dict).
+    When the inner loop exhausts its budget it raises `nls.cap_error`'s
+    exception: LineSearchStalled if rounding alone rejected the last
+    candidate, else BacktrackCapError carrying it.
     """
     beta0, t_next = extrapolation(config, state.t_prev, state.t_cur)
-
-    if state.k >= 1 and state.x_prev2 is not None:
-        tau0 = bb_init_tau(
-            (state.x, state.x_prev),
-            (state.x_prev, state.x_prev2),
-            (state.grad_x, state.grad_x_prev),
-            config.delta, config.tau_min, config.tau_max,
-            prev_tau=state.tau_init_prev,
-        )
+    x, gx, z = state.x, state.grad_x, state.z
+    d = x - state.x_prev
+    d_sq = _sq(d)
+    if state.k >= 1:
+        tau0 = bb_init_tau(d, state.d_prev, d_sq, (gx, state.grad_x_prev),
+                           config.delta, config.tau_min, config.tau_max,
+                           prev_tau=state.tau_init_prev)
     else:
         tau0 = min(max(config.tau0, config.tau_min), config.tau_max)
 
-    gx, z = state.grad_x, state.z
-    candidate = None
     for l in range(config.max_backtracks + 1):
         beta, tau = backtrack_params(
             l, beta0, config.eta1, config.tau_min, (tau0, config.eta2)
         )
         if beta == 0.0:
-            y, gy = state.x, gx
+            y, gy = x, gx
         else:
-            y = state.x + beta * (state.x - state.x_prev)
+            y = x + beta * d
             _, grad_y, _ = problem.smooth(y, _extrapolate(z, state.z_prev, beta))
             gy = grad_y()
         candidate = problem.g.prox(y - tau * gy, tau)
+        step = candidate - x
+        new_sq = _sq(step)
         # with delta = 0 the potential carries no coupling term to pay for
         # the previous step, so the classical single-step criterion applies
-        step_sq = _sq(candidate - state.x)
-        if config.delta > 0.0:
-            step_sq += _sq(state.x - state.x_prev)
+        step_sq = new_sq + d_sq if config.delta > 0.0 else new_sq
         f_cand, grad_cand, z_new = problem.smooth(candidate)
         F_cand = f_cand + problem.g.value(candidate)
-        h_cand = potential_H(F_cand, candidate, state.x, config.delta)
+        # H_delta(z^{k+1}) = F(x^{k+1}) + (delta/2)*||x^{k+1} - x^k||^2
+        h_cand = F_cand + 0.5 * config.delta * new_sq
         if accept(h_cand, state.window, config.alpha, step_sq):
             break
     else:
@@ -369,38 +271,14 @@ def pg_step(state, problem, config):
                         state.window, config.alpha, step_sq)
 
     grad_new = grad_cand()
-    _, wnorm = subgrad_witness_pg(
-        candidate, state.x, y, tau, grad_new, gy, config.delta
-    )
-
+    wnorm = subgrad_witness_pg(candidate, y, tau, grad_new, gy, config.delta, step)
     new_state = IterateState(
-        x=candidate,
-        x_prev=state.x,
-        window=state.window,
-        t_prev=state.t_cur,
-        t_cur=t_next,
-        k=state.k + 1,
-        grad_x=grad_new,
-        grad_x_prev=gx,
-        z=z_new,
-        z_prev=z,
-        x_prev2=state.x_prev,
-        tau_init_prev=tau0,
+        x=candidate, x_prev=x, window=state.window, t_prev=state.t_cur,
+        t_cur=t_next, k=state.k + 1, grad_x=grad_new, grad_x_prev=gx,
+        z=z_new, z_prev=z, d_prev=d, tau_init_prev=tau0,
     )
-    new_state.window.append((state.k + 1, h_cand))
-    _, ell = window_max(new_state.window)
-    record = TraceRecord(
-        k=state.k + 1,
-        time_s=0.0,
-        objective=F_cand,
-        potential=h_cand,
-        step_norm=math.sqrt(step_sq),
-        witness_norm=wnorm,
-        beta=beta,
-        tau1=tau,
-        backtracks=l,
-        ell=ell,
-    )
+    record = step_record(new_state.window, new_state.k, F_cand, h_cand, step_sq,
+                         wnorm, beta, tau, backtracks=l)
     return new_state, record, {"beta0": beta0, "tau0": tau0}
 
 
@@ -409,7 +287,7 @@ def pg_run(problem, x0, config, trace_sink=None):
 
     The result's stop reason is "tolerance", "max_iters", "time_budget", or
     "stalled" (the line search stalled on rounding; x is the last accepted
-    iterate). `trace_sink` is `run_loop`'s.
+    iterate). `trace_sink` is `nls.run_loop`'s.
     """
     cfg = config.validated(problem.lipschitz)
     state, record = start_state(problem, x0, cfg)
@@ -437,24 +315,20 @@ def _fista_step(state, problem, tau, restart):
         _, grad_y, _ = problem.smooth(y, _extrapolate(state.z, state.z_prev, beta))
         gy = grad_y()
     x_new = problem.g.prox(y - tau * gy, tau)
+    step = x_new - x
     f, grad, z_new = problem.smooth(x_new)
     g_new = grad()
     F = f + problem.g.value(x_new)
-    _, wnorm = subgrad_witness_pg(x_new, x, y, tau, g_new, gy, 0.0)
+    wnorm = subgrad_witness_pg(x_new, y, tau, g_new, gy, 0.0, step)
     k = state.k + 1
     t_prev, t_cur = state.t_cur, t_next
-    if restart and (k % 250 == 0 or _dot(y - x_new, x_new - x) > 0.0):
+    if restart and (k % 250 == 0 or _dot(y - x_new, step) > 0.0):
         t_prev, t_cur = 1.0, 1.0
     new_state = IterateState(
         x=x_new, x_prev=x, window=None, t_prev=t_prev, t_cur=t_cur, k=k,
         grad_x=g_new, z=z_new, z_prev=state.z,
     )
-    record = TraceRecord(
-        k=k, time_s=0.0, objective=F, potential=F,
-        step_norm=math.sqrt(_sq(x_new - x)), witness_norm=wnorm, beta=beta,
-        tau1=tau, ell=k,
-    )
-    return new_state, record, None
+    return new_state, step_record(None, k, F, F, _sq(step), wnorm, beta, tau), None
 
 
 def fista_run(problem, x0, config, restart=False):

@@ -279,10 +279,12 @@ def gen_mc(n1, n2, r_star, num_samples, sigma, seed, r=None, lam=1.0, mu=1e-10):
     Duplicate draws are collapsed, so num_obs <= num_samples. The planted
     factors have i.i.d. standard normal entries. Noise on entry t is
     sigma * (xi_t/||xi||) * ||M*_Omega||_F with xi standard normal.
+    Every size (n1, n2, r_star, r, num_samples) must be at least 1.
     """
-    if r_star > min(n1, n2) or num_samples > n1 * n2:
-        raise ValueError("invalid generator parameters")
     r = 2 * r_star if r is None else int(r)
+    if (min(n1, n2, r_star, r, num_samples) < 1
+            or r_star > min(n1, n2) or num_samples > n1 * n2):
+        raise ValueError("invalid generator parameters")
     rng = RngStream(seed)
     U_star = rng.standard_normal((n1, r_star))
     V_star = rng.standard_normal((n2, r_star))
@@ -498,14 +500,16 @@ def load_instance(path):
             )
         if kind == "mc":
             n1, n2 = int(params["n1"]), int(params["n2"])
-            r_star = int(params["rstar"])
+            r_star, r = int(params["rstar"]), int(params["r"])
+            if r < 1:
+                raise ValueError(f"{path}: mc instance needs r >= 1")
             U_star = np.array([f.readline().split() for _ in range(n1)], dtype=np.float64)
             V_star = np.array([f.readline().split() for _ in range(n2)], dtype=np.float64)
             rows = np.array(f.readline().split(), dtype=np.int64)
             cols = np.array(f.readline().split(), dtype=np.int64)
             obs = np.array(f.readline().split(), dtype=np.float64)
             return McInstance(
-                n1=n1, n2=n2, r_star=r_star, r=int(params["r"]),
+                n1=n1, n2=n2, r_star=r_star, r=r,
                 rows=rows, cols=cols, obs=obs, sigma=float(params["sigma"]),
                 lam=float(params["lambda"]), mu=float(params["mu"]),
                 U_star=U_star, V_star=V_star, seed=int(params["seed"]),

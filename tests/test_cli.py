@@ -111,14 +111,18 @@ class TestSolverOptions:
         assert main(["run", write_config(tmp_path / "c.cfg", text)]) == 2
         assert "2.5" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["pgenls", "palmenls"])
-    def test_negative_memory_exits_2(self, tmp_path, capsys, name):
+    # the window memory m, and the backtrack cap, which `validated()`
+    # checks next to it
+    @pytest.mark.parametrize("name, option", [
+        pytest.param(name, option, id=name if option == "m" else f"{name}-{option}")
+        for option in ("m", "max_backtracks") for name in ("pgenls", "palmenls")])
+    def test_negative_memory_exits_2(self, tmp_path, capsys, name, option):
         text = MC_RUN if name.startswith("palm") else LOGREG_RUN
         text = text.format(trace=tmp_path / "t.csv").replace(
             "name = pgenls", f"name = {name}").replace(
-            "[output]", "m = -1\n\n[output]")
+            "[output]", f"{option} = -1\n\n[output]")
         assert main(["run", write_config(tmp_path / "c.cfg", text)]) == 2
-        assert "m must be nonnegative" in capsys.readouterr().err
+        assert f"{option} must be nonnegative" in capsys.readouterr().err
 
     def test_beta_rule_is_an_unknown_option(self, tmp_path, capsys):
         text = LOGREG_RUN.format(trace=tmp_path / "t.csv").replace(
@@ -147,6 +151,20 @@ class TestGen:
         inst = load_instance(out)
         assert inst.num_obs <= 50
         assert "|Omega|=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--samples", "--rstar", "--r"])
+    def test_mc_size_below_one_exits_2(self, tmp_path, capsys, flag):
+        args = {"--n1": "12", "--n2": "12", "--rstar": "2", "--samples": "50"}
+        args[flag] = "0"
+        argv = ["gen", "mc", "--seed", "1", "--out", str(tmp_path / "mc.txt")]
+        assert main(argv + [tok for kv in args.items() for tok in kv]) == 2
+        assert "invalid generator parameters" in capsys.readouterr().err
+
+    def test_run_with_rank_zero_exits_2(self, tmp_path, capsys):
+        text = MC_RUN.format(trace=tmp_path / "t.csv").replace(
+            "seed = 3", "seed = 3\nr = 0")
+        assert main(["run", write_config(tmp_path / "c.cfg", text)]) == 2
+        assert "invalid generator parameters" in capsys.readouterr().err
 
 
 class TestRun:
@@ -648,6 +666,13 @@ class TestDiagAndRates:
             assert capsys.readouterr().out == (
                 f"too short to fit: {err.value.points} leading positive tail gaps, "
                 "20 needed\n")
+
+    def test_rates_on_header_only_trace(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        write_trace_csv(str(path), Trace())
+        assert main(["rates", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "too short to fit: 0 leading positive tail gaps, 20 needed\n")
 
     def test_rates_on_garbage_is_parse_error(self, tmp_path):
         path = tmp_path / "bad.csv"

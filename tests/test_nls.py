@@ -156,7 +156,7 @@ class TestConfigsCheckTheLineSearch:
         {"tau_min": 0.0}, {"tau_min": -1e-3},
         {"alpha": 0.0}, {"alpha": -1e-5},
         {**PGLS, "alpha": 0.0}, {**PGLS, "alpha": -1e-5},
-        {"m": -1},
+        {"m": -1}, {"max_backtracks": -1},
     ])
     def test_pg_config_rejects(self, bad):
         with pytest.raises(ValueError):
@@ -168,7 +168,7 @@ class TestConfigsCheckTheLineSearch:
         {"eta2": 0.0}, {"eta2": 1.0}, {"eta2": -0.5}, {"eta2": 1.5},
         {"tau_lo": 0.0}, {"tau_lo": -1e-8},
         {"alpha": 0.0}, {"alpha": -1e-5},
-        {"m": -1},
+        {"m": -1}, {"max_backtracks": -1},
     ])
     def test_palm_config_rejects(self, bad):
         with pytest.raises(ValueError):

@@ -267,7 +267,7 @@ class TestWitnessAndInvariants:
             for name in ("gx", "gy", "gy_trial"):
                 assert np.array_equal(getattr(state, name), getattr(ref, name))
             diffs = step_differences(state)
-            _, norm = subgrad_witness_palm(
+            norm = subgrad_witness_palm(
                 ref, (xt, yt), (rec.tau1, rec.tau2),
                 (grad_x(prob, xt, state.y_prev), ref.gy_trial), vcfg.delta, diffs[:2])
             assert rec.witness_norm == norm
@@ -516,7 +516,7 @@ def witness_norm(prob, x, y, x_prev, y_prev, xt, yt, tau1, tau2, delta):
     return subgrad_witness_palm(
         state, (xt, yt), (tau1, tau2),
         (grad_x(prob, xt, y_prev), grad_y(prob, x, yt)), delta,
-        (x - x_prev, y - y_prev))[1]
+        (x - x_prev, y - y_prev))
 
 
 def extrapolated(state, beta):

@@ -17,7 +17,6 @@ from nmdesc.pg import (
     h2_constant_pg,
     pg_run,
     pg_step,
-    potential_H,
     safe_beta_bound_pg,
     start_state,
     subgrad_witness_pg,
@@ -26,23 +25,32 @@ from nmdesc.pg import (
 
 
 class TestPotential:
+    """The potential H_delta(z^k) = F(x^k) + (delta/2)*||x^k - x^{k-1}||^2
+    that the records carry."""
+
     def test_delta_zero_is_objective(self):
-        prob = quadratic_problem()
-        x = np.array([1.0, 2.0])
-        F = objective(prob, x)
-        assert potential_H(F, x, np.zeros(2), 0.0) == F
+        prob = quadratic_problem(A=np.diag([1.0, 3.0]), lam=0.01)
+        result = pg_run(prob, np.array([3.0, -4.0]), variant_config("pgls"))
+        assert len(result.records) > 2
+        assert all(r.potential == r.objective for r in result.records)
 
     def test_equal_points_drop_coupling(self):
         prob = quadratic_problem()
         x = np.array([1.0, 2.0])
-        F = objective(prob, x)
-        assert potential_H(F, x, x, 0.3) == F
+        cfg = PgConfig(delta=0.3, alpha=0.1).validated(prob.lipschitz)
+        state, record = start_state(prob, x, cfg)
+        assert record.potential == record.objective == objective(prob, x)
+        assert list(state.window) == [(0, record.potential)]
 
     def test_hand_value(self):
+        # one gradient step of size 1/2 on 0.5*||x||^2 from (1, 0) lands at
+        # (1/2, 0): F = 1/8, and the coupling adds 0.2*||(1/2, 0)||^2 = 1/20
         prob = quadratic_problem(dim=2)
-        x = np.array([1.0, 0.0])
-        u = np.array([0.0, 0.0])
-        assert potential_H(objective(prob, x), x, u, 0.4) == pytest.approx(0.7)
+        cfg = PgConfig(delta=0.4, beta_max=0.0, tau0=0.5).validated(prob.lipschitz)
+        state = start_state(prob, np.array([1.0, 0.0]), cfg)[0]
+        _, rec, _ = pg_step(state, prob, cfg)
+        assert rec.objective == pytest.approx(0.125)
+        assert rec.potential == pytest.approx(0.175)
 
 
 class TestNesterov:
@@ -76,30 +84,32 @@ def extrapolated(state, beta):
     return state.x + beta * (state.x - state.x_prev)
 
 
+def bb_from_points(problem, x2, x1, x0, delta, prev_tau):
+    """`bb_init_tau` at z^k = (x2, x1) after z^{k-1} = (x1, x0), from the
+    step differences pg_step forms."""
+    d = x2 - x1
+    return bb_init_tau(d, x1 - x0, float(d @ d), grads(problem, x2, x1), delta,
+                       1e-6, 1e6, prev_tau=prev_tau)
+
+
 class TestBbInit:
     def test_parallel_secant(self):
         # grad f = 2x and delta = 0: secant ratio is exactly 1/2
         prob = quadratic_problem(A=2.0 * np.eye(2))
         x1, x0 = np.array([1.0, 1.0]), np.array([0.0, 0.0])
-        u = np.array([0.5, 0.5])
-        tau = bb_init_tau((x1, u), (x0, u), grads(prob, x1, x0), 0.0, 1e-6, 1e6,
-                          prev_tau=9.0)
+        tau = bb_from_points(prob, x1, x0, x0, 0.0, prev_tau=9.0)
         assert tau == pytest.approx(0.5, rel=1e-12)
 
     def test_zero_inner_product_guard(self):
         prob = flat_problem()
         x1, x0 = np.array([1.0, 0.0]), np.array([0.0, 0.0])
-        u = np.array([0.0, 0.0])
-        tau = bb_init_tau((x1, u), (x0, u), grads(prob, x1, x0), 0.0, 1e-6, 1e6,
-                          prev_tau=9.0)
+        tau = bb_from_points(prob, x1, x0, x0, 0.0, prev_tau=9.0)
         assert tau == 1e6
 
     def test_zero_displacement_returns_previous(self):
         prob = quadratic_problem()
         x = np.array([1.0, 2.0])
-        u = np.array([0.0, 0.0])
-        tau = bb_init_tau((x, u), (x, u), grads(prob, x, x), 0.1, 1e-6, 1e6,
-                          prev_tau=7.0)
+        tau = bb_from_points(prob, x, x, x, 0.1, prev_tau=7.0)
         assert tau == 7.0
 
     def test_matches_hand_formula(self):
@@ -107,17 +117,15 @@ class TestBbInit:
         A = np.diag([1.0, 2.0, 3.0])
         prob = quadratic_problem(A=A)
         delta = 0.2
-        x1, x0 = rng.standard_normal(3), rng.standard_normal(3)
-        u1, u0 = rng.standard_normal(3), rng.standard_normal(3)
-        dz = np.concatenate([x1 - x0, u1 - u0])
+        x2, x1, x0 = (rng.standard_normal(3) for _ in range(3))
+        dz = np.concatenate([x2 - x1, x1 - x0])
         g = lambda x, u: np.concatenate([A @ x + delta * (x - u), -delta * (x - u)])
-        dzeta = g(x1, u1) - g(x0, u0)
+        dzeta = g(x2, x1) - g(x1, x0)
         inner = float(dz @ dzeta)
         expected = max(
             min(float(dz @ dz) / inner, inner / float(dzeta @ dzeta), 1e6), 1e-6
         )
-        tau = bb_init_tau((x1, u1), (x0, u0), grads(prob, x1, x0), delta, 1e-6, 1e6,
-                          prev_tau=1.0)
+        tau = bb_from_points(prob, x2, x1, x0, delta, prev_tau=1.0)
         assert tau == pytest.approx(expected, rel=1e-12)
 
 
@@ -160,7 +168,7 @@ class TestWitness:
     def test_fixed_point_witness_zero(self):
         prob = quadratic_problem()
         x = np.zeros(2)
-        _, norm = subgrad_witness_pg(x, x, x, 0.1, f_grad(prob, x), f_grad(prob, x), 0.01)
+        norm = subgrad_witness_pg(x, x, 0.1, f_grad(prob, x), f_grad(prob, x), 0.01, x - x)
         assert norm == 0.0
 
     def test_replay_recomputation_matches(self):
@@ -370,7 +378,7 @@ def reference_fista(problem, x0, config, restart=False):
         y = x if beta == 0.0 else x + beta * (x - x_prev)
         gy = f_grad(problem, y)
         x_new = problem.g.prox(y - tau * gy, tau)
-        _, wnorm = subgrad_witness_pg(x_new, x, y, tau, f_grad(problem, x_new), gy, 0.0)
+        wnorm = subgrad_witness_pg(x_new, y, tau, f_grad(problem, x_new), gy, 0.0, x_new - x)
         step = math.sqrt(float((x_new - x) @ (x_new - x)))
         t_prev, t_cur = t_cur, t_next
         if restart and ((k + 1) % 250 == 0 or float((y - x_new) @ (x_new - x)) > 0.0):
@@ -453,9 +461,8 @@ class TestCarriedValues:
                 (new.x - state.x) @ (new.x - state.x))
             assert np.array_equal(new.grad_x, f_grad(prob, new.x))
             y = extrapolated(state, rec.beta)
-            _, wnorm = subgrad_witness_pg(
-                new.x, state.x, y, rec.tau1,
-                f_grad(prob, new.x), f_grad(prob, y), cfg.delta)
+            wnorm = subgrad_witness_pg(new.x, y, rec.tau1, f_grad(prob, new.x),
+                                       f_grad(prob, y), cfg.delta, new.x - state.x)
             assert rec.witness_norm == wnorm
 
     @pytest.mark.parametrize("restart", [False, True])

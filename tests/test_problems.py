@@ -218,6 +218,15 @@ class TestGenMc:
         with pytest.raises(ValueError):
             gen_mc(n1=4, n2=4, r_star=5, num_samples=10, sigma=0.1, seed=0)
 
+    @pytest.mark.parametrize("size", [
+        {"n1": 0}, {"n2": 0}, {"r_star": 0}, {"r": 0}, {"num_samples": 0},
+        {"num_samples": -3}, {"r": -1},
+    ])
+    def test_sizes_below_one_rejected(self, size):
+        params = dict(n1=4, n2=4, r_star=2, num_samples=10, sigma=0.1, seed=0)
+        with pytest.raises(ValueError):
+            gen_mc(**{**params, **size})
+
 
 def one_of_each_form(n1, n2, dense_draws, segment_draws, seed, r):
     """Two instances of one size with r_star 2, from draw counts on either
@@ -490,6 +499,15 @@ class TestSerialization:
         assert np.array_equal(back.cols, inst.cols)
         assert np.array_equal(back.U_star, inst.U_star)
         assert back.r == inst.r and back.sigma == inst.sigma
+
+    def test_mc_rank_below_one_rejected(self, tmp_path):
+        inst = gen_mc(n1=6, n2=5, r_star=2, num_samples=15, sigma=0.05, seed=17)
+        path = tmp_path / "inst.txt"
+        save_instance(str(path), inst)
+        header, rest = path.read_text().split("\n", 1)
+        path.write_text(header.replace(f"r={inst.r}", "r=0") + "\n" + rest)
+        with pytest.raises(ValueError, match="r >= 1"):
+            load_instance(str(path))
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
