@@ -26,7 +26,11 @@ agreement with a reference on the same inputs. The sections:
 * one evaluation of a PG iterate on the desk logistic instance (n = 200,
   p = 2000): its objective from one `smooth` call, with the gradient
   asked of it (an accepted candidate) and without (a rejected one), from
-  x and given the margins A~x (as for an extrapolated point);
+  x and given the margins A~x (as for an extrapolated point), and an
+  accepted candidate with a look-ahead point y: both gradients from one
+  product A~^T [w w_y], against the gradient at y from an evaluation of
+  its own, which it is checked against (1e-13 relative); then the bare
+  products A~^T w, two of them, and A~^T [w w_y];
 * the logistic margins A~x over the support size |S| of x, at the desk
   size (200 x 2001), at two sizes either side of the rule's size bound
   (100 x 2001 and 100 x 1001) and at the size `cli-batch` benches
@@ -259,13 +263,35 @@ def pg_point():
         got = with_grad(*args)
         assert value_only(*args) == got[0] == ref[0]
         assert np.array_equal(got[1], ref[1])
+    y = x + 0.3 * np.random.default_rng(2).standard_normal(inst.p + 1) * 0.01
+    z_y = inst.A_tilde @ y
+
+    def with_look_ahead(x, z, y, z_y):
+        # an accepted candidate and the next step's first trial point
+        value, grad, _ = prob.smooth(x, z)
+        return value + prob.g.value(x), grad((y, z_y))
+
+    def with_y_evaluated(x, z, y, z_y):
+        # the same two gradients, y evaluated on its own
+        return with_grad(x, z), prob.smooth(y, z_y)[1]()
+
+    _, (gx, gy) = with_look_ahead(x, z, y, z_y)
+    for g, want in ((gx, ref[1]), (gy, prob.smooth(y, z_y)[1]())):
+        assert np.linalg.norm(g - want) <= 1e-13 * np.linalg.norm(want)
     print("\none PG point evaluation against logreg_value_grad: ok")
 
+    AT = inst.A_tilde.T
+    w, w_y = (kernels.logistic_loss_terms(v, inst.b)[1] for v in (z, z_y))
     cases = [
         ("smooth, value", value_only, (x,)),
         ("smooth, value+grad", with_grad, (x,)),
         ("given margins, value", value_only, (x, z)),
         ("given margins, +grad", with_grad, (x, z)),
+        ("+grad, y on its own", with_y_evaluated, (x, z, y, z_y)),
+        ("+grad, y look-ahead", with_look_ahead, (x, z, y, z_y)),
+        ("A~^T w", lambda: AT @ w, ()),
+        ("A~^T w, A~^T w_y", lambda: (AT @ w, AT @ w_y), ()),
+        ("A~^T [w w_y]", lambda: AT @ np.column_stack((w, w_y)), ()),
     ]
     print(f"desk logistic: n={inst.n}, p={inst.p}")
     for name, fn, args in cases:

@@ -6,12 +6,18 @@ TREE is the root of a source tree (the directory holding `src/nmdesc`);
 the solves import `nmdesc` from there. Each line's md5 covers the solve's
 zero-time trace CSV, its final point, its `meta`, its stop reason and its
 final k, so two trees print the same lines exactly when every solve gives
-the same bits. A refactor that must keep the solver arithmetic checks it
-with one diff:
+the same bits. After the md5, each line shows the stop reason and final
+k, the final objective (`repr`, all 17 digits) and the nonzero count of
+the final point (of U and V together for matrix completion). A refactor
+that must keep the solver arithmetic checks it with one diff:
 
     python3 benchmarks/trace_digest.py OLD > old.txt
     python3 benchmarks/trace_digest.py NEW > new.txt
     diff old.txt new.txt
+
+A change that may move last bits shows in the same diff which solves
+moved, whether their k, stop reason or support changed, and by how much
+their objectives differ.
 
 The set runs all 12 solvers through `cli.solve`: the PG family with FISTA
 and restarted FISTA on four logistic instances (60 x 300, seeds 0 and 1,
@@ -21,7 +27,7 @@ matrix-completion instances at 150 iterations (200 x 200 with 8000 draws,
 seeds 1 and 2880641671; 300 x 300 with 2000 draws, seed 5, which takes
 the sorted-segment oracle form; 40 x 30 with 600 draws, seed 7). A solve
 that raises `BacktrackCapError` is digested from its partial trace and
-the error message.
+the error message, and shows its last accepted objective.
 """
 
 import hashlib
@@ -86,10 +92,13 @@ def main(argv):
                     k = res.records[-1].k
                     line = digest(write_trace_csv, res.records, res.x, res.meta,
                                   res.reason, k)
-                    end = f"{res.reason} k={k}"
+                    nnz = sum(np.count_nonzero(part) for part in
+                              (res.x if isinstance(res.x, tuple) else (res.x,)))
+                    end = (f"{res.reason} k={k} F={res.records[-1].objective!r} "
+                           f"nnz={nnz}")
                 except BacktrackCapError as e:
                     line = digest(write_trace_csv, e.records, (), {}, str(e), e.k)
-                    end = f"error k={e.k}"
+                    end = f"error k={e.k} F={e.records[-1].objective!r} nnz=-"
                 total.update(line.encode())
                 print(f"{label} seed={seed} {name:9s} {line} {end}")
     print(f"total {total.hexdigest()}")

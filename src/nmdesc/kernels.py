@@ -14,6 +14,7 @@ __all__ = [
     "masked_dense_scatter",
     "masked_dense_grad",
     "logistic_loss_terms",
+    "logistic_weights",
 ]
 
 
@@ -95,8 +96,13 @@ def logistic_loss_terms(z, b):
     or 0.0 as it should; the overflow warning is suppressed.
     """
     t = -b * z
+    loss = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+    return loss, logistic_weights(z, b)
+
+
+def logistic_weights(z, b):
+    """The weights -b/(1+exp(b*z)) of `logistic_loss_terms` alone, for a
+    point whose gradient is needed but not its loss."""
     with np.errstate(over="ignore"):
-        loss = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
-        w = -b / (1.0 + np.exp(b * z))
-    return loss, w
+        return -b / (1.0 + np.exp(b * z))
 

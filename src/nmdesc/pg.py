@@ -110,6 +110,13 @@ class IterateState:
     extrapolated point y = x^k + beta*(x^k - x^{k-1}) without evaluating
     it from y. The last step's difference d_prev = x^{k-1} - x^{k-2} and
     initialization tau_init_prev serve the BB initialization.
+
+    `ahead` is the pair (y, grad f(y)) at the point y = x^k +
+    beta0*(x^k - x^{k-1}) of the next step's first trial, where that
+    step's beta0 > 0 (None otherwise): the step that accepted x^k knew
+    beta0 and took grad f(y) in the same product as grad f(x^k) (see
+    `_accepted_grads`), so a first trial with beta = beta0 evaluates
+    nothing at y.
     """
 
     x: np.ndarray
@@ -124,6 +131,7 @@ class IterateState:
     z_prev: np.ndarray = None          # linear image of x^{k-1}
     d_prev: np.ndarray = None          # x^{k-1} - x^{k-2}
     tau_init_prev: float = None
+    ahead: tuple = None                # (y, grad f(y)) of the next first trial
 
 
 def _extrapolate(z, z_prev, beta):
@@ -134,6 +142,21 @@ def _extrapolate(z, z_prev, beta):
     if z is None or z_prev is None:
         return None
     return z + beta * (z - z_prev)
+
+
+def _accepted_grads(grad, x_new, step, z_new, z, beta_next):
+    """(grad f(x^{k+1}), ahead) for an accepted point x^{k+1} = x^k + step
+    whose evaluation gave `grad` and the linear image z_new (z is x^k's).
+    When the next step's beta0 `beta_next` is positive, ahead is (y,
+    grad f(y)) at that step's first trial point y = x^{k+1} +
+    beta_next*step, with both gradients from one `grad((y, z_y))`; y and
+    its image z_y are formed as the next step would form them, to the
+    bit. Otherwise ahead is None and grad() is asked alone."""
+    if beta_next == 0.0:
+        return grad(), None
+    y = x_new + beta_next * step
+    g_new, g_y = grad((y, _extrapolate(z_new, z, beta_next)))
+    return g_new, (y, g_y)
 
 
 def bb_init_tau(d, d_prev, d_sq, grads, delta, tau_min, tau_max, prev_tau):
@@ -190,10 +213,15 @@ def backtrack_bound_pg(tau0, beta0, config, lipschitz):
 def subgrad_witness_pg(x_new, y, tau, grad_new, grad_y, delta, step):
     """Norm of the subgradient witness (wa, -delta*step) at z^{k+1} =
     (x^{k+1}, x^k), from the prox optimality condition of the accepted
-    step (y^k, tau_k); `step` is x^{k+1} - x^k."""
+    step (y^k, tau_k); `step` is x^{k+1} - x^k. With delta = 0 (pgls,
+    FISTA) the delta term is not formed: adding its zeros would leave the
+    norm's bits unchanged."""
+    wa = grad_new - grad_y - (x_new - y) / tau
+    if delta == 0.0:
+        return math.sqrt(_sq(wa))
     # delta*(x^k - x^{k+1}) is -(delta*step) to the bit: rounding is symmetric
     w = delta * step
-    wa = grad_new - grad_y - (x_new - y) / tau + w
+    wa += w
     return math.sqrt(_sq(wa) + _sq(w))
 
 
@@ -226,9 +254,13 @@ def pg_step(state, problem, config):
     once, for the step norm and the potential, and the accepted trial's
     serve the witness. Each trial candidate is evaluated once: its value
     gives the potential and the record's objective, and only the accepted
-    one is asked for its gradient, carried as grad f(x^{k+1}). A trial with
-    beta > 0 also evaluates the gradient at y, from the extrapolated linear
-    image of the iterates. Returns (new state, TraceRecord, init dict).
+    one is asked for its gradient, carried as grad f(x^{k+1}). When the
+    next step's beta0 is positive, that gradient comes with the gradient at
+    the next step's first trial point from one product (`_accepted_grads`),
+    carried as the state's `ahead`: the first trial with beta = beta0 > 0
+    reads it, and a later trial with beta > 0 evaluates the gradient at its
+    y, from the extrapolated linear image of the iterates. Returns (new
+    state, TraceRecord, init dict).
     When the inner loop exhausts its budget it raises `nls.cap_error`'s
     exception: LineSearchStalled if rounding alone rejected the last
     candidate, else BacktrackCapError carrying it.
@@ -250,6 +282,8 @@ def pg_step(state, problem, config):
         )
         if beta == 0.0:
             y, gy = x, gx
+        elif l == 0:  # beta = beta0, which the last step formed y with
+            y, gy = state.ahead
         else:
             y = x + beta * d
             _, grad_y, _ = problem.smooth(y, _extrapolate(z, state.z_prev, beta))
@@ -270,12 +304,14 @@ def pg_step(state, problem, config):
         raise cap_error(state.k, config.max_backtracks, candidate, h_cand,
                         state.window, config.alpha, step_sq)
 
-    grad_new = grad_cand()
+    beta_next, _ = extrapolation(config, state.t_cur, t_next)
+    grad_new, ahead = _accepted_grads(grad_cand, candidate, step, z_new, z,
+                                      beta_next)
     wnorm = subgrad_witness_pg(candidate, y, tau, grad_new, gy, config.delta, step)
     new_state = IterateState(
         x=candidate, x_prev=x, window=state.window, t_prev=state.t_cur,
         t_cur=t_next, k=state.k + 1, grad_x=grad_new, grad_x_prev=gx,
-        z=z_new, z_prev=z, d_prev=d, tau_init_prev=tau0,
+        z=z_new, z_prev=z, d_prev=d, tau_init_prev=tau0, ahead=ahead,
     )
     record = step_record(new_state.window, new_state.k, F_cand, h_cand, step_sq,
                          wnorm, beta, tau, backtracks=l)
@@ -308,25 +344,21 @@ def _fista_step(state, problem, tau, restart):
     TraceRecord, None)."""
     x = state.x
     beta, t_next = nesterov_beta(state.t_prev, state.t_cur)
-    if beta == 0.0:
-        y, gy = x, state.grad_x
-    else:
-        y = x + beta * (x - state.x_prev)
-        _, grad_y, _ = problem.smooth(y, _extrapolate(state.z, state.z_prev, beta))
-        gy = grad_y()
+    y, gy = (x, state.grad_x) if beta == 0.0 else state.ahead
     x_new = problem.g.prox(y - tau * gy, tau)
     step = x_new - x
-    f, grad, z_new = problem.smooth(x_new)
-    g_new = grad()
-    F = f + problem.g.value(x_new)
-    wnorm = subgrad_witness_pg(x_new, y, tau, g_new, gy, 0.0, step)
     k = state.k + 1
     t_prev, t_cur = state.t_cur, t_next
     if restart and (k % 250 == 0 or _dot(y - x_new, step) > 0.0):
         t_prev, t_cur = 1.0, 1.0
+    f, grad, z_new = problem.smooth(x_new)
+    g_new, ahead = _accepted_grads(grad, x_new, step, z_new, state.z,
+                                   nesterov_beta(t_prev, t_cur)[0])
+    F = f + problem.g.value(x_new)
+    wnorm = subgrad_witness_pg(x_new, y, tau, g_new, gy, 0.0, step)
     new_state = IterateState(
         x=x_new, x_prev=x, window=None, t_prev=t_prev, t_cur=t_cur, k=k,
-        grad_x=g_new, z=z_new, z_prev=state.z,
+        grad_x=g_new, z=z_new, z_prev=state.z, ahead=ahead,
     )
     return new_state, step_record(None, k, F, F, _sq(step), wnorm, beta, tau), None
 
@@ -337,9 +369,10 @@ def fista_run(problem, x0, config, restart=False):
     the step direction (<y^k - x^{k+1}, x^{k+1} - x^k> > 0).
 
     Each iterate is evaluated once, for its objective and the gradient the
-    witness and a zero-extrapolation step reuse; y^k is evaluated only when
-    it differs from x^k, from the extrapolated linear images of the
-    iterates (see `IterateState`)."""
+    witness and a zero-extrapolation step reuse. y^k is never evaluated:
+    where it differs from x^k, its gradient came with grad f(x^k) from one
+    product, asked by the step that accepted x^k once the restart test had
+    fixed beta_k (see `IterateState.ahead`)."""
     tau = 1.0 / problem.lipschitz
     state, record = start_state(problem, x0)
     record.tau1 = tau

@@ -30,7 +30,16 @@ class CompositeProblem:
     logistic model the margins A_tilde x), or None for a problem without
     one. A caller that already knows that image of x (a solver
     extrapolates the carried z of its iterates like the iterates
-    themselves) passes it as `z` and skips computing it. `g` is the
+    themselves) passes it as `z` and skips computing it.
+
+    grad(ahead) with a look-ahead point ahead = (y, z_y) returns the pair
+    (grad f(x), grad f(y)) instead, where z_y is y's linear image or None
+    (the problem then forms it, if it has one). The PG solvers ask for it
+    at the next step's extrapolated point, so a problem with a linear map
+    can take both gradients in one product with its transpose (the
+    logistic model forms only the weights at y, not its loss). Every
+    problem implements the argument; one without a shared product may
+    evaluate y on its own. `g` is the
     regularizer, any object with `value(x)` and `prox(v, tau)` (a
     `prox.ProxSpec`). `operator_norm` is the spectral norm of the linear
     map, where there is one.
@@ -154,15 +163,32 @@ def logreg_value_grad(x, instance, z=None):
 
     value = sum_i log(1+exp(-b_i (A_tilde x)_i)) + (mu/2)||x||^2, computed
     overflow-safe. Returns (value, grad), where grad() forms the gradient
-    A_tilde^T d + mu*x from the loss terms' d when it is called. `z` may
-    pass the margins A_tilde x when the caller has them; the value then
-    takes no product with A_tilde, and the gradient one, A_tilde^T d.
+    A_tilde^T w + mu*x from the loss terms' weights w when it is called. `z`
+    may pass the margins A_tilde x when the caller has them; the value then
+    takes no product with A_tilde, and the gradient one, A_tilde^T w.
+
+    grad((y, z_y)) returns (grad f(x), grad f(y)) from one product
+    A_tilde^T [w w_y], where w_y are the weights at y alone (no loss), from
+    its margins z_y, or from A_tilde y when z_y is None. That product costs
+    about what one A_tilde^T w does, since reading A_tilde is its cost, and
+    its columns differ from the single product's in the last bits.
     """
+    A, b, mu = instance.A_tilde, instance.b, instance.mu
     if z is None:
-        z = instance.A_tilde @ x
-    loss, w = kernels.logistic_loss_terms(z, instance.b)
-    value = float(np.sum(loss)) + 0.5 * instance.mu * float(x @ x)
-    return value, lambda: instance.A_tilde.T @ w + instance.mu * x
+        z = A @ x
+    loss, w = kernels.logistic_loss_terms(z, b)
+    value = float(np.sum(loss)) + 0.5 * mu * float(x @ x)
+
+    def grad(ahead=None):
+        if ahead is None:
+            return A.T @ w + mu * x
+        y, z_y = ahead
+        if z_y is None:
+            z_y = A @ y
+        G = A.T @ np.column_stack((w, kernels.logistic_weights(z_y, b)))
+        return G[:, 0] + mu * x, G[:, 1] + mu * y
+
+    return value, grad
 
 
 # The l0 prox leaves few nonzeros in an iterate, so `logreg_problem` forms

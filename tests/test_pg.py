@@ -8,7 +8,7 @@ import pytest
 
 from testkit import f_grad, flat_problem, objective, quadratic_problem, trace_csv_string
 from nmdesc.linalg import RngStream
-from nmdesc.nls import nesterov_beta
+from nmdesc.nls import extrapolation, nesterov_beta
 from nmdesc.pg import (
     PgConfig,
     backtrack_bound_pg,
@@ -330,16 +330,17 @@ def small_logreg(seed=0):
 def counting(problem):
     """The problem with its `smooth` oracle counted; returns (problem, log,
     asked), where log gets one entry per evaluation, whether z was passed
-    in, and asked one per gradient asked of an evaluation."""
+    in, and asked one per gradient product asked of an evaluation, whether
+    it carried a look-ahead point (which it forwards)."""
     log, asked = [], []
 
     def smooth(x, z=None):
         log.append(z is not None)
         value, grad, z_out = problem.smooth(x, z)
 
-        def counted_grad():
-            asked.append(True)
-            return grad()
+        def counted_grad(ahead=None):
+            asked.append(ahead is not None)
+            return grad() if ahead is None else grad(ahead)
 
         return value, counted_grad, z_out
 
@@ -347,8 +348,20 @@ def counting(problem):
 
 
 def from_scratch(problem):
-    """The problem without a linear image: every evaluation starts from x."""
-    return replace(problem, smooth=lambda x, z=None: problem.smooth(x)[:2] + (None,))
+    """The problem without a linear image: every evaluation starts from its
+    point, and a look-ahead point is evaluated on its own."""
+
+    def smooth(x, z=None):
+        value, grad, _ = problem.smooth(x)
+
+        def grad_from_scratch(ahead=None):
+            if ahead is None:
+                return grad()
+            return grad(), problem.smooth(ahead[0])[1]()
+
+        return value, grad_from_scratch, None
+
+    return replace(problem, smooth=smooth)
 
 
 def pg_steps(problem, cfg, x0, steps):
@@ -388,43 +401,81 @@ def reference_fista(problem, x0, config, restart=False):
     return out
 
 
+def counted_steps(problem, cfg, x0, steps):
+    """`pg_steps` on the `counting` view of the problem, with each step's
+    own counts: (state before, new state, record, init, counts), where
+    counts = (evaluations, evaluations given z, gradient products,
+    products with a look-ahead point)."""
+    prob, log, asked = counting(problem)
+    cfg = cfg.validated(prob.lipschitz)
+    state, _ = start_state(prob, x0, cfg)
+    assert (len(log), len(asked)) == (1, 1)  # the start point
+    out = []
+    for _ in range(steps):
+        del log[:], asked[:]
+        new_state, rec, init = pg_step(state, prob, cfg)
+        counts = (len(log), sum(log), len(asked), sum(asked))
+        out.append((state, new_state, rec, init, counts))
+        state = new_state
+    return cfg, out
+
+
+def assert_exact_step_counts(cfg, steps):
+    """Each step evaluates each trial candidate once and y only at trials
+    l >= 1 with beta > 0 (from the extrapolated margins); it asks one
+    gradient product at the accepted candidate, carrying the look-ahead
+    point exactly when the next step's beta0 > 0, and one per y it
+    evaluated. Returns the number of y evaluations."""
+    at_y = 0
+    for _, new, rec, init, counts in steps:
+        trials = rec.backtracks + 1
+        with_y = rec.backtracks if init["beta0"] > 0.0 else 0
+        ahead = extrapolation(cfg, new.t_prev, new.t_cur)[0] > 0.0
+        assert (new.ahead is not None) == ahead
+        assert counts == (trials + with_y, with_y, 1 + with_y, int(ahead))
+        at_y += with_y
+    return at_y
+
+
 class TestOracleEvaluations:
     @pytest.mark.parametrize("name", ["pgenls", "pgnls", "pgels", "pgls"])
     def test_evaluations_per_step(self, name):
         inst, prob = small_logreg()
-        prob, log, _ = counting(prob)
         base = PgConfig(max_iters=50, stop_tol=0.0, tau0=10.0 / prob.operator_norm)
-        cfg, steps = pg_steps(prob, variant_config(name, base),
-                              np.zeros(inst.p + 1), 50)
-        expected = 1  # the start point
-        extrapolated = 0
-        for _, _, rec, init in steps:
-            trials = rec.backtracks + 1
-            # one evaluation per trial candidate, one more at y when beta > 0
-            with_y = trials if init["beta0"] > 0.0 else 0
-            expected += trials + with_y
-            extrapolated += with_y
-        assert len(log) == expected
-        # every evaluation at y gets the extrapolated margins
-        assert sum(log) == extrapolated
+        cfg, steps = counted_steps(prob, variant_config(name, base),
+                                   np.zeros(inst.p + 1), 50)
+        assert_exact_step_counts(cfg, steps)
+        look_aheads = sum(counts[3] for *_, counts in steps)
         if name in ("pgnls", "pgls"):
-            assert extrapolated == 0
+            assert look_aheads == 0
         else:
-            assert extrapolated > 0
+            # an accepted first trial with beta > 0: one product, no y
+            first = [counts for *_, rec, init, counts in steps
+                     if init["beta0"] > 0.0 and rec.backtracks == 0]
+            assert first and all(c[:3] == (1, 0, 1) for c in first)
+            assert look_aheads > 40
 
     def test_gradients_only_where_used(self):
-        # a rejected candidate's gradient is never asked for: one at the
-        # start, one per accepted candidate, one at each extrapolated y
+        # a rejected candidate's gradient is never asked for: one product
+        # at the start, one per accepted candidate, one per y evaluated
         inst, prob = desk_logreg()
-        prob, _, asked = counting(prob)
         base = PgConfig(stop_tol=0.0, tau0=10.0 / prob.operator_norm)
-        _, steps = pg_steps(prob, variant_config("pgenls", base),
-                            np.zeros(inst.p + 1), 50)
-        at_y = sum(rec.backtracks + 1 for _, _, rec, init in steps
-                   if init["beta0"] > 0.0)
-        rejected = sum(rec.backtracks for _, _, rec, _ in steps)
-        assert at_y > 0 and rejected > 0
-        assert len(asked) == 1 + len(steps) + at_y
+        cfg, steps = counted_steps(prob, variant_config("pgenls", base),
+                                   np.zeros(inst.p + 1), 50)
+        rejected = sum(rec.backtracks for _, _, rec, _, _ in steps)
+        at_y = assert_exact_step_counts(cfg, steps)
+        assert rejected > 0 and at_y > 0
+        assert sum(counts[2] for *_, counts in steps) == len(steps) + at_y
+
+    @pytest.mark.parametrize("name", ["pgnls", "pgls"])
+    def test_no_look_ahead_without_extrapolation(self, name):
+        inst, prob = desk_logreg()
+        prob, log, asked = counting(prob)
+        base = PgConfig(stop_tol=1e-6, tau0=10.0 / prob.operator_norm)
+        result = pg_run(prob, np.zeros(inst.p + 1), variant_config(name, base))
+        assert result.reason == "tolerance"
+        assert len(asked) == len(result.records) and not any(asked)
+        assert not any(log)
 
     def test_run_evaluates_start_once(self):
         inst, prob = small_logreg()
@@ -438,13 +489,21 @@ class TestOracleEvaluations:
     @pytest.mark.parametrize("restart", [False, True])
     def test_fista_evaluates_each_point_once(self, restart):
         inst, prob = small_logreg()
-        prob, log, _ = counting(prob)
-        result = fista_run(prob, np.zeros(inst.p + 1),
+        counted, log, asked = counting(prob)
+        result = fista_run(counted, np.zeros(inst.p + 1),
                            PgConfig(max_iters=50, stop_tol=0.0), restart=restart)
-        at_y = sum(1 for r in result.records[1:] if r.beta > 0.0)
-        # the start, each new iterate, and y^k wherever it differs from x^k
-        assert len(log) == 1 + 50 + at_y
-        assert sum(log) == at_y
+        # the weights of steps 2..51: step k asked for the look-ahead at
+        # y^{k+1} exactly when beta_{k+1} > 0 (step 51 from a longer run)
+        longer = fista_run(prob, np.zeros(inst.p + 1),
+                           PgConfig(max_iters=51, stop_tol=0.0), restart=restart)
+        betas = [r.beta for r in longer.records[2:]]
+        # the start and each new iterate, never y^k; one gradient product
+        # at each, with y^{k+1} wherever it differs from x^{k+1}
+        assert len(log) == 1 + 50 and not any(log)
+        assert len(asked) == 1 + 50
+        assert asked == [False] + [beta > 0.0 for beta in betas]
+        if restart:
+            assert 0.0 in betas
 
 
 class TestCarriedValues:
@@ -477,6 +536,40 @@ class TestCarriedValues:
                for r in result.records]
         assert got == reference_fista(prob, np.zeros(inst.p + 1), cfg, restart)
         assert all(r.potential == r.objective for r in result.records)
+
+    @pytest.mark.parametrize("size, drop_margins", [
+        ("small", False),  # 60 x 301: dense margins
+        ("desk", False),   # 200 x 2001: margins over the support
+        ("desk", True),    # no z_y: the problem forms y's margins itself
+    ])
+    def test_look_ahead_matches_fresh_gradients(self, size, drop_margins):
+        inst, prob = desk_logreg() if size == "desk" else small_logreg()
+        worst, seen = [0.0, 0.0], []
+
+        def rel(g, ref):
+            return np.linalg.norm(g - ref) / np.linalg.norm(ref)
+
+        def smooth(x, z=None):
+            value, grad, z_out = prob.smooth(x, z)
+
+            def checked_grad(ahead=None):
+                if ahead is None:
+                    return grad()
+                y, z_y = ahead
+                gx, gy = grad((y, None if drop_margins else z_y))
+                worst[0] = max(worst[0], rel(gx, f_grad(prob, x)))
+                worst[1] = max(worst[1], rel(gy, f_grad(prob, y)))
+                seen.append(z_y is not None)
+                return gx, gy
+
+            return value, checked_grad, z_out
+
+        checked = replace(prob, smooth=smooth)
+        base = PgConfig(stop_tol=0.0, tau0=10.0 / prob.operator_norm)
+        pg_steps(checked, variant_config("pgenls", base), np.zeros(inst.p + 1), 50)
+        # the solver always has y's margins to give
+        assert len(seen) > 40 and all(seen)
+        assert worst[0] <= 1e-13 and worst[1] <= 1e-13
 
     def test_extrapolated_margins_match_scratch_gradient(self):
         inst, prob = desk_logreg()

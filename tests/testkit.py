@@ -25,8 +25,12 @@ def quadratic_problem(A=None, dim=2, lam=0.0):
     L = float(np.linalg.eigvalsh(A).max())
 
     def smooth(x, z=None):
-        grad = A @ x
-        return 0.5 * float(x @ grad), lambda: grad, None
+        g = A @ x
+
+        def grad(ahead=None):
+            return g if ahead is None else (g, A @ ahead[0])
+
+        return 0.5 * float(x @ g), grad, None
 
     return CompositeProblem(
         smooth=smooth,
@@ -47,8 +51,16 @@ def f_grad(problem, x):
 
 def flat_problem():
     """F identically zero: every point is a fixed point."""
+
+    def smooth(x, z=None):
+        def grad(ahead=None):
+            g = np.zeros_like(x)
+            return g if ahead is None else (g, np.zeros_like(ahead[0]))
+
+        return 0.0, grad, None
+
     return CompositeProblem(
-        smooth=lambda x, z=None: (0.0, lambda: np.zeros_like(x), None),
+        smooth=smooth,
         g=ProxSpec(kind="l0_vector", lam=0.0),
         lipschitz=1.0,
     )
