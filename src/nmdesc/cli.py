@@ -299,14 +299,10 @@ def cmd_bench(args):
         name: dict(cfg.get(f"solver.{name}", {})) for name in solvers
     }
 
-    def trial(t):
-        return _bench_trial(cfg, solvers, solver_opts, base_seed, t, lam)
-
-    if args.jobs == 1:
-        trial_out = list(map(trial, range(trials)))
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            trial_out = list(pool.map(trial, range(trials)))
+    with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        trial_out = list(pool.map(
+            lambda t: _bench_trial(cfg, solvers, solver_opts, base_seed, t, lam),
+            range(trials)))
     results = [out for out, _ in trial_out]
     for t, (_, failed) in enumerate(trial_out):
         for name, message in failed.items():

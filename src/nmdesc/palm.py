@@ -206,23 +206,17 @@ def subgrad_witness_palm(state, points, taus, trial_grads, delta, steps):
     step sizes `taus` = (tau1, tau2), its trial gradients `trial_grads` =
     (grad_x H(x~, y^k), grad_y H(x^{k+1}, y~)), and the gradients at the
     new point that the state carries. `steps` is the step's (dx, dy) =
-    (x^{k+1} - x^k, y^{k+1} - y^k). With delta = 0 (the baselines) the
-    delta terms are not formed: adding their zeros would leave the norm's
-    bits unchanged."""
+    (x^{k+1} - x^k, y^{k+1} - y^k)."""
     x, y = state.x, state.y
     xt, yt = points
     tau1, tau2 = taus
     gx_trial, gy_trial = trial_grads
     dx, dy = steps
-    w1 = state.gx - gx_trial - (x - xt) / tau1
-    w2 = state.gy - gy_trial - (y - yt) / tau2
-    if delta == 0.0:
-        return math.sqrt(_sq(w1) + _sq(w2))
     # delta*(x_prev - x) is -(delta*dx) to the bit: rounding is symmetric
     w3 = delta * dx
     w4 = delta * dy
-    w1 += w3
-    w2 += w4
+    w1 = state.gx - gx_trial - (x - xt) / tau1 + w3
+    w2 = state.gy - gy_trial - (y - yt) / tau2 + w4
     return math.sqrt(_sq(w1) + _sq(w2) + _sq(w3) + _sq(w4))
 
 

@@ -111,12 +111,13 @@ class IterateState:
     it from y. The last step's difference d_prev = x^{k-1} - x^{k-2} and
     initialization tau_init_prev serve the BB initialization.
 
-    `ahead` is the pair (y, grad f(y)) at the point y = x^k +
+    `ahead` is the triple (beta0, y, grad f(y)) at the point y = x^k +
     beta0*(x^k - x^{k-1}) of the next step's first trial, where that
     step's beta0 > 0 (None otherwise): the step that accepted x^k knew
     beta0 and took grad f(y) in the same product as grad f(x^k) (see
     `_accepted_grads`), so a first trial with beta = beta0 evaluates
-    nothing at y.
+    nothing at y. That trial checks the carried beta0 against its own
+    (`_carried_ahead`).
     """
 
     x: np.ndarray
@@ -131,7 +132,7 @@ class IterateState:
     z_prev: np.ndarray = None          # linear image of x^{k-1}
     d_prev: np.ndarray = None          # x^{k-1} - x^{k-2}
     tau_init_prev: float = None
-    ahead: tuple = None                # (y, grad f(y)) of the next first trial
+    ahead: tuple = None                # (beta0, y, grad f(y)) of the next first trial
 
 
 def _extrapolate(z, z_prev, beta):
@@ -147,16 +148,31 @@ def _extrapolate(z, z_prev, beta):
 def _accepted_grads(grad, x_new, step, z_new, z, beta_next):
     """(grad f(x^{k+1}), ahead) for an accepted point x^{k+1} = x^k + step
     whose evaluation gave `grad` and the linear image z_new (z is x^k's).
-    When the next step's beta0 `beta_next` is positive, ahead is (y,
-    grad f(y)) at that step's first trial point y = x^{k+1} +
-    beta_next*step, with both gradients from one `grad((y, z_y))`; y and
+    When the next step's beta0 `beta_next` is positive, ahead is
+    (beta_next, y, grad f(y)) at that step's first trial point y = x^{k+1}
+    + beta_next*step, with both gradients from one `grad((y, z_y))`; y and
     its image z_y are formed as the next step would form them, to the
     bit. Otherwise ahead is None and grad() is asked alone."""
     if beta_next == 0.0:
         return grad(), None
     y = x_new + beta_next * step
     g_new, g_y = grad((y, _extrapolate(z_new, z, beta_next)))
-    return g_new, (y, g_y)
+    return g_new, (beta_next, y, g_y)
+
+
+def _carried_ahead(state, beta):
+    """(y, grad f(y)) of a first trial with beta = beta0 > 0, as the step
+    that accepted x^k formed them. A state that carries none, or one formed
+    with another beta (its Nesterov counters or beta_max changed since),
+    raises ValueError: its y is not this trial's."""
+    if state.ahead is None or state.ahead[0] != beta:
+        carried = None if state.ahead is None else state.ahead[0]
+        raise ValueError(
+            f"iteration {state.k}: the first trial has beta = {beta!r} but "
+            f"the state carries a look-ahead point for beta = {carried!r}; "
+            "a state must come from the step that accepted its iterate, "
+            "under the same config")
+    return state.ahead[1:]
 
 
 def bb_init_tau(d, d_prev, d_sq, grads, delta, tau_min, tau_max, prev_tau):
@@ -213,15 +229,10 @@ def backtrack_bound_pg(tau0, beta0, config, lipschitz):
 def subgrad_witness_pg(x_new, y, tau, grad_new, grad_y, delta, step):
     """Norm of the subgradient witness (wa, -delta*step) at z^{k+1} =
     (x^{k+1}, x^k), from the prox optimality condition of the accepted
-    step (y^k, tau_k); `step` is x^{k+1} - x^k. With delta = 0 (pgls,
-    FISTA) the delta term is not formed: adding its zeros would leave the
-    norm's bits unchanged."""
-    wa = grad_new - grad_y - (x_new - y) / tau
-    if delta == 0.0:
-        return math.sqrt(_sq(wa))
+    step (y^k, tau_k); `step` is x^{k+1} - x^k."""
     # delta*(x^k - x^{k+1}) is -(delta*step) to the bit: rounding is symmetric
     w = delta * step
-    wa += w
+    wa = grad_new - grad_y - (x_new - y) / tau + w
     return math.sqrt(_sq(wa) + _sq(w))
 
 
@@ -283,7 +294,7 @@ def pg_step(state, problem, config):
         if beta == 0.0:
             y, gy = x, gx
         elif l == 0:  # beta = beta0, which the last step formed y with
-            y, gy = state.ahead
+            y, gy = _carried_ahead(state, beta)
         else:
             y = x + beta * d
             _, grad_y, _ = problem.smooth(y, _extrapolate(z, state.z_prev, beta))
@@ -344,7 +355,7 @@ def _fista_step(state, problem, tau, restart):
     TraceRecord, None)."""
     x = state.x
     beta, t_next = nesterov_beta(state.t_prev, state.t_cur)
-    y, gy = (x, state.grad_x) if beta == 0.0 else state.ahead
+    y, gy = (x, state.grad_x) if beta == 0.0 else _carried_ahead(state, beta)
     x_new = problem.g.prox(y - tau * gy, tau)
     step = x_new - x
     k = state.k + 1

@@ -571,6 +571,23 @@ class TestCarriedValues:
         assert len(seen) > 40 and all(seen)
         assert worst[0] <= 1e-13 and worst[1] <= 1e-13
 
+    def test_look_ahead_must_match_the_first_trial(self):
+        # a carried y is read only by a first trial with the beta0 it was
+        # formed with; a state without one, or formed under another
+        # beta_max, raises instead of stepping from another point
+        inst, prob = small_logreg()
+        base = PgConfig(stop_tol=0.0, tau0=10.0 / prob.operator_norm)
+        cfg, steps = pg_steps(prob, variant_config("pgenls", base),
+                              np.zeros(inst.p + 1), 10)
+        state = steps[-1][1]
+        beta0 = state.ahead[0]
+        assert beta0 == extrapolation(cfg, state.t_prev, state.t_cur)[0] > 0.0
+        pg_step(state, prob, cfg)
+        with pytest.raises(ValueError, match="look-ahead point for beta = None"):
+            pg_step(replace(state, ahead=None), prob, cfg)
+        with pytest.raises(ValueError, match="look-ahead point for beta"):
+            pg_step(state, prob, replace(cfg, beta_max=beta0 / 2))
+
     def test_extrapolated_margins_match_scratch_gradient(self):
         inst, prob = desk_logreg()
         worst = [0.0, 0.0]
