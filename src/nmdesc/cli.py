@@ -16,7 +16,6 @@ config error, 3 solver failure, 4 I/O failure.
 """
 
 import argparse
-import concurrent.futures
 import csv
 import functools
 import math
@@ -49,8 +48,8 @@ from .trace import (
     write_trace_csv,
 )
 
-PG_SOLVERS = ("pgenls", "pgnls", "pgels", "pgls")
-PALM_SOLVERS = ("palmenls", "palmnls", "palmels", "palmls")
+PG_SOLVERS = tuple(pg.PG_VARIANTS)
+PALM_SOLVERS = tuple(palm.PALM_VARIANTS)
 BASELINES = ("fista", "refista", "palm", "palme")
 ALL_SOLVERS = PG_SOLVERS + PALM_SOLVERS + BASELINES
 
@@ -152,8 +151,8 @@ def solve(name, instance, options, seed, lam=None):
     """Dispatch one solver by name on an instance; returns a RunResult.
 
     The problem is built here for this solve alone: a matrix-completion
-    problem owns buffers that its oracles overwrite, so the trials that
-    `bench --jobs` runs on threads must not share one.
+    problem owns buffers that its oracles overwrite, so two solves must not
+    share one.
     """
     if name not in ALL_SOLVERS:
         raise UsageError(f"unknown solver {name!r}")
@@ -260,17 +259,17 @@ def cmd_run(args):
 
 
 def _bench_trial(cfg, solvers, solver_opts, base_seed, trial, lam):
-    """Run every solver of one bench trial; returns (name -> RunResult, or
-    None for a solver that failed; name -> failure message)."""
+    """Run every solver of one bench trial; returns name -> RunResult for
+    the solvers that succeeded, after a note on stderr for each that failed."""
     seed = base_seed + trial
     instance = build_instance(cfg["problem"], seed)
-    out, failed = {}, {}
+    out = {}
     for name in solvers:
         try:
             out[name] = solve(name, instance, solver_opts.get(name, {}), seed, lam=lam)
         except BacktrackCapError as e:
-            out[name], failed[name] = None, str(e)
-    return out, failed
+            print(f"note: solver {name} failed trial {trial}: {e}", file=sys.stderr)
+    return out
 
 
 def cmd_bench(args):
@@ -288,8 +287,6 @@ def cmd_bench(args):
     grid_points = int(bench.get("grid_points", 50))
     if grid_points < 2:
         raise UsageError("bench needs grid_points >= 2")
-    if args.jobs < 1:
-        raise UsageError("bench needs --jobs >= 1")
     lam = bench.get("lam")
     lam = None if lam is None else float(lam)
     out_dir = bench.get("out_dir", "bench_out")
@@ -299,46 +296,27 @@ def cmd_bench(args):
         name: dict(cfg.get(f"solver.{name}", {})) for name in solvers
     }
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        trial_out = list(pool.map(
-            lambda t: _bench_trial(cfg, solvers, solver_opts, base_seed, t, lam),
-            range(trials)))
-    results = [out for out, _ in trial_out]
-    for t, (_, failed) in enumerate(trial_out):
-        for name, message in failed.items():
-            print(f"note: solver {name} failed trial {t}: {message}", file=sys.stderr)
-
-    # persist per-trial traces and drop variants that failed every trial
-    alive = {name: 0 for name in solvers}
-    for t, trial_results in enumerate(results):
-        for name, result in trial_results.items():
-            if result is None:
-                continue
-            alive[name] += 1
-            write_trace_csv(
-                os.path.join(out_dir, f"trace_{name}_trial{t}.csv"),
-                result.records, zero_times=args.replay,
-            )
-    kept = [name for name in solvers if alive[name] > 0]
-    for name in solvers:
-        if alive[name] == 0:
-            print(f"note: solver {name} failed all trials; excluded", file=sys.stderr)
-    if len(kept) < 2:
-        raise SolverError("fewer than 2 solvers produced any successful trial")
-
-    # each trial's traces on the time axis; replay mode uses the iteration
-    # count as a deterministic stand-in for wall time
+    # persist each trial's traces and keep them on the time axis; replay
+    # mode uses the iteration count as a deterministic stand-in for wall time
+    alive = set()
     trial_traces = []
-    for trial_results in results:
+    for t in range(trials):
         traces = {}
-        for name in kept:
-            result = trial_results[name]
-            if result is not None:
-                trace = result.records
-                if args.replay:
-                    trace = trace.replace(time_s=trace.column("k").astype(np.float64))
-                traces[name] = trace
+        for name, result in _bench_trial(cfg, solvers, solver_opts, base_seed,
+                                         t, lam).items():
+            alive.add(name)
+            trace = result.records
+            write_trace_csv(os.path.join(out_dir, f"trace_{name}_trial{t}.csv"),
+                            trace, zero_times=args.replay)
+            if args.replay:
+                trace = trace.replace(time_s=trace.column("k").astype(np.float64))
+            traces[name] = trace
         trial_traces.append(traces)
+    for name in solvers:
+        if name not in alive:
+            print(f"note: solver {name} failed all trials; excluded", file=sys.stderr)
+    if len(alive) < 2:
+        raise SolverError("fewer than 2 solvers produced any successful trial")
 
     # shared evaluation grid
     t_max = max([0.0] + [trace.column("time_s")[-1].item()
@@ -350,7 +328,7 @@ def cmd_bench(args):
         raise SolverError("no trial had 2 or more successful solvers")
     # average each solver over the trials where it appears
     curves = {}
-    for name in kept:
+    for name in solvers:
         rows = [trial[name] for trial in per_trial if name in trial]
         if rows:
             curves[name] = np.mean(rows, axis=0)
@@ -494,8 +472,8 @@ def build_parser():
     b = sub.add_parser("bench", help="compare solvers, emit E(t) CSV and SVG")
     b.add_argument("config")
     b.add_argument("--replay", action="store_true")
-    b.add_argument("--jobs", type=int, default=1,
-                   help="max concurrent trials")
+    b.add_argument("--jobs", type=int, default=1, choices=(1,),
+                   help="trials run one after another; only 1 is accepted")
 
     d = sub.add_parser("diag", help="index-set diagnostics for a trace CSV")
     d.add_argument("trace")

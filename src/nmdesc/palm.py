@@ -60,6 +60,8 @@ class PalmConfig:
         for name in ("m", "max_backtracks"):
             if getattr(cfg, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
+        if not 0.0 <= cfg.beta_max < math.inf:
+            raise ValueError("beta_max must lie in [0, inf)")
         if not 0.0 < cfg.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if not 0.0 < cfg.alpha <= cfg.delta / 2.0:

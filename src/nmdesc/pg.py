@@ -56,6 +56,8 @@ class PgConfig:
         for name in ("m", "max_backtracks"):
             if getattr(cfg, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
+        if not 0.0 <= cfg.beta_max < math.inf:
+            raise ValueError("beta_max must lie in [0, inf)")
         if cfg.delta == 0.0:
             if cfg.beta_max != 0.0 or cfg.m != 0:
                 raise ValueError("delta=0 requires beta_max=0 and m=0")

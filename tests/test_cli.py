@@ -3,6 +3,7 @@
 import math
 import os
 import sys
+import threading
 from dataclasses import fields, replace
 
 import numpy as np
@@ -16,7 +17,7 @@ from testkit import (
     verify_H1_ref,
     verify_H2_ref,
 )
-from nmdesc import problems
+from nmdesc import cli, problems
 from nmdesc.cli import UsageError, _solver_config, main, parse_config, solve
 from nmdesc.diagnostics import TooShortToFit, evolution_curve, fit_rate
 from nmdesc.palm import PalmConfig
@@ -360,7 +361,6 @@ class TestBenchFailureLines:
     def test_each_failed_trial_is_reported(self, tmp_path, capsys, monkeypatch):
         # pgnls fails trial 1 only: bench keeps its other trial and says
         # which trial failed and why, once, on stderr
-        from nmdesc import cli
         from nmdesc.nls import BacktrackCapError
 
         solve_ = cli.solve
@@ -438,7 +438,7 @@ class TestBench:
         c1 = write_config(tmp_path / "c1.cfg", BENCH.format(out_dir=d1))
         c2 = write_config(tmp_path / "c2.cfg", BENCH.format(out_dir=d2))
         assert main(["bench", c1, "--replay"]) == 0
-        assert main(["bench", c2, "--replay", "--jobs", "2"]) == 0
+        assert main(["bench", c2, "--replay"]) == 0
         assert read_bytes(d1 / "bench_e.csv") == read_bytes(d2 / "bench_e.csv")
         traces = sorted(os.listdir(d1))
         assert traces == sorted(os.listdir(d2))
@@ -497,8 +497,21 @@ class TestBench:
         assert "grid_points" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("jobs", ["0", "-1"])
-    def test_nonpositive_jobs_rejected_before_solving(self, tmp_path, capsys, jobs):
+    def test_trials_run_on_the_calling_thread(self, tmp_path, capsys, monkeypatch):
+        threads = []
+        trial = cli._bench_trial
+
+        def recording(*args):
+            threads.append(threading.current_thread())
+            return trial(*args)
+
+        monkeypatch.setattr(cli, "_bench_trial", recording)
+        cfg = write_config(tmp_path / "c.cfg", BENCH.format(out_dir=tmp_path / "b"))
+        assert main(["bench", cfg, "--jobs", "1"]) == 0
+        assert threads == [threading.main_thread()] * 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-1", "2"])
+    def test_jobs_other_than_one_rejected_before_solving(self, tmp_path, capsys, jobs):
         out = tmp_path / "b"
         cfg = write_config(tmp_path / "c.cfg", BENCH.format(out_dir=out))
         assert main(["bench", cfg, "--jobs", jobs]) == 2

@@ -669,5 +669,8 @@ class TestConfig:
             PalmConfig(alpha=0.5, delta=0.01).validated(1.0)
         with pytest.raises(ValueError):
             PalmConfig(tau_lo=10.0).validated(1.0)
+        for beta_max in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="beta_max"):
+                PalmConfig(beta_max=beta_max).validated(1.0)
         with pytest.raises(ValueError):
             variant_config("nope")

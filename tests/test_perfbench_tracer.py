@@ -28,9 +28,9 @@ def test_tracer_installs_and_sees_the_solver_layers():
         assert cli._bench_trial is not originals[0]
         problem = {"kind": "logreg", "n": "30", "p": "50", "s": "3", "lam": "1.0"}
         opts = {"max_iters": "20", "stop_tol": "0"}
-        _, failed = cli._bench_trial({"problem": problem}, ["pgenls", "fista"],
-                                     {"pgenls": opts, "fista": opts}, 2, 0, None)
-        assert failed == {}
+        out = cli._bench_trial({"problem": problem}, ["pgenls", "fista"],
+                               {"pgenls": opts, "fista": opts}, 2, 0, None)
+        assert list(out) == ["pgenls", "fista"]
         tracer.mark()  # the PALM solve's spans in a phase of their own
         mc = problems.gen_mc(20, 20, 2, 200, 0.1, seed=3)
         cli.solve("palmenls", mc, {"max_iters": "5"}, seed=3)

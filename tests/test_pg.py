@@ -275,6 +275,9 @@ class TestRunAndVariants:
             PgConfig(alpha=0.01, delta=0.01).validated(prob.lipschitz)
         with pytest.raises(ValueError):
             PgConfig(tau_min=10.0).validated(prob.lipschitz)
+        for beta_max in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="beta_max"):
+                PgConfig(beta_max=beta_max).validated(prob.lipschitz)
         with pytest.raises(ValueError):
             variant_config("nope")
 
