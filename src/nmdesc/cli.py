@@ -12,7 +12,8 @@ Configs are flat ``key = value`` text with ``[section]`` headers. The env
 var NMDESC_SEED overrides any configured seed. Exit codes: 0 success
 (including a `rates` trace too short to fit, which says so, and a solve
 whose line search stalled on rounding, stop reason "stalled"), 2 usage or
-config error, 3 solver failure, 4 I/O failure.
+config error or a malformed instance file, 3 solver failure, 4 I/O
+failure.
 """
 
 import argparse

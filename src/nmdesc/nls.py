@@ -6,11 +6,14 @@ below the window maximum by at least (alpha/2) times the squared step
 length. `backtrack_params` is the one backtracking schedule of both
 families. A line search that exhausts its backtrack budget either stalled
 on rounding (`LineSearchStalled`) or failed (`BacktrackCapError`);
-`cap_error` tells which. `extrapolation` and `bb_ratio` give the two
+`cap_error` tells which. `nesterov` and `bb_ratio` give the two
 initializations of a line search, its extrapolation weight and its
-Barzilai-Borwein step. `PgConfig.validated` and `PalmConfig.validated`
-check the factors, the step-size floor, alpha, m and max_backtracks once
-per run, so nothing here checks them again per trial.
+Barzilai-Borwein step. Only the step that accepts an iterate calls
+`nesterov`, and the state it returns carries the decision, the counter t
+and the next step's weight beta0. `PgConfig.validated` and
+`PalmConfig.validated` check the factors, the step-size floor, alpha, m
+and max_backtracks once per run, so nothing here checks them again per
+trial.
 
 Every solver, line search or baseline, runs through `run_loop`: its start
 state comes with the window and record of `run_start`, and each accepted
@@ -52,20 +55,15 @@ def accept(candidate, window, alpha, step_sq):
     return candidate <= bound - 0.5 * alpha * step_sq
 
 
-def nesterov_beta(t_prev, t_cur):
-    """Extrapolation weight (t_{k-1}-1)/t_k and the next counter."""
-    if t_prev < 1.0 or t_cur < 1.0:
-        raise ValueError("Nesterov counters must be >= 1")
-    beta0 = (t_prev - 1.0) / t_cur
-    t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_cur * t_cur))
-    return beta0, t_next
-
-
-def extrapolation(config, t_prev, t_cur):
-    """(beta_{k,0}, t_{k+1}): a line search's initial extrapolation weight,
-    `nesterov_beta` capped at `config.beta_max`, and the next counter."""
-    beta0, t_next = nesterov_beta(t_prev, t_cur)
-    return min(beta0, config.beta_max), t_next
+def nesterov(t, beta_max):
+    """(beta, t_next) from the Nesterov counter t >= 1: the next counter
+    t_next = (1 + sqrt(1 + 4*t^2))/2 and the weight (t - 1)/t_next capped
+    at beta_max. The step that accepts x^k calls it with its own counter
+    to fix beta_{k,0}, the weight of the step from x^k."""
+    if t < 1.0:
+        raise ValueError("the Nesterov counter must be >= 1")
+    t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+    return min((t - 1.0) / t_next, beta_max), t_next
 
 
 def bb_ratio(d_sq, dh_sq, inner, lo, hi):

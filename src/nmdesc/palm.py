@@ -30,7 +30,7 @@ from .nls import (
     backtrack_params,
     bb_ratio,
     cap_error,
-    extrapolation,
+    nesterov,
     run_loop,
     run_start,
     step_record,
@@ -99,17 +99,17 @@ class BlockIterateState:
 
     `window` is the run's history window, a deque of the last m+1
     (k, potential) pairs that each step appends to (None for the
-    baselines), and t_prev, t_cur the Nesterov counters. The state carries
-    the coupling's gradients at (x, y): gx = grad_x H(x, y) and
-    gy = grad_y H(x, y), from the evaluation that gave the point's
-    objective. The next step reuses gx and gy in its Barzilai-Borwein
-    initialization, with the last initializations tau1_init_prev and
-    tau2_init_prev, and gx as the trial gradient of a zero-extrapolation
-    trial, whose x~ is x. After an accepted step the state also carries
-    that step's extrapolation weight beta_last and its trial's
-    gy_trial = grad_y H(x, y~): after a step with beta_last = 0, y~ is
-    y_prev, so gy_trial is the initialization's grad_y H(x, y_prev). The
-    baselines' start state has no gy.
+    baselines). The step that accepted (x, y) decided beta0, the next
+    step's extrapolation weight, from the Nesterov counter t
+    (`nls.nesterov`). The state carries the coupling's gradients at (x, y):
+    gx = grad_x H(x, y) and gy = grad_y H(x, y), from the evaluation that
+    gave the point's objective. The next step reuses gx and gy in its
+    Barzilai-Borwein initialization, with the last initializations
+    tau1_init_prev and tau2_init_prev, and gx as the trial gradient of a
+    zero-extrapolation trial, whose x~ is x. After a step with beta = 0,
+    whose y~ is y_prev, the state carries that trial's gradient gy_prev =
+    grad_y H(x, y_prev) for the initialization (else None). The baselines'
+    start state has no gy.
     """
 
     x: np.ndarray
@@ -117,13 +117,12 @@ class BlockIterateState:
     x_prev: np.ndarray
     y_prev: np.ndarray
     window: deque
-    t_prev: float = 1.0
-    t_cur: float = 1.0
+    t: float = 1.0
+    beta0: float = 0.0
     k: int = 0
     tau1_init_prev: float = None
     tau2_init_prev: float = None
-    beta_last: float = None  # extrapolation of the last accepted step
-    gy_trial: np.ndarray = None
+    gy_prev: np.ndarray = None  # grad_y H(x, y_prev), after a step with beta = 0
     gx: np.ndarray = None
     gy: np.ndarray = None
 
@@ -143,15 +142,14 @@ def bb_init_tau_blocks(state, problem, tau_lo, tau_hi, diffs):
     The x secant uses gradients at the CURRENT y^k; the y secant uses the
     CURRENT x^k. A zero block difference reuses the previous initialization.
     The gradients at (x^k, y^k) come from the state, and so does
-    grad_y H(x^k, y^{k-1}) after a step without extrapolation. `diffs` is
-    the state's `step_differences`.
+    grad_y H(x^k, y^{k-1}) after a step without extrapolation (`gy_prev`).
+    `diffs` is the state's `step_differences`.
     """
     dx, dy, dx_sq, dy_sq = diffs
     _, grad_x, _ = problem.coupling(state.x_prev, state.y)
     dhx = state.gx - grad_x()
-    if state.beta_last == 0.0:
-        gy_prev = state.gy_trial
-    else:
+    gy_prev = state.gy_prev
+    if gy_prev is None:
         _, _, grad_y = problem.coupling(state.x, state.y_prev)
         gy_prev = grad_y()
     dhy = state.gy - gy_prev
@@ -244,13 +242,13 @@ def palm_step(state, problem, config):
     for the initialization, the extrapolated points and the step norm; a
     trial forms its own differences x^{k+1} - x^k and y^{k+1} - y^k once,
     for the step norm and the potential, and the accepted trial's serve
-    the witness. Returns (state, TraceRecord, init dict of beta0, tau1_0
-    and tau2_0). The block moduli L1(y^k) and L2(x^{k+1}) are not computed
-    here: `palm_run` forms them for the whole run at its end. At the
-    backtrack cap it raises `nls.cap_error`'s exception, as `pg_step` does.
+    the witness. The accepted step decides the next beta0 (`nls.nesterov`).
+    Returns (state, TraceRecord, init dict of beta0, tau1_0 and tau2_0).
+    The block moduli L1(y^k) and L2(x^{k+1}) are not computed here:
+    `palm_run` forms them for the whole run at its end. At the backtrack
+    cap it raises `nls.cap_error`'s exception, as `pg_step` does.
     """
-    beta0, t_next = extrapolation(config, state.t_prev, state.t_cur)
-
+    beta0 = state.beta0
     diffs = step_differences(state)
     dx, dy, dx_sq, dy_sq = diffs
     if state.k >= 1:
@@ -290,11 +288,12 @@ def palm_step(state, problem, config):
         raise cap_error(state.k, config.max_backtracks, (x_new, y_new), ups,
                         state.window, config.alpha, step_sq)
 
+    beta_next, t_next = nesterov(state.t, config.beta_max)
     new_state = BlockIterateState(
         x=x_new, y=y_new, x_prev=state.x, y_prev=state.y,
-        window=state.window, t_prev=state.t_cur, t_cur=t_next, k=state.k + 1,
-        tau1_init_prev=tau1_0, tau2_init_prev=tau2_0, beta_last=beta,
-        gy_trial=gy_trial, gx=grad_x(), gy=grad_y(),
+        window=state.window, t=t_next, beta0=beta_next, k=state.k + 1,
+        tau1_init_prev=tau1_0, tau2_init_prev=tau2_0,
+        gy_prev=gy_trial if beta == 0.0 else None, gx=grad_x(), gy=grad_y(),
     )
     wnorm = subgrad_witness_palm(new_state, (xt, yt), (tau1, tau2),
                                  (gx_trial, gy_trial), config.delta,
@@ -411,11 +410,7 @@ def palm_run(problem, x0, y0, config, trace_sink=None):
 def _baseline_step(state, problem, config, extrapolate):
     """One classical PALM (PALMe with `extrapolate`) iteration from `state`
     (see `palm_baseline_run`); returns (state, TraceRecord, None)."""
-    x, y = state.x, state.y
-    if extrapolate:
-        beta, t_next = extrapolation(config, state.t_prev, state.t_cur)
-    else:
-        beta, t_next = 0.0, state.t_cur
+    x, y, beta = state.x, state.y, state.beta0
     tau1 = 1.0 / max(problem.L1(y), 1e-12)
     if beta == 0.0:
         xt, yt, gx_trial = x, y, state.gx
@@ -431,10 +426,10 @@ def _baseline_step(state, problem, config, extrapolate):
     y_new = problem.g.prox(yt - tau2 * gy_trial, tau2)
     steps = (x_new - x, y_new - y)
     obj, grad_x, grad_y = problem.objective(x_new, y_new)
+    beta_next, t_next = nesterov(state.t, config.beta_max if extrapolate else 0.0)
     new_state = BlockIterateState(
-        x=x_new, y=y_new, x_prev=x, y_prev=y, window=None,
-        t_prev=state.t_cur, t_cur=t_next, k=state.k + 1,
-        gx=grad_x(), gy=grad_y(),
+        x=x_new, y=y_new, x_prev=x, y_prev=y, window=None, t=t_next,
+        beta0=beta_next, k=state.k + 1, gx=grad_x(), gy=grad_y(),
     )
     wnorm = subgrad_witness_palm(new_state, (xt, yt), (tau1, tau2),
                                  (gx_trial, gy_trial), 0.0, steps)

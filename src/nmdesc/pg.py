@@ -25,8 +25,7 @@ from .nls import (
     backtrack_params,
     bb_ratio,
     cap_error,
-    extrapolation,
-    nesterov_beta,
+    nesterov,
     run_loop,
     run_start,
     step_record,
@@ -102,31 +101,29 @@ class IterateState:
     """Solver state at z^k = (x^k, x^{k-1}): what the next step reads.
 
     `window` is the run's history window, a deque of the last m+1
-    (k, potential) pairs that each step appends to (None for FISTA), and
-    t_prev, t_cur the Nesterov counters. The oracle results of accepted
-    points are carried, so no point is evaluated twice: grad f(x^k) and
-    grad f(x^{k-1}) (asked of the evaluation that accepted each point)
-    serve the BB initialization, the witness and the zero-extrapolation
-    trial, and the linear images z of x^k and x^{k-1} (the problem's
-    `smooth` returns them; None if it has none) give the image of an
-    extrapolated point y = x^k + beta*(x^k - x^{k-1}) without evaluating
-    it from y. The last step's difference d_prev = x^{k-1} - x^{k-2} and
-    initialization tau_init_prev serve the BB initialization.
+    (k, potential) pairs that each step appends to (None for FISTA). The
+    step that accepted x^k decided beta0, the next step's extrapolation
+    weight, from the Nesterov counter t (`nls.nesterov`). The oracle
+    results of accepted points are carried, so no point is evaluated
+    twice: grad f(x^k) and grad f(x^{k-1}) (asked of the evaluation that
+    accepted each point) serve the BB initialization, the witness and the
+    zero-extrapolation trial, and the linear images z of x^k and x^{k-1}
+    (the problem's `smooth` returns them; None if it has none) give the
+    image of an extrapolated point y = x^k + beta*d without evaluating it
+    from y. The steps d = x^k - x^{k-1} and d_prev = x^{k-1} - x^{k-2}
+    and the last initialization tau_init_prev serve the BB initialization.
 
-    `ahead` is the triple (beta0, y, grad f(y)) at the point y = x^k +
-    beta0*(x^k - x^{k-1}) of the next step's first trial, where that
-    step's beta0 > 0 (None otherwise): the step that accepted x^k knew
-    beta0 and took grad f(y) in the same product as grad f(x^k) (see
-    `_accepted_grads`), so a first trial with beta = beta0 evaluates
-    nothing at y. That trial checks the carried beta0 against its own
-    (`_carried_ahead`).
+    `ahead` is the pair (y, grad f(y)) at the point y = x^k + beta0*d of
+    the next step's first trial, where beta0 > 0 (None otherwise), taken
+    in the same product as grad f(x^k) (see `_accepted_grads`): a first
+    trial with beta = beta0 evaluates nothing at y.
     """
 
     x: np.ndarray
-    x_prev: np.ndarray
+    d: np.ndarray                      # x^k - x^{k-1}
     window: deque
-    t_prev: float = 1.0
-    t_cur: float = 1.0
+    t: float = 1.0
+    beta0: float = 0.0
     k: int = 0
     grad_x: np.ndarray = None          # grad f(x^k)
     grad_x_prev: np.ndarray = None     # grad f(x^{k-1})
@@ -134,7 +131,7 @@ class IterateState:
     z_prev: np.ndarray = None          # linear image of x^{k-1}
     d_prev: np.ndarray = None          # x^{k-1} - x^{k-2}
     tau_init_prev: float = None
-    ahead: tuple = None                # (beta0, y, grad f(y)) of the next first trial
+    ahead: tuple = None                # (y, grad f(y)) of the next first trial
 
 
 def _extrapolate(z, z_prev, beta):
@@ -151,30 +148,15 @@ def _accepted_grads(grad, x_new, step, z_new, z, beta_next):
     """(grad f(x^{k+1}), ahead) for an accepted point x^{k+1} = x^k + step
     whose evaluation gave `grad` and the linear image z_new (z is x^k's).
     When the next step's beta0 `beta_next` is positive, ahead is
-    (beta_next, y, grad f(y)) at that step's first trial point y = x^{k+1}
-    + beta_next*step, with both gradients from one `grad((y, z_y))`; y and
+    (y, grad f(y)) at that step's first trial point y = x^{k+1} +
+    beta_next*step, with both gradients from one `grad((y, z_y))`; y and
     its image z_y are formed as the next step would form them, to the
     bit. Otherwise ahead is None and grad() is asked alone."""
     if beta_next == 0.0:
         return grad(), None
     y = x_new + beta_next * step
     g_new, g_y = grad((y, _extrapolate(z_new, z, beta_next)))
-    return g_new, (beta_next, y, g_y)
-
-
-def _carried_ahead(state, beta):
-    """(y, grad f(y)) of a first trial with beta = beta0 > 0, as the step
-    that accepted x^k formed them. A state that carries none, or one formed
-    with another beta (its Nesterov counters or beta_max changed since),
-    raises ValueError: its y is not this trial's."""
-    if state.ahead is None or state.ahead[0] != beta:
-        carried = None if state.ahead is None else state.ahead[0]
-        raise ValueError(
-            f"iteration {state.k}: the first trial has beta = {beta!r} but "
-            f"the state carries a look-ahead point for beta = {carried!r}; "
-            "a state must come from the step that accepted its iterate, "
-            "under the same config")
-    return state.ahead[1:]
+    return g_new, (y, g_y)
 
 
 def bb_init_tau(d, d_prev, d_sq, grads, delta, tau_min, tau_max, prev_tau):
@@ -253,7 +235,7 @@ def start_state(problem, x0, config=None):
     x0 = np.asarray(x0, dtype=np.float64)
     f0, grad0, z0 = problem.smooth(x0)
     window, record = run_start(config, f0 + problem.g.value(x0))
-    state = IterateState(x=x0.copy(), x_prev=x0.copy(), window=window,
+    state = IterateState(x=x0.copy(), d=np.zeros_like(x0), window=window,
                          grad_x=grad0(), z=z0, z_prev=z0)
     return state, record
 
@@ -261,26 +243,25 @@ def start_state(problem, x0, config=None):
 def pg_step(state, problem, config):
     """One outer iteration: backtracking inner loop until acceptance.
 
-    The step difference d = x^k - x^{k-1} and ||d||^2 are formed once, at
-    the top, for the initialization, the extrapolated points and the step
-    norm; a trial forms its step x^{k+1} - x^k and that step's squared norm
-    once, for the step norm and the potential, and the accepted trial's
-    serve the witness. Each trial candidate is evaluated once: its value
-    gives the potential and the record's objective, and only the accepted
-    one is asked for its gradient, carried as grad f(x^{k+1}). When the
-    next step's beta0 is positive, that gradient comes with the gradient at
-    the next step's first trial point from one product (`_accepted_grads`),
-    carried as the state's `ahead`: the first trial with beta = beta0 > 0
-    reads it, and a later trial with beta > 0 evaluates the gradient at its
-    y, from the extrapolated linear image of the iterates. Returns (new
-    state, TraceRecord, init dict).
+    The state's step d = x^k - x^{k-1} and ||d||^2, formed once, serve the
+    initialization, the extrapolated points and the step norm; a trial
+    forms its step x^{k+1} - x^k and that step's squared norm once, for
+    the step norm and the potential, and the accepted trial's serve the
+    witness and become the next state's d. Each trial candidate is
+    evaluated once: its value gives the potential and the record's
+    objective, and only the accepted one is asked for its gradient,
+    carried as grad f(x^{k+1}). The accepted step decides the next beta0
+    (`nls.nesterov`); when it is positive, that gradient comes with the
+    gradient at the next step's first trial point from one product
+    (`_accepted_grads`), carried as the state's `ahead`: the first trial
+    with beta = beta0 > 0 reads it, and a later trial with beta > 0
+    evaluates the gradient at its y, from the extrapolated linear image
+    of the iterates. Returns (new state, TraceRecord, init dict).
     When the inner loop exhausts its budget it raises `nls.cap_error`'s
     exception: LineSearchStalled if rounding alone rejected the last
     candidate, else BacktrackCapError carrying it.
     """
-    beta0, t_next = extrapolation(config, state.t_prev, state.t_cur)
-    x, gx, z = state.x, state.grad_x, state.z
-    d = x - state.x_prev
+    beta0, x, d, gx, z = state.beta0, state.x, state.d, state.grad_x, state.z
     d_sq = _sq(d)
     if state.k >= 1:
         tau0 = bb_init_tau(d, state.d_prev, d_sq, (gx, state.grad_x_prev),
@@ -296,7 +277,7 @@ def pg_step(state, problem, config):
         if beta == 0.0:
             y, gy = x, gx
         elif l == 0:  # beta = beta0, which the last step formed y with
-            y, gy = _carried_ahead(state, beta)
+            y, gy = state.ahead
         else:
             y = x + beta * d
             _, grad_y, _ = problem.smooth(y, _extrapolate(z, state.z_prev, beta))
@@ -317,14 +298,14 @@ def pg_step(state, problem, config):
         raise cap_error(state.k, config.max_backtracks, candidate, h_cand,
                         state.window, config.alpha, step_sq)
 
-    beta_next, _ = extrapolation(config, state.t_cur, t_next)
+    beta_next, t_next = nesterov(state.t, config.beta_max)
     grad_new, ahead = _accepted_grads(grad_cand, candidate, step, z_new, z,
                                       beta_next)
     wnorm = subgrad_witness_pg(candidate, y, tau, grad_new, gy, config.delta, step)
     new_state = IterateState(
-        x=candidate, x_prev=x, window=state.window, t_prev=state.t_cur,
-        t_cur=t_next, k=state.k + 1, grad_x=grad_new, grad_x_prev=gx,
-        z=z_new, z_prev=z, d_prev=d, tau_init_prev=tau0, ahead=ahead,
+        x=candidate, d=step, window=state.window, t=t_next, beta0=beta_next,
+        k=state.k + 1, grad_x=grad_new, grad_x_prev=gx, z=z_new, z_prev=z,
+        d_prev=d, tau_init_prev=tau0, ahead=ahead,
     )
     record = step_record(new_state.window, new_state.k, F_cand, h_cand, step_sq,
                          wnorm, beta, tau, backtracks=l)
@@ -355,31 +336,30 @@ def pg_run(problem, x0, config, trace_sink=None):
 def _fista_step(state, problem, tau, restart):
     """One FISTA iteration from `state` (see `fista_run`); returns (state,
     TraceRecord, None)."""
-    x = state.x
-    beta, t_next = nesterov_beta(state.t_prev, state.t_cur)
-    y, gy = (x, state.grad_x) if beta == 0.0 else _carried_ahead(state, beta)
+    x, beta = state.x, state.beta0
+    y, gy = (x, state.grad_x) if beta == 0.0 else state.ahead
     x_new = problem.g.prox(y - tau * gy, tau)
     step = x_new - x
     k = state.k + 1
-    t_prev, t_cur = state.t_cur, t_next
+    beta_next, t_next = nesterov(state.t, math.inf)
     if restart and (k % 250 == 0 or _dot(y - x_new, step) > 0.0):
-        t_prev, t_cur = 1.0, 1.0
+        beta_next, t_next = 0.0, 1.0  # the start state's
     f, grad, z_new = problem.smooth(x_new)
-    g_new, ahead = _accepted_grads(grad, x_new, step, z_new, state.z,
-                                   nesterov_beta(t_prev, t_cur)[0])
+    g_new, ahead = _accepted_grads(grad, x_new, step, z_new, state.z, beta_next)
     F = f + problem.g.value(x_new)
     wnorm = subgrad_witness_pg(x_new, y, tau, g_new, gy, 0.0, step)
     new_state = IterateState(
-        x=x_new, x_prev=x, window=None, t_prev=t_prev, t_cur=t_cur, k=k,
+        x=x_new, d=step, window=None, t=t_next, beta0=beta_next, k=k,
         grad_x=g_new, z=z_new, z_prev=state.z, ahead=ahead,
     )
     return new_state, step_record(None, k, F, F, _sq(step), wnorm, beta, tau), None
 
 
 def fista_run(problem, x0, config, restart=False):
-    """Fixed-step FISTA (tau = 1/L). With `restart`, the Nesterov counters
-    reset to 1 when k is a multiple of 250 or the momentum turns against
-    the step direction (<y^k - x^{k+1}, x^{k+1} - x^k> > 0).
+    """Fixed-step FISTA (tau = 1/L). With `restart`, the Nesterov counter
+    and weight reset to the start state's when k is a multiple of 250 or
+    the momentum turns against the step direction (<y^k - x^{k+1},
+    x^{k+1} - x^k> > 0).
 
     Each iterate is evaluated once, for its objective and the gradient the
     witness and a zero-extrapolation step reuse. y^k is never evaluated:

@@ -384,9 +384,10 @@ def mc_problem(instance, lam=None):
     asked for after later evaluations is still that of its own point: r is
     its own array, and D is rewritten at every entry of Omega whenever it
     holds another evaluation's residual. The segment form allocates no
-    buffer. Omega must hold distinct entries, as `gen_mc` makes it. `L1`
-    and `L2` are the exact moduli ||V||^2 and ||U||^2 (`linalg.spectral_sq`),
-    the top eigenvalues of the r x r Gram matrices that `gram` gives.
+    buffer. Omega must hold distinct entries, as `gen_mc` makes it and
+    `load_instance` checks. `L1` and `L2` are the exact moduli ||V||^2 and
+    ||U||^2 (`linalg.spectral_sq`), the top eigenvalues of the r x r Gram
+    matrices that `gram` gives.
     """
     lam = instance.lam if lam is None else float(lam)
     mu = instance.mu
@@ -506,7 +507,20 @@ class _Header(dict):
         raise ValueError(f"instance header has no {key}= field")
 
 
+def _check_fields(path, shapes, indices=()):
+    """Raise ValueError naming the first (field, array, shape) of `shapes`
+    off its shape, or (field, index, size) of `indices` outside [0, size)."""
+    for field, array, shape in shapes:
+        if array.shape != shape:
+            raise ValueError(f"{path}: {field} has shape {array.shape}, expected {shape}")
+    for field, index, size in indices:
+        if index.size and not 0 <= index.min() <= index.max() < size:
+            raise ValueError(f"{path}: {field} has an index outside [0, {size})")
+
+
 def load_instance(path):
+    """An instance `save_instance` wrote. Arrays off the header's shapes,
+    indices out of range or a repeated Omega pair raise ValueError."""
     with open(path) as f:
         header = f.readline().split()
         if not header:
@@ -519,6 +533,8 @@ def load_instance(path):
             b = np.array(f.readline().split(), dtype=np.float64)
             x_hat = np.array(f.readline().split(), dtype=np.float64)
             support = np.array(f.readline().split(), dtype=np.int64)
+            _check_fields(path, (("A", A, (n, p)), ("b", b, (n,)), ("x_hat", x_hat, (p,)),
+                                 ("support", support, (s,))), (("support", support, p),))
             return LogRegInstance(
                 A_tilde=_with_intercept(A), b=b, lam=float(params["lambda"]),
                 mu=float(params["mu"]), support=support, x_hat=x_hat,
@@ -534,6 +550,12 @@ def load_instance(path):
             rows = np.array(f.readline().split(), dtype=np.int64)
             cols = np.array(f.readline().split(), dtype=np.int64)
             obs = np.array(f.readline().split(), dtype=np.float64)
+            _check_fields(path, (("U_star", U_star, (n1, r_star)),
+                                 ("V_star", V_star, (n2, r_star)),
+                                 ("cols", cols, rows.shape), ("obs", obs, rows.shape)),
+                          (("rows", rows, n1), ("cols", cols, n2)))
+            if len(np.unique(rows * n2 + cols)) < len(rows):
+                raise ValueError(f"{path}: Omega repeats a (row, col) pair")
             return McInstance(
                 n1=n1, n2=n2, r_star=r_star, r=r,
                 rows=rows, cols=cols, obs=obs, sigma=float(params["sigma"]),

@@ -251,6 +251,46 @@ class TestRun:
         assert main(["run", cfg]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault, message", [
+        pytest.param(fault, message, id=fault.replace(" ", "-")) for fault, message in (
+            ("mc row out of range", "rows has an index outside [0, 6)"),
+            ("mc obs short", "obs has shape (8,), expected (9,)"),
+            ("mc pair repeated", "Omega repeats a (row, col) pair"),
+            ("logreg p over columns", "A has shape (5, 8), expected (5, 12)"),
+        )])
+    def test_malformed_instance_file_is_usage_error(self, tmp_path, capsys, fault,
+                                                    message):
+        # before the loader checked its arrays, the first two ended in an
+        # IndexError traceback and the last two solved silently (a repeated
+        # pair keeps one of its two residuals in the dense oracle form)
+        inst = tmp_path / "inst.txt"
+        if fault.startswith("mc"):
+            gen, solver = ["mc", "--n1", "6", "--n2", "5", "--rstar", "1",
+                           "--samples", "12"], "palmenls"
+        else:
+            gen, solver = ["logreg", "--n", "5", "--p", "8", "--s", "2"], "pgenls"
+        assert main(["gen", *gen, "--seed", "1", "--out", str(inst)]) == 0
+        lines = inst.read_text().splitlines()
+        rows, cols, obs = (line.split() for line in lines[-3:])
+        if fault == "mc row out of range":
+            rows[0] = "6"
+        elif fault == "mc obs short":
+            obs.pop()
+        elif fault == "mc pair repeated":
+            for tokens in (rows, cols, obs):
+                tokens.append(tokens[0])
+        else:
+            lines[0] = lines[0].replace(" p=8 ", " p=12 ")
+        if fault.startswith("mc"):
+            lines[-3:] = (" ".join(v) for v in (rows, cols, obs))
+        inst.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path / "c.cfg",
+                           f"[problem]\ninstance = {inst}\n[solver]\nname = {solver}\n"
+                           f"[output]\ntrace = {tmp_path / 't.csv'}\n")
+        capsys.readouterr()
+        assert main(["run", cfg]) == 2
+        assert message in capsys.readouterr().err
+
     def test_backtrack_cap_writes_partial_trace(self, tmp_path, capsys):
         trace = tmp_path / "partial.csv"
         cfg = write_config(

@@ -2,10 +2,10 @@
 
 import math
 from collections import deque
-from types import SimpleNamespace
 
 import pytest
 
+from testkit import nesterov_ref
 from nmdesc.nls import (
     BacktrackCapError,
     LineSearchStalled,
@@ -14,8 +14,7 @@ from nmdesc.nls import (
     backtrack_params,
     bb_ratio,
     cap_error,
-    extrapolation,
-    nesterov_beta,
+    nesterov,
     stalled,
     window_max,
 )
@@ -197,12 +196,13 @@ def test_window_max_nonincreasing_over_accepted_sequence():
 
 class TestExtrapolation:
     def test_nesterov_rule_caps_the_weight(self):
-        t_prev, t_cur = 3.0, 4.0
-        beta, t_next = nesterov_beta(t_prev, t_cur)
-        cfg = SimpleNamespace(beta_max=0.25)
-        assert extrapolation(cfg, t_prev, t_cur) == (0.25, t_next)
-        cfg.beta_max = 1.0
-        assert extrapolation(cfg, t_prev, t_cur) == (beta, t_next)
+        # from counter t, the weight the two-counter recurrence gives at
+        # counters (t, t_next), capped
+        t = 4.0
+        _, t_next = nesterov_ref(1.0, t)
+        beta, _ = nesterov_ref(t, t_next)
+        assert nesterov(t, 0.25) == (0.25, t_next)
+        assert nesterov(t, 1.0) == (beta, t_next)
 
 
 class TestBbRatio:

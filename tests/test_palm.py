@@ -9,10 +9,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from testkit import trace_csv_string
+from testkit import nesterov_ref, trace_csv_string
 from nmdesc.linalg import RngStream
 from nmdesc import palm as palm_mod
-from nmdesc.nls import BacktrackCapError, accept, nesterov_beta, window_max
+from nmdesc.nls import BacktrackCapError, accept, window_max
 from nmdesc.palm import (
     BlockIterateState,
     PalmConfig,
@@ -227,7 +227,7 @@ class TestSafeBetaBound:
         state = start_state(prob, rng.standard_normal(2), rng.standard_normal(2),
                             cfg)[0]
         # Nesterov counters at 10 give the weight 0.9, capped at beta_max
-        state.t_prev = state.t_cur = 10.0
+        state.t, state.beta0 = 10.0, min(nesterov_ref(10.0, 10.0)[0], beta)
         # give the state a nonzero previous step so extrapolation is active
         state.x_prev = state.x - 0.01 * rng.standard_normal(2)
         state.y_prev = state.y - 0.01 * rng.standard_normal(2)
@@ -261,15 +261,20 @@ class TestWitnessAndInvariants:
                 state,
                 gx=grad_x(prob, state.x, state.y),
                 gy=grad_y(prob, state.x, state.y),
-                gy_trial=grad_y(prob, state.x, yt),
-                beta_last=None,  # BB evaluates grad_y H(x^k, y^{k-1}) itself
+                gy_prev=None,  # BB evaluates grad_y H(x^k, y^{k-1}) itself
             )
-            for name in ("gx", "gy", "gy_trial"):
+            for name in ("gx", "gy"):
                 assert np.array_equal(getattr(state, name), getattr(ref, name))
+            # carried only after a step with beta = 0, whose y~ is y^{k-1}
+            assert (state.gy_prev is None) == (rec.beta > 0.0)
+            if state.gy_prev is not None:
+                assert np.array_equal(state.gy_prev,
+                                      grad_y(prob, state.x, state.y_prev))
             diffs = step_differences(state)
             norm = subgrad_witness_palm(
                 ref, (xt, yt), (rec.tau1, rec.tau2),
-                (grad_x(prob, xt, state.y_prev), ref.gy_trial), vcfg.delta, diffs[:2])
+                (grad_x(prob, xt, state.y_prev), grad_y(prob, state.x, yt)),
+                vcfg.delta, diffs[:2])
             assert rec.witness_norm == norm
             assert bb_init_tau_blocks(state, prob, vcfg.tau_lo, vcfg.tau_hi, diffs) == \
                 bb_init_tau_blocks(ref, prob, vcfg.tau_lo, vcfg.tau_hi, diffs)
@@ -476,7 +481,7 @@ def reference_palm(prob, x0, y0, cfg, iters, t0=1.0):
     taus = (None, None)
     out = [(0, ups, ups, 0.0, math.inf, 0.0, 0.0, 0.0, 0, 0)]
     for k in range(iters):
-        beta0, t_next = nesterov_beta(t_prev, t_cur)
+        beta0, t_next = nesterov_ref(t_prev, t_cur)
         beta0 = min(beta0, cfg.beta_max)
         if k >= 1:
             bare = point_state(prob, x, y, xp, yp, window=None,
@@ -537,7 +542,7 @@ def reference_baseline(prob, x0, y0, cfg, extrapolate):
     out = [(0, prob.objective(x, y)[0], 0.0, math.inf, 0.0, 0.0, 0.0)]
     for k in range(cfg.max_iters):
         if extrapolate:
-            beta, t_next = nesterov_beta(t_prev, t_cur)
+            beta, t_next = nesterov_ref(t_prev, t_cur)
             beta = min(beta, cfg.beta_max)
         else:
             beta, t_next = 0.0, t_cur
@@ -593,7 +598,7 @@ class TestZeroExtrapolationReuse:
         cfg = palm_run(prob, u0, v0, PalmConfig(max_iters=0, beta_max=0.3)
                        ).extras["config"]
         state, record = start_state(prob, u0, v0, cfg)
-        state.t_prev = state.t_cur = 10.0
+        state.t, state.beta0 = 10.0, min(nesterov_ref(10.0, 10.0)[0], cfg.beta_max)
         records, inits = [record], []
         for _ in range(50):
             state, record, init = palm_step(state, prob, cfg)
@@ -606,10 +611,14 @@ class TestZeroExtrapolationReuse:
         assert got == ref
         assert np.array_equal(state.x, x) and np.array_equal(state.y, y)
 
-    @pytest.mark.parametrize("extrapolate", [False, True])
-    def test_baseline_trace_equals_recomputation(self, extrapolate):
+    @pytest.mark.parametrize("extrapolate, beta_max", [
+        pytest.param(False, 1.0, id="False"),
+        pytest.param(True, 1.0, id="True"),
+        pytest.param(True, 0.3, id="True-beta_max-0.3"),
+    ])
+    def test_baseline_trace_equals_recomputation(self, extrapolate, beta_max):
         inst, prob, u0, v0 = mc_start(*MC_FORMS["dense"])
-        cfg = PalmConfig(max_iters=50, stop_tol=-1.0)
+        cfg = PalmConfig(max_iters=50, stop_tol=-1.0, beta_max=beta_max)
         result = palm_baseline_run(prob, u0, v0, cfg, extrapolate=extrapolate)
         got = [(r.k, r.objective, r.step_norm, r.witness_norm, r.beta, r.tau1, r.tau2)
                for r in result.records]

@@ -6,9 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from testkit import f_grad, flat_problem, objective, quadratic_problem, trace_csv_string
+from testkit import (
+    f_grad,
+    flat_problem,
+    nesterov_ref,
+    objective,
+    quadratic_problem,
+    trace_csv_string,
+)
 from nmdesc.linalg import RngStream
-from nmdesc.nls import extrapolation, nesterov_beta
+from nmdesc.nls import nesterov
 from nmdesc.pg import (
     PgConfig,
     backtrack_bound_pg,
@@ -55,21 +62,22 @@ class TestPotential:
 
 class TestNesterov:
     def test_seed_values(self):
-        beta0, t1 = nesterov_beta(1.0, 1.0)
-        assert beta0 == 0.0
+        # the start state's counter 1 gives the second step's weight
+        beta1, t1 = nesterov(1.0, 1.0)
+        assert beta1 == 0.0
         assert t1 == pytest.approx((1.0 + math.sqrt(5.0)) / 2.0)
 
     def test_second_beta_zero(self):
-        _, t1 = nesterov_beta(1.0, 1.0)
-        beta1, t2 = nesterov_beta(1.0, t1)
+        # steps 1 and 2 have weight 0, step 3 the first positive one
+        beta1, t1 = nesterov(1.0, 1.0)
         assert beta1 == 0.0
-        beta2, _ = nesterov_beta(t1, t2)
+        beta2, t2 = nesterov(t1, 1.0)
         assert beta2 == pytest.approx(0.2817, abs=1e-4)
         assert t2 == pytest.approx(2.1935, abs=1e-4)
 
     def test_counter_domain(self):
         with pytest.raises(ValueError):
-            nesterov_beta(0.5, 1.0)
+            nesterov(0.5, 1.0)
 
 
 def grads(problem, x, x_prev):
@@ -81,7 +89,7 @@ def extrapolated(state, beta):
     record's beta, formed as pg_step forms it."""
     if beta == 0.0:
         return state.x
-    return state.x + beta * (state.x - state.x_prev)
+    return state.x + beta * state.d
 
 
 def bb_from_points(problem, x2, x1, x0, delta, prev_tau):
@@ -390,7 +398,7 @@ def reference_fista(problem, x0, config, restart=False):
     t_prev, t_cur = 1.0, 1.0
     out = [(0, objective(problem, x), 0.0, 0.0, math.inf)]
     for k in range(config.max_iters):
-        beta, t_next = nesterov_beta(t_prev, t_cur)
+        beta, t_next = nesterov_ref(t_prev, t_cur)
         y = x if beta == 0.0 else x + beta * (x - x_prev)
         gy = f_grad(problem, y)
         x_new = problem.g.prox(y - tau * gy, tau)
@@ -428,12 +436,20 @@ def assert_exact_step_counts(cfg, steps):
     l >= 1 with beta > 0 (from the extrapolated margins); it asks one
     gradient product at the accepted candidate, carrying the look-ahead
     point exactly when the next step's beta0 > 0, and one per y it
-    evaluated. Returns the number of y evaluations."""
+    evaluated. Each step's beta0, and the beta its record shows, equal, bit
+    for bit, those of the two-counter recurrence capped at beta_max.
+    Returns the number of y evaluations."""
     at_y = 0
+    t_prev, t_cur = 1.0, 1.0
     for _, new, rec, init, counts in steps:
+        beta0, t_next = nesterov_ref(t_prev, t_cur)
+        beta0 = min(beta0, cfg.beta_max)
+        t_prev, t_cur = t_cur, t_next
+        assert init["beta0"] == beta0
+        assert rec.beta == beta0 * cfg.eta1**rec.backtracks
         trials = rec.backtracks + 1
-        with_y = rec.backtracks if init["beta0"] > 0.0 else 0
-        ahead = extrapolation(cfg, new.t_prev, new.t_cur)[0] > 0.0
+        with_y = rec.backtracks if beta0 > 0.0 else 0
+        ahead = new.beta0 > 0.0
         assert (new.ahead is not None) == ahead
         assert counts == (trials + with_y, with_y, 1 + with_y, int(ahead))
         at_y += with_y
@@ -441,13 +457,20 @@ def assert_exact_step_counts(cfg, steps):
 
 
 class TestOracleEvaluations:
-    @pytest.mark.parametrize("name", ["pgenls", "pgnls", "pgels", "pgls"])
-    def test_evaluations_per_step(self, name):
+    @pytest.mark.parametrize("name, beta_max", [
+        *(pytest.param(name, 1.0, id=name)
+          for name in ("pgenls", "pgnls", "pgels", "pgls")),
+        pytest.param("pgenls", 0.3, id="pgenls-beta_max-0.3"),
+    ])
+    def test_evaluations_per_step(self, name, beta_max):
         inst, prob = small_logreg()
-        base = PgConfig(max_iters=50, stop_tol=0.0, tau0=10.0 / prob.operator_norm)
+        base = PgConfig(max_iters=50, stop_tol=0.0, tau0=10.0 / prob.operator_norm,
+                        beta_max=beta_max)
         cfg, steps = counted_steps(prob, variant_config(name, base),
                                    np.zeros(inst.p + 1), 50)
         assert_exact_step_counts(cfg, steps)
+        if beta_max < 1.0:  # the cap decides most weights
+            assert sum(init["beta0"] == beta_max for *_, init, _ in steps) > 40
         look_aheads = sum(counts[3] for *_, counts in steps)
         if name in ("pgnls", "pgls"):
             assert look_aheads == 0
@@ -573,23 +596,6 @@ class TestCarriedValues:
         # the solver always has y's margins to give
         assert len(seen) > 40 and all(seen)
         assert worst[0] <= 1e-13 and worst[1] <= 1e-13
-
-    def test_look_ahead_must_match_the_first_trial(self):
-        # a carried y is read only by a first trial with the beta0 it was
-        # formed with; a state without one, or formed under another
-        # beta_max, raises instead of stepping from another point
-        inst, prob = small_logreg()
-        base = PgConfig(stop_tol=0.0, tau0=10.0 / prob.operator_norm)
-        cfg, steps = pg_steps(prob, variant_config("pgenls", base),
-                              np.zeros(inst.p + 1), 10)
-        state = steps[-1][1]
-        beta0 = state.ahead[0]
-        assert beta0 == extrapolation(cfg, state.t_prev, state.t_cur)[0] > 0.0
-        pg_step(state, prob, cfg)
-        with pytest.raises(ValueError, match="look-ahead point for beta = None"):
-            pg_step(replace(state, ahead=None), prob, cfg)
-        with pytest.raises(ValueError, match="look-ahead point for beta"):
-            pg_step(state, prob, replace(cfg, beta_max=beta0 / 2))
 
     def test_extrapolated_margins_match_scratch_gradient(self):
         inst, prob = desk_logreg()

@@ -66,6 +66,14 @@ def flat_problem():
     )
 
 
+def nesterov_ref(t_prev, t_cur):
+    """The two-counter Nesterov recurrence, independent of `nls.nesterov`:
+    the weight (t_prev - 1)/t_cur of a step from counters (t_prev, t_cur),
+    and the next counter (1 + sqrt(1 + 4*t_cur^2))/2. Counters start at
+    (1, 1) and shift to (t_cur, next) after each step."""
+    return (t_prev - 1.0) / t_cur, 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_cur * t_cur))
+
+
 def add_at_grads(U, V, rows, cols, obs):
     """Both block gradients of 0.5*||P_Omega(UV^T - M)||_F^2 by unbuffered
     scatter-adds over the observations: the reference for both forms of
