@@ -163,7 +163,7 @@ def solve(name, instance, options, seed, lam=None):
             raise UsageError(f"solver {name!r} needs a logreg instance")
         problem = problems.logreg_problem(instance, lam=lam)
         cfg = _solver_config(pg.PgConfig, options)
-        if cfg.tau0 is None and "tau0" not in options:
+        if cfg.tau0 is None:
             cfg = replace(cfg, tau0=10.0 / problem.operator_norm)
         if name in PG_SOLVERS:
             cfg = pg.variant_config(name, cfg)
@@ -206,24 +206,17 @@ def result_summary(name, instance, result):
 # -- subcommands -----------------------------------------------------------------
 
 def cmd_gen(args):
+    section = {key: str(value) for key, value in vars(args).items()
+               if value is not None and key not in ("command", "family", "seed", "out")}
+    instance = build_instance({"kind": args.family, **section}, args.seed)
+    problems.save_instance(args.out, instance)
     if args.family == "logreg":
-        instance = problems.gen_logreg(
-            n=args.n, p=args.p, s=args.s, seed=args.seed,
-            lam=args.lam, mu=args.mu,
-        )
-        problems.save_instance(args.out, instance)
         norm = problems.logreg_problem(instance).operator_norm
         print(
             f"logreg instance: n={instance.n} p={instance.p} s={instance.s} "
             f"seed={instance.seed} ||A~||={norm:.6g} -> {args.out}"
         )
     else:
-        instance = problems.gen_mc(
-            n1=args.n1, n2=args.n2, r_star=args.rstar,
-            num_samples=args.samples, sigma=args.sigma, seed=args.seed,
-            r=args.r, lam=args.lam, mu=args.mu,
-        )
-        problems.save_instance(args.out, instance)
         frac = instance.num_obs / (instance.n1 * instance.n2)
         print(
             f"mc instance: {instance.n1}x{instance.n2} rstar={instance.r_star} "
@@ -450,19 +443,19 @@ def build_parser():
     gl.add_argument("--p", type=int, required=True)
     gl.add_argument("--s", type=int, required=True)
     gl.add_argument("--seed", type=int, required=True)
-    gl.add_argument("--lam", type=float, default=0.1)
-    gl.add_argument("--mu", type=float, default=1e-10)
+    gl.add_argument("--lam", type=float)
+    gl.add_argument("--mu", type=float)
     gl.add_argument("--out", default="logreg_instance.txt")
     gm = fam.add_parser("mc")
     gm.add_argument("--n1", type=int, required=True)
     gm.add_argument("--n2", type=int, required=True)
     gm.add_argument("--rstar", type=int, required=True)
     gm.add_argument("--samples", type=int, required=True)
-    gm.add_argument("--sigma", type=float, default=0.1)
+    gm.add_argument("--sigma", type=float)
     gm.add_argument("--seed", type=int, required=True)
-    gm.add_argument("--r", type=int, default=None)
-    gm.add_argument("--lam", type=float, default=1.0)
-    gm.add_argument("--mu", type=float, default=1e-10)
+    gm.add_argument("--r", type=int)
+    gm.add_argument("--lam", type=float)
+    gm.add_argument("--mu", type=float)
     gm.add_argument("--out", default="mc_instance.txt")
 
     r = sub.add_parser("run", help="run one solver from a config file")

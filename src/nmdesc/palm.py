@@ -1,7 +1,8 @@
 """Proximal alternating linearized minimization with extrapolation and a
 nonmonotone line search, plus the classical PALM / PALMe baselines.
 
-State is the four-tuple z^k = (x^k, y^k, x^{k-1}, y^{k-1}); acceptance uses
+State is the four-tuple z^k = (x^k, y^k, x^{k-1}, y^{k-1}), carried as
+(x^k, y^k) and the steps from (x^{k-1}, y^{k-1}); acceptance uses
 the potential Upsilon_delta(z) = Psi(x, y) + (delta/2)(||x-u||^2+||y-v||^2).
 Named variants:
 
@@ -60,8 +61,7 @@ class PalmConfig:
         for name in ("m", "max_backtracks"):
             if getattr(cfg, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if not 0.0 <= cfg.beta_max < math.inf:
-            raise ValueError("beta_max must lie in [0, inf)")
+        check_beta_max(cfg.beta_max)
         if not 0.0 < cfg.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if not 0.0 < cfg.alpha <= cfg.delta / 2.0:
@@ -76,6 +76,12 @@ class PalmConfig:
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1)")
         return cfg
+
+
+def check_beta_max(beta_max):
+    """Raise ValueError unless the extrapolation cap lies in [0, inf)."""
+    if not 0.0 <= beta_max < math.inf:
+        raise ValueError("beta_max must lie in [0, inf)")
 
 
 PALM_VARIANTS = {
@@ -95,69 +101,52 @@ def variant_config(name, base=None):
 
 @dataclass
 class BlockIterateState:
-    """Iterate z^k = (x, y, x_prev, y_prev): what the next step reads.
+    """Iterate z^k = (x^k, y^k, x^{k-1}, y^{k-1}): all that the next step
+    reads, left by the step that accepted (x^k, y^k), so that the next one
+    evaluates the coupling only in its trials and at acceptance.
 
     `window` is the run's history window, a deque of the last m+1
     (k, potential) pairs that each step appends to (None for the
-    baselines). The step that accepted (x, y) decided beta0, the next
-    step's extrapolation weight, from the Nesterov counter t
-    (`nls.nesterov`). The state carries the coupling's gradients at (x, y):
-    gx = grad_x H(x, y) and gy = grad_y H(x, y), from the evaluation that
-    gave the point's objective. The next step reuses gx and gy in its
-    Barzilai-Borwein initialization, with the last initializations
-    tau1_init_prev and tau2_init_prev, and gx as the trial gradient of a
-    zero-extrapolation trial, whose x~ is x. After a step with beta = 0,
-    whose y~ is y_prev, the state carries that trial's gradient gy_prev =
-    grad_y H(x, y_prev) for the initialization (else None). The baselines'
-    start state has no gy.
+    baselines). beta0 is the next step's extrapolation weight, decided from
+    the Nesterov counter t (`nls.nesterov`). gx and gy come from the
+    evaluation that gave the point's objective; gx is also the trial
+    gradient of a zero-extrapolation trial. The Barzilai-Borwein
+    initialization reads the steps, gx, gy, the cross gradients gx_prev and
+    gy_prev (None in the start state and the baselines' states) and the
+    last initializations. The baselines' start state has no gy.
     """
 
     x: np.ndarray
     y: np.ndarray
-    x_prev: np.ndarray
-    y_prev: np.ndarray
+    dx: np.ndarray  # x^k - x^{k-1}
+    dy: np.ndarray  # y^k - y^{k-1}
     window: deque
     t: float = 1.0
     beta0: float = 0.0
     k: int = 0
     tau1_init_prev: float = None
     tau2_init_prev: float = None
-    gy_prev: np.ndarray = None  # grad_y H(x, y_prev), after a step with beta = 0
-    gx: np.ndarray = None
-    gy: np.ndarray = None
+    gx: np.ndarray = None       # grad_x H(x^k, y^k)
+    gy: np.ndarray = None       # grad_y H(x^k, y^k)
+    gx_prev: np.ndarray = None  # grad_x H(x^{k-1}, y^k)
+    gy_prev: np.ndarray = None  # grad_y H(x^k, y^{k-1})
 
 
-def step_differences(state):
-    """(x - x_prev, y - y_prev, ||x - x_prev||^2, ||y - y_prev||^2) of a
-    state: what its Barzilai-Borwein initialization, extrapolated points,
-    step norm and witness are formed from."""
-    dx = state.x - state.x_prev
-    dy = state.y - state.y_prev
-    return dx, dy, _sq(dx), _sq(dy)
+def bb_init_tau_blocks(state, tau_lo, tau_hi, dx_sq, dy_sq):
+    """Per-block Barzilai-Borwein initializations from the state alone.
 
-
-def bb_init_tau_blocks(state, problem, tau_lo, tau_hi, diffs):
-    """Per-block Barzilai-Borwein initializations.
-
-    The x secant uses gradients at the CURRENT y^k; the y secant uses the
-    CURRENT x^k. A zero block difference reuses the previous initialization.
-    The gradients at (x^k, y^k) come from the state, and so does
-    grad_y H(x^k, y^{k-1}) after a step without extrapolation (`gy_prev`).
-    `diffs` is the state's `step_differences`.
+    The x secant uses gradients at the CURRENT y^k, gx - gx_prev; the y
+    secant uses the CURRENT x^k, gy - gy_prev. dx_sq and dy_sq are
+    ||dx||^2 and ||dy||^2. A zero block difference reuses the previous
+    initialization.
     """
-    dx, dy, dx_sq, dy_sq = diffs
-    _, grad_x, _ = problem.coupling(state.x_prev, state.y)
-    dhx = state.gx - grad_x()
-    gy_prev = state.gy_prev
-    if gy_prev is None:
-        _, _, grad_y = problem.coupling(state.x, state.y_prev)
-        gy_prev = grad_y()
-    dhy = state.gy - gy_prev
+    dhx = state.gx - state.gx_prev
+    dhy = state.gy - state.gy_prev
     tau1, tau2 = state.tau1_init_prev, state.tau2_init_prev
     if dx_sq != 0.0:
-        tau1 = bb_ratio(dx_sq, _sq(dhx), _dot(dx, dhx), tau_lo, tau_hi)
+        tau1 = bb_ratio(dx_sq, _sq(dhx), _dot(state.dx, dhx), tau_lo, tau_hi)
     if dy_sq != 0.0:
-        tau2 = bb_ratio(dy_sq, _sq(dhy), _dot(dy, dhy), tau_lo, tau_hi)
+        tau2 = bb_ratio(dy_sq, _sq(dhy), _dot(state.dy, dhy), tau_lo, tau_hi)
     return tau1, tau2
 
 
@@ -199,22 +188,21 @@ def backtrack_bound_palm(tau1_0, tau2_0, beta0, config, L1k, L2k1):
     return l_tau + l_beta + 1
 
 
-def subgrad_witness_palm(state, points, taus, trial_grads, delta, steps):
+def subgrad_witness_palm(state, points, taus, trial_grads, delta):
     """Norm of the subgradient witness (w1, w2, -delta*dx, -delta*dy) at
     z^{k+1}, from the two prox optimality conditions of the accepted step
     that led to `state`: its extrapolated points `points` = (x~, y~), its
     step sizes `taus` = (tau1, tau2), its trial gradients `trial_grads` =
-    (grad_x H(x~, y^k), grad_y H(x^{k+1}, y~)), and the gradients at the
-    new point that the state carries. `steps` is the step's (dx, dy) =
-    (x^{k+1} - x^k, y^{k+1} - y^k)."""
+    (grad_x H(x~, y^k), grad_y H(x^{k+1}, y~)), and what the state carries:
+    the gradients at the new point and the step (dx, dy) = (x^{k+1} - x^k,
+    y^{k+1} - y^k)."""
     x, y = state.x, state.y
     xt, yt = points
     tau1, tau2 = taus
     gx_trial, gy_trial = trial_grads
-    dx, dy = steps
     # delta*(x_prev - x) is -(delta*dx) to the bit: rounding is symmetric
-    w3 = delta * dx
-    w4 = delta * dy
+    w3 = delta * state.dx
+    w4 = delta * state.dy
     w1 = state.gx - gx_trial - (x - xt) / tau1 + w3
     w2 = state.gy - gy_trial - (y - yt) / tau2 + w4
     return math.sqrt(_sq(w1) + _sq(w2) + _sq(w3) + _sq(w4))
@@ -234,26 +222,25 @@ def palm_step(state, problem, config):
     extrapolated x with y^k fixed, then the y block at the extrapolated y
     with the NEW x. A trial with beta = 0 takes its x block at x^k itself,
     with the gradient the state carries there. Each trial evaluates the
-    coupling at its point for the potential; only the accepted trial's
-    evaluation is asked for the gradients at the new point. These and the
-    accepted trial's gradients go on the returned state, for the witness
-    and the next step's initialization. The step differences x^k - x^{k-1}
-    and y^k - y^{k-1} and their squared norms are formed once, at the top,
-    for the initialization, the extrapolated points and the step norm; a
-    trial forms its own differences x^{k+1} - x^k and y^{k+1} - y^k once,
-    for the step norm and the potential, and the accepted trial's serve
-    the witness. The accepted step decides the next beta0 (`nls.nesterov`).
+    coupling at its point for the potential, and forms its differences
+    x^{k+1} - x^k and y^{k+1} - y^k once. The initialization, extrapolated
+    points and step norm read the state's steps and gradients, and evaluate
+    nothing. At acceptance the accepted trial's evaluation gives the
+    gradients at the new point, and the coupling is evaluated for the next
+    initialization's cross gradients: grad_x H(x^k, y^{k+1}), and
+    grad_y H(x^{k+1}, y^k) after beta > 0 (with beta = 0 it is the trial's
+    own y gradient). They go on the returned state with the trial's
+    differences and the next beta0 (`nls.nesterov`).
     Returns (state, TraceRecord, init dict of beta0, tau1_0 and tau2_0).
     The block moduli L1(y^k) and L2(x^{k+1}) are not computed here:
     `palm_run` forms them for the whole run at its end. At the backtrack
     cap it raises `nls.cap_error`'s exception, as `pg_step` does.
     """
-    beta0 = state.beta0
-    diffs = step_differences(state)
-    dx, dy, dx_sq, dy_sq = diffs
+    beta0, dx, dy = state.beta0, state.dx, state.dy
+    dx_sq, dy_sq = _sq(dx), _sq(dy)
     if state.k >= 1:
         tau1_0, tau2_0 = bb_init_tau_blocks(
-            state, problem, config.tau_lo, config.tau_hi, diffs
+            state, config.tau_lo, config.tau_hi, dx_sq, dy_sq
         )
     else:
         tau1_0 = min(max(config.tau1_0, config.tau_lo), config.tau_hi)
@@ -289,15 +276,17 @@ def palm_step(state, problem, config):
                         state.window, config.alpha, step_sq)
 
     beta_next, t_next = nesterov(state.t, config.beta_max)
+    gx, gy = grad_x(), grad_y()  # before the cross evaluations: one scatter
+    gx_prev = problem.coupling(state.x, y_new)[1]()
+    gy_prev = gy_trial if beta == 0.0 else problem.coupling(x_new, state.y)[2]()
     new_state = BlockIterateState(
-        x=x_new, y=y_new, x_prev=state.x, y_prev=state.y,
-        window=state.window, t=t_next, beta0=beta_next, k=state.k + 1,
+        x=x_new, y=y_new, dx=dx_new, dy=dy_new, window=state.window,
+        t=t_next, beta0=beta_next, k=state.k + 1,
         tau1_init_prev=tau1_0, tau2_init_prev=tau2_0,
-        gy_prev=gy_trial if beta == 0.0 else None, gx=grad_x(), gy=grad_y(),
+        gx=gx, gy=gy, gx_prev=gx_prev, gy_prev=gy_prev,
     )
     wnorm = subgrad_witness_palm(new_state, (xt, yt), (tau1, tau2),
-                                 (gx_trial, gy_trial), config.delta,
-                                 (dx_new, dy_new))
+                                 (gx_trial, gy_trial), config.delta)
     record = step_record(new_state.window, new_state.k, obj, ups, step_sq,
                          wnorm, beta, tau1, tau2, backtracks=l)
     init = {"beta0": beta0, "tau1_0": tau1_0, "tau2_0": tau2_0}
@@ -324,17 +313,17 @@ def _run_moduli(grams_y, grams_x, L_start, config):
 
 
 def start_state(problem, x0, y0, config=None):
-    """(state, record) at z^0 = (x0, y0, x0, y0), from one evaluation at
-    (x0, y0). A line-search config gives the state its history window,
-    holding (0, Upsilon(z^0) = Psi(x0, y0)), and grad_y H there; the
-    baselines' state (config None) has neither, since they never read
-    them."""
+    """(state, record) at z^0 = (x0, y0, x0, y0), with zero steps, from one
+    evaluation at (x0, y0). A line-search config gives the state its
+    history window, holding (0, Upsilon(z^0) = Psi(x0, y0)), and grad_y H
+    there; the baselines' state (config None) has neither, since they never
+    read them."""
     x0 = np.asarray(x0, dtype=np.float64)
     y0 = np.asarray(y0, dtype=np.float64)
     obj0, grad_x, grad_y = problem.objective(x0, y0)
     window, record = run_start(config, obj0)
     state = BlockIterateState(
-        x=x0.copy(), y=y0.copy(), x_prev=x0.copy(), y_prev=y0.copy(),
+        x=x0.copy(), y=y0.copy(), dx=np.zeros_like(x0), dy=np.zeros_like(y0),
         window=window, gx=grad_x(), gy=None if config is None else grad_y(),
     )
     return state, record
@@ -409,14 +398,15 @@ def palm_run(problem, x0, y0, config, trace_sink=None):
 
 def _baseline_step(state, problem, config, extrapolate):
     """One classical PALM (PALMe with `extrapolate`) iteration from `state`
-    (see `palm_baseline_run`); returns (state, TraceRecord, None)."""
+    (see `palm_baseline_run`), extrapolating along the state's steps dx,
+    dy; returns (state, TraceRecord, None)."""
     x, y, beta = state.x, state.y, state.beta0
     tau1 = 1.0 / max(problem.L1(y), 1e-12)
     if beta == 0.0:
         xt, yt, gx_trial = x, y, state.gx
     else:
-        xt = x + beta * (x - state.x_prev)
-        yt = y + beta * (y - state.y_prev)
+        xt = x + beta * state.dx
+        yt = y + beta * state.dy
         _, grad_x, _ = problem.coupling(xt, y)
         gx_trial = grad_x()
     x_new = problem.f.prox(xt - tau1 * gx_trial, tau1)
@@ -424,17 +414,17 @@ def _baseline_step(state, problem, config, extrapolate):
     _, _, grad_y = problem.coupling(x_new, yt)
     gy_trial = grad_y()
     y_new = problem.g.prox(yt - tau2 * gy_trial, tau2)
-    steps = (x_new - x, y_new - y)
+    dx, dy = x_new - x, y_new - y
     obj, grad_x, grad_y = problem.objective(x_new, y_new)
     beta_next, t_next = nesterov(state.t, config.beta_max if extrapolate else 0.0)
     new_state = BlockIterateState(
-        x=x_new, y=y_new, x_prev=x, y_prev=y, window=None, t=t_next,
+        x=x_new, y=y_new, dx=dx, dy=dy, window=None, t=t_next,
         beta0=beta_next, k=state.k + 1, gx=grad_x(), gy=grad_y(),
     )
     wnorm = subgrad_witness_palm(new_state, (xt, yt), (tau1, tau2),
-                                 (gx_trial, gy_trial), 0.0, steps)
-    record = step_record(None, new_state.k, obj, obj,
-                         _sq(steps[0]) + _sq(steps[1]), wnorm, beta, tau1, tau2)
+                                 (gx_trial, gy_trial), 0.0)
+    record = step_record(None, new_state.k, obj, obj, _sq(dx) + _sq(dy), wnorm,
+                         beta, tau1, tau2)
     return new_state, record, None
 
 
@@ -444,7 +434,10 @@ def palm_baseline_run(problem, x0, y0, config, extrapolate=False):
     extrapolated points (PALMe). The coupling is evaluated once at each
     distinct point: the evaluation that gives an iterate's objective also
     gives its gradients, for the witness and, where beta = 0, for the next
-    iteration's x block at x^k."""
+    iteration's x block at x^k. PALMe's `config.beta_max` must lie in
+    [0, inf), as for the line-search method."""
+    if extrapolate:
+        check_beta_max(config.beta_max)
     state, record = start_state(problem, x0, y0)
     state, records, reason, _ = run_loop(
         lambda s: _baseline_step(s, problem, config, extrapolate),

@@ -509,10 +509,13 @@ class _Header(dict):
 
 def _check_fields(path, shapes, indices=()):
     """Raise ValueError naming the first (field, array, shape) of `shapes`
-    off its shape, or (field, index, size) of `indices` outside [0, size)."""
+    off its shape or holding a value that is not finite, or (field, index,
+    size) of `indices` outside [0, size)."""
     for field, array, shape in shapes:
         if array.shape != shape:
             raise ValueError(f"{path}: {field} has shape {array.shape}, expected {shape}")
+        if not np.isfinite(array).all():
+            raise ValueError(f"{path}: {field} has a value that is not finite")
     for field, index, size in indices:
         if index.size and not 0 <= index.min() <= index.max() < size:
             raise ValueError(f"{path}: {field} has an index outside [0, {size})")
@@ -520,7 +523,8 @@ def _check_fields(path, shapes, indices=()):
 
 def load_instance(path):
     """An instance `save_instance` wrote. Arrays off the header's shapes,
-    indices out of range or a repeated Omega pair raise ValueError."""
+    values that are not finite, labels other than -1 and +1, indices out
+    of range or a repeated Omega pair raise ValueError."""
     with open(path) as f:
         header = f.readline().split()
         if not header:
@@ -535,6 +539,8 @@ def load_instance(path):
             support = np.array(f.readline().split(), dtype=np.int64)
             _check_fields(path, (("A", A, (n, p)), ("b", b, (n,)), ("x_hat", x_hat, (p,)),
                                  ("support", support, (s,))), (("support", support, p),))
+            if not np.isin(b, (-1.0, 1.0)).all():
+                raise ValueError(f"{path}: b has a label other than -1 or +1")
             return LogRegInstance(
                 A_tilde=_with_intercept(A), b=b, lam=float(params["lambda"]),
                 mu=float(params["mu"]), support=support, x_hat=x_hat,

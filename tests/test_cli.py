@@ -113,17 +113,24 @@ class TestSolverOptions:
         assert "2.5" in capsys.readouterr().err
 
     # the window memory m, and the backtrack cap, which `validated()`
-    # checks next to it
-    @pytest.mark.parametrize("name, option", [
-        pytest.param(name, option, id=name if option == "m" else f"{name}-{option}")
-        for option in ("m", "max_backtracks") for name in ("pgenls", "palmenls")])
-    def test_negative_memory_exits_2(self, tmp_path, capsys, name, option):
+    # checks next to it; and PALMe's extrapolation cap, which it checks
+    # with the line-search method's rule (it once extrapolated with a
+    # negative weight and exited 0)
+    @pytest.mark.parametrize("name, option, value, message", [
+        *(pytest.param(name, option, "-1", f"{option} must be nonnegative",
+                       id=name if option == "m" else f"{name}-{option}")
+          for option in ("m", "max_backtracks") for name in ("pgenls", "palmenls")),
+        *(pytest.param("palme", "beta_max", value, "beta_max must lie in [0, inf)",
+                       id=f"palme-beta_max-{value}") for value in ("-0.5", "nan"))])
+    def test_negative_memory_exits_2(self, tmp_path, capsys, name, option, value,
+                                     message):
         text = MC_RUN if name.startswith("palm") else LOGREG_RUN
         text = text.format(trace=tmp_path / "t.csv").replace(
             "name = pgenls", f"name = {name}").replace(
-            "[output]", f"{option} = -1\n\n[output]")
+            "name = palmenls", f"name = {name}").replace(
+            "[output]", f"{option} = {value}\n\n[output]")
         assert main(["run", write_config(tmp_path / "c.cfg", text)]) == 2
-        assert f"{option} must be nonnegative" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_beta_rule_is_an_unknown_option(self, tmp_path, capsys):
         text = LOGREG_RUN.format(trace=tmp_path / "t.csv").replace(
@@ -257,12 +264,18 @@ class TestRun:
             ("mc obs short", "obs has shape (8,), expected (9,)"),
             ("mc pair repeated", "Omega repeats a (row, col) pair"),
             ("logreg p over columns", "A has shape (5, 8), expected (5, 12)"),
+            ("logreg label 0.5", "b has a label other than -1 or +1"),
+            ("logreg nan in A", "A has a value that is not finite"),
+            ("mc inf in obs", "obs has a value that is not finite"),
         )])
     def test_malformed_instance_file_is_usage_error(self, tmp_path, capsys, fault,
                                                     message):
         # before the loader checked its arrays, the first two ended in an
-        # IndexError traceback and the last two solved silently (a repeated
-        # pair keeps one of its two residuals in the dense oracle form)
+        # IndexError traceback and the next two solved silently (a repeated
+        # pair keeps one of its two residuals in the dense oracle form);
+        # before it checked their values, a label of 0.5 solved, a NaN in A
+        # failed in an eigen-solve naming no field, and an inf observation
+        # exited 3 at the backtrack cap
         inst = tmp_path / "inst.txt"
         if fault.startswith("mc"):
             gen, solver = ["mc", "--n1", "6", "--n2", "5", "--rstar", "1",
@@ -279,6 +292,12 @@ class TestRun:
         elif fault == "mc pair repeated":
             for tokens in (rows, cols, obs):
                 tokens.append(tokens[0])
+        elif fault == "mc inf in obs":
+            obs[0] = "inf"
+        elif fault == "logreg label 0.5":
+            lines[-3] = " ".join(["0.5", *lines[-3].split()[1:]])
+        elif fault == "logreg nan in A":
+            lines[1] = " ".join(["nan", *lines[1].split()[1:]])
         else:
             lines[0] = lines[0].replace(" p=8 ", " p=12 ")
         if fault.startswith("mc"):

@@ -24,7 +24,6 @@ from nmdesc.palm import (
     palm_step,
     safe_beta_bound_palm,
     start_state,
-    step_differences,
     subgrad_witness_palm,
     variant_config,
 )
@@ -104,11 +103,20 @@ def grad_y(problem, x, y):
 
 
 def point_state(problem, x, y, x_prev, y_prev, **fields):
-    """An iterate state at (x, y) with the coupling's gradients there, from
-    one evaluation."""
+    """An iterate state at (x, y) reached from (x_prev, y_prev): its steps,
+    the coupling's gradients at (x, y), from one evaluation, and the cross
+    gradients grad_x H(x_prev, y) and grad_y H(x, y_prev)."""
     _, gx, gy = problem.coupling(x, y)
-    return BlockIterateState(x=x, y=y, x_prev=x_prev, y_prev=y_prev,
-                             gx=gx(), gy=gy(), **fields)
+    return BlockIterateState(x=x, y=y, dx=x - x_prev, dy=y - y_prev,
+                             gx=gx(), gy=gy(),
+                             gx_prev=grad_x(problem, x_prev, y),
+                             gy_prev=grad_y(problem, x, y_prev), **fields)
+
+
+def bb_inits(state, tau_lo, tau_hi):
+    """The state's Barzilai-Borwein initializations, from its steps' squared
+    norms as `palm_step` forms them."""
+    return bb_init_tau_blocks(state, tau_lo, tau_hi, _sq(state.dx), _sq(state.dy))
 
 
 class TestPalmStep:
@@ -166,8 +174,7 @@ class TestBbBlocks:
         y = np.array([0.5, 0.5])
         state = point_state(prob, x1, y, x0, y, window=None,
                             tau1_init_prev=9.0, tau2_init_prev=9.0)
-        tau1, tau2 = bb_init_tau_blocks(state, prob, cfg.tau_lo, cfg.tau_hi,
-                                        step_differences(state))
+        tau1, tau2 = bb_inits(state, cfg.tau_lo, cfg.tau_hi)
         assert tau1 == pytest.approx(0.5, rel=1e-12)
         assert tau2 == 9.0  # y did not move: previous init reused
 
@@ -176,7 +183,7 @@ class TestBbBlocks:
         state = point_state(prob, np.array([1.0]), np.array([2.0]),
                             np.array([1.0]), np.array([0.0]), window=None,
                             tau1_init_prev=1.0, tau2_init_prev=1.0)
-        _, tau2 = bb_init_tau_blocks(state, prob, 1e-8, 1e8, step_differences(state))
+        _, tau2 = bb_inits(state, 1e-8, 1e8)
         assert tau2 == 1e8
 
     def test_random_instance_matches_hand_ratios(self):
@@ -194,7 +201,7 @@ class TestBbBlocks:
             inner = float(d @ dh)
             return max(min(float(d @ d) / inner,
                            inner / float(dh @ dh), 1e8), 1e-8)
-        tau1, tau2 = bb_init_tau_blocks(state, prob, 1e-8, 1e8, step_differences(state))
+        tau1, tau2 = bb_inits(state, 1e-8, 1e8)
         assert tau1 == pytest.approx(expected(dx, dhx), rel=1e-12)
         assert tau2 == pytest.approx(expected(dy, dhy), rel=1e-12)
 
@@ -229,8 +236,8 @@ class TestSafeBetaBound:
         # Nesterov counters at 10 give the weight 0.9, capped at beta_max
         state.t, state.beta0 = 10.0, min(nesterov_ref(10.0, 10.0)[0], beta)
         # give the state a nonzero previous step so extrapolation is active
-        state.x_prev = state.x - 0.01 * rng.standard_normal(2)
-        state.y_prev = state.y - 0.01 * rng.standard_normal(2)
+        state.dx = 0.01 * rng.standard_normal(2)
+        state.dy = 0.01 * rng.standard_normal(2)
         _, rec, _ = palm_step(state, prob, cfg)
         assert rec.beta == beta > 0.0
         assert rec.backtracks == 0
@@ -247,67 +254,69 @@ class TestWitnessAndInvariants:
         return prob, u0, v0
 
     def test_reused_gradients_match_recomputation(self):
-        # the gradients a step carries, and the witness and the BB
-        # initialization from them, equal, bit for bit, those taken straight
-        # from the oracle
+        # the steps and the four gradients a step carries, and the witness
+        # from them, equal, bit for bit, those formed from the iterates and
+        # taken straight from the oracle, after steps with beta = 0 (whose
+        # y~ is y^k, so the trial's y gradient is the cross gradient) and
+        # with beta > 0
         prob, u0, v0 = self.small_mc()
         vcfg = palm_run(prob, u0, v0, PalmConfig(max_iters=0)).extras["config"]
         state = start_state(prob, u0, v0, vcfg)[0]
+        betas = set()
         for _ in range(20):
             prev = state
             state, rec, _ = palm_step(state, prob, vcfg)
             xt, yt = extrapolated(prev, rec.beta)
-            ref = replace(
-                state,
-                gx=grad_x(prob, state.x, state.y),
-                gy=grad_y(prob, state.x, state.y),
-                gy_prev=None,  # BB evaluates grad_y H(x^k, y^{k-1}) itself
-            )
-            for name in ("gx", "gy"):
-                assert np.array_equal(getattr(state, name), getattr(ref, name))
-            # carried only after a step with beta = 0, whose y~ is y^{k-1}
-            assert (state.gy_prev is None) == (rec.beta > 0.0)
-            if state.gy_prev is not None:
-                assert np.array_equal(state.gy_prev,
-                                      grad_y(prob, state.x, state.y_prev))
-            diffs = step_differences(state)
+            ref = point_state(prob, state.x, state.y, prev.x, prev.y, window=None)
+            for name in ("dx", "dy", "gx", "gy", "gx_prev", "gy_prev"):
+                assert np.array_equal(getattr(state, name), getattr(ref, name)), name
             norm = subgrad_witness_palm(
                 ref, (xt, yt), (rec.tau1, rec.tau2),
-                (grad_x(prob, xt, state.y_prev), grad_y(prob, state.x, yt)),
-                vcfg.delta, diffs[:2])
+                (grad_x(prob, xt, prev.y), grad_y(prob, state.x, yt)), vcfg.delta)
             assert rec.witness_norm == norm
-            assert bb_init_tau_blocks(state, prob, vcfg.tau_lo, vcfg.tau_hi, diffs) == \
-                bb_init_tau_blocks(ref, prob, vcfg.tau_lo, vcfg.tau_hi, diffs)
+            betas.add(rec.beta > 0.0)
+        assert betas == {False, True}
 
-    def test_oracle_calls_per_iteration(self):
+    def test_oracle_calls_per_iteration(self, monkeypatch):
         # per step with l backtracks: l+1 trials, each evaluating the
         # coupling for grad_x at (x~, y^k), for grad_y at (x^{k+1}, y~) and
         # for H at (x^{k+1}, y^{k+1}); the accepted trial's last evaluation
         # gives the gradients at the new point, two fewer evaluations than
-        # H, grad_x and grad_y there separately; and from k = 1 on the two
-        # BB secant gradients at the previous iterate. A trial with beta = 0
-        # takes grad_x(x^k, y^k) from the state, and after a step with
-        # beta = 0 the BB secant's grad_y(x^k, y^{k-1}) is that step's trial
-        # gradient. A rejected trial asks for no gradient at its point. No
-        # step computes a block modulus (the Counter has no "L1" or "L2").
+        # H, grad_x and grad_y there separately; and at acceptance the next
+        # BB secant's cross gradients: grad_x(x^k, y^{k+1}) always, and
+        # grad_y(x^{k+1}, y^k) only after beta > 0, since with beta = 0 it is
+        # the trial's own. The BB initialization evaluates nothing. A trial
+        # with beta = 0 takes grad_x(x^k, y^k) from the state. A rejected
+        # trial asks for no gradient at its point. No step computes a block
+        # modulus (the Counter has no "L1" or "L2").
         prob, u0, v0 = self.small_mc(seed=3)
         counting, calls = counted_oracles(prob)
+        inits = []
+
+        def counted_init(*args):
+            before = Counter(calls)
+            taus = bb_init_tau_blocks(*args)
+            inits.append(calls == before)
+            return taus
+
+        monkeypatch.setattr(palm_mod, "bb_init_tau_blocks", counted_init)
         for name in ("palmenls", "palmnls"):
             cfg = variant_config(name, PalmConfig(max_iters=0))
             vcfg = palm_run(prob, u0, v0, cfg).extras["config"]
             state = start_state(counting, u0, v0, vcfg)[0]
             betas = []
+            inits.clear()
             for k in range(15):
                 calls.clear()
                 state, rec, _ = palm_step(state, counting, vcfg)
                 trials = rec.backtracks + 1
-                bb = 1 if k >= 1 else 0
                 x_trials = trials if rec.beta > 0.0 else 0
-                y_bb = bb if k >= 1 and betas[-1] > 0.0 else 0
-                assert calls == {"coupling": x_trials + 2 * trials + bb + y_bb,
-                                 "grad_x": x_trials + 1 + bb,
-                                 "grad_y": trials + 1 + y_bb}
+                y_cross = 1 if rec.beta > 0.0 else 0
+                assert calls == {"coupling": x_trials + 2 * trials + 1 + y_cross,
+                                 "grad_x": x_trials + 1 + 1,
+                                 "grad_y": trials + 1 + y_cross}
                 betas.append(rec.beta)
+            assert inits == [True] * 14  # from k = 1 on, none evaluating
             if name == "palmnls":
                 assert set(betas) == {0.0}
             else:  # the first two Nesterov weights are 0
@@ -486,8 +495,7 @@ def reference_palm(prob, x0, y0, cfg, iters, t0=1.0):
         if k >= 1:
             bare = point_state(prob, x, y, xp, yp, window=None,
                                tau1_init_prev=taus[0], tau2_init_prev=taus[1])
-            taus = bb_init_tau_blocks(bare, prob, cfg.tau_lo, cfg.tau_hi,
-                                      step_differences(bare))
+            taus = bb_inits(bare, cfg.tau_lo, cfg.tau_hi)
         else:
             taus = (min(max(cfg.tau1_0, cfg.tau_lo), cfg.tau_hi),
                     min(max(cfg.tau2_0, cfg.tau_lo), cfg.tau_hi))
@@ -520,8 +528,7 @@ def witness_norm(prob, x, y, x_prev, y_prev, xt, yt, tau1, tau2, delta):
     state = point_state(prob, x, y, x_prev, y_prev, window=None)
     return subgrad_witness_palm(
         state, (xt, yt), (tau1, tau2),
-        (grad_x(prob, xt, y_prev), grad_y(prob, x, yt)), delta,
-        (x - x_prev, y - y_prev))
+        (grad_x(prob, xt, y_prev), grad_y(prob, x, yt)), delta)
 
 
 def extrapolated(state, beta):
@@ -529,8 +536,7 @@ def extrapolated(state, beta):
     the record's beta, formed as palm_step forms them."""
     if beta == 0.0:
         return state.x, state.y
-    return (state.x + beta * (state.x - state.x_prev),
-            state.y + beta * (state.y - state.y_prev))
+    return state.x + beta * state.dx, state.y + beta * state.dy
 
 
 def reference_baseline(prob, x0, y0, cfg, extrapolate):
