@@ -17,7 +17,9 @@ that must keep the solver arithmetic checks it with one diff:
 
 A change that may move last bits shows in the same diff which solves
 moved, whether their k, stop reason or support changed, and by how much
-their objectives differ.
+their objectives differ. `solve_lines` yields the lines without the
+total; `tests/test_trace_digest.py` runs it against the lines checked in
+at `tests/data/trace_digest.txt`.
 
 The set runs all 12 solvers through `cli.solve`: the PG family with FISTA
 and restarted FISTA on four logistic instances (60 x 300, seeds 0 and 1,
@@ -72,16 +74,14 @@ def digest(write_trace_csv, records, x, meta, reason, k):
     return h.hexdigest()
 
 
-def main(argv):
-    if len(argv) != 2:
-        print("usage: trace_digest.py TREE", file=sys.stderr)
-        return 2
-    sys.path.insert(0, os.path.join(os.path.abspath(argv[1]), "src"))
+def solve_lines():
+    """One line per solve of the set, in order: label, seed, solver, md5,
+    then the stop reason, k, F and nnz (see the module docstring). The
+    solves use the `nmdesc` that `import` finds."""
     from nmdesc import cli, problems
     from nmdesc.nls import BacktrackCapError
     from nmdesc.trace import write_trace_csv
 
-    total = hashlib.md5()
     for label, gen, params, seeds, options in SETS:
         solvers = LOGREG_SOLVERS if gen == "gen_logreg" else MC_SOLVERS
         for seed in seeds:
@@ -99,8 +99,18 @@ def main(argv):
                 except BacktrackCapError as e:
                     line = digest(write_trace_csv, e.records, (), {}, str(e), e.k)
                     end = f"error k={e.k} F={e.records[-1].objective!r} nnz=-"
-                total.update(line.encode())
-                print(f"{label} seed={seed} {name:9s} {line} {end}")
+                yield f"{label} seed={seed} {name:9s} {line} {end}"
+
+
+def main(argv):
+    if len(argv) != 2:
+        print("usage: trace_digest.py TREE", file=sys.stderr)
+        return 2
+    sys.path.insert(0, os.path.join(os.path.abspath(argv[1]), "src"))
+    total = hashlib.md5()
+    for line in solve_lines():
+        total.update(line.split()[3].encode())
+        print(line)
     print(f"total {total.hexdigest()}")
     return 0
 

@@ -8,12 +8,12 @@ families. A line search that exhausts its backtrack budget either stalled
 on rounding (`LineSearchStalled`) or failed (`BacktrackCapError`);
 `cap_error` tells which. `nesterov` and `bb_ratio` give the two
 initializations of a line search, its extrapolation weight and its
-Barzilai-Borwein step. Only the step that accepts an iterate calls
-`nesterov`, and the state it returns carries the decision, the counter t
-and the next step's weight beta0. `PgConfig.validated` and
-`PalmConfig.validated` check the factors, the step-size floor, alpha, m
-and max_backtracks once per run, so nothing here checks them again per
-trial.
+Barzilai-Borwein step. The step that accepts an iterate decides both for
+the next step, and the state it returns carries them: beta0 with the
+Nesterov counter t, and tau0 (PALM: tau1_0 and tau2_0). The validated
+configs (`PgConfig.validated`, `PalmConfig.validated`) check the factors,
+the first step sizes, the step-size floor, alpha, m and max_backtracks
+once per run, so nothing here checks them again per trial.
 
 Every solver, line search or baseline, runs through `run_loop`: its start
 state comes with the window and record of `run_start`, and each accepted
@@ -214,12 +214,14 @@ def run_loop(step, state, record, config, sq_norm, trace_sink=None):
     this order: the witness norm at most `config.stop_tol` times
     max(1, sqrt(sq_norm(state))) ("tolerance"; `sq_norm` is called once
     per accepted step), then the record's time over `config.time_budget`
-    ("time_budget"), then `config.max_iters` steps taken ("max_iters"). A
-    step that raises LineSearchStalled ends the run at the last accepted
-    state ("stalled"); a BacktrackCapError propagates with the trace so
-    far as its `records`. Returns (final state, Trace, reason, meta from
-    the init dicts).
+    ("time_budget"), then `config.max_iters` steps taken ("max_iters"; a
+    negative count raises ValueError). A step that raises LineSearchStalled
+    ends the run at the last accepted state ("stalled"); a BacktrackCapError
+    propagates with the trace so far as its `records`. Returns (final
+    state, Trace, reason, meta from the init dicts).
     """
+    if config.max_iters < 0:
+        raise ValueError("max_iters must be nonnegative")
     records = [record]
     if trace_sink:
         trace_sink(record)

@@ -56,7 +56,8 @@ class PalmConfig:
     tau1_0: float = None  # default 100/L1(y^0)
     tau2_0: float = None  # default 100/L2(x^1), approximated with x^0
 
-    def validated(self, lipschitz_start):
+    def validated(self, L1_start, L2_start):
+        """Fill tau1_0, tau2_0 from L1(y^0), L2(x^0); check the invariants."""
         cfg = replace(self)
         for name in ("m", "max_backtracks"):
             if getattr(cfg, name) < 0:
@@ -66,11 +67,17 @@ class PalmConfig:
             raise ValueError("delta must lie in (0, 1)")
         if not 0.0 < cfg.alpha <= cfg.delta / 2.0:
             raise ValueError("alpha must lie in (0, delta/2]")
-        barrier = 1.0 / (lipschitz_start + cfg.delta + 2.0 * cfg.alpha)
+        barrier = 1.0 / (max(L1_start, L2_start) + cfg.delta + 2.0 * cfg.alpha)
         if not 0.0 < cfg.tau_lo < barrier < cfg.tau_hi:
             raise ValueError(
                 f"need 0 < tau_lo < {barrier:.3e} < tau_hi at the start point"
             )
+        if cfg.tau1_0 is None:
+            cfg.tau1_0 = 100.0 / max(L1_start, 1e-12)
+        if cfg.tau2_0 is None:
+            cfg.tau2_0 = 100.0 / max(L2_start, 1e-12)
+        if not (cfg.tau1_0 > 0.0 and cfg.tau2_0 > 0.0):
+            raise ValueError("tau1_0 and tau2_0 must be positive")
         for name in ("eta", "eta1", "eta2"):
             v = getattr(cfg, name)
             if not 0.0 < v < 1.0:
@@ -107,13 +114,11 @@ class BlockIterateState:
 
     `window` is the run's history window, a deque of the last m+1
     (k, potential) pairs that each step appends to (None for the
-    baselines). beta0 is the next step's extrapolation weight, decided from
-    the Nesterov counter t (`nls.nesterov`). gx and gy come from the
-    evaluation that gave the point's objective; gx is also the trial
-    gradient of a zero-extrapolation trial. The Barzilai-Borwein
-    initialization reads the steps, gx, gy, the cross gradients gx_prev and
-    gy_prev (None in the start state and the baselines' states) and the
-    last initializations. The baselines' start state has no gy.
+    baselines). The step that accepted (x^k, y^k) decided the next step's
+    initialization: beta0 from the Nesterov counter t (`nls.nesterov`),
+    tau1_0 and tau2_0 from its own secants (`bb_init_tau_blocks`). gx, from
+    the evaluation that gave the point's objective, is the trial gradient
+    of a zero-extrapolation trial.
     """
 
     x: np.ndarray
@@ -124,29 +129,27 @@ class BlockIterateState:
     t: float = 1.0
     beta0: float = 0.0
     k: int = 0
-    tau1_init_prev: float = None
-    tau2_init_prev: float = None
-    gx: np.ndarray = None       # grad_x H(x^k, y^k)
-    gy: np.ndarray = None       # grad_y H(x^k, y^k)
-    gx_prev: np.ndarray = None  # grad_x H(x^{k-1}, y^k)
-    gy_prev: np.ndarray = None  # grad_y H(x^k, y^{k-1})
+    tau1_0: float = None
+    tau2_0: float = None
+    gx: np.ndarray = None  # grad_x H(x^k, y^k)
 
 
-def bb_init_tau_blocks(state, tau_lo, tau_hi, dx_sq, dy_sq):
-    """Per-block Barzilai-Borwein initializations from the state alone.
-
-    The x secant uses gradients at the CURRENT y^k, gx - gx_prev; the y
-    secant uses the CURRENT x^k, gy - gy_prev. dx_sq and dy_sq are
-    ||dx||^2 and ||dy||^2. A zero block difference reuses the previous
-    initialization.
+def bb_init_tau_blocks(steps, step_sqs, grads, cross_grads, prev_taus, tau_lo, tau_hi):
+    """Per-block Barzilai-Borwein initializations at (x^{k+1}, y^{k+1}),
+    from the steps (dx, dy) = (x^{k+1} - x^k, y^{k+1} - y^k), their squared
+    norms, the gradients (grad_x H, grad_y H) there and the cross gradients
+    (grad_x H(x^k, y^{k+1}), grad_y H(x^{k+1}, y^k)): the x secant uses
+    gradients at the CURRENT y^{k+1}, the y secant at the CURRENT x^{k+1}.
+    A zero block step keeps that block's entry of `prev_taus`.
     """
-    dhx = state.gx - state.gx_prev
-    dhy = state.gy - state.gy_prev
-    tau1, tau2 = state.tau1_init_prev, state.tau2_init_prev
+    (dx, dy), (dx_sq, dy_sq) = steps, step_sqs
+    tau1, tau2 = prev_taus
     if dx_sq != 0.0:
-        tau1 = bb_ratio(dx_sq, _sq(dhx), _dot(state.dx, dhx), tau_lo, tau_hi)
+        dhx = grads[0] - cross_grads[0]
+        tau1 = bb_ratio(dx_sq, _sq(dhx), _dot(dx, dhx), tau_lo, tau_hi)
     if dy_sq != 0.0:
-        tau2 = bb_ratio(dy_sq, _sq(dhy), _dot(state.dy, dhy), tau_lo, tau_hi)
+        dhy = grads[1] - cross_grads[1]
+        tau2 = bb_ratio(dy_sq, _sq(dhy), _dot(dy, dhy), tau_lo, tau_hi)
     return tau1, tau2
 
 
@@ -188,23 +191,21 @@ def backtrack_bound_palm(tau1_0, tau2_0, beta0, config, L1k, L2k1):
     return l_tau + l_beta + 1
 
 
-def subgrad_witness_palm(state, points, taus, trial_grads, delta):
+def subgrad_witness_palm(new, points, taus, grads, trial_grads, delta, steps):
     """Norm of the subgradient witness (w1, w2, -delta*dx, -delta*dy) at
     z^{k+1}, from the two prox optimality conditions of the accepted step
-    that led to `state`: its extrapolated points `points` = (x~, y~), its
-    step sizes `taus` = (tau1, tau2), its trial gradients `trial_grads` =
-    (grad_x H(x~, y^k), grad_y H(x^{k+1}, y~)), and what the state carries:
-    the gradients at the new point and the step (dx, dy) = (x^{k+1} - x^k,
-    y^{k+1} - y^k)."""
-    x, y = state.x, state.y
-    xt, yt = points
-    tau1, tau2 = taus
-    gx_trial, gy_trial = trial_grads
+    to `new` = (x^{k+1}, y^{k+1}): its extrapolated points `points` =
+    (x~, y~), its step sizes `taus` = (tau1, tau2), the gradients `grads`
+    = (grad_x H, grad_y H) at the new point, its trial gradients
+    `trial_grads` = (grad_x H(x~, y^k), grad_y H(x^{k+1}, y~)), and its
+    step `steps` = (dx, dy) = (x^{k+1} - x^k, y^{k+1} - y^k)."""
+    (x, y), (xt, yt), (tau1, tau2) = new, points, taus
+    (gx, gy), (gx_trial, gy_trial), (dx, dy) = grads, trial_grads, steps
     # delta*(x_prev - x) is -(delta*dx) to the bit: rounding is symmetric
-    w3 = delta * state.dx
-    w4 = delta * state.dy
-    w1 = state.gx - gx_trial - (x - xt) / tau1 + w3
-    w2 = state.gy - gy_trial - (y - yt) / tau2 + w4
+    w3 = delta * dx
+    w4 = delta * dy
+    w1 = gx - gx_trial - (x - xt) / tau1 + w3
+    w2 = gy - gy_trial - (y - yt) / tau2 + w4
     return math.sqrt(_sq(w1) + _sq(w2) + _sq(w3) + _sq(w4))
 
 
@@ -223,14 +224,14 @@ def palm_step(state, problem, config):
     with the NEW x. A trial with beta = 0 takes its x block at x^k itself,
     with the gradient the state carries there. Each trial evaluates the
     coupling at its point for the potential, and forms its differences
-    x^{k+1} - x^k and y^{k+1} - y^k once. The initialization, extrapolated
-    points and step norm read the state's steps and gradients, and evaluate
-    nothing. At acceptance the accepted trial's evaluation gives the
-    gradients at the new point, and the coupling is evaluated for the next
-    initialization's cross gradients: grad_x H(x^k, y^{k+1}), and
-    grad_y H(x^{k+1}, y^k) after beta > 0 (with beta = 0 it is the trial's
-    own y gradient). They go on the returned state with the trial's
-    differences and the next beta0 (`nls.nesterov`).
+    x^{k+1} - x^k and y^{k+1} - y^k once. The extrapolated points and step
+    norm read the state's steps and evaluate nothing. At acceptance the
+    accepted trial's evaluation gives the gradients at the new point, and
+    the coupling is evaluated for the cross gradients grad_x H(x^k, y^{k+1}),
+    and grad_y H(x^{k+1}, y^k) after beta > 0 (with beta = 0 it is the
+    trial's own y gradient). From these the accepted step decides the next
+    tau1_0 and tau2_0 (`bb_init_tau_blocks`, which evaluates nothing), as
+    it decides the next beta0 (`nls.nesterov`); the witness reads them too.
     Returns (state, TraceRecord, init dict of beta0, tau1_0 and tau2_0).
     The block moduli L1(y^k) and L2(x^{k+1}) are not computed here:
     `palm_run` forms them for the whole run at its end. At the backtrack
@@ -238,18 +239,11 @@ def palm_step(state, problem, config):
     """
     beta0, dx, dy = state.beta0, state.dx, state.dy
     dx_sq, dy_sq = _sq(dx), _sq(dy)
-    if state.k >= 1:
-        tau1_0, tau2_0 = bb_init_tau_blocks(
-            state, config.tau_lo, config.tau_hi, dx_sq, dy_sq
-        )
-    else:
-        tau1_0 = min(max(config.tau1_0, config.tau_lo), config.tau_hi)
-        tau2_0 = min(max(config.tau2_0, config.tau_lo), config.tau_hi)
 
     for l in range(config.max_backtracks + 1):
         beta, tau1, tau2 = backtrack_params(
             l, beta0, config.eta, config.tau_lo,
-            (tau1_0, config.eta1), (tau2_0, config.eta2),
+            (state.tau1_0, config.eta1), (state.tau2_0, config.eta2),
         )
         if beta == 0.0:
             xt, yt, gx_trial = state.x, state.y, state.gx
@@ -264,7 +258,8 @@ def palm_step(state, problem, config):
         y_new = problem.g.prox(yt - tau2 * gy_trial, tau2)
         dx_new = x_new - state.x
         dy_new = y_new - state.y
-        new_sq = _sq(dx_new) + _sq(dy_new)
+        dx_new_sq, dy_new_sq = _sq(dx_new), _sq(dy_new)
+        new_sq = dx_new_sq + dy_new_sq
         step_sq = new_sq + dx_sq + dy_sq
         obj, grad_x, grad_y = problem.objective(x_new, y_new)
         # Upsilon_delta(z^{k+1}) = Psi + (delta/2)(||x^{k+1}-x^k||^2 + ||y^{k+1}-y^k||^2)
@@ -279,17 +274,21 @@ def palm_step(state, problem, config):
     gx, gy = grad_x(), grad_y()  # before the cross evaluations: one scatter
     gx_prev = problem.coupling(state.x, y_new)[1]()
     gy_prev = gy_trial if beta == 0.0 else problem.coupling(x_new, state.y)[2]()
+    steps = (dx_new, dy_new)
+    tau1_next, tau2_next = bb_init_tau_blocks(
+        steps, (dx_new_sq, dy_new_sq), (gx, gy), (gx_prev, gy_prev),
+        (state.tau1_0, state.tau2_0), config.tau_lo, config.tau_hi,
+    )
     new_state = BlockIterateState(
         x=x_new, y=y_new, dx=dx_new, dy=dy_new, window=state.window,
         t=t_next, beta0=beta_next, k=state.k + 1,
-        tau1_init_prev=tau1_0, tau2_init_prev=tau2_0,
-        gx=gx, gy=gy, gx_prev=gx_prev, gy_prev=gy_prev,
+        tau1_0=tau1_next, tau2_0=tau2_next, gx=gx,
     )
-    wnorm = subgrad_witness_palm(new_state, (xt, yt), (tau1, tau2),
-                                 (gx_trial, gy_trial), config.delta)
+    wnorm = subgrad_witness_palm((x_new, y_new), (xt, yt), (tau1, tau2), (gx, gy),
+                                 (gx_trial, gy_trial), config.delta, steps)
     record = step_record(new_state.window, new_state.k, obj, ups, step_sq,
                          wnorm, beta, tau1, tau2, backtracks=l)
-    init = {"beta0": beta0, "tau1_0": tau1_0, "tau2_0": tau2_0}
+    init = {"beta0": beta0, "tau1_0": state.tau1_0, "tau2_0": state.tau2_0}
     return new_state, record, init
 
 
@@ -314,17 +313,21 @@ def _run_moduli(grams_y, grams_x, L_start, config):
 
 def start_state(problem, x0, y0, config=None):
     """(state, record) at z^0 = (x0, y0, x0, y0), with zero steps, from one
-    evaluation at (x0, y0). A line-search config gives the state its
-    history window, holding (0, Upsilon(z^0) = Psi(x0, y0)), and grad_y H
-    there; the baselines' state (config None) has neither, since they never
-    read them."""
+    evaluation at (x0, y0), asked for grad_x H only. A line-search config
+    gives the state its history window, holding (0, Upsilon(z^0) =
+    Psi(x0, y0)), and tau1_0, tau2_0 clipped to [tau_lo, tau_hi]; the
+    baselines' state (config None) has neither."""
     x0 = np.asarray(x0, dtype=np.float64)
     y0 = np.asarray(y0, dtype=np.float64)
-    obj0, grad_x, grad_y = problem.objective(x0, y0)
+    obj0, grad_x, _ = problem.objective(x0, y0)
     window, record = run_start(config, obj0)
+    tau1_0 = tau2_0 = None
+    if config is not None:
+        tau1_0 = min(max(config.tau1_0, config.tau_lo), config.tau_hi)
+        tau2_0 = min(max(config.tau2_0, config.tau_lo), config.tau_hi)
     state = BlockIterateState(
         x=x0.copy(), y=y0.copy(), dx=np.zeros_like(x0), dy=np.zeros_like(y0),
-        window=window, gx=grad_x(), gy=None if config is None else grad_y(),
+        window=window, tau1_0=tau1_0, tau2_0=tau2_0, gx=grad_x(),
     )
     return state, record
 
@@ -350,11 +353,7 @@ def palm_run(problem, x0, y0, config, trace_sink=None):
     y0 = np.asarray(y0, dtype=np.float64)
     L1_0, L2_0 = problem.L1(y0), problem.L2(x0)
     L_start = max(L1_0, L2_0)
-    cfg = config.validated(L_start)
-    if cfg.tau1_0 is None:
-        cfg.tau1_0 = 100.0 / max(L1_0, 1e-12)
-    if cfg.tau2_0 is None:
-        cfg.tau2_0 = 100.0 / max(L2_0, 1e-12)
+    cfg = config.validated(L1_0, L2_0)
 
     grams_y, grams_x = [], []  # gram(y^k) and gram(x^{k+1}) per iteration
     radii = [math.sqrt(_sq(x0)), math.sqrt(_sq(y0))]  # largest ||x^k||, ||y^k||
@@ -416,13 +415,14 @@ def _baseline_step(state, problem, config, extrapolate):
     y_new = problem.g.prox(yt - tau2 * gy_trial, tau2)
     dx, dy = x_new - x, y_new - y
     obj, grad_x, grad_y = problem.objective(x_new, y_new)
+    gx, gy = grad_x(), grad_y()
     beta_next, t_next = nesterov(state.t, config.beta_max if extrapolate else 0.0)
     new_state = BlockIterateState(
         x=x_new, y=y_new, dx=dx, dy=dy, window=None, t=t_next,
-        beta0=beta_next, k=state.k + 1, gx=grad_x(), gy=grad_y(),
+        beta0=beta_next, k=state.k + 1, gx=gx,
     )
-    wnorm = subgrad_witness_palm(new_state, (xt, yt), (tau1, tau2),
-                                 (gx_trial, gy_trial), 0.0)
+    wnorm = subgrad_witness_palm((x_new, y_new), (xt, yt), (tau1, tau2), (gx, gy),
+                                 (gx_trial, gy_trial), 0.0, (dx, dy))
     record = step_record(None, new_state.k, obj, obj, _sq(dx) + _sq(dy), wnorm,
                          beta, tau1, tau2)
     return new_state, record, None

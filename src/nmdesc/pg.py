@@ -75,6 +75,8 @@ class PgConfig:
             )
         if cfg.tau0 is None:
             cfg.tau0 = 1.0 / L
+        if not cfg.tau0 > 0.0:
+            raise ValueError("tau0 must be positive")
         if not (0 < cfg.eta1 < 1 and 0 < cfg.eta2 < 1):
             raise ValueError("eta1, eta2 must lie in (0, 1)")
         return cfg
@@ -102,16 +104,13 @@ class IterateState:
 
     `window` is the run's history window, a deque of the last m+1
     (k, potential) pairs that each step appends to (None for FISTA). The
-    step that accepted x^k decided beta0, the next step's extrapolation
-    weight, from the Nesterov counter t (`nls.nesterov`). The oracle
-    results of accepted points are carried, so no point is evaluated
-    twice: grad f(x^k) and grad f(x^{k-1}) (asked of the evaluation that
-    accepted each point) serve the BB initialization, the witness and the
-    zero-extrapolation trial, and the linear images z of x^k and x^{k-1}
-    (the problem's `smooth` returns them; None if it has none) give the
-    image of an extrapolated point y = x^k + beta*d without evaluating it
-    from y. The steps d = x^k - x^{k-1} and d_prev = x^{k-1} - x^{k-2}
-    and the last initialization tau_init_prev serve the BB initialization.
+    step that accepted x^k decided the next step's initialization: beta0
+    from the Nesterov counter t (`nls.nesterov`), tau0 from its own secant
+    (`bb_init_tau`). The oracle results of accepted points are carried, so
+    no point is evaluated twice: grad f(x^k) serves the zero-extrapolation
+    trial, and the linear images z of x^k and x^{k-1} (the problem's
+    `smooth` returns them; None if it has none) give the image of an
+    extrapolated point y = x^k + beta*d without evaluating it from y.
 
     `ahead` is the pair (y, grad f(y)) at the point y = x^k + beta0*d of
     the next step's first trial, where beta0 > 0 (None otherwise), taken
@@ -125,12 +124,10 @@ class IterateState:
     t: float = 1.0
     beta0: float = 0.0
     k: int = 0
+    tau0: float = None
     grad_x: np.ndarray = None          # grad f(x^k)
-    grad_x_prev: np.ndarray = None     # grad f(x^{k-1})
     z: np.ndarray = None               # linear image of x^k (the margins)
     z_prev: np.ndarray = None          # linear image of x^{k-1}
-    d_prev: np.ndarray = None          # x^{k-1} - x^{k-2}
-    tau_init_prev: float = None
     ahead: tuple = None                # (y, grad f(y)) of the next first trial
 
 
@@ -159,17 +156,18 @@ def _accepted_grads(grad, x_new, step, z_new, z, beta_next):
     return g_new, (y, g_y)
 
 
-def bb_init_tau(d, d_prev, d_sq, grads, delta, tau_min, tau_max, prev_tau):
-    """Barzilai-Borwein step initialization on the smoothed pair space,
-    from the step differences d = x^k - x^{k-1} and d_prev = x^{k-1} -
-    x^{k-2}, d_sq = ||d||^2 and grads = (grad f(x^k), grad f(x^{k-1})).
+def bb_init_tau(d, d_sq, d_prev, d_prev_sq, grads, delta, tau_min, tau_max, prev_tau):
+    """Barzilai-Borwein step initialization on the smoothed pair space at
+    z^{k+1} = (x^{k+1}, x^k), from the steps d = x^{k+1} - x^k and d_prev =
+    x^k - x^{k-1}, their squared norms d_sq and d_prev_sq, and grads =
+    (grad f(x^{k+1}), grad f(x^k)); a zero secant keeps prev_tau.
 
     The gradient of the smooth part over z = (x, u) is (grad f(x) +
-    delta*(x-u), -delta*(x-u)), and x - u is d at z^k = (x^k, x^{k-1}) and
-    d_prev at z^{k-1}, so the secant pair is (d, d_prev) against that
-    gradient's difference.
+    delta*(x-u), -delta*(x-u)), and x - u is d at z^{k+1} and d_prev at
+    z^k, so the secant pair is (d, d_prev) against that gradient's
+    difference.
     """
-    dz_sq = d_sq + _sq(d_prev)
+    dz_sq = d_sq + d_prev_sq
     if dz_sq == 0.0:
         return prev_tau
     gx, gxp = grads
@@ -231,12 +229,15 @@ def h2_constant_pg(config, lipschitz):
 def start_state(problem, x0, config=None):
     """(state, record) at z^0 = (x0, x0), from one evaluation at x0. A
     line-search config gives the state its history window, holding
-    (0, H_delta(z^0) = F(x0)); FISTA's state (config None) has none."""
+    (0, H_delta(z^0) = F(x0)), and tau0 clipped to [tau_min, tau_max];
+    FISTA's state (config None) has neither."""
     x0 = np.asarray(x0, dtype=np.float64)
     f0, grad0, z0 = problem.smooth(x0)
     window, record = run_start(config, f0 + problem.g.value(x0))
+    tau0 = (None if config is None
+            else min(max(config.tau0, config.tau_min), config.tau_max))
     state = IterateState(x=x0.copy(), d=np.zeros_like(x0), window=window,
-                         grad_x=grad0(), z=z0, z_prev=z0)
+                         tau0=tau0, grad_x=grad0(), z=z0, z_prev=z0)
     return state, record
 
 
@@ -244,35 +245,30 @@ def pg_step(state, problem, config):
     """One outer iteration: backtracking inner loop until acceptance.
 
     The state's step d = x^k - x^{k-1} and ||d||^2, formed once, serve the
-    initialization, the extrapolated points and the step norm; a trial
-    forms its step x^{k+1} - x^k and that step's squared norm once, for
-    the step norm and the potential, and the accepted trial's serve the
-    witness and become the next state's d. Each trial candidate is
+    extrapolated points, the step norm and the next initialization; a
+    trial forms its step x^{k+1} - x^k and that step's squared norm once,
+    for the step norm and the potential, and the accepted trial's serve
+    the witness and become the next state's d. Each trial candidate is
     evaluated once: its value gives the potential and the record's
     objective, and only the accepted one is asked for its gradient,
     carried as grad f(x^{k+1}). The accepted step decides the next beta0
-    (`nls.nesterov`); when it is positive, that gradient comes with the
-    gradient at the next step's first trial point from one product
-    (`_accepted_grads`), carried as the state's `ahead`: the first trial
-    with beta = beta0 > 0 reads it, and a later trial with beta > 0
-    evaluates the gradient at its y, from the extrapolated linear image
-    of the iterates. Returns (new state, TraceRecord, init dict).
+    (`nls.nesterov`) and tau0 (`bb_init_tau`, which evaluates nothing);
+    when beta0 is positive, that gradient comes with the gradient at the
+    next step's first trial point from one product (`_accepted_grads`),
+    carried as the state's `ahead`: the first trial with beta = beta0 > 0
+    reads it, and a later trial with beta > 0 evaluates the gradient at
+    its y, from the extrapolated linear image of the iterates. Returns
+    (new state, TraceRecord, init dict).
     When the inner loop exhausts its budget it raises `nls.cap_error`'s
     exception: LineSearchStalled if rounding alone rejected the last
     candidate, else BacktrackCapError carrying it.
     """
     beta0, x, d, gx, z = state.beta0, state.x, state.d, state.grad_x, state.z
     d_sq = _sq(d)
-    if state.k >= 1:
-        tau0 = bb_init_tau(d, state.d_prev, d_sq, (gx, state.grad_x_prev),
-                           config.delta, config.tau_min, config.tau_max,
-                           prev_tau=state.tau_init_prev)
-    else:
-        tau0 = min(max(config.tau0, config.tau_min), config.tau_max)
 
     for l in range(config.max_backtracks + 1):
         beta, tau = backtrack_params(
-            l, beta0, config.eta1, config.tau_min, (tau0, config.eta2)
+            l, beta0, config.eta1, config.tau_min, (state.tau0, config.eta2)
         )
         if beta == 0.0:
             y, gy = x, gx
@@ -301,15 +297,16 @@ def pg_step(state, problem, config):
     beta_next, t_next = nesterov(state.t, config.beta_max)
     grad_new, ahead = _accepted_grads(grad_cand, candidate, step, z_new, z,
                                       beta_next)
+    tau_next = bb_init_tau(step, new_sq, d, d_sq, (grad_new, gx), config.delta,
+                           config.tau_min, config.tau_max, prev_tau=state.tau0)
     wnorm = subgrad_witness_pg(candidate, y, tau, grad_new, gy, config.delta, step)
     new_state = IterateState(
         x=candidate, d=step, window=state.window, t=t_next, beta0=beta_next,
-        k=state.k + 1, grad_x=grad_new, grad_x_prev=gx, z=z_new, z_prev=z,
-        d_prev=d, tau_init_prev=tau0, ahead=ahead,
+        k=state.k + 1, tau0=tau_next, grad_x=grad_new, z=z_new, z_prev=z, ahead=ahead,
     )
     record = step_record(new_state.window, new_state.k, F_cand, h_cand, step_sq,
                          wnorm, beta, tau, backtracks=l)
-    return new_state, record, {"beta0": beta0, "tau0": tau0}
+    return new_state, record, {"beta0": beta0, "tau0": state.tau0}
 
 
 def pg_run(problem, x0, config, trace_sink=None):

@@ -132,6 +132,32 @@ class TestSolverOptions:
         assert main(["run", write_config(tmp_path / "c.cfg", text)]) == 2
         assert message in capsys.readouterr().err
 
+    # a first step size that is NaN, zero or negative (a NaN tau1_0 once
+    # stopped palmenls at "tolerance" with U = V = 0, and a NaN tau0 made
+    # pgenls exit 3 after 60 backtracks), and a negative iteration count,
+    # which every run function's loop rejects (it once ran 0 iterations and
+    # exited 0)
+    @pytest.mark.parametrize("name, option, value, message", [
+        *(pytest.param("pgenls", "tau0", value, "tau0 must be positive",
+                       id=f"pgenls-tau0-{value}") for value in ("nan", "0", "-1")),
+        *(pytest.param("palmenls", option, value, "tau1_0 and tau2_0 must be positive",
+                       id=f"palmenls-{option}-{value}")
+          for option in ("tau1_0", "tau2_0") for value in ("nan", "0", "-1")),
+        *(pytest.param(name, "max_iters", "-5", "max_iters must be nonnegative",
+                       id=f"{name}-max_iters") for name in ("pgenls", "fista",
+                                                             "palmenls", "palm")),
+    ])
+    def test_bad_start_or_count_exits_2(self, tmp_path, capsys, name, option, value,
+                                        message):
+        text = MC_RUN if name.startswith("palm") else LOGREG_RUN
+        lines = [line for line in text.format(trace=tmp_path / "t.csv").splitlines()
+                 if not line.startswith(f"{option} =")]
+        text = "\n".join(lines).replace("name = pgenls", f"name = {name}").replace(
+            "name = palmenls", f"name = {name}").replace(
+            "[output]", f"{option} = {value}\n\n[output]")
+        assert main(["run", write_config(tmp_path / "c.cfg", text)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_beta_rule_is_an_unknown_option(self, tmp_path, capsys):
         text = LOGREG_RUN.format(trace=tmp_path / "t.csv").replace(
             "max_iters = 800", "max_iters = 800\nbeta_rule = constant")

@@ -156,6 +156,7 @@ class TestConfigsCheckTheLineSearch:
         {"alpha": 0.0}, {"alpha": -1e-5},
         {**PGLS, "alpha": 0.0}, {**PGLS, "alpha": -1e-5},
         {"m": -1}, {"max_backtracks": -1},
+        {"tau0": math.nan}, {"tau0": 0.0}, {"tau0": -1.0},
     ])
     def test_pg_config_rejects(self, bad):
         with pytest.raises(ValueError):
@@ -168,10 +169,12 @@ class TestConfigsCheckTheLineSearch:
         {"tau_lo": 0.0}, {"tau_lo": -1e-8},
         {"alpha": 0.0}, {"alpha": -1e-5},
         {"m": -1}, {"max_backtracks": -1},
+        *({name: value} for name in ("tau1_0", "tau2_0")
+          for value in (math.nan, 0.0, -1.0)),
     ])
     def test_palm_config_rejects(self, bad):
         with pytest.raises(ValueError):
-            PalmConfig(**bad).validated(1.0)
+            PalmConfig(**bad).validated(1.0, 1.0)
 
 
 def test_window_max_nonincreasing_over_accepted_sequence():

@@ -14,7 +14,6 @@ from nmdesc.linalg import RngStream
 from nmdesc import palm as palm_mod
 from nmdesc.nls import BacktrackCapError, accept, window_max
 from nmdesc.palm import (
-    BlockIterateState,
     PalmConfig,
     backtrack_bound_palm,
     bb_init_tau_blocks,
@@ -102,28 +101,32 @@ def grad_y(problem, x, y):
     return problem.coupling(x, y)[2]()
 
 
-def point_state(problem, x, y, x_prev, y_prev, **fields):
-    """An iterate state at (x, y) reached from (x_prev, y_prev): its steps,
-    the coupling's gradients at (x, y), from one evaluation, and the cross
-    gradients grad_x H(x_prev, y) and grad_y H(x, y_prev)."""
+def bb_inits(problem, x, y, x_prev, y_prev, prev_taus, tau_lo, tau_hi):
+    """The Barzilai-Borwein initializations at (x, y) after a step from
+    (x_prev, y_prev), from its steps and their squared norms, the
+    coupling's gradients at (x, y), from one evaluation, and the cross
+    gradients grad_x H(x_prev, y) and grad_y H(x, y_prev), each evaluated
+    where it is used."""
     _, gx, gy = problem.coupling(x, y)
-    return BlockIterateState(x=x, y=y, dx=x - x_prev, dy=y - y_prev,
-                             gx=gx(), gy=gy(),
-                             gx_prev=grad_x(problem, x_prev, y),
-                             gy_prev=grad_y(problem, x, y_prev), **fields)
+    dx, dy = x - x_prev, y - y_prev
+    return bb_init_tau_blocks(
+        (dx, dy), (_sq(dx), _sq(dy)), (gx(), gy()),
+        (grad_x(problem, x_prev, y), grad_y(problem, x, y_prev)),
+        prev_taus, tau_lo, tau_hi)
 
 
-def bb_inits(state, tau_lo, tau_hi):
-    """The state's Barzilai-Borwein initializations, from its steps' squared
-    norms as `palm_step` forms them."""
-    return bb_init_tau_blocks(state, tau_lo, tau_hi, _sq(state.dx), _sq(state.dy))
+def validated(problem, x0, y0, config=None):
+    """`config` (default PalmConfig()) validated at the start (x0, y0), as
+    `palm_run` validates it."""
+    config = PalmConfig() if config is None else config
+    return config.validated(problem.L1(y0), problem.L2(x0))
 
 
 class TestPalmStep:
     def test_decoupled_reduces_to_per_block_prox(self):
         prob = decoupled_problem()
         tau = 0.2
-        cfg = PalmConfig(beta_max=0.0, tau1_0=tau, tau2_0=tau).validated(1.0)
+        cfg = PalmConfig(beta_max=0.0, tau1_0=tau, tau2_0=tau).validated(1.0, 1.0)
         x0, y0 = np.array([1.0, -2.0]), np.array([3.0])
         state = start_state(prob, x0, y0, cfg)[0]
         new_state, rec, _ = palm_step(state, prob, cfg)
@@ -133,7 +136,7 @@ class TestPalmStep:
 
     def test_joint_fixed_point(self):
         prob = bilinear_problem()
-        cfg = PalmConfig(tau1_0=0.1, tau2_0=0.1).validated(1.0)
+        cfg = PalmConfig(tau1_0=0.1, tau2_0=0.1).validated(1.0, 1.0)
         zero = np.zeros(1)
         state = start_state(prob, zero, zero, cfg)[0]
         new_state, rec, _ = palm_step(state, prob, cfg)
@@ -144,7 +147,7 @@ class TestPalmStep:
     def test_bilinear_matches_scalar_recursion(self):
         prob = bilinear_problem()
         tau = 0.05
-        cfg = PalmConfig(beta_max=0.0, tau1_0=tau, tau2_0=tau).validated(1.0)
+        cfg = PalmConfig(beta_max=0.0, tau1_0=tau, tau2_0=tau).validated(1.0, 1.0)
         x0, y0 = np.array([0.3]), np.array([0.4])
         state = start_state(prob, x0, y0, cfg)[0]
         new_state, rec, _ = palm_step(state, prob, cfg)
@@ -158,7 +161,7 @@ class TestPalmStep:
         # perturbing the sequencing to the OLD x gives a different iterate
         prob = bilinear_problem()
         tau = 0.05
-        cfg = PalmConfig(beta_max=0.0, tau1_0=tau, tau2_0=tau).validated(1.0)
+        cfg = PalmConfig(beta_max=0.0, tau1_0=tau, tau2_0=tau).validated(1.0, 1.0)
         x0, y0 = np.array([0.3]), np.array([0.4])
         state = start_state(prob, x0, y0, cfg)[0]
         new_state, _, _ = palm_step(state, prob, cfg)
@@ -169,21 +172,17 @@ class TestPalmStep:
 class TestBbBlocks:
     def test_quadratic_hessian_ratio(self):
         prob = coupled_quadratic(2.0 * np.eye(2))
-        cfg = PalmConfig().validated(2.0)
+        cfg = PalmConfig().validated(2.0, 1.0)
         x1, x0 = np.array([1.0, 0.0]), np.array([0.0, 0.0])
         y = np.array([0.5, 0.5])
-        state = point_state(prob, x1, y, x0, y, window=None,
-                            tau1_init_prev=9.0, tau2_init_prev=9.0)
-        tau1, tau2 = bb_inits(state, cfg.tau_lo, cfg.tau_hi)
+        tau1, tau2 = bb_inits(prob, x1, y, x0, y, (9.0, 9.0), cfg.tau_lo, cfg.tau_hi)
         assert tau1 == pytest.approx(0.5, rel=1e-12)
         assert tau2 == 9.0  # y did not move: previous init reused
 
     def test_orthogonal_secant_guard(self):
         prob = bilinear_problem()  # grad_y(x, .) constant in y
-        state = point_state(prob, np.array([1.0]), np.array([2.0]),
-                            np.array([1.0]), np.array([0.0]), window=None,
-                            tau1_init_prev=1.0, tau2_init_prev=1.0)
-        _, tau2 = bb_inits(state, 1e-8, 1e8)
+        _, tau2 = bb_inits(prob, np.array([1.0]), np.array([2.0]),
+                           np.array([1.0]), np.array([0.0]), (1.0, 1.0), 1e-8, 1e8)
         assert tau2 == 1e8
 
     def test_random_instance_matches_hand_ratios(self):
@@ -192,8 +191,6 @@ class TestBbBlocks:
         prob = coupled_quadratic(Q)
         x1, x0 = rng.standard_normal(2), rng.standard_normal(2)
         y1, y0 = rng.standard_normal(2), rng.standard_normal(2)
-        state = point_state(prob, x1, y1, x0, y0, window=None,
-                            tau1_init_prev=1.0, tau2_init_prev=1.0)
         dx, dy = x1 - x0, y1 - y0
         dhx = Q @ dx            # grad_x difference at the CURRENT y
         dhy = dy                # grad_y difference at the CURRENT x
@@ -201,7 +198,7 @@ class TestBbBlocks:
             inner = float(d @ dh)
             return max(min(float(d @ d) / inner,
                            inner / float(dh @ dh), 1e8), 1e-8)
-        tau1, tau2 = bb_inits(state, 1e-8, 1e8)
+        tau1, tau2 = bb_inits(prob, x1, y1, x0, y0, (1.0, 1.0), 1e-8, 1e8)
         assert tau1 == pytest.approx(expected(dx, dhx), rel=1e-12)
         assert tau2 == pytest.approx(expected(dy, dhy), rel=1e-12)
 
@@ -229,7 +226,7 @@ class TestSafeBetaBound:
         cfg0 = PalmConfig()
         tau = 0.9 / (L + cfg0.delta + 2.0 * cfg0.alpha)
         beta = 0.9 * safe_beta_bound_palm(tau, tau, L, L, cfg0.delta)
-        cfg = PalmConfig(beta_max=beta, tau1_0=tau, tau2_0=tau).validated(L)
+        cfg = PalmConfig(beta_max=beta, tau1_0=tau, tau2_0=tau).validated(L, 1.0)
         rng = RngStream(3)
         state = start_state(prob, rng.standard_normal(2), rng.standard_normal(2),
                             cfg)[0]
@@ -254,38 +251,43 @@ class TestWitnessAndInvariants:
         return prob, u0, v0
 
     def test_reused_gradients_match_recomputation(self):
-        # the steps and the four gradients a step carries, and the witness
-        # from them, equal, bit for bit, those formed from the iterates and
-        # taken straight from the oracle, after steps with beta = 0 (whose
-        # y~ is y^k, so the trial's y gradient is the cross gradient) and
-        # with beta > 0
+        # the steps and the gradient a step carries, the next
+        # initializations it decides from the four gradients at and next to
+        # the new point, and the witness, equal, bit for bit, those formed
+        # from the iterates and taken straight from the oracle, after steps
+        # with beta = 0 (whose y~ is y^k, so the trial's y gradient is the
+        # cross gradient) and with beta > 0
         prob, u0, v0 = self.small_mc()
-        vcfg = palm_run(prob, u0, v0, PalmConfig(max_iters=0)).extras["config"]
+        vcfg = validated(prob, u0, v0)
         state = start_state(prob, u0, v0, vcfg)[0]
         betas = set()
         for _ in range(20):
             prev = state
             state, rec, _ = palm_step(state, prob, vcfg)
             xt, yt = extrapolated(prev, rec.beta)
-            ref = point_state(prob, state.x, state.y, prev.x, prev.y, window=None)
-            for name in ("dx", "dy", "gx", "gy", "gx_prev", "gy_prev"):
-                assert np.array_equal(getattr(state, name), getattr(ref, name)), name
-            norm = subgrad_witness_palm(
-                ref, (xt, yt), (rec.tau1, rec.tau2),
-                (grad_x(prob, xt, prev.y), grad_y(prob, state.x, yt)), vcfg.delta)
-            assert rec.witness_norm == norm
+            assert np.array_equal(state.dx, state.x - prev.x)
+            assert np.array_equal(state.dy, state.y - prev.y)
+            assert np.array_equal(state.gx, grad_x(prob, state.x, state.y))
+            assert (state.tau1_0, state.tau2_0) == bb_inits(
+                prob, state.x, state.y, prev.x, prev.y, (prev.tau1_0, prev.tau2_0),
+                vcfg.tau_lo, vcfg.tau_hi)
+            assert rec.witness_norm == witness_norm(
+                prob, state.x, state.y, prev.x, prev.y, xt, yt, rec.tau1, rec.tau2,
+                vcfg.delta)
             betas.add(rec.beta > 0.0)
         assert betas == {False, True}
 
     def test_oracle_calls_per_iteration(self, monkeypatch):
-        # per step with l backtracks: l+1 trials, each evaluating the
-        # coupling for grad_x at (x~, y^k), for grad_y at (x^{k+1}, y~) and
-        # for H at (x^{k+1}, y^{k+1}); the accepted trial's last evaluation
-        # gives the gradients at the new point, two fewer evaluations than
-        # H, grad_x and grad_y there separately; and at acceptance the next
-        # BB secant's cross gradients: grad_x(x^k, y^{k+1}) always, and
-        # grad_y(x^{k+1}, y^k) only after beta > 0, since with beta = 0 it is
-        # the trial's own. The BB initialization evaluates nothing. A trial
+        # the start state evaluates the coupling once and asks it for
+        # grad_x only. Per step with l backtracks: l+1 trials, each
+        # evaluating the coupling for grad_x at (x~, y^k), for grad_y at
+        # (x^{k+1}, y~) and for H at (x^{k+1}, y^{k+1}); the accepted
+        # trial's last evaluation gives the gradients at the new point, two
+        # fewer evaluations than H, grad_x and grad_y there separately; and
+        # at acceptance the next BB secant's cross gradients:
+        # grad_x(x^k, y^{k+1}) always, and grad_y(x^{k+1}, y^k) only after
+        # beta > 0, since with beta = 0 it is the trial's own. The BB
+        # initialization runs once per step and evaluates nothing. A trial
         # with beta = 0 takes grad_x(x^k, y^k) from the state. A rejected
         # trial asks for no gradient at its point. No step computes a block
         # modulus (the Counter has no "L1" or "L2").
@@ -301,13 +303,14 @@ class TestWitnessAndInvariants:
 
         monkeypatch.setattr(palm_mod, "bb_init_tau_blocks", counted_init)
         for name in ("palmenls", "palmnls"):
-            cfg = variant_config(name, PalmConfig(max_iters=0))
-            vcfg = palm_run(prob, u0, v0, cfg).extras["config"]
+            vcfg = validated(prob, u0, v0, variant_config(name))
+            calls.clear()
             state = start_state(counting, u0, v0, vcfg)[0]
+            assert calls == {"coupling": 1, "grad_x": 1}
             betas = []
-            inits.clear()
             for k in range(15):
                 calls.clear()
+                inits.clear()
                 state, rec, _ = palm_step(state, counting, vcfg)
                 trials = rec.backtracks + 1
                 x_trials = trials if rec.beta > 0.0 else 0
@@ -315,8 +318,8 @@ class TestWitnessAndInvariants:
                 assert calls == {"coupling": x_trials + 2 * trials + 1 + y_cross,
                                  "grad_x": x_trials + 1 + 1,
                                  "grad_y": trials + 1 + y_cross}
+                assert inits == [True]
                 betas.append(rec.beta)
-            assert inits == [True] * 14  # from k = 1 on, none evaluating
             if name == "palmnls":
                 assert set(betas) == {0.0}
             else:  # the first two Nesterov weights are 0
@@ -493,9 +496,7 @@ def reference_palm(prob, x0, y0, cfg, iters, t0=1.0):
         beta0, t_next = nesterov_ref(t_prev, t_cur)
         beta0 = min(beta0, cfg.beta_max)
         if k >= 1:
-            bare = point_state(prob, x, y, xp, yp, window=None,
-                               tau1_init_prev=taus[0], tau2_init_prev=taus[1])
-            taus = bb_inits(bare, cfg.tau_lo, cfg.tau_hi)
+            taus = bb_inits(prob, x, y, xp, yp, taus, cfg.tau_lo, cfg.tau_hi)
         else:
             taus = (min(max(cfg.tau1_0, cfg.tau_lo), cfg.tau_hi),
                     min(max(cfg.tau2_0, cfg.tau_lo), cfg.tau_hi))
@@ -525,10 +526,11 @@ def reference_palm(prob, x0, y0, cfg, iters, t0=1.0):
 def witness_norm(prob, x, y, x_prev, y_prev, xt, yt, tau1, tau2, delta):
     """The witness norm of a step from (x_prev, y_prev) through (xt, yt) to
     (x, y), with its four gradients evaluated where they are used."""
-    state = point_state(prob, x, y, x_prev, y_prev, window=None)
+    _, gx, gy = prob.coupling(x, y)
     return subgrad_witness_palm(
-        state, (xt, yt), (tau1, tau2),
-        (grad_x(prob, xt, y_prev), grad_y(prob, x, yt)), delta)
+        (x, y), (xt, yt), (tau1, tau2), (gx(), gy()),
+        (grad_x(prob, xt, y_prev), grad_y(prob, x, yt)), delta,
+        (x - x_prev, y - y_prev))
 
 
 def extrapolated(state, beta):
@@ -601,8 +603,7 @@ class TestZeroExtrapolationReuse:
         # Nesterov counters that start at 10 give weights of 0.9 and more,
         # capped at beta_max
         inst, prob, u0, v0 = mc_start(*MC_FORMS[form])
-        cfg = palm_run(prob, u0, v0, PalmConfig(max_iters=0, beta_max=0.3)
-                       ).extras["config"]
+        cfg = validated(prob, u0, v0, PalmConfig(beta_max=0.3))
         state, record = start_state(prob, u0, v0, cfg)
         state.t, state.beta0 = 10.0, min(nesterov_ref(10.0, 10.0)[0], cfg.beta_max)
         records, inits = [record], []
@@ -679,13 +680,21 @@ class TestBaselines:
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            PalmConfig(delta=0.0).validated(1.0)
+            PalmConfig(delta=0.0).validated(1.0, 1.0)
         with pytest.raises(ValueError):
-            PalmConfig(alpha=0.5, delta=0.01).validated(1.0)
+            PalmConfig(alpha=0.5, delta=0.01).validated(1.0, 1.0)
         with pytest.raises(ValueError):
-            PalmConfig(tau_lo=10.0).validated(1.0)
+            PalmConfig(tau_lo=10.0).validated(1.0, 1.0)
         for beta_max in (-0.5, math.nan, math.inf):
             with pytest.raises(ValueError, match="beta_max"):
-                PalmConfig(beta_max=beta_max).validated(1.0)
+                PalmConfig(beta_max=beta_max).validated(1.0, 1.0)
         with pytest.raises(ValueError):
             variant_config("nope")
+
+    def test_first_steps_from_start_moduli(self):
+        # 100/L1(y^0) and 100/L2(x^0), a modulus of 0 taken as 1e-12; a
+        # configured step size is kept
+        cfg = PalmConfig().validated(4.0, 0.0)
+        assert (cfg.tau1_0, cfg.tau2_0) == (100.0 / 4.0, 100.0 / 1e-12)
+        cfg = PalmConfig(tau1_0=0.5).validated(4.0, 2.0)
+        assert (cfg.tau1_0, cfg.tau2_0) == (0.5, 100.0 / 2.0)

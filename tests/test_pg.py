@@ -14,6 +14,7 @@ from testkit import (
     quadratic_problem,
     trace_csv_string,
 )
+from nmdesc import pg as pg_mod
 from nmdesc.linalg import RngStream
 from nmdesc.nls import nesterov
 from nmdesc.pg import (
@@ -92,12 +93,13 @@ def extrapolated(state, beta):
     return state.x + beta * state.d
 
 
-def bb_from_points(problem, x2, x1, x0, delta, prev_tau):
-    """`bb_init_tau` at z^k = (x2, x1) after z^{k-1} = (x1, x0), from the
-    step differences pg_step forms."""
-    d = x2 - x1
-    return bb_init_tau(d, x1 - x0, float(d @ d), grads(problem, x2, x1), delta,
-                       1e-6, 1e6, prev_tau=prev_tau)
+def bb_from_points(problem, x2, x1, x0, delta, prev_tau, tau_min=1e-6, tau_max=1e6):
+    """`bb_init_tau` at z^{k+1} = (x2, x1) after z^k = (x1, x0), from the
+    steps and squared norms pg_step forms and fresh gradients."""
+    d, d_prev = x2 - x1, x1 - x0
+    return bb_init_tau(d, float(d @ d), d_prev, float(d_prev @ d_prev),
+                       grads(problem, x2, x1), delta, tau_min, tau_max,
+                       prev_tau=prev_tau)
 
 
 class TestBbInit:
@@ -503,6 +505,25 @@ class TestOracleEvaluations:
         assert len(asked) == len(result.records) and not any(asked)
         assert not any(log)
 
+    def test_bb_init_once_per_step_evaluating_nothing(self, monkeypatch):
+        # the step that accepts x^{k+1} decides the next tau0 from what it
+        # holds: one call per accepted step, the last one included, with no
+        # evaluation and no gradient product inside it
+        inst, prob = small_logreg()
+        prob, log, asked = counting(prob)
+        bb, inits = pg_mod.bb_init_tau, []
+
+        def counted_init(*args, **kwargs):
+            before = (len(log), len(asked))
+            tau = bb(*args, **kwargs)
+            inits.append(before == (len(log), len(asked)))
+            return tau
+
+        monkeypatch.setattr(pg_mod, "bb_init_tau", counted_init)
+        result = pg_run(prob, np.zeros(inst.p + 1),
+                        variant_config("pgenls", PgConfig(max_iters=30, stop_tol=0.0)))
+        assert len(result.records) == 31 and inits == [True] * 30
+
     def test_run_evaluates_start_once(self):
         inst, prob = small_logreg()
         prob, log, _ = counting(prob)
@@ -539,6 +560,7 @@ class TestCarriedValues:
         base = PgConfig(stop_tol=0.0, tau0=10.0 / prob.operator_norm)
         cfg, steps = pg_steps(prob, variant_config(name, base),
                               np.zeros(inst.p + 1), 50)
+        x_prev = steps[0][0].x  # z^0 = (x0, x0)
         for state, new, rec, _ in steps:
             F = objective(prob, new.x)
             assert rec.objective == F
@@ -549,6 +571,9 @@ class TestCarriedValues:
             wnorm = subgrad_witness_pg(new.x, y, rec.tau1, f_grad(prob, new.x),
                                        f_grad(prob, y), cfg.delta, new.x - state.x)
             assert rec.witness_norm == wnorm
+            assert new.tau0 == bb_from_points(prob, new.x, state.x, x_prev, cfg.delta,
+                                              state.tau0, cfg.tau_min, cfg.tau_max)
+            x_prev = state.x
 
     @pytest.mark.parametrize("restart", [False, True])
     def test_fista_trace_equals_recomputation(self, restart):

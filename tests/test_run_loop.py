@@ -56,6 +56,10 @@ def test_run_loop_contract(name, monkeypatch):
     result = solve(max_iters=6)
     assert (result.reason, len(result.records)) == ("max_iters", 7)
 
+    with pytest.raises(ValueError, match="max_iters must be nonnegative"):
+        solve(max_iters=-5)
+    assert seen == []
+
     step = getattr(module, step_name)
 
     def capped(state, *args):
