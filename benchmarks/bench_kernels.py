@@ -13,10 +13,10 @@ agreement with a reference on the same inputs. The sections:
   gradient from it: the sorted-segment form (`masked_residual`,
   `masked_block_grad`) and the dense masked form (`masked_dense_residual`,
   `masked_dense_scatter`, `masked_dense_grad`, with the buffers a problem
-  owns). The dense residual, formed on the transposed view V^T as the
-  oracle forms it, is timed next to the product on a C-order copy of V^T,
-  which is faster but not always bit-equal: the script counts the entries
-  where the two differ at the desk size and at 120 x 230;
+  owns). The dense residual takes its product on a C-order copy of V^T,
+  which is faster than on the transposed view V^T but not always
+  bit-equal to it: the script counts the entries of UV^T where the two
+  products differ at the desk size and at 120 x 230;
 * both forms over matrix size x observed density, per block gradient with
   both gradients taken from one residual and, in the dense form, one
   scatter of it (as at an accepted PALM point), with the form the rule in
@@ -135,13 +135,6 @@ class Forms:
                 kernels.masked_dense_grad(U, V, self.D, 1))
 
 
-def c_order_residual(U, V, flat, obs, P):
-    """The dense residual with the product taken on a C-order copy of V^T,
-    which runs without a transposed operand."""
-    np.matmul(U, np.ascontiguousarray(V.T), out=P)
-    return P.take(flat) - obs
-
-
 def c_order_differences(n1, n2, r, rng):
     """Entries of UV^T where the product on a C-order copy of V^T differs
     from that on the view V^T, for random factors of one shape."""
@@ -179,8 +172,6 @@ def block_grads(rng):
         ("grad_U segment", kernels.masked_block_grad, (U, V, resid, *forms.by_row)),
         ("grad_V segment", kernels.masked_block_grad, (V, U, resid, *forms.by_col)),
         ("residual dense", kernels.masked_dense_residual,
-         (U, V, forms.flat, forms.obs, forms.P)),
-        ("residual C-order V^T", c_order_residual,
          (U, V, forms.flat, forms.obs, forms.P)),
         ("scatter dense", kernels.masked_dense_scatter,
          (forms.flat, dense_resid, forms.D)),

@@ -41,9 +41,11 @@ def masked_dense_residual(U, V, flat, obs, P):
 
     The dense form of `masked_residual`: one matrix product and one gather
     of |Omega| entries, for index sets dense enough that forming UV^T costs
-    less than gathering a row pair per observation.
+    less than gathering a row pair per observation. The product is taken
+    on a C-order copy of V^T, which OpenBLAS multiplies faster than the
+    transposed view at the desk size (see `problems.py`'s form comment).
     """
-    np.matmul(U, V.T, out=P)
+    np.matmul(U, np.ascontiguousarray(V.T), out=P)
     return P.take(flat) - obs
 
 

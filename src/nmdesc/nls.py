@@ -211,17 +211,23 @@ def run_loop(step, state, record, config, sq_norm, trace_sink=None):
 
     `trace_sink`, if given, receives the start record and then each
     accepted record before the stop rules see it. The rules are tested in
-    this order: the witness norm at most `config.stop_tol` times
+    this order: the witness norm below `config.stop_tol` times
     max(1, sqrt(sq_norm(state))) ("tolerance"; `sq_norm` is called once
-    per accepted step), then the record's time over `config.time_budget`
-    ("time_budget"), then `config.max_iters` steps taken ("max_iters"; a
-    negative count raises ValueError). A step that raises LineSearchStalled
-    ends the run at the last accepted state ("stalled"); a BacktrackCapError
-    propagates with the trace so far as its `records`. Returns (final
-    state, Trace, reason, meta from the init dicts).
+    per accepted step, and a zero stop_tol turns the rule off), then the
+    record's time over `config.time_budget` ("time_budget"), then
+    `config.max_iters` steps taken ("max_iters"). A negative count, and a
+    `stop_tol` or `time_budget` that is negative or NaN (which would turn
+    its rule off, or stop after the first step), raise ValueError before
+    the first step. A step that raises
+    LineSearchStalled ends the run at the last accepted state ("stalled");
+    a BacktrackCapError propagates with the trace so far as its `records`.
+    Returns (final state, Trace, reason, meta from the init dicts).
     """
     if config.max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
+    for name in ("stop_tol", "time_budget"):
+        if not getattr(config, name) >= 0.0:
+            raise ValueError(f"{name} must lie in [0, inf]")
     records = [record]
     if trace_sink:
         trace_sink(record)
@@ -243,7 +249,7 @@ def run_loop(step, state, record, config, sq_norm, trace_sink=None):
             inits.append(init)
         if trace_sink:
             trace_sink(record)
-        if record.witness_norm <= config.stop_tol * max(1.0, math.sqrt(sq_norm(state))):
+        if record.witness_norm < config.stop_tol * max(1.0, math.sqrt(sq_norm(state))):
             reason = "tolerance"
             break
         if record.time_s > config.time_budget:

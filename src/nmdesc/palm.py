@@ -110,7 +110,7 @@ def variant_config(name, base=None):
 class BlockIterateState:
     """Iterate z^k = (x^k, y^k, x^{k-1}, y^{k-1}): all that the next step
     reads, left by the step that accepted (x^k, y^k), so that the next one
-    evaluates the coupling only in its trials and at acceptance.
+    evaluates the coupling only at new points.
 
     `window` is the run's history window, a deque of the last m+1
     (k, potential) pairs that each step appends to (None for the
@@ -118,7 +118,13 @@ class BlockIterateState:
     initialization: beta0 from the Nesterov counter t (`nls.nesterov`),
     tau1_0 and tau2_0 from its own secants (`bb_init_tau_blocks`). gx, from
     the evaluation that gave the point's objective, is the trial gradient
-    of a zero-extrapolation trial.
+    of a zero-extrapolation trial. dhx is the x secant at y^k, grad_x
+    H(x^k, y^k) - grad_x H(x^{k-1}, y^k): since H is quadratic in x for
+    fixed y, gx + beta*dhx is grad_x H(x^k + beta*dx, y^k), the trial
+    gradient of every extrapolated trial (zero at the start, whose step is
+    zero; None for the baselines). dx_sq and dy_sq are the squared norms
+    of the steps, formed by the line-search step that took them (0 at the
+    start; the baselines' steps neither read nor set them).
     """
 
     x: np.ndarray
@@ -132,23 +138,25 @@ class BlockIterateState:
     tau1_0: float = None
     tau2_0: float = None
     gx: np.ndarray = None  # grad_x H(x^k, y^k)
+    dhx: np.ndarray = None  # grad_x H(x^k, y^k) - grad_x H(x^{k-1}, y^k)
+    dx_sq: float = None  # ||dx||^2
+    dy_sq: float = None  # ||dy||^2
 
 
-def bb_init_tau_blocks(steps, step_sqs, grads, cross_grads, prev_taus, tau_lo, tau_hi):
+def bb_init_tau_blocks(steps, step_sqs, secants, prev_taus, tau_lo, tau_hi):
     """Per-block Barzilai-Borwein initializations at (x^{k+1}, y^{k+1}),
     from the steps (dx, dy) = (x^{k+1} - x^k, y^{k+1} - y^k), their squared
-    norms, the gradients (grad_x H, grad_y H) there and the cross gradients
-    (grad_x H(x^k, y^{k+1}), grad_y H(x^{k+1}, y^k)): the x secant uses
-    gradients at the CURRENT y^{k+1}, the y secant at the CURRENT x^{k+1}.
-    A zero block step keeps that block's entry of `prev_taus`.
+    norms, and the secants (dhx, dhy) = (grad_x H(x^{k+1}, y^{k+1}) -
+    grad_x H(x^k, y^{k+1}), grad_y H(x^{k+1}, y^{k+1}) - grad_y H(x^{k+1},
+    y^k)): the x secant is taken at the CURRENT y^{k+1}, the y secant at the
+    CURRENT x^{k+1}. A zero block step keeps that block's entry of
+    `prev_taus`.
     """
-    (dx, dy), (dx_sq, dy_sq) = steps, step_sqs
+    (dx, dy), (dx_sq, dy_sq), (dhx, dhy) = steps, step_sqs, secants
     tau1, tau2 = prev_taus
     if dx_sq != 0.0:
-        dhx = grads[0] - cross_grads[0]
         tau1 = bb_ratio(dx_sq, _sq(dhx), _dot(dx, dhx), tau_lo, tau_hi)
     if dy_sq != 0.0:
-        dhy = grads[1] - cross_grads[1]
         tau2 = bb_ratio(dy_sq, _sq(dhy), _dot(dy, dhy), tau_lo, tau_hi)
     return tau1, tau2
 
@@ -222,23 +230,29 @@ def palm_step(state, problem, config):
     Both block updates are recomputed on every backtrack: the x block at the
     extrapolated x with y^k fixed, then the y block at the extrapolated y
     with the NEW x. A trial with beta = 0 takes its x block at x^k itself,
-    with the gradient the state carries there. Each trial evaluates the
-    coupling at its point for the potential, and forms its differences
-    x^{k+1} - x^k and y^{k+1} - y^k once. The extrapolated points and step
-    norm read the state's steps and evaluate nothing. At acceptance the
-    accepted trial's evaluation gives the gradients at the new point, and
-    the coupling is evaluated for the cross gradients grad_x H(x^k, y^{k+1}),
+    with the gradient the state carries there; a trial with beta > 0 takes
+    grad_x H(x~, y^k) = gx + beta*dhx from the state's gradient and secant,
+    exact since H is quadratic in x for fixed y (see `BlockProblem`). So a
+    trial evaluates the coupling only at its new points: at (x^{k+1}, y~)
+    for grad_y H, and at (x^{k+1}, y^{k+1}) for the potential. It forms its
+    differences x^{k+1} - x^k and y^{k+1} - y^k and their squared norms
+    once. The extrapolated points and step norm read the state's steps and
+    their squared norms and evaluate nothing. At acceptance the accepted
+    trial's evaluation gives the gradients at the new point, and the
+    coupling is evaluated for the cross gradients grad_x H(x^k, y^{k+1}),
     and grad_y H(x^{k+1}, y^k) after beta > 0 (with beta = 0 it is the
-    trial's own y gradient). From these the accepted step decides the next
-    tau1_0 and tau2_0 (`bb_init_tau_blocks`, which evaluates nothing), as
-    it decides the next beta0 (`nls.nesterov`); the witness reads them too.
-    Returns (state, TraceRecord, init dict of beta0, tau1_0 and tau2_0).
-    The block moduli L1(y^k) and L2(x^{k+1}) are not computed here:
-    `palm_run` forms them for the whole run at its end. At the backtrack
-    cap it raises `nls.cap_error`'s exception, as `pg_step` does.
+    trial's own y gradient). Their differences from the new point's
+    gradients are the secants from which the accepted step decides the
+    next tau1_0 and tau2_0 (`bb_init_tau_blocks`, which evaluates nothing),
+    as it decides the next beta0 (`nls.nesterov`); the next state carries
+    the x secant for its extrapolated trials, and the witness reads the
+    gradients. Returns (state, TraceRecord, init dict of beta0, tau1_0 and
+    tau2_0). The block moduli L1(y^k) and L2(x^{k+1}) are not computed
+    here: `palm_run` forms them for the whole run at its end. At the
+    backtrack cap it raises `nls.cap_error`'s exception, as `pg_step` does.
     """
     beta0, dx, dy = state.beta0, state.dx, state.dy
-    dx_sq, dy_sq = _sq(dx), _sq(dy)
+    dx_sq, dy_sq = state.dx_sq, state.dy_sq
 
     for l in range(config.max_backtracks + 1):
         beta, tau1, tau2 = backtrack_params(
@@ -250,8 +264,7 @@ def palm_step(state, problem, config):
         else:
             xt = state.x + beta * dx
             yt = state.y + beta * dy
-            _, grad_x, _ = problem.coupling(xt, state.y)
-            gx_trial = grad_x()
+            gx_trial = state.gx + beta * state.dhx
         x_new = problem.f.prox(xt - tau1 * gx_trial, tau1)
         _, _, grad_y = problem.coupling(x_new, yt)
         gy_trial = grad_y()
@@ -272,17 +285,18 @@ def palm_step(state, problem, config):
 
     beta_next, t_next = nesterov(state.t, config.beta_max)
     gx, gy = grad_x(), grad_y()  # before the cross evaluations: one scatter
-    gx_prev = problem.coupling(state.x, y_new)[1]()
-    gy_prev = gy_trial if beta == 0.0 else problem.coupling(x_new, state.y)[2]()
+    dhx = gx - problem.coupling(state.x, y_new)[1]()
+    dhy = gy - (gy_trial if beta == 0.0 else problem.coupling(x_new, state.y)[2]())
     steps = (dx_new, dy_new)
     tau1_next, tau2_next = bb_init_tau_blocks(
-        steps, (dx_new_sq, dy_new_sq), (gx, gy), (gx_prev, gy_prev),
+        steps, (dx_new_sq, dy_new_sq), (dhx, dhy),
         (state.tau1_0, state.tau2_0), config.tau_lo, config.tau_hi,
     )
     new_state = BlockIterateState(
         x=x_new, y=y_new, dx=dx_new, dy=dy_new, window=state.window,
         t=t_next, beta0=beta_next, k=state.k + 1,
-        tau1_0=tau1_next, tau2_0=tau2_next, gx=gx,
+        tau1_0=tau1_next, tau2_0=tau2_next, gx=gx, dhx=dhx,
+        dx_sq=dx_new_sq, dy_sq=dy_new_sq,
     )
     wnorm = subgrad_witness_palm((x_new, y_new), (xt, yt), (tau1, tau2), (gx, gy),
                                  (gx_trial, gy_trial), config.delta, steps)
@@ -315,19 +329,22 @@ def start_state(problem, x0, y0, config=None):
     """(state, record) at z^0 = (x0, y0, x0, y0), with zero steps, from one
     evaluation at (x0, y0), asked for grad_x H only. A line-search config
     gives the state its history window, holding (0, Upsilon(z^0) =
-    Psi(x0, y0)), and tau1_0, tau2_0 clipped to [tau_lo, tau_hi]; the
-    baselines' state (config None) has neither."""
+    Psi(x0, y0)), tau1_0, tau2_0 clipped to [tau_lo, tau_hi], and the x
+    secant of its zero step, zero; the baselines' state (config None) has
+    none of these."""
     x0 = np.asarray(x0, dtype=np.float64)
     y0 = np.asarray(y0, dtype=np.float64)
     obj0, grad_x, _ = problem.objective(x0, y0)
     window, record = run_start(config, obj0)
-    tau1_0 = tau2_0 = None
+    tau1_0 = tau2_0 = dhx = None
     if config is not None:
         tau1_0 = min(max(config.tau1_0, config.tau_lo), config.tau_hi)
         tau2_0 = min(max(config.tau2_0, config.tau_lo), config.tau_hi)
+        dhx = np.zeros_like(x0)
     state = BlockIterateState(
         x=x0.copy(), y=y0.copy(), dx=np.zeros_like(x0), dy=np.zeros_like(y0),
-        window=window, tau1_0=tau1_0, tau2_0=tau2_0, gx=grad_x(),
+        window=window, tau1_0=tau1_0, tau2_0=tau2_0, gx=grad_x(), dhx=dhx,
+        dx_sq=0.0, dy_sq=0.0,
     )
     return state, record
 

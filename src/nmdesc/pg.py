@@ -111,6 +111,8 @@ class IterateState:
     trial, and the linear images z of x^k and x^{k-1} (the problem's
     `smooth` returns them; None if it has none) give the image of an
     extrapolated point y = x^k + beta*d without evaluating it from y.
+    d_sq is ||d||^2, formed by the line-search step that took d (0 at the
+    start; FISTA's steps neither read nor set it).
 
     `ahead` is the pair (y, grad f(y)) at the point y = x^k + beta0*d of
     the next step's first trial, where beta0 > 0 (None otherwise), taken
@@ -121,6 +123,7 @@ class IterateState:
     x: np.ndarray
     d: np.ndarray                      # x^k - x^{k-1}
     window: deque
+    d_sq: float = None                 # ||d||^2
     t: float = 1.0
     beta0: float = 0.0
     k: int = 0
@@ -236,7 +239,7 @@ def start_state(problem, x0, config=None):
     window, record = run_start(config, f0 + problem.g.value(x0))
     tau0 = (None if config is None
             else min(max(config.tau0, config.tau_min), config.tau_max))
-    state = IterateState(x=x0.copy(), d=np.zeros_like(x0), window=window,
+    state = IterateState(x=x0.copy(), d=np.zeros_like(x0), window=window, d_sq=0.0,
                          tau0=tau0, grad_x=grad0(), z=z0, z_prev=z0)
     return state, record
 
@@ -244,27 +247,27 @@ def start_state(problem, x0, config=None):
 def pg_step(state, problem, config):
     """One outer iteration: backtracking inner loop until acceptance.
 
-    The state's step d = x^k - x^{k-1} and ||d||^2, formed once, serve the
-    extrapolated points, the step norm and the next initialization; a
-    trial forms its step x^{k+1} - x^k and that step's squared norm once,
-    for the step norm and the potential, and the accepted trial's serve
-    the witness and become the next state's d. Each trial candidate is
-    evaluated once: its value gives the potential and the record's
-    objective, and only the accepted one is asked for its gradient,
-    carried as grad f(x^{k+1}). The accepted step decides the next beta0
-    (`nls.nesterov`) and tau0 (`bb_init_tau`, which evaluates nothing);
-    when beta0 is positive, that gradient comes with the gradient at the
-    next step's first trial point from one product (`_accepted_grads`),
-    carried as the state's `ahead`: the first trial with beta = beta0 > 0
-    reads it, and a later trial with beta > 0 evaluates the gradient at
-    its y, from the extrapolated linear image of the iterates. Returns
-    (new state, TraceRecord, init dict).
+    The state's step d = x^k - x^{k-1} and ||d||^2, formed once by the step
+    that took d, serve the extrapolated points, the step norm and the next
+    initialization; a trial forms its step x^{k+1} - x^k and that step's
+    squared norm once, for the step norm and the potential, and the
+    accepted trial's serve the witness and become the next state's d and
+    d_sq. Each trial candidate is evaluated once: its value gives the
+    potential and the record's objective, and only the accepted one is
+    asked for its gradient, carried as grad f(x^{k+1}). The accepted step
+    decides the next beta0 (`nls.nesterov`) and tau0 (`bb_init_tau`, which
+    evaluates nothing); when beta0 is positive, that gradient comes with
+    the gradient at the next step's first trial point from one product
+    (`_accepted_grads`), carried as the state's `ahead`: the first trial
+    with beta = beta0 > 0 reads it, and a later trial with beta > 0
+    evaluates the gradient at its y, from the extrapolated linear image of
+    the iterates. Returns (new state, TraceRecord, init dict).
     When the inner loop exhausts its budget it raises `nls.cap_error`'s
     exception: LineSearchStalled if rounding alone rejected the last
     candidate, else BacktrackCapError carrying it.
     """
-    beta0, x, d, gx, z = state.beta0, state.x, state.d, state.grad_x, state.z
-    d_sq = _sq(d)
+    beta0, x, d, d_sq = state.beta0, state.x, state.d, state.d_sq
+    gx, z = state.grad_x, state.z
 
     for l in range(config.max_backtracks + 1):
         beta, tau = backtrack_params(
@@ -301,8 +304,9 @@ def pg_step(state, problem, config):
                            config.tau_min, config.tau_max, prev_tau=state.tau0)
     wnorm = subgrad_witness_pg(candidate, y, tau, grad_new, gy, config.delta, step)
     new_state = IterateState(
-        x=candidate, d=step, window=state.window, t=t_next, beta0=beta_next,
-        k=state.k + 1, tau0=tau_next, grad_x=grad_new, z=z_new, z_prev=z, ahead=ahead,
+        x=candidate, d=step, window=state.window, d_sq=new_sq, t=t_next,
+        beta0=beta_next, k=state.k + 1, tau0=tau_next, grad_x=grad_new, z=z_new,
+        z_prev=z, ahead=ahead,
     )
     record = step_record(new_state.window, new_state.k, F_cand, h_cand, step_sq,
                          wnorm, beta, tau, backtracks=l)

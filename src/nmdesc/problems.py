@@ -70,6 +70,13 @@ class BlockProblem:
     it, to form the moduli of a whole run in one batched eigen-solve at
     its end; the baselines, which take a step from each modulus, and
     `palm.palm_step` do not.
+
+    H must be quadratic in x for fixed y, so that grad_x H is affine in x
+    there: `palm.palm_step` takes grad_x H at an extrapolated x~ = x +
+    beta*(x - x_prev) as grad_x H(x, y) + beta*(grad_x H(x, y) - grad_x
+    H(x_prev, y)), without evaluating it. `mc_problem`'s H is: for fixed
+    V, UV^T is linear in U, so 0.5*||P_Omega(UV^T - M)||^2 is quadratic in
+    U. H need not be quadratic in y.
     """
 
     f: ProxSpec
@@ -345,7 +352,16 @@ def gen_mc(n1, n2, r_star, num_samples, sigma, seed, r=None, lam=1.0, mu=1e-10):
 # residual per gradient: between 20 and 100 at 200 x 200 the rule picks
 # the slower segment form, and a larger ratio would move the traces of
 # such instances. Each of the dense form's two buffers takes n1*n2*8
-# bytes, which caps the size it is used at.
+# bytes, which caps the size it is used at. The residual's product is
+# taken on a C-order copy of V^T (`kernels.masked_dense_residual`). With
+# its gather, one residual took 24-25 us against 32-33 us on the view V^T
+# at 200 x 200, rank 10, 17 % observed (best of 2000 calls, three runs;
+# one BLAS thread, OpenBLAS 0.3.31 with Haswell kernels). It pays at the
+# desk size only: at 500 x 500 (296-301 us against 285-361 us) and
+# 1000 x 1000, 5 % observed (893-990 us against 954-966 us), the two
+# overlap within their run-to-run spread, and at 40 x 40, rank 4, the
+# copy costs about 0.1 us of 3.6 us. The crossovers above were measured
+# with the product on the view.
 DENSE_MAX_RATIO = 20
 DENSE_MAX_BYTES = 2**25
 

@@ -146,6 +146,13 @@ class TestSolverOptions:
         *(pytest.param(name, "max_iters", "-5", "max_iters must be nonnegative",
                        id=f"{name}-max_iters") for name in ("pgenls", "fista",
                                                              "palmenls", "palm")),
+        # a negative or NaN stop_tol turned the tolerance rule off (pgenls
+        # and palmenls ran to max_iters and exited 0), a NaN time_budget the
+        # budget, and a negative one stopped after one iteration
+        *(pytest.param(name, option, value, f"{option} must lie in [0, inf]",
+                       id=f"{name}-{option}-{value}")
+          for name in ("pgenls", "fista", "palmenls", "palm")
+          for option in ("stop_tol", "time_budget") for value in ("-1", "nan")),
     ])
     def test_bad_start_or_count_exits_2(self, tmp_path, capsys, name, option, value,
                                         message):

@@ -95,8 +95,9 @@ def test_dense_residual_buffer_stays_zero_off_omega():
 
 
 def test_dense_residual_matches_gather():
-    # the residual is taken from the bits of the view product U @ V.T, for
-    # r = 1 and r = 10 on square and non-square shapes too
+    # the residual is taken from the bits of the product on a C-order copy
+    # of V^T (not always those of the view product U @ V.T), for r = 1 and
+    # r = 10 on square and non-square shapes too
     cases = [(3, 30, 25, 4, 120)] + [
         (r, n1, n2, r, n1 * n2 // 6)
         for r in (1, 10) for n1, n2 in ((200, 200), (120, 230), (230, 120))
@@ -107,8 +108,9 @@ def test_dense_residual_matches_gather():
         resid = kernels.masked_dense_residual(U, V, rows * n2 + cols, obs, P)
         ref = kernels.masked_residual(U, V, rows, cols, obs)
         assert np.allclose(resid, ref, rtol=1e-13, atol=1e-15)
-        assert np.array_equal(P, U @ V.T)
-        assert np.array_equal(resid, (U @ V.T)[rows, cols] - obs)
+        product = U @ np.ascontiguousarray(V.T)
+        assert np.array_equal(P, product)
+        assert np.array_equal(resid, product[rows, cols] - obs)
 
 
 def test_block_index_segments():

@@ -12,7 +12,7 @@ import pytest
 from testkit import nesterov_ref, trace_csv_string
 from nmdesc.linalg import RngStream
 from nmdesc import palm as palm_mod
-from nmdesc.nls import BacktrackCapError, accept, window_max
+from nmdesc.nls import BacktrackCapError, accept, backtrack_params, window_max
 from nmdesc.palm import (
     PalmConfig,
     backtrack_bound_palm,
@@ -101,17 +101,33 @@ def grad_y(problem, x, y):
     return problem.coupling(x, y)[2]()
 
 
+def x_secant(problem, x, y, x_prev):
+    """grad_x H(x, y) - grad_x H(x_prev, y), each gradient evaluated where
+    it is taken."""
+    return grad_x(problem, x, y) - grad_x(problem, x_prev, y)
+
+
+def x_trial_grad(problem, x, y, x_prev, beta):
+    """grad_x H at x~ = x + beta*(x - x_prev) with y fixed, as `palm_step`
+    takes it: the gradient at x itself when beta = 0, else gx + beta*dhx
+    from the gradient gx at (x, y) and the secant dhx to (x_prev, y)."""
+    gx = grad_x(problem, x, y)
+    if beta == 0.0:
+        return gx
+    return gx + beta * x_secant(problem, x, y, x_prev)
+
+
 def bb_inits(problem, x, y, x_prev, y_prev, prev_taus, tau_lo, tau_hi):
     """The Barzilai-Borwein initializations at (x, y) after a step from
-    (x_prev, y_prev), from its steps and their squared norms, the
-    coupling's gradients at (x, y), from one evaluation, and the cross
-    gradients grad_x H(x_prev, y) and grad_y H(x, y_prev), each evaluated
-    where it is used."""
+    (x_prev, y_prev), from its steps and their squared norms, and the
+    secants of the coupling's gradients at (x, y), from one evaluation,
+    against the cross gradients grad_x H(x_prev, y) and grad_y H(x,
+    y_prev), each evaluated where it is used."""
     _, gx, gy = problem.coupling(x, y)
     dx, dy = x - x_prev, y - y_prev
     return bb_init_tau_blocks(
-        (dx, dy), (_sq(dx), _sq(dy)), (gx(), gy()),
-        (grad_x(problem, x_prev, y), grad_y(problem, x, y_prev)),
+        (dx, dy), (_sq(dx), _sq(dy)),
+        (gx() - grad_x(problem, x_prev, y), gy() - grad_y(problem, x, y_prev)),
         prev_taus, tau_lo, tau_hi)
 
 
@@ -232,9 +248,12 @@ class TestSafeBetaBound:
                             cfg)[0]
         # Nesterov counters at 10 give the weight 0.9, capped at beta_max
         state.t, state.beta0 = 10.0, min(nesterov_ref(10.0, 10.0)[0], beta)
-        # give the state a nonzero previous step so extrapolation is active
+        # give the state a nonzero previous step so extrapolation is active,
+        # with its squared norms and the x secant it ends
         state.dx = 0.01 * rng.standard_normal(2)
         state.dy = 0.01 * rng.standard_normal(2)
+        state.dx_sq, state.dy_sq = _sq(state.dx), _sq(state.dy)
+        state.dhx = x_secant(prob, state.x, state.y, state.x - state.dx)
         _, rec, _ = palm_step(state, prob, cfg)
         assert rec.beta == beta > 0.0
         assert rec.backtracks == 0
@@ -251,46 +270,53 @@ class TestWitnessAndInvariants:
         return prob, u0, v0
 
     def test_reused_gradients_match_recomputation(self):
-        # the steps and the gradient a step carries, the next
-        # initializations it decides from the four gradients at and next to
-        # the new point, and the witness, equal, bit for bit, those formed
-        # from the iterates and taken straight from the oracle, after steps
-        # with beta = 0 (whose y~ is y^k, so the trial's y gradient is the
-        # cross gradient) and with beta > 0
+        # the steps, their squared norms, the gradient and the x secant a
+        # step carries, the next initializations it decides from the four
+        # gradients at and next to the new point, and the witness, equal,
+        # bit for bit, those formed from the iterates and taken straight
+        # from the oracle, after steps with beta = 0 (whose y~ is y^k, so
+        # the trial's y gradient is the cross gradient) and with beta > 0
+        # (whose x trial gradient is gx + beta*dhx)
         prob, u0, v0 = self.small_mc()
         vcfg = validated(prob, u0, v0)
         state = start_state(prob, u0, v0, vcfg)[0]
+        assert not state.dhx.any() and state.dx_sq == state.dy_sq == 0.0
         betas = set()
+        x_before = state.x  # x^{k-1} of the step from prev; x^{-1} = x^0
         for _ in range(20):
             prev = state
             state, rec, _ = palm_step(state, prob, vcfg)
             xt, yt = extrapolated(prev, rec.beta)
             assert np.array_equal(state.dx, state.x - prev.x)
             assert np.array_equal(state.dy, state.y - prev.y)
+            assert (state.dx_sq, state.dy_sq) == (_sq(state.dx), _sq(state.dy))
             assert np.array_equal(state.gx, grad_x(prob, state.x, state.y))
+            assert np.array_equal(state.dhx, x_secant(prob, state.x, state.y, prev.x))
             assert (state.tau1_0, state.tau2_0) == bb_inits(
                 prob, state.x, state.y, prev.x, prev.y, (prev.tau1_0, prev.tau2_0),
                 vcfg.tau_lo, vcfg.tau_hi)
             assert rec.witness_norm == witness_norm(
                 prob, state.x, state.y, prev.x, prev.y, xt, yt, rec.tau1, rec.tau2,
-                vcfg.delta)
+                vcfg.delta, x_trial_grad(prob, prev.x, prev.y, x_before, rec.beta))
+            x_before = prev.x
             betas.add(rec.beta > 0.0)
         assert betas == {False, True}
 
     def test_oracle_calls_per_iteration(self, monkeypatch):
         # the start state evaluates the coupling once and asks it for
         # grad_x only. Per step with l backtracks: l+1 trials, each
-        # evaluating the coupling for grad_x at (x~, y^k), for grad_y at
-        # (x^{k+1}, y~) and for H at (x^{k+1}, y^{k+1}); the accepted
-        # trial's last evaluation gives the gradients at the new point, two
-        # fewer evaluations than H, grad_x and grad_y there separately; and
-        # at acceptance the next BB secant's cross gradients:
-        # grad_x(x^k, y^{k+1}) always, and grad_y(x^{k+1}, y^k) only after
-        # beta > 0, since with beta = 0 it is the trial's own. The BB
-        # initialization runs once per step and evaluates nothing. A trial
-        # with beta = 0 takes grad_x(x^k, y^k) from the state. A rejected
-        # trial asks for no gradient at its point. No step computes a block
-        # modulus (the Counter has no "L1" or "L2").
+        # evaluating the coupling for grad_y at (x^{k+1}, y~) and for H at
+        # (x^{k+1}, y^{k+1}); the accepted trial's last evaluation gives the
+        # gradients at the new point, two fewer evaluations than H, grad_x
+        # and grad_y there separately; and at acceptance the next BB
+        # secant's cross gradients: grad_x(x^k, y^{k+1}) always, and
+        # grad_y(x^{k+1}, y^k) only after beta > 0, since with beta = 0 it
+        # is the trial's own. The BB initialization runs once per step and
+        # evaluates nothing. A trial takes its x gradient from the state:
+        # grad_x(x^k, y^k) with beta = 0, and with beta > 0 that plus beta
+        # times the carried x secant. A rejected trial asks for no gradient
+        # at its point. No step computes a block modulus (the Counter has
+        # no "L1" or "L2").
         prob, u0, v0 = self.small_mc(seed=3)
         counting, calls = counted_oracles(prob)
         inits = []
@@ -313,10 +339,9 @@ class TestWitnessAndInvariants:
                 inits.clear()
                 state, rec, _ = palm_step(state, counting, vcfg)
                 trials = rec.backtracks + 1
-                x_trials = trials if rec.beta > 0.0 else 0
                 y_cross = 1 if rec.beta > 0.0 else 0
-                assert calls == {"coupling": x_trials + 2 * trials + 1 + y_cross,
-                                 "grad_x": x_trials + 1 + 1,
+                assert calls == {"coupling": 2 * trials + 1 + y_cross,
+                                 "grad_x": 1 + 1,
                                  "grad_y": trials + 1 + y_cross}
                 assert inits == [True]
                 betas.append(rec.beta)
@@ -334,7 +359,7 @@ class TestWitnessAndInvariants:
         # per iteration
         prob, u0, v0 = self.small_mc(seed=3)
         counting, calls = counted_oracles(prob)
-        result = palm_baseline_run(counting, u0, v0, PalmConfig(max_iters=20, stop_tol=-1.0))
+        result = palm_baseline_run(counting, u0, v0, PalmConfig(max_iters=20, stop_tol=0.0))
         assert len(result.records) == 21
         assert calls == {"coupling": 41, "grad_x": 21, "grad_y": 40, "L1": 20, "L2": 20}
 
@@ -344,7 +369,7 @@ class TestWitnessAndInvariants:
         # that accepts no step has no initializations and no moduli in meta
         prob, u0, v0 = self.small_mc(seed=3)
         counting, calls = counted_oracles(prob)
-        result = palm_run(counting, u0, v0, PalmConfig(max_iters=10, stop_tol=-1.0))
+        result = palm_run(counting, u0, v0, PalmConfig(max_iters=10, stop_tol=0.0))
         assert list(result.meta) == ["beta0", "tau1_0", "tau2_0", "L1k", "L2k1"]
         assert len(result.meta["L1k"]) == len(result.meta["L2k1"]) == 10
         assert calls["L1"] == calls["L2"] == 1
@@ -358,7 +383,7 @@ class TestWitnessAndInvariants:
         # start's moduli
         inst, prob, u0, v0 = mc_start(*MC_FORMS[form])
         for name in ("palmenls", "palmnls"):
-            cfg = variant_config(name, PalmConfig(max_iters=40, stop_tol=-1.0))
+            cfg = variant_config(name, PalmConfig(max_iters=40, stop_tol=0.0))
             result = palm_run(prob, u0, v0, cfg)
             vcfg = result.extras["config"]
             state = start_state(prob, u0, v0, vcfg)[0]
@@ -485,7 +510,9 @@ def reference_palm(prob, x0, y0, cfg, iters, t0=1.0):
     used and every trial point extrapolated, x + beta*(x - x_prev) also at
     beta = 0, from Nesterov counters t0: records (k, objective, potential,
     step, witness, beta, tau1, tau2, backtracks, ell) as a reference for
-    the reused gradients."""
+    the reused gradients. The x trial gradient at beta > 0 is taken as
+    `palm_step` takes it, from the gradients at (x, y) and (x_prev, y)
+    (`x_trial_grad`): it differs from grad_x H(x~, y) in the last bits."""
     ups = prob.objective(x0, y0)[0]  # Upsilon at equal pairs
     window = deque([(0, ups)], maxlen=cfg.m + 1)
     x, y, xp, yp = x0.copy(), y0.copy(), x0.copy(), y0.copy()
@@ -505,7 +532,8 @@ def reference_palm(prob, x0, y0, cfg, iters, t0=1.0):
             tau1 = max(taus[0] * cfg.eta1**l, cfg.tau_lo)
             tau2 = max(taus[1] * cfg.eta2**l, cfg.tau_lo)
             xt = x + beta * (x - xp)
-            xn = prob.f.prox(xt - tau1 * grad_x(prob, xt, y), tau1)
+            gxt = x_trial_grad(prob, x, y, xp, beta)
+            xn = prob.f.prox(xt - tau1 * gxt, tau1)
             yt = y + beta * (y - yp)
             yn = prob.g.prox(yt - tau2 * grad_y(prob, xn, yt), tau2)
             step_sq = _sq(xn - x) + _sq(yn - y) + _sq(x - xp) + _sq(y - yp)
@@ -514,7 +542,7 @@ def reference_palm(prob, x0, y0, cfg, iters, t0=1.0):
             ups = obj + 0.5 * cfg.delta * (_sq(xn - x) + _sq(yn - y))
             if accept(ups, window, cfg.alpha, step_sq):
                 break
-        wnorm = witness_norm(prob, xn, yn, x, y, xt, yt, tau1, tau2, cfg.delta)
+        wnorm = witness_norm(prob, xn, yn, x, y, xt, yt, tau1, tau2, cfg.delta, gxt)
         window.append((k + 1, ups))
         _, ell = window_max(window)
         out.append((k + 1, obj, ups, math.sqrt(step_sq), wnorm, beta, tau1, tau2, l, ell))
@@ -523,14 +551,17 @@ def reference_palm(prob, x0, y0, cfg, iters, t0=1.0):
     return out, (x, y)
 
 
-def witness_norm(prob, x, y, x_prev, y_prev, xt, yt, tau1, tau2, delta):
+def witness_norm(prob, x, y, x_prev, y_prev, xt, yt, tau1, tau2, delta,
+                 gx_trial=None):
     """The witness norm of a step from (x_prev, y_prev) through (xt, yt) to
-    (x, y), with its four gradients evaluated where they are used."""
+    (x, y), with its four gradients evaluated where they are used, or with
+    the x trial gradient `gx_trial` where it is given."""
     _, gx, gy = prob.coupling(x, y)
+    if gx_trial is None:
+        gx_trial = grad_x(prob, xt, y_prev)
     return subgrad_witness_palm(
         (x, y), (xt, yt), (tau1, tau2), (gx(), gy()),
-        (grad_x(prob, xt, y_prev), grad_y(prob, x, yt)), delta,
-        (x - x_prev, y - y_prev))
+        (gx_trial, grad_y(prob, x, yt)), delta, (x - x_prev, y - y_prev))
 
 
 def extrapolated(state, beta):
@@ -583,13 +614,56 @@ def mc_start(n1, n2, num_samples, seed):
 MC_FORMS = {"dense": (200, 200, 8000, 1), "segment": (300, 300, 2000, 5)}
 
 
+class TestSecantTrialGradient:
+    @pytest.mark.parametrize("form", sorted(MC_FORMS))
+    def test_secant_x_trial_gradient(self, form):
+        # every x trial with beta > 0, backtracks too, takes its prox step
+        # from gx + beta*dhx, to the bit; that gradient matches a fresh
+        # evaluation of grad_x H(x~, y^k) within 1e-13 relative. Every
+        # other step starts from step sizes 100 times too long, so that it
+        # backtracks
+        inst, prob, u0, v0 = mc_start(*MC_FORMS[form])
+        assert mc_oracle_form(inst.n1, inst.n2, inst.num_obs) == form
+        prox_args = []
+
+        def prox(v, tau):
+            prox_args.append((v, tau))
+            return prob.f.prox(v, tau)
+
+        recording = replace(prob, f=SimpleNamespace(value=prob.f.value, prox=prox))
+        vcfg = validated(prob, u0, v0)
+        state = start_state(prob, u0, v0, vcfg)[0]
+        checked, backtracked = 0, 0
+        for k in range(40):
+            prox_args.clear()
+            if k % 2:
+                state = replace(state, tau1_0=100.0 * state.tau1_0,
+                                tau2_0=100.0 * state.tau2_0)
+            prev = state
+            state, rec, _ = palm_step(state, recording, vcfg)
+            for l, (v, tau1) in enumerate(prox_args):
+                beta, _, _ = backtrack_params(
+                    l, prev.beta0, vcfg.eta, vcfg.tau_lo,
+                    (prev.tau1_0, vcfg.eta1), (prev.tau2_0, vcfg.eta2))
+                if beta == 0.0:
+                    continue
+                xt = prev.x + beta * prev.dx
+                gx_trial = prev.gx + beta * prev.dhx
+                assert np.array_equal(v, xt - tau1 * gx_trial)
+                fresh = grad_x(prob, xt, prev.y)
+                assert np.linalg.norm(gx_trial - fresh) <= 1e-13 * np.linalg.norm(fresh)
+                checked += 1
+                backtracked += l > 0
+        assert checked > 30 and backtracked > 0
+
+
 class TestZeroExtrapolationReuse:
     @pytest.mark.parametrize("form", sorted(MC_FORMS))
     @pytest.mark.parametrize("name", ["palmnls", "palmls", "palmenls"])
     def test_trace_equals_recomputation(self, name, form):
         inst, prob, u0, v0 = mc_start(*MC_FORMS[form])
         assert mc_oracle_form(inst.n1, inst.n2, inst.num_obs) == form
-        cfg = variant_config(name, PalmConfig(max_iters=50, stop_tol=-1.0))
+        cfg = variant_config(name, PalmConfig(max_iters=50, stop_tol=0.0))
         result = palm_run(prob, u0, v0, cfg)
         got = [(r.k, r.objective, r.potential, r.step_norm, r.witness_norm,
                 r.beta, r.tau1, r.tau2, r.backtracks, r.ell) for r in result.records]
@@ -625,7 +699,7 @@ class TestZeroExtrapolationReuse:
     ])
     def test_baseline_trace_equals_recomputation(self, extrapolate, beta_max):
         inst, prob, u0, v0 = mc_start(*MC_FORMS["dense"])
-        cfg = PalmConfig(max_iters=50, stop_tol=-1.0, beta_max=beta_max)
+        cfg = PalmConfig(max_iters=50, stop_tol=0.0, beta_max=beta_max)
         result = palm_baseline_run(prob, u0, v0, cfg, extrapolate=extrapolate)
         got = [(r.k, r.objective, r.step_norm, r.witness_norm, r.beta, r.tau1, r.tau2)
                for r in result.records]
@@ -638,7 +712,7 @@ class TestBaselines:
     def test_decoupled_palm_is_proximal_minimization(self):
         prob = decoupled_problem()
         x0, y0 = np.array([2.0]), np.array([-3.0])
-        cfg = PalmConfig(max_iters=1, stop_tol=-1.0)
+        cfg = PalmConfig(max_iters=1, stop_tol=0.0)
         result = palm_baseline_run(prob, x0, y0, cfg)
         x, y = result.x
         assert x[0] == pytest.approx(2.0 / 2.0)  # tau = 1/L = 1
@@ -658,7 +732,7 @@ class TestBaselines:
     def test_palme_with_zero_beta_equals_palm(self):
         prob = bilinear_problem()
         x0, y0 = np.array([0.4]), np.array([0.2])
-        cfg = PalmConfig(max_iters=10, stop_tol=-1.0, beta_max=0.0)
+        cfg = PalmConfig(max_iters=10, stop_tol=0.0, beta_max=0.0)
         a = palm_baseline_run(prob, x0, y0, cfg, extrapolate=False)
         b = palm_baseline_run(prob, x0, y0, cfg, extrapolate=True)
         assert trace_csv_string(a.records, zero_times=True) == \
@@ -667,7 +741,7 @@ class TestBaselines:
     def test_bilinear_baseline_matches_hand_recursion(self):
         prob = bilinear_problem()
         x, y = np.array([0.3]), np.array([0.4])
-        cfg = PalmConfig(max_iters=5, stop_tol=-1.0)
+        cfg = PalmConfig(max_iters=5, stop_tol=0.0)
         result = palm_baseline_run(prob, x, y, cfg)
         for _ in range(5):
             x = x - y      # tau1 = 1/L1 = 1

@@ -297,7 +297,7 @@ class TestFista:
         # flat objective: the gradient trigger never fires (inner product 0),
         # so only the periodic reset can zero the weight
         prob = flat_problem()
-        cfg = PgConfig(max_iters=260, stop_tol=-1.0)
+        cfg = PgConfig(max_iters=260, stop_tol=0.0)
         result = fista_run(prob, np.zeros(2), cfg, restart=True)
         betas = {r.k: r.beta for r in result.records}
         assert betas[250] > 0.9
@@ -305,7 +305,7 @@ class TestFista:
 
     def test_no_restart_without_flag(self):
         prob = flat_problem()
-        cfg = PgConfig(max_iters=260, stop_tol=-1.0)
+        cfg = PgConfig(max_iters=260, stop_tol=0.0)
         result = fista_run(prob, np.zeros(2), cfg)
         betas = {r.k: r.beta for r in result.records}
         assert betas[251] > 0.9

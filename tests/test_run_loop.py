@@ -38,11 +38,12 @@ def test_run_loop_contract(name, monkeypatch):
     seen = []
 
     def solve(**options):
-        # the witness test never fires; a run with a sink must hand it
-        # exactly the records it returns or raises with
+        # the witness test fires only at a zero witness, which these runs
+        # never reach; a run with a sink must hand it exactly the records
+        # it returns or raises with
         seen.clear()
         sink = {"trace_sink": seen.append} if has_sink else {}
-        result = run({"stop_tol": -1.0, **options}, **sink)
+        result = run({"stop_tol": 0.0, **options}, **sink)
         if has_sink:
             assert seen == list(result.records)
         return result
@@ -58,6 +59,14 @@ def test_run_loop_contract(name, monkeypatch):
 
     with pytest.raises(ValueError, match="max_iters must be nonnegative"):
         solve(max_iters=-5)
+    assert seen == []
+
+    # a negative or NaN tolerance turned the witness test off, a NaN budget
+    # the time test, and a negative budget stopped after one step
+    for option in ("stop_tol", "time_budget"):
+        for value in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match=rf"{option} must lie in \[0, inf\]"):
+                solve(**{option: value})
     assert seen == []
 
     step = getattr(module, step_name)
