@@ -359,14 +359,16 @@ def cmd_diag(args):
     if not has_witness:
         print("warning: no witness column or values; skipping the "
               "relative-error check", file=sys.stderr)
+    # every check runs before the first verdict is printed, so a constant
+    # that one of them rejects exits 2 with no verdict at all
     h1 = verify_H1(trace, a=args.a, m=args.m)
+    h2 = verify_H2(trace, b=args.b) if has_witness and args.b is not None else None
+    report = classify_ksets(trace, a=args.a, theta=args.theta, m=args.m)
     status = "pass" if h1.passed else f"FAIL at k={h1.first_violation}"
     print(f"H1 (a={args.a:g}, m={args.m}): {status} over {h1.checked} steps")
-    if has_witness and args.b is not None:
-        h2 = verify_H2(trace, b=args.b)
+    if h2 is not None:
         status = "pass" if h2.passed else f"FAIL at k={h2.first_violation}"
         print(f"H2 (b={args.b:g}): {status}, max ratio {h2.max_ratio:.6g}")
-    report = classify_ksets(trace, a=args.a, theta=args.theta, m=args.m)
     sums = condition_partial_sums(trace, report)
     print(
         f"K-sets (theta={args.theta:g}, omega* estimated {report.omega_star:.10g}): "

@@ -32,6 +32,14 @@ def _pow(values, exponent):
                        dtype=np.float64, count=len(values))
 
 
+def _check_constant(name, value):
+    """Raise ValueError unless the condition constant `name` is finite and
+    nonnegative: a NaN, infinite or negative one empties the check it
+    scales, which then passes every trace."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must lie in [0, inf)")
+
+
 def ell_indices(trace, m):
     """ell(k) for every k: the LARGEST index attaining the max potential
     over the window [max(0, k-m), k]. A NaN counts as the maximum; the
@@ -64,7 +72,9 @@ class H1Report:
 
 def verify_H1(trace, a, m):
     """Check the nonmonotone decrease condition with zero slack:
-    potential(k+1) + a*step(k+1)^2 <= max potential over [k-m, k]."""
+    potential(k+1) + a*step(k+1)^2 <= max potential over [k-m, k]; `a`
+    must lie in [0, inf)."""
+    _check_constant("a", a)
     pot = trace.column("potential")
     if len(pot) < 2:
         return H1Report(passed=True, checked=len(pot) - 1)
@@ -91,7 +101,9 @@ def verify_H2(trace, b):
 
     A zero step with a nonzero witness is flagged specially (the ratio is
     infinite); zero witness always passes, and so do the rows with k = 0.
+    `b` must lie in [0, inf).
     """
+    _check_constant("b", b)
     k = trace.column("k")
     witness = trace.column("witness_norm")
     step = trace.column("step_norm")
@@ -141,10 +153,11 @@ def classify_ksets(trace, a, theta, m, omega_star=None):
 
     K1: gap >= (a/2)*step^2; K2: additionally gap < (a/2)*step^(1/theta);
     K31 (subset of K1 minus K2): omega* - potential(j) > (a/4)*step^(1/theta).
-    K32 collects the rest of K1.
+    K32 collects the rest of K1. `a` must lie in [0, inf).
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
+    _check_constant("a", a)
     ells = ell_indices(trace, m)
     pot = trace.column("potential")
     if omega_star is None:

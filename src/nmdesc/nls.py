@@ -13,7 +13,8 @@ the next step, and the state it returns carries them: beta0 with the
 Nesterov counter t, and tau0 (PALM: tau1_0 and tau2_0). The validated
 configs (`PgConfig.validated`, `PalmConfig.validated`) check the factors,
 the first step sizes, the step-size floor, alpha, m and max_backtracks
-once per run, so nothing here checks them again per trial.
+once per run, the rules both share through `check_schedule`, so nothing
+here checks them again per trial.
 
 Every solver, line search or baseline, runs through `run_loop`: its start
 state comes with the window and record of `run_start`, and each accepted
@@ -24,7 +25,7 @@ import math
 import time
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .trace import Trace, TraceRecord
 
@@ -66,12 +67,14 @@ def nesterov(t, beta_max):
     return min((t - 1.0) / t_next, beta_max), t_next
 
 
-def bb_ratio(d_sq, dh_sq, inner, lo, hi):
+def bb_ratio(d_sq, dh_sq, inner, lo, hi, prev):
     """Safeguarded Barzilai-Borwein step from a secant pair (d, dh), given
     ||d||^2, ||dh||^2 and <d, dh>: the smaller of the two BB ratios, `hi`
     when the curvature <d, dh> is not positive against a relative guard,
-    clipped to [lo, hi]. A zero d has no ratio; callers keep their last
-    step then."""
+    clipped to [lo, hi]. A zero d has no ratio: the step stays `prev`,
+    the one it would replace."""
+    if d_sq == 0.0:
+        return prev
     guard = 1e-12 * math.sqrt(d_sq) * math.sqrt(dh_sq)
     if inner <= guard:
         candidate = hi
@@ -87,6 +90,44 @@ def backtrack_params(l, beta0, eta, tau_min, *steps):
     (tau2_0, eta2) with eta = eta."""
     return (beta0 * eta**l,
             *[max(tau0 * eta_i**l, tau_min) for tau0, eta_i in steps])
+
+
+def backtracks_to(start, target, eta):
+    """Backtracks l that bring the schedule's start*eta^l to `target`: 0
+    when start <= target, inf when target is 0, else the ceiling of
+    log(target/start)/log(eta). The inner-loop bounds add these up."""
+    if start <= target:
+        return 0
+    if target == 0.0:
+        return math.inf
+    return math.ceil(math.log(target / start) / math.log(eta))
+
+
+def check_beta_max(beta_max):
+    """Raise ValueError unless the extrapolation cap lies in [0, inf)."""
+    if not 0.0 <= beta_max < math.inf:
+        raise ValueError("beta_max must lie in [0, inf)")
+
+
+def check_schedule(config, *factors):
+    """Raise ValueError naming the field unless m and max_backtracks are
+    nonnegative, beta_max lies in [0, inf) and each factor named in
+    `factors` in (0, 1): the config rules both families share."""
+    for name in ("m", "max_backtracks"):
+        if getattr(config, name) < 0:
+            raise ValueError(f"{name} must be nonnegative")
+    check_beta_max(config.beta_max)
+    for name in factors:
+        if not 0.0 < getattr(config, name) < 1.0:
+            raise ValueError(f"{name} must lie in (0, 1)")
+
+
+def variant_config(variants, default, name, base=None):
+    """`base`, or `default()`, with the overrides `variants[name]`; an
+    unknown name raises ValueError. Each family binds its own pair."""
+    if name not in variants:
+        raise ValueError(f"unknown variant {name!r}; one of {', '.join(variants)}")
+    return replace(default() if base is None else base, **variants[name])
 
 
 class BacktrackCapError(RuntimeError):

@@ -19,9 +19,11 @@ import warnings
 from array import array
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
+from . import nls
 from .nls import (
     BacktrackCapError,
     RunResult,
@@ -29,8 +31,11 @@ from .nls import (
     _sq,
     accept,
     backtrack_params,
+    backtracks_to,
     bb_ratio,
     cap_error,
+    check_beta_max,
+    check_schedule,
     nesterov,
     run_loop,
     run_start,
@@ -59,10 +64,7 @@ class PalmConfig:
     def validated(self, L1_start, L2_start):
         """Fill tau1_0, tau2_0 from L1(y^0), L2(x^0); check the invariants."""
         cfg = replace(self)
-        for name in ("m", "max_backtracks"):
-            if getattr(cfg, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        check_beta_max(cfg.beta_max)
+        check_schedule(cfg, "eta", "eta1", "eta2")
         if not 0.0 < cfg.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if not 0.0 < cfg.alpha <= cfg.delta / 2.0:
@@ -78,17 +80,7 @@ class PalmConfig:
             cfg.tau2_0 = 100.0 / max(L2_start, 1e-12)
         if not (cfg.tau1_0 > 0.0 and cfg.tau2_0 > 0.0):
             raise ValueError("tau1_0 and tau2_0 must be positive")
-        for name in ("eta", "eta1", "eta2"):
-            v = getattr(cfg, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1)")
         return cfg
-
-
-def check_beta_max(beta_max):
-    """Raise ValueError unless the extrapolation cap lies in [0, inf)."""
-    if not 0.0 <= beta_max < math.inf:
-        raise ValueError("beta_max must lie in [0, inf)")
 
 
 PALM_VARIANTS = {
@@ -99,11 +91,8 @@ PALM_VARIANTS = {
 }
 
 
-def variant_config(name, base=None):
-    if name not in PALM_VARIANTS:
-        raise ValueError(f"unknown PALM variant {name!r}")
-    cfg = base if base is not None else PalmConfig()
-    return replace(cfg, **PALM_VARIANTS[name])
+# variant_config(name, base=None): the PalmConfig of a named variant
+variant_config = partial(nls.variant_config, PALM_VARIANTS, PalmConfig)
 
 
 @dataclass
@@ -150,15 +139,10 @@ def bb_init_tau_blocks(steps, step_sqs, secants, prev_taus, tau_lo, tau_hi):
     grad_x H(x^k, y^{k+1}), grad_y H(x^{k+1}, y^{k+1}) - grad_y H(x^{k+1},
     y^k)): the x secant is taken at the CURRENT y^{k+1}, the y secant at the
     CURRENT x^{k+1}. A zero block step keeps that block's entry of
-    `prev_taus`.
+    `prev_taus` (`nls.bb_ratio`).
     """
-    (dx, dy), (dx_sq, dy_sq), (dhx, dhy) = steps, step_sqs, secants
-    tau1, tau2 = prev_taus
-    if dx_sq != 0.0:
-        tau1 = bb_ratio(dx_sq, _sq(dhx), _dot(dx, dhx), tau_lo, tau_hi)
-    if dy_sq != 0.0:
-        tau2 = bb_ratio(dy_sq, _sq(dhy), _dot(dy, dhy), tau_lo, tau_hi)
-    return tau1, tau2
+    return tuple(bb_ratio(d_sq, _sq(dh), _dot(d, dh), tau_lo, tau_hi, prev)
+                 for d, d_sq, dh, prev in zip(steps, step_sqs, secants, prev_taus))
 
 
 def safe_beta_bound_palm(tau1, tau2, L1k, L2k1, delta):
@@ -179,24 +163,13 @@ def backtrack_bound_palm(tau1_0, tau2_0, beta0, config, L1k, L2k1):
     from the logged initializations and block moduli."""
     L = max(L1k, L2k1)
     target = 1.0 / (L + config.delta + 2.0 * config.alpha)
-
-    def steps_tau(tau0, eta):
-        if tau0 <= target:
-            return 0
-        return math.ceil(math.log(target / tau0) / math.log(eta))
-
-    l_tau = max(steps_tau(tau1_0, config.eta1), steps_tau(tau2_0, config.eta2))
+    l_tau = max(backtracks_to(tau1_0, target, config.eta1),
+                backtracks_to(tau2_0, target, config.eta2))
     floor = min(
         safe_beta_bound_palm(config.tau_lo, config.tau_lo, L1k, L2k1, config.delta),
         safe_beta_bound_palm(target, target, L1k, L2k1, config.delta),
     )
-    if beta0 <= floor:
-        l_beta = 0
-    elif floor == 0.0:
-        l_beta = math.inf
-    else:
-        l_beta = math.ceil(math.log(floor / beta0) / math.log(config.eta))
-    return l_tau + l_beta + 1
+    return l_tau + backtracks_to(beta0, floor, config.eta) + 1
 
 
 def subgrad_witness_palm(new, points, taus, grads, trial_grads, delta, steps):

@@ -14,17 +14,21 @@ variants:
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
+from . import nls
 from .nls import (
     RunResult,
     _dot,
     _sq,
     accept,
     backtrack_params,
+    backtracks_to,
     bb_ratio,
     cap_error,
+    check_schedule,
     nesterov,
     run_loop,
     run_start,
@@ -52,11 +56,7 @@ class PgConfig:
         """Fill step-bound defaults from L and check the config invariants."""
         cfg = replace(self)
         L = float(lipschitz)
-        for name in ("m", "max_backtracks"):
-            if getattr(cfg, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if not 0.0 <= cfg.beta_max < math.inf:
-            raise ValueError("beta_max must lie in [0, inf)")
+        check_schedule(cfg, "eta1", "eta2")
         if cfg.delta == 0.0:
             if cfg.beta_max != 0.0 or cfg.m != 0:
                 raise ValueError("delta=0 requires beta_max=0 and m=0")
@@ -77,8 +77,6 @@ class PgConfig:
             cfg.tau0 = 1.0 / L
         if not cfg.tau0 > 0.0:
             raise ValueError("tau0 must be positive")
-        if not (0 < cfg.eta1 < 1 and 0 < cfg.eta2 < 1):
-            raise ValueError("eta1, eta2 must lie in (0, 1)")
         return cfg
 
 
@@ -90,12 +88,8 @@ PG_VARIANTS = {
 }
 
 
-def variant_config(name, base=None):
-    """PgConfig for a named variant, starting from `base` (or defaults)."""
-    if name not in PG_VARIANTS:
-        raise ValueError(f"unknown PG variant {name!r}")
-    cfg = base if base is not None else PgConfig()
-    return replace(cfg, **PG_VARIANTS[name])
+# variant_config(name, base=None): the PgConfig of a named variant
+variant_config = partial(nls.variant_config, PG_VARIANTS, PgConfig)
 
 
 @dataclass
@@ -163,23 +157,21 @@ def bb_init_tau(d, d_sq, d_prev, d_prev_sq, grads, delta, tau_min, tau_max, prev
     """Barzilai-Borwein step initialization on the smoothed pair space at
     z^{k+1} = (x^{k+1}, x^k), from the steps d = x^{k+1} - x^k and d_prev =
     x^k - x^{k-1}, their squared norms d_sq and d_prev_sq, and grads =
-    (grad f(x^{k+1}), grad f(x^k)); a zero secant keeps prev_tau.
+    (grad f(x^{k+1}), grad f(x^k)); a zero secant keeps prev_tau
+    (`nls.bb_ratio`).
 
     The gradient of the smooth part over z = (x, u) is (grad f(x) +
     delta*(x-u), -delta*(x-u)), and x - u is d at z^{k+1} and d_prev at
     z^k, so the secant pair is (d, d_prev) against that gradient's
     difference.
     """
-    dz_sq = d_sq + d_prev_sq
-    if dz_sq == 0.0:
-        return prev_tau
     gx, gxp = grads
     dd, dd_prev = delta * d, delta * d_prev
     dzeta_a = gx + dd - gxp - dd_prev
     dzeta_b = dd_prev - dd
     dzeta_sq = _sq(dzeta_a) + _sq(dzeta_b)
     inner = _dot(d, dzeta_a) + _dot(d_prev, dzeta_b)
-    return bb_ratio(dz_sq, dzeta_sq, inner, tau_min, tau_max)
+    return bb_ratio(d_sq + d_prev_sq, dzeta_sq, inner, tau_min, tau_max, prev_tau)
 
 
 def safe_beta_bound_pg(tau, lipschitz, delta):
@@ -194,21 +186,12 @@ def safe_beta_bound_pg(tau, lipschitz, delta):
 def backtrack_bound_pg(tau0, beta0, config, lipschitz):
     """Upper bound on the inner-loop count implied by the safe-step analysis."""
     target = 1.0 / (2.0 * config.alpha + 2.0 * config.delta + lipschitz)
-    if tau0 <= target:
-        l1 = 0
-    else:
-        l1 = math.ceil(math.log(target / tau0) / math.log(config.eta2))
     beta_floor = min(
         safe_beta_bound_pg(config.tau_min, lipschitz, config.delta),
         safe_beta_bound_pg(target, lipschitz, config.delta),
     )
-    if beta0 <= beta_floor:
-        l2 = 0
-    elif beta_floor == 0.0:
-        l2 = math.inf  # beta must decay to 0; only beta0 == 0 is safe
-    else:
-        l2 = math.ceil(math.log(beta_floor / beta0) / math.log(config.eta1))
-    return l1 + l2 + 1
+    return (backtracks_to(tau0, target, config.eta2)
+            + backtracks_to(beta0, beta_floor, config.eta1) + 1)
 
 
 def subgrad_witness_pg(x_new, y, tau, grad_new, grad_y, delta, step):

@@ -128,14 +128,27 @@ class LogRegInstance:
         return len(self.support)
 
 
+def _check_parameters(values, where=""):
+    """Raise ValueError, prefixed by `where`, naming the first of the
+    instance parameters `values` (name -> lam, mu or sigma) that is NaN,
+    infinite or negative: `run` refuses such an instance, or its objective
+    has no minimizer (a negative mu makes the logistic one unbounded
+    below)."""
+    for name, value in values.items():
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{where}{name} must be finite and nonnegative, got {value!r}")
+
+
 def gen_logreg(n, p, s, seed, lam=0.1, mu=1e-10):
     """Gaussian design, planted s-sparse predictor, labels b = sign(Ax + eps*1).
 
     sign(0) maps to +1. Exact zeros in the planted Gaussian entries are
-    redrawn so the support size is exactly s.
+    redrawn so the support size is exactly s. lam and mu must be finite
+    and nonnegative (`_check_parameters`).
     """
     if s > p or n < 1:
         raise ValueError("need s <= p and n >= 1")
+    _check_parameters({"lam": lam, "mu": mu})
     rng = RngStream(seed)
     A = rng.standard_normal((n, p))
     support = rng.choice_subset(p, s)
@@ -234,14 +247,17 @@ def logreg_problem(instance, lam=None):
     `load_instance` store it. ||A_tilde|| is exact (`linalg.spectral_sq`,
     from the Gram matrix of A_tilde's smaller side), computed once here and
     kept as `operator_norm`. The gradient Lipschitz constant is
-    0.25*||A_tilde||^2 + mu.
+    0.25*||A_tilde||^2 + mu, with ||A_tilde||^2 as `spectral_sq` gives it;
+    it holds for mu >= 0 only, so any other mu raises ValueError.
     """
+    _check_parameters({"mu": instance.mu})
     lam = instance.lam if lam is None else float(lam)
     A = instance.A_tilde
     AT = np.ascontiguousarray(A.T)
     n, dim = A.shape
-    norm_A = math.sqrt(spectral_sq(A))
-    L = 0.25 * norm_A**2 + instance.mu
+    norm_sq = spectral_sq(A)
+    norm_A = math.sqrt(norm_sq)
+    L = 0.25 * norm_sq + instance.mu
     spec = ProxSpec(
         kind="l0_vector", lam=lam, mu=0.0,
         skip_indices=frozenset([instance.p]),  # intercept unregularized
@@ -312,12 +328,14 @@ def gen_mc(n1, n2, r_star, num_samples, sigma, seed, r=None, lam=1.0, mu=1e-10):
     Duplicate draws are collapsed, so num_obs <= num_samples. The planted
     factors have i.i.d. standard normal entries. Noise on entry t is
     sigma * (xi_t/||xi||) * ||M*_Omega||_F with xi standard normal.
-    Every size (n1, n2, r_star, r, num_samples) must be at least 1.
+    Every size (n1, n2, r_star, r, num_samples) must be at least 1, and
+    sigma, lam and mu finite and nonnegative (`_check_parameters`).
     """
     r = 2 * r_star if r is None else int(r)
     if (min(n1, n2, r_star, r, num_samples) < 1
             or r_star > min(n1, n2) or num_samples > n1 * n2):
         raise ValueError("invalid generator parameters")
+    _check_parameters({"sigma": sigma, "lam": lam, "mu": mu})
     rng = RngStream(seed)
     U_star = rng.standard_normal((n1, r_star))
     V_star = rng.standard_normal((n2, r_star))
@@ -540,7 +558,8 @@ def _check_fields(path, shapes, indices=()):
 def load_instance(path):
     """An instance `save_instance` wrote. Arrays off the header's shapes,
     values that are not finite, labels other than -1 and +1, indices out
-    of range or a repeated Omega pair raise ValueError."""
+    of range, a repeated Omega pair or a header lambda, mu or sigma that
+    `_check_parameters` refuses raise ValueError."""
     with open(path) as f:
         header = f.readline().split()
         if not header:
@@ -557,9 +576,11 @@ def load_instance(path):
                                  ("support", support, (s,))), (("support", support, p),))
             if not np.isin(b, (-1.0, 1.0)).all():
                 raise ValueError(f"{path}: b has a label other than -1 or +1")
+            values = {key: float(params[key]) for key in ("lambda", "mu")}
+            _check_parameters(values, f"{path}: ")
             return LogRegInstance(
-                A_tilde=_with_intercept(A), b=b, lam=float(params["lambda"]),
-                mu=float(params["mu"]), support=support, x_hat=x_hat,
+                A_tilde=_with_intercept(A), b=b, lam=values["lambda"],
+                mu=values["mu"], support=support, x_hat=x_hat,
                 seed=int(params["seed"]), eps=float(params["eps"]),
             )
         if kind == "mc":
@@ -578,10 +599,12 @@ def load_instance(path):
                           (("rows", rows, n1), ("cols", cols, n2)))
             if len(np.unique(rows * n2 + cols)) < len(rows):
                 raise ValueError(f"{path}: Omega repeats a (row, col) pair")
+            values = {key: float(params[key]) for key in ("sigma", "lambda", "mu")}
+            _check_parameters(values, f"{path}: ")
             return McInstance(
                 n1=n1, n2=n2, r_star=r_star, r=r,
-                rows=rows, cols=cols, obs=obs, sigma=float(params["sigma"]),
-                lam=float(params["lambda"]), mu=float(params["mu"]),
+                rows=rows, cols=cols, obs=obs, sigma=values["sigma"],
+                lam=values["lambda"], mu=values["mu"],
                 U_star=U_star, V_star=V_star, seed=int(params["seed"]),
                 samples_requested=int(params["samples"]),
             )

@@ -201,6 +201,23 @@ class TestGen:
         assert main(argv + [tok for kv in args.items() for tok in kv]) == 2
         assert "invalid generator parameters" in capsys.readouterr().err
 
+    # each was written with exit 0, and `run` then exited 2 ("obs has a
+    # value that is not finite", a tau_min message), or, for mu = -1,
+    # solved an objective unbounded below with exit 0
+    @pytest.mark.parametrize("family, option, value", [
+        *(("mc", "--sigma", value) for value in ("inf", "nan")),
+        ("mc", "--lam", "nan"), ("mc", "--mu", "nan"),
+        ("logreg", "--mu", "nan"), ("logreg", "--mu", "-1")])
+    def test_parameter_without_minimizer_exits_2(self, tmp_path, capsys, family,
+                                                 option, value):
+        sizes = (["--n1", "12", "--n2", "12", "--rstar", "2", "--samples", "50"]
+                 if family == "mc" else ["--n", "10", "--p", "15", "--s", "3"])
+        out = tmp_path / "inst.txt"
+        assert main(["gen", family, *sizes, "--seed", "1", option, value,
+                     "--out", str(out)]) == 2
+        assert f"{option[2:]} must be finite and nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_with_rank_zero_exits_2(self, tmp_path, capsys):
         text = MC_RUN.format(trace=tmp_path / "t.csv").replace(
             "seed = 3", "seed = 3\nr = 0")
@@ -631,6 +648,20 @@ class TestDiagAndRates:
         assert "|K1|=" in out
         assert os.path.exists(prefix + "_ksets.csv")
         assert os.path.exists(prefix + "_partial_sums.svg")
+
+    # a constant that empties its check (H1 or H2 once printed "pass" on
+    # every trace, with exit 0) exits 2 before any verdict is printed
+    @pytest.mark.parametrize("option, value", [
+        (option, value) for option in ("--a", "--b") for value in ("nan", "inf", "-1")])
+    def test_diag_constant_that_empties_a_check_exits_2(self, trace_path, tmp_path,
+                                                        capsys, option, value):
+        prefix = str(tmp_path / "d")
+        assert main(["diag", str(trace_path), option, value,
+                     "--out-prefix", prefix]) == 2
+        captured = capsys.readouterr()
+        assert f"{option[2:]} must lie in [0, inf)" in captured.err
+        assert captured.out == ""
+        assert not os.path.exists(prefix + "_ksets.csv")
 
     def test_diag_without_witness_column(self, trace_path, tmp_path, capsys):
         # strip the witness column to simulate a degraded trace

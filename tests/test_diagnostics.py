@@ -53,7 +53,18 @@ class TestEllIndices:
         assert ell_indices(recs, m=1).tolist() == [0, 0, 2, 2]
 
 
+# a NaN, infinite or negative constant empties the check it scales: H1
+# and H2 then passed every trace (0 stays valid, as the tests below use it)
+BAD_CONSTANTS = [math.nan, math.inf, -math.inf, -1.0]
+
+
 class TestVerifyH1:
+    @pytest.mark.parametrize("a", BAD_CONSTANTS)
+    def test_rejects_a_constant_that_empties_it(self, a):
+        recs = records_from([5.0, 4.0, 4.5, 3.0], [0.0, 1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match=r"a must lie in \[0, inf\)"):
+            verify_H1(recs, a=a, m=0)
+
     def test_monotone_trace_passes_with_zero_a(self):
         recs = records_from([5.0, 4.0, 3.0], [1.0, 1.0, 1.0])
         report = verify_H1(recs, a=0.0, m=0)
@@ -77,6 +88,12 @@ class TestVerifyH1:
 
 
 class TestVerifyH2:
+    @pytest.mark.parametrize("b", BAD_CONSTANTS)
+    def test_rejects_a_constant_that_empties_it(self, b):
+        recs = Trace([rec(0, 2.0, 0.0), rec(1, 1.0, 0.5, witness=2.0)])
+        with pytest.raises(ValueError, match=r"b must lie in \[0, inf\)"):
+            verify_H2(recs, b=b)
+
     def test_zero_witness_passes(self):
         recs = records_from([2.0, 1.0], [0.0, 1.0])
         report = verify_H2(recs, b=0.0)
@@ -144,6 +161,12 @@ class TestClassifyKsets:
         assert not ((report.k2 | report.k31) & ~report.k1).any()
         assert not (report.k2 & report.k31).any()
         assert np.array_equal(report.k32, report.k1 & ~(report.k2 | report.k31))
+
+    @pytest.mark.parametrize("a", BAD_CONSTANTS)
+    def test_rejects_a_constant_that_empties_k1(self, a):
+        recs = records_from([1.0, 0.5], [0.0, 0.1])
+        with pytest.raises(ValueError, match=r"a must lie in \[0, inf\)"):
+            classify_ksets(recs, a=a, theta=0.5, m=1)
 
     def test_theta_domain(self):
         recs = records_from([1.0, 0.5], [0.0, 0.1])

@@ -12,6 +12,7 @@ from nmdesc.nls import (
     STALL_ULPS,
     accept,
     backtrack_params,
+    backtracks_to,
     bb_ratio,
     cap_error,
     nesterov,
@@ -209,16 +210,49 @@ class TestExtrapolation:
 
 
 class TestBbRatio:
+    # the step a ratio replaces, which only a zero d returns
+    PREV = 7.0
+
     def test_smaller_of_the_two_ratios(self):
         # d = (1, 0), dh = (2, 1): ||d||^2/<d, dh> = 0.5, <d, dh>/||dh||^2 = 0.4
-        assert bb_ratio(1.0, 5.0, 2.0, 1e-6, 1e6) == 0.4
+        assert bb_ratio(1.0, 5.0, 2.0, 1e-6, 1e6, self.PREV) == 0.4
 
     def test_nonpositive_curvature_takes_the_upper_bound(self):
-        assert bb_ratio(1.0, 1.0, 0.0, 1e-6, 10.0) == 10.0
-        assert bb_ratio(1.0, 1.0, -1.0, 1e-6, 10.0) == 10.0
+        assert bb_ratio(1.0, 1.0, 0.0, 1e-6, 10.0, self.PREV) == 10.0
+        assert bb_ratio(1.0, 1.0, -1.0, 1e-6, 10.0, self.PREV) == 10.0
         # below the relative guard 1e-12*||d||*||dh||
-        assert bb_ratio(1.0, 1.0, 1e-13, 1e-6, 10.0) == 10.0
+        assert bb_ratio(1.0, 1.0, 1e-13, 1e-6, 10.0, self.PREV) == 10.0
 
     def test_clipped_to_bounds(self):
-        assert bb_ratio(1.0, 1.0, 1.0, 2.0, 10.0) == 2.0
-        assert bb_ratio(1e4, 1e-4, 1.0, 1e-6, 10.0) == 10.0
+        assert bb_ratio(1.0, 1.0, 1.0, 2.0, 10.0, self.PREV) == 2.0
+        assert bb_ratio(1e4, 1e-4, 1.0, 1e-6, 10.0, self.PREV) == 10.0
+
+    def test_zero_step_keeps_the_previous_step(self):
+        # a zero d has no ratio, whatever the secant; prev is returned as
+        # given, not clipped
+        assert bb_ratio(0.0, 0.0, 0.0, 1e-6, 10.0, self.PREV) == self.PREV
+        assert bb_ratio(0.0, 4.0, 0.0, 1e-6, 10.0, 20.0) == 20.0
+        assert bb_ratio(1e-300, 1.0, 1e-150, 1e-6, 10.0, self.PREV) != self.PREV
+
+
+class TestBacktracksTo:
+    def test_start_at_or_below_target_needs_none(self):
+        assert backtracks_to(0.5, 0.5, 0.1) == 0
+        assert backtracks_to(0.2, 0.5, 0.1) == 0
+        assert backtracks_to(0.0, 0.0, 0.1) == 0
+
+    def test_zero_target_is_never_reached(self):
+        assert backtracks_to(1e-300, 0.0, 0.5) == math.inf
+
+    def test_exact_power_of_eta(self):
+        # 1*0.5^3 = 0.125 exactly, and 0.5^2 is still above it
+        assert backtracks_to(1.0, 0.125, 0.5) == 3
+        assert backtracks_to(3.0, 3.0 * 0.01**2, 0.01) == 2
+
+    def test_first_schedule_value_at_or_below_target(self):
+        for start, target, eta in ((1.0, 0.3, 0.5), (41.5, 0.07, 0.5),
+                                   (0.618, 0.011, 0.05)):
+            l = backtracks_to(start, target, eta)
+            _, tau = backtrack_params(l, 0.0, 0.5, 0.0, (start, eta))
+            _, tau_before = backtrack_params(l - 1, 0.0, 0.5, 0.0, (start, eta))
+            assert tau <= target < tau_before

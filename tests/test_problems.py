@@ -1,5 +1,6 @@
 """Instance generators, evaluation surfaces, and serialization."""
 
+import dataclasses
 import math
 
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 
 from testkit import add_at_grads, objective
 from nmdesc import kernels, problems
-from nmdesc.linalg import RngStream
+from nmdesc.linalg import RngStream, spectral_sq
 from nmdesc.problems import (
     McInstance,
     gen_logreg,
@@ -24,6 +25,10 @@ from nmdesc.problems import (
     save_instance,
     sparsity_metrics,
 )
+
+
+# lam, mu and sigma of an instance must be finite and nonnegative
+BAD_PARAMETERS = [math.nan, math.inf, -1.0]
 
 
 class TestGenLogreg:
@@ -51,6 +56,14 @@ class TestGenLogreg:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             gen_logreg(n=5, p=3, s=4, seed=0)
+
+    # `run` refused a NaN mu (at its tau_min check), and a negative mu made
+    # the objective unbounded below, yet the generator wrote both
+    @pytest.mark.parametrize("name", ["lam", "mu"])
+    @pytest.mark.parametrize("value", BAD_PARAMETERS)
+    def test_parameter_without_minimizer_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+            gen_logreg(n=5, p=8, s=2, seed=0, **{name: value})
 
     def test_design_is_transpose_backed(self, tmp_path):
         # A_tilde is the transpose view of a C-contiguous (p+1) x n array,
@@ -107,6 +120,21 @@ class TestLogRegSurface:
         out = prob.g.prox(v, tau=1.0)
         assert np.array_equal(out[:-1], np.zeros(6))
         assert out[-1] == 1.0
+
+    @pytest.mark.parametrize("seed", [101, 102])
+    def test_lipschitz_from_the_squared_norm(self, seed):
+        # L = ||A~||^2/4 + mu from spectral_sq itself: squaring its square
+        # root came out 1 ulp lower on these desk instances
+        inst = gen_logreg(n=200, p=2000, s=20, seed=seed, lam=1.0, mu=1e-3)
+        prob = logreg_problem(inst)
+        assert prob.lipschitz == 0.25 * spectral_sq(inst.A_tilde) + inst.mu
+        assert prob.operator_norm == math.sqrt(spectral_sq(inst.A_tilde))
+
+    @pytest.mark.parametrize("mu", BAD_PARAMETERS)
+    def test_problem_rejects_a_mu_its_modulus_does_not_hold_for(self, mu):
+        inst = dataclasses.replace(gen_logreg(n=5, p=8, s=2, seed=0), mu=mu)
+        with pytest.raises(ValueError, match="mu must be finite and nonnegative"):
+            logreg_problem(inst)
 
     @pytest.mark.parametrize("n, p", [(200, 2000), (40, 10)])
     def test_exact_norm_and_lipschitz(self, n, p):
@@ -217,6 +245,15 @@ class TestGenMc:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             gen_mc(n1=4, n2=4, r_star=5, num_samples=10, sigma=0.1, seed=0)
+
+    # the generator wrote NaN or infinite observations, which `run` then
+    # refused, and a NaN lam or mu
+    @pytest.mark.parametrize("name", ["sigma", "lam", "mu"])
+    @pytest.mark.parametrize("value", BAD_PARAMETERS)
+    def test_parameter_without_minimizer_rejected(self, name, value):
+        params = dict(n1=4, n2=4, r_star=2, num_samples=10, sigma=0.1, seed=0)
+        with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+            gen_mc(**{**params, name: value})
 
     @pytest.mark.parametrize("size", [
         {"n1": 0}, {"n2": 0}, {"r_star": 0}, {"r": 0}, {"num_samples": 0},
@@ -507,6 +544,24 @@ class TestSerialization:
         header, rest = path.read_text().split("\n", 1)
         path.write_text(header.replace(f"r={inst.r}", "r=0") + "\n" + rest)
         with pytest.raises(ValueError, match="r >= 1"):
+            load_instance(str(path))
+
+    @pytest.mark.parametrize("kind, field", [
+        ("logreg", "lambda"), ("logreg", "mu"),
+        ("mc", "sigma"), ("mc", "lambda"), ("mc", "mu")])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_header_parameter_without_minimizer_rejected(self, tmp_path, kind,
+                                                         field, value):
+        inst = (gen_logreg(n=5, p=8, s=2, seed=1) if kind == "logreg"
+                else gen_mc(n1=6, n2=5, r_star=2, num_samples=15, sigma=0.05, seed=17))
+        path = tmp_path / "inst.txt"
+        save_instance(str(path), inst)
+        header, rest = path.read_text().split("\n", 1)
+        fields = [f"{field}={value}" if tok.startswith(f"{field}=") else tok
+                  for tok in header.split()]
+        path.write_text(" ".join(fields) + "\n" + rest)
+        with pytest.raises(ValueError,
+                           match=f"inst.txt: {field} must be finite and nonnegative"):
             load_instance(str(path))
 
     def test_unknown_kind_rejected(self, tmp_path):
