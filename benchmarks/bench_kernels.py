@@ -38,13 +38,14 @@ agreement with a reference on the same inputs. The sections:
   product x[S] @ A~^T[S], with the form the rule in `problems.margins_form`
   picks, and per size the largest |S| where the support product still
   wins, which is where the rule's constants come from;
-* the post-processing of a solve on the 947-row desk trace (`pgenls` on
-  logistic instance 101, to stop_tol 1e-6): `write_trace_csv`,
-  `read_trace_csv`, `diag`'s `read_trace_rows` and `write_flagged_csv`
-  (the `_ksets.csv` write), the `diag` analysis (ell, H1, K-sets,
-  partial sums) next to the per-record reference loops of
-  `tests/testkit.py`, which it is checked against, and the partial-sum
-  `line_plot_svg`.
+* the post-processing of a solve on the 947-row and the 2250-row desk
+  traces (`pgenls` on logistic instances 101 and 103, to stop_tol 1e-6):
+  `write_trace_csv`, `read_trace_csv`, the three-column read of `rates`
+  (`read_trace_csv` with `columns=RATE_COLUMNS`), `diag`'s
+  `read_trace_rows` and `write_flagged_csv` (the `_ksets.csv` write), the
+  `diag` analysis (ell, H1, K-sets, partial sums) next to the per-record
+  reference loops of `tests/testkit.py`, which it is checked against,
+  and the partial-sum `line_plot_svg`.
 """
 
 import os
@@ -332,11 +333,17 @@ def margins_sweep():
 
 
 def post_processing(a=5e-6, m=5, theta=0.5):
-    """What `nmdesc diag` does to a desk trace, part by part, with the
-    constants of the solver (a = alpha/2, m)."""
-    inst = problems.gen_logreg(n=200, p=2000, s=20, seed=101, lam=1.0, mu=1e-3)
-    records = cli.solve("pgenls", inst, {"stop_tol": "1e-6", "max_iters": "20000"},
-                        seed=101).records
+    """What `nmdesc diag` and `nmdesc rates` do to a desk trace, part by
+    part, with the constants of the solver (a = alpha/2, m)."""
+    for seed in (101, 103):
+        inst = problems.gen_logreg(n=200, p=2000, s=20, seed=seed, lam=1.0, mu=1e-3)
+        records = cli.solve("pgenls", inst, {"stop_tol": "1e-6", "max_iters": "20000"},
+                            seed=seed).records
+        post_processing_parts(records, seed, a, m, theta)
+
+
+def post_processing_parts(records, seed, a, m, theta):
+    """`post_processing` on the trace of one solve, its `records`."""
 
     def analysis(tr):
         h1 = diagnostics.verify_H1(tr, a=a, m=m)
@@ -351,6 +358,9 @@ def post_processing(a=5e-6, m=5, theta=0.5):
         trace.write_trace_csv(path, records)
         parsed = trace.read_trace_csv(path)
         heads = trace.read_trace_rows(path)[1]
+        rate_columns = trace.read_trace_csv(path, columns=diagnostics.RATE_COLUMNS)
+        assert all(np.array_equal(c, parsed.column(name)) for name, c in
+                   zip(diagnostics.RATE_COLUMNS, rate_columns))
         as_records = list(parsed)
         h1, report, sums = analysis(parsed)
         assert np.array_equal(diagnostics.ell_indices(parsed, m),
@@ -368,6 +378,8 @@ def post_processing(a=5e-6, m=5, theta=0.5):
         cases = [
             ("write_trace_csv", trace.write_trace_csv, (path, records)),
             ("read_trace_csv", trace.read_trace_csv, (path,)),
+            ("read_trace_csv (rates)", trace.read_trace_csv,
+             (path, diagnostics.RATE_COLUMNS)),
             ("read_trace_rows", trace.read_trace_rows, (path,)),
             ("write_flagged_csv", trace.write_flagged_csv,
              (os.path.join(tmp, "ksets.csv"), heads, parsed)),
@@ -381,7 +393,8 @@ def post_processing(a=5e-6, m=5, theta=0.5):
             ("diag analysis (ref)", analysis_ref, (as_records,)),
             ("line_plot_svg", svgplot.line_plot_svg, (series,)),
         ]
-        print(f"desk trace: {len(records)} rows, a={a:g}, m={m}, theta={theta:g}")
+        print(f"desk trace (pgenls, instance {seed}): {len(records)} rows, "
+              f"a={a:g}, m={m}, theta={theta:g}")
         for name, fn, args in cases:
             best = timeit(fn, *args, repeat=30)
             print(f"{name:22s} {best * 1e3:9.3f} ms")

@@ -29,6 +29,7 @@ import numpy as np
 from . import palm, pg, problems
 from .diagnostics import (
     MIN_FIT_POINTS,
+    RATE_COLUMNS,
     TooShortToFit,
     classify_ksets,
     condition_partial_sums,
@@ -404,7 +405,7 @@ def cmd_diag(args):
 
 
 def cmd_rates(args):
-    tail = rate_fit_tail(read_trace_csv(args.trace))
+    tail = rate_fit_tail(*read_trace_csv(args.trace, columns=RATE_COLUMNS))
     try:
         fit = fit_rate(tail, mode=args.mode)
     except TooShortToFit as e:

@@ -201,8 +201,8 @@ MIN_FIT_POINTS = 20
 
 
 class TooShortToFit(ValueError):
-    """A gap series with fewer than MIN_FIT_POINTS positive values before
-    its first nonpositive one; `points` is how many it has."""
+    """A gap series with fewer than MIN_FIT_POINTS finite positive values
+    before its first other one; `points` is how many it has."""
 
     def __init__(self, points):
         super().__init__(f"need at least {MIN_FIT_POINTS} positive gap values "
@@ -215,16 +215,17 @@ def fit_rate(gaps, mode):
 
     linear: least-squares of log(gap) vs k; returns rho = exp(slope).
     sublinear: log(gap) vs log(k); the KL exponent theta is recovered from
-    slope = (1-theta)/(1-2*theta). The series is cut at its first
-    nonpositive entry; TooShortToFit is raised when fewer than
-    MIN_FIT_POINTS entries remain.
+    slope = (1-theta)/(1-2*theta). The series is cut at its first entry
+    that is not finite and positive (zero, negative, infinite or NaN);
+    TooShortToFit is raised when fewer than MIN_FIT_POINTS entries remain.
     """
     gaps = np.asarray(gaps, dtype=np.float64)
-    pos = gaps > 0.0
-    if not pos.all():
-        first_bad = int(np.argmin(pos))
+    ok = np.isfinite(gaps) & (gaps > 0.0)
+    if not ok.all():
+        first_bad = int(np.argmin(ok))
         warnings.warn(
-            f"truncating gap series at first nonpositive entry (index {first_bad})"
+            f"truncating gap series at first entry that is not finite and "
+            f"positive (index {first_bad}: {float(gaps[first_bad])!r})"
         )
         gaps = gaps[:first_bad]
     if len(gaps) < MIN_FIT_POINTS:
@@ -234,7 +235,7 @@ def fit_rate(gaps, mode):
     if mode == "linear":
         slope, intercept = np.polyfit(k, logg, 1)
         pred = slope * k + intercept
-        if slope >= 0.0:
+        if not slope < 0.0:
             raise ValueError("gap series does not decay; no linear rate")
         r2 = _r_squared(logg, pred)
         return RateFit(mode=mode, rate=math.exp(slope), r_squared=r2,
@@ -242,7 +243,7 @@ def fit_rate(gaps, mode):
     if mode == "sublinear":
         logk = np.log(k)
         slope, intercept = np.polyfit(logk, logg, 1)
-        if slope >= 0.0:
+        if not slope < 0.0:
             raise ValueError("gap series does not decay; no sublinear rate")
         pred = slope * logk + intercept
         theta = (1.0 - slope) / (1.0 - 2.0 * slope)
@@ -259,17 +260,21 @@ def _r_squared(y, pred):
     return 1.0 - ss_res / ss_tot
 
 
-def rate_fit_tail(trace):
-    """Objective-gap tail used for rate fitting: the last half of the
-    post-transient iterations, where the transient ends at the first
-    backtrack-free step. The gap is measured against the final objective.
-    A trace with no rows has no gaps."""
-    objs = trace.column("objective")
-    if not len(objs):
-        return objs
-    gaps = objs[:-1] - objs[-1]
-    free = np.flatnonzero(trace.column("backtracks")[1:] == 0)
-    start = int(trace.column("k")[1 + free[0]]) if free.size else 0
+# the trace columns `rate_fit_tail` reads, in the order it takes them
+RATE_COLUMNS = ("k", "objective", "backtracks")
+
+
+def rate_fit_tail(k, objective, backtracks):
+    """Objective-gap tail used for rate fitting, from a trace's columns
+    (RATE_COLUMNS): the last half of the post-transient iterations, where
+    the transient ends at the first backtrack-free step. The gap is
+    measured against the final objective. A trace with no rows has no
+    gaps."""
+    if not len(objective):
+        return objective
+    gaps = objective[:-1] - objective[-1]
+    free = np.flatnonzero(backtracks[1:] == 0)
+    start = int(k[1 + free[0]]) if free.size else 0
     post = gaps[start:]
     return post[len(post) // 2 :]
 

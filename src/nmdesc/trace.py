@@ -4,7 +4,9 @@ One row per iterate, including the starting point (k = 0, zero step).
 The CSV layout is fixed and versioned; floats are written with 17
 significant digits so parsing is lossless. Solvers keep their records in
 a `Trace`, which stores each field as a numpy column; `read_trace_csv`
-builds one straight from the columns of a file. `read_trace_rows` and
+builds one from a file, parsing all its rows in one call of numpy's C text
+reader (float fields through the same C function as float(), so with the
+same bits), or parses only the columns asked for. `read_trace_rows` and
 `write_flagged_csv` rewrite the K-set flags of a file and keep the text of
 its other fields.
 """
@@ -147,37 +149,32 @@ class TraceParseError(ValueError):
         self.line = line
 
 
-def _parse_column(fields, dtype):
-    """One column from its field strings. numpy parses a float column
-    through float() on each string, so the values are those of float()."""
-    if dtype is np.float64:
-        return np.array(fields, dtype=np.float64)
-    values = map(int, fields)
-    if dtype is np.bool_:
-        return np.fromiter(map(bool, values), dtype=np.bool_, count=len(fields))
-    return np.array(list(values), dtype=np.int64)
+def _load(rows, dtype, usecols):
+    """The fields of data rows as one structured array, parsed by numpy's C
+    text reader. It converts each float field with `PyOS_string_to_double`,
+    the function Python's float() calls, so the values have float()'s bits.
+    Without `usecols` every row must have one field per dtype field."""
+    return np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None,
+                      usecols=usecols, ndmin=1)
 
 
-def _raise_first_bad_row(lines, names):
-    """Find the first data row that does not parse, scanning row by row,
-    and raise TraceParseError for it with its line number."""
-    dtypes = [_DTYPES[name] for name in names]
-    for n, line in enumerate(lines[2:], start=3):
-        if not line:
-            continue
-        row = line.split(",")
-        if len(row) != len(names):
-            raise TraceParseError(f"expected {len(names)} fields, got {len(row)}", n)
-        try:
-            for dtype, field in zip(dtypes, row):
-                _parse_column([field], dtype)
-        except (ValueError, OverflowError) as e:
-            raise TraceParseError(str(e), n) from e
+def _load_row(n, line, fields, dtype, usecols):
+    """`_load` of the one data row on line `n`. Raises TraceParseError
+    with that line if the row does not have `fields` fields or one of
+    those read does not parse."""
+    got = line.count(",") + 1
+    if got != fields:
+        raise TraceParseError(f"expected {fields} fields, got {got}", n)
+    try:
+        return _load([line], dtype, usecols)
+    except (ValueError, OverflowError) as e:
+        # numpy's message ends with the row's place in its one-row input
+        raise TraceParseError(str(e).partition(" at row ")[0], n) from e
 
 
-def _parse(path_or_file):
-    """(Trace, header, data rows split into fields) of a trace CSV; see
-    `read_trace_csv`."""
+def _parse(path_or_file, names=None):
+    """(header, data rows, {name: column}) of a trace CSV, with the columns
+    of `names` or, if None, of every field; see `read_trace_csv`."""
     if isinstance(path_or_file, (str, bytes)):
         with open(path_or_file, "r", newline="") as f:
             text = f.read()
@@ -189,27 +186,43 @@ def _parse(path_or_file):
     header = lines[1].split(",") if len(lines) > 1 else None
     if header != COLUMNS and header != NO_WITNESS_COLUMNS:
         raise TraceParseError("unexpected column header", 2)
-    rows = [line.split(",") for line in lines[2:] if line]
+    rows = [line for line in lines[2:] if line]
+    read = header if names is None else [name for name in names if name in header]
+    usecols = None if names is None else [header.index(name) for name in read]
+    # the flags are read as integers and cast to bool, as bool(int(field))
+    dtype = [(name, np.int64 if _DTYPES[name] is np.bool_ else _DTYPES[name])
+             for name in read]
     try:
-        if any(len(row) != len(header) for row in rows):
+        # loadtxt counts a row's fields only when it reads all of them
+        if usecols is not None and any(row.count(",") != len(header) - 1 for row in rows):
             raise ValueError("ragged rows")
-        fields = list(zip(*rows)) or [()] * len(header)
-        parsed = {name: _parse_column(column, _DTYPES[name])
-                  for name, column in zip(header, fields)}
+        # loadtxt warns on input with no rows
+        data = _load(rows, dtype, usecols) if rows else np.empty(0, dtype)
     except (ValueError, OverflowError):
-        _raise_first_bad_row(lines, header)
-        raise
-    if "witness_norm" not in parsed:
-        parsed["witness_norm"] = np.full(len(rows), np.nan)
-    return Trace.from_columns(parsed[name] for name in COLUMNS), header, rows
+        # row by row, to name the first line at fault
+        data = np.concatenate([_load_row(n, line, len(header), dtype, usecols)
+                               for n, line in enumerate(lines[2:], start=3) if line])
+    columns = {name: data[name].astype(_DTYPES[name]) for name in read}
+    if "witness_norm" not in header:
+        columns["witness_norm"] = np.full(len(rows), np.nan)
+    return header, rows, columns
 
 
-def read_trace_csv(path_or_file):
-    """Parse a trace CSV into a Trace, column by column. Blank lines are
-    skipped. The header may lack the witness column (NO_WITNESS_COLUMNS);
-    the witnesses are then NaN. A malformed file raises TraceParseError
-    with the number of the first line at fault."""
-    return _parse(path_or_file)[0]
+def read_trace_csv(path_or_file, columns=None):
+    """Parse a trace CSV into a Trace, all rows in one call of numpy's
+    text reader. Blank lines are skipped. The header may lack the witness
+    column (NO_WITNESS_COLUMNS); the witnesses are then NaN. A malformed
+    file raises TraceParseError with the number of the first line at
+    fault.
+
+    With `columns`, names from COLUMNS, only those fields are parsed and
+    their arrays are returned as a tuple in that order. Every row must
+    still have one field per header column, but the other fields are not
+    read, so a malformed one goes unnoticed."""
+    _, _, parsed = _parse(path_or_file, columns)
+    if columns is not None:
+        return tuple(parsed[name] for name in columns)
+    return Trace.from_columns(parsed[name] for name in COLUMNS)
 
 
 def read_trace_rows(path_or_file):
@@ -220,11 +233,14 @@ def read_trace_rows(path_or_file):
     a trace without the witness column gets `nan` as its witness field.
     `write_flagged_csv` completes the rows with new flags.
     """
-    trace, header, rows = _parse(path_or_file)
+    header, rows, parsed = _parse(path_or_file)
+    trace = Trace.from_columns(parsed[name] for name in COLUMNS)
+    heads = [row.rsplit(",", 3)[0] for row in rows]
     if header == COLUMNS:
-        return trace, [",".join(row[:-3]) for row in rows]
+        return trace, heads
     w = _INDEX["witness_norm"]
-    return trace, [",".join(row[:w] + ["nan"] + row[w:-3]) for row in rows]
+    parts = (h.split(",", w) for h in heads)
+    return trace, [",".join(p[:w] + ["nan", p[w]]) for p in parts]
 
 
 def write_flagged_csv(path, heads, trace):

@@ -1,11 +1,16 @@
-"""The order-statistic interval of `benchmarks/ab.py`."""
+"""The order-statistic interval of `benchmarks/ab.py`, and one of its
+post-processing operations."""
 
 import importlib.util
 import math
 import os
 
+from nmdesc import problems
+from nmdesc.cli import solve
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 SCRIPT = os.path.join(HERE, "..", "benchmarks", "ab.py")
+PERFBENCH = os.path.join(HERE, "..", "perfbench")
 
 
 def load_ab():
@@ -35,3 +40,23 @@ def test_median_interval_coverage():
         tail = sum(math.comb(n, i) for i in range(lo)) / 2.0**n
         assert 1.0 - 2.0 * tail >= 0.95
         assert 1.0 - 2.0 * (tail + math.comb(n, lo) / 2.0**n) < 0.95
+
+
+def test_post_op_writes_the_trace_and_runs_diag_and_rates(tmp_path, monkeypatch):
+    # what `--post` times for one solve: its trace CSV, then `diag` and
+    # `rates` on it, with the worker's directory taken out of their output
+    monkeypatch.syspath_prepend(PERFBENCH)
+    ab = load_ab()
+    inst = problems.gen_logreg(n=60, p=300, s=5, seed=0, lam=1.0, mu=1e-3)
+    res = solve("pgenls", inst, {"max_iters": "300", "stop_tol": "1e-6"}, 0)
+    op = ab.post_op(str(tmp_path), "0/pgenls", res)
+    out = op()["out"]
+    lines = out.splitlines()
+    assert lines[0] == "diag: exit 0" and lines[1].startswith("H1 (a=")
+    assert "K-set CSV -> DIR/diag_0_pgenls_ksets.csv" in lines
+    assert lines[-2] == "rates: exit 0"
+    assert lines[-1].startswith(("linear fit: rho=", "too short to fit: "))
+    assert str(tmp_path) not in out
+    assert sorted(os.listdir(tmp_path)) == [
+        "0_pgenls.csv", "diag_0_pgenls_ksets.csv", "diag_0_pgenls_partial_sums.svg"]
+    assert op()["out"] == out

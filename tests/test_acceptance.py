@@ -17,6 +17,7 @@ import pytest
 
 from nmdesc.cli import main
 from nmdesc.diagnostics import (
+    RATE_COLUMNS,
     classify_ksets,
     condition_partial_sums,
     fit_rate,
@@ -232,7 +233,7 @@ class TestTailRates:
     def test_geometric_tail_on_most_seeds(self, pg_suite):
         ok = 0
         for prob, res in pg_suite:
-            tail = rate_fit_tail(res.records)
+            tail = rate_fit_tail(*map(res.records.column, RATE_COLUMNS))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 try:

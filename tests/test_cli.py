@@ -23,7 +23,7 @@ from nmdesc.diagnostics import TooShortToFit, evolution_curve, fit_rate
 from nmdesc.palm import PalmConfig
 from nmdesc.pg import PgConfig
 from nmdesc.svgplot import line_plot_svg
-from nmdesc.trace import Trace, read_trace_csv, write_trace_csv
+from nmdesc.trace import COLUMNS, Trace, read_trace_csv, write_trace_csv
 
 
 def read_bytes(path):
@@ -814,6 +814,44 @@ class TestDiagAndRates:
         path = tmp_path / "bad.csv"
         path.write_text("not a trace\n")
         assert main(["rates", str(path)]) == 2
+
+    def test_rates_cuts_the_tail_at_an_infinite_or_nan_objective(
+            self, trace_path, tmp_path, capsys):
+        # an infinite objective 100 points into the tail, a NaN one after
+        # it: the fit takes the 100 finite positive gaps before the first
+        records = list(read_trace_csv(str(trace_path)))
+        tail = rate_fit_tail_ref(records)
+        first = len(records) - 1 - len(tail)  # the record of tail[0]
+        records[first + 100] = replace(records[first + 100], objective=math.inf)
+        records[first + 150] = replace(records[first + 150], objective=math.nan)
+        path = tmp_path / "inf.csv"
+        write_trace_csv(str(path), Trace(records))
+        with pytest.warns(UserWarning, match=r"not finite and positive \(index 100: inf\)"):
+            assert main(["rates", str(path)]) == 0
+        fit = fit_rate(tail[:100], "linear")
+        assert math.isfinite(fit.rate) and fit.rate < 1.0
+        assert capsys.readouterr().out == (
+            f"linear fit: rho={fit.rate:.6g} R^2={fit.r_squared:.4f} (100 tail points)\n")
+
+    def test_rates_reads_only_its_columns(self, trace_path, tmp_path, capsys):
+        # a malformed field that `rates` does not read changes nothing; a
+        # short row is still an error, and `diag` checks every field
+        assert main(["rates", str(trace_path)]) == 0
+        want = capsys.readouterr().out
+        lines = trace_path.read_text().splitlines()
+        row = lines[10].split(",")
+        row[COLUMNS.index("tau1")] = "garbage"
+        bad = tmp_path / "bad_tau.csv"
+        bad.write_text("\n".join(lines[:10] + [",".join(row)] + lines[11:]) + "\n")
+        assert main(["rates", str(bad)]) == 0
+        assert capsys.readouterr().out == want
+        assert main(["diag", str(bad), "--out-prefix", str(tmp_path / "d")]) == 2
+        assert "line 11: could not convert string 'garbage'" in capsys.readouterr().err
+        short = tmp_path / "short.csv"
+        short.write_text("\n".join(lines[:10] + [lines[10].rsplit(",", 1)[0]]
+                                   + lines[11:]) + "\n")
+        assert main(["rates", str(short)]) == 2
+        assert "line 11: expected 14 fields, got 13" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):

@@ -13,6 +13,7 @@ from testkit import (
     verify_H2_ref,
 )
 from nmdesc.diagnostics import (
+    RATE_COLUMNS,
     TooShortToFit,
     classify_ksets,
     condition_partial_sums,
@@ -228,6 +229,16 @@ class TestFitRate:
             fit = fit_rate(gaps, "linear")
         assert fit.points == 60
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
+    def test_nonfinite_truncates_with_warning(self, bad):
+        # an infinite gap is positive, but its log would make the slope NaN
+        gaps = 0.9 ** np.arange(1, 101)
+        gaps[40] = bad
+        gaps[70] = 0.0
+        with pytest.warns(UserWarning, match="not finite and positive"):
+            fit = fit_rate(gaps, "linear")
+        assert fit.points == 40 and fit.rate == pytest.approx(0.9, abs=1e-10)
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             fit_rate(0.9 ** np.arange(1, 30), "quadratic")
@@ -239,7 +250,7 @@ class TestRateFitTail:
         bts = [0, 2, 1, 0, 0, 0, 0, 0, 0]
         recs = Trace(rec(k, o, 0.1, backtracks=b)
                      for k, (o, b) in enumerate(zip(objs, bts)))
-        tail = rate_fit_tail(recs)
+        tail = rate_fit_tail(*map(recs.column, RATE_COLUMNS))
         # transient ends at k=3 (first backtrack-free step); gaps against
         # the final objective over k=3..7 are [3, 2, 1, 0.5, 0.25];
         # the tail keeps the last half
@@ -313,7 +324,8 @@ def assert_matches_reference(trace, a, m, theta, b, omega_star=None):
     assert np.array_equal(report.gaps, gaps, equal_nan=True)
     assert report.omega_star == omega or (math.isnan(omega) and math.isnan(report.omega_star))
     assert np.array_equal(report.k32, report.k1 & ~(report.k2 | report.k31))
-    assert np.array_equal(rate_fit_tail(trace), rate_fit_tail_ref(trace), equal_nan=True)
+    assert np.array_equal(rate_fit_tail(*map(trace.column, RATE_COLUMNS)),
+                          rate_fit_tail_ref(trace), equal_nan=True)
     return h1, report
 
 

@@ -3,11 +3,15 @@
 import io
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from testkit import trace_csv_string
+from nmdesc import problems
+from nmdesc.cli import solve
+from nmdesc.diagnostics import RATE_COLUMNS
 from nmdesc.trace import (
     COLUMNS,
     NO_WITNESS_COLUMNS,
@@ -16,8 +20,13 @@ from nmdesc.trace import (
     TraceParseError,
     TraceRecord,
     read_trace_csv,
+    read_trace_rows,
     write_trace_csv,
 )
+
+
+LOGREG_SOLVERS = ("pgenls", "pgnls", "pgels", "pgls", "fista", "refista")
+MC_SOLVERS = ("palmenls", "palmnls", "palmels", "palmls", "palm", "palme")
 
 
 def sample_records():
@@ -236,3 +245,117 @@ class TestReadColumns:
         with pytest.raises(TraceParseError, match="expected 13 fields, got 14") as err:
             read_trace_csv(io.StringIO("\n".join(lines)))
         assert err.value.line == 3
+
+
+class TestReader:
+    """The reader against per-field float() and int(), and the cases where
+    numpy's text reader and those two could part."""
+
+    @staticmethod
+    def reference_columns(text):
+        """Each column of a trace CSV text, parsed field by field with
+        float(), int() and bool(int())."""
+        rows = [line.split(",") for line in text.splitlines()[2:] if line]
+        parse = {np.float64: float, np.int64: int, np.bool_: lambda f: bool(int(f))}
+        # the dtype a Trace keeps for each column
+        dtypes = [Trace().column(name).dtype.type for name in COLUMNS]
+        return {name: [parse[dtype](row[i]) for row in rows]
+                for i, (name, dtype) in enumerate(zip(COLUMNS, dtypes))}
+
+    @pytest.fixture(scope="class")
+    def solver_traces(self):
+        # the digest's small instances, every solver of both families
+        logreg = problems.gen_logreg(n=60, p=300, s=5, seed=0, lam=1.0, mu=1e-3)
+        mc = problems.gen_mc(n1=40, n2=30, r_star=2, num_samples=600, sigma=0.1,
+                             seed=7, lam=1.0)
+        texts = {}
+        for names, inst, options, seed in (
+                (LOGREG_SOLVERS, logreg, {"max_iters": "300", "stop_tol": "1e-6"}, 0),
+                (MC_SOLVERS, mc, {"max_iters": "150"}, 7)):
+            for name in names:
+                texts[name] = trace_csv_string(solve(name, inst, options, seed).records)
+        return texts
+
+    @pytest.mark.parametrize("name", LOGREG_SOLVERS + MC_SOLVERS)
+    def test_solver_trace_parses_to_the_bits_of_float_and_int(self, solver_traces, name):
+        text = solver_traces[name]
+        back = read_trace_csv(io.StringIO(text))
+        want = self.reference_columns(text)
+        assert len(back) > 1
+        for column in COLUMNS:
+            got = back.column(column)
+            assert got.dtype == Trace().column(column).dtype
+            if got.dtype == np.float64:
+                assert [bits(v) for v in got.tolist()] == [bits(v) for v in want[column]]
+            else:
+                assert got.tolist() == want[column]
+        # the columns `rates` reads come out the same when read alone
+        for column, got in zip(RATE_COLUMNS, read_trace_csv(io.StringIO(text),
+                                                            columns=RATE_COLUMNS)):
+            assert got.tobytes() == back.column(column).tobytes()
+        assert trace_csv_string(back) == text
+
+    def test_crlf_line_ends(self, tmp_path):
+        text = trace_csv_string(Trace(many_records()))
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(text.replace("\n", "\r\n").encode())
+        assert trace_csv_string(read_trace_csv(str(path))) == text
+        trace, heads = read_trace_rows(str(path))
+        assert trace_csv_string(trace) == text
+        assert heads == [line.rsplit(",", 3)[0] for line in text.splitlines()[2:]]
+
+    @pytest.mark.parametrize("column, bad", [
+        # '#' is no comment mark inside a trace
+        ("objective", "0.5#3"),
+        ("k", "#"),
+        # float() and int() take digits grouped with '_', the reader does not
+        ("potential", "1_0"),
+        ("backtracks", "1_0"),
+    ])
+    def test_field_refused_names_its_line(self, column, bad):
+        lines = trace_csv_string(Trace(many_records())).splitlines()
+        TestReadColumns.with_field(lines, 4, column, bad)
+        for columns in (None, COLUMNS):
+            with pytest.raises(TraceParseError, match=f"^line 5: .*{bad}") as err:
+                read_trace_csv(io.StringIO("\n".join(lines)), columns=columns)
+            assert err.value.line == 5
+
+    def test_header_only_trace_reads_without_warning(self):
+        text = trace_csv_string(Trace())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(read_trace_csv(io.StringIO(text))) == 0
+            assert len(read_trace_rows(io.StringIO(text))[0]) == 0
+            for column in read_trace_csv(io.StringIO(text), columns=RATE_COLUMNS):
+                assert len(column) == 0
+
+    def test_column_subset_skips_the_other_fields(self):
+        # a malformed field in a column not asked for is not read
+        records = many_records()
+        lines = trace_csv_string(Trace(records)).splitlines()
+        TestReadColumns.with_field(lines, 4, "tau1", "garbage")
+        text = "\n".join(lines)
+        with pytest.raises(TraceParseError):
+            read_trace_csv(io.StringIO(text))
+        k, objective, backtracks = read_trace_csv(io.StringIO(text), columns=RATE_COLUMNS)
+        assert k.tolist() == [r.k for r in records]
+        assert objective.tolist() == [r.objective for r in records]
+        assert backtracks.tolist() == [r.backtracks for r in records]
+
+    def test_column_subset_still_counts_fields(self):
+        lines = trace_csv_string(Trace(many_records())).splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0]
+        with pytest.raises(TraceParseError, match="expected 14 fields, got 13") as err:
+            read_trace_csv(io.StringIO("\n".join(lines)), columns=RATE_COLUMNS)
+        assert err.value.line == 6
+
+    def test_column_subset_of_a_trace_without_witnesses(self):
+        records = many_records()
+        lines = trace_csv_string(Trace(records)).splitlines()
+        drop = COLUMNS.index("witness_norm")
+        stripped = [lines[0]] + [",".join(v for i, v in enumerate(line.split(","))
+                                          if i != drop) for line in lines[1:]]
+        witness, backtracks = read_trace_csv(io.StringIO("\n".join(stripped)),
+                                             columns=("witness_norm", "backtracks"))
+        assert np.isnan(witness).all() and len(witness) == len(records)
+        assert backtracks.tolist() == [r.backtracks for r in records]
