@@ -149,6 +149,14 @@ def default_start(instance, seed):
     return u0, v0
 
 
+def solver_kind(name):
+    """The problem kind solver `name` runs on, "logreg" or "mc"; an unknown
+    name raises UsageError."""
+    if name not in ALL_SOLVERS:
+        raise UsageError(f"unknown solver {name!r}")
+    return "logreg" if name in PG_SOLVERS + ("fista", "refista") else "mc"
+
+
 def solve(name, instance, options, seed, lam=None):
     """Dispatch one solver by name on an instance; returns a RunResult.
 
@@ -156,12 +164,11 @@ def solve(name, instance, options, seed, lam=None):
     problem owns buffers that its oracles overwrite, so two solves must not
     share one.
     """
-    if name not in ALL_SOLVERS:
-        raise UsageError(f"unknown solver {name!r}")
+    kind = solver_kind(name)
+    if isinstance(instance, problems.LogRegInstance) != (kind == "logreg"):
+        raise UsageError(f"solver {name!r} runs on {kind} instances")
     start = default_start(instance, seed)
-    if name in PG_SOLVERS + ("fista", "refista"):
-        if not isinstance(instance, problems.LogRegInstance):
-            raise UsageError(f"solver {name!r} needs a logreg instance")
+    if kind == "logreg":
         problem = problems.logreg_problem(instance, lam=lam)
         cfg = _solver_config(pg.PgConfig, options)
         if cfg.tau0 is None:
@@ -170,8 +177,6 @@ def solve(name, instance, options, seed, lam=None):
             cfg = pg.variant_config(name, cfg)
             return pg.pg_run(problem, start, cfg)
         return pg.fista_run(problem, start, cfg, restart=(name == "refista"))
-    if not isinstance(instance, problems.McInstance):
-        raise UsageError(f"solver {name!r} needs an mc instance")
     problem = problems.mc_problem(instance, lam=lam)
     cfg = _solver_config(palm.PalmConfig, options)
     u0, v0 = start
@@ -276,6 +281,12 @@ def cmd_bench(args):
     solvers = [s.strip() for s in bench.get("solvers", "").split(",") if s.strip()]
     if len(solvers) < 2:
         raise UsageError("bench needs at least 2 solvers (solvers=a,b,...)")
+    if len(set(solvers)) < len(solvers):
+        raise UsageError("bench lists a solver more than once")
+    # one kind for all: a solver of the wrong kind can then only be the
+    # first, which fails before anything is solved
+    if len({solver_kind(name) for name in solvers}) > 1:
+        raise UsageError("bench solvers must all run on one problem kind")
     trials = int(bench.get("trials", 1))
     if trials < 1:
         raise UsageError("bench needs at least 1 trial")

@@ -1,9 +1,9 @@
 """Nonmonotone line-search machinery shared by both solver families.
 
 A run's window is a `collections.deque(maxlen=m + 1)` of (k, potential)
-pairs, oldest first; a candidate step is accepted when its potential drops
-below the window maximum by at least (alpha/2) times the squared step
-length. `backtrack_params` is the one backtracking schedule of both
+pairs, oldest first, kept by `run_loop`; a candidate step is accepted when
+its potential drops below the window maximum (the step's `bound`) by at
+least (alpha/2) times the squared step length. `backtrack_params` is the one backtracking schedule of both
 families. A line search that exhausts its backtrack budget either stalled
 on rounding (`LineSearchStalled`) or failed (`BacktrackCapError`);
 `cap_error` tells which. `nesterov` and `bb_ratio` give the two
@@ -17,8 +17,9 @@ once per run, the rules both share through `check_schedule`, so nothing
 here checks them again per trial.
 
 Every solver, line search or baseline, runs through `run_loop`: its start
-state comes with the window and record of `run_start`, and each accepted
-step's record comes from `step_record`. A run returns a `RunResult`.
+state comes with the record of `run_start`, and each accepted step's record
+comes from `step_record`, with the ell that `run_loop` sets. A run returns
+a `RunResult`.
 """
 
 import math
@@ -26,6 +27,7 @@ import time
 from array import array
 from collections import deque
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 from .trace import Trace, TraceRecord
 
@@ -50,9 +52,8 @@ def window_max(window):
     return best_val, best_idx
 
 
-def accept(candidate, window, alpha, step_sq):
+def accept(candidate, bound, alpha, step_sq):
     """Nonmonotone acceptance test, non-strict and with zero slack."""
-    bound, _ = window_max(window)
     return candidate <= bound - 0.5 * alpha * step_sq
 
 
@@ -161,55 +162,42 @@ class LineSearchStalled(Exception):
 STALL_ULPS = 4
 
 
-def stalled(candidate, window, alpha, step_sq):
+def stalled(candidate, bound, alpha, step_sq):
     """True when the required decrease (alpha/2)*step_sq and the
     candidate's miss of the window bound are both within STALL_ULPS ulp of
     that bound: in exact arithmetic the test could go either way, so
     rounding decides it, not the method."""
-    bound, _ = window_max(window)
     slack = STALL_ULPS * math.ulp(bound)
     return 0.5 * alpha * step_sq <= slack and candidate - bound <= slack
 
 
-def cap_error(k, cap, last_candidate, value, window, alpha, step_sq):
+def cap_error(k, cap, last_candidate, value, bound, alpha, step_sq):
     """The exception for a line search at iteration k that used up its cap
     of backtracks, given its last candidate, that candidate's potential
     `value` and its squared step: LineSearchStalled if it `stalled`,
     BacktrackCapError otherwise. Checked only at the cap, never per trial,
     since further backtracks may still pass the test."""
-    if stalled(value, window, alpha, step_sq):
+    if stalled(value, bound, alpha, step_sq):
         return LineSearchStalled(k)
     return BacktrackCapError(k, cap, last_candidate)
 
 
-def run_start(config, objective):
-    """(window, record) at z^0, where every difference of the iterate pair
-    is zero and so the potential equals the objective: the window holds
-    (0, objective) with memory `config.m`, or is None without a config
-    (the baselines), and the record is the start row of the trace."""
-    window = None
-    if config is not None:
-        window = deque([(0, objective)], maxlen=config.m + 1)
-    record = TraceRecord(
+def run_start(objective):
+    """The start row of the trace at z^0, where every difference of the
+    iterate pair is zero and so the potential equals the objective."""
+    return TraceRecord(
         k=0, time_s=0.0, objective=objective, potential=objective,
-        step_norm=0.0, witness_norm=math.inf, beta=0.0, tau1=0.0, ell=0,
+        step_norm=0.0, witness_norm=math.inf, beta=0.0, tau1=0.0,
     )
-    return window, record
 
 
-def step_record(window, k, objective, potential, step_sq, witness_norm,
-                beta, tau1, tau2=0.0, backtracks=0):
-    """The TraceRecord of accepted step k, after appending (k, potential)
-    to the window; its ell is the window maximum's index, or k for a run
-    without a window."""
-    ell = k
-    if window is not None:
-        window.append((k, potential))
-        _, ell = window_max(window)
+def step_record(k, objective, potential, step_sq, witness_norm, beta, tau1,
+                tau2=0.0, backtracks=0):
+    """The TraceRecord of accepted step k; `run_loop` sets its ell."""
     return TraceRecord(
         k=k, time_s=0.0, objective=objective, potential=potential,
         step_norm=math.sqrt(step_sq), witness_norm=witness_norm, beta=beta,
-        tau1=tau1, tau2=tau2, backtracks=backtracks, ell=ell,
+        tau1=tau1, tau2=tau2, backtracks=backtracks,
     )
 
 
@@ -238,17 +226,20 @@ class RunResult:
     extras: dict = field(default_factory=dict)
 
 
-def init_columns(inits):
-    """A run's per-iteration initialization dicts (same keys) as one float
-    array per key, the form `RunResult.meta` keeps."""
-    return {key: array("d", [init[key] for init in inits])
-            for key in (inits[0] if inits else ())}
+def run_loop(step, state, record, config, sq_norm, trace_sink=None,
+             memory=None, meta=()):
+    """The outer loop every solver runs: `step(state, bound)` returns (next
+    state, its TraceRecord) for one accepted iteration, and `record` is the
+    start point's.
 
-
-def run_loop(step, state, record, config, sq_norm, trace_sink=None):
-    """The outer loop every solver runs: `step(state)` returns (next state,
-    its TraceRecord, init dict or None) for one accepted iteration, and
-    `record` is the start point's.
+    The loop owns the run's history. A line-search run passes its window
+    `memory` m and `meta`, the names of the (two or more) state fields
+    that initialize its line search. The loop keeps the last m + 1
+    (k, potential) pairs, the start's first, and hands each step their
+    maximum as `bound` (None for a baseline). It appends each accepted
+    step's pair, and one `window_max` scan gives the next bound and the
+    record's ell (k for a baseline); the `meta` fields of the state the
+    step started from are kept, one float array per name.
 
     `trace_sink`, if given, receives the start record and then each
     accepted record before the stop rules see it. The rules are tested in
@@ -262,22 +253,28 @@ def run_loop(step, state, record, config, sq_norm, trace_sink=None):
     the first step. A step that raises
     LineSearchStalled ends the run at the last accepted state ("stalled");
     a BacktrackCapError propagates with the trace so far as its `records`.
-    Returns (final state, Trace, reason, meta from the init dicts).
+    Returns (final state, Trace, reason, meta).
     """
     if config.max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
     for name in ("stop_tol", "time_budget"):
         if not getattr(config, name) >= 0.0:
             raise ValueError(f"{name} must lie in [0, inf]")
+    window = bound = read = None
+    if memory is not None:
+        window = deque([(0, record.potential)], maxlen=memory + 1)
+        bound, _ = window_max(window)
+        read = attrgetter(*meta)
+    inits = []
     records = [record]
     if trace_sink:
         trace_sink(record)
-    inits = []
     reason = "max_iters"
     start = time.perf_counter()
     for _ in range(config.max_iters):
+        prev = state
         try:
-            state, record, init = step(state)
+            state, record = step(state, bound)
         except LineSearchStalled:
             reason = "stalled"
             break
@@ -285,9 +282,13 @@ def run_loop(step, state, record, config, sq_norm, trace_sink=None):
             e.records = Trace(records)  # trace so far, for persistence by callers
             raise
         record.time_s = time.perf_counter() - start
+        if window is None:
+            record.ell = record.k
+        else:
+            window.append((record.k, record.potential))
+            bound, record.ell = window_max(window)
+            inits.append(read(prev))
         records.append(record)
-        if init is not None:
-            inits.append(init)
         if trace_sink:
             trace_sink(record)
         if record.witness_norm < config.stop_tol * max(1.0, math.sqrt(sq_norm(state))):
@@ -296,4 +297,5 @@ def run_loop(step, state, record, config, sq_norm, trace_sink=None):
         if record.time_s > config.time_budget:
             reason = "time_budget"
             break
-    return state, Trace(records), reason, init_columns(inits)
+    columns = {name: array("d", column) for name, column in zip(meta, zip(*inits))}
+    return state, Trace(records), reason, columns

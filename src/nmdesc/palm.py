@@ -17,7 +17,6 @@ Named variants:
 import math
 import warnings
 from array import array
-from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -101,9 +100,7 @@ class BlockIterateState:
     reads, left by the step that accepted (x^k, y^k), so that the next one
     evaluates the coupling only at new points.
 
-    `window` is the run's history window, a deque of the last m+1
-    (k, potential) pairs that each step appends to (None for the
-    baselines). The step that accepted (x^k, y^k) decided the next step's
+    The step that accepted (x^k, y^k) decided the next step's
     initialization: beta0 from the Nesterov counter t (`nls.nesterov`),
     tau1_0 and tau2_0 from its own secants (`bb_init_tau_blocks`). gx, from
     the evaluation that gave the point's objective, is the trial gradient
@@ -120,7 +117,6 @@ class BlockIterateState:
     y: np.ndarray
     dx: np.ndarray  # x^k - x^{k-1}
     dy: np.ndarray  # y^k - y^{k-1}
-    window: deque
     t: float = 1.0
     beta0: float = 0.0
     k: int = 0
@@ -197,8 +193,9 @@ def h2_constant_palm(config, M, L2bar):
     )
 
 
-def palm_step(state, problem, config):
-    """One outer iteration of the line-search method.
+def palm_step(state, bound, problem, config):
+    """One outer iteration of the line-search method, accepting against
+    `bound`, the run's window maximum.
 
     Both block updates are recomputed on every backtrack: the x block at the
     extrapolated x with y^k fixed, then the y block at the extrapolated y
@@ -219,10 +216,10 @@ def palm_step(state, problem, config):
     next tau1_0 and tau2_0 (`bb_init_tau_blocks`, which evaluates nothing),
     as it decides the next beta0 (`nls.nesterov`); the next state carries
     the x secant for its extrapolated trials, and the witness reads the
-    gradients. Returns (state, TraceRecord, init dict of beta0, tau1_0 and
-    tau2_0). The block moduli L1(y^k) and L2(x^{k+1}) are not computed
-    here: `palm_run` forms them for the whole run at its end. At the
-    backtrack cap it raises `nls.cap_error`'s exception, as `pg_step` does.
+    gradients. Returns (state, TraceRecord). The block moduli L1(y^k) and
+    L2(x^{k+1}) are not computed here: `palm_run` forms them for the whole
+    run at its end. At the backtrack cap it raises `nls.cap_error`'s
+    exception, as `pg_step` does.
     """
     beta0, dx, dy = state.beta0, state.dx, state.dy
     dx_sq, dy_sq = state.dx_sq, state.dy_sq
@@ -250,11 +247,11 @@ def palm_step(state, problem, config):
         obj, grad_x, grad_y = problem.objective(x_new, y_new)
         # Upsilon_delta(z^{k+1}) = Psi + (delta/2)(||x^{k+1}-x^k||^2 + ||y^{k+1}-y^k||^2)
         ups = obj + 0.5 * config.delta * new_sq
-        if accept(ups, state.window, config.alpha, step_sq):
+        if accept(ups, bound, config.alpha, step_sq):
             break
     else:
         raise cap_error(state.k, config.max_backtracks, (x_new, y_new), ups,
-                        state.window, config.alpha, step_sq)
+                        bound, config.alpha, step_sq)
 
     beta_next, t_next = nesterov(state.t, config.beta_max)
     gx, gy = grad_x(), grad_y()  # before the cross evaluations: one scatter
@@ -266,17 +263,14 @@ def palm_step(state, problem, config):
         (state.tau1_0, state.tau2_0), config.tau_lo, config.tau_hi,
     )
     new_state = BlockIterateState(
-        x=x_new, y=y_new, dx=dx_new, dy=dy_new, window=state.window,
-        t=t_next, beta0=beta_next, k=state.k + 1,
-        tau1_0=tau1_next, tau2_0=tau2_next, gx=gx, dhx=dhx,
+        x=x_new, y=y_new, dx=dx_new, dy=dy_new, t=t_next, beta0=beta_next,
+        k=state.k + 1, tau1_0=tau1_next, tau2_0=tau2_next, gx=gx, dhx=dhx,
         dx_sq=dx_new_sq, dy_sq=dy_new_sq,
     )
     wnorm = subgrad_witness_palm((x_new, y_new), (xt, yt), (tau1, tau2), (gx, gy),
                                  (gx_trial, gy_trial), config.delta, steps)
-    record = step_record(new_state.window, new_state.k, obj, ups, step_sq,
-                         wnorm, beta, tau1, tau2, backtracks=l)
-    init = {"beta0": beta0, "tau1_0": state.tau1_0, "tau2_0": state.tau2_0}
-    return new_state, record, init
+    return new_state, step_record(new_state.k, obj, ups, step_sq, wnorm, beta,
+                                  tau1, tau2, backtracks=l)
 
 
 def _run_moduli(grams_y, grams_x, L_start, config):
@@ -300,15 +294,15 @@ def _run_moduli(grams_y, grams_x, L_start, config):
 
 def start_state(problem, x0, y0, config=None):
     """(state, record) at z^0 = (x0, y0, x0, y0), with zero steps, from one
-    evaluation at (x0, y0), asked for grad_x H only. A line-search config
-    gives the state its history window, holding (0, Upsilon(z^0) =
-    Psi(x0, y0)), tau1_0, tau2_0 clipped to [tau_lo, tau_hi], and the x
-    secant of its zero step, zero; the baselines' state (config None) has
-    none of these."""
+    evaluation at (x0, y0), asked for grad_x H only; the potential
+    Upsilon(z^0) is Psi(x0, y0). A line-search config gives the state
+    tau1_0, tau2_0 clipped to [tau_lo, tau_hi] and the x secant of its
+    zero step, zero; the baselines' state (config None) has none of
+    these."""
     x0 = np.asarray(x0, dtype=np.float64)
     y0 = np.asarray(y0, dtype=np.float64)
     obj0, grad_x, _ = problem.objective(x0, y0)
-    window, record = run_start(config, obj0)
+    record = run_start(obj0)
     tau1_0 = tau2_0 = dhx = None
     if config is not None:
         tau1_0 = min(max(config.tau1_0, config.tau_lo), config.tau_hi)
@@ -316,8 +310,7 @@ def start_state(problem, x0, y0, config=None):
         dhx = np.zeros_like(x0)
     state = BlockIterateState(
         x=x0.copy(), y=y0.copy(), dx=np.zeros_like(x0), dy=np.zeros_like(y0),
-        window=window, tau1_0=tau1_0, tau2_0=tau2_0, gx=grad_x(), dhx=dhx,
-        dx_sq=0.0, dy_sq=0.0,
+        tau1_0=tau1_0, tau2_0=tau2_0, gx=grad_x(), dhx=dhx, dx_sq=0.0, dy_sq=0.0,
     )
     return state, record
 
@@ -332,13 +325,16 @@ def palm_run(problem, x0, y0, config, trace_sink=None):
     observed ball radii, and the relative-error bound computed from them.
     The per-iteration moduli L1(y^k) and L2(x^{k+1}) go into `meta` next to
     the initializations (`meta` is empty when no step was accepted). The
-    problem must give `gram`: each step keeps gram(y^k) and gram(x^{k+1})
-    (r x r, about 0.9 kB each at r = 10), and `_run_moduli` turns them into
-    moduli once the loop ends. It then issues a RuntimeWarning, once, if
+    problem must give `gram` (ValueError before the first step if it does
+    not): each step keeps gram(y^k) and gram(x^{k+1}) (r x r, about 0.9 kB
+    each at r = 10), and `_run_moduli` turns them into moduli once the loop
+    ends. It then issues a RuntimeWarning, once, if
     tau_lo is not below the step-size barrier 1/(L_run + delta + 2*alpha);
     a run that raises `BacktrackCapError` gets the same check, over the
     iterations it accepted, before the error propagates.
     """
+    if problem.gram is None:
+        raise ValueError("palm_run needs a BlockProblem with gram")
     x0 = np.asarray(x0, dtype=np.float64)
     y0 = np.asarray(y0, dtype=np.float64)
     L1_0, L2_0 = problem.L1(y0), problem.L2(x0)
@@ -348,12 +344,12 @@ def palm_run(problem, x0, y0, config, trace_sink=None):
     grams_y, grams_x = [], []  # gram(y^k) and gram(x^{k+1}) per iteration
     radii = [math.sqrt(_sq(x0)), math.sqrt(_sq(y0))]  # largest ||x^k||, ||y^k||
 
-    def step(state):
+    def step(state, bound):
         y_k = state.y
-        state, record, init = palm_step(state, problem, cfg)
+        state, record = palm_step(state, bound, problem, cfg)
         grams_y.append(problem.gram(y_k))
         grams_x.append(problem.gram(state.x))
-        return state, record, init
+        return state, record
 
     def sq_norm(state):
         x_sq, y_sq = _sq(state.x), _sq(state.y)
@@ -364,7 +360,8 @@ def palm_run(problem, x0, y0, config, trace_sink=None):
     state, record = start_state(problem, x0, y0, cfg)
     try:
         state, records, reason, meta = run_loop(
-            step, state, record, cfg, sq_norm, trace_sink)
+            step, state, record, cfg, sq_norm, trace_sink, memory=cfg.m,
+            meta=("beta0", "tau1_0", "tau2_0"))
     except BacktrackCapError:
         _run_moduli(grams_y, grams_x, L_start, cfg)
         raise
@@ -385,10 +382,11 @@ def palm_run(problem, x0, y0, config, trace_sink=None):
 
 # -- baselines -------------------------------------------------------------------
 
-def _baseline_step(state, problem, config, extrapolate):
+def _baseline_step(state, bound, problem, config, extrapolate):
     """One classical PALM (PALMe with `extrapolate`) iteration from `state`
     (see `palm_baseline_run`), extrapolating along the state's steps dx,
-    dy; returns (state, TraceRecord, None)."""
+    dy; `bound` is None, since the baselines search nothing. Returns
+    (state, TraceRecord)."""
     x, y, beta = state.x, state.y, state.beta0
     tau1 = 1.0 / max(problem.L1(y), 1e-12)
     if beta == 0.0:
@@ -408,14 +406,13 @@ def _baseline_step(state, problem, config, extrapolate):
     gx, gy = grad_x(), grad_y()
     beta_next, t_next = nesterov(state.t, config.beta_max if extrapolate else 0.0)
     new_state = BlockIterateState(
-        x=x_new, y=y_new, dx=dx, dy=dy, window=None, t=t_next,
+        x=x_new, y=y_new, dx=dx, dy=dy, t=t_next,
         beta0=beta_next, k=state.k + 1, gx=gx,
     )
     wnorm = subgrad_witness_palm((x_new, y_new), (xt, yt), (tau1, tau2), (gx, gy),
                                  (gx_trial, gy_trial), 0.0, (dx, dy))
-    record = step_record(None, new_state.k, obj, obj, _sq(dx) + _sq(dy), wnorm,
-                         beta, tau1, tau2)
-    return new_state, record, None
+    return new_state, step_record(new_state.k, obj, obj, _sq(dx) + _sq(dy), wnorm,
+                                  beta, tau1, tau2)
 
 
 def palm_baseline_run(problem, x0, y0, config, extrapolate=False):
@@ -430,7 +427,7 @@ def palm_baseline_run(problem, x0, y0, config, extrapolate=False):
         check_beta_max(config.beta_max)
     state, record = start_state(problem, x0, y0)
     state, records, reason, _ = run_loop(
-        lambda s: _baseline_step(s, problem, config, extrapolate),
+        lambda s, bound: _baseline_step(s, bound, problem, config, extrapolate),
         state, record, config, lambda s: _sq(s.x) + _sq(s.y),
     )
     return RunResult(x=(state.x, state.y), records=records, reason=reason)

@@ -12,7 +12,6 @@ variants:
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -96,9 +95,7 @@ variant_config = partial(nls.variant_config, PG_VARIANTS, PgConfig)
 class IterateState:
     """Solver state at z^k = (x^k, x^{k-1}): what the next step reads.
 
-    `window` is the run's history window, a deque of the last m+1
-    (k, potential) pairs that each step appends to (None for FISTA). The
-    step that accepted x^k decided the next step's initialization: beta0
+    The step that accepted x^k decided the next step's initialization: beta0
     from the Nesterov counter t (`nls.nesterov`), tau0 from its own secant
     (`bb_init_tau`). The oracle results of accepted points are carried, so
     no point is evaluated twice: grad f(x^k) serves the zero-extrapolation
@@ -116,7 +113,6 @@ class IterateState:
 
     x: np.ndarray
     d: np.ndarray                      # x^k - x^{k-1}
-    window: deque
     d_sq: float = None                 # ||d||^2
     t: float = 1.0
     beta0: float = 0.0
@@ -213,22 +209,23 @@ def h2_constant_pg(config, lipschitz):
 
 
 def start_state(problem, x0, config=None):
-    """(state, record) at z^0 = (x0, x0), from one evaluation at x0. A
-    line-search config gives the state its history window, holding
-    (0, H_delta(z^0) = F(x0)), and tau0 clipped to [tau_min, tau_max];
-    FISTA's state (config None) has neither."""
+    """(state, record) at z^0 = (x0, x0), from one evaluation at x0, whose
+    potential H_delta(z^0) is F(x0). A line-search config gives the state
+    tau0 clipped to [tau_min, tau_max]; FISTA's state (config None) has
+    none."""
     x0 = np.asarray(x0, dtype=np.float64)
     f0, grad0, z0 = problem.smooth(x0)
-    window, record = run_start(config, f0 + problem.g.value(x0))
+    record = run_start(f0 + problem.g.value(x0))
     tau0 = (None if config is None
             else min(max(config.tau0, config.tau_min), config.tau_max))
-    state = IterateState(x=x0.copy(), d=np.zeros_like(x0), window=window, d_sq=0.0,
-                         tau0=tau0, grad_x=grad0(), z=z0, z_prev=z0)
+    state = IterateState(x=x0.copy(), d=np.zeros_like(x0), d_sq=0.0, tau0=tau0,
+                         grad_x=grad0(), z=z0, z_prev=z0)
     return state, record
 
 
-def pg_step(state, problem, config):
-    """One outer iteration: backtracking inner loop until acceptance.
+def pg_step(state, bound, problem, config):
+    """One outer iteration: backtracking inner loop until acceptance against
+    `bound`, the run's window maximum.
 
     The state's step d = x^k - x^{k-1} and ||d||^2, formed once by the step
     that took d, serve the extrapolated points, the step norm and the next
@@ -244,7 +241,7 @@ def pg_step(state, problem, config):
     (`_accepted_grads`), carried as the state's `ahead`: the first trial
     with beta = beta0 > 0 reads it, and a later trial with beta > 0
     evaluates the gradient at its y, from the extrapolated linear image of
-    the iterates. Returns (new state, TraceRecord, init dict).
+    the iterates. Returns (new state, TraceRecord).
     When the inner loop exhausts its budget it raises `nls.cap_error`'s
     exception: LineSearchStalled if rounding alone rejected the last
     candidate, else BacktrackCapError carrying it.
@@ -274,11 +271,11 @@ def pg_step(state, problem, config):
         F_cand = f_cand + problem.g.value(candidate)
         # H_delta(z^{k+1}) = F(x^{k+1}) + (delta/2)*||x^{k+1} - x^k||^2
         h_cand = F_cand + 0.5 * config.delta * new_sq
-        if accept(h_cand, state.window, config.alpha, step_sq):
+        if accept(h_cand, bound, config.alpha, step_sq):
             break
     else:
         raise cap_error(state.k, config.max_backtracks, candidate, h_cand,
-                        state.window, config.alpha, step_sq)
+                        bound, config.alpha, step_sq)
 
     beta_next, t_next = nesterov(state.t, config.beta_max)
     grad_new, ahead = _accepted_grads(grad_cand, candidate, step, z_new, z,
@@ -287,13 +284,12 @@ def pg_step(state, problem, config):
                            config.tau_min, config.tau_max, prev_tau=state.tau0)
     wnorm = subgrad_witness_pg(candidate, y, tau, grad_new, gy, config.delta, step)
     new_state = IterateState(
-        x=candidate, d=step, window=state.window, d_sq=new_sq, t=t_next,
-        beta0=beta_next, k=state.k + 1, tau0=tau_next, grad_x=grad_new, z=z_new,
-        z_prev=z, ahead=ahead,
+        x=candidate, d=step, d_sq=new_sq, t=t_next, beta0=beta_next,
+        k=state.k + 1, tau0=tau_next, grad_x=grad_new, z=z_new, z_prev=z,
+        ahead=ahead,
     )
-    record = step_record(new_state.window, new_state.k, F_cand, h_cand, step_sq,
-                         wnorm, beta, tau, backtracks=l)
-    return new_state, record, {"beta0": beta0, "tau0": state.tau0}
+    return new_state, step_record(new_state.k, F_cand, h_cand, step_sq, wnorm,
+                                  beta, tau, backtracks=l)
 
 
 def pg_run(problem, x0, config, trace_sink=None):
@@ -306,8 +302,8 @@ def pg_run(problem, x0, config, trace_sink=None):
     cfg = config.validated(problem.lipschitz)
     state, record = start_state(problem, x0, cfg)
     state, records, reason, meta = run_loop(
-        lambda s: pg_step(s, problem, cfg), state, record, cfg,
-        lambda s: _sq(s.x), trace_sink,
+        lambda s, bound: pg_step(s, bound, problem, cfg), state, record, cfg,
+        lambda s: _sq(s.x), trace_sink, memory=cfg.m, meta=("beta0", "tau0"),
     )
     return RunResult(
         x=state.x, records=records, reason=reason, meta=meta,
@@ -317,9 +313,9 @@ def pg_run(problem, x0, config, trace_sink=None):
 
 # -- FISTA baselines -----------------------------------------------------------
 
-def _fista_step(state, problem, tau, restart):
-    """One FISTA iteration from `state` (see `fista_run`); returns (state,
-    TraceRecord, None)."""
+def _fista_step(state, bound, problem, tau, restart):
+    """One FISTA iteration from `state` (see `fista_run`); `bound` is None,
+    since FISTA searches nothing. Returns (state, TraceRecord)."""
     x, beta = state.x, state.beta0
     y, gy = (x, state.grad_x) if beta == 0.0 else state.ahead
     x_new = problem.g.prox(y - tau * gy, tau)
@@ -333,10 +329,10 @@ def _fista_step(state, problem, tau, restart):
     F = f + problem.g.value(x_new)
     wnorm = subgrad_witness_pg(x_new, y, tau, g_new, gy, 0.0, step)
     new_state = IterateState(
-        x=x_new, d=step, window=None, t=t_next, beta0=beta_next, k=k,
+        x=x_new, d=step, t=t_next, beta0=beta_next, k=k,
         grad_x=g_new, z=z_new, z_prev=state.z, ahead=ahead,
     )
-    return new_state, step_record(None, k, F, F, _sq(step), wnorm, beta, tau), None
+    return new_state, step_record(k, F, F, _sq(step), wnorm, beta, tau)
 
 
 def fista_run(problem, x0, config, restart=False):
@@ -354,7 +350,7 @@ def fista_run(problem, x0, config, restart=False):
     state, record = start_state(problem, x0)
     record.tau1 = tau
     state, records, reason, _ = run_loop(
-        lambda s: _fista_step(s, problem, tau, restart), state, record, config,
-        lambda s: _sq(s.x),
+        lambda s, bound: _fista_step(s, bound, problem, tau, restart), state,
+        record, config, lambda s: _sq(s.x),
     )
     return RunResult(x=state.x, records=records, reason=reason)

@@ -263,13 +263,16 @@ class TestRun:
         assert read_bytes(t1) != read_bytes(t2)
 
     def test_unknown_solver_is_usage_error(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path / "c.cfg",
-            "[problem]\nkind = logreg\nn = 5\np = 8\ns = 2\nseed = 0\n"
-            "[solver]\nname = sgd\n",
-        )
-        assert main(["run", cfg]) == 2
-        assert "error:" in capsys.readouterr().err
+        # an unknown name, and a solver of the other family
+        for name, message in (("sgd", "unknown solver 'sgd'"),
+                              ("palm", "solver 'palm' runs on mc instances")):
+            cfg = write_config(
+                tmp_path / "c.cfg",
+                "[problem]\nkind = logreg\nn = 5\np = 8\ns = 2\nseed = 0\n"
+                f"[solver]\nname = {name}\n",
+            )
+            assert main(["run", cfg]) == 2
+            assert message in capsys.readouterr().err
 
     def test_missing_instance_file_is_io_error(self, tmp_path, capsys):
         cfg = write_config(
@@ -626,6 +629,29 @@ class TestBench:
         assert main(["bench", cfg, "--jobs", jobs]) == 2
         assert "--jobs" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("solvers, message", [
+        ("pgenls,pgenls", "more than once"),
+        ("pgenls,nope", "unknown solver 'nope'"),
+        ("pgenls,palm", "one problem kind"),
+        ("palmenls,fista", "one problem kind"),
+    ])
+    def test_bad_solver_list_rejected_before_solving(self, tmp_path, capsys,
+                                                     monkeypatch, solvers, message):
+        solved = []
+        solve_ = cli.solve
+
+        def recording(name, *args, **kwargs):
+            solved.append(name)
+            return solve_(name, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve", recording)
+        out = tmp_path / "b"
+        text = BENCH.format(out_dir=out).replace("solvers = pgenls,pgnls,fista",
+                                                 f"solvers = {solvers}")
+        assert main(["bench", write_config(tmp_path / "c.cfg", text)]) == 2
+        assert message in capsys.readouterr().err
+        assert solved == [] and not out.exists()
 
 
 @pytest.fixture(scope="module")

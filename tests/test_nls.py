@@ -52,17 +52,14 @@ class TestWindowMax:
 
 class TestAccept:
     def test_exact_bound_accepted(self):
-        w = make_window(1, [10.0])
-        # candidate == max - (alpha/2)*step_sq exactly
-        assert accept(10.0 - 0.5 * 0.1 * 4.0, w, alpha=0.1, step_sq=4.0)
+        # candidate == bound - (alpha/2)*step_sq exactly
+        assert accept(10.0 - 0.5 * 0.1 * 4.0, 10.0, alpha=0.1, step_sq=4.0)
 
     def test_zero_step_equal_value_accepted(self):
-        w = make_window(1, [10.0])
-        assert accept(10.0, w, alpha=0.1, step_sq=0.0)
+        assert accept(10.0, 10.0, alpha=0.1, step_sq=0.0)
 
     def test_positive_step_equal_value_rejected(self):
-        w = make_window(1, [10.0])
-        assert not accept(10.0, w, alpha=0.1, step_sq=1.0)
+        assert not accept(10.0, 10.0, alpha=0.1, step_sq=1.0)
 
 
 class TestStallRule:
@@ -71,32 +68,26 @@ class TestStallRule:
     BOUND = 138.58943424509303
     ALPHA, STEP_SQ = 1e-5, 6.6e-24
 
-    def window(self):
-        return make_window(0, [self.BOUND])
-
     def test_miss_of_a_few_ulp_stalls(self):
-        w = self.window()
         for ulps in range(1, STALL_ULPS + 1):
             candidate = self.BOUND + ulps * math.ulp(self.BOUND)
-            assert not accept(candidate, w, self.ALPHA, self.STEP_SQ)
-            assert stalled(candidate, w, self.ALPHA, self.STEP_SQ)
-            err = cap_error(7, 60, None, candidate, w, self.ALPHA, self.STEP_SQ)
+            assert not accept(candidate, self.BOUND, self.ALPHA, self.STEP_SQ)
+            assert stalled(candidate, self.BOUND, self.ALPHA, self.STEP_SQ)
+            err = cap_error(7, 60, None, candidate, self.BOUND, self.ALPHA, self.STEP_SQ)
             assert isinstance(err, LineSearchStalled) and err.k == 7
 
     def test_real_miss_raises_the_cap(self):
-        w = self.window()
         candidate = self.BOUND + 1e-10
-        assert not stalled(candidate, w, self.ALPHA, self.STEP_SQ)
-        err = cap_error(7, 60, "last", candidate, w, self.ALPHA, self.STEP_SQ)
+        assert not stalled(candidate, self.BOUND, self.ALPHA, self.STEP_SQ)
+        err = cap_error(7, 60, "last", candidate, self.BOUND, self.ALPHA, self.STEP_SQ)
         assert isinstance(err, BacktrackCapError)
         assert (err.k, err.cap, err.last_candidate) == (7, 60, "last")
 
     def test_required_decrease_above_rounding_raises_the_cap(self):
         # a candidate at the bound that owes a real decrease has not stalled
-        w = self.window()
-        assert not stalled(self.BOUND, w, self.ALPHA, 1e-6)
-        assert isinstance(cap_error(7, 60, None, self.BOUND, w, self.ALPHA, 1e-6),
-                          BacktrackCapError)
+        assert not stalled(self.BOUND, self.BOUND, self.ALPHA, 1e-6)
+        err = cap_error(7, 60, None, self.BOUND, self.BOUND, self.ALPHA, 1e-6)
+        assert isinstance(err, BacktrackCapError)
 
 
 class TestBacktrackParams:
@@ -191,7 +182,7 @@ def test_window_max_nonincreasing_over_accepted_sequence():
         step_sq = float(rng.uniform(0.0, 1.0))
         # propose a value right at or below the acceptance bound
         value = bound - 0.5 * 1e-2 * step_sq - float(rng.uniform(0.0, 0.5))
-        assert accept(value, w, alpha=1e-2, step_sq=step_sq)
+        assert accept(value, bound, alpha=1e-2, step_sq=step_sq)
         w.append((k, value))
         cur_max, _ = window_max(w)
         assert cur_max <= prev_max + 1e-15

@@ -9,10 +9,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from testkit import nesterov_ref, trace_csv_string
+from testkit import nesterov_ref, trace_csv_string, windowed
 from nmdesc.linalg import RngStream
 from nmdesc import palm as palm_mod
-from nmdesc.nls import BacktrackCapError, accept, backtrack_params, window_max
+from nmdesc.nls import BacktrackCapError, accept, backtrack_params, run_loop, window_max
 from nmdesc.palm import (
     PalmConfig,
     backtrack_bound_palm,
@@ -144,8 +144,8 @@ class TestPalmStep:
         tau = 0.2
         cfg = PalmConfig(beta_max=0.0, tau1_0=tau, tau2_0=tau).validated(1.0, 1.0)
         x0, y0 = np.array([1.0, -2.0]), np.array([3.0])
-        state = start_state(prob, x0, y0, cfg)[0]
-        new_state, rec, _ = palm_step(state, prob, cfg)
+        state, start = start_state(prob, x0, y0, cfg)
+        new_state, rec = palm_step(state, start.potential, prob, cfg)
         assert rec.backtracks == 0
         assert np.allclose(new_state.x, x0 / (1.0 + tau), rtol=1e-15)
         assert np.allclose(new_state.y, y0 / (1.0 + tau), rtol=1e-15)
@@ -154,8 +154,8 @@ class TestPalmStep:
         prob = bilinear_problem()
         cfg = PalmConfig(tau1_0=0.1, tau2_0=0.1).validated(1.0, 1.0)
         zero = np.zeros(1)
-        state = start_state(prob, zero, zero, cfg)[0]
-        new_state, rec, _ = palm_step(state, prob, cfg)
+        state, start = start_state(prob, zero, zero, cfg)
+        new_state, rec = palm_step(state, start.potential, prob, cfg)
         assert rec.step_norm == 0.0
         assert rec.backtracks == 0
         assert rec.witness_norm == 0.0
@@ -165,8 +165,8 @@ class TestPalmStep:
         tau = 0.05
         cfg = PalmConfig(beta_max=0.0, tau1_0=tau, tau2_0=tau).validated(1.0, 1.0)
         x0, y0 = np.array([0.3]), np.array([0.4])
-        state = start_state(prob, x0, y0, cfg)[0]
-        new_state, rec, _ = palm_step(state, prob, cfg)
+        state, start = start_state(prob, x0, y0, cfg)
+        new_state, rec = palm_step(state, start.potential, prob, cfg)
         # hand recursion: x1 = x0 - tau*y0, then y1 = y0 - tau*x1
         x1 = x0 - tau * y0
         y1 = y0 - tau * x1
@@ -179,8 +179,8 @@ class TestPalmStep:
         tau = 0.05
         cfg = PalmConfig(beta_max=0.0, tau1_0=tau, tau2_0=tau).validated(1.0, 1.0)
         x0, y0 = np.array([0.3]), np.array([0.4])
-        state = start_state(prob, x0, y0, cfg)[0]
-        new_state, _, _ = palm_step(state, prob, cfg)
+        state, start = start_state(prob, x0, y0, cfg)
+        new_state, _ = palm_step(state, start.potential, prob, cfg)
         y_stale = y0 - tau * x0  # old-x variant
         assert new_state.y[0] != pytest.approx(y_stale[0], rel=1e-12)
 
@@ -244,8 +244,8 @@ class TestSafeBetaBound:
         beta = 0.9 * safe_beta_bound_palm(tau, tau, L, L, cfg0.delta)
         cfg = PalmConfig(beta_max=beta, tau1_0=tau, tau2_0=tau).validated(L, 1.0)
         rng = RngStream(3)
-        state = start_state(prob, rng.standard_normal(2), rng.standard_normal(2),
-                            cfg)[0]
+        state, start = start_state(prob, rng.standard_normal(2),
+                                   rng.standard_normal(2), cfg)
         # Nesterov counters at 10 give the weight 0.9, capped at beta_max
         state.t, state.beta0 = 10.0, min(nesterov_ref(10.0, 10.0)[0], beta)
         # give the state a nonzero previous step so extrapolation is active,
@@ -254,7 +254,7 @@ class TestSafeBetaBound:
         state.dy = 0.01 * rng.standard_normal(2)
         state.dx_sq, state.dy_sq = _sq(state.dx), _sq(state.dy)
         state.dhx = x_secant(prob, state.x, state.y, state.x - state.dx)
-        _, rec, _ = palm_step(state, prob, cfg)
+        _, rec = palm_step(state, start.potential, prob, cfg)
         assert rec.beta == beta > 0.0
         assert rec.backtracks == 0
 
@@ -279,13 +279,14 @@ class TestWitnessAndInvariants:
         # (whose x trial gradient is gx + beta*dhx)
         prob, u0, v0 = self.small_mc()
         vcfg = validated(prob, u0, v0)
-        state = start_state(prob, u0, v0, vcfg)[0]
+        state, start = start_state(prob, u0, v0, vcfg)
         assert not state.dhx.any() and state.dx_sq == state.dy_sq == 0.0
+        step = windowed(palm_step, start, vcfg.m, prob, vcfg)
         betas = set()
         x_before = state.x  # x^{k-1} of the step from prev; x^{-1} = x^0
         for _ in range(20):
             prev = state
-            state, rec, _ = palm_step(state, prob, vcfg)
+            state, rec = step(state)
             xt, yt = extrapolated(prev, rec.beta)
             assert np.array_equal(state.dx, state.x - prev.x)
             assert np.array_equal(state.dy, state.y - prev.y)
@@ -331,13 +332,14 @@ class TestWitnessAndInvariants:
         for name in ("palmenls", "palmnls"):
             vcfg = validated(prob, u0, v0, variant_config(name))
             calls.clear()
-            state = start_state(counting, u0, v0, vcfg)[0]
+            state, start = start_state(counting, u0, v0, vcfg)
             assert calls == {"coupling": 1, "grad_x": 1}
+            step = windowed(palm_step, start, vcfg.m, counting, vcfg)
             betas = []
             for k in range(15):
                 calls.clear()
                 inits.clear()
-                state, rec, _ = palm_step(state, counting, vcfg)
+                state, rec = step(state)
                 trials = rec.backtracks + 1
                 y_cross = 1 if rec.beta > 0.0 else 0
                 assert calls == {"coupling": 2 * trials + 1 + y_cross,
@@ -375,6 +377,16 @@ class TestWitnessAndInvariants:
         assert calls["L1"] == calls["L2"] == 1
         assert palm_run(prob, u0, v0, PalmConfig(max_iters=0)).meta == {}
 
+    def test_run_without_gram_rejected_before_the_first_step(self, monkeypatch):
+        # the run's moduli come from `gram`, so a problem without it is
+        # refused up front rather than after a step
+        stepped = []
+        monkeypatch.setattr(palm_mod, "palm_step", lambda *args: stepped.append(args))
+        with pytest.raises(ValueError, match="gram"):
+            palm_run(decoupled_problem(), np.array([1.0]), np.array([2.0]),
+                     PalmConfig())
+        assert stepped == []
+
     @pytest.mark.parametrize("form", ["dense", "segment"])
     def test_block_moduli_equal_per_point_moduli(self, form):
         # meta's L1k and L2k1, from one batched eigen-solve per block at the
@@ -386,11 +398,12 @@ class TestWitnessAndInvariants:
             cfg = variant_config(name, PalmConfig(max_iters=40, stop_tol=0.0))
             result = palm_run(prob, u0, v0, cfg)
             vcfg = result.extras["config"]
-            state = start_state(prob, u0, v0, vcfg)[0]
+            state, start = start_state(prob, u0, v0, vcfg)
+            step = windowed(palm_step, start, vcfg.m, prob, vcfg)
             L1k, L2k1 = [], []
             for _ in range(40):
                 y_k = state.y
-                state, _, _ = palm_step(state, prob, vcfg)
+                state, _ = step(state)
                 L1k.append(prob.L1(y_k))
                 L2k1.append(prob.L2(state.x))
             assert list(result.meta["L1k"]) == L1k
@@ -433,10 +446,10 @@ class TestWitnessAndInvariants:
 
         step = palm_mod.palm_step
 
-        def capped(state, problem, config):
+        def capped(state, bound, problem, config):
             if state.k == 30:
                 raise BacktrackCapError(state.k, config.max_backtracks, None)
-            return step(state, problem, config)
+            return step(state, bound, problem, config)
 
         monkeypatch.setattr(palm_mod, "palm_step", capped)
         assert [str(w.message) for w in run(0, 0.9, fail_at=30)] == [
@@ -540,7 +553,7 @@ def reference_palm(prob, x0, y0, cfg, iters, t0=1.0):
             obj = prob.objective(xn, yn)[0]
             # Upsilon_delta = Psi + (delta/2)(||x^{k+1}-x^k||^2 + ||y^{k+1}-y^k||^2)
             ups = obj + 0.5 * cfg.delta * (_sq(xn - x) + _sq(yn - y))
-            if accept(ups, window, cfg.alpha, step_sq):
+            if accept(ups, window_max(window)[0], cfg.alpha, step_sq):
                 break
         wnorm = witness_norm(prob, xn, yn, x, y, xt, yt, tau1, tau2, cfg.delta, gxt)
         window.append((k + 1, ups))
@@ -632,7 +645,8 @@ class TestSecantTrialGradient:
 
         recording = replace(prob, f=SimpleNamespace(value=prob.f.value, prox=prox))
         vcfg = validated(prob, u0, v0)
-        state = start_state(prob, u0, v0, vcfg)[0]
+        state, start = start_state(prob, u0, v0, vcfg)
+        step = windowed(palm_step, start, vcfg.m, recording, vcfg)
         checked, backtracked = 0, 0
         for k in range(40):
             prox_args.clear()
@@ -640,7 +654,7 @@ class TestSecantTrialGradient:
                 state = replace(state, tau1_0=100.0 * state.tau1_0,
                                 tau2_0=100.0 * state.tau2_0)
             prev = state
-            state, rec, _ = palm_step(state, recording, vcfg)
+            state, rec = step(state)
             for l, (v, tau1) in enumerate(prox_args):
                 beta, _, _ = backtrack_params(
                     l, prev.beta0, vcfg.eta, vcfg.tau_lo,
@@ -675,19 +689,19 @@ class TestZeroExtrapolationReuse:
     def test_constant_beta_trace_equals_recomputation(self, form):
         # beta_{k,0} = beta_max > 0 from k = 0 on, where x~ = x^0 + beta*0:
         # Nesterov counters that start at 10 give weights of 0.9 and more,
-        # capped at beta_max
+        # capped at beta_max. The run's loop, from that start state, keeps
+        # the window and the meta
         inst, prob, u0, v0 = mc_start(*MC_FORMS[form])
-        cfg = validated(prob, u0, v0, PalmConfig(beta_max=0.3))
+        cfg = validated(prob, u0, v0, PalmConfig(beta_max=0.3, max_iters=50,
+                                                 stop_tol=0.0))
         state, record = start_state(prob, u0, v0, cfg)
         state.t, state.beta0 = 10.0, min(nesterov_ref(10.0, 10.0)[0], cfg.beta_max)
-        records, inits = [record], []
-        for _ in range(50):
-            state, record, init = palm_step(state, prob, cfg)
-            records.append(record)
-            inits.append(init["beta0"])
+        state, records, _, meta = run_loop(
+            lambda s, bound: palm_step(s, bound, prob, cfg), state, record, cfg,
+            lambda s: 1.0, memory=cfg.m, meta=("beta0", "tau1_0", "tau2_0"))
         got = [(r.k, r.objective, r.potential, r.step_norm, r.witness_norm,
                 r.beta, r.tau1, r.tau2, r.backtracks, r.ell) for r in records]
-        assert inits == [0.3] * 50 and got[1][5] > 0.0
+        assert list(meta["beta0"]) == [0.3] * 50 and got[1][5] > 0.0
         ref, (x, y) = reference_palm(prob, u0, v0, cfg, 50, t0=10.0)
         assert got == ref
         assert np.array_equal(state.x, x) and np.array_equal(state.y, y)

@@ -49,3 +49,7 @@ def test_tracer_installs_and_sees_the_solver_layers():
                  "palm.palm_step", "palm.bb_init_tau_blocks",
                  "palm.subgrad_witness_palm"):
         assert palm_phase[name].calls > 0, name
+    # the run's loop scans its window once at the start and once per
+    # accepted step: 20 pgenls steps (FISTA keeps no window), 5 palmenls
+    assert pg_phase["nls.window_max"].calls == 21
+    assert palm_phase["nls.window_max"].calls == 6

@@ -13,6 +13,7 @@ from testkit import (
     objective,
     quadratic_problem,
     trace_csv_string,
+    windowed,
 )
 from nmdesc import pg as pg_mod
 from nmdesc.linalg import RngStream
@@ -46,17 +47,16 @@ class TestPotential:
         prob = quadratic_problem()
         x = np.array([1.0, 2.0])
         cfg = PgConfig(delta=0.3, alpha=0.1).validated(prob.lipschitz)
-        state, record = start_state(prob, x, cfg)
+        _, record = start_state(prob, x, cfg)
         assert record.potential == record.objective == objective(prob, x)
-        assert list(state.window) == [(0, record.potential)]
 
     def test_hand_value(self):
         # one gradient step of size 1/2 on 0.5*||x||^2 from (1, 0) lands at
         # (1/2, 0): F = 1/8, and the coupling adds 0.2*||(1/2, 0)||^2 = 1/20
         prob = quadratic_problem(dim=2)
         cfg = PgConfig(delta=0.4, beta_max=0.0, tau0=0.5).validated(prob.lipschitz)
-        state = start_state(prob, np.array([1.0, 0.0]), cfg)[0]
-        _, rec, _ = pg_step(state, prob, cfg)
+        state, start = start_state(prob, np.array([1.0, 0.0]), cfg)
+        _, rec = pg_step(state, start.potential, prob, cfg)
         assert rec.objective == pytest.approx(0.125)
         assert rec.potential == pytest.approx(0.175)
 
@@ -144,8 +144,8 @@ class TestPgStep:
         prob = quadratic_problem()
         cfg = PgConfig().validated(prob.lipschitz)
         x0 = np.zeros(2)
-        state = start_state(prob, x0, cfg)[0]
-        new_state, rec, _ = pg_step(state, prob, cfg)
+        state, start = start_state(prob, x0, cfg)
+        new_state, rec = pg_step(state, start.potential, prob, cfg)
         assert rec.step_norm == 0.0
         assert rec.backtracks == 0
         assert np.array_equal(new_state.x, x0)
@@ -157,9 +157,9 @@ class TestPgStep:
         cfg = PgConfig(beta_max=0.0, tau0=tau)
         cfg = cfg.validated(prob.lipschitz)
         x0 = np.array([2.0, -1.0])
-        state = start_state(prob, x0, cfg)[0]
-        _, rec, init = pg_step(state, prob, cfg)
-        assert init["tau0"] == tau
+        state, start = start_state(prob, x0, cfg)
+        _, rec = pg_step(state, start.potential, prob, cfg)
+        assert state.tau0 == tau
         expected = (1.0 - tau) * x0
         assert rec.step_norm == pytest.approx(
             np.linalg.norm(np.concatenate([expected - x0, x0 - x0]))
@@ -169,8 +169,8 @@ class TestPgStep:
         prob = quadratic_problem(lam=1e6)
         cfg = PgConfig().validated(prob.lipschitz)
         x0 = np.array([0.5, -0.25])
-        state = start_state(prob, x0, cfg)[0]
-        new_state, _, _ = pg_step(state, prob, cfg)
+        state, start = start_state(prob, x0, cfg)
+        new_state, _ = pg_step(state, start.potential, prob, cfg)
         assert np.array_equal(new_state.x, np.zeros(2))
 
 
@@ -184,11 +184,12 @@ class TestWitness:
     def test_replay_recomputation_matches(self):
         prob = quadratic_problem(A=np.diag([1.0, 3.0]))
         cfg = PgConfig(max_iters=10, stop_tol=0.0).validated(prob.lipschitz)
-        state = start_state(prob, np.array([1.0, -2.0]), cfg)[0]
+        state, start = start_state(prob, np.array([1.0, -2.0]), cfg)
+        step = windowed(pg_step, start, cfg.m, prob, cfg)
         for _ in range(5):
             prev = state
             prev_x = prev.x
-            state, rec, _ = pg_step(state, prob, cfg)
+            state, rec = step(state)
             # independent recomputation from the logged quantities
             y = extrapolated(prev, rec.beta)
             wa = (
@@ -276,6 +277,9 @@ class TestRunAndVariants:
         assert last.objective == objective(prob, result.x)
         cfg = result.extras["config"]
         assert verify_H1(result.records, a=cfg.alpha / 2.0, m=cfg.m).passed
+        # the stalled step adds no initializations: one per accepted step
+        assert list(result.meta) == ["beta0", "tau0"]
+        assert all(len(col) == last.k for col in result.meta.values())
 
     def test_config_validation(self):
         prob = quadratic_problem()
@@ -378,14 +382,15 @@ def from_scratch(problem):
 
 
 def pg_steps(problem, cfg, x0, steps):
-    """(state before, new state, record, init) for `steps` pg_step calls
-    from the state pg_run starts with."""
+    """(state before, new state, record) for `steps` pg_step calls from the
+    state pg_run starts with."""
     cfg = cfg.validated(problem.lipschitz)
-    state, _ = start_state(problem, x0, cfg)
+    state, start = start_state(problem, x0, cfg)
+    step = windowed(pg_step, start, cfg.m, problem, cfg)
     out = []
     for _ in range(steps):
-        new_state, rec, init = pg_step(state, problem, cfg)
-        out.append((state, new_state, rec, init))
+        new_state, rec = step(state)
+        out.append((state, new_state, rec))
         state = new_state
     return cfg, out
 
@@ -416,19 +421,20 @@ def reference_fista(problem, x0, config, restart=False):
 
 def counted_steps(problem, cfg, x0, steps):
     """`pg_steps` on the `counting` view of the problem, with each step's
-    own counts: (state before, new state, record, init, counts), where
-    counts = (evaluations, evaluations given z, gradient products,
-    products with a look-ahead point)."""
+    own counts: (state before, new state, record, counts), where counts =
+    (evaluations, evaluations given z, gradient products, products with a
+    look-ahead point)."""
     prob, log, asked = counting(problem)
     cfg = cfg.validated(prob.lipschitz)
-    state, _ = start_state(prob, x0, cfg)
+    state, start = start_state(prob, x0, cfg)
     assert (len(log), len(asked)) == (1, 1)  # the start point
+    step = windowed(pg_step, start, cfg.m, prob, cfg)
     out = []
     for _ in range(steps):
         del log[:], asked[:]
-        new_state, rec, init = pg_step(state, prob, cfg)
+        new_state, rec = step(state)
         counts = (len(log), sum(log), len(asked), sum(asked))
-        out.append((state, new_state, rec, init, counts))
+        out.append((state, new_state, rec, counts))
         state = new_state
     return cfg, out
 
@@ -443,11 +449,11 @@ def assert_exact_step_counts(cfg, steps):
     Returns the number of y evaluations."""
     at_y = 0
     t_prev, t_cur = 1.0, 1.0
-    for _, new, rec, init, counts in steps:
+    for state, new, rec, counts in steps:
         beta0, t_next = nesterov_ref(t_prev, t_cur)
         beta0 = min(beta0, cfg.beta_max)
         t_prev, t_cur = t_cur, t_next
-        assert init["beta0"] == beta0
+        assert state.beta0 == beta0
         assert rec.beta == beta0 * cfg.eta1**rec.backtracks
         trials = rec.backtracks + 1
         with_y = rec.backtracks if beta0 > 0.0 else 0
@@ -472,14 +478,14 @@ class TestOracleEvaluations:
                                    np.zeros(inst.p + 1), 50)
         assert_exact_step_counts(cfg, steps)
         if beta_max < 1.0:  # the cap decides most weights
-            assert sum(init["beta0"] == beta_max for *_, init, _ in steps) > 40
+            assert sum(state.beta0 == beta_max for state, *_ in steps) > 40
         look_aheads = sum(counts[3] for *_, counts in steps)
         if name in ("pgnls", "pgls"):
             assert look_aheads == 0
         else:
             # an accepted first trial with beta > 0: one product, no y
-            first = [counts for *_, rec, init, counts in steps
-                     if init["beta0"] > 0.0 and rec.backtracks == 0]
+            first = [counts for state, _, rec, counts in steps
+                     if state.beta0 > 0.0 and rec.backtracks == 0]
             assert first and all(c[:3] == (1, 0, 1) for c in first)
             assert look_aheads > 40
 
@@ -490,7 +496,7 @@ class TestOracleEvaluations:
         base = PgConfig(stop_tol=0.0, tau0=10.0 / prob.operator_norm)
         cfg, steps = counted_steps(prob, variant_config("pgenls", base),
                                    np.zeros(inst.p + 1), 50)
-        rejected = sum(rec.backtracks for _, _, rec, _, _ in steps)
+        rejected = sum(rec.backtracks for _, _, rec, _ in steps)
         at_y = assert_exact_step_counts(cfg, steps)
         assert rejected > 0 and at_y > 0
         assert sum(counts[2] for *_, counts in steps) == len(steps) + at_y
@@ -561,7 +567,7 @@ class TestCarriedValues:
         cfg, steps = pg_steps(prob, variant_config(name, base),
                               np.zeros(inst.p + 1), 50)
         x_prev = steps[0][0].x  # z^0 = (x0, x0)
-        for state, new, rec, _ in steps:
+        for state, new, rec in steps:
             F = objective(prob, new.x)
             assert rec.objective == F
             assert rec.potential == F + 0.5 * cfg.delta * float(
@@ -639,6 +645,6 @@ class TestCarriedValues:
         base = PgConfig(stop_tol=0.0, tau0=10.0 / prob.operator_norm)
         _, steps = pg_steps(checked, variant_config("pgenls", base),
                             np.zeros(inst.p + 1), 50)
-        assert sum(init["beta0"] > 0.0 for _, _, _, init in steps) > 40
+        assert sum(state.beta0 > 0.0 for state, _, _ in steps) > 40
         assert 0.0 < worst[1] <= 1e-12
         assert worst[0] <= 1e-12

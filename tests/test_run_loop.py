@@ -6,6 +6,7 @@ import pytest
 
 from testkit import quadratic_problem
 from nmdesc import palm, pg
+from nmdesc.diagnostics import ell_indices
 from nmdesc.nls import BacktrackCapError
 from nmdesc.problems import gen_mc, mc_problem
 
@@ -56,6 +57,16 @@ def test_run_loop_contract(name, monkeypatch):
 
     result = solve(max_iters=6)
     assert (result.reason, len(result.records)) == ("max_iters", 7)
+    # the loop's window gives the line searches' ell, as the diagnostics
+    # replay it from the potentials; a baseline's ell is k. One meta entry
+    # per accepted step of a line search, none for a baseline
+    ell = result.records.column("ell").tolist()
+    if "config" in result.extras:
+        assert ell == ell_indices(result.records, result.extras["config"].m).tolist()
+        assert ell != list(range(7))
+        assert result.meta and all(len(col) == 6 for col in result.meta.values())
+    else:
+        assert ell == list(range(7)) and result.meta == {}
 
     with pytest.raises(ValueError, match="max_iters must be nonnegative"):
         solve(max_iters=-5)

@@ -8,6 +8,7 @@ finds whichever of the two was imported first.
 
 import io
 import math
+from collections import deque
 
 import numpy as np
 
@@ -84,6 +85,21 @@ def add_at_grads(U, V, rows, cols, obs):
     np.add.at(gU, rows, resid[:, None] * V[cols])
     np.add.at(gV, cols, resid[:, None] * U[rows])
     return gU, gV
+
+
+def windowed(step, record, m, *args):
+    """A line-search step `step(state, bound, *args)` as a function of the
+    state alone, handed the bound `nls.run_loop` would hand it: the largest
+    potential of the last m + 1 records, the start record `record` first.
+    For tests that call steps one at a time."""
+    potentials = deque([record.potential], maxlen=m + 1)
+
+    def call(state):
+        new, rec = step(state, max(potentials), *args)
+        potentials.append(rec.potential)
+        return new, rec
+
+    return call
 
 
 def trace_csv_string(trace, zero_times=False):
