@@ -31,7 +31,9 @@ to round (ABBA). Each operation is timed in its worker by CPU time
 The report gives, over all pairs, the median NEW/OLD ratio of CPU time
 and of wall time, with a distribution-free 95 % interval for that median
 from the order statistics of the paired ratios. A ratio below 1 means
-NEW is faster. Pairs whose two solves ended at different iteration
+NEW is faster. Then one line per solver name (the part of an operation's
+label after its "/") gives the same median and interval of CPU time over
+that solver's pairs, and their count. Pairs whose two solves ended at different iteration
 counts are flagged, since their times do not compare like for like; an
 operation that raises is reported and its pair left out of the ratios.
 With `--post`, a pair counts only when the exit codes and output of
@@ -206,6 +208,23 @@ def median_interval(values, level=0.95):
     return statistics.median(xs), xs[j - 1], xs[n - j]
 
 
+def solver_lines(cpu_pairs):
+    """One report line per solver, in the order the solvers first appear
+    in `cpu_pairs`, the (label, NEW/OLD CPU-time ratio) of each pair: the
+    median ratio over the solver's pairs, its 95 % interval
+    (`median_interval`) and the number of pairs. A label names its solver
+    after its last "/"."""
+    by_solver = {}
+    for label, ratio in cpu_pairs:
+        by_solver.setdefault(label.rsplit("/", 1)[-1], []).append(ratio)
+    lines = []
+    for name, ratios in by_solver.items():
+        med, lo, hi = median_interval(ratios)
+        lines.append(f"  {name:9s} CPU NEW/OLD median {med:.4f}, 95% interval "
+                     f"[{lo:.4f}, {hi:.4f}], {len(ratios)} pairs")
+    return lines
+
+
 def run_pairs(old, new, workload, rounds, post=False):
     """Run `rounds` timed rounds of paired operations (solves, or with
     `post` their post-processing) and print the report; returns the number
@@ -221,6 +240,7 @@ def run_pairs(old, new, workload, rounds, post=False):
             timed(a, i)
             timed(b, i)
         ratios = {"cpu": [], "wall": []}
+        cpu_pairs = []  # (label, CPU ratio) of each pair, for `solver_lines`
         flagged, left_out, differ = [], [], []
         for r in range(rounds):
             for i, label in enumerate(labels):
@@ -238,6 +258,7 @@ def run_pairs(old, new, workload, rounds, post=False):
                     flagged.append((r, label, t_old["k"], t_new["k"]))
                 for key in ratios:
                     ratios[key].append(t_new[key] / t_old[key])
+                cpu_pairs.append((label, ratios["cpu"][-1]))
     finally:
         for proc, _ in workers:
             proc.stdin.close()
@@ -250,6 +271,8 @@ def run_pairs(old, new, workload, rounds, post=False):
     for key, name in (("cpu", "CPU time"), ("wall", "wall time")):
         med, lo, hi = median_interval(ratios[key]) if ratios[key] else (math.nan,) * 3
         print(f"  {name:9s} NEW/OLD median {med:.4f}, 95% interval [{lo:.4f}, {hi:.4f}]")
+    for line in solver_lines(cpu_pairs):
+        print(line)
     if post:
         print(f"  pairs left out on different diag or rates output: {len(differ)}")
         for r, label, out_old, out_new in differ:

@@ -6,7 +6,8 @@ Each kernel is timed over repeated calls after a warm-up, and checked for
 agreement with a reference on the same inputs. The sections:
 
 * the masked residual against the gather (UV^T)[rows, cols] - obs, and
-  the logistic loss terms against `np.logaddexp`;
+  the logistic loss terms and the weights formed from them against
+  `np.logaddexp`;
 * the matrix-completion coupling at the desk size of the PALM experiments
   (200 x 200, rank 10, 8000 draws): the `np.add.at` reference of
   `tests/testkit.py`, and in each form the residual and one block
@@ -90,7 +91,8 @@ def main():
 
     resid = kernels.masked_residual(U, V, rows, cols, obs)
     assert np.allclose(resid, (U @ V.T)[rows, cols] - obs, rtol=1e-12, atol=1e-12)
-    loss, w = kernels.logistic_loss_terms(z, b)
+    loss, t = kernels.logistic_loss_terms(z, b)
+    w = kernels.logistic_weights(-t, b)
     assert np.allclose(loss, np.logaddexp(0.0, -b * z), rtol=1e-12, atol=1e-12)
     assert np.allclose(w, -b * np.exp(-np.logaddexp(0.0, b * z)), rtol=1e-12, atol=1e-12)
     print("residual and logistic terms against their references: ok")
@@ -98,6 +100,7 @@ def main():
     cases = [
         ("masked_residual", kernels.masked_residual, (U, V, rows, cols, obs)),
         ("logistic_loss_terms", kernels.logistic_loss_terms, (z, b)),
+        ("logistic_weights", kernels.logistic_weights, (-t, b)),
     ]
     for name, fn, args in cases:
         best = timeit(fn, *args)
@@ -273,7 +276,7 @@ def pg_point():
     print("\none PG point evaluation against logreg_value_grad: ok")
 
     AT = inst.A_tilde.T
-    w, w_y = (kernels.logistic_loss_terms(v, inst.b)[1] for v in (z, z_y))
+    w, w_y = (kernels.logistic_weights(inst.b * v, inst.b) for v in (z, z_y))
     cases = [
         ("smooth, value", value_only, (x,)),
         ("smooth, value+grad", with_grad, (x,)),

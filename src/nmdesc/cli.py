@@ -108,11 +108,20 @@ def effective_seed(configured):
 
 # -- problem construction --------------------------------------------------------
 
+def problem_kind(section):
+    """The `kind` of a [problem] config section that generates its
+    instance, "logreg" or "mc"; any other raises UsageError."""
+    kind = section.get("kind")
+    if kind not in ("logreg", "mc"):
+        raise UsageError("problem kind must be 'logreg' or 'mc' (or give instance=PATH)")
+    return kind
+
+
 def build_instance(section, seed):
     """Build or load an instance from a [problem] config section."""
     if "instance" in section:
         return problems.load_instance(section["instance"])
-    kind = section.get("kind")
+    kind = problem_kind(section)
 
     def need(key):
         if key not in section:
@@ -125,17 +134,15 @@ def build_instance(section, seed):
             seed=seed, lam=float(section.get("lam", 0.1)),
             mu=float(section.get("mu", 1e-10)),
         )
-    if kind == "mc":
-        r = section.get("r")
-        return problems.gen_mc(
-            n1=need("n1"), n2=need("n2"),
-            r_star=need("rstar"), num_samples=need("samples"),
-            sigma=float(section.get("sigma", 0.1)), seed=seed,
-            r=None if r is None else int(r),
-            lam=float(section.get("lam", 1.0)),
-            mu=float(section.get("mu", 1e-10)),
-        )
-    raise UsageError("problem kind must be 'logreg' or 'mc' (or give instance=PATH)")
+    r = section.get("r")
+    return problems.gen_mc(
+        n1=need("n1"), n2=need("n2"),
+        r_star=need("rstar"), num_samples=need("samples"),
+        sigma=float(section.get("sigma", 0.1)), seed=seed,
+        r=None if r is None else int(r),
+        lam=float(section.get("lam", 1.0)),
+        mu=float(section.get("mu", 1e-10)),
+    )
 
 
 def default_start(instance, seed):
@@ -258,11 +265,15 @@ def cmd_run(args):
     return 0
 
 
-def _bench_trial(cfg, solvers, solver_opts, base_seed, trial, lam):
+def _bench_trial(cfg, solvers, solver_opts, base_seed, trial, lam, instance=None):
     """Run every solver of one bench trial; returns name -> RunResult for
-    the solvers that succeeded, after a note on stderr for each that failed."""
+    the solvers that succeeded, after a note on stderr for each that failed.
+    The trial's instance is `instance` if given (one loaded from an
+    `instance = PATH` config, which every trial shares), else built from
+    the config with the trial's seed."""
     seed = base_seed + trial
-    instance = build_instance(cfg["problem"], seed)
+    if instance is None:
+        instance = build_instance(cfg["problem"], seed)
     out = {}
     for name in solvers:
         try:
@@ -283,10 +294,21 @@ def cmd_bench(args):
         raise UsageError("bench needs at least 2 solvers (solvers=a,b,...)")
     if len(set(solvers)) < len(solvers):
         raise UsageError("bench lists a solver more than once")
-    # one kind for all: a solver of the wrong kind can then only be the
-    # first, which fails before anything is solved
-    if len({solver_kind(name) for name in solvers}) > 1:
+    kinds = {solver_kind(name) for name in solvers}
+    if len(kinds) > 1:
         raise UsageError("bench solvers must all run on one problem kind")
+    # the solvers' kind must be the instance's, told before anything is
+    # written or solved: from the section's kind, or from the instance an
+    # `instance = PATH` config loads (once, for every trial)
+    section = cfg["problem"]
+    loaded = problems.load_instance(section["instance"]) if "instance" in section else None
+    if loaded is None:
+        kind = problem_kind(section)
+    else:
+        kind = "logreg" if isinstance(loaded, problems.LogRegInstance) else "mc"
+    if kinds != {kind}:
+        raise UsageError(f"solver {solvers[0]!r} runs on "
+                         f"{solver_kind(solvers[0])} instances")
     trials = int(bench.get("trials", 1))
     if trials < 1:
         raise UsageError("bench needs at least 1 trial")
@@ -309,7 +331,7 @@ def cmd_bench(args):
     for t in range(trials):
         traces = {}
         for name, result in _bench_trial(cfg, solvers, solver_opts, base_seed,
-                                         t, lam).items():
+                                         t, lam, loaded).items():
             alive.add(name)
             trace = result.records
             write_trace_csv(os.path.join(out_dir, f"trace_{name}_trial{t}.csv"),

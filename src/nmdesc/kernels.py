@@ -92,19 +92,22 @@ def masked_block_grad(A, B, resid, order, other, starts, ids):
 
 
 def logistic_loss_terms(z, b):
-    """Per-sample stable loss log(1+exp(-b*z)) and weight -b/(1+exp(b*z)).
+    """(loss, t): the per-sample loss log(1+exp(t)) at t = -b*z, from one
+    overflow-free `np.logaddexp(0, t)`, and t itself, whose negation
+    b*z (to the bit: negation is exact and rounding symmetric) gives
+    `logistic_weights` when a gradient is asked for."""
+    t = -b * z
+    return np.logaddexp(0.0, t), t
 
-    exp(b*z) overflows to inf on saturated margins, which sends w to -0.0
+
+def logistic_weights(s, b, out=None):
+    """The weights -b/(1+exp(s)) at s = b*z, formed in `out` if given (s
+    itself may be passed).
+
+    exp(s) overflows to inf on saturated margins, which sends w to -0.0
     or 0.0 as it should; the overflow warning is suppressed.
     """
-    t = -b * z
-    loss = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
-    return loss, logistic_weights(z, b)
-
-
-def logistic_weights(z, b):
-    """The weights -b/(1+exp(b*z)) of `logistic_loss_terms` alone, for a
-    point whose gradient is needed but not its loss."""
     with np.errstate(over="ignore"):
-        return -b / (1.0 + np.exp(b * z))
-
+        e = np.exp(s, out=out)
+    e += 1.0
+    return np.divide(-b, e, out=e)

@@ -168,22 +168,25 @@ def backtrack_bound_palm(tau1_0, tau2_0, beta0, config, L1k, L2k1):
     return l_tau + backtracks_to(beta0, floor, config.eta) + 1
 
 
-def subgrad_witness_palm(new, points, taus, grads, trial_grads, delta, steps):
-    """Norm of the subgradient witness (w1, w2, -delta*dx, -delta*dy) at
-    z^{k+1}, from the two prox optimality conditions of the accepted step
-    to `new` = (x^{k+1}, y^{k+1}): its extrapolated points `points` =
-    (x~, y~), its step sizes `taus` = (tau1, tau2), the gradients `grads`
-    = (grad_x H, grad_y H) at the new point, its trial gradients
-    `trial_grads` = (grad_x H(x~, y^k), grad_y H(x^{k+1}, y~)), and its
-    step `steps` = (dx, dy) = (x^{k+1} - x^k, y^{k+1} - y^k)."""
-    (x, y), (xt, yt), (tau1, tau2) = new, points, taus
-    (gx, gy), (gx_trial, gy_trial), (dx, dy) = grads, trial_grads, steps
+def subgrad_witness_palm(new, points, taus, grads, trial_grads, coupling_terms=()):
+    """Norm of the subgradient witness at z^{k+1}, from the two prox
+    optimality conditions of the accepted step to `new` = (x^{k+1},
+    y^{k+1}): its extrapolated points `points` = (x~, y~), its step sizes
+    `taus` = (tau1, tau2), the gradients `grads` = (grad_x H, grad_y H) at
+    the new point and its trial gradients `trial_grads` = (grad_x H(x~,
+    y^k), grad_y H(x^{k+1}, y~)).
+
+    `coupling_terms` are (delta*dx, delta*dy), from the line-search
+    potential, with (dx, dy) = (x^{k+1} - x^k, y^{k+1} - y^k): the witness
+    is (w1 + delta*dx, w2 + delta*dy, -delta*dx, -delta*dy), with w1, w2
+    the prox residuals. The baselines, whose objective has no coupling
+    term, pass none, and their witness is (w1, w2)."""
+    w = [g - g_trial - (p - pt) / tau for p, pt, tau, g, g_trial
+         in zip(new, points, taus, grads, trial_grads)]
     # delta*(x_prev - x) is -(delta*dx) to the bit: rounding is symmetric
-    w3 = delta * dx
-    w4 = delta * dy
-    w1 = gx - gx_trial - (x - xt) / tau1 + w3
-    w2 = gy - gy_trial - (y - yt) / tau2 + w4
-    return math.sqrt(_sq(w1) + _sq(w2) + _sq(w3) + _sq(w4))
+    for w_i, term in zip(w, coupling_terms):
+        w_i += term
+    return math.sqrt(sum(map(_sq, (*w, *coupling_terms))))
 
 
 def h2_constant_palm(config, M, L2bar):
@@ -235,16 +238,17 @@ def palm_step(state, bound, problem, config):
             xt = state.x + beta * dx
             yt = state.y + beta * dy
             gx_trial = state.gx + beta * state.dhx
-        x_new = problem.f.prox(xt - tau1 * gx_trial, tau1)
+        x_new, f_new = problem.f.prox(xt - tau1 * gx_trial, tau1)
         _, _, grad_y = problem.coupling(x_new, yt)
         gy_trial = grad_y()
-        y_new = problem.g.prox(yt - tau2 * gy_trial, tau2)
+        y_new, g_new = problem.g.prox(yt - tau2 * gy_trial, tau2)
         dx_new = x_new - state.x
         dy_new = y_new - state.y
         dx_new_sq, dy_new_sq = _sq(dx_new), _sq(dy_new)
         new_sq = dx_new_sq + dy_new_sq
         step_sq = new_sq + dx_sq + dy_sq
-        obj, grad_x, grad_y = problem.objective(x_new, y_new)
+        h, grad_x, grad_y = problem.coupling(x_new, y_new)
+        obj = f_new + g_new + h
         # Upsilon_delta(z^{k+1}) = Psi + (delta/2)(||x^{k+1}-x^k||^2 + ||y^{k+1}-y^k||^2)
         ups = obj + 0.5 * config.delta * new_sq
         if accept(ups, bound, config.alpha, step_sq):
@@ -268,7 +272,8 @@ def palm_step(state, bound, problem, config):
         dx_sq=dx_new_sq, dy_sq=dy_new_sq,
     )
     wnorm = subgrad_witness_palm((x_new, y_new), (xt, yt), (tau1, tau2), (gx, gy),
-                                 (gx_trial, gy_trial), config.delta, steps)
+                                 (gx_trial, gy_trial),
+                                 (config.delta * dx_new, config.delta * dy_new))
     return new_state, step_record(new_state.k, obj, ups, step_sq, wnorm, beta,
                                   tau1, tau2, backtracks=l)
 
@@ -396,13 +401,14 @@ def _baseline_step(state, bound, problem, config, extrapolate):
         yt = y + beta * state.dy
         _, grad_x, _ = problem.coupling(xt, y)
         gx_trial = grad_x()
-    x_new = problem.f.prox(xt - tau1 * gx_trial, tau1)
+    x_new, f_new = problem.f.prox(xt - tau1 * gx_trial, tau1)
     tau2 = 1.0 / max(problem.L2(x_new), 1e-12)
     _, _, grad_y = problem.coupling(x_new, yt)
     gy_trial = grad_y()
-    y_new = problem.g.prox(yt - tau2 * gy_trial, tau2)
+    y_new, g_new = problem.g.prox(yt - tau2 * gy_trial, tau2)
     dx, dy = x_new - x, y_new - y
-    obj, grad_x, grad_y = problem.objective(x_new, y_new)
+    h, grad_x, grad_y = problem.coupling(x_new, y_new)
+    obj = f_new + g_new + h
     gx, gy = grad_x(), grad_y()
     beta_next, t_next = nesterov(state.t, config.beta_max if extrapolate else 0.0)
     new_state = BlockIterateState(
@@ -410,7 +416,7 @@ def _baseline_step(state, bound, problem, config, extrapolate):
         beta0=beta_next, k=state.k + 1, gx=gx,
     )
     wnorm = subgrad_witness_palm((x_new, y_new), (xt, yt), (tau1, tau2), (gx, gy),
-                                 (gx_trial, gy_trial), 0.0, (dx, dy))
+                                 (gx_trial, gy_trial))
     return new_state, step_record(new_state.k, obj, obj, _sq(dx) + _sq(dy), wnorm,
                                   beta, tau1, tau2)
 

@@ -149,24 +149,24 @@ def _accepted_grads(grad, x_new, step, z_new, z, beta_next):
     return g_new, (y, g_y)
 
 
-def bb_init_tau(d, d_sq, d_prev, d_prev_sq, grads, delta, tau_min, tau_max, prev_tau):
+def bb_init_tau(d, d_sq, d_prev, d_prev_sq, dg, delta, tau_min, tau_max, prev_tau):
     """Barzilai-Borwein step initialization on the smoothed pair space at
     z^{k+1} = (x^{k+1}, x^k), from the steps d = x^{k+1} - x^k and d_prev =
-    x^k - x^{k-1}, their squared norms d_sq and d_prev_sq, and grads =
-    (grad f(x^{k+1}), grad f(x^k)); a zero secant keeps prev_tau
-    (`nls.bb_ratio`).
+    x^k - x^{k-1}, their squared norms d_sq and d_prev_sq, and the
+    gradient difference dg = grad f(x^{k+1}) - grad f(x^k); a zero secant
+    keeps prev_tau (`nls.bb_ratio`).
 
     The gradient of the smooth part over z = (x, u) is (grad f(x) +
     delta*(x-u), -delta*(x-u)), and x - u is d at z^{k+1} and d_prev at
     z^k, so the secant pair is (d, d_prev) against that gradient's
-    difference.
+    difference (dg + delta*e, -delta*e), with e = d - d_prev. Its squared
+    norm is ||dg + delta*e||^2 + delta^2*||e||^2, and its inner product
+    with the pair <d, dg> + delta*||e||^2.
     """
-    gx, gxp = grads
-    dd, dd_prev = delta * d, delta * d_prev
-    dzeta_a = gx + dd - gxp - dd_prev
-    dzeta_b = dd_prev - dd
-    dzeta_sq = _sq(dzeta_a) + _sq(dzeta_b)
-    inner = _dot(d, dzeta_a) + _dot(d_prev, dzeta_b)
+    e = d - d_prev
+    e_sq = _sq(e)
+    dzeta_sq = _sq(dg + delta * e) + delta * delta * e_sq
+    inner = _dot(d, dg) + delta * e_sq
     return bb_ratio(d_sq + d_prev_sq, dzeta_sq, inner, tau_min, tau_max, prev_tau)
 
 
@@ -190,14 +190,19 @@ def backtrack_bound_pg(tau0, beta0, config, lipschitz):
             + backtracks_to(beta0, beta_floor, config.eta1) + 1)
 
 
-def subgrad_witness_pg(x_new, y, tau, grad_new, grad_y, delta, step):
+def subgrad_witness_pg(g_gap, step, step_sq, tau, delta, beta, d):
     """Norm of the subgradient witness (wa, -delta*step) at z^{k+1} =
     (x^{k+1}, x^k), from the prox optimality condition of the accepted
-    step (y^k, tau_k); `step` is x^{k+1} - x^k."""
-    # delta*(x^k - x^{k+1}) is -(delta*step) to the bit: rounding is symmetric
-    w = delta * step
-    wa = grad_new - grad_y - (x_new - y) / tau + w
-    return math.sqrt(_sq(wa) + _sq(w))
+    step (y^k, tau_k): wa = g_gap - (x^{k+1} - y^k)/tau + delta*step,
+    with g_gap = grad f(x^{k+1}) - grad f(y^k), step = x^{k+1} - x^k and
+    step_sq = ||step||^2. Since y^k = x^k + beta*d, x^{k+1} - y^k is step -
+    beta*d, so wa = g_gap - (1/tau - delta)*step, plus (beta/tau)*d where
+    beta > 0. At beta = 0, g_gap is the gradient difference the BB step
+    reads; with delta = 0 (FISTA) no delta term is formed."""
+    wa = g_gap - (1.0 / tau - delta) * step
+    if beta != 0.0:
+        wa += (beta / tau) * d
+    return math.sqrt(_sq(wa) + delta * delta * step_sq)
 
 
 def h2_constant_pg(config, lipschitz):
@@ -232,11 +237,14 @@ def pg_step(state, bound, problem, config):
     initialization; a trial forms its step x^{k+1} - x^k and that step's
     squared norm once, for the step norm and the potential, and the
     accepted trial's serve the witness and become the next state's d and
-    d_sq. Each trial candidate is evaluated once: its value gives the
-    potential and the record's objective, and only the accepted one is
-    asked for its gradient, carried as grad f(x^{k+1}). The accepted step
-    decides the next beta0 (`nls.nesterov`) and tau0 (`bb_init_tau`, which
-    evaluates nothing); when beta0 is positive, that gradient comes with
+    d_sq. Each trial candidate is evaluated once: its value, with g's
+    value that the prox returns, gives the potential and the record's
+    objective, and only the accepted one is asked for its gradient,
+    carried as grad f(x^{k+1}). The accepted step forms the gradient
+    difference grad f(x^{k+1}) - grad f(x^k) once; it decides the next
+    tau0 (`bb_init_tau`, which evaluates nothing) and, at beta = 0, is the
+    witness's gradient gap. The step decides the next beta0
+    (`nls.nesterov`) too; when beta0 is positive, that gradient comes with
     the gradient at the next step's first trial point from one product
     (`_accepted_grads`), carried as the state's `ahead`: the first trial
     with beta = beta0 > 0 reads it, and a later trial with beta > 0
@@ -261,14 +269,14 @@ def pg_step(state, bound, problem, config):
             y = x + beta * d
             _, grad_y, _ = problem.smooth(y, _extrapolate(z, state.z_prev, beta))
             gy = grad_y()
-        candidate = problem.g.prox(y - tau * gy, tau)
+        candidate, g_cand = problem.g.prox(y - tau * gy, tau)
         step = candidate - x
         new_sq = _sq(step)
         # with delta = 0 the potential carries no coupling term to pay for
         # the previous step, so the classical single-step criterion applies
         step_sq = new_sq + d_sq if config.delta > 0.0 else new_sq
         f_cand, grad_cand, z_new = problem.smooth(candidate)
-        F_cand = f_cand + problem.g.value(candidate)
+        F_cand = f_cand + g_cand
         # H_delta(z^{k+1}) = F(x^{k+1}) + (delta/2)*||x^{k+1} - x^k||^2
         h_cand = F_cand + 0.5 * config.delta * new_sq
         if accept(h_cand, bound, config.alpha, step_sq):
@@ -280,9 +288,11 @@ def pg_step(state, bound, problem, config):
     beta_next, t_next = nesterov(state.t, config.beta_max)
     grad_new, ahead = _accepted_grads(grad_cand, candidate, step, z_new, z,
                                       beta_next)
-    tau_next = bb_init_tau(step, new_sq, d, d_sq, (grad_new, gx), config.delta,
+    dg = grad_new - gx
+    tau_next = bb_init_tau(step, new_sq, d, d_sq, dg, config.delta,
                            config.tau_min, config.tau_max, prev_tau=state.tau0)
-    wnorm = subgrad_witness_pg(candidate, y, tau, grad_new, gy, config.delta, step)
+    wnorm = subgrad_witness_pg(dg if beta == 0.0 else grad_new - gy, step, new_sq,
+                               tau, config.delta, beta, d)
     new_state = IterateState(
         x=candidate, d=step, d_sq=new_sq, t=t_next, beta0=beta_next,
         k=state.k + 1, tau0=tau_next, grad_x=grad_new, z=z_new, z_prev=z,
@@ -318,21 +328,22 @@ def _fista_step(state, bound, problem, tau, restart):
     since FISTA searches nothing. Returns (state, TraceRecord)."""
     x, beta = state.x, state.beta0
     y, gy = (x, state.grad_x) if beta == 0.0 else state.ahead
-    x_new = problem.g.prox(y - tau * gy, tau)
+    x_new, g_new = problem.g.prox(y - tau * gy, tau)
     step = x_new - x
     k = state.k + 1
     beta_next, t_next = nesterov(state.t, math.inf)
     if restart and (k % 250 == 0 or _dot(y - x_new, step) > 0.0):
         beta_next, t_next = 0.0, 1.0  # the start state's
     f, grad, z_new = problem.smooth(x_new)
-    g_new, ahead = _accepted_grads(grad, x_new, step, z_new, state.z, beta_next)
-    F = f + problem.g.value(x_new)
-    wnorm = subgrad_witness_pg(x_new, y, tau, g_new, gy, 0.0, step)
+    grad_new, ahead = _accepted_grads(grad, x_new, step, z_new, state.z, beta_next)
+    F = f + g_new
+    step_sq = _sq(step)
+    wnorm = subgrad_witness_pg(grad_new - gy, step, step_sq, tau, 0.0, beta, state.d)
     new_state = IterateState(
         x=x_new, d=step, t=t_next, beta0=beta_next, k=k,
-        grad_x=g_new, z=z_new, z_prev=state.z, ahead=ahead,
+        grad_x=grad_new, z=z_new, z_prev=state.z, ahead=ahead,
     )
-    return new_state, step_record(k, F, F, _sq(step), wnorm, beta, tau)
+    return new_state, step_record(k, F, F, step_sq, wnorm, beta, tau)
 
 
 def fista_run(problem, x0, config, restart=False):

@@ -40,8 +40,8 @@ class CompositeProblem:
     logistic model forms only the weights at y, not its loss). Every
     problem implements the argument; one without a shared product may
     evaluate y on its own. `g` is the
-    regularizer, any object with `value(x)` and `prox(v, tau)` (a
-    `prox.ProxSpec`). `operator_norm` is the spectral norm of the linear
+    regularizer, any object with `value(x)` and a `prox(v, tau)` that
+    returns (point, value at the point) (a `prox.ProxSpec`). `operator_norm` is the spectral norm of the linear
     map, where there is one.
     """
 
@@ -56,7 +56,8 @@ class BlockProblem:
     """Psi(x, y) = f(x) + g(y) + H(x, y) over two blocks.
 
     `f` and `g` are the regularizers of the blocks, any objects with
-    `value(x)` and `prox(v, tau)` (a `prox.ProxSpec`). `coupling(x, y)` is
+    `value(x)` and a `prox(v, tau)` that returns (point, value at the
+    point) (a `prox.ProxSpec`). `coupling(x, y)` is
     the one oracle of H: a single evaluation returns (H(x, y), grad_x,
     grad_y), where grad_x() and grad_y() give the block gradients at that
     same point from what the evaluation computed, as `CompositeProblem`'s
@@ -182,30 +183,41 @@ def logreg_value_grad(x, instance, z=None):
     """Objective value of the smooth part, and its gradient on demand.
 
     value = sum_i log(1+exp(-b_i (A_tilde x)_i)) + (mu/2)||x||^2, computed
-    overflow-safe. Returns (value, grad), where grad() forms the gradient
-    A_tilde^T w + mu*x from the loss terms' weights w when it is called. `z`
-    may pass the margins A_tilde x when the caller has them; the value then
-    takes no product with A_tilde, and the gradient one, A_tilde^T w.
+    overflow-safe, with the loss terms from one softplus
+    (`kernels.logistic_loss_terms`). Returns (value, grad), where grad()
+    forms the weights w (`kernels.logistic_weights`, from the t = -b*z the
+    loss was taken at) and the gradient A_tilde^T w + mu*x when it is
+    called; a point whose gradient is never asked for forms no weights.
+    `z` may pass the margins A_tilde x when the caller has them; the value
+    then takes no product with A_tilde, and the gradient one, A_tilde^T w.
 
     grad((y, z_y)) returns (grad f(x), grad f(y)) from one product
     A_tilde^T [w w_y], where w_y are the weights at y alone (no loss), from
-    its margins z_y, or from A_tilde y when z_y is None. That product costs
-    about what one A_tilde^T w does, since reading A_tilde is its cost, and
-    its columns differ from the single product's in the last bits.
+    its margins z_y, or from A_tilde y when z_y is None. Both columns'
+    weights are formed in one n x 2 buffer by one `logistic_weights` call.
+    That product costs about what one A_tilde^T w does, since reading
+    A_tilde is its cost, and its columns differ from the single product's
+    in the last bits.
     """
+    # the products are taken with `ndarray.dot`, which makes the same BLAS
+    # call as `@` with the same bits but skips the matmul ufunc's dispatch
+    # (0.6-0.9 us less per product at cli-batch's 60 x 301)
     A, b, mu = instance.A_tilde, instance.b, instance.mu
     if z is None:
-        z = A @ x
-    loss, w = kernels.logistic_loss_terms(z, b)
-    value = float(np.sum(loss)) + 0.5 * mu * float(x @ x)
+        z = A.dot(x)
+    loss, t = kernels.logistic_loss_terms(z, b)
+    value = float(loss.sum()) + 0.5 * mu * float(x.dot(x))
 
     def grad(ahead=None):
         if ahead is None:
-            return A.T @ w + mu * x
+            return A.T.dot(kernels.logistic_weights(-t, b)) + mu * x
         y, z_y = ahead
         if z_y is None:
-            z_y = A @ y
-        G = A.T @ np.column_stack((w, kernels.logistic_weights(z_y, b)))
+            z_y = A.dot(y)
+        S = np.empty((len(b), 2))  # b*z and b*z_y side by side
+        np.negative(t, out=S[:, 0])
+        np.multiply(b, z_y, out=S[:, 1])
+        G = A.T.dot(kernels.logistic_weights(S, b[:, None], out=S))
         return G[:, 0] + mu * x, G[:, 1] + mu * y
 
     return value, grad
@@ -267,11 +279,11 @@ def logreg_problem(instance, lam=None):
         def margins(x):
             S = np.flatnonzero(x)
             if margins_form(n, dim, len(S)) == "support":
-                return x[S] @ AT[S]
-            return A @ x
+                return x[S].dot(AT[S])
+            return A.dot(x)
     else:  # too small for the support to pay: skip looking for it
         def margins(x):
-            return A @ x
+            return A.dot(x)
 
     def smooth(x, z=None):
         if z is None:

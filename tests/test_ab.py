@@ -42,6 +42,23 @@ def test_median_interval_coverage():
         assert 1.0 - 2.0 * (tail + math.comb(n, lo) / 2.0**n) < 0.95
 
 
+def test_solver_lines_one_per_solver_in_order():
+    # labels "<set>/<solver>": the pairs of a solver pool over its sets, in
+    # the order the solvers first appear; a solver with fewer than 6 pairs
+    # gets its median and no interval
+    ab = load_ab()
+    pairs = [(f"logreg{t}/{name}", ratio)
+             for t in range(4) for name, ratio in (("pgnls", 0.8 + 0.01 * t),
+                                                   ("palm", 1.0))]
+    pairs += [("logreg0/pgnls", 0.9), ("logreg1/pgnls", 0.7)]
+    pgnls, palm = ab.solver_lines(pairs)
+    assert pgnls == ("  pgnls     CPU NEW/OLD median 0.8150, 95% interval "
+                     "[0.7000, 0.9000], 6 pairs")
+    assert palm == ("  palm      CPU NEW/OLD median 1.0000, 95% interval "
+                    "[nan, nan], 4 pairs")
+    assert ab.solver_lines([]) == []
+
+
 def test_post_op_writes_the_trace_and_runs_diag_and_rates(tmp_path, monkeypatch):
     # what `--post` times for one solve: its trace CSV, then `diag` and
     # `rates` on it, with the worker's directory taken out of their output

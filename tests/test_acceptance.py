@@ -108,7 +108,7 @@ class TestProxEnumeration:
             tau = float(rng.uniform(0.05, 3.0))
             lam = float(rng.uniform(0.0, 1.5))
             spec = ProxSpec(kind="l0_vector", lam=lam)
-            out = prox_l0(v, tau, spec)
+            out, _ = prox_l0(v, tau, spec)
             masks = ((np.arange(2**d)[:, None] >> np.arange(d)) & 1) == 1
             objs = (np.where(masks, 0.0, v * v).sum(axis=1) / (2.0 * tau)
                     + lam * masks.sum(axis=1))
@@ -129,7 +129,7 @@ class TestProxEnumeration:
             lam = float(rng.uniform(0.0, 1.5))
             mu = float(rng.uniform(0.0, 0.5))
             spec = ProxSpec(kind="ridge_l20_columns", lam=lam, mu=mu)
-            out = prox_ridge_l20_columns(V, tau, spec)
+            out, _ = prox_ridge_l20_columns(V, tau, spec)
             shrink = 1.0 / (1.0 + tau * mu)
             masks = ((np.arange(2**cols)[:, None] >> np.arange(cols)) & 1) == 1
             colsq = np.sum(V * V, axis=0)

@@ -635,6 +635,7 @@ class TestBench:
         ("pgenls,nope", "unknown solver 'nope'"),
         ("pgenls,palm", "one problem kind"),
         ("palmenls,fista", "one problem kind"),
+        ("palm,palme", "solver 'palm' runs on mc instances"),  # kind = logreg
     ])
     def test_bad_solver_list_rejected_before_solving(self, tmp_path, capsys,
                                                      monkeypatch, solvers, message):
@@ -652,6 +653,42 @@ class TestBench:
         assert main(["bench", write_config(tmp_path / "c.cfg", text)]) == 2
         assert message in capsys.readouterr().err
         assert solved == [] and not out.exists()
+
+
+    def test_instance_file_of_the_other_kind_rejected_before_solving(self, tmp_path,
+                                                                     capsys):
+        inst = tmp_path / "inst.txt"
+        assert main(["gen", "mc", "--n1", "8", "--n2", "6", "--rstar", "2",
+                     "--samples", "20", "--seed", "1", "--out", str(inst)]) == 0
+        out = tmp_path / "b"
+        text = BENCH.format(out_dir=out).replace(
+            "kind = logreg\nn = 40\np = 60\ns = 4\n", f"instance = {inst}\n")
+        assert f"instance = {inst}" in text
+        assert main(["bench", write_config(tmp_path / "c.cfg", text)]) == 2
+        assert "solver 'pgenls' runs on logreg instances" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_instance_file_loaded_once_for_all_trials(self, tmp_path, capsys,
+                                                      monkeypatch):
+        inst = tmp_path / "inst.txt"
+        assert main(["gen", "logreg", "--n", "20", "--p", "30", "--s", "3",
+                     "--seed", "1", "--out", str(inst)]) == 0
+        loads = []
+        load = cli.problems.load_instance
+
+        def counted(path):
+            loads.append(path)
+            return load(path)
+
+        monkeypatch.setattr(cli.problems, "load_instance", counted)
+        out = tmp_path / "b"
+        text = BENCH.format(out_dir=out).replace(
+            "kind = logreg\nn = 40\np = 60\ns = 4\n", f"instance = {inst}\n")
+        assert main(["bench", write_config(tmp_path / "c.cfg", text)]) == 0
+        assert loads == [str(inst)]
+        assert sorted(os.listdir(out))[-6:] == [
+            f"trace_{name}_trial{t}.csv" for name in ("fista", "pgenls", "pgnls")
+            for t in (0, 1)]
 
 
 @pytest.fixture(scope="module")

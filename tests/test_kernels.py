@@ -1,5 +1,7 @@
 """The numeric kernels agree with independent references."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,14 @@ def test_block_index_segments():
     assert ids.tolist() == [0, 1, 3]
 
 
+def logistic_terms(z, b):
+    """(loss, w) at margins z, formed as the logistic oracle forms them: the
+    weights from the t = -b*z of the loss terms."""
+    loss, t = kernels.logistic_loss_terms(z, b)
+    assert np.array_equal(t, -b * z)
+    return loss, kernels.logistic_weights(-t, b)
+
+
 def test_logistic_saturated_margins_do_not_warn():
     import warnings
 
@@ -131,7 +141,7 @@ def test_logistic_saturated_margins_do_not_warn():
     b = np.array([1.0, -1.0, 1.0, 1.0, -1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        loss, w = kernels.logistic_loss_terms(z, b)
+        loss, w = logistic_terms(z, b)
     assert np.all(np.isfinite(loss)) and np.all(np.isfinite(w))
     assert loss[0] == 1e4 and w[1] == 0.0
 
@@ -144,10 +154,30 @@ def test_active_backend_matches_reference_logistic():
     loss_ref = np.logaddexp(0.0, -b * z)
     # w = -b/(1+exp(b*z)) = -b*sigmoid(-b*z), by the overflow-free logistic
     w_ref = -b * np.exp(-np.logaddexp(0.0, b * z))
-    loss, w = kernels.logistic_loss_terms(z, b)
+    loss, w = logistic_terms(z, b)
     assert np.allclose(loss, loss_ref, rtol=1e-13, atol=1e-300)
     assert np.allclose(w, w_ref, rtol=1e-13, atol=1e-300)
     assert np.all(np.isfinite(loss)) and np.all(np.isfinite(w))
+    # the weights keep the bits of their defining formula, whose exp
+    # overflows on the saturated margins
+    with np.errstate(over="ignore"):
+        assert np.array_equal(w, -b / (1.0 + np.exp(b * z)))
+
+    # against 50-digit arithmetic, within a few ulp of the correctly rounded
+    # values, at the edges of exp's range (709.78: exp(t) near the largest
+    # double; 745: exp(-t) below the smallest subnormal) and beyond
+    mpmath = pytest.importorskip("mpmath")
+    margins = [0.0, 1.0, 30.0, 709.78, 745.0, 1e4]
+    z = np.array([sign * m for m in margins for sign in (1.0, -1.0)] * 2)
+    b = np.repeat([1.0, -1.0], len(z) // 2)
+    loss, w = logistic_terms(z, b)
+    with mpmath.workdps(50):
+        for zi, bi, loss_i, w_i in zip(z, b, loss, w):
+            s = mpmath.mpf(bi) * mpmath.mpf(zi)  # b*z, exact
+            loss_ref = float(mpmath.log1p(mpmath.exp(-s)))
+            w_ref = float(-mpmath.mpf(bi) / (1 + mpmath.exp(s)))
+            assert abs(loss_i - loss_ref) <= 4 * math.ulp(loss_ref), (zi, bi)
+            assert abs(w_i - w_ref) <= 4 * math.ulp(w_ref), (zi, bi)
 
 
 def test_kernel_benchmark_script_imports_and_names_exist():

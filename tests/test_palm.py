@@ -29,10 +29,15 @@ from nmdesc.palm import (
 from nmdesc.problems import BlockProblem, gen_mc, mc_oracle_form, mc_problem
 
 
-# regularizers of the toy problems: any object with value and prox will do
-NONE = SimpleNamespace(value=lambda x: 0.0, prox=lambda v, tau: v)
-HALF_SQ = SimpleNamespace(value=lambda x: 0.5 * float(np.sum(x * x)),
-                          prox=lambda v, tau: v / (1.0 + tau))
+def half_sq(x):
+    return 0.5 * float(np.sum(x * x))
+
+
+# regularizers of the toy problems: any object with value(x) and a prox(v,
+# tau) that returns (point, value at the point) will do
+NONE = SimpleNamespace(value=lambda x: 0.0, prox=lambda v, tau: (v, 0.0))
+HALF_SQ = SimpleNamespace(value=half_sq,
+                          prox=lambda v, tau: (v / (1.0 + tau), half_sq(v / (1.0 + tau))))
 
 
 def decoupled_problem():
@@ -75,8 +80,9 @@ def coupled_quadratic(Q):
 
 def counted_oracles(problem):
     """The problem with its coupling evaluations, the block gradients asked
-    of them and its block moduli counted; returns (problem, Counter of
-    calls by name: "coupling", "grad_x", "grad_y", "L1", "L2")."""
+    of them, its block moduli and the `value` calls of its two regularizers
+    counted; returns (problem, Counter of calls by name: "coupling",
+    "grad_x", "grad_y", "L1", "L2", "value")."""
     calls = Counter()
 
     def counted(name, fn):
@@ -89,8 +95,12 @@ def counted_oracles(problem):
         h, grad_x, grad_y = problem.coupling(x, y)
         return h, counted("grad_x", grad_x), counted("grad_y", grad_y)
 
+    def regularizer(spec):
+        return SimpleNamespace(value=counted("value", spec.value), prox=spec.prox)
+
     return replace(problem, coupling=counted("coupling", coupling),
-                   L1=counted("L1", problem.L1), L2=counted("L2", problem.L2)), calls
+                   L1=counted("L1", problem.L1), L2=counted("L2", problem.L2),
+                   f=regularizer(problem.f), g=regularizer(problem.g)), calls
 
 
 def grad_x(problem, x, y):
@@ -317,7 +327,9 @@ class TestWitnessAndInvariants:
         # grad_x(x^k, y^k) with beta = 0, and with beta > 0 that plus beta
         # times the carried x secant. A rejected trial asks for no gradient
         # at its point. No step computes a block modulus (the Counter has
-        # no "L1" or "L2").
+        # no "L1" or "L2"), and none evaluates a regularizer: each prox
+        # returns its value at the point, so only the start point's value
+        # is evaluated (once per block).
         prob, u0, v0 = self.small_mc(seed=3)
         counting, calls = counted_oracles(prob)
         inits = []
@@ -333,7 +345,7 @@ class TestWitnessAndInvariants:
             vcfg = validated(prob, u0, v0, variant_config(name))
             calls.clear()
             state, start = start_state(counting, u0, v0, vcfg)
-            assert calls == {"coupling": 1, "grad_x": 1}
+            assert calls == {"coupling": 1, "grad_x": 1, "value": 2}
             step = windowed(palm_step, start, vcfg.m, counting, vcfg)
             betas = []
             for k in range(15):
@@ -358,12 +370,14 @@ class TestWitnessAndInvariants:
         # iterate, whose evaluation gives its objective and both gradients;
         # without extrapolation the next x block takes grad_x(x^k, y^k)
         # from it. Its steps are 1/L1(y^k) and 1/L2(x^{k+1}): two moduli
-        # per iteration
+        # per iteration. The regularizers' values are evaluated at the start
+        # point only: every iterate's come with its prox points
         prob, u0, v0 = self.small_mc(seed=3)
         counting, calls = counted_oracles(prob)
         result = palm_baseline_run(counting, u0, v0, PalmConfig(max_iters=20, stop_tol=0.0))
         assert len(result.records) == 21
-        assert calls == {"coupling": 41, "grad_x": 21, "grad_y": 40, "L1": 20, "L2": 20}
+        assert calls == {"coupling": 41, "grad_x": 21, "grad_y": 40, "L1": 20, "L2": 20,
+                         "value": 2}
 
     def test_run_computes_moduli_only_at_the_start(self):
         # L1 and L2 are called once each, at (x^0, y^0); the per-iteration
@@ -546,9 +560,9 @@ def reference_palm(prob, x0, y0, cfg, iters, t0=1.0):
             tau2 = max(taus[1] * cfg.eta2**l, cfg.tau_lo)
             xt = x + beta * (x - xp)
             gxt = x_trial_grad(prob, x, y, xp, beta)
-            xn = prob.f.prox(xt - tau1 * gxt, tau1)
+            xn = prob.f.prox(xt - tau1 * gxt, tau1)[0]
             yt = y + beta * (y - yp)
-            yn = prob.g.prox(yt - tau2 * grad_y(prob, xn, yt), tau2)
+            yn = prob.g.prox(yt - tau2 * grad_y(prob, xn, yt), tau2)[0]
             step_sq = _sq(xn - x) + _sq(yn - y) + _sq(x - xp) + _sq(y - yp)
             obj = prob.objective(xn, yn)[0]
             # Upsilon_delta = Psi + (delta/2)(||x^{k+1}-x^k||^2 + ||y^{k+1}-y^k||^2)
@@ -568,13 +582,15 @@ def witness_norm(prob, x, y, x_prev, y_prev, xt, yt, tau1, tau2, delta,
                  gx_trial=None):
     """The witness norm of a step from (x_prev, y_prev) through (xt, yt) to
     (x, y), with its four gradients evaluated where they are used, or with
-    the x trial gradient `gx_trial` where it is given."""
+    the x trial gradient `gx_trial` where it is given; delta = 0 gives the
+    baselines' witness, which has no coupling terms."""
     _, gx, gy = prob.coupling(x, y)
     if gx_trial is None:
         gx_trial = grad_x(prob, xt, y_prev)
     return subgrad_witness_palm(
         (x, y), (xt, yt), (tau1, tau2), (gx(), gy()),
-        (gx_trial, grad_y(prob, x, yt)), delta, (x - x_prev, y - y_prev))
+        (gx_trial, grad_y(prob, x, yt)),
+        (delta * (x - x_prev), delta * (y - y_prev)) if delta else ())
 
 
 def extrapolated(state, beta):
@@ -600,10 +616,10 @@ def reference_baseline(prob, x0, y0, cfg, extrapolate):
             beta, t_next = 0.0, t_cur
         tau1 = 1.0 / max(prob.L1(y), 1e-12)
         xt = x + beta * (x - xp)
-        xn = prob.f.prox(xt - tau1 * grad_x(prob, xt, y), tau1)
+        xn = prob.f.prox(xt - tau1 * grad_x(prob, xt, y), tau1)[0]
         tau2 = 1.0 / max(prob.L2(xn), 1e-12)
         yt = y + beta * (y - yp)
-        yn = prob.g.prox(yt - tau2 * grad_y(prob, xn, yt), tau2)
+        yn = prob.g.prox(yt - tau2 * grad_y(prob, xn, yt), tau2)[0]
         wnorm = witness_norm(prob, xn, yn, x, y, xt, yt, tau1, tau2, 0.0)
         step = math.sqrt(_sq(xn - x) + _sq(yn - y))
         x, y, xp, yp = xn, yn, x, y

@@ -20,7 +20,9 @@ import pytest
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                          "perfbench")
 
-ITERS_PER_SOLVE = {"logreg-pg": 813.75, "mc-palm": 150.0, "cli-batch": 213.5}
+# logreg-pg: 9766 iterations over its 12 solves; pgls on instance 103 stalls
+# on rounding at k = 141 (ROADMAP item 7), and its k moves with the last bits
+ITERS_PER_SOLVE = {"logreg-pg": 9766 / 12, "mc-palm": 150.0, "cli-batch": 213.5}
 
 
 @pytest.fixture(scope="module")

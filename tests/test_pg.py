@@ -81,10 +81,6 @@ class TestNesterov:
             nesterov(0.5, 1.0)
 
 
-def grads(problem, x, x_prev):
-    return f_grad(problem, x), f_grad(problem, x_prev)
-
-
 def extrapolated(state, beta):
     """The point y^k a step from `state` took its prox step at, from the
     record's beta, formed as pg_step forms it."""
@@ -95,11 +91,12 @@ def extrapolated(state, beta):
 
 def bb_from_points(problem, x2, x1, x0, delta, prev_tau, tau_min=1e-6, tau_max=1e6):
     """`bb_init_tau` at z^{k+1} = (x2, x1) after z^k = (x1, x0), from the
-    steps and squared norms pg_step forms and fresh gradients."""
+    steps and squared norms pg_step forms and the difference of fresh
+    gradients."""
     d, d_prev = x2 - x1, x1 - x0
     return bb_init_tau(d, float(d @ d), d_prev, float(d_prev @ d_prev),
-                       grads(problem, x2, x1), delta, tau_min, tau_max,
-                       prev_tau=prev_tau)
+                       f_grad(problem, x2) - f_grad(problem, x1), delta,
+                       tau_min, tau_max, prev_tau=prev_tau)
 
 
 class TestBbInit:
@@ -178,7 +175,8 @@ class TestWitness:
     def test_fixed_point_witness_zero(self):
         prob = quadratic_problem()
         x = np.zeros(2)
-        norm = subgrad_witness_pg(x, x, 0.1, f_grad(prob, x), f_grad(prob, x), 0.01, x - x)
+        norm = subgrad_witness_pg(f_grad(prob, x) - f_grad(prob, x), x - x, 0.0, 0.1, 0.01,
+                                  0.0, x - x)
         assert norm == 0.0
 
     def test_replay_recomputation_matches(self):
@@ -408,9 +406,11 @@ def reference_fista(problem, x0, config, restart=False):
         beta, t_next = nesterov_ref(t_prev, t_cur)
         y = x if beta == 0.0 else x + beta * (x - x_prev)
         gy = f_grad(problem, y)
-        x_new = problem.g.prox(y - tau * gy, tau)
-        wnorm = subgrad_witness_pg(x_new, y, tau, f_grad(problem, x_new), gy, 0.0, x_new - x)
-        step = math.sqrt(float((x_new - x) @ (x_new - x)))
+        x_new, _ = problem.g.prox(y - tau * gy, tau)
+        step_sq = float((x_new - x) @ (x_new - x))
+        wnorm = subgrad_witness_pg(f_grad(problem, x_new) - gy, x_new - x, step_sq, tau,
+                                   0.0, beta, x - x_prev)
+        step = math.sqrt(step_sq)
         t_prev, t_cur = t_cur, t_next
         if restart and ((k + 1) % 250 == 0 or float((y - x_new) @ (x_new - x)) > 0.0):
             t_prev, t_cur = 1.0, 1.0
@@ -539,6 +539,46 @@ class TestOracleEvaluations:
         backtracks = sum(r.backtracks for r in result.records[1:])
         assert len(log) == 1 + iters + backtracks
 
+    @pytest.mark.parametrize("name", ["pgenls", "pgnls", "pgels", "pgls", "fista"])
+    def test_regularizer_value_at_start_and_weights_only_for_gradients(
+            self, name, monkeypatch):
+        # each prox returns g's value at its point, so `ProxSpec.value` runs
+        # once per run, at the start point, never per trial; the logistic
+        # weights are formed once per gradient product asked (the
+        # look-ahead's two columns in one call), so a rejected trial, whose
+        # gradient is never asked for, forms none
+        from nmdesc import kernels, prox
+
+        values, weights = [], []
+        value, logistic_weights = prox.ProxSpec.value, kernels.logistic_weights
+
+        def counted_value(spec, x):
+            values.append(len(x))
+            return value(spec, x)
+
+        def counted_weights(*args, **kwargs):
+            weights.append(args[0].shape)
+            return logistic_weights(*args, **kwargs)
+
+        monkeypatch.setattr(prox.ProxSpec, "value", counted_value)
+        monkeypatch.setattr(kernels, "logistic_weights", counted_weights)
+        inst, prob = desk_logreg()
+        prob, log, asked = counting(prob)
+        cfg = PgConfig(max_iters=50, stop_tol=0.0, tau0=10.0 / prob.operator_norm)
+        if name == "fista":
+            result = fista_run(prob, np.zeros(inst.p + 1), cfg)
+        else:
+            result = pg_run(prob, np.zeros(inst.p + 1), variant_config(name, cfg))
+        assert len(result.records) == 51
+        assert values == [inst.p + 1]
+        assert weights == [(inst.n, 2) if ahead else (inst.n,) for ahead in asked]
+        # one call at the start, one per accepted point and one per y
+        # evaluated at a backtrack (the evaluations given z); none for the
+        # rejected candidates
+        rejected = sum(r.backtracks for r in result.records[1:])
+        assert len(weights) == 1 + 50 + sum(log)
+        assert (rejected > 0) == (name != "fista")
+
     @pytest.mark.parametrize("restart", [False, True])
     def test_fista_evaluates_each_point_once(self, restart):
         inst, prob = small_logreg()
@@ -574,8 +614,10 @@ class TestCarriedValues:
                 (new.x - state.x) @ (new.x - state.x))
             assert np.array_equal(new.grad_x, f_grad(prob, new.x))
             y = extrapolated(state, rec.beta)
-            wnorm = subgrad_witness_pg(new.x, y, rec.tau1, f_grad(prob, new.x),
-                                       f_grad(prob, y), cfg.delta, new.x - state.x)
+            step = new.x - state.x
+            wnorm = subgrad_witness_pg(f_grad(prob, new.x) - f_grad(prob, y), step,
+                                       float(step @ step), rec.tau1, cfg.delta,
+                                       rec.beta, state.d)
             assert rec.witness_norm == wnorm
             assert new.tau0 == bb_from_points(prob, new.x, state.x, x_prev, cfg.delta,
                                               state.tau0, cfg.tau_min, cfg.tau_max)

@@ -117,9 +117,9 @@ class TestLogRegSurface:
                                                rel=1e-12)
         # huge penalty zeroes the features but never the intercept
         v = np.ones(7)
-        out = prob.g.prox(v, tau=1.0)
+        out, value = prob.g.prox(v, tau=1.0)
         assert np.array_equal(out[:-1], np.zeros(6))
-        assert out[-1] == 1.0
+        assert out[-1] == 1.0 and value == 0.0
 
     @pytest.mark.parametrize("seed", [101, 102])
     def test_lipschitz_from_the_squared_norm(self, seed):

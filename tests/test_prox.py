@@ -49,19 +49,19 @@ def oracle_ridge_l20(V, tau, lam, mu):
 class TestProxL0:
     def test_threshold_example(self):
         spec = ProxSpec(kind="l0_vector", lam=0.5)
-        out = prox_l0(np.array([2.0, 0.1]), 1.0, spec)
-        assert np.array_equal(out, [2.0, 0.0])
+        out, value = prox_l0(np.array([2.0, 0.1]), 1.0, spec)
+        assert np.array_equal(out, [2.0, 0.0]) and value == 0.5
 
     def test_lambda_zero_identity(self):
         spec = ProxSpec(kind="l0_vector", lam=0.0)
         v = np.array([0.3, -0.2, 0.0])
-        assert np.array_equal(prox_l0(v, 2.0, spec), v)
+        assert np.array_equal(prox_l0(v, 2.0, spec)[0], v)
 
     def test_tie_keeps_value(self):
         # v^2 == 2*tau*lam exactly
         spec = ProxSpec(kind="l0_vector", lam=0.5)
         v = np.array([1.0])
-        assert prox_l0(v, 1.0, spec)[0] == 1.0
+        assert prox_l0(v, 1.0, spec)[0][0] == 1.0
 
     def test_value_counts_nonzeros_outside_skip_indices(self):
         rng = RngStream(7)
@@ -74,8 +74,8 @@ class TestProxL0:
 
     def test_skip_indices_pass_through(self):
         spec = ProxSpec(kind="l0_vector", lam=100.0, skip_indices=frozenset([1]))
-        out = prox_l0(np.array([0.5, 0.5]), 1.0, spec)
-        assert np.array_equal(out, [0.0, 0.5])
+        out, value = prox_l0(np.array([0.5, 0.5]), 1.0, spec)
+        assert np.array_equal(out, [0.0, 0.5]) and value == 0.0
 
     def test_matches_enumeration_oracle(self):
         rng = RngStream(101)
@@ -85,7 +85,7 @@ class TestProxL0:
             tau = float(rng.uniform(0.05, 2.0))
             lam = float(rng.uniform(0.0, 1.0))
             spec = ProxSpec(kind="l0_vector", lam=lam)
-            out = prox_l0(v, tau, spec)
+            out, _ = prox_l0(v, tau, spec)
             obj = prox_objective(out, v, tau, spec)
             oracle_obj, _ = oracle_l0(v, tau, lam)
             assert obj <= oracle_obj + 1e-12 * max(1.0, abs(oracle_obj))
@@ -95,13 +95,13 @@ class TestProxRidgeL20:
     def test_column_threshold_example(self):
         spec = ProxSpec(kind="ridge_l20_columns", lam=0.5, mu=0.0)
         V = np.array([[0.9, 1.1]])
-        out = prox_ridge_l20_columns(V, 1.0, spec)
-        assert np.array_equal(out, [[0.0, 1.1]])
+        out, value = prox_ridge_l20_columns(V, 1.0, spec)
+        assert np.array_equal(out, [[0.0, 1.1]]) and value == 0.5
 
     def test_no_regularization_identity(self):
         spec = ProxSpec(kind="ridge_l20_columns", lam=0.0, mu=0.0)
         V = RngStream(1).standard_normal((3, 4))
-        assert np.array_equal(prox_ridge_l20_columns(V, 1.5, spec), V)
+        assert np.array_equal(prox_ridge_l20_columns(V, 1.5, spec)[0], V)
 
     def test_tie_keeps_scaled_column(self):
         tau, lam, mu = 1.0, 0.5, 1.0
@@ -109,7 +109,7 @@ class TestProxRidgeL20:
         c = np.zeros((3, 1))
         c[0, 0] = np.sqrt(norm_sq)
         spec = ProxSpec(kind="ridge_l20_columns", lam=lam, mu=mu)
-        out = prox_ridge_l20_columns(c, tau, spec)
+        out, _ = prox_ridge_l20_columns(c, tau, spec)
         assert out[0, 0] == pytest.approx(c[0, 0] / (1.0 + tau * mu))
 
     def test_matches_enumeration_oracle(self):
@@ -122,7 +122,7 @@ class TestProxRidgeL20:
             lam = float(rng.uniform(0.0, 1.0))
             mu = float(rng.uniform(0.0, 0.5))
             spec = ProxSpec(kind="ridge_l20_columns", lam=lam, mu=mu)
-            out = prox_ridge_l20_columns(V, tau, spec)
+            out, _ = prox_ridge_l20_columns(V, tau, spec)
             obj = (
                 float(np.sum((out - V) ** 2)) / (2.0 * tau) + spec.value(out)
             )
@@ -139,14 +139,31 @@ class TestSpecProx:
             tau = float(rng.uniform(0.1, 3.0))
             v = rng.standard_normal(8)
             V = rng.standard_normal((5, 4))
-            assert l0.prox(v, tau).tobytes() == prox_l0(v, tau, l0).tobytes()
-            assert (ridge.prox(V, tau).tobytes()
-                    == prox_ridge_l20_columns(V, tau, ridge).tobytes())
+            (z, gz), (z_ref, gz_ref) = l0.prox(v, tau), prox_l0(v, tau, l0)
+            assert z.tobytes() == z_ref.tobytes() and gz == gz_ref
+            (Z, gZ), (Z_ref, gZ_ref) = ridge.prox(V, tau), prox_ridge_l20_columns(V, tau, ridge)
+            assert Z.tobytes() == Z_ref.tobytes() and gZ == gZ_ref
         # a ridge spec shrinks the columns it keeps, where the l0 prox would not
         V = np.array([[1.0, 0.1], [1.0, 0.1]])
         shrunk = 1.0 / 1.2
-        assert np.array_equal(ridge.prox(V, 1.0), [[shrunk, 0.0], [shrunk, 0.0]])
-        assert np.array_equal(prox_l0(V, 1.0, ridge), [[1.0, 0.0], [1.0, 0.0]])
+        assert np.array_equal(ridge.prox(V, 1.0)[0], [[shrunk, 0.0], [shrunk, 0.0]])
+        assert np.array_equal(prox_l0(V, 1.0, ridge)[0], [[1.0, 0.0], [1.0, 0.0]])
+
+
+    @pytest.mark.parametrize("lam, mu", [(0.3, 0.2), (0.3, 0.0), (0.0, 0.2)])
+    def test_prox_value_is_the_regularizer_at_the_point(self, lam, mu):
+        # the l0 value from the kept count is the value at the point to the
+        # bit; the ridge value, from the column sums of the input, agrees
+        # with the one from the point's own entries within rounding
+        rng = RngStream(606)
+        l0 = ProxSpec(kind="l0_vector", lam=lam, skip_indices=frozenset([0, 7]))
+        ridge = ProxSpec(kind="ridge_l20_columns", lam=lam, mu=mu)
+        for _ in range(50):
+            tau = float(rng.uniform(0.1, 3.0))
+            z, gz = l0.prox(rng.standard_normal(8), tau)
+            assert gz == l0.value(z)
+            Z, gZ = ridge.prox(rng.standard_normal((5, 4)), tau)
+            assert gZ == pytest.approx(ridge.value(Z), rel=1e-15, abs=0.0)
 
 
 class TestProperties:
@@ -157,7 +174,7 @@ class TestProperties:
             tau = float(rng.uniform(0.1, 3.0))
             lam = float(rng.uniform(0.0, 1.0))
             spec = ProxSpec(kind="l0_vector", lam=lam)
-            out = prox_l0(v, tau, spec)
+            out, _ = prox_l0(v, tau, spec)
             assert prox_objective(out, v, tau, spec) <= spec.value(v) + 1e-12
 
     def test_support_monotone_in_lambda(self):
@@ -166,8 +183,8 @@ class TestProperties:
             v = rng.standard_normal(8)
             tau = float(rng.uniform(0.1, 2.0))
             lams = sorted(rng.uniform(0.0, 2.0, size=2).tolist())
-            small = prox_l0(v, tau, ProxSpec(kind="l0_vector", lam=lams[0]))
-            large = prox_l0(v, tau, ProxSpec(kind="l0_vector", lam=lams[1]))
+            small, _ = prox_l0(v, tau, ProxSpec(kind="l0_vector", lam=lams[0]))
+            large, _ = prox_l0(v, tau, ProxSpec(kind="l0_vector", lam=lams[1]))
             assert np.count_nonzero(large) <= np.count_nonzero(small)
 
     def test_spec_validation(self):
